@@ -26,24 +26,25 @@ point, so a :class:`~repro.types.StringRecord` is only materialised for
 candidates the verifier actually touches (and, for the batched Myers
 verifier, only for candidates it *accepts*).
 
-:func:`probe_many` is the v2 batch-probe executor on top of the same
-pipeline: a whole batch of ``(query, tau)`` lookups is answered in one
-pass, with duplicate queries executed once and the selection windows of
-every ``(query length, indexed length)`` combination resolved through a
-:class:`~repro.core.selection.WindowCache` — shared across groups that
-differ only in ``tau`` (the window formula depends on the index partition
-threshold, not the per-query one), and, when the caller passes its
-persistent cache, across batches and across ``search``/``search_many``/
-``explain`` calls too (hits counted as ``num_windows_cache_hits``,
-within-batch reuse as ``num_windows_reused``).  When several queries in a
-group probe the same posting list, the list is scanned once and the
-surviving row ordinals fan out to every interested query before
-verification (``num_postings_fanout``).
+The pipeline itself is written once, in :func:`_probe_group`: a list of
+per-query states sharing one ``(length, tau)`` shape walks the indexed
+lengths, selects substrings, looks each distinct substring up once, runs
+the one per-posting id filter per interested query, and verifies the
+survivors.  :func:`probe_record` drives it with a single state (carrying
+the join's ``max_length``, same-id exclusion and the optional ``explain``
+trace); :func:`probe_many` is the batch driver: duplicate ``(query, tau)``
+lookups execute once (:func:`dedupe_batch`), unique queries are grouped by
+shape, and when several queries of a group select the same substring its
+posting list is scanned once and fans out to every interested query
+(``num_postings_fanout``).  Selection windows resolve through the caller's
+persistent :class:`~repro.core.selection.WindowCache` when one is passed
+(hits counted as ``num_windows_cache_hits``).
 """
 
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..config import PartitionStrategy
@@ -51,11 +52,16 @@ from ..distance.banded import length_aware_edit_distance
 from ..types import JoinStatistics, StringRecord
 from .index import SegmentIndex
 from .partition import can_partition
-from .selection import SubstringSelector, WindowCache, substrings_from_windows
+from .selection import (SelectedSubstring, SubstringSelector, WindowCache,
+                        substrings_from_windows)
 from .verify import BaseVerifier, MatchContext
 
 if TYPE_CHECKING:
     from ..obs.trace import ProbeTrace
+
+
+#: A predicate over candidate record ids (tombstones, top-k exclusion).
+Accept = Callable[[int], bool]
 
 
 def sort_key(record: StringRecord) -> tuple[int, str]:
@@ -88,165 +94,237 @@ def build_static_index(ordered: Sequence[StringRecord], tau: int,
     return index, short_pool
 
 
-def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
-                 short_pool: Sequence[StringRecord],
-                 selector: SubstringSelector, verifier: BaseVerifier,
-                 stats: JoinStatistics, max_length: int,
-                 allow_same_id: bool = False,
-                 accept: Callable[[int], bool] | None = None,
-                 trace: "ProbeTrace | None" = None,
-                 window_cache: WindowCache | None = None,
-                 ) -> list[tuple[StringRecord, int]]:
-    """Find indexed (and short-pool) strings similar to ``probe``.
+class _ProbeState:
+    """Per-query accumulator of one :func:`_probe_group` pass."""
 
-    ``max_length`` bounds the indexed lengths probed: ``|probe|`` for the
-    self join (a partner longer than the probe sorts after it) and
-    ``|probe| + τ`` for the R-S join.  ``accept`` optionally restricts which
-    indexed records may partner the probe by record id; ids it rejects are
-    skipped before candidate counting and verification, exactly as if they
-    were not indexed at all.
+    __slots__ = ("text", "probe_id", "exclude_self", "accept", "found",
+                 "matches", "checked")
 
-    ``trace`` optionally collects a per-indexed-length breakdown for the
-    ``explain`` op.  The per-posting filter loop is duplicated so that the
-    untraced hot path executes unchanged when ``trace`` is ``None``.
+    def __init__(self, text: str, skip_rechecks: bool,
+                 accept: Accept | None,
+                 probe_id: int = -1, exclude_self: bool = False) -> None:
+        self.text = text
+        self.probe_id = probe_id
+        self.exclude_self = exclude_self
+        self.accept = accept
+        self.found: dict[int, int] = {}
+        self.matches: list[tuple[StringRecord, int]] = []
+        self.checked: set[int] | None = set() if skip_rechecks else None
 
-    ``window_cache`` optionally resolves selection windows through a
-    persistent :class:`~repro.core.selection.WindowCache` (hits counted as
-    ``num_windows_cache_hits``) instead of recomputing them per probe; the
-    substrings are then sliced from the cached windows.
+
+def _fuse(states: Sequence[_ProbeState],
+          selections: Sequence[SelectedSubstring],
+          ) -> list[tuple[SelectedSubstring, list[_ProbeState]]]:
+    """Pair every distinct substring to look up with the queries selecting it.
+
+    ``selections`` are the lead state's; every state of a group has the
+    same length, hence the same windows, and differs only in the text
+    under them.
     """
-    found: dict[int, int] = {}
-    checked: set[int] = set()
-    min_length = probe.length - tau
-    probe_id = probe.id
+    work: list[tuple[SelectedSubstring, list[_ProbeState]]] = []
+    for selection in selections:
+        start = selection.start
+        stop = start + selection.seg_length
+        by_substring: dict[str, list[_ProbeState]] = {}
+        for state in states:
+            by_substring.setdefault(state.text[start:stop], []).append(state)
+        for substring, interested in by_substring.items():
+            work.append((selection._replace(text=substring), interested))
+    return work
 
-    # Strings too short to partition are verified directly.
+
+def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
+                 index: SegmentIndex, short_pool: Sequence[StringRecord],
+                 selector: SubstringSelector,
+                 window_cache: WindowCache | None, verifier: BaseVerifier,
+                 stats: JoinStatistics,
+                 trace: "ProbeTrace | None" = None) -> None:
+    """Run the select → lookup → filter → verify pipeline for one group.
+
+    ``states`` are queries of one length probed at one ``tau`` with one
+    ``verifier``; each accumulates its own ``matches``.  Every posting
+    list is fetched once per distinct substring and then filtered per
+    interested state, in the fixed order same-id → excluded (``accept``)
+    → already-found → rechecked; ``trace`` is fed once per filtered list.
+    """
+    lead_text = states[0].text
+    query_length = len(lead_text)
+
+    # Strings too short to partition are verified directly, per query.
     for record in short_pool:
-        if record.id == probe_id and not allow_same_id:
+        if abs(record.length - query_length) > tau:
             continue
-        if accept is not None and not accept(record.id):
-            continue
-        if abs(record.length - probe.length) > tau:
-            continue
-        verification_started = time.perf_counter()
-        stats.num_verifications += 1
-        distance = length_aware_edit_distance(record.text, probe.text, tau, stats)
-        stats.verification_seconds += time.perf_counter() - verification_started
-        if trace is not None:
-            trace.short_pool_checked += 1
+        for state in states:
+            if record.id == state.probe_id and state.exclude_self:
+                continue
+            accept = state.accept
+            if accept is not None and not accept(record.id):
+                continue
+            verification_started = time.perf_counter()
+            stats.num_verifications += 1
+            distance = length_aware_edit_distance(record.text, state.text,
+                                                  tau, stats)
+            stats.verification_seconds += (
+                time.perf_counter() - verification_started)
+            if trace is not None:
+                trace.short_pool_checked += 1
+                trace.short_pool_accepted += distance <= tau
             if distance <= tau:
-                trace.short_pool_accepted += 1
-        if distance <= tau:
-            found[record.id] = distance
-    matches: list[tuple[StringRecord, int]] = [
-        (record, found[record.id]) for record in short_pool
-        if record.id in found
-    ]
+                state.found[record.id] = distance
+                state.matches.append((record, distance))
 
-    skip_rechecks = verifier.exact_per_pair
-    for length in range(max(min_length, 0), max_length + 1):
+    for length in range(max(query_length - tau, 0), max_length + 1):
         if not index.has_length(length):
             continue
         layout = index.layout(length)
 
         selection_started = time.perf_counter()
         if window_cache is None:
-            selections = selector.select(probe.text, length, layout)
+            selections = selector.select(lead_text, length, layout)
         else:
             selections = substrings_from_windows(
-                probe.text,
-                window_cache.windows(probe.length, length, layout, stats))
+                lead_text,
+                window_cache.windows(query_length, length, layout, stats))
         stats.selection_seconds += time.perf_counter() - selection_started
-        stats.num_selected_substrings += len(selections)
+        stats.num_selected_substrings += len(selections) * len(states)
+        if len(states) == 1:
+            # The join, and every all-distinct batch shape: nothing to fuse.
+            work, num_probes = zip(selections, repeat(states)), len(selections)
+        else:
+            work = _fuse(states, selections)
+            num_probes = len(work)
+        stats.num_index_probes += num_probes
         entry = (None if trace is None
-                 else trace.length_entry(length, layout, len(selections)))
+                 else trace.length_entry(length, layout, num_probes))
 
-        for selection in selections:
-            stats.num_index_probes += 1
-            if entry is not None:
-                entry["index_probes"] += 1
+        for selection, interested in work:
             postings = index.lookup(length, selection.ordinal, selection.text)
             if not postings:
                 continue
-            stats.num_postings_scanned += len(postings)
+            scanned = len(postings)
+            stats.num_postings_scanned += scanned
+            if len(interested) > 1:
+                # One scan of this posting list serves every interested
+                # query in the group.
+                stats.num_postings_fanout += len(interested) - 1
             store = postings.store
             store_ids = store.ids
-            rows: list[int] = []
-            row_ids: list[int] = []
-            if entry is None:
+            for state in interested:
+                probe_id = state.probe_id
+                exclude_self = state.exclude_self
+                accept = state.accept
+                found = state.found
+                checked = state.checked
+                rows: list[int] = []
+                row_ids: list[int] = []
+                same_id = excluded = rechecked = 0
                 for row in postings.ordinals:
                     record_id = store_ids[row]
-                    if record_id == probe_id and not allow_same_id:
+                    if record_id == probe_id and exclude_self:
+                        same_id += 1
                         continue
                     if accept is not None and not accept(record_id):
+                        excluded += 1
                         continue
                     if record_id in found:
                         continue
-                    if skip_rechecks and record_id in checked:
+                    if checked is not None and record_id in checked:
+                        rechecked += 1
                         continue
                     rows.append(row)
                     row_ids.append(record_id)
-            else:
-                # Traced twin of the loop above: identical filter order,
-                # plus per-filter attribution for the explain report.
-                entry["postings_scanned"] += len(postings)
-                for row in postings.ordinals:
-                    record_id = store_ids[row]
-                    if record_id == probe_id and not allow_same_id:
-                        entry["filtered_same_id"] += 1
-                        continue
-                    if accept is not None and not accept(record_id):
-                        entry["filtered_excluded"] += 1
-                        continue
-                    if record_id in found:
-                        entry["filtered_already_found"] += 1
-                        continue
-                    if skip_rechecks and record_id in checked:
-                        entry["filtered_rechecked"] += 1
-                        continue
-                    rows.append(row)
-                    row_ids.append(record_id)
-            if not rows:
-                continue
-            stats.num_candidates += len(rows)
-            if entry is not None:
-                entry["candidates"] += len(rows)
-            context = MatchContext(ordinal=selection.ordinal,
-                                   probe_start=selection.start,
-                                   seg_start=selection.seg_start,
-                                   seg_length=selection.seg_length)
-            verifications_before = stats.num_verifications
-            verification_started = time.perf_counter()
-            accepted = verifier.verify_rows(probe.text, store, rows, context)
-            stats.verification_seconds += time.perf_counter() - verification_started
-            if entry is not None:
-                entry["verifications"] += (stats.num_verifications
-                                           - verifications_before)
-            if skip_rechecks:
-                checked.update(row_ids)
-            for record, distance in accepted:
-                if record.id not in found:
-                    found[record.id] = distance
-                    matches.append((record, distance))
-                    if entry is not None:
-                        entry["accepted"] += 1
-    stats.num_accepted += len(matches)
-    return matches
+                verifications = accepted_here = 0
+                if rows:
+                    stats.num_candidates += len(rows)
+                    context = MatchContext(ordinal=selection.ordinal,
+                                           probe_start=selection.start,
+                                           seg_start=selection.seg_start,
+                                           seg_length=selection.seg_length)
+                    verifications_before = stats.num_verifications
+                    verification_started = time.perf_counter()
+                    accepted = verifier.verify_rows(state.text, store, rows,
+                                                    context)
+                    stats.verification_seconds += (
+                        time.perf_counter() - verification_started)
+                    verifications = (stats.num_verifications
+                                     - verifications_before)
+                    if checked is not None:
+                        checked.update(row_ids)
+                    for record, distance in accepted:
+                        if record.id not in found:
+                            found[record.id] = distance
+                            state.matches.append((record, distance))
+                            accepted_here += 1
+                if entry is not None:
+                    trace.record_scan(
+                        entry, scanned=scanned, same_id=same_id,
+                        excluded=excluded, rechecked=rechecked,
+                        candidates=len(rows), verifications=verifications,
+                        accepted=accepted_here)
+
+    for state in states:
+        # Counted once per unique query (not per fan-out position), so the
+        # funnel invariant accepted <= verifications holds.
+        stats.num_accepted += len(state.matches)
 
 
-class _BatchQueryState:
-    """Per-unique-query accumulator of one :func:`probe_many` group."""
+def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
+                 short_pool: Sequence[StringRecord],
+                 selector: SubstringSelector, verifier: BaseVerifier,
+                 stats: JoinStatistics, max_length: int,
+                 allow_same_id: bool = False,
+                 accept: Accept | None = None,
+                 trace: "ProbeTrace | None" = None,
+                 window_cache: WindowCache | None = None,
+                 ) -> list[tuple[StringRecord, int]]:
+    """Find indexed (and short-pool) strings similar to ``probe``.
 
-    __slots__ = ("text", "positions", "found", "matches", "checked", "accept")
+    The one-state driver of :func:`_probe_group`.  ``max_length`` bounds
+    the indexed lengths probed: ``|probe|`` for the self join (a partner
+    longer than the probe sorts after it) and ``|probe| + τ`` for the R-S
+    join.  ``accept`` optionally restricts which indexed records may
+    partner the probe by record id; ids it rejects are skipped before
+    candidate counting and verification, exactly as if they were not
+    indexed at all.  Unless ``allow_same_id``, the probe's own id is
+    excluded by an integer compare (no callable on the join hot path).
 
-    def __init__(self, text: str, positions: list[int], skip_rechecks: bool,
-                 accept: Callable[[int], bool] | None) -> None:
-        self.text = text
-        self.positions = positions
-        self.found: dict[int, int] = {}
-        self.matches: list[tuple[StringRecord, int]] = []
-        self.checked: set[int] | None = set() if skip_rechecks else None
-        self.accept = accept
+    ``trace`` optionally collects a per-indexed-length breakdown for the
+    ``explain`` op.  ``window_cache`` optionally resolves selection windows
+    through a persistent :class:`~repro.core.selection.WindowCache` (hits
+    counted as ``num_windows_cache_hits``) instead of calling
+    ``selector.select`` per probe.
+    """
+    state = _ProbeState(probe.text, verifier.exact_per_pair, accept,
+                        probe_id=probe.id, exclude_self=not allow_same_id)
+    _probe_group([state], tau=tau, max_length=max_length, index=index,
+                 short_pool=short_pool, selector=selector,
+                 window_cache=window_cache, verifier=verifier, stats=stats,
+                 trace=trace)
+    return state.matches
+
+
+def dedupe_batch(queries: Sequence[tuple[str, int]],
+                 accept: Accept | Sequence[Accept | None] | None,
+                 ) -> dict[tuple[str, int, Accept | None], list[int]]:
+    """Collapse a batch to its unique probes and the positions they answer.
+
+    ``accept`` is one predicate for the whole batch or a sequence aligned
+    with ``queries``; two entries are the same probe when query, tau and
+    predicate (by identity) all agree.  Shared by every kernel's
+    ``probe_many`` so the batch contract cannot drift between them.
+    """
+    if accept is None or callable(accept):
+        accepts: Sequence[Accept | None] = [accept] * len(queries)
+    else:
+        accepts = list(accept)
+        if len(accepts) != len(queries):
+            raise ValueError(
+                f"accept sequence length {len(accepts)} does not match "
+                f"{len(queries)} queries")
+    unique: dict[tuple[str, int, Accept | None], list[int]] = {}
+    for position, (text, tau) in enumerate(queries):
+        unique.setdefault((text, tau, accepts[position]), []).append(position)
+    return unique
 
 
 def probe_many(queries: Sequence[tuple[str, int]], *, index: SegmentIndex,
@@ -254,206 +332,48 @@ def probe_many(queries: Sequence[tuple[str, int]], *, index: SegmentIndex,
                selector: SubstringSelector,
                verifier_factory: Callable[[int], BaseVerifier],
                stats: JoinStatistics,
-               accept: (Callable[[int], bool]
-                        | Sequence[Callable[[int], bool] | None] | None) = None,
+               accept: Accept | Sequence[Accept | None] | None = None,
                window_cache: WindowCache | None = None,
                ) -> list[list[tuple[StringRecord, int]]]:
     """Answer a batch of ``(query text, tau)`` searches in one grouped pass.
 
-    The v2 batch executor behind ``search_many()`` and the batch-aware
-    top-k widening:
+    The batch driver of :func:`_probe_group`, behind ``search_many()`` and
+    the top-k widening:
 
     1. **Deduplicate** — identical ``(query, tau)`` pairs (under the same
        ``accept`` predicate) are probed once and their result is fanned
-       out to every occurrence.
+       out to every occurrence (:func:`dedupe_batch`).
     2. **Group by shape** — unique queries are grouped by
-       ``(query length, tau)``.  Selection windows depend only on the
-       probe *length* and the indexed length (the selector's tau is the
-       index partition threshold, not the per-query one), so every window
-       set is resolved through a :class:`~repro.core.selection.WindowCache`
-       — per-call when none is passed, the caller's persistent one
-       otherwise, sharing windows across batches and across tau groups
-       alike (``num_windows_cache_hits``; within-call cross-group reuse is
-       additionally counted as ``num_windows_reused``).
-    3. **Fused candidate accumulation** — when several queries in a group
-       probe the same posting list (same indexed length, ordinal, and
-       substring), the list is scanned once and the row ordinals fan out
-       to every interested query (``num_postings_fanout`` counts the
-       scans saved), each query then applying its own id filters.
-    4. **Stream verification** — candidates are verified per query exactly
-       as in :func:`probe_record`, so each result list is
-       element-identical to the per-query pipeline (the property-test
-       contract).
+       ``(query length, tau)``; a group shares one verifier, one selection
+       per indexed length (windows depend only on the two lengths — the
+       selector's tau is the index partition threshold, not the per-query
+       one) and one scan of every posting list several of its queries
+       select (``num_postings_fanout`` counts the scans saved).
 
-    Queries are treated as external probes (the search use case): no
-    same-id filtering is applied beyond the optional ``accept`` predicate
-    on candidate record ids.  ``accept`` is either one predicate applied
-    to every query or a sequence aligned with ``queries`` (one predicate
-    or ``None`` per position) — the hook the batch top-k widening uses to
-    exclude each query's already-found partners.  Returns one
-    ``(record, distance)`` list per input position, aligned with
-    ``queries``.
+    Each result list is element-identical to :func:`probe_record` on that
+    query — both run the same loop — which is the property-test contract.
+    Queries are external probes (no same-id exclusion); ``accept`` is one
+    predicate for every query or a sequence aligned with ``queries`` (one
+    predicate or ``None`` per position — the hook top-k widening uses to
+    exclude each query's already-found partners).  Returns one
+    ``(record, distance)`` list per input position.
     """
     results: list[list[tuple[StringRecord, int]]] = [[] for _ in queries]
-    if accept is None or callable(accept):
-        accepts: list[Callable[[int], bool] | None] = [accept] * len(queries)
-    else:
-        accepts = list(accept)
-        if len(accepts) != len(queries):
-            raise ValueError(
-                f"accept sequence length {len(accepts)} does not match "
-                f"{len(queries)} queries")
-    if window_cache is None:
-        window_cache = WindowCache(selector)
-
-    unique: dict[tuple, list[int]] = {}
-    for position, (text, tau) in enumerate(queries):
-        unique.setdefault((text, tau, accepts[position]), []).append(position)
     groups: dict[tuple[int, int],
-                 list[tuple[str, list[int],
-                            Callable[[int], bool] | None]]] = {}
-    for (text, tau, query_accept), positions in unique.items():
+                 list[tuple[str, Accept | None, list[int]]]] = {}
+    for (text, tau, query_accept), positions in dedupe_batch(
+            queries, accept).items():
         groups.setdefault((len(text), tau), []).append(
-            (text, positions, query_accept))
-
-    # Tracks (query length, indexed length) pairs already resolved during
-    # *this* call so cross-group sharing within one batch keeps its own
-    # counter next to the persistent cache's hit counter.
-    seen_windows: set[tuple[int, int]] = set()
-
-    for (query_length, tau), members in sorted(groups.items(),
-                                               key=lambda item: item[0]):
+            (text, query_accept, positions))
+    for query_length, tau in sorted(groups):
+        members = groups[query_length, tau]
         verifier = verifier_factory(tau)
-        skip_rechecks = verifier.exact_per_pair
-        states = [_BatchQueryState(text, positions, skip_rechecks, query_accept)
-                  for text, positions, query_accept in members]
-
-        # Strings too short to partition are verified directly, per query.
-        for record in short_pool:
-            if abs(record.length - query_length) > tau:
-                continue
-            for state in states:
-                state_accept = state.accept
-                if state_accept is not None and not state_accept(record.id):
-                    continue
-                verification_started = time.perf_counter()
-                stats.num_verifications += 1
-                distance = length_aware_edit_distance(record.text, state.text,
-                                                      tau, stats)
-                stats.verification_seconds += (
-                    time.perf_counter() - verification_started)
-                if distance <= tau:
-                    state.found[record.id] = distance
-                    state.matches.append((record, distance))
-
-        for length in range(max(0, query_length - tau), query_length + tau + 1):
-            if not index.has_length(length):
-                continue
-            layout = index.layout(length)
-            if (query_length, length) in seen_windows:
-                stats.num_windows_reused += 1
-            else:
-                seen_windows.add((query_length, length))
-            selection_started = time.perf_counter()
-            windows = window_cache.windows(query_length, length, layout, stats)
-            stats.selection_seconds += time.perf_counter() - selection_started
-
-            for window in windows:
-                size = window.size
-                if size <= 0:
-                    continue
-                seg_length = window.seg_length
-                ordinal = window.ordinal
-                seg_start = window.seg_start
-                stats.num_selected_substrings += size * len(states)
-                for start in range(window.lo, window.hi + 1):
-                    if len(states) == 1:
-                        # Dominant case (all-distinct shapes): no fusion
-                        # bookkeeping, same inner loop as the per-query path.
-                        probers = ((states[0].text[start:start + seg_length],
-                                    states),)
-                    else:
-                        by_substring: dict[str, list[_BatchQueryState]] = {}
-                        for state in states:
-                            by_substring.setdefault(
-                                state.text[start:start + seg_length],
-                                []).append(state)
-                        probers = tuple(by_substring.items())
-                    for substring, interested in probers:
-                        stats.num_index_probes += 1
-                        postings = index.lookup(length, ordinal, substring)
-                        if not postings:
-                            continue
-                        stats.num_postings_scanned += len(postings)
-                        if len(interested) > 1:
-                            # One scan of this posting list serves every
-                            # interested query in the group.
-                            stats.num_postings_fanout += len(interested) - 1
-                        store = postings.store
-                        store_ids = store.ids
-                        if len(interested) > 1:
-                            # Resolve the id column once; each query applies
-                            # its own filters to the shared (row, id) stream.
-                            candidates = [(row, store_ids[row])
-                                          for row in postings.ordinals]
-                        else:
-                            candidates = None
-                        context = None
-                        for state in interested:
-                            found = state.found
-                            checked = state.checked
-                            state_accept = state.accept
-                            rows = []
-                            row_ids = []
-                            if candidates is None:
-                                for row in postings.ordinals:
-                                    record_id = store_ids[row]
-                                    if (state_accept is not None
-                                            and not state_accept(record_id)):
-                                        continue
-                                    if record_id in found:
-                                        continue
-                                    if (checked is not None
-                                            and record_id in checked):
-                                        continue
-                                    rows.append(row)
-                                    row_ids.append(record_id)
-                            else:
-                                for row, record_id in candidates:
-                                    if (state_accept is not None
-                                            and not state_accept(record_id)):
-                                        continue
-                                    if record_id in found:
-                                        continue
-                                    if (checked is not None
-                                            and record_id in checked):
-                                        continue
-                                    rows.append(row)
-                                    row_ids.append(record_id)
-                            if not rows:
-                                continue
-                            stats.num_candidates += len(rows)
-                            if context is None:
-                                context = MatchContext(ordinal=ordinal,
-                                                       probe_start=start,
-                                                       seg_start=seg_start,
-                                                       seg_length=seg_length)
-                            verification_started = time.perf_counter()
-                            accepted = verifier.verify_rows(
-                                state.text, store, rows, context)
-                            stats.verification_seconds += (
-                                time.perf_counter() - verification_started)
-                            if checked is not None:
-                                checked.update(row_ids)
-                            for record, distance in accepted:
-                                if record.id not in found:
-                                    found[record.id] = distance
-                                    state.matches.append((record, distance))
-
-        for state in states:
-            # Counted once per unique query (not per fan-out position), so
-            # the funnel invariant accepted <= verifications holds.
-            stats.num_accepted += len(state.matches)
-            for position in state.positions:
+        states = [_ProbeState(text, verifier.exact_per_pair, query_accept)
+                  for text, query_accept, _ in members]
+        _probe_group(states, tau=tau, max_length=query_length + tau,
+                     index=index, short_pool=short_pool, selector=selector,
+                     window_cache=window_cache, verifier=verifier, stats=stats)
+        for state, (_, _, positions) in zip(states, members):
+            for position in positions:
                 results[position] = list(state.matches)
     return results

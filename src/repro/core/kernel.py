@@ -61,7 +61,7 @@ from ..config import (KERNELS, PartitionStrategy, VerificationMethod,
 from ..exceptions import (ConfigurationError, InvalidThresholdError,
                           UnknownMethodError)
 from ..types import JoinStatistics, StringRecord
-from .engine import probe_many, probe_record
+from .engine import dedupe_batch, probe_many, probe_record
 from .index import SegmentIndex
 from .partition import can_partition
 from .selection import MultiMatchAwareSelector, WindowCache
@@ -168,27 +168,16 @@ class KernelBackend(ABC):
 
         ``accept`` is one predicate applied to every query or a sequence
         aligned with ``queries`` (one predicate or ``None`` per position
-        — what the batch top-k widening uses to exclude each query's own
-        earlier hits).  The default deduplicates identical
-        ``(query, tau)`` pairs under the same predicate and probes each
-        once; kernels with deeper batch structure (the edit-distance
-        selection-window sharing) override it.
+        — what the top-k widening uses to exclude each query's own
+        earlier hits).  The default probes each unique
+        ``(query, tau, predicate)`` of the batch once
+        (:func:`~repro.core.engine.dedupe_batch`); kernels with deeper
+        batch structure (the edit-distance fused posting scans) override
+        it.
         """
         results: list[list[tuple[StringRecord, int]]] = [[] for _ in queries]
-        if accept is None or callable(accept):
-            accepts: list[Callable[[int], bool] | None] = (
-                [accept] * len(queries))
-        else:
-            accepts = list(accept)
-            if len(accepts) != len(queries):
-                raise ValueError(
-                    f"accept sequence length {len(accepts)} does not match "
-                    f"{len(queries)} queries")
-        unique: dict[tuple, list[int]] = {}
-        for position, (text, tau) in enumerate(queries):
-            unique.setdefault((text, tau, accepts[position]),
-                              []).append(position)
-        for (text, tau, query_accept), positions in unique.items():
+        for (text, tau, query_accept), positions in dedupe_batch(
+                queries, accept).items():
             verifier = (None if verifier_factory is None
                         else verifier_factory(tau))
             matches = self.probe(text, tau, stats=stats, accept=query_accept,
@@ -262,10 +251,9 @@ class SimilarityKernel(ABC):
 class EditDistanceBackend(KernelBackend):
     """Segment index + short pool + selector, probed via the shared engine.
 
-    This is exactly the state every searcher held inline before the kernel
-    interface existed; probes delegate to
-    :func:`repro.core.engine.probe_record` / ``probe_many`` unchanged, so
-    results are element-identical to the pre-kernel pipeline.
+    Probes delegate to the two drivers of the engine's one probe loop,
+    :func:`repro.core.engine.probe_record` (one query, optionally traced)
+    and :func:`~repro.core.engine.probe_many` (a batch).
     """
 
     def __init__(self, kernel: "EditDistanceKernel", max_tau: int, *,
@@ -573,44 +561,39 @@ class TokenJaccardBackend(KernelBackend):
         rows = self._rows
         for token in prefix:
             stats.num_index_probes += 1
-            if entry is not None:
-                entry["index_probes"] += 1
             postings = self._postings.get(token)
             if not postings:
                 continue
             stats.num_postings_scanned += len(postings)
-            if entry is not None:
-                entry["postings_scanned"] += len(postings)
+            excluded = candidates = accepted = 0
             for record_id in postings:
                 if record_id in seen:
-                    if entry is not None:
-                        entry["filtered_already_found"] += 1
                     continue
                 seen.add(record_id)
                 if accept is not None and not accept(record_id):
-                    if entry is not None:
-                        entry["filtered_excluded"] += 1
+                    excluded += 1
                     continue
                 record, tokens = rows[record_id]
                 if not lo <= len(tokens) <= hi:
                     # The size filter is a pre-verification exclusion,
                     # reported under the same label as tombstones.
-                    if entry is not None:
-                        entry["filtered_excluded"] += 1
+                    excluded += 1
                     continue
-                stats.num_candidates += 1
-                if entry is not None:
-                    entry["candidates"] += 1
+                candidates += 1
                 verification_started = time.perf_counter()
                 distance = verifier.distance(query_tokens, tokens)
                 stats.verification_seconds += (
                     time.perf_counter() - verification_started)
-                if entry is not None:
-                    entry["verifications"] += 1
                 if distance <= tau:
                     matches.append((record, distance))
-                    if entry is not None:
-                        entry["accepted"] += 1
+                    accepted += 1
+            stats.num_candidates += candidates
+            if entry is not None:
+                # Ids met under an earlier prefix token are the
+                # already-found remainder record_scan derives.
+                trace.record_scan(entry, scanned=len(postings),
+                                  excluded=excluded, candidates=candidates,
+                                  verifications=candidates, accepted=accepted)
         stats.num_accepted += len(matches)
         return matches
 

@@ -53,7 +53,6 @@ FUNNEL_COUNTER_FIELDS: tuple[tuple[str, str], ...] = (
     ("num_results", "engine_results"),
     ("num_matrix_cells", "engine_matrix_cells"),
     ("num_early_terminations", "engine_early_terminations"),
-    ("num_windows_reused", "engine_windows_reused"),
     ("num_windows_cache_hits", "engine_windows_cache_hits"),
     ("num_postings_fanout", "engine_postings_fanout"),
     ("selection_seconds", "engine_selection_seconds"),

@@ -10,9 +10,10 @@ already verified).  ``explain`` runs the probe against a private
 :class:`~repro.types.JoinStatistics`, so the trace plus the statistics
 deltas reconstruct the paper's filter funnel exactly for a single query.
 
-The hot path never sees any of this: the engine's per-posting loop is
-duplicated behind an ``if trace is None`` guard, so production probes
-execute the byte-identical untraced loop.
+The trace is an *observer* of the one probe loop, not a second copy of
+it: the engine keeps local drop counters for every posting list it filters
+anyway and hands them to :meth:`ProbeTrace.record_scan` once per list when
+a trace rides along, so traced and untraced probes execute the same code.
 
 :func:`build_explain_report` renders trace + statistics + matches into a
 plain-dict report (JSON- and pickle-ready), and
@@ -32,9 +33,9 @@ FUNNEL_FIELDS: tuple[str, ...] = (
     "selected_substrings", "index_probes", "postings_scanned",
     "candidates", "verifications", "accepted")
 
-#: Per-length counters summed when merging shard reports for a length
-#: indexed on several shards (length-band policy keeps lengths disjoint,
-#: but hash placement spreads every length fleet-wide).
+#: Per-length counters, in report order; summed when merging shard
+#: reports for a length indexed on several shards (length-band policy keeps
+#: lengths disjoint, but hash placement spreads every length fleet-wide).
 _LENGTH_COUNTER_FIELDS: tuple[str, ...] = (
     "selection_windows", "index_probes", "postings_scanned",
     "filtered_same_id", "filtered_excluded", "filtered_already_found",
@@ -61,8 +62,8 @@ class ProbeTrace:
 
         ``layout`` is the even-partition segment table for ``length``
         (``(seg_start, seg_length)`` pairs) and ``num_selections`` the
-        number of selection windows the substring selector produced for
-        this probe against that layout.
+        number of signatures (selected substrings; prefix tokens) the
+        probe looks up against that layout — each is one index probe.
         """
         entry = self.lengths.get(length)
         if entry is None:
@@ -70,19 +71,31 @@ class ProbeTrace:
                 "indexed_length": length,
                 "partition_layout": [[start, seg_length]
                                      for start, seg_length in layout],
-                "selection_windows": 0,
-                "index_probes": 0,
-                "postings_scanned": 0,
-                "filtered_same_id": 0,
-                "filtered_excluded": 0,
-                "filtered_already_found": 0,
-                "filtered_rechecked": 0,
-                "candidates": 0,
-                "verifications": 0,
-                "accepted": 0,
+                **dict.fromkeys(_LENGTH_COUNTER_FIELDS, 0),
             }
         entry["selection_windows"] += num_selections
+        entry["index_probes"] += num_selections
         return entry
+
+    @staticmethod
+    def record_scan(entry: dict[str, Any], *, scanned: int, same_id: int = 0,
+                    excluded: int, rechecked: int = 0, candidates: int,
+                    verifications: int, accepted: int) -> None:
+        """Attribute one filtered posting list to its per-length ``entry``.
+
+        Every scanned posting either fell to one of the four id filters or
+        became a candidate, so the already-found drops — the one filter the
+        hot loop does not count — are what the other figures leave over.
+        """
+        entry["postings_scanned"] += scanned
+        entry["filtered_same_id"] += same_id
+        entry["filtered_excluded"] += excluded
+        entry["filtered_already_found"] += (
+            scanned - same_id - excluded - rechecked - candidates)
+        entry["filtered_rechecked"] += rechecked
+        entry["candidates"] += candidates
+        entry["verifications"] += verifications
+        entry["accepted"] += accepted
 
     def length_payloads(self) -> list[dict[str, Any]]:
         """Per-length entries as plain dicts, ascending by indexed length."""
@@ -106,14 +119,8 @@ def build_explain_report(*, query: str, tau: int, verifier: Any,
     return {
         "query": query,
         "tau": tau,
-        "funnel": {
-            "selected_substrings": stats.num_selected_substrings,
-            "index_probes": stats.num_index_probes,
-            "postings_scanned": stats.num_postings_scanned,
-            "candidates": stats.num_candidates,
-            "verifications": stats.num_verifications,
-            "accepted": stats.num_accepted,
-        },
+        "funnel": {field: getattr(stats, f"num_{field}")
+                   for field in FUNNEL_FIELDS},
         "verifier": {
             "kernel": verifier.method.value,
             "verifications": stats.num_verifications,

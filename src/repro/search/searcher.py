@@ -31,12 +31,14 @@ length filter, exactly as in the join driver.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..config import PartitionStrategy, VerificationMethod, validate_threshold
-from ..core.kernel import (SimilarityKernel, check_batch_kernels,
-                           resolve_kernel)
+from ..core.engine import Accept
+from ..core.kernel import (KernelBackend, SimilarityKernel,
+                           check_batch_kernels, resolve_kernel)
 from ..exceptions import InvalidThresholdError
 from ..obs.trace import ProbeTrace, build_explain_report
 from ..types import JoinStatistics, StringRecord, as_records
@@ -68,22 +70,32 @@ def resolve_query_taus(queries: Sequence[str],
     return [resolve_one(value) for value in taus]
 
 
-def wrap_batch_matches(raw: Sequence[Sequence[tuple[StringRecord, int]]],
-                       stats: JoinStatistics) -> list[list["SearchMatch"]]:
-    """Turn a kernel backend's batch-probe output into result lists.
+def resolve_top_k(kernel: SimilarityKernel, k: int, max_tau: int | None,
+                  ceiling: int,
+                  batch_kernel: "str | Sequence[str | None] | None" = None,
+                  ) -> int:
+    """Validate a top-k request; return the threshold widening may reach.
 
-    One sorted ``SearchMatch`` list per query, counted into
-    ``stats.num_results`` — shared by every batch searcher (like
-    :func:`resolve_query_taus`) so their result shaping cannot drift apart.
+    ``ceiling`` is the index's ``max_tau``; a larger ``max_tau`` is clamped
+    to it.  Shared by the searchers and the shard router.
     """
-    results: list[list[SearchMatch]] = []
-    for matches in raw:
-        found = sorted((SearchMatch(distance, record.id, record.text)
-                        for record, distance in matches),
-                       key=SearchMatch.sort_key)
-        stats.num_results += len(found)
-        results.append(found)
-    return results
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    check_batch_kernels(kernel, batch_kernel)
+    return ceiling if max_tau is None else min(kernel.validate_tau(max_tau),
+                                               ceiling)
+
+
+def any_key_within(counts: Mapping[int, int], lo: int, hi: int) -> bool:
+    """True when some live partition key of ``counts`` lies in ``[lo, hi]``.
+
+    The key filter every probe applies first: with no live record's key
+    (length; token count) inside a query's window no match is possible, so
+    top-k widening skips the round and the router skips the scatter.
+    """
+    if hi - lo + 1 > len(counts):
+        return any(lo <= key <= hi for key in counts)
+    return any(key in counts for key in range(lo, hi + 1))
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -127,7 +139,192 @@ class SearchMatch:
         return cls(distance=distance, id=record_id, text=text)
 
 
-class PassJoinSearcher:
+def ranked_matches(raw: Iterable[tuple[StringRecord, int]],
+                   ) -> list[SearchMatch]:
+    """A backend's ``(record, distance)`` hits as ``(distance, id)``-sorted
+    matches — the canonical result order of every search."""
+    return sorted((SearchMatch(distance, record.id, record.text)
+                   for record, distance in raw),
+                  key=SearchMatch.sort_key)
+
+
+class KernelSearcher:
+    """The query surface over one kernel backend, written once.
+
+    :class:`PassJoinSearcher` (a frozen collection) and
+    :class:`~repro.service.dynamic.DynamicSearcher` (a mutable one) own
+    construction and mutation and share every query method from here.  A
+    frozen collection is the no-tombstone case of the mutable one, so the
+    only things a subclass provides besides ``kernel`` / ``max_tau`` /
+    ``statistics`` / ``_backend`` are ``_tombstones`` (records still in the
+    index but logically gone — always empty when frozen), ``_length_counts``
+    (live partition key → live record count) and ``__len__`` (live count).
+
+    Scalar calls are the batch of one: :meth:`search` and
+    :meth:`search_top_k` run exactly the code of :meth:`search_many` and
+    :meth:`search_top_k_many`.
+    """
+
+    kernel: SimilarityKernel
+    max_tau: int
+    statistics: JoinStatistics
+    _backend: KernelBackend
+    _tombstones: Mapping[int, StringRecord]
+    _length_counts: Mapping[int, int]
+
+    @property
+    def _index(self):
+        """The backend's signature index (edit-distance kernel only)."""
+        return self._backend.index
+
+    @property
+    def _selector(self):
+        """The backend's substring selector (edit-distance kernel only)."""
+        return self._backend.selector
+
+    def _accept(self, exclude: "Mapping[int, SearchMatch] | None" = None,
+                ) -> Accept | None:
+        """The candidate-id predicate of one probe (``None``: accept all).
+
+        Rejects tombstoned ids and, for top-k widening, the ids in
+        ``exclude`` — earlier rounds' hits, whose distance is already
+        known and must not be verified again.
+        """
+        tombstones = self._tombstones
+        if not tombstones and not exclude:
+            return None
+        if not exclude:
+            return lambda record_id: record_id not in tombstones
+        return lambda record_id: (record_id not in tombstones
+                                  and record_id not in exclude)
+
+    def _probe(self, queries: Sequence[str], taus: Sequence[int],
+               excludes: "Sequence[Mapping[int, SearchMatch]] | None" = None,
+               ) -> list[list[SearchMatch]]:
+        """One batch pass over the backend (validated taus, no result
+        counting): a ``(distance, id)``-sorted match list per query."""
+        accept = (self._accept() if excludes is None
+                  else [self._accept(exclude) for exclude in excludes])
+        raw = self._backend.probe_many(list(zip(queries, taus)),
+                                       stats=self.statistics, accept=accept)
+        return [ranked_matches(matches) for matches in raw]
+
+    def search(self, query: str, tau: int | None = None) -> list[SearchMatch]:
+        """Return every live indexed string within ``tau`` of ``query``.
+
+        ``tau`` defaults to the index's ``max_tau`` and must not exceed it.
+        Results are sorted by ``(distance, id)`` — for a mutable searcher,
+        identical to a fresh build over the live records.
+        """
+        return self.search_many([query], [tau])[0]
+
+    def search_many(self, queries: Sequence[str],
+                    tau: int | Sequence[int | None] | None = None,
+                    kernel: "str | Sequence[str | None] | None" = None,
+                    ) -> list[list[SearchMatch]]:
+        """Answer a batch of queries in one grouped index pass.
+
+        ``tau`` is a single threshold for the whole batch or a sequence of
+        per-query thresholds (``None`` entries default to ``max_tau``).
+        Returns one result list per query, aligned with ``queries``;
+        duplicates in the batch are executed once and (for the
+        edit-distance kernel) queries of one shape share their selection
+        and posting scans (see :func:`repro.core.engine.probe_many`).
+        ``kernel`` (scalar or per-query) must name this searcher's kernel;
+        a batch naming two different kernels is rejected (see
+        :func:`repro.core.kernel.check_batch_kernels`).
+        """
+        check_batch_kernels(self.kernel, kernel)
+        results = self._probe(queries,
+                              resolve_query_taus(queries, tau, self.max_tau))
+        self.statistics.num_results += sum(map(len, results))
+        return results
+
+    def explain(self, query: str, tau: int | None = None) -> dict[str, Any]:
+        """Run one traced probe and return the per-stage funnel breakdown.
+
+        The probe executes the :meth:`search` pipeline — including the
+        tombstone filter, whose rejections show up as ``filtered_excluded``
+        in the per-length entries — but against a *private*
+        :class:`~repro.types.JoinStatistics` (production counters stay
+        untouched) and with a :class:`~repro.obs.trace.ProbeTrace` observing
+        the engine.  The report (a plain JSON-ready dict) carries the filter
+        funnel, a per-indexed-length breakdown with the partition layout and
+        selection windows, the verifier kernel and its counters, stage wall
+        times, and the matches themselves — ``funnel.accepted`` always
+        equals ``num_matches``, which equals what :meth:`search` returns
+        for the same arguments.
+        """
+        (tau,) = resolve_query_taus([query], [tau], self.max_tau)
+        stats = JoinStatistics()
+        verifier = self._backend.new_verifier(tau, stats)
+        trace = ProbeTrace()
+        started = time.perf_counter()
+        raw = self._backend.probe(query, tau, stats=stats,
+                                  accept=self._accept(), trace=trace,
+                                  verifier=verifier)
+        total_seconds = time.perf_counter() - started
+        matches = ranked_matches(raw)
+        return build_explain_report(
+            query=query, tau=tau, verifier=verifier, trace=trace,
+            stats=stats, matches=matches, total_seconds=total_seconds)
+
+    def search_top_k(self, query: str, k: int,
+                     max_tau: int | None = None) -> list[SearchMatch]:
+        """Return the ``k`` live indexed strings closest to ``query``.
+
+        The threshold is grown from 0 upwards (see
+        :meth:`search_top_k_many`) until ``k`` matches are found or
+        ``max_tau`` (default: the index's ``max_tau``) is reached.  Results
+        follow the canonical ``(distance, id)`` ordering of
+        :meth:`SearchMatch.sort_key`, so ties at the cut-off distance are
+        broken by record id — deterministic across processes, index
+        builds, and serving replicas.
+        """
+        return self.search_top_k_many([query], k, max_tau)[0]
+
+    def search_top_k_many(self, queries: Sequence[str], k: int,
+                          max_tau: int | None = None,
+                          kernel: "str | Sequence[str | None] | None" = None,
+                          ) -> list[list[SearchMatch]]:
+        """Top-k for a batch: widen tau in lockstep across the queries.
+
+        Each round is one batch pass at ``tau`` over the queries that still
+        need matches, and it is incremental: earlier rounds' hits carry
+        over and are excluded from the probe (a round at ``tau`` can only
+        add matches at distance exactly ``tau``), a query retires once it
+        has ``k`` matches or has matched every live record, and a round no
+        live partition key can serve is skipped for that query.  Duplicate
+        queries widen once; ``num_results`` counts the matches returned,
+        not every round's.
+        """
+        limit = resolve_top_k(self.kernel, k, max_tau, self.max_tau, kernel)
+        needed = min(k, len(self))
+        found: dict[str, dict[int, SearchMatch]] = {
+            query: {} for query in queries}
+        for tau in range(0, limit + 1):
+            active = [query for query, hits in found.items()
+                      if len(hits) < needed]
+            if not active:
+                break
+            members = [query for query in active
+                       if any_key_within(
+                           self._length_counts,
+                           *self.kernel.probe_key_range(query, tau))]
+            if not members:
+                continue
+            rounds = self._probe(members, [tau] * len(members),
+                                 [found[query] for query in members])
+            for query, matches in zip(members, rounds):
+                found[query].update((match.id, match) for match in matches)
+        best = {query: sorted(hits.values(), key=SearchMatch.sort_key)[:k]
+                for query, hits in found.items()}
+        self.statistics.num_results += sum(len(best[query])
+                                           for query in queries)
+        return [list(best[query]) for query in queries]
+
+
+class PassJoinSearcher(KernelSearcher):
     """Approximate similarity search over a fixed collection.
 
     Parameters
@@ -181,6 +378,9 @@ class PassJoinSearcher:
             self.statistics.num_indexed_segments += self._backend.add(record)
         self.statistics.index_entries = self._backend.entry_count()
         self.statistics.index_bytes = self._backend.approximate_bytes()
+        self._tombstones: dict[int, StringRecord] = {}  # frozen: never any
+        self._length_counts = Counter(self.kernel.record_key(record.text)
+                                      for record in self._records)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -191,152 +391,7 @@ class PassJoinSearcher:
         """The indexed records (in their original order)."""
         return self._records
 
-    @property
-    def _index(self):
-        """The backend's signature index (edit-distance kernel only)."""
-        return self._backend.index
-
-    @property
-    def _short_pool(self) -> list[StringRecord]:
-        """Records the kernel cannot index (too short; token-less)."""
-        return list(self._backend.short_pool.values())
-
-    @property
-    def _selector(self):
-        """The backend's substring selector (edit-distance kernel only)."""
-        return self._backend.selector
-
     # ------------------------------------------------------------------
-    def search(self, query: str, tau: int | None = None) -> list[SearchMatch]:
-        """Return every indexed string within ``tau`` of ``query``.
-
-        ``tau`` defaults to the index's ``max_tau`` and must not exceed it.
-        Results are sorted by (distance, id).
-        """
-        tau = self.max_tau if tau is None else self.kernel.validate_tau(tau)
-        if tau > self.max_tau:
-            raise InvalidThresholdError(tau)
-        stats = self.statistics
-        matches = self._backend.probe(query, tau, stats=stats)
-        found = sorted((SearchMatch(distance, record.id, record.text)
-                        for record, distance in matches),
-                       key=SearchMatch.sort_key)
-        stats.num_results += len(found)
-        return found
-
-    def explain(self, query: str, tau: int | None = None) -> dict[str, Any]:
-        """Run one traced probe and return the per-stage funnel breakdown.
-
-        The probe executes the exact :meth:`search` pipeline, but against a
-        *private* :class:`~repro.types.JoinStatistics` (production counters
-        stay untouched) and with a :class:`~repro.obs.trace.ProbeTrace`
-        threaded through the engine.  The report (a plain JSON-ready dict)
-        carries the filter funnel, a per-indexed-length breakdown with the
-        partition layout and selection windows, the verifier kernel and its
-        counters, stage wall times, and the matches themselves —
-        ``funnel.accepted`` always equals ``num_matches``, which equals
-        what :meth:`search` returns for the same arguments.
-        """
-        tau = self.max_tau if tau is None else self.kernel.validate_tau(tau)
-        if tau > self.max_tau:
-            raise InvalidThresholdError(tau)
-        stats = JoinStatistics()
-        verifier = self._backend.new_verifier(tau, stats)
-        trace = ProbeTrace()
-        started = time.perf_counter()
-        raw = self._backend.probe(query, tau, stats=stats, trace=trace,
-                                  verifier=verifier)
-        total_seconds = time.perf_counter() - started
-        matches = sorted((SearchMatch(distance, record.id, record.text)
-                          for record, distance in raw),
-                         key=SearchMatch.sort_key)
-        return build_explain_report(
-            query=query, tau=tau, verifier=verifier, trace=trace,
-            stats=stats, matches=matches, total_seconds=total_seconds)
-
-    def search_many(self, queries: Sequence[str],
-                    tau: int | Sequence[int | None] | None = None,
-                    kernel: "str | Sequence[str | None] | None" = None,
-                    ) -> list[list[SearchMatch]]:
-        """Answer a batch of queries in one grouped index pass.
-
-        ``tau`` is a single threshold for the whole batch or a sequence of
-        per-query thresholds (``None`` entries default to ``max_tau``).
-        Returns one result list per query, aligned with ``queries`` — each
-        element-identical to what :meth:`search` returns for that query,
-        but duplicates in the batch are executed once and (for the
-        edit-distance kernel) queries of the same length share one
-        selection-window computation per indexed length (see
-        :func:`repro.core.engine.probe_many`).  ``kernel`` (scalar or
-        per-query) must name this searcher's kernel; a batch naming two
-        different kernels is rejected (see
-        :func:`repro.service.dynamic.check_batch_kernels`).
-        """
-        check_batch_kernels(self.kernel, kernel)
-        taus = resolve_query_taus(queries, tau, self.max_tau)
-        stats = self.statistics
-        raw = self._backend.probe_many(list(zip(queries, taus)), stats=stats)
-        return wrap_batch_matches(raw, stats)
-
-    # ------------------------------------------------------------------
-    def search_top_k(self, query: str, k: int,
-                     max_tau: int | None = None) -> list[SearchMatch]:
-        """Return the ``k`` indexed strings closest to ``query``.
-
-        The threshold is grown from 0 upwards (each round reuses the same
-        index) until ``k`` matches are found or ``max_tau`` (default: the
-        index's ``max_tau``) is reached.  Results follow the canonical
-        ``(distance, id)`` ordering of :meth:`SearchMatch.sort_key`, so ties
-        at the cut-off distance are broken by record id — deterministic
-        across processes, index builds, and serving replicas.
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        limit = self.max_tau if max_tau is None else min(
-            self.kernel.validate_tau(max_tau), self.max_tau)
-        best: list[SearchMatch] = []
-        for tau in range(0, limit + 1):
-            best = self.search(query, tau)
-            if len(best) >= k:
-                break
-        return best[:k]
-
-    def search_top_k_many(self, queries: Sequence[str], k: int,
-                          max_tau: int | None = None,
-                          kernel: "str | Sequence[str | None] | None" = None,
-                          ) -> list[list[SearchMatch]]:
-        """Batch :meth:`search_top_k`: widen tau in lockstep across queries.
-
-        Every round runs one :func:`~repro.core.engine.probe_many` pass
-        over the queries that still have fewer than ``k`` matches, so the
-        whole batch shares selection windows (and the persistent window
-        cache) per tau round instead of re-probing per query; queries that
-        reach ``k`` matches retire from later rounds.  Each result list is
-        element-identical to ``search_top_k(query, k, max_tau)`` — the
-        property-test contract.
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        check_batch_kernels(self.kernel, kernel)
-        limit = self.max_tau if max_tau is None else min(
-            self.kernel.validate_tau(max_tau), self.max_tau)
-        stats = self.statistics
-        best: list[list[SearchMatch]] = [[] for _ in queries]
-        active = list(range(len(queries)))
-        for tau in range(0, limit + 1):
-            if not active:
-                break
-            raw = self._backend.probe_many(
-                [(queries[position], tau) for position in active], stats=stats)
-            wrapped = wrap_batch_matches(raw, stats)
-            still_unsatisfied: list[int] = []
-            for position, found in zip(active, wrapped):
-                best[position] = found
-                if len(found) < k:
-                    still_unsatisfied.append(position)
-            active = still_unsatisfied
-        return [found[:k] for found in best]
-
     def contains_within(self, query: str, tau: int | None = None) -> bool:
         """True when at least one indexed string is within ``tau`` of ``query``."""
         return bool(self.search(query, tau))

@@ -43,17 +43,12 @@ asserts this equivalence on random interleavings, for both kernels.
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable
 
 from ..config import PartitionStrategy
-from ..core.kernel import (SimilarityKernel, check_batch_kernels,
-                           resolve_kernel)
-from ..exceptions import InvalidThresholdError
-from ..obs.trace import ProbeTrace, build_explain_report
-from ..search.searcher import (SearchMatch, resolve_query_taus,
-                               wrap_batch_matches)
+from ..core.kernel import SimilarityKernel, resolve_kernel
+from ..search.searcher import KernelSearcher
 from ..types import JoinStatistics, StringRecord, as_records
 
 
@@ -71,8 +66,14 @@ def coerce_insert_record(text: str | StringRecord, id: int | None,
     return StringRecord(id=next_id if id is None else id, text=str(text))
 
 
-class DynamicSearcher:
+class DynamicSearcher(KernelSearcher):
     """Approximate similarity search over a mutable collection.
+
+    This class owns mutation, compaction and replication; every query
+    method (``search`` / ``search_many`` / ``search_top_k`` /
+    ``search_top_k_many`` / ``explain``) is the shared
+    :class:`~repro.search.searcher.KernelSearcher` surface, filtering
+    tombstones through its accept hook.
 
     Parameters
     ----------
@@ -179,19 +180,19 @@ class DynamicSearcher:
         return [self._live[record_id] for record_id in sorted(self._live)]
 
     @property
-    def _index(self):
-        """The backend's signature index (edit-distance kernel only)."""
-        return self._backend.index
-
-    @property
     def _short_pool(self) -> dict[int, StringRecord]:
         """Records the kernel cannot index (too short; token-less)."""
         return self._backend.short_pool
 
-    @property
-    def _selector(self):
-        """The backend's substring selector (edit-distance kernel only)."""
-        return self._backend.selector
+    def index_memory(self) -> dict[str, int]:
+        """Memory figures of the signature index (the ``stats`` op payload).
+
+        ``records`` counts live store rows — tombstoned records remain
+        until compaction purges them; ``approximate_bytes`` covers the
+        inverted lists plus the record columns (see the backend's
+        ``memory_report``).
+        """
+        return self._backend.memory_report()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -380,232 +381,6 @@ class DynamicSearcher:
                     f"primary logged {epoch_after}")
             applied += 1
         return applied
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def search(self, query: str, tau: int | None = None) -> list[SearchMatch]:
-        """Return every live string within ``tau`` of ``query``.
-
-        ``tau`` defaults to ``max_tau`` and must not exceed it.  Results
-        are sorted by ``(distance, id)`` — identical to a fresh
-        :class:`~repro.search.searcher.PassJoinSearcher` over the live
-        records.
-        """
-        tau = self.max_tau if tau is None else self.kernel.validate_tau(tau)
-        if tau > self.max_tau:
-            raise InvalidThresholdError(tau)
-        found = self._search(query, tau)
-        self.statistics.num_results += len(found)
-        return found
-
-    def _search(self, query: str, tau: int,
-                exclude: "dict[int, SearchMatch] | None" = None,
-                ) -> list[SearchMatch]:
-        """One filter-and-verify pass (validated ``tau``, no result counting).
-
-        ``exclude`` skips record ids whose distance is already known — the
-        top-k widening loop passes its accumulated matches so earlier rounds'
-        hits are never verified again.
-        """
-        stats = self.statistics
-        tombstones = self._tombstones
-        accept = None
-        if tombstones or exclude:
-            def accept(record_id: int) -> bool:
-                if record_id in tombstones:
-                    return False
-                return exclude is None or record_id not in exclude
-        matches = self._backend.probe(query, tau, stats=stats, accept=accept)
-        return sorted((SearchMatch(distance, record.id, record.text)
-                       for record, distance in matches),
-                      key=SearchMatch.sort_key)
-
-    def explain(self, query: str, tau: int | None = None) -> dict[str, Any]:
-        """Run one traced probe and return the per-stage funnel breakdown.
-
-        Dynamic counterpart of :meth:`PassJoinSearcher.explain
-        <repro.search.searcher.PassJoinSearcher.explain>`: the probe runs
-        the exact :meth:`search` pipeline — including the tombstone filter,
-        whose rejections show up as ``filtered_excluded`` in the per-length
-        entries — against a private :class:`~repro.types.JoinStatistics`,
-        so production counters stay untouched and the report's funnel is an
-        exact per-query delta.  ``funnel.accepted`` equals ``num_matches``,
-        which equals what :meth:`search` returns for the same arguments.
-        """
-        tau = self.max_tau if tau is None else self.kernel.validate_tau(tau)
-        if tau > self.max_tau:
-            raise InvalidThresholdError(tau)
-        stats = JoinStatistics()
-        verifier = self._backend.new_verifier(tau, stats)
-        trace = ProbeTrace()
-        tombstones = self._tombstones
-        accept = None
-        if tombstones:
-            def accept(record_id: int) -> bool:
-                return record_id not in tombstones
-        started = time.perf_counter()
-        raw = self._backend.probe(query, tau, stats=stats, accept=accept,
-                                  trace=trace, verifier=verifier)
-        total_seconds = time.perf_counter() - started
-        matches = sorted((SearchMatch(distance, record.id, record.text)
-                          for record, distance in raw),
-                         key=SearchMatch.sort_key)
-        return build_explain_report(
-            query=query, tau=tau, verifier=verifier, trace=trace,
-            stats=stats, matches=matches, total_seconds=total_seconds)
-
-    def search_many(self, queries: Sequence[str],
-                    tau: int | Sequence[int | None] | None = None,
-                    kernel: "str | Sequence[str | None] | None" = None,
-                    ) -> list[list[SearchMatch]]:
-        """Answer a batch of queries in one grouped index pass.
-
-        Batch counterpart of :meth:`search` with the semantics of
-        :meth:`PassJoinSearcher.search_many
-        <repro.search.searcher.PassJoinSearcher.search_many>`: ``tau`` is a
-        scalar for the whole batch or a per-query sequence, duplicates are
-        executed once, same-length queries share their selection windows,
-        and every result list is element-identical to a :meth:`search`
-        call over the same live collection.  ``kernel`` (scalar or
-        per-query) must name the served kernel; a batch naming two
-        different kernels is rejected outright (see
-        :func:`check_batch_kernels`).
-        """
-        check_batch_kernels(self.kernel, kernel)
-        taus = resolve_query_taus(queries, tau, self.max_tau)
-        stats = self.statistics
-        tombstones = self._tombstones
-        accept = None
-        if tombstones:
-            def accept(record_id: int) -> bool:
-                return record_id not in tombstones
-        raw = self._backend.probe_many(
-            list(zip(queries, taus)), stats=stats, accept=accept)
-        return wrap_batch_matches(raw, stats)
-
-    def index_memory(self) -> dict[str, int]:
-        """Memory figures of the signature index (the ``stats`` op payload).
-
-        ``records`` counts live store rows — tombstoned records remain
-        until compaction purges them; ``approximate_bytes`` covers the
-        inverted lists plus the record columns (see the backend's
-        ``memory_report``).
-        """
-        return self._backend.memory_report()
-
-    def _any_live_length_within(self, query: str, tau: int) -> bool:
-        """True when some live record passes the partition-key filter."""
-        counts = self._length_counts
-        lo, hi = self.kernel.probe_key_range(query, tau)
-        if hi - lo + 1 > len(counts):
-            return any(lo <= key <= hi for key in counts)
-        return any(key in counts for key in range(lo, hi + 1))
-
-    def search_top_k(self, query: str, k: int,
-                     max_tau: int | None = None) -> list[SearchMatch]:
-        """Return the ``k`` live strings closest to ``query``.
-
-        Same widening strategy and deterministic ``(distance, id)``
-        tie-breaking as :meth:`PassJoinSearcher.search_top_k`, but each
-        widening round is incremental: matches found at a smaller threshold
-        carry over (a round at ``tau`` can only add matches at distance
-        exactly ``tau``), rounds that cannot add results — every live string
-        already matched, or no live string passes the length filter at this
-        ``tau`` — are skipped outright, and ``num_results`` counts only the
-        matches actually returned instead of re-counting every round.
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        limit = self.max_tau if max_tau is None else min(
-            self.kernel.validate_tau(max_tau), self.max_tau)
-        found: dict[int, SearchMatch] = {}
-        for tau in range(0, limit + 1):
-            if len(found) >= k or len(found) == len(self._live):
-                break
-            if not self._any_live_length_within(query, tau):
-                continue
-            for match in self._search(query, tau, exclude=found):
-                found[match.id] = match
-        best = sorted(found.values(), key=SearchMatch.sort_key)[:k]
-        self.statistics.num_results += len(best)
-        return best
-
-    def search_top_k_many(self, queries: Sequence[str], k: int,
-                          max_tau: int | None = None,
-                          kernel: "str | Sequence[str | None] | None" = None,
-                          ) -> list[list[SearchMatch]]:
-        """Batch :meth:`search_top_k`: widen tau in lockstep across queries.
-
-        One :func:`~repro.core.engine.probe_many` pass per tau round
-        answers every query that still needs matches, so the whole batch
-        shares selection windows (and the backend's persistent window
-        cache) per round instead of re-probing per query.  Each query
-        keeps the incremental semantics of :meth:`search_top_k` exactly:
-        earlier rounds' hits carry over and are excluded from later probes
-        (via the per-query ``accept`` hook of the v2 batch executor),
-        queries with ``k`` matches — or with every live record already
-        matched — retire from later rounds, and rounds no live length can
-        serve are skipped per query.  Duplicate queries in the batch widen
-        once.  Each result list is element-identical to
-        ``search_top_k(query, k, max_tau)`` — the property-test contract.
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        check_batch_kernels(self.kernel, kernel)
-        limit = self.max_tau if max_tau is None else min(
-            self.kernel.validate_tau(max_tau), self.max_tau)
-        stats = self.statistics
-        tombstones = self._tombstones
-        live_count = len(self._live)
-
-        unique: dict[str, list[int]] = {}
-        for position, query in enumerate(queries):
-            unique.setdefault(query, []).append(position)
-        states: list[tuple[str, list[int], dict[int, SearchMatch]]] = [
-            (query, positions, {}) for query, positions in unique.items()]
-
-        def make_accept(found: dict[int, SearchMatch],
-                        ) -> Callable[[int], bool]:
-            def accept(record_id: int) -> bool:
-                return record_id not in tombstones and record_id not in found
-            return accept
-
-        active = list(range(len(states)))
-        for tau in range(0, limit + 1):
-            if not active:
-                break
-            still_active: list[int] = []
-            round_members: list[int] = []
-            for state_index in active:
-                query, _, found = states[state_index]
-                if len(found) >= k or len(found) == live_count:
-                    continue  # satisfied (or exhausted): retire permanently
-                still_active.append(state_index)
-                if self._any_live_length_within(query, tau):
-                    round_members.append(state_index)
-            active = still_active
-            if not round_members:
-                continue
-            raw = self._backend.probe_many(
-                [(states[state_index][0], tau)
-                 for state_index in round_members],
-                stats=stats,
-                accept=[make_accept(states[state_index][2])
-                        for state_index in round_members])
-            for state_index, matches in zip(round_members, raw):
-                found = states[state_index][2]
-                for record, distance in matches:
-                    found[record.id] = SearchMatch(distance, record.id,
-                                                   record.text)
-
-        results: list[list[SearchMatch]] = [[] for _ in queries]
-        for _, positions, found in states:
-            best = sorted(found.values(), key=SearchMatch.sort_key)[:k]
-            for position in positions:
-                stats.num_results += len(best)
-                results[position] = list(best)
-        return results
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DynamicSearcher(live={len(self._live)}, "

@@ -367,33 +367,23 @@ class SimilarityService:
             else:
                 pending_top_k.append((position, key, cache_key, cache_epoch))
         if pending:
-            search_many = getattr(self.searcher, "search_many", None)
-            if search_many is not None:
-                batches = search_many([key[1] for _, key, _, _ in pending],
-                                      tau=[key[2] for _, key, _, _ in pending])
-            else:  # duck-typed searcher without a batch path
-                batches = [self.searcher.search(key[1], key[2])
-                           for _, key, _, _ in pending]
+            batches = self.searcher.search_many(
+                [key[1] for _, key, _, _ in pending],
+                tau=[key[2] for _, key, _, _ in pending])
             for (position, _, cache_key, cache_epoch), matches in zip(
                     pending, batches):
                 self.cache.put(cache_key, cache_epoch, matches)
                 answers[position] = (matches, False)
         if pending_top_k:
-            top_k_many = getattr(self.searcher, "search_top_k_many", None)
             groups: dict[tuple[int, int],
                          list[tuple[int, QueryKey, QueryKey, int]]] = {}
             for entry in pending_top_k:
                 groups.setdefault((entry[1][2], entry[1][3]), []).append(entry)
             for (k, limit), entries in groups.items():
-                if top_k_many is not None:
-                    # Each (k, limit) group widens tau in lockstep through
-                    # one batch-aware pass instead of one pass per query.
-                    batches = top_k_many(
-                        [key[1] for _, key, _, _ in entries], k, limit)
-                else:  # duck-typed searcher without a batch top-k path
-                    batches = [self.searcher.search_top_k(key[1], key[2],
-                                                          key[3])
-                               for _, key, _, _ in entries]
+                # Each (k, limit) group widens tau in lockstep through one
+                # batch pass instead of one pass per query.
+                batches = self.searcher.search_top_k_many(
+                    [key[1] for _, key, _, _ in entries], k, limit)
                 for (position, _, cache_key, cache_epoch), matches in zip(
                         entries, batches):
                     self.cache.put(cache_key, cache_epoch, matches)

@@ -71,12 +71,13 @@ mutation the router ships the log tail to the shard's replicas, which
 replay it and report their ``applied_epoch`` back.
 
 Freshness is enforced with the machinery that already keys the query
-cache: a read (``search``/``search-many``/``top-k``) may be served by a
-replica **only** when its applied epoch equals the router's epoch mirror
-for that shard — the same per-shard epoch that :meth:`ShardRouter.
-epoch_token` folds into cache keys.  A lagging, dead, or diverged replica
-is silently bypassed in favour of the primary (and a replica that fails
-mid-read is marked dead and the read retried on the primary), so
+cache: a read (the ``search-many``/``top-k-many`` worker ops every query
+method scatters) may be served by a replica **only** when its applied
+epoch equals the router's epoch mirror for that shard — the same per-shard
+epoch that :meth:`ShardRouter.epoch_token` folds into cache keys.  A
+lagging, dead, or diverged replica is silently bypassed in favour of the
+primary (and a replica that fails mid-read is marked dead and the read
+retried on the primary), so
 replicated answers are element-identical to an unsharded searcher under
 any interleaving of mutations, resizes, and replica faults — a stale
 answer is structurally impossible, the replicas only ever *add* capacity.
@@ -102,10 +103,11 @@ from ..config import (DEFAULT_KERNEL, SHARD_BACKENDS, SHARD_POLICIES,
 from ..core.kernel import (SimilarityKernel, check_batch_kernels,
                            resolve_kernel)
 from ..core.parallel import available_workers
-from ..exceptions import ConfigurationError, InvalidThresholdError, ServiceError
+from ..exceptions import ConfigurationError, ServiceError
 from ..obs.metrics import funnel_snapshot, merge_snapshots
 from ..obs.trace import merge_explain_reports
-from ..search.searcher import SearchMatch, resolve_query_taus
+from ..search.searcher import (SearchMatch, any_key_within, resolve_query_taus,
+                               resolve_top_k)
 from ..types import JoinStatistics, StringRecord, as_records
 from .dynamic import DynamicSearcher, coerce_insert_record
 from .placement import (PlacementMap, ReplicaReadSchedule,
@@ -177,15 +179,9 @@ class ShardContext:
 
 def _apply_shard_op(searcher: DynamicSearcher, op: str, args: object) -> object:
     """Execute one router op against a shard's searcher (both backends)."""
-    if op == "search":
-        query, tau = args
-        return searcher.search(query, tau)
     if op == "search-many":
         return searcher.search_many([query for query, _ in args],
                                     tau=[tau for _, tau in args])
-    if op == "top-k":
-        query, k, limit = args
-        return searcher.search_top_k(query, k, limit)
     if op == "top-k-many":
         queries, k, limit = args
         return searcher.search_top_k_many(list(queries), k, limit)
@@ -367,7 +363,7 @@ class _ReplicaState:
 
 #: Ops a fresh replica may serve.  Everything else — mutations, migration
 #: plumbing, status/metrics/records introspection — routes to the primary.
-_READ_OPS = frozenset({"search", "search-many", "top-k", "top-k-many"})
+_READ_OPS = frozenset({"search-many", "top-k-many"})
 
 #: Ops that move a shard's epoch: after one of these lands on a primary,
 #: the router ships the new mutation-log tail to that shard's replicas.
@@ -1190,13 +1186,8 @@ class ShardRouter:
         unioned: an unmoved record is still covered by the old map, a
         moved one by the new.
         """
-        counts = self._length_counts
         lo, hi = self.kernel.probe_key_range(query, tau)
-        if hi - lo + 1 > len(counts):
-            alive = any(lo <= key <= hi for key in counts)
-        else:
-            alive = any(key in counts for key in range(lo, hi + 1))
-        if not alive:
+        if not any_key_within(self._length_counts, lo, hi):
             return ()
         targets = self.policy.probe_key_span(lo, hi)
         migration = self._migration
@@ -1226,15 +1217,9 @@ class ShardRouter:
         return merged
 
     def search(self, query: str, tau: int | None = None) -> list[SearchMatch]:
-        """Scatter a threshold search, merge under ``(distance, id)``."""
-        tau = self.max_tau if tau is None else self.kernel.validate_tau(tau)
-        if tau > self.max_tau:
-            raise InvalidThresholdError(tau)
-        targets = self._probe_targets(query, tau)
-        if not targets:
-            return []
-        gathered = self._scatter(targets, "search", (query, tau))
-        return self._merge(gathered)
+        """Scatter a threshold search, merge under ``(distance, id)``:
+        the one-query case of :meth:`search_many`."""
+        return self.search_many([query], [tau])[0]
 
     def explain(self, query: str, tau: int | None = None) -> dict:
         """Scatter a traced probe; merge the per-shard explain reports.
@@ -1249,13 +1234,9 @@ class ShardRouter:
         report without touching any shard — mirroring the :meth:`search`
         fast path.
         """
-        tau = self.max_tau if tau is None else self.kernel.validate_tau(tau)
-        if tau > self.max_tau:
-            raise InvalidThresholdError(tau)
-        targets = self._probe_targets(query, tau)
-        if not targets:
-            return merge_explain_reports(query, tau, [])
-        gathered = self._scatter(targets, "explain", (query, tau))
+        (tau,) = resolve_query_taus([query], [tau], self.max_tau)
+        gathered = self._scatter(self._probe_targets(query, tau), "explain",
+                                 (query, tau))
         return merge_explain_reports(query, tau, gathered)
 
     def search_many(self, queries: Sequence[str],
@@ -1278,83 +1259,68 @@ class ShardRouter:
         """
         check_batch_kernels(self.kernel, kernel)
         taus = resolve_query_taus(queries, tau, self.max_tau)
-        sub_batches: dict[int, list[tuple[int, str, int]]] = {}
-        for position, (query, query_tau) in enumerate(zip(queries, taus)):
-            for shard in self._probe_targets(query, query_tau):
-                sub_batches.setdefault(shard, []).append(
-                    (position, query, query_tau))
-        per_query: list[list[SearchMatch]] = [[] for _ in queries]
+        return self._scatter_queries(
+            queries, taus, "search-many",
+            lambda positions: tuple((queries[position], taus[position])
+                                    for position in positions))
+
+    def _scatter_queries(self, queries: Sequence[str], taus: Sequence[int],
+                         op: str, shard_args) -> list[list[SearchMatch]]:
+        """One scatter round of a query batch; one merged list per query.
+
+        Each shard is sent ``shard_args(positions)`` for the positions of
+        the queries whose probe set (at that query's tau) includes it and
+        answers with one match list per position; queries no shard can
+        serve stay ``[]`` without scattering.
+        """
+        sub_batches: dict[int, list[int]] = {}
+        for position, (query, tau) in enumerate(zip(queries, taus)):
+            for shard in self._probe_targets(query, tau):
+                sub_batches.setdefault(shard, []).append(position)
+        per_query: list[list[Sequence[SearchMatch]]] = [[] for _ in queries]
         targets = sorted(sub_batches)
         if targets:
             gathered = self._scatter_each(
-                targets, "search-many",
-                [tuple((query, query_tau)
-                       for _, query, query_tau in sub_batches[shard])
-                 for shard in targets])
+                targets, op,
+                [shard_args(sub_batches[shard]) for shard in targets])
             for shard, bucket in zip(targets, gathered):
-                for (position, _, _), matches in zip(sub_batches[shard],
-                                                     bucket):
+                for position, matches in zip(sub_batches[shard], bucket):
                     per_query[position].append(matches)
         return [self._merge(buckets) for buckets in per_query]
 
     def search_top_k(self, query: str, k: int,
                      max_tau: int | None = None) -> list[SearchMatch]:
-        """Merge the per-shard top-k lists into the global top-k.
-
-        Exact by a standard argument: if a match is among the global k
-        closest, fewer than k matches beat it anywhere — so fewer than k
-        beat it in its own shard, and it appears in that shard's local
-        top-k.  The union of the local top-k lists therefore contains the
-        global top-k, and the canonical ``(distance, id)`` sort makes the
-        selection deterministic and identical to the unsharded searcher.
-        (A dual-present record mid-migration contributes two identical
-        copies; the merge dedupes them before the cut to ``k``.)
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        limit = self.max_tau if max_tau is None else min(
-            self.kernel.validate_tau(max_tau), self.max_tau)
-        targets = self._probe_targets(query, limit)
-        if not targets:
-            return []
-        gathered = self._scatter(targets, "top-k", (query, k, limit))
-        return self._merge(gathered)[:k]
+        """The global top-k of one query: the one-query case of
+        :meth:`search_top_k_many`."""
+        return self.search_top_k_many([query], k, max_tau)[0]
 
     def search_top_k_many(self, queries: Sequence[str], k: int,
                           max_tau: int | None = None,
                           kernel: "str | Sequence[str | None] | None" = None,
                           ) -> list[list[SearchMatch]]:
-        """Batch :meth:`search_top_k` in one scatter round.
+        """Merge the per-shard top-k lists into the global top-k.
 
         Each shard receives only the sub-batch of queries whose probe set
         (at the widening *limit*) includes it and widens its local batch in
         lockstep via :meth:`DynamicSearcher.search_top_k_many
-        <repro.service.dynamic.DynamicSearcher.search_top_k_many>`; the
+        <repro.search.searcher.KernelSearcher.search_top_k_many>`; the
         router merges each query's per-shard local top-k lists and cuts to
-        ``k`` — exact by the same union argument as :meth:`search_top_k`,
-        and element-identical to sequential per-query top-k calls.
+        ``k``.  Exact by a standard argument: if a match is among the
+        global k closest, fewer than k matches beat it anywhere — so fewer
+        than k beat it in its own shard, and it appears in that shard's
+        local top-k.  The union of the local top-k lists therefore contains
+        the global top-k, and the canonical ``(distance, id)`` sort makes
+        the selection deterministic and identical to the unsharded
+        searcher.  (A dual-present record mid-migration contributes two
+        identical copies; the merge dedupes them before the cut to ``k``.)
         Queries whose probe set is empty stay ``[]`` without scattering.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        check_batch_kernels(self.kernel, kernel)
-        limit = self.max_tau if max_tau is None else min(
-            self.kernel.validate_tau(max_tau), self.max_tau)
-        sub_batches: dict[int, list[tuple[int, str]]] = {}
-        for position, query in enumerate(queries):
-            for shard in self._probe_targets(query, limit):
-                sub_batches.setdefault(shard, []).append((position, query))
-        per_query: list[list[Sequence[SearchMatch]]] = [[] for _ in queries]
-        targets = sorted(sub_batches)
-        if targets:
-            gathered = self._scatter_each(
-                targets, "top-k-many",
-                [(tuple(query for _, query in sub_batches[shard]), k, limit)
-                 for shard in targets])
-            for shard, bucket in zip(targets, gathered):
-                for (position, _), matches in zip(sub_batches[shard], bucket):
-                    per_query[position].append(matches)
-        return [self._merge(buckets)[:k] for buckets in per_query]
+        limit = resolve_top_k(self.kernel, k, max_tau, self.max_tau, kernel)
+        merged = self._scatter_queries(
+            queries, [limit] * len(queries), "top-k-many",
+            lambda positions: (tuple(queries[position]
+                                     for position in positions), k, limit))
+        return [matches[:k] for matches in merged]
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -125,7 +125,6 @@ class JoinStatistics:
     num_results: int = 0
     num_matrix_cells: int = 0
     num_early_terminations: int = 0
-    num_windows_reused: int = 0
     num_windows_cache_hits: int = 0
     num_postings_fanout: int = 0
     index_entries: int = 0

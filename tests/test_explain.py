@@ -3,11 +3,16 @@
 import pytest
 
 from helpers import random_strings
+from repro.config import PartitionStrategy
+from repro.core.engine import build_static_index, probe_record, sort_records
+from repro.core.selection import make_selector
+from repro.core.verify import make_verifier
 from repro.exceptions import InvalidThresholdError
-from repro.obs.trace import FUNNEL_FIELDS, empty_explain_report
+from repro.obs.trace import FUNNEL_FIELDS, ProbeTrace, empty_explain_report
 from repro.search import PassJoinSearcher
 from repro.service.dynamic import DynamicSearcher
 from repro.service.sharding import ShardRouter
+from repro.types import JoinStatistics, as_records
 
 STRINGS = ["vldb", "pvldb", "sigmod", "sigmmod", "icde", "edbt"]
 
@@ -138,3 +143,63 @@ class TestRouterExplain:
             matches = router.search("vldb", 1)
             assert report["num_matches"] == len(matches) == 2
             assert report["funnel"]["accepted"] == 2
+
+
+# ----------------------------------------------------------------------
+# Per-length conservation: the trace observes the one probe loop, so every
+# scanned posting must land in exactly one bucket, whichever filter took it.
+# ----------------------------------------------------------------------
+def _self_join_entries():
+    # A probe that is itself indexed, run the way the join drivers run it.
+    records = sort_records(as_records(["abcdef", "abcdeg", "abcxef"]))
+    index, pool = build_static_index(records, 1, PartitionStrategy.EVEN)
+    stats = JoinStatistics()
+    trace = ProbeTrace()
+    probe_record(records[0], tau=1, index=index, short_pool=pool,
+                 selector=make_selector("multi-match", 1),
+                 verifier=make_verifier("extension", 1, stats), stats=stats,
+                 max_length=records[0].length + 1, allow_same_id=False,
+                 trace=trace)
+    return trace.length_payloads()
+
+
+def _tombstone_entries():
+    searcher = DynamicSearcher(STRINGS, max_tau=1)
+    searcher.delete(1)  # "pvldb" stays in the postings until compaction
+    return searcher.explain("vldb", 1)["lengths"]
+
+
+def _multi_segment_entries():
+    # The query equals an indexed string: every segment matches, the first
+    # accepts it, the later ones find it already matched.
+    return PassJoinSearcher(STRINGS, max_tau=2).explain("sigmod", 2)["lengths"]
+
+
+def _rechecked_entries():
+    # "abcxxfgh" shares the segments "ab" and "fgh" of "ab|cde|fgh" but is
+    # two edits away: an exact-per-pair verifier rejects it once at tau=1
+    # and the second shared segment must not verify it again.
+    searcher = PassJoinSearcher(["abcdefgh"], max_tau=2,
+                                verification="length-aware")
+    return searcher.explain("abcxxfgh", 1)["lengths"]
+
+
+class TestPerLengthConservation:
+    @pytest.mark.parametrize("entries_of, branch", [
+        (_self_join_entries, "filtered_same_id"),
+        (_tombstone_entries, "filtered_excluded"),
+        (_multi_segment_entries, "filtered_already_found"),
+        (_rechecked_entries, "filtered_rechecked"),
+    ])
+    def test_every_scanned_posting_is_attributed_once(self, entries_of,
+                                                      branch):
+        entries = entries_of()
+        assert sum(entry[branch] for entry in entries) >= 1, branch
+        for entry in entries:
+            assert entry["postings_scanned"] == (
+                entry["filtered_same_id"] + entry["filtered_excluded"]
+                + entry["filtered_already_found"]
+                + entry["filtered_rechecked"] + entry["candidates"]), entry
+            assert entry["accepted"] <= entry["verifications"], entry
+            assert all(entry[field] >= 0 for field in entry
+                       if field.startswith("filtered_")), entry

@@ -380,7 +380,7 @@ class TestLengthPolicyEdges:
             # A populated window still scatters, and only to the shards
             # whose bands intersect it (bands 1-2 -> shards 1 and 2).
             assert router.search("abcd", tau=1) == single.search("abcd", 1)
-            assert calls == [((1, 2), "search")]
+            assert calls == [((1, 2), "search-many")]
 
     def test_boundary_lengths_still_covered(self):
         # Window edges exactly touching a populated band must still probe.

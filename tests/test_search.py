@@ -98,6 +98,32 @@ class TestTopKSearch:
         with pytest.raises(ValueError):
             searcher.search_top_k("abc", k=0)
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_widening_counts_match_the_dynamic_searcher(self, batch):
+        # Regression: the static searcher re-ran a full search per widening
+        # round, re-verifying earlier rounds' hits and adding every round
+        # to num_results; the dynamic one (same collection) did neither.
+        from repro.service import DynamicSearcher
+
+        strings = ["vldb", "pvldb", "vldbj", "sigmod", "sigmmod", "icde",
+                   "icdt", "edbt"]
+        deltas = []
+        for searcher in (PassJoinSearcher(strings, max_tau=3),
+                         DynamicSearcher(strings, max_tau=3)):
+            stats = searcher.statistics
+            before = (stats.num_results, stats.num_candidates,
+                      stats.num_verifications)
+            found = (searcher.search_top_k_many(["vldb"], 4)[0] if batch
+                     else searcher.search_top_k("vldb", 4))
+            assert [m.text for m in found] == ["vldb", "pvldb", "vldbj",
+                                               "icde"]
+            deltas.append(tuple(
+                after - start for after, start in zip(
+                    (stats.num_results, stats.num_candidates,
+                     stats.num_verifications), before)))
+        assert deltas[0] == deltas[1]
+        assert deltas[0][0] == 4  # the matches returned, counted once
+
 
 class TestSearchMatchWireFormat:
     def test_round_trip(self):

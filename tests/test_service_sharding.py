@@ -307,7 +307,7 @@ class TestProcessBackend:
         with make_router(["abcdef"], shards=2, backend="process") as router:
             # Force a shard-side failure: a direct op with a bad payload.
             with pytest.raises(Exception):
-                router._call(0, "search", ("abc", -1))
+                router._call(0, "search-many", (("abc", -1),))
             # The pipe must be drained: the next call still works.
             assert [m.text for m in router.search("abcdef", tau=1)] == [
                 "abcdef"]
@@ -327,8 +327,8 @@ class TestProcessBackend:
                     router.search("abcdef", tau=1)
             # Shard 0 alone still answers correctly and freshly.
             shard0 = router._shards[0]
-            shard0.send("search", ("abcdef", 1))
-            matches, epoch = shard0.recv()
+            shard0.send("search-many", (("abcdef", 1),))
+            (matches,), epoch = shard0.recv()
             assert [m.text for m in matches] == ["abcdef"]
             assert epoch == 0
 
