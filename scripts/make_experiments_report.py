@@ -328,8 +328,7 @@ def build_report(scale: float) -> str:
         "Replica scaling (beyond the paper — read-replica fleet)",
         "The paper's system answers one query stream from one index; this "
         "reproduction can attach read replicas to every shard "
-        "(`serve --replicas N`) and scale the front end with an acceptor "
-        "pool (`serve --acceptors N`, `SO_REUSEPORT`).  Replicas apply an "
+        "(`serve --replicas N`).  Replicas apply an "
         "epoch-tagged mutation stream from their primary; the router "
         "serves a read from a replica only when the replica's applied "
         "epoch equals the shard's current epoch, so a lagging (or dead) "

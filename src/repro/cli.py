@@ -10,7 +10,7 @@ Six subcommands cover the day-to-day uses of the library::
     passjoin experiment figure15 --scale 0.5   # rerun a paper experiment
     passjoin serve FILE --tau 2 --port 8765    # online similarity service
     passjoin serve FILE --tau 20 --kernel token-jaccard  # Jaccard kernel
-    passjoin serve FILE --replicas 2 --acceptors 2  # read-scaled front end
+    passjoin serve FILE --replicas 2           # read replicas per shard
     passjoin admin kernels                     # list registered kernels
     passjoin query "some string" --tau 1       # ask a running service
     passjoin query --file queries.txt --tau 1  # batch: one request, N queries
@@ -133,9 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--replicas", type=int, default=0,
                        help="read replicas per shard; stale replicas are "
                             "bypassed to the primary (default 0 = none)")
-    serve.add_argument("--acceptors", type=int, default=1,
-                       help="acceptor loops sharing the listening port via "
-                            "SO_REUSEPORT (default 1)")
     serve.add_argument("--slow-query-ms", type=float, default=0.0,
                        help="log requests slower than this (milliseconds) "
                             "to the JSON slow-query log (default 0 = off)")
@@ -289,8 +286,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                            migration_batch=args.migration_batch,
                            slow_query_ms=args.slow_query_ms,
                            kernel=args.kernel,
-                           replicas=args.replicas,
-                           acceptors=args.acceptors)
+                           replicas=args.replicas)
     if config.slow_query_ms:
         from .obs.slowlog import configure_slow_query_logging
 
@@ -301,8 +297,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                     f"{config.shards} {config.shard_policy} shards")
         if config.replicas:
             sharding += f" x{config.replicas + 1} (read replicas)"
-        if config.acceptors > 1:
-            sharding += f", {config.acceptors} acceptors"
         print(f"serving {len(strings)} strings on {address[0]}:{address[1]} "
               f"(kernel={config.kernel}, max_tau={config.max_tau}, "
               f"cache={config.cache_capacity}, {sharding}); "

@@ -262,13 +262,6 @@ class ServiceConfig:
         ``replicas > 0`` routes even a single-shard service through the
         :class:`~repro.service.sharding.ShardRouter` so the replica fleet
         exists to serve from.
-    acceptors:
-        Number of acceptor loops the TCP transport runs (default ``1``).
-        With more than one, the extra acceptors share the listening port
-        via ``SO_REUSEPORT`` (each with its own event loop, request
-        batcher, and per-acceptor metrics, all over the one shared
-        service); platforms without ``SO_REUSEPORT`` fall back to a single
-        acceptor with a warning.
     """
 
     host: str = "127.0.0.1"
@@ -287,7 +280,6 @@ class ServiceConfig:
     slow_query_ms: float = 0.0
     kernel: str = DEFAULT_KERNEL
     replicas: int = 0
-    acceptors: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.partition, PartitionStrategy):
@@ -312,10 +304,6 @@ class ServiceConfig:
                 or self.max_batch < 1):
             raise ConfigurationError(
                 f"max_batch must be a positive integer, got {self.max_batch!r}")
-        if (isinstance(self.acceptors, bool)
-                or not isinstance(self.acceptors, int) or self.acceptors < 1):
-            raise ConfigurationError(
-                f"acceptors must be a positive integer, got {self.acceptors!r}")
         if (isinstance(self.batch_window, bool)
                 or not isinstance(self.batch_window, (int, float))
                 or self.batch_window < 0):

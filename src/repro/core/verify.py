@@ -30,14 +30,10 @@ extensions:
     list / batch group with Hyyrö's bounded cutoff — see
     :mod:`repro.distance.myers_batch`.
 
-Verifiers offer two entry points.  :meth:`BaseVerifier.verify_candidates`
-takes materialised :class:`~repro.types.StringRecord` candidates (the
-historical interface, still used by tests and external callers).
-:meth:`BaseVerifier.verify_rows` takes a
-:class:`~repro.core.store.RecordStore` plus row ordinals and is what the
-probe engine calls: the default implementation bridges to
-``verify_candidates``, while batched strategies override it to read the
-text column directly and only materialise the records they accept.
+Verifiers have one entry point, :meth:`BaseVerifier.verify_rows`: it takes
+a :class:`~repro.core.store.RecordStore` plus row ordinals, reads the text
+column directly, and materialises a :class:`~repro.types.StringRecord` only
+for the rows it accepts.
 
 All strategies are *correct* (no false positives, exact distances reported)
 and, in combination with any complete selection method, *complete*: a pair
@@ -50,7 +46,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..config import VerificationMethod, validate_threshold
 from ..distance.banded import banded_edit_distance, length_aware_edit_distance
@@ -98,77 +94,60 @@ class BaseVerifier(ABC):
         self.stats = stats if stats is not None else JoinStatistics()
 
     @abstractmethod
-    def verify_candidates(self, probe: str, candidates: Sequence[StringRecord],
-                          context: MatchContext) -> list[tuple[StringRecord, int]]:
-        """Return ``(record, distance)`` for candidates within the threshold."""
+    def verify_rows(self, probe: str, store: RecordStore, rows: Sequence[int],
+                    context: MatchContext) -> list[tuple[StringRecord, int]]:
+        """Return ``(record, distance)`` for the store ``rows`` within ``τ``.
+
+        The probe engine filters candidate ordinals on the store's id
+        column and hands the surviving rows here.
+        """
+
+
+class WholeStringVerifier(BaseVerifier):
+    """Whole-string verification: one loop over a bounded distance function.
+
+    Subclasses set :attr:`_distance`, called as ``_distance(text, probe,
+    tau, stats)`` and returning the exact distance when it is within
+    ``tau`` and any larger value otherwise.
+    """
+
+    _distance: Callable[[str, str, int, JoinStatistics], int]
 
     def verify_rows(self, probe: str, store: RecordStore, rows: Sequence[int],
                     context: MatchContext) -> list[tuple[StringRecord, int]]:
-        """Columnar entry point: verify store ``rows`` against ``probe``.
-
-        The probe engine filters candidate ordinals on the store's id
-        column and hands the surviving rows here.  The default bridges to
-        :meth:`verify_candidates` by materialising every row; batched
-        strategies override it to read the text column directly and only
-        materialise the records they accept.
-        """
-        record_at = store.record_at
-        return self.verify_candidates(
-            probe, [record_at(row) for row in rows], context)
-
-    # ------------------------------------------------------------------
-    def _exact_distance(self, probe: str, text: str) -> int:
-        """Exact bounded distance used to report accurate result distances."""
-        return length_aware_edit_distance(text, probe, self.tau, self.stats)
+        tau, stats, distance_of = self.tau, self.stats, self._distance
+        texts = store.texts
+        accepted: list[tuple[StringRecord, int]] = []
+        for row in rows:
+            stats.num_verifications += 1
+            distance = distance_of(texts[row], probe, tau, stats)
+            if distance <= tau:
+                accepted.append((store.record_at(row), distance))
+        return accepted
 
 
-class BandedVerifier(BaseVerifier):
+class BandedVerifier(WholeStringVerifier):
     """Whole-string verification with the classic ``2τ+1`` band."""
 
     method = VerificationMethod.BANDED
-
-    def verify_candidates(self, probe: str, candidates: Sequence[StringRecord],
-                          context: MatchContext) -> list[tuple[StringRecord, int]]:
-        accepted: list[tuple[StringRecord, int]] = []
-        for record in candidates:
-            self.stats.num_verifications += 1
-            distance = banded_edit_distance(record.text, probe, self.tau, self.stats)
-            if distance <= self.tau:
-                accepted.append((record, distance))
-        return accepted
+    _distance = staticmethod(banded_edit_distance)
 
 
-class LengthAwareVerifier(BaseVerifier):
+class LengthAwareVerifier(WholeStringVerifier):
     """Whole-string verification with the paper's ``τ+1`` band (Section 5.1)."""
 
     method = VerificationMethod.LENGTH_AWARE
-
-    def verify_candidates(self, probe: str, candidates: Sequence[StringRecord],
-                          context: MatchContext) -> list[tuple[StringRecord, int]]:
-        accepted: list[tuple[StringRecord, int]] = []
-        for record in candidates:
-            self.stats.num_verifications += 1
-            distance = length_aware_edit_distance(record.text, probe, self.tau,
-                                                  self.stats)
-            if distance <= self.tau:
-                accepted.append((record, distance))
-        return accepted
+    _distance = staticmethod(length_aware_edit_distance)
 
 
-class MyersVerifier(BaseVerifier):
+class MyersVerifier(WholeStringVerifier):
     """Whole-string verification with the bit-parallel kernel (extension)."""
 
     method = VerificationMethod.MYERS
 
-    def verify_candidates(self, probe: str, candidates: Sequence[StringRecord],
-                          context: MatchContext) -> list[tuple[StringRecord, int]]:
-        accepted: list[tuple[StringRecord, int]] = []
-        for record in candidates:
-            self.stats.num_verifications += 1
-            distance = myers_edit_distance_within(record.text, probe, self.tau)
-            if distance <= self.tau:
-                accepted.append((record, distance))
-        return accepted
+    @staticmethod
+    def _distance(text: str, probe: str, tau: int, stats: object) -> int:
+        return myers_edit_distance_within(text, probe, tau)  # counts nothing
 
 
 class BatchMyersVerifier(BaseVerifier):
@@ -202,19 +181,6 @@ class BatchMyersVerifier(BaseVerifier):
             self.masks_built += 1
         return self._kernel
 
-    def verify_candidates(self, probe: str, candidates: Sequence[StringRecord],
-                          context: MatchContext) -> list[tuple[StringRecord, int]]:
-        if not candidates:
-            return []
-        kernel = self._kernel_for(probe)
-        tau = self.tau
-        self.stats.num_verifications += len(candidates)
-        distances = kernel.distances_within(
-            [record.text for record in candidates], tau, self.stats)
-        return [(record, distance)
-                for record, distance in zip(candidates, distances)
-                if distance <= tau]
-
     def verify_rows(self, probe: str, store: RecordStore, rows: Sequence[int],
                     context: MatchContext) -> list[tuple[StringRecord, int]]:
         if not rows:
@@ -229,11 +195,6 @@ class BatchMyersVerifier(BaseVerifier):
         return [(record_at(row), distance)
                 for row, distance in zip(rows, distances)
                 if distance <= tau]
-
-
-def _split_parts(text: str, start: int, seg_length: int) -> tuple[str, str]:
-    """Return the (left, right) parts of ``text`` around a segment/substring."""
-    return text[:start], text[start + seg_length:]
 
 
 class ExtensionVerifier(BaseVerifier):
@@ -251,8 +212,15 @@ class ExtensionVerifier(BaseVerifier):
     method = VerificationMethod.EXTENSION
     exact_per_pair = False
 
-    def verify_candidates(self, probe: str, candidates: Sequence[StringRecord],
-                          context: MatchContext) -> list[tuple[StringRecord, int]]:
+    def _part_distance(self, probe_part: str,
+                       tau_part: int) -> Callable[[str], int]:
+        """The bounded distance from an indexed part to ``probe_part``."""
+        stats = self.stats
+        return lambda part: length_aware_edit_distance(part, probe_part,
+                                                       tau_part, stats)
+
+    def verify_rows(self, probe: str, store: RecordStore, rows: Sequence[int],
+                    context: MatchContext) -> list[tuple[StringRecord, int]]:
         tau = self.tau
         # When the index was partitioned for a larger threshold than this
         # verification threshold (the search use case), late segment ordinals
@@ -260,28 +228,33 @@ class ExtensionVerifier(BaseVerifier):
         # certified through an earlier matching segment instead.
         tau_left = min(context.ordinal - 1, tau)
         tau_right = tau + 1 - context.ordinal
-        if tau_right < 0:
+        # Bail out before building the part distances: empty inverted lists
+        # and out-of-range ordinals must do zero DP work.
+        if tau_right < 0 or not rows:
             return []
-        probe_left, probe_right = _split_parts(probe, context.probe_start,
-                                               context.seg_length)
+        # The parts of the probe, and of each indexed string, to the left
+        # and right of the matching substring / segment.
+        seg_length = context.seg_length
+        left_distance = self._part_distance(probe[:context.probe_start],
+                                            tau_left)
+        right_distance = self._part_distance(
+            probe[context.probe_start + seg_length:], tau_right)
+        seg_start, seg_end = context.seg_start, context.seg_start + seg_length
+        stats, texts = self.stats, store.texts
         accepted: list[tuple[StringRecord, int]] = []
-        for record in candidates:
-            self.stats.num_verifications += 1
-            record_left, record_right = _split_parts(record.text, context.seg_start,
-                                                     context.seg_length)
-            distance_left = length_aware_edit_distance(record_left, probe_left,
-                                                       tau_left, self.stats)
-            if distance_left > tau_left:
+        for row in rows:
+            stats.num_verifications += 1
+            text = texts[row]
+            if left_distance(text[:seg_start]) > tau_left:
                 continue
-            distance_right = length_aware_edit_distance(record_right, probe_right,
-                                                        tau_right, self.stats)
-            if distance_right > tau_right:
+            if right_distance(text[seg_end:]) > tau_right:
                 continue
-            accepted.append((record, self._exact_distance(probe, record.text)))
+            accepted.append((store.record_at(row), length_aware_edit_distance(
+                text, probe, tau, stats)))
         return accepted
 
 
-class SharePrefixExtensionVerifier(BaseVerifier):
+class SharePrefixExtensionVerifier(ExtensionVerifier):
     """Extension verification sharing DP rows across common prefixes (5.3).
 
     Inverted lists are sorted by the indexed string, so consecutive left
@@ -291,44 +264,17 @@ class SharePrefixExtensionVerifier(BaseVerifier):
     """
 
     method = VerificationMethod.SHARE_PREFIX
-    exact_per_pair = False
 
-    def verify_candidates(self, probe: str, candidates: Sequence[StringRecord],
-                          context: MatchContext) -> list[tuple[StringRecord, int]]:
-        tau = self.tau
-        tau_left = min(context.ordinal - 1, tau)
-        tau_right = tau + 1 - context.ordinal
-        # Bail out before building the SharedPrefixVerifier pair: empty
-        # inverted lists and out-of-range ordinals must do zero DP work.
-        if tau_right < 0 or not candidates:
-            return []
-        probe_left, probe_right = _split_parts(probe, context.probe_start,
-                                               context.seg_length)
-        left_verifier = SharedPrefixVerifier(probe_left, tau_left, self.stats)
-        right_verifier = SharedPrefixVerifier(probe_right, tau_right, self.stats)
-        accepted: list[tuple[StringRecord, int]] = []
-        for record in candidates:
-            self.stats.num_verifications += 1
-            record_left, record_right = _split_parts(record.text, context.seg_start,
-                                                     context.seg_length)
-            distance_left = left_verifier.distance(record_left)
-            if distance_left > tau_left:
-                continue
-            distance_right = right_verifier.distance(record_right)
-            if distance_right > tau_right:
-                continue
-            accepted.append((record, self._exact_distance(probe, record.text)))
-        return accepted
+    def _part_distance(self, probe_part: str,
+                       tau_part: int) -> Callable[[str], int]:
+        return SharedPrefixVerifier(probe_part, tau_part, self.stats).distance
 
 
 _VERIFIERS: dict[VerificationMethod, type[BaseVerifier]] = {
-    VerificationMethod.BANDED: BandedVerifier,
-    VerificationMethod.LENGTH_AWARE: LengthAwareVerifier,
-    VerificationMethod.EXTENSION: ExtensionVerifier,
-    VerificationMethod.SHARE_PREFIX: SharePrefixExtensionVerifier,
-    VerificationMethod.MYERS: MyersVerifier,
-    VerificationMethod.MYERS_BATCH: BatchMyersVerifier,
-}
+    verifier.method: verifier
+    for verifier in (BandedVerifier, LengthAwareVerifier, ExtensionVerifier,
+                     SharePrefixExtensionVerifier, MyersVerifier,
+                     BatchMyersVerifier)}
 
 
 def make_verifier(method: VerificationMethod | str, tau: int,

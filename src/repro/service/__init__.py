@@ -52,7 +52,7 @@ from .placement import (ConsistentHashPlacementMap, LengthBandPlacementMap,
 from .server import (BackgroundServer, SimilarityServer, SimilarityService,
                      run_service)
 from .sharding import (SHARD_BACKENDS, SHARD_POLICIES, ShardContext,
-                       ShardRouter, make_shard_policy, resolve_shard_backend)
+                       ShardRouter, resolve_shard_backend)
 
 __all__ = [
     "DynamicSearcher",
@@ -63,7 +63,6 @@ __all__ = [
     "LengthBandPlacementMap",
     "ModuloPlacementMap",
     "make_placement_map",
-    "make_shard_policy",
     "resolve_shard_backend",
     "SHARD_POLICIES",
     "SHARD_BACKENDS",

@@ -1,7 +1,7 @@
 """Clients for the JSON-lines similarity service.
 
 Two flavours over the same wire protocol (see
-:mod:`repro.service.server`):
+:mod:`repro.service.server`) and the same op table, which both inherit:
 
 * :class:`AsyncServiceClient` — asyncio streams, for async applications
   and for issuing genuinely concurrent requests (the server coalesces
@@ -13,11 +13,10 @@ Two flavours over the same wire protocol (see
 Both return :class:`~repro.search.searcher.SearchMatch` objects rebuilt
 from the wire payload via :meth:`SearchMatch.from_dict`, so a round trip
 through the service yields values indistinguishable from a local search.
-Read-scaled servers need no client-side awareness: with an acceptor pool
-the kernel assigns each *connection* to one acceptor at accept time
-(``SO_REUSEPORT``), and with read replicas the freshness routing happens
-entirely inside the shard router — a client never sees which acceptor or
-replica served it, and the exactness guarantee is unchanged.
+Read-scaled servers need no client-side awareness: with read replicas the
+freshness routing happens entirely inside the shard router — a client
+never sees which replica served it, and the exactness guarantee is
+unchanged.
 ``ok: false`` responses raise :class:`~repro.exceptions.ServiceError`;
 violations of the wire protocol itself — the server closing the connection
 mid-response, a truncated or non-JSON frame, a reset transport — raise the
@@ -30,7 +29,8 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
-from typing import Sequence
+from operator import itemgetter
+from typing import Any, Callable, Sequence
 
 from ..exceptions import ProtocolError, ServiceError
 from ..search.searcher import SearchMatch
@@ -62,100 +62,167 @@ def _decode(line: bytes) -> dict:
     return response
 
 
-def _parse_matches(response: dict) -> list[SearchMatch]:
-    payload = response.get("matches")
+def _matches(payload: object, field: str = "matches") -> list[SearchMatch]:
     if not isinstance(payload, list):
-        raise ServiceError(f"malformed matches payload: {payload!r}")
+        raise ServiceError(f"malformed {field} payload: {payload!r}")
     try:
         return [SearchMatch.from_dict(item) for item in payload]
     except ValueError as error:
         raise ServiceError(str(error)) from error
 
 
+def _parse_matches(response: dict) -> list[SearchMatch]:
+    return _matches(response.get("matches"))
+
+
 def _parse_batch(response: dict) -> list[list[SearchMatch]]:
     payload = response.get("results")
     if not isinstance(payload, list):
         raise ServiceError(f"malformed results payload: {payload!r}")
-    results: list[list[SearchMatch]] = []
-    for matches in payload:
-        if not isinstance(matches, list):
-            raise ServiceError(f"malformed results payload: {matches!r}")
-        try:
-            results.append([SearchMatch.from_dict(item) for item in matches])
-        except ValueError as error:
-            raise ServiceError(str(error)) from error
-    return results
+    return [_matches(matches, "results") for matches in payload]
 
 
-class _RequestMixin:
-    """The op vocabulary, shared by the sync and async clients.
+def _whole(response: dict) -> dict:
+    return response
 
-    Subclasses provide ``request`` (sync or awaitable); every helper here
-    just builds the payload, so the two clients cannot drift apart.
+
+def _payload(op: str, **fields: object) -> dict:
+    """The request object of ``op``; ``None`` fields stay off the wire."""
+    return {"op": op, **{name: value for name, value in fields.items()
+                         if value is not None}}
+
+
+class _OpTable:
+    """The op vocabulary: every op written once, for both clients.
+
+    Each method builds its request payload and names the function that
+    parses the response, then hands both to :meth:`_roundtrip` — a plain
+    call on :class:`ServiceClient`, a coroutine on
+    :class:`AsyncServiceClient`.  So ``client.search(...)`` and ``await
+    client.search(...)`` run the same line and return the same value (the
+    annotations give the blocking client's return type; the asyncio client
+    returns an awaitable of it), and an op added here exists on both.
     """
 
-    @staticmethod
-    def _search_payload(query: str, tau: int | None,
-                        kernel: str | None = None) -> dict:
-        payload: dict = {"op": "search", "query": query}
-        if tau is not None:
-            payload["tau"] = tau
-        if kernel is not None:
-            payload["kernel"] = kernel
-        return payload
+    def _roundtrip(self, payload: dict, parse: Callable[[dict], Any]) -> Any:
+        """Send ``payload``; return ``parse`` of the ``ok`` response."""
+        raise NotImplementedError
 
-    @staticmethod
-    def _top_k_payload(query: str, k: int, max_tau: int | None,
-                       kernel: str | None = None) -> dict:
-        payload: dict = {"op": "top-k", "query": query, "k": k}
-        if max_tau is not None:
-            payload["max_tau"] = max_tau
-        if kernel is not None:
-            payload["kernel"] = kernel
-        return payload
+    def search(self, query: str, tau: int | None = None, *,
+               kernel: str | None = None) -> list[SearchMatch]:
+        """Search; ``kernel`` (optional) asserts which kernel must serve it."""
+        return self._roundtrip(
+            _payload("search", query=query, tau=tau, kernel=kernel),
+            _parse_matches)
 
-    @staticmethod
-    def _search_batch_payload(queries: Sequence[str],
-                              tau: int | None,
-                              kernel: str | None = None) -> dict:
-        payload: dict = {"op": "search-batch", "queries": list(queries)}
-        if tau is not None:
-            payload["tau"] = tau
-        if kernel is not None:
-            payload["kernel"] = kernel
-        return payload
+    def search_batch(self, queries: Sequence[str], tau: int | None = None, *,
+                     kernel: str | None = None) -> list[list[SearchMatch]]:
+        """Answer many queries with one ``search-batch`` request line.
 
-    @staticmethod
-    def _top_k_batch_payload(queries: Sequence[str], k: int,
-                             max_tau: int | None,
-                             kernel: str | None = None) -> dict:
-        payload: dict = {"op": "top-k-batch", "queries": list(queries),
-                         "k": k}
-        if max_tau is not None:
-            payload["max_tau"] = max_tau
-        if kernel is not None:
-            payload["kernel"] = kernel
-        return payload
+        Returns one result list per query, aligned with ``queries`` — the
+        server answers the whole batch with a single grouped index pass.
+        A whole batch targets one kernel; pass ``kernel`` to assert it.
+        """
+        return self._roundtrip(
+            _payload("search-batch", queries=list(queries), tau=tau,
+                     kernel=kernel), _parse_batch)
 
-    @staticmethod
-    def _insert_payload(text: str, record_id: int | None) -> dict:
-        payload: dict = {"op": "insert", "text": text}
-        if record_id is not None:
-            payload["id"] = record_id
-        return payload
+    def top_k(self, query: str, k: int, max_tau: int | None = None, *,
+              kernel: str | None = None) -> list[SearchMatch]:
+        return self._roundtrip(
+            _payload("top-k", query=query, k=k, max_tau=max_tau,
+                     kernel=kernel), _parse_matches)
 
-    @staticmethod
-    def _explain_payload(query: str, tau: int | None,
-                         kernel: str | None = None) -> dict:
-        payload: dict = {"op": "explain", "query": query}
-        if tau is not None:
-            payload["tau"] = tau
-        if kernel is not None:
-            payload["kernel"] = kernel
-        return payload
+    def top_k_batch(self, queries: Sequence[str], k: int,
+                    max_tau: int | None = None, *,
+                    kernel: str | None = None) -> list[list[SearchMatch]]:
+        """Answer many top-k queries with one ``top-k-batch`` request line.
+
+        ``k`` and ``max_tau`` are shared across the batch; the server
+        widens tau in lockstep and retires satisfied queries, so the batch
+        costs far fewer index passes than ``len(queries)`` calls to
+        :meth:`top_k` while returning element-identical results.
+        """
+        return self._roundtrip(
+            _payload("top-k-batch", queries=list(queries), k=k,
+                     max_tau=max_tau, kernel=kernel), _parse_batch)
+
+    def insert(self, text: str, *, id: int | None = None) -> int:
+        return self._roundtrip(_payload("insert", text=text, id=id),
+                               itemgetter("id"))
+
+    def delete(self, record_id: int) -> bool:
+        return self._roundtrip(_payload("delete", id=record_id),
+                               itemgetter("deleted"))
+
+    def compact(self) -> int:
+        return self._roundtrip(_payload("compact"), itemgetter("purged"))
+
+    def stats(self) -> dict:
+        return self._roundtrip(_payload("stats"), _whole)
+
+    def metrics(self) -> dict:
+        """The server's merged telemetry snapshot (the ``metrics`` op).
+
+        The response carries ``merged`` (a registry snapshot summing the
+        request metrics, cache counters, and engine funnel — render it
+        with :func:`repro.obs.render_prometheus`), ``uptime_seconds``, and
+        a per-shard breakdown under ``shards`` on sharded servers.
+        """
+        return self._roundtrip(_payload("metrics"), _whole)
+
+    def kernels(self) -> dict:
+        """The server's similarity-kernel catalogue (the ``kernels`` op).
+
+        The response carries ``serving`` (the kernel name this service is
+        configured with) and ``kernels`` (one descriptor per registered
+        kernel: name, threshold semantics, partition-key definition).
+        """
+        return self._roundtrip(_payload("kernels"), _whole)
+
+    def explain(self, query: str, tau: int | None = None, *,
+                kernel: str | None = None) -> dict:
+        """Run one traced probe on the server; return the explain report.
+
+        The report's per-stage funnel, per-length breakdown, verifier
+        counters, and stage wall times describe exactly the probe that a
+        :meth:`search` with the same arguments would run; its matches are
+        the same, as dicts (see :meth:`PassJoinSearcher.explain
+        <repro.search.searcher.PassJoinSearcher.explain>`).
+        """
+        return self._roundtrip(
+            _payload("explain", query=query, tau=tau, kernel=kernel),
+            itemgetter("explain"))
+
+    def add_shard(self) -> dict:
+        """Grow the server's shard fleet by one; return the rebalance status.
+
+        The server answers as soon as the migration is planned and streams
+        the affected records between shards in the background; poll
+        :meth:`rebalance_status` until ``active`` is false to observe
+        completion.  Requires a sharded server.
+        """
+        return self._roundtrip(_payload("add-shard"), itemgetter("status"))
+
+    def remove_shard(self) -> dict:
+        """Retire the server's highest-numbered shard; return the status."""
+        return self._roundtrip(_payload("remove-shard"), itemgetter("status"))
+
+    def rebalance_status(self) -> dict:
+        """Progress of the in-flight (or summary of the last) migration."""
+        return self._roundtrip(_payload("rebalance-status"),
+                               itemgetter("status"))
+
+    def ping(self) -> bool:
+        return self._roundtrip(_payload("ping"),
+                               lambda response: bool(response.get("pong")))
+
+    def shutdown(self) -> None:
+        """Ask the server to stop accepting connections."""
+        return self._roundtrip(_payload("shutdown"), lambda response: None)
 
 
-class ServiceClient(_RequestMixin):
+class ServiceClient(_OpTable):
     """Blocking JSON-lines client.
 
     Examples
@@ -199,116 +266,12 @@ class ServiceClient(_RequestMixin):
                 f"connection to server lost mid-request: {error}") from error
         return _decode(line)
 
-    # ------------------------------------------------------------------
-    def search(self, query: str, tau: int | None = None, *,
-               kernel: str | None = None) -> list[SearchMatch]:
-        """Search; ``kernel`` (optional) asserts which kernel must serve it."""
-        return _parse_matches(
-            self.request(self._search_payload(query, tau, kernel)))
-
-    def search_batch(self, queries: Sequence[str],
-                     tau: int | None = None, *,
-                     kernel: str | None = None) -> list[list[SearchMatch]]:
-        """Answer many queries with one ``search-batch`` request line.
-
-        Returns one result list per query, aligned with ``queries`` — the
-        server answers the whole batch with a single grouped index pass.
-        A whole batch targets one kernel; pass ``kernel`` to assert it.
-        """
-        return _parse_batch(
-            self.request(self._search_batch_payload(queries, tau, kernel)))
-
-    def top_k(self, query: str, k: int,
-              max_tau: int | None = None, *,
-              kernel: str | None = None) -> list[SearchMatch]:
-        return _parse_matches(
-            self.request(self._top_k_payload(query, k, max_tau, kernel)))
-
-    def top_k_batch(self, queries: Sequence[str], k: int,
-                    max_tau: int | None = None, *,
-                    kernel: str | None = None) -> list[list[SearchMatch]]:
-        """Answer many top-k queries with one ``top-k-batch`` request line.
-
-        ``k`` and ``max_tau`` are shared across the batch; the server
-        widens tau in lockstep and retires satisfied queries, so the batch
-        costs far fewer index passes than ``len(queries)`` calls to
-        :meth:`top_k` while returning element-identical results.
-        """
-        return _parse_batch(
-            self.request(self._top_k_batch_payload(queries, k, max_tau,
-                                                   kernel)))
-
-    def insert(self, text: str, *, id: int | None = None) -> int:
-        return self.request(self._insert_payload(text, id))["id"]
-
-    def delete(self, record_id: int) -> bool:
-        return self.request({"op": "delete", "id": record_id})["deleted"]
-
-    def compact(self) -> int:
-        return self.request({"op": "compact"})["purged"]
-
-    def stats(self) -> dict:
-        return self.request({"op": "stats"})
-
-    def metrics(self) -> dict:
-        """The server's merged telemetry snapshot (the ``metrics`` op).
-
-        The response carries ``merged`` (a registry snapshot summing the
-        request metrics, cache counters, and engine funnel — render it
-        with :func:`repro.obs.render_prometheus`), ``uptime_seconds``, and
-        a per-shard breakdown under ``shards`` on sharded servers.
-        """
-        return self.request({"op": "metrics"})
-
-    def kernels(self) -> dict:
-        """The server's similarity-kernel catalogue (the ``kernels`` op).
-
-        The response carries ``serving`` (the kernel name this service is
-        configured with) and ``kernels`` (one descriptor per registered
-        kernel: name, threshold semantics, partition-key definition).
-        """
-        return self.request({"op": "kernels"})
-
-    def explain(self, query: str, tau: int | None = None, *,
-                kernel: str | None = None) -> dict:
-        """Run one traced probe on the server; return the explain report.
-
-        The report's per-stage funnel, per-length breakdown, verifier
-        counters, and stage wall times describe exactly the probe that a
-        :meth:`search` with the same arguments would run; its matches are
-        the same, as dicts (see :meth:`PassJoinSearcher.explain
-        <repro.search.searcher.PassJoinSearcher.explain>`).
-        """
-        return self.request(self._explain_payload(query, tau, kernel))["explain"]
-
-    def add_shard(self) -> dict:
-        """Grow the server's shard fleet by one; return the rebalance status.
-
-        The server answers as soon as the migration is planned and streams
-        the affected records between shards in the background; poll
-        :meth:`rebalance_status` until ``active`` is false to observe
-        completion.  Requires a sharded server.
-        """
-        return self.request({"op": "add-shard"})["status"]
-
-    def remove_shard(self) -> dict:
-        """Retire the server's highest-numbered shard; return the status."""
-        return self.request({"op": "remove-shard"})["status"]
-
-    def rebalance_status(self) -> dict:
-        """Progress of the in-flight (or summary of the last) migration."""
-        return self.request({"op": "rebalance-status"})["status"]
-
-    def ping(self) -> bool:
-        return bool(self.request({"op": "ping"}).get("pong"))
-
-    def shutdown(self) -> None:
-        """Ask the server to stop accepting connections."""
-        self.request({"op": "shutdown"})
+    def _roundtrip(self, payload: dict, parse: Callable[[dict], Any]) -> Any:
+        return parse(self.request(payload))
 
 
-class AsyncServiceClient(_RequestMixin):
-    """Asyncio JSON-lines client.
+class AsyncServiceClient(_OpTable):
+    """Asyncio JSON-lines client: every op method returns an awaitable.
 
     Examples
     --------
@@ -370,77 +333,6 @@ class AsyncServiceClient(_RequestMixin):
                 ) from error
             return _decode(line)
 
-    # ------------------------------------------------------------------
-    async def search(self, query: str, tau: int | None = None, *,
-                     kernel: str | None = None) -> list[SearchMatch]:
-        return _parse_matches(
-            await self.request(self._search_payload(query, tau, kernel)))
-
-    async def search_batch(self, queries: Sequence[str],
-                           tau: int | None = None, *,
-                           kernel: str | None = None
-                           ) -> list[list[SearchMatch]]:
-        """Async counterpart of :meth:`ServiceClient.search_batch`."""
-        return _parse_batch(
-            await self.request(self._search_batch_payload(queries, tau,
-                                                          kernel)))
-
-    async def top_k(self, query: str, k: int,
-                    max_tau: int | None = None, *,
-                    kernel: str | None = None) -> list[SearchMatch]:
-        return _parse_matches(
-            await self.request(self._top_k_payload(query, k, max_tau, kernel)))
-
-    async def top_k_batch(self, queries: Sequence[str], k: int,
-                          max_tau: int | None = None, *,
-                          kernel: str | None = None
-                          ) -> list[list[SearchMatch]]:
-        """Async counterpart of :meth:`ServiceClient.top_k_batch`."""
-        return _parse_batch(
-            await self.request(self._top_k_batch_payload(queries, k, max_tau,
-                                                         kernel)))
-
-    async def insert(self, text: str, *, id: int | None = None) -> int:
-        return (await self.request(self._insert_payload(text, id)))["id"]
-
-    async def delete(self, record_id: int) -> bool:
-        return (await self.request({"op": "delete", "id": record_id}))["deleted"]
-
-    async def compact(self) -> int:
-        return (await self.request({"op": "compact"}))["purged"]
-
-    async def stats(self) -> dict:
-        return await self.request({"op": "stats"})
-
-    async def metrics(self) -> dict:
-        """Async counterpart of :meth:`ServiceClient.metrics`."""
-        return await self.request({"op": "metrics"})
-
-    async def kernels(self) -> dict:
-        """Async counterpart of :meth:`ServiceClient.kernels`."""
-        return await self.request({"op": "kernels"})
-
-    async def explain(self, query: str, tau: int | None = None, *,
-                      kernel: str | None = None) -> dict:
-        """Async counterpart of :meth:`ServiceClient.explain`."""
-        return (await self.request(
-            self._explain_payload(query, tau, kernel)))["explain"]
-
-    async def add_shard(self) -> dict:
-        """Async counterpart of :meth:`ServiceClient.add_shard`."""
-        return (await self.request({"op": "add-shard"}))["status"]
-
-    async def remove_shard(self) -> dict:
-        """Async counterpart of :meth:`ServiceClient.remove_shard`."""
-        return (await self.request({"op": "remove-shard"}))["status"]
-
-    async def rebalance_status(self) -> dict:
-        """Async counterpart of :meth:`ServiceClient.rebalance_status`."""
-        return (await self.request({"op": "rebalance-status"}))["status"]
-
-    async def ping(self) -> bool:
-        return bool((await self.request({"op": "ping"})).get("pong"))
-
-    async def shutdown(self) -> None:
-        """Ask the server to stop accepting connections."""
-        await self.request({"op": "shutdown"})
+    async def _roundtrip(self, payload: dict,
+                         parse: Callable[[dict], Any]) -> Any:
+        return parse(await self.request(payload))

@@ -20,15 +20,18 @@ Two classes split the serving stack along the transport boundary:
   request object per line, one response object per line, UTF-8.  Query
   operations flow through a :class:`~repro.service.batcher.RequestBatcher`
   so concurrent lookups coalesce into single index passes; mutations and
-  admin operations execute immediately.  With
-  :attr:`~repro.config.ServiceConfig.acceptors` > 1 the primary server
-  spawns extra acceptor loops in daemon threads, all bound to the same
-  port via ``SO_REUSEPORT`` (the kernel load-balances connections across
-  them); each acceptor runs the full parse/batch/respond path with its
-  own batcher and per-acceptor metrics against the one shared service,
-  whose internal lock makes the core safe to drive from several loops.
-  Platforms without ``SO_REUSEPORT`` fall back to a single acceptor with
-  a warning.
+  admin operations execute immediately.  One event loop serves every
+  connection: the core answers a whole batch under its lock, so a second
+  loop could only overlap the JSON and socket work, which is a fraction
+  of a percent of a read.
+
+Both entry points answer a query op (``search`` / ``top-k`` /
+``search-batch`` / ``top-k-batch``) through the same two steps —
+:meth:`SimilarityService.build_query_keys` validates the payload into
+keys, :meth:`SimilarityService.render_answers` turns the keys' answers
+into the response — and differ only in what runs the keys in between:
+``handle_request`` calls :meth:`SimilarityService.execute_queries`, the
+transport awaits them on its batcher.
 
 :class:`BackgroundServer` runs the whole stack in a daemon thread with its
 own event loop — the harness used by the synchronous client tests, the CLI
@@ -52,10 +55,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-import socket
 import threading
 import time
-import warnings
 from typing import Callable, Iterable, Sequence
 
 from ..config import DEFAULT_SERVICE_CONFIG, ServiceConfig, validate_threshold
@@ -71,20 +72,21 @@ from .cache import QueryCache
 from .dynamic import DynamicSearcher
 from .sharding import ShardRouter
 
-#: Query operations routed through the batcher by the TCP transport.
-QUERY_OPS = ("search", "top-k")
 #: The batch query operation (one request carrying many search queries).
 BATCH_OP = "search-batch"
 #: The batch top-k operation (many queries, one shared ``k``/``max_tau``),
 #: answered through the lockstep-widening ``search_top_k_many`` path.
 TOP_K_BATCH_OP = "top-k-batch"
+#: Query operations: answered from ``execute_queries`` in-process and
+#: routed through the batcher by the TCP transport.
+QUERY_OPS = ("search", "top-k", BATCH_OP, TOP_K_BATCH_OP)
 #: Fleet-resize admin operations (sharded services only).  The TCP
 #: transport answers these as soon as the migration is planned and drains
 #: it in a background task so queries keep flowing; the transport-free
 #: core drains synchronously unless the request carries ``drain: false``.
 RESHARD_OPS = ("add-shard", "remove-shard")
 #: Every operation the service understands.
-ALL_OPS = QUERY_OPS + (BATCH_OP, TOP_K_BATCH_OP) + RESHARD_OPS + (
+ALL_OPS = QUERY_OPS + RESHARD_OPS + (
     "rebalance-status", "insert", "delete", "compact", "stats", "metrics",
     "explain", "kernels", "ping", "shutdown")
 
@@ -157,18 +159,15 @@ class SimilarityService:
         self.queries_served = 0
         # Service-level telemetry: per-op request/error counters and
         # latency histograms, fed by record_request() on every dispatch
-        # (both the transport-free core and the TCP fast paths).
+        # (the transport-free core, and the TCP transport for query ops).
         self.metrics = MetricsRegistry()
-        # One registry per acceptor loop of the TCP transport, registered
-        # by each SimilarityServer that fronts this service and merged
-        # into the ``metrics`` payload alongside the core registries.
-        self.acceptor_registries: list[MetricsRegistry] = []
         # The core serializes dispatch, batch execution, and telemetry
-        # reads: with an acceptor pool, several event loops drive this one
-        # object from different threads, and neither the LRU cache nor the
-        # metrics dicts (nor interleaving a mutation inside another
-        # acceptor's batch) are safe without it.  Reentrant because
-        # dispatch reaches stats()/metrics_payload() internally.
+        # reads: embedders and tests drive this object from a thread other
+        # than the transport's event loop, and neither the LRU cache nor
+        # the metrics dicts (nor interleaving a mutation inside a running
+        # batch) are safe without it.  Every public entry takes it once;
+        # reentrant because dispatch reaches execute_queries()/stats()/
+        # metrics_payload() internally.
         self._lock = threading.RLock()
         self.started_monotonic = time.monotonic()
         # Last background reshard-drain failure (set by the transport's
@@ -183,46 +182,73 @@ class SimilarityService:
         if closer is not None:
             closer()
 
-    def register_acceptor(self) -> MetricsRegistry:
-        """A fresh per-acceptor registry, tracked for the metrics merge.
-
-        Each acceptor loop counts its own connections and request lines
-        into its registry (single-writer, so no locking on the hot path);
-        :meth:`metrics_payload` merges them with
-        :func:`~repro.obs.metrics.merge_snapshots` and exposes the raw
-        per-acceptor snapshots so a skewed kernel load-balance is visible.
-        """
-        registry = MetricsRegistry()
-        with self._lock:
-            self.acceptor_registries.append(registry)
-        return registry
-
     # ------------------------------------------------------------------
     # Query path (used directly and by the batcher)
     # ------------------------------------------------------------------
-    def build_query_key(self, payload: dict) -> QueryKey:
-        """Validate a search/top-k request and return its cache/batch key.
+    def build_query_keys(self, payload: dict) -> list[QueryKey]:
+        """Validate a query request into its cache/batch keys, one per query.
 
-        All per-request validation happens here — before the request joins
-        a batch — so one malformed request can never fail the batch it
-        shares an execution with.
+        ``search`` and ``top-k`` carry one ``query``; ``search-batch`` and
+        ``top-k-batch`` carry ``queries`` (a list of strings, bounded by
+        :attr:`~repro.config.ServiceConfig.max_query_batch` so one request
+        line cannot monopolise the server) and apply their scalar fields
+        to every query.  The search ops take an optional ``tau``
+        (default and upper bound: the served ``max_tau``) and yield
+        ``("search", query, tau)`` keys; the top-k ops take ``k``
+        (required, >= 1) and an optional ``max_tau`` and yield ``("top-k",
+        query, k, limit)`` keys — the same key whichever op built it, so
+        the cache and the sharded epoch-vector widening are shared between
+        the scalar and batch entry points.
+
+        All per-request validation happens here — before any key joins a
+        batch — so one malformed request can never fail the batch it
+        shares an execution with.  Kernel fields follow the pinned
+        mixed-batch semantics of
+        :func:`~repro.core.kernel.check_batch_kernels`: a scalar ``kernel``
+        (or a batch's per-query ``kernels`` list) must name the served
+        kernel, and a ``kernels`` list naming two different kernels is
+        rejected outright — the whole batch fails before any query runs.
         """
-        op = payload.get("op")
-        self._check_kernel_field(payload)
-        query = _require_str(payload, "query")
-        if op == "search":
+        if payload.get("op") in (BATCH_OP, TOP_K_BATCH_OP):
+            queries = self._validate_batch_queries(payload)
+        else:
+            self._check_kernel_field(payload)
+            queries = [_require_str(payload, "query")]
+        return [self._query_key(payload, query) for query in queries]
+
+    def _query_key(self, payload: dict, query: str) -> QueryKey:
+        max_tau = self.searcher.max_tau
+        if payload.get("op") in ("search", BATCH_OP):
             tau = payload.get("tau")
-            tau = self.searcher.max_tau if tau is None else validate_threshold(tau)
-            if tau > self.searcher.max_tau:
+            tau = max_tau if tau is None else validate_threshold(tau)
+            if tau > max_tau:
                 raise InvalidThresholdError(tau)
             return ("search", query, tau)
-        if op == "top-k":
-            k = _require_int(payload, "k", minimum=1)
-            limit = payload.get("max_tau")
-            limit = (self.searcher.max_tau if limit is None
-                     else min(validate_threshold(limit), self.searcher.max_tau))
-            return ("top-k", query, k, limit)
-        raise ValueError(f"not a query op: {op!r}")
+        k = _require_int(payload, "k", minimum=1)
+        limit = payload.get("max_tau")
+        limit = (max_tau if limit is None
+                 else min(validate_threshold(limit), max_tau))
+        return ("top-k", query, k, limit)
+
+    def render_answers(self, op: str,
+                       answers: Sequence[tuple[list[SearchMatch], bool]],
+                       ) -> dict:
+        """The response of query op ``op`` for its keys' answers.
+
+        ``answers`` holds one ``(matches, cached)`` pair per key of
+        :meth:`build_query_keys`, as :meth:`execute_queries` (or the
+        transport's batcher) returned them.
+        """
+        epoch = self.searcher.epoch
+        if op in (BATCH_OP, TOP_K_BATCH_OP):
+            return {"ok": True,
+                    "results": [[match.to_dict() for match in matches]
+                                for matches, _ in answers],
+                    "cached": [cached for _, cached in answers],
+                    "epoch": epoch}
+        (matches, cached), = answers
+        return {"ok": True, "matches": [match.to_dict() for match in matches],
+                "cached": cached, "epoch": epoch}
 
     def _check_kernel_field(self, payload: dict) -> None:
         """Validate an optional ``kernel`` request field.
@@ -240,45 +266,6 @@ class SimilarityService:
             raise ValueError(
                 f"field 'kernel' must be a string, got {requested!r}")
         check_kernel_match(self.searcher.kernel, requested)
-
-    def build_batch_keys(self, payload: dict) -> list[QueryKey]:
-        """Validate a ``search-batch`` request into per-query search keys.
-
-        The request carries ``queries`` (a list of strings) and an optional
-        scalar ``tau`` applied to every query.  Batch size is bounded by
-        :attr:`~repro.config.ServiceConfig.max_query_batch` so one request
-        line cannot monopolise the server.  Validation happens before the
-        keys reach the batcher, mirroring :meth:`build_query_key`.
-
-        Kernel fields follow the pinned mixed-batch semantics of
-        :func:`~repro.core.kernel.check_batch_kernels`: a scalar
-        ``kernel`` (or a per-query ``kernels`` list) must name the served
-        kernel, and a ``kernels`` list naming two different kernels is
-        rejected outright — the whole batch fails before any query runs.
-        """
-        queries = self._validate_batch_queries(payload)
-        tau = payload.get("tau")
-        return [self.build_query_key({"op": "search", "query": query,
-                                      "tau": tau})
-                for query in queries]
-
-    def build_top_k_batch_keys(self, payload: dict) -> list[QueryKey]:
-        """Validate a ``top-k-batch`` request into per-query top-k keys.
-
-        The request carries ``queries``, a shared ``k`` (required, >= 1) and
-        an optional scalar ``max_tau`` applied to every query.  Batch size,
-        kernel fields, and mixed-batch rejection follow
-        :meth:`build_batch_keys` exactly; each query becomes the same
-        ``("top-k", query, k, limit)`` key the scalar ``top-k`` op builds,
-        so the cache and the sharded epoch-vector widening are shared
-        between the two entry points.
-        """
-        queries = self._validate_batch_queries(payload)
-        k = payload.get("k")
-        max_tau = payload.get("max_tau")
-        return [self.build_query_key({"op": "top-k", "query": query,
-                                      "k": k, "max_tau": max_tau})
-                for query in queries]
 
     def _validate_batch_queries(self, payload: dict) -> list[str]:
         queries = payload.get("queries")
@@ -334,63 +321,52 @@ class SimilarityService:
         records one miss (or one hit), not one per duplicate.
         """
         with self._lock:
-            return self._execute_queries_locked(keys)
-
-    def _execute_queries_locked(self, keys: Sequence[QueryKey],
-                                ) -> list[tuple[list[SearchMatch], bool]]:
-        epoch_token = getattr(self.searcher, "epoch_token", None)
-        epoch = self.searcher.epoch
-        answers: list[tuple[list[SearchMatch], bool] | None] = [None] * len(keys)
-        pending: list[tuple[int, QueryKey, QueryKey, int]] = []
-        pending_top_k: list[tuple[int, QueryKey, QueryKey, int]] = []
-        leaders: dict[QueryKey, int] = {}
-        duplicates: list[tuple[int, int]] = []
-        for position, key in enumerate(keys):
-            self.queries_served += 1
-            leader = leaders.get(key)
-            if leader is not None:
-                # Same key, same snapshot: the answer is the leader's.
-                self.cache.note_coalesced()
-                duplicates.append((position, leader))
-                continue
-            leaders[key] = position
-            if epoch_token is None:
-                cache_key, cache_epoch = key, epoch
-            else:
-                cache_key, cache_epoch = key + (epoch_token(key),), 0
-            cached = self.cache.get(cache_key, cache_epoch)
-            if cached is not None:
-                answers[position] = (cached, True)
-                continue
-            if key[0] == "search":
-                pending.append((position, key, cache_key, cache_epoch))
-            else:
-                pending_top_k.append((position, key, cache_key, cache_epoch))
-        if pending:
-            batches = self.searcher.search_many(
-                [key[1] for _, key, _, _ in pending],
-                tau=[key[2] for _, key, _, _ in pending])
-            for (position, _, cache_key, cache_epoch), matches in zip(
-                    pending, batches):
-                self.cache.put(cache_key, cache_epoch, matches)
-                answers[position] = (matches, False)
-        if pending_top_k:
-            groups: dict[tuple[int, int],
+            epoch_token = getattr(self.searcher, "epoch_token", None)
+            epoch = self.searcher.epoch
+            answers: list[tuple[list[SearchMatch], bool] | None] = (
+                [None] * len(keys))
+            # Cache misses by execution group: None for every search key,
+            # (k, limit) for top-k keys.
+            misses: dict[tuple[int, int] | None,
                          list[tuple[int, QueryKey, QueryKey, int]]] = {}
-            for entry in pending_top_k:
-                groups.setdefault((entry[1][2], entry[1][3]), []).append(entry)
-            for (k, limit), entries in groups.items():
-                # Each (k, limit) group widens tau in lockstep through one
-                # batch pass instead of one pass per query.
-                batches = self.searcher.search_top_k_many(
-                    [key[1] for _, key, _, _ in entries], k, limit)
+            leaders: dict[QueryKey, int] = {}
+            duplicates: list[tuple[int, int]] = []
+            for position, key in enumerate(keys):
+                self.queries_served += 1
+                leader = leaders.get(key)
+                if leader is not None:
+                    # Same key, same snapshot: the answer is the leader's.
+                    self.cache.note_coalesced()
+                    duplicates.append((position, leader))
+                    continue
+                leaders[key] = position
+                if epoch_token is None:
+                    cache_key, cache_epoch = key, epoch
+                else:
+                    cache_key, cache_epoch = key + (epoch_token(key),), 0
+                cached = self.cache.get(cache_key, cache_epoch)
+                if cached is not None:
+                    answers[position] = (cached, True)
+                    continue
+                group = None if key[0] == "search" else key[2:]
+                misses.setdefault(group, []).append(
+                    (position, key, cache_key, cache_epoch))
+            for group, entries in misses.items():
+                queries = [key[1] for _, key, _, _ in entries]
+                if group is None:
+                    batches = self.searcher.search_many(
+                        queries, tau=[key[2] for _, key, _, _ in entries])
+                else:
+                    # Each (k, limit) group widens tau in lockstep through
+                    # one batch pass instead of one pass per query.
+                    batches = self.searcher.search_top_k_many(queries, *group)
                 for (position, _, cache_key, cache_epoch), matches in zip(
                         entries, batches):
                     self.cache.put(cache_key, cache_epoch, matches)
                     answers[position] = (matches, False)
-        for position, leader in duplicates:
-            answers[position] = answers[leader]
-        return answers  # type: ignore[return-value]
+            for position, leader in duplicates:
+                answers[position] = answers[leader]
+            return answers  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -400,16 +376,26 @@ class SimilarityService:
 
         Every request dispatched here is recorded into :attr:`metrics`
         (request count, latency histogram, error count — all keyed by op)
-        via :meth:`record_request`; the TCP transport's query fast paths
-        bypass this method and record themselves, so each request is
-        counted exactly once whichever way it enters.
+        via :meth:`record_request`; the TCP transport answers query ops
+        through its batcher instead and records those itself, so each
+        request is counted exactly once whichever way it enters.
         """
         if not isinstance(payload, dict):
             return {"ok": False, "error": "request must be a JSON object"}
         op = payload.get("op")
         started = time.perf_counter()
-        with self._lock:
-            response = self._dispatch(payload, op)
+        try:
+            with self._lock:
+                if op in QUERY_OPS:
+                    response = self.render_answers(op, self.execute_queries(
+                        self.build_query_keys(payload)))
+                else:
+                    response = self._dispatch(payload, op)
+        except (ValueError, TypeError, ServiceError) as error:
+            # ServiceError covers serving-infrastructure failures (e.g. a
+            # dead shard worker): the contract is one error response per
+            # bad request, never an exception up through the transport.
+            response = {"ok": False, "error": str(error)}
         query = payload.get("query")
         self.record_request(op, time.perf_counter() - started,
                             bool(response.get("ok")),
@@ -439,85 +425,69 @@ class SimilarityService:
             log_slow_query(op=name, seconds=seconds, threshold_ms=threshold,
                            ok=ok, query=query)
 
+    def count(self, name: str) -> None:
+        """Bump one counter of :attr:`metrics` (the transport's
+        ``connections`` and ``request_lines``)."""
+        with self._lock:
+            self.metrics.inc(name)
+
     def _dispatch(self, payload: dict, op: object) -> dict:
-        try:
-            if op in QUERY_OPS:
-                key = self.build_query_key(payload)
-                matches, cached = self.execute_queries([key])[0]
-                return self._query_response(matches, cached)
-            if op == BATCH_OP:
-                keys = self.build_batch_keys(payload)
-                answers = self.execute_queries(keys)
-                return self._batch_response(answers, self.searcher.epoch)
-            if op == TOP_K_BATCH_OP:
-                keys = self.build_top_k_batch_keys(payload)
-                answers = self.execute_queries(keys)
-                return self._batch_response(answers, self.searcher.epoch)
-            if op == "insert":
-                text = _require_str(payload, "text")
-                record_id = (None if payload.get("id") is None
-                             else _require_int(payload, "id"))
-                new_id = self.searcher.insert(text, id=record_id)
-                return {"ok": True, "id": new_id, "epoch": self.searcher.epoch}
-            if op == "delete":
-                record_id = _require_int(payload, "id")
-                deleted = self.searcher.delete(record_id)
-                return {"ok": True, "deleted": deleted,
-                        "epoch": self.searcher.epoch}
-            if op == "compact":
-                purged = self.searcher.compact()
-                return {"ok": True, "purged": purged,
-                        "epoch": self.searcher.epoch}
-            if op in RESHARD_OPS:
-                router = self._require_router(op)
-                drain = payload.get("drain", True)
-                if not isinstance(drain, bool):
-                    raise ValueError(
-                        f"field 'drain' must be a boolean, got {drain!r}")
-                status = (router.add_shard(drain=drain) if op == "add-shard"
-                          else router.remove_shard(drain=drain))
-                # Cleared only now: a *rejected* resize (e.g. a migration
-                # already in flight) must not erase the record of why the
-                # previous drain failed.
-                self.reshard_error = None
-                return {"ok": True, "status": status,
-                        "epoch": self.searcher.epoch}
-            if op == "rebalance-status":
-                router = self._require_router(op)
-                status = router.rebalance_status()
-                if self.reshard_error is not None:
-                    status["error"] = self.reshard_error
-                return {"ok": True, "status": status,
-                        "epoch": self.searcher.epoch}
-            if op == "stats":
-                return {"ok": True, **self.stats()}
-            if op == "metrics":
-                return self.metrics_payload()
-            if op == "explain":
-                self._check_kernel_field(payload)
-                query = _require_str(payload, "query")
-                report = self.searcher.explain(query, payload.get("tau"))
-                return {"ok": True, "explain": report,
-                        "epoch": self.searcher.epoch}
-            if op == "kernels":
-                return {"ok": True,
-                        "serving": self.searcher.kernel.name,
-                        "kernels": describe_kernels(),
-                        "epoch": self.searcher.epoch}
-            if op == "ping":
-                return {"ok": True, "pong": True, "epoch": self.searcher.epoch}
-            if op == "shutdown":
-                return {"ok": False,
-                        "error": "shutdown is handled by the TCP transport, "
-                                 "not the service core"}
+        """Answer one mutation or admin op (caller holds the lock)."""
+        if op == "insert":
+            text = _require_str(payload, "text")
+            record_id = (None if payload.get("id") is None
+                         else _require_int(payload, "id"))
+            new_id = self.searcher.insert(text, id=record_id)
+            return {"ok": True, "id": new_id, "epoch": self.searcher.epoch}
+        if op == "delete":
+            record_id = _require_int(payload, "id")
+            deleted = self.searcher.delete(record_id)
+            return {"ok": True, "deleted": deleted,
+                    "epoch": self.searcher.epoch}
+        if op == "compact":
+            purged = self.searcher.compact()
+            return {"ok": True, "purged": purged, "epoch": self.searcher.epoch}
+        if op in RESHARD_OPS:
+            router = self._require_router(op)
+            drain = payload.get("drain", True)
+            if not isinstance(drain, bool):
+                raise ValueError(
+                    f"field 'drain' must be a boolean, got {drain!r}")
+            status = (router.add_shard(drain=drain) if op == "add-shard"
+                      else router.remove_shard(drain=drain))
+            # Cleared only now: a *rejected* resize (e.g. a migration
+            # already in flight) must not erase the record of why the
+            # previous drain failed.
+            self.reshard_error = None
+            return {"ok": True, "status": status, "epoch": self.searcher.epoch}
+        if op == "rebalance-status":
+            router = self._require_router(op)
+            status = router.rebalance_status()
+            if self.reshard_error is not None:
+                status["error"] = self.reshard_error
+            return {"ok": True, "status": status, "epoch": self.searcher.epoch}
+        if op == "stats":
+            return {"ok": True, **self.stats()}
+        if op == "metrics":
+            return self.metrics_payload()
+        if op == "explain":
+            self._check_kernel_field(payload)
+            query = _require_str(payload, "query")
+            report = self.searcher.explain(query, payload.get("tau"))
+            return {"ok": True, "explain": report,
+                    "epoch": self.searcher.epoch}
+        if op == "kernels":
+            return {"ok": True, "serving": self.searcher.kernel.name,
+                    "kernels": describe_kernels(),
+                    "epoch": self.searcher.epoch}
+        if op == "ping":
+            return {"ok": True, "pong": True, "epoch": self.searcher.epoch}
+        if op == "shutdown":
             return {"ok": False,
-                    "error": f"unknown op {op!r}; expected one of "
-                             f"{', '.join(ALL_OPS)}"}
-        except (ValueError, TypeError, ServiceError) as error:
-            # ServiceError covers serving-infrastructure failures (e.g. a
-            # dead shard worker): the contract is one error response per
-            # bad request, never an exception up through the transport.
-            return {"ok": False, "error": str(error)}
+                    "error": "shutdown is handled by the TCP transport, "
+                             "not the service core"}
+        return {"ok": False, "error": f"unknown op {op!r}; expected one of "
+                                      f"{', '.join(ALL_OPS)}"}
 
     def _require_router(self, op: str) -> ShardRouter:
         """The sharded searcher, or a clear error for unsharded services."""
@@ -540,19 +510,6 @@ class SimilarityService:
         """The router's rebalance status (for tests and the drain task)."""
         with self._lock:
             return self._require_router("rebalance-status").rebalance_status()
-
-    def _query_response(self, matches: list[SearchMatch], cached: bool) -> dict:
-        return {"ok": True, "matches": [match.to_dict() for match in matches],
-                "cached": cached, "epoch": self.searcher.epoch}
-
-    @staticmethod
-    def _batch_response(answers: Sequence[tuple[list[SearchMatch], bool]],
-                        epoch: int) -> dict:
-        return {"ok": True,
-                "results": [[match.to_dict() for match in matches]
-                            for matches, _ in answers],
-                "cached": [cached for _, cached in answers],
-                "epoch": epoch}
 
     def _cache_snapshot(self) -> dict:
         """The query cache's counters and occupancy as a registry snapshot."""
@@ -582,52 +539,37 @@ class SimilarityService:
         With read replicas the router's replica section is re-exported as
         registry metrics — ``replica_reads``/``replica_fallbacks``
         counters plus ``replica_lag_max``/``replicas_alive``/
-        ``replicas_total`` gauges — and with an acceptor pool the
-        per-acceptor registries join the merge, their raw snapshots
-        exposed under ``acceptors.per_acceptor``.
+        ``replicas_total`` gauges.
         """
         with self._lock:
-            return self._metrics_payload_locked()
-
-    def _metrics_payload_locked(self) -> dict:
-        uptime = time.monotonic() - self.started_monotonic
-        self.metrics.set_gauge("uptime_seconds", uptime)
-        searcher = self.searcher
-        payload: dict = {"ok": True, "uptime_seconds": uptime,
-                         "epoch": searcher.epoch}
-        if isinstance(searcher, ShardRouter):
-            shard_metrics = searcher.metrics_snapshot()
-            engine = shard_metrics["merged"]
-            payload["shards"] = {"count": searcher.num_shards,
-                                 "per_shard": shard_metrics["per_shard"]}
-        else:
-            engine = funnel_snapshot(searcher.statistics,
-                                     memory=searcher.index_memory(),
-                                     kernel=searcher.kernel.name)
-        sources = [self.metrics.snapshot(), self._cache_snapshot(), engine]
-        replicas = (shard_metrics.get("replicas")
-                    if isinstance(searcher, ShardRouter) else None)
-        if replicas is not None:
-            payload["shards"]["replicas"] = replicas
-            replica_registry = MetricsRegistry()
-            replica_registry.inc("replica_reads", replicas["replica_reads"])
-            replica_registry.inc("replica_fallbacks",
-                                 replicas["replica_fallbacks"])
-            replica_registry.set_gauge("replica_lag_max",
-                                       replicas["replica_lag_max"])
-            replica_registry.set_gauge("replicas_alive",
-                                       replicas["replicas_alive"])
-            replica_registry.set_gauge("replicas_total",
-                                       replicas["replicas_total"])
-            sources.append(replica_registry.snapshot())
-        if self.acceptor_registries:
-            per_acceptor = [registry.snapshot()
-                            for registry in self.acceptor_registries]
-            payload["acceptors"] = {"count": len(per_acceptor),
-                                    "per_acceptor": per_acceptor}
-            sources.extend(per_acceptor)
-        payload["merged"] = merge_snapshots(sources)
-        return payload
+            uptime = time.monotonic() - self.started_monotonic
+            self.metrics.set_gauge("uptime_seconds", uptime)
+            searcher = self.searcher
+            payload: dict = {"ok": True, "uptime_seconds": uptime,
+                             "epoch": searcher.epoch}
+            if isinstance(searcher, ShardRouter):
+                shard_metrics = searcher.metrics_snapshot()
+                engine = shard_metrics["merged"]
+                payload["shards"] = {"count": searcher.num_shards,
+                                     "per_shard": shard_metrics["per_shard"]}
+            else:
+                engine = funnel_snapshot(searcher.statistics,
+                                         memory=searcher.index_memory(),
+                                         kernel=searcher.kernel.name)
+            sources = [self.metrics.snapshot(), self._cache_snapshot(), engine]
+            replicas = (shard_metrics.get("replicas")
+                        if isinstance(searcher, ShardRouter) else None)
+            if replicas is not None:
+                payload["shards"]["replicas"] = replicas
+                replica_registry = MetricsRegistry()
+                for name in ("replica_reads", "replica_fallbacks"):
+                    replica_registry.inc(name, replicas[name])
+                for name in ("replica_lag_max", "replicas_alive",
+                             "replicas_total"):
+                    replica_registry.set_gauge(name, replicas[name])
+                sources.append(replica_registry.snapshot())
+            payload["merged"] = merge_snapshots(sources)
+            return payload
 
     def stats(self) -> dict:
         """Service-level counters (the ``stats`` op payload minus ``ok``).
@@ -642,77 +584,67 @@ class SimilarityService:
         ``requests_by_op``.
         """
         with self._lock:
-            return self._stats_locked()
-
-    def _stats_locked(self) -> dict:
-        searcher = self.searcher
-        if isinstance(searcher, ShardRouter):
-            # One status scatter covers tombstones, statistics, and memory;
-            # going through the properties separately would scatter thrice.
-            summary = searcher.status_summary()
-            tombstones = summary["tombstones"]
-            statistics = summary["statistics"]
-            memory = summary["memory"]
-        else:
-            tombstones = searcher.tombstone_count
-            statistics = searcher.statistics
-            memory = searcher.index_memory()
-        cache = self.cache.stats.as_dict()
-        cache["capacity"] = self.cache.capacity
-        cache["size"] = len(self.cache)
-        payload = {
-            "size": len(searcher),
-            "epoch": searcher.epoch,
-            "tombstones": tombstones,
-            "kernel": searcher.kernel.name,
-            "max_tau": searcher.max_tau,
-            "uptime_seconds": time.monotonic() - self.started_monotonic,
-            "queries_served": self.queries_served,
-            "requests_by_op": self.metrics.counters_with_prefix("requests."),
-            "errors": sum(
-                self.metrics.counters_with_prefix("errors.").values()),
-            "cache": cache,
-            "index": memory,
-            "index_entries": statistics.index_entries,
-            "index_bytes": statistics.index_bytes,
-        }
-        if isinstance(searcher, ShardRouter):
-            payload["shards"] = {
-                "count": searcher.num_shards,
-                "policy": searcher.policy.name,
-                "backend": searcher.backend,
-                # Placement balance: live rows and columnar bytes per shard.
-                "sizes": searcher.shard_sizes(),
-                "bytes": [shard.get("approximate_bytes", 0)
-                          for shard in summary["shard_memory"]],
-                "epoch_vector": list(searcher.epoch_vector),
-                "memory": summary["shard_memory"],
-                "rows_migrated": searcher.rows_migrated_total,
-                "rebalance": searcher.rebalance_status(),
+            searcher = self.searcher
+            if isinstance(searcher, ShardRouter):
+                # One status scatter covers tombstones, statistics, and memory;
+                # going through the properties separately would scatter thrice.
+                summary = searcher.status_summary()
+                tombstones = summary["tombstones"]
+                statistics = summary["statistics"]
+                memory = summary["memory"]
+            else:
+                tombstones = searcher.tombstone_count
+                statistics = searcher.statistics
+                memory = searcher.index_memory()
+            cache = self.cache.stats.as_dict()
+            cache["capacity"] = self.cache.capacity
+            cache["size"] = len(self.cache)
+            payload = {
+                "size": len(searcher),
+                "epoch": searcher.epoch,
+                "tombstones": tombstones,
+                "kernel": searcher.kernel.name,
+                "max_tau": searcher.max_tau,
+                "uptime_seconds": time.monotonic() - self.started_monotonic,
+                "queries_served": self.queries_served,
+                "requests_by_op":
+                    self.metrics.counters_with_prefix("requests."),
+                "errors": sum(
+                    self.metrics.counters_with_prefix("errors.").values()),
+                "cache": cache,
+                "index": memory,
+                "index_entries": statistics.index_entries,
+                "index_bytes": statistics.index_bytes,
             }
-            if searcher.replicas_per_shard:
-                # Per-replica freshness and liveness (the ``admin status``
-                # replica rows): applied epoch, lag behind the primary,
-                # and whether the replica is still being served from.
-                payload["shards"]["replicas_per_shard"] = (
-                    searcher.replicas_per_shard)
-                payload["shards"]["replicas"] = searcher.replica_status()
-                payload["shards"]["replica_reads"] = searcher.replica_reads
-                payload["shards"]["replica_fallbacks"] = (
-                    searcher.replica_fallbacks)
-        return payload
+            if isinstance(searcher, ShardRouter):
+                payload["shards"] = {
+                    "count": searcher.num_shards,
+                    "policy": searcher.policy.name,
+                    "backend": searcher.backend,
+                    # Placement balance: live rows, columnar bytes per shard.
+                    "sizes": searcher.shard_sizes(),
+                    "bytes": [shard.get("approximate_bytes", 0)
+                              for shard in summary["shard_memory"]],
+                    "epoch_vector": list(searcher.epoch_vector),
+                    "memory": summary["shard_memory"],
+                    "rows_migrated": searcher.rows_migrated_total,
+                    "rebalance": searcher.rebalance_status(),
+                }
+                if searcher.replicas_per_shard:
+                    # Per-replica freshness and liveness (the ``admin status``
+                    # replica rows): applied epoch, lag behind the primary,
+                    # and whether the replica is still being served from.
+                    payload["shards"]["replicas_per_shard"] = (
+                        searcher.replicas_per_shard)
+                    payload["shards"]["replicas"] = searcher.replica_status()
+                    payload["shards"]["replica_reads"] = searcher.replica_reads
+                    payload["shards"]["replica_fallbacks"] = (
+                        searcher.replica_fallbacks)
+            return payload
 
 
 class SimilarityServer:
     """Asyncio JSON-lines TCP transport around a :class:`SimilarityService`.
-
-    With ``service.config.acceptors > 1`` the primary server (the one the
-    caller starts) spawns the extra acceptors itself: each is another
-    ``SimilarityServer`` over the *same* service, running in a daemon
-    thread with its own event loop and request batcher, bound to the same
-    already-chosen port with ``SO_REUSEPORT`` so the kernel spreads
-    incoming connections across the pool.  Stopping the primary stops the
-    pool; a ``shutdown`` op arriving on any acceptor does the same.
 
     Examples
     --------
@@ -727,9 +659,7 @@ class SimilarityServer:
     """
 
     def __init__(self, service: SimilarityService, *, host: str | None = None,
-                 port: int | None = None, acceptor_id: int = 0,
-                 on_shutdown: Callable[[], None] | None = None,
-                 _reuse_port: bool = False) -> None:
+                 port: int | None = None) -> None:
         self.service = service
         config = service.config
         self.host = config.host if host is None else host
@@ -737,92 +667,31 @@ class SimilarityServer:
         self.batcher = RequestBatcher(service.execute_queries,
                                       max_batch=config.max_batch,
                                       window=config.batch_window)
-        self.acceptor_id = acceptor_id
-        self.acceptor_metrics = service.register_acceptor()
         self.address: tuple[str, int] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stopped: asyncio.Event | None = None
         self._reshard_task: "asyncio.Task | None" = None
-        # Pool plumbing.  Primary only: the loops/servers/threads of the
-        # extra acceptors it spawned.  Extras only: on_shutdown points back
-        # at the primary's request_stop, so a shutdown op arriving on any
-        # acceptor tears the whole pool down.
-        self._on_shutdown = on_shutdown
-        self._reuse_port = _reuse_port
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._extra_acceptors: list[
-            tuple[asyncio.AbstractEventLoop, "SimilarityServer"]] = []
-        self._acceptor_threads: list[threading.Thread] = []
+        self._stop_task: "asyncio.Task | None" = None
+        # Live connections (handler task -> its writer): what stop() hangs
+        # up on and waits for.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting connections; return ``(host, port)``.
 
         With ``port=0`` the operating system picks the port; the bound
-        address is stored in :attr:`address`.  When the service config
-        asks for an acceptor pool, the extra acceptors are spawned here —
-        after the bind, so they can share the concrete port.
+        address is stored in :attr:`address`.
         """
         if self._server is not None:
             raise ServiceError("server is already running")
         self._stopped = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        acceptors = 1 if self.acceptor_id else self.service.config.acceptors
-        reuse_port = self._reuse_port or acceptors > 1
-        if reuse_port and not hasattr(socket, "SO_REUSEPORT"):
-            warnings.warn(
-                "SO_REUSEPORT is unavailable on this platform; serving "
-                "with a single acceptor", RuntimeWarning, stacklevel=2)
-            acceptors, reuse_port = 1, False
         self._server = await asyncio.start_server(self._handle_connection,
                                                   self.host, self.port,
-                                                  limit=STREAM_LIMIT,
-                                                  reuse_port=reuse_port)
+                                                  limit=STREAM_LIMIT)
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
-        for index in range(1, acceptors):
-            self._spawn_acceptor(index)
         return self.address
-
-    def _spawn_acceptor(self, index: int) -> None:
-        """Start one extra acceptor loop in a daemon thread; wait for bind."""
-        ready = threading.Event()
-        failures: list[BaseException] = []
-        thread = threading.Thread(
-            target=lambda: asyncio.run(
-                self._acceptor_main(index, ready, failures)),
-            name=f"similarity-acceptor-{index}", daemon=True)
-        self._acceptor_threads.append(thread)
-        thread.start()
-        if not ready.wait(timeout=10):
-            raise ServiceError(f"acceptor {index} failed to start within 10s")
-        if failures:
-            raise ServiceError(
-                f"acceptor {index} failed to start: {failures[0]}")
-
-    async def _acceptor_main(self, index: int, ready: threading.Event,
-                             failures: list[BaseException]) -> None:
-        assert self.address is not None
-        server = SimilarityServer(
-            self.service, host=self.address[0], port=self.address[1],
-            acceptor_id=index, on_shutdown=self.request_stop,
-            _reuse_port=True)
-        try:
-            await server.start()
-        except BaseException as error:  # noqa: BLE001 - reported to spawner
-            failures.append(error)
-            ready.set()
-            return
-        self._extra_acceptors.append((asyncio.get_running_loop(), server))
-        ready.set()
-        await server.serve_forever()
-
-    def request_stop(self) -> None:
-        """Thread-safe shutdown trigger (used by the extra acceptors)."""
-        loop = self._loop
-        if loop is not None:
-            loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.stop()))
 
     async def serve_forever(self) -> None:
         """Block until :meth:`stop` is called (or a shutdown op arrives)."""
@@ -831,45 +700,63 @@ class SimilarityServer:
         await self._stopped.wait()
 
     async def stop(self) -> None:
-        """Stop accepting connections and release the socket.
+        """Stop accepting connections, hang up on clients, release the socket.
+
+        Open connections are closed from this side and their handlers
+        awaited, so an idle client cannot keep a handler parked in
+        ``readline()`` until the loop tears it down with a cancellation.
+        Every response already written is flushed first; a request still
+        in flight finds its connection gone, which its client sees as a
+        :class:`~repro.exceptions.ProtocolError` — never as half a line.
 
         An in-flight background reshard drain is cancelled — the router's
         migration state is process-local, so there is nothing to hand
         over; a restarted server simply rebuilds placement from scratch.
-        On the primary this also stops every extra acceptor it spawned
-        and joins their threads.
         """
         if self._reshard_task is not None:
             self._reshard_task.cancel()
             self._reshard_task = None
-        extras, self._extra_acceptors = self._extra_acceptors, []
-        for loop, server in extras:
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    server.stop(), loop).result(timeout=10)
-            except (RuntimeError, TimeoutError):  # pragma: no cover
-                pass  # loop already gone; the daemon thread dies with us
-        threads, self._acceptor_threads = self._acceptor_threads, []
-        for thread in threads:
-            thread.join(timeout=10)
-        if self._server is None:
+        server, self._server = self._server, None
+        if server is None:
             return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+        server.close()
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers)
+        await server.wait_closed()
         if self._stopped is not None:
             self._stopped.set()
+
+    async def run(self, on_ready: "Callable[[tuple[str, int]], None] | None"
+                  = None) -> None:
+        """Serve until stopped, then stop and close the service.
+
+        ``on_ready`` is called with the bound ``(host, port)`` once the
+        socket is listening.  The service is closed even when
+        :meth:`start` fails (port in use): its shard workers must not
+        leak.
+        """
+        try:
+            address = await self.start()
+            if on_ready is not None:
+                on_ready(address)
+            await self.serve_forever()
+        finally:
+            await self.stop()
+            self.service.close()
 
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        # Per-acceptor accounting: each acceptor loop is the only writer
-        # of its registry, so these bumps need no lock; the merged view
-        # (and the kernel's SO_REUSEPORT load-balance) shows up under
-        # ``acceptors.per_acceptor`` in the metrics payload.
-        self.acceptor_metrics.inc("acceptor_connections")
+        task = asyncio.current_task()
+        self._connections[task] = writer
+        self.service.count("connections")
         try:
-            while True:
+            # A handler that only gets to run once stop() has begun sees
+            # no server and leaves without reading.
+            while self._server is not None:
                 try:
                     line = await reader.readline()
                 except ValueError:
@@ -887,43 +774,79 @@ class SimilarityServer:
                 stripped = line.strip()
                 if not stripped:
                     continue
-                self.acceptor_metrics.inc("acceptor_requests")
-                stopping = False
+                self.service.count("request_lines")
                 try:
                     payload = json.loads(stripped.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError) as error:
                     response = {"ok": False, "error": f"invalid JSON: {error}"}
                 else:
-                    op = payload.get("op") if isinstance(payload, dict) else None
-                    if op in QUERY_OPS:
-                        response = await self._handle_query(payload)
-                    elif op in (BATCH_OP, TOP_K_BATCH_OP):
-                        response = await self._handle_batch(payload)
-                    elif op in RESHARD_OPS:
-                        response = self._handle_reshard(payload)
-                    elif op == "shutdown":
-                        response = {"ok": True, "stopping": True}
-                        stopping = True
-                    else:
-                        response = self.service.handle_request(payload)
+                    response = await self._respond(payload)
                 writer.write(json.dumps(response).encode("utf-8") + b"\n")
                 await writer.drain()
-                if stopping:
-                    if self._on_shutdown is not None:
-                        # Extra acceptor: route the shutdown through the
-                        # primary so the whole pool stops, not just us.
-                        self._on_shutdown()
-                    else:
-                        asyncio.get_running_loop().create_task(self.stop())
+                if response.get("stopping"):  # the shutdown op's answer
+                    self._stop_task = asyncio.get_running_loop().create_task(
+                        self.stop())
                     break
         except ConnectionResetError:  # client vanished mid-request
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
+
+    async def _respond(self, payload: object) -> dict:
+        """Map one parsed request line to its response object.
+
+        Query ops are validated into keys, every key joins the shared
+        :class:`RequestBatcher` batch — so a batch request coalesces with
+        whatever concurrent single queries are in flight, and the drain
+        answers them all with one grouped ``search_many()`` (or ``(k,
+        limit)``-grouped ``search_top_k_many()``) pass through the serving
+        core — and the answers are rendered by the same
+        :meth:`SimilarityService.render_answers` the in-process path uses.
+        Everything else goes to :meth:`SimilarityService.handle_request`,
+        except the two ops only a transport can carry out: ``shutdown``
+        and the background half of a fleet resize.
+
+        Snapshot semantics: answers within one batcher drain share a
+        collection snapshot, so a request of up to ``config.max_batch``
+        queries is normally answered atomically.  A larger request spans
+        several drains, between which concurrent mutations may commit —
+        individual answers are each exact for some recent snapshot, but
+        the batch as a whole (and its single ``epoch`` field, read after
+        the last drain) is not guaranteed to be one snapshot.
+        """
+        op = payload.get("op") if isinstance(payload, dict) else None
+        if op == "shutdown":
+            return {"ok": True, "stopping": True}
+        if op in RESHARD_OPS:
+            return self._handle_reshard(payload)
+        if op not in QUERY_OPS:
+            return self.service.handle_request(payload)
+        started = time.perf_counter()
+        try:
+            keys = self.service.build_query_keys(payload)
+            if len(keys) == 1:
+                # Awaited directly: gather() would wrap the lone submit in
+                # a task, ~40 us of loop turns on every scalar read.
+                answers = [await self.batcher.submit(keys[0])]
+            else:
+                answers = await asyncio.gather(
+                    *(self.batcher.submit(key) for key in keys))
+            response = self.service.render_answers(op, answers)
+        except (ValueError, TypeError, ServiceError) as error:
+            # Validation failures, and execution failures the batcher
+            # forwards to every waiter (e.g. a dead shard worker): answer
+            # with an error line instead of tearing down the connection.
+            response = {"ok": False, "error": str(error)}
+        query = payload.get("query")
+        self.service.record_request(
+            op, time.perf_counter() - started, bool(response.get("ok")),
+            query=query if isinstance(query, str) else None)
+        return response
 
     def _handle_reshard(self, payload: dict) -> dict:
         """Start a fleet resize; drain it in the background.
@@ -958,72 +881,6 @@ class SimilarityServer:
             self.service.reshard_error = (
                 f"background reshard drain failed: {error}")
 
-    async def _handle_query(self, payload: dict) -> dict:
-        started = time.perf_counter()
-        response = await self._execute_query(payload)
-        query = payload.get("query")
-        # Query ops bypass handle_request (they go through the batcher),
-        # so the transport records them itself — exactly once per request.
-        self.service.record_request(
-            payload.get("op"), time.perf_counter() - started,
-            bool(response.get("ok")),
-            query=query if isinstance(query, str) else None)
-        return response
-
-    async def _execute_query(self, payload: dict) -> dict:
-        try:
-            key = self.service.build_query_key(payload)
-        except (ValueError, TypeError) as error:
-            return {"ok": False, "error": str(error)}
-        try:
-            matches, cached = await self.batcher.submit(key)
-        except (ValueError, TypeError, ServiceError) as error:
-            # The batcher forwards execution failures (e.g. a dead shard
-            # worker) to every waiter; answer with an error line instead of
-            # letting the exception tear down the connection.
-            return {"ok": False, "error": str(error)}
-        return self.service._query_response(matches, cached)
-
-    async def _handle_batch(self, payload: dict) -> dict:
-        """Answer one ``search-batch`` or ``top-k-batch`` request line.
-
-        Every query joins the shared :class:`RequestBatcher` batch — so a
-        batch request coalesces with whatever concurrent single queries are
-        in flight, and the drain answers them all with one grouped
-        ``search_many()`` (or ``(k, limit)``-grouped ``search_top_k_many()``)
-        pass through the serving core.
-
-        Snapshot semantics: answers within one batcher drain share a
-        collection snapshot, so a request of up to ``config.max_batch``
-        queries is normally answered atomically.  A larger request spans
-        several drains, between which concurrent mutations may commit —
-        individual answers are each exact for some recent snapshot, but
-        the batch as a whole (and its single ``epoch`` field, read after
-        the last drain) is not guaranteed to be one snapshot.
-        """
-        started = time.perf_counter()
-        response = await self._execute_batch(payload)
-        self.service.record_request(payload.get("op"),
-                                    time.perf_counter() - started,
-                                    bool(response.get("ok")))
-        return response
-
-    async def _execute_batch(self, payload: dict) -> dict:
-        build_keys = (self.service.build_top_k_batch_keys
-                      if payload.get("op") == TOP_K_BATCH_OP
-                      else self.service.build_batch_keys)
-        try:
-            keys = build_keys(payload)
-        except (ValueError, TypeError) as error:
-            return {"ok": False, "error": str(error)}
-        try:
-            answers = await asyncio.gather(
-                *(self.batcher.submit(key) for key in keys))
-        except (ValueError, TypeError, ServiceError) as error:
-            return {"ok": False, "error": str(error)}
-        return self.service._batch_response(answers,
-                                            self.service.searcher.epoch)
-
 
 async def run_service(strings: Iterable[str | StringRecord],
                       config: ServiceConfig = DEFAULT_SERVICE_CONFIG,
@@ -1035,20 +892,7 @@ async def run_service(strings: Iterable[str | StringRecord],
     is listening — the hook the CLI uses to announce the actual port when
     serving on ``port=0``.
     """
-    service = SimilarityService(strings, config)
-    server: SimilarityServer | None = None
-    try:
-        server = SimilarityServer(service)
-        address = await server.start()
-        if on_ready is not None:
-            on_ready(address)
-        await server.serve_forever()
-    finally:
-        # Entered as soon as the service exists: a failed start() (port in
-        # use) must still shut the shard workers down, not leak them.
-        if server is not None:
-            await server.stop()
-        service.close()
+    await SimilarityServer(SimilarityService(strings, config)).run(on_ready)
 
 
 class BackgroundServer:
@@ -1071,28 +915,16 @@ class BackgroundServer:
         self.config = config
         self._strings = list(strings)
         self._ready = threading.Event()
-        self._address: list[tuple[str, int]] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: SimilarityServer | None = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._main()), daemon=True)
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        service = SimilarityService(self._strings, self.config)
-        try:
-            self._server = SimilarityServer(service)
-            address = await self._server.start()
-            self._address.append(address)
-            self._ready.set()
-            await self._server.serve_forever()
-        finally:
-            # As in run_service: a failed bind must not leak shard workers.
-            if self._server is not None:
-                await self._server.stop()
-            service.close()
+        self._server = SimilarityServer(
+            SimilarityService(self._strings, self.config))
+        await self._server.run(lambda address: self._ready.set())
 
     @property
     def service(self) -> SimilarityService | None:
@@ -1103,13 +935,14 @@ class BackgroundServer:
         self._thread.start()
         if not self._ready.wait(timeout=10):
             raise ServiceError("background server failed to start within 10s")
-        return self._address[0]
+        return self._server.address
 
     def __exit__(self, *exc_info: object) -> None:
         if self._loop is not None and self._server is not None:
+            stop = self._server.stop()
             try:
                 asyncio.run_coroutine_threadsafe(
-                    self._server.stop(), self._loop).result(timeout=10)
-            except RuntimeError:  # loop already closed
-                pass
+                    stop, self._loop).result(timeout=10)
+            except RuntimeError:  # loop already closed (a shutdown op)
+                stop.close()
         self._thread.join(timeout=10)

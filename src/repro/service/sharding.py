@@ -113,10 +113,6 @@ from .dynamic import DynamicSearcher, coerce_insert_record
 from .placement import (PlacementMap, ReplicaReadSchedule,
                         make_placement_map)
 
-#: Backwards-compatible alias: placement used to be configured through
-#: ``make_shard_policy`` before it grew into :mod:`repro.service.placement`.
-make_shard_policy = make_placement_map
-
 
 def resolve_shard_backend(backend: str) -> str:
     """Resolve the ``shard_backend`` knob to ``"process"`` or ``"thread"``.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from repro.core.store import RecordStore
 from repro.distance import edit_distance
 
 
@@ -46,3 +47,11 @@ def random_strings(count, min_len, max_len, alphabet="abcd", seed=0):
     rng = random.Random(seed)
     return ["".join(rng.choice(alphabet) for _ in range(rng.randint(min_len, max_len)))
             for _ in range(count)]
+
+
+def store_rows(records):
+    """``(store, rows)``: the records interned into a fresh ``RecordStore``
+    and their row ordinals — the ``verify_rows`` arguments for a candidate
+    list (``verifier.verify_rows(probe, *store_rows(records), context)``)."""
+    store = RecordStore()
+    return store, [store.intern(record) for record in records]

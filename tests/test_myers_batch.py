@@ -14,6 +14,8 @@ from repro.distance.myers_batch import BatchMyersKernel, build_pattern_masks
 from repro.exceptions import InvalidThresholdError
 from repro.types import JoinStatistics, StringRecord
 
+from helpers import store_rows
+
 #: Any MatchContext works for the whole-pair kernels under test here; the
 #: batched verifier never reads the segment alignment.
 CONTEXT = MatchContext(ordinal=1, probe_start=0, seg_start=0, seg_length=1)
@@ -88,15 +90,15 @@ class TestBatchMyersVerifier:
                    for i, t in enumerate(["vldb", "pvldb", "sigmod"])]
         # Many calls with the same probe — one mask build.
         for _ in range(5):
-            verifier.verify_candidates("vldbj", records, CONTEXT)
+            verifier.verify_rows("vldbj", *store_rows(records), CONTEXT)
         assert verifier.masks_built == 1
-        verifier.verify_candidates("icde", records, CONTEXT)
+        verifier.verify_rows("icde", *store_rows(records), CONTEXT)
         assert verifier.masks_built == 2
 
     def test_verify_rows_materialises_only_accepted_records(self):
-        store = RecordStore()
-        rows = [store.intern(StringRecord(id=i, text=t))
-                for i, t in enumerate(["vldb", "pvldb", "sigmod"])]
+        store, rows = store_rows(
+            StringRecord(id=i, text=t)
+            for i, t in enumerate(["vldb", "pvldb", "sigmod"]))
         verifier = BatchMyersVerifier(1)
         accepted = verifier.verify_rows("vldb", store, rows, CONTEXT)
         assert [(record.text, distance) for record, distance in accepted] == [
@@ -106,7 +108,7 @@ class TestBatchMyersVerifier:
         store = RecordStore()
         verifier = BatchMyersVerifier(1)
         assert verifier.verify_rows("abc", store, [], CONTEXT) == []
-        assert verifier.verify_candidates("abc", [], CONTEXT) == []
+        assert verifier.verify_rows("abc", *store_rows([]), CONTEXT) == []
         assert verifier.masks_built == 0  # nothing to verify, nothing built
 
 
@@ -126,21 +128,20 @@ def test_batched_verifier_is_element_identical(probe, texts, tau, duplicate):
 
     Random inverted lists (including empty lists and duplicated entries —
     the same record can appear under several segments) must produce the
-    same accepted records with the same distances, in the same order, via
-    both the record-list and the row-ordinal entry points.
+    same accepted records with the same distances, in the same order, over
+    a freshly interned store and over one shared across verifiers.
     """
     if duplicate and texts:
         texts = texts + [texts[0]]
     records = [StringRecord(id=i, text=text) for i, text in enumerate(texts)]
-    store = RecordStore()
-    rows = [store.intern(record) for record in records]
+    store, rows = store_rows(records)
 
     batched = BatchMyersVerifier(tau)
-    expected_myers = MyersVerifier(tau).verify_candidates(
-        probe, records, CONTEXT)
-    expected_banded = LengthAwareVerifier(tau).verify_candidates(
-        probe, records, CONTEXT)
-    got_candidates = batched.verify_candidates(probe, records, CONTEXT)
+    expected_myers = MyersVerifier(tau).verify_rows(
+        probe, *store_rows(records), CONTEXT)
+    expected_banded = LengthAwareVerifier(tau).verify_rows(
+        probe, *store_rows(records), CONTEXT)
+    got_candidates = batched.verify_rows(probe, *store_rows(records), CONTEXT)
     got_rows = batched.verify_rows(probe, store, rows, CONTEXT)
 
     assert got_candidates == expected_myers == expected_banded

@@ -1,4 +1,4 @@
-"""Tests for read replicas and the multi-acceptor front end.
+"""Tests for read replicas.
 
 The load-bearing property (this PR's acceptance criterion): with
 ``replicas_per_shard`` configured, random interleavings of insert /
@@ -7,23 +7,18 @@ including **replica lag injection** (replication paused so replicas fall
 behind, then resumed) — keep a ``ShardRouter`` element-identical to an
 unsharded ``DynamicSearcher``.  A stale replica must be bypassed, never
 served.  On top of that: kill-a-replica fault handling on both backends,
-the ``admin status`` degraded-replica rows, the acceptor pool sharing one
-port via ``SO_REUSEPORT`` (and its fallback), and the batch-coalescing
-cache accounting fix.
+the ``admin status`` degraded-replica rows, and the batch-coalescing cache
+accounting fix.
 """
 
-import json
 import multiprocessing
-import socket as socket_module
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ServiceConfig
 from repro.exceptions import ConfigurationError
-from repro.service import (BackgroundServer, DynamicSearcher, ServiceClient,
-                           ShardRouter, SimilarityService)
+from repro.service import DynamicSearcher, ShardRouter, SimilarityService
 
 from helpers import random_strings
 
@@ -304,15 +299,23 @@ class TestServiceIntegration:
         finally:
             service.close()
 
-    def test_config_validates_replicas_and_acceptors(self):
+    def test_config_validates_replicas(self):
         with pytest.raises(ConfigurationError):
             ServiceConfig(replicas=-1)
         with pytest.raises(ConfigurationError):
             ServiceConfig(replicas=True)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(acceptors=0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(acceptors=True)
+
+    def test_acceptor_knob_is_gone(self, capsys):
+        # The acceptor pool was removed (one event loop serves every
+        # connection); neither spelling of the knob may drift back.
+        from repro.cli import main as cli_main
+
+        with pytest.raises(TypeError):
+            ServiceConfig(acceptors=2)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["serve", "strings.txt", "--acceptors", "2"])
+        assert excinfo.value.code == 2
+        assert "--acceptors" in capsys.readouterr().err
 
 
 class TestCoalescedCacheAccounting:
@@ -358,72 +361,3 @@ class TestCoalescedCacheAccounting:
             assert merged["counters"]["cache_misses"] == 1
         finally:
             service.close()
-
-
-class TestAcceptorPool:
-    def _talk(self, address, requests):
-        responses = []
-        with socket_module.create_connection(address) as sock:
-            stream = sock.makefile("rwb")
-            for request in requests:
-                stream.write(json.dumps(request).encode("utf-8") + b"\n")
-                stream.flush()
-                responses.append(json.loads(stream.readline()))
-        return responses
-
-    def test_pool_shares_port_and_answers_exactly(self):
-        strings = random_strings(30, 3, 9, alphabet="ab", seed=71)
-        single = DynamicSearcher(strings, max_tau=2)
-        config = ServiceConfig(port=0, acceptors=3)
-        with BackgroundServer(strings, config) as address:
-            expected = [match.to_dict() for match in single.search("abab", 2)]
-            results = []
-            errors = []
-
-            def worker():
-                try:
-                    with ServiceClient(*address) as client:
-                        results.append([match.to_dict() for match in
-                                        client.search("abab", 2)])
-                except Exception as error:  # pragma: no cover
-                    errors.append(error)
-
-            threads = [threading.Thread(target=worker) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-            assert not errors
-            assert results == [expected] * 8
-            (metrics,) = self._talk(address, [{"op": "metrics"}])
-            acceptors = metrics["acceptors"]
-            assert acceptors["count"] == 3
-            connections = sum(
-                snapshot["counters"].get("acceptor_connections", 0)
-                for snapshot in acceptors["per_acceptor"])
-            assert connections >= 9
-            assert metrics["merged"]["counters"]["acceptor_requests"] >= 9
-
-    def test_shutdown_on_any_acceptor_stops_the_pool(self):
-        config = ServiceConfig(port=0, acceptors=2)
-        server = BackgroundServer(["vldb"], config)
-        with server as address:
-            # Hammer until a connection lands on an extra acceptor, then
-            # shut down through whichever acceptor answers.
-            (response,) = self._talk(address, [{"op": "shutdown"}])
-            assert response["ok"] and response["stopping"]
-        # __exit__ returned: the primary loop finished; its daemon acceptor
-        # threads were joined by SimilarityServer.stop().
-        assert server._server is not None
-        assert server._server._acceptor_threads == []
-
-    def test_reuse_port_fallback_warns_and_serves(self, monkeypatch):
-        monkeypatch.delattr(socket_module, "SO_REUSEPORT", raising=False)
-        config = ServiceConfig(port=0, acceptors=2)
-        with pytest.warns(RuntimeWarning, match="SO_REUSEPORT"):
-            with BackgroundServer(["vldb"], config) as address:
-                (response,) = self._talk(
-                    address, [{"op": "search", "query": "vldb", "tau": 1}])
-                assert response["ok"]
-                (metrics,) = self._talk(address, [{"op": "metrics"}])
-                assert metrics["acceptors"]["count"] == 1

@@ -12,6 +12,8 @@ from repro.distance import edit_distance
 from repro.exceptions import UnknownMethodError
 from repro.types import JoinStatistics, StringRecord
 
+from helpers import store_rows
+
 ALL_METHODS = list(VerificationMethod)
 
 
@@ -63,8 +65,8 @@ class TestWholePairAcceptance:
         segment, context = _context_for(indexed, probe, tau, ordinal=2)
         assert segment.text == "shik"
         verifier = make_verifier(method, tau)
-        accepted = verifier.verify_candidates(
-            probe, [StringRecord(id=4, text=indexed)], context)
+        accepted = verifier.verify_rows(
+            probe, *store_rows([StringRecord(id=4, text=indexed)]), context)
         assert len(accepted) == 1
         record, distance = accepted[0]
         assert record.id == 4
@@ -77,8 +79,8 @@ class TestWholePairAcceptance:
         segment, context = _context_for(indexed, probe, tau, ordinal=3)
         assert segment.text == " cha"
         verifier = make_verifier(method, tau)
-        accepted = verifier.verify_candidates(
-            probe, [StringRecord(id=5, text=indexed)], context)
+        accepted = verifier.verify_rows(
+            probe, *store_rows([StringRecord(id=5, text=indexed)]), context)
         assert accepted == []
 
     def test_reported_distances_are_exact(self, method):
@@ -87,8 +89,8 @@ class TestWholePairAcceptance:
         probe = "partition bases"
         segment, context = _context_for(indexed, probe, tau, ordinal=1)
         verifier = make_verifier(method, tau)
-        accepted = verifier.verify_candidates(
-            probe, [StringRecord(id=0, text=indexed)], context)
+        accepted = verifier.verify_rows(
+            probe, *store_rows([StringRecord(id=0, text=indexed)]), context)
         assert accepted and accepted[0][1] == 1
 
     def test_statistics_count_verifications(self, method):
@@ -98,7 +100,8 @@ class TestWholePairAcceptance:
         indexed = "abcdef"
         probe = "abcdeg"
         segment, context = _context_for(indexed, probe, tau, ordinal=1)
-        verifier.verify_candidates(probe, [StringRecord(id=0, text=indexed)], context)
+        verifier.verify_rows(
+            probe, *store_rows([StringRecord(id=0, text=indexed)]), context)
         assert stats.num_verifications == 1
 
 
@@ -125,8 +128,8 @@ class TestExtensionSpecifics:
         context = MatchContext(ordinal=2, probe_start=probe_start,
                                seg_start=seg_start, seg_length=seg_len)
         verifier = ExtensionVerifier(tau)
-        accepted = verifier.verify_candidates(
-            probe, [StringRecord(id=1, text=indexed)], context)
+        accepted = verifier.verify_rows(
+            probe, *store_rows([StringRecord(id=1, text=indexed)]), context)
         assert [record.id for record, _ in accepted] == [1]
 
     def test_rejection_at_one_segment_is_not_a_false_negative_overall(self):
@@ -145,8 +148,9 @@ class TestExtensionSpecifics:
                 continue
             context = MatchContext(ordinal=ordinal, probe_start=start,
                                    seg_start=seg_start, seg_length=seg_len)
-            if verifier.verify_candidates(
-                    probe, [StringRecord(id=9, text=indexed)], context):
+            if verifier.verify_rows(
+                probe,
+                *store_rows([StringRecord(id=9, text=indexed)]), context):
                 accepted_any = True
         assert accepted_any
 
@@ -164,9 +168,10 @@ class TestSharePrefixSpecifics:
         extension = ExtensionVerifier(tau)
         sharing = SharePrefixExtensionVerifier(tau)
         expected = {record.id: distance for record, distance in
-                    extension.verify_candidates(probe, candidates, context)}
+                    extension.verify_rows(
+                        probe, *store_rows(candidates), context)}
         got = {record.id: distance for record, distance in
-               sharing.verify_candidates(probe, candidates, context)}
+               sharing.verify_rows(probe, *store_rows(candidates), context)}
         assert got == expected == {4: 3}
 
     def test_sharing_reduces_matrix_cells_on_long_sorted_lists(self):
@@ -184,10 +189,10 @@ class TestSharePrefixSpecifics:
                                seg_length=seg_len)
         shared_stats = JoinStatistics()
         plain_stats = JoinStatistics()
-        SharePrefixExtensionVerifier(tau, shared_stats).verify_candidates(
-            probe, candidates, context)
-        ExtensionVerifier(tau, plain_stats).verify_candidates(
-            probe, candidates, context)
+        SharePrefixExtensionVerifier(tau, shared_stats).verify_rows(
+            probe, *store_rows(candidates), context)
+        ExtensionVerifier(tau, plain_stats).verify_rows(
+            probe, *store_rows(candidates), context)
         assert shared_stats.num_matrix_cells < plain_stats.num_matrix_cells
 
     def test_empty_candidate_list_builds_no_prefix_verifiers(self, monkeypatch):
@@ -209,13 +214,13 @@ class TestSharePrefixSpecifics:
                                seg_length=2)
         stats = JoinStatistics()
         verifier = SharePrefixExtensionVerifier(tau, stats)
-        assert verifier.verify_candidates("abcdef", [], context) == []
+        assert verifier.verify_rows("abcdef", *store_rows([]), context) == []
         # Out-of-range ordinal (tau_right < 0) with a non-empty list must
         # bail out just as cheaply.
         far_context = MatchContext(ordinal=tau + 2, probe_start=0,
                                    seg_start=0, seg_length=2)
-        assert verifier.verify_candidates(
-            "abcdef", [StringRecord(id=0, text="abcdef")], far_context) == []
+        rows = store_rows([StringRecord(id=0, text="abcdef")])
+        assert verifier.verify_rows("abcdef", *rows, far_context) == []
         assert constructed == []
         assert stats.num_matrix_cells == 0
         assert stats.num_verifications == 0
