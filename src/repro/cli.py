@@ -37,8 +37,9 @@ from .baselines.naive import NaiveJoin
 from .baselines.trie_join import TrieJoin
 from .bench.experiments import DATASET_BUILDERS, EXPERIMENTS
 from .bench.reporting import format_table
-from .config import (DEFAULT_KERNEL, KERNELS, SHARD_POLICIES, JoinConfig,
-                     SelectionMethod, ServiceConfig, VerificationMethod)
+from .config import (DEFAULT_KERNEL, DEFAULT_VERIFICATION, KERNELS,
+                     SHARD_POLICIES, JoinConfig, SelectionMethod,
+                     ServiceConfig, VerificationMethod)
 from .core.join import PassJoin
 from .core.parallel import ParallelPassJoin
 from .datasets.loaders import load_strings, save_strings
@@ -64,9 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
     join.add_argument("--selection", default=SelectionMethod.MULTI_MATCH.value,
                       choices=[m.value for m in SelectionMethod],
                       help="Pass-Join substring-selection method")
-    join.add_argument("--verification", default=VerificationMethod.SHARE_PREFIX.value,
+    join.add_argument("--verification", default=DEFAULT_VERIFICATION.value,
                       choices=[m.value for m in VerificationMethod],
-                      help="Pass-Join verification strategy")
+                      help="Pass-Join verification strategy (default: "
+                           f"{DEFAULT_VERIFICATION.value}; the paper's "
+                           "fastest: share-prefix)")
     join.add_argument("--workers", type=int, default=1,
                       help="parallel probe workers for pass-join "
                            "(1 = serial, 0 = one per CPU; default 1)")

@@ -56,10 +56,11 @@ class VerificationMethod(str, Enum):
         Bit-parallel Myers verifier (an extension beyond the paper, used by
         the verifier-kernel ablation benchmark).
     ``MYERS_BATCH``
-        Batched bit-parallel verifier (library extension): one probe's
-        character masks are built once and swept across the whole inverted
-        list / batch group with Hyyrö's bounded cutoff, instead of
-        re-encoding the pattern per candidate pair.
+        Batched bit-parallel verifier (library extension, and the library
+        default — :data:`DEFAULT_VERIFICATION`): candidates are first
+        rejected on a 64-bit character-histogram signature, then one
+        probe's character masks are built once and swept across the
+        survivors with Hyyrö's bounded cutoff.
     """
 
     BANDED = "banded"
@@ -68,6 +69,12 @@ class VerificationMethod(str, Enum):
     SHARE_PREFIX = "share-prefix"
     MYERS = "myers"
     MYERS_BATCH = "myers-batch"
+
+
+#: The verifier every join, searcher and served index uses when none is
+#: named.  The paper's fastest, ``share-prefix``, stays selectable and is
+#: what the reproduction (:mod:`repro.bench.experiments`) pins.
+DEFAULT_VERIFICATION = VerificationMethod.MYERS_BATCH
 
 
 class PartitionStrategy(str, Enum):
@@ -107,8 +114,8 @@ class JoinConfig:
         Which substring-selection method to use (default: multi-match-aware,
         the paper's recommended and provably minimal scheme).
     verification:
-        Which verification strategy to use (default: share-prefix, the
-        paper's fastest).
+        Which verification strategy to use (default:
+        :data:`DEFAULT_VERIFICATION`).
     partition:
         Partition strategy for indexed strings (default: even).
     workers:
@@ -122,7 +129,7 @@ class JoinConfig:
     """
 
     selection: SelectionMethod = SelectionMethod.MULTI_MATCH
-    verification: VerificationMethod = VerificationMethod.SHARE_PREFIX
+    verification: VerificationMethod = DEFAULT_VERIFICATION
     partition: PartitionStrategy = PartitionStrategy.EVEN
     workers: int = 1
     chunk_size: int | None = None
@@ -155,7 +162,7 @@ class JoinConfig:
 
     @classmethod
     def from_names(cls, selection: str = "multi-match",
-                   verification: str = "share-prefix",
+                   verification: str = DEFAULT_VERIFICATION.value,
                    partition: str = "even", workers: int = 1,
                    chunk_size: int | None = None) -> "JoinConfig":
         """Build a config from plain strings, with a friendly error message."""

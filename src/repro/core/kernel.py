@@ -56,8 +56,8 @@ from collections import Counter, OrderedDict
 from typing import (TYPE_CHECKING, Any, Callable, Collection, Iterable,
                     Sequence)
 
-from ..config import (KERNELS, PartitionStrategy, VerificationMethod,
-                      validate_threshold)
+from ..config import (DEFAULT_VERIFICATION, KERNELS, PartitionStrategy,
+                      VerificationMethod, validate_threshold)
 from ..exceptions import (ConfigurationError, InvalidThresholdError,
                           UnknownMethodError)
 from ..types import JoinStatistics, StringRecord
@@ -228,7 +228,7 @@ class SimilarityKernel(ABC):
     def make_backend(self, max_tau: int, *,
                      partition: PartitionStrategy = PartitionStrategy.EVEN,
                      verification: VerificationMethod | str =
-                     VerificationMethod.EXTENSION,
+                     DEFAULT_VERIFICATION,
                      seed: Sequence[StringRecord] = (),
                      keep_sorted: bool = True) -> KernelBackend:
         """Build this kernel's per-searcher backend.
@@ -354,7 +354,7 @@ class EditDistanceKernel(SimilarityKernel):
     def make_backend(self, max_tau: int, *,
                      partition: PartitionStrategy = PartitionStrategy.EVEN,
                      verification: VerificationMethod | str =
-                     VerificationMethod.EXTENSION,
+                     DEFAULT_VERIFICATION,
                      seed: Sequence[StringRecord] = (),
                      keep_sorted: bool = True) -> EditDistanceBackend:
         if not isinstance(verification, VerificationMethod):
@@ -370,7 +370,9 @@ class EditDistanceKernel(SimilarityKernel):
             "record_unit": "characters",
             "tau_semantics": "maximum edit distance (non-negative integer)",
             "signatures": "partition segments (tau + 1 per record)",
-            "verifier": "extension verification around the matched segment",
+            # What make_backend builds when no method is named, and the
+            # serving tiers never name one: explain's verifier.kernel.
+            "verifier": DEFAULT_VERIFICATION.value,
             "partition_key": "string length",
         }
 
@@ -652,14 +654,14 @@ class TokenJaccardKernel(SimilarityKernel):
     def make_backend(self, max_tau: int, *,
                      partition: PartitionStrategy = PartitionStrategy.EVEN,
                      verification: VerificationMethod | str =
-                     VerificationMethod.EXTENSION,
+                     DEFAULT_VERIFICATION,
                      seed: Sequence[StringRecord] = (),
                      keep_sorted: bool = True) -> TokenJaccardBackend:
         if partition != PartitionStrategy.EVEN:
             raise ConfigurationError(
                 f"the {self.name!r} kernel does not take a partition "
                 f"strategy, got {partition!r}")
-        if verification != VerificationMethod.EXTENSION:
+        if verification != DEFAULT_VERIFICATION:
             raise ConfigurationError(
                 f"the {self.name!r} kernel does not take a verification "
                 f"method, got {verification!r}")

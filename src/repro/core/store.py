@@ -8,7 +8,7 @@ the postings of a :class:`~repro.core.index.SegmentIndex` become compact
 ``array('q')`` buffers:
 
 * **Memory** — a posting costs 8 bytes in a flat buffer, and a record costs
-  three machine words plus its text, instead of one heap ``StringRecord``
+  four machine words plus its text, instead of one heap ``StringRecord``
   object per record plus list slots per posting.
 * **Fork friendliness** — worker processes spawned with ``fork`` (the
   parallel join pool, the process shard backend) inherit flat arrays
@@ -25,6 +25,12 @@ Rows are reference counted: :meth:`RecordStore.intern` of an already-stored
 :meth:`RecordStore.release` frees the row once the count reaches zero,
 recycling it through a free list so long-lived mutable indices do not grow
 without bound under insert/delete churn.
+
+A fourth column holds each row's :func:`histogram_signature`, which the
+default verifier rejects candidates on before any DP runs.  It is filled on
+a row's *first use* (:meth:`RecordStore.rows_near`), not at ``intern``:
+~2 µs per string would land in every index build, and most rows of a
+served collection are never a candidate.
 """
 
 from __future__ import annotations
@@ -34,6 +40,34 @@ from array import array
 from typing import Iterator, Sequence
 
 from ..types import StringRecord
+
+
+def histogram_signature(text: str) -> int:
+    """Capped character histogram of ``text``, packed as ``once | twice << 32``.
+
+    Characters fall into 32 buckets by ``ord(c) & 31``; bit ``b`` of
+    ``once`` is set iff bucket ``b`` holds a character of ``text``, bit
+    ``b`` of ``twice`` iff it holds at least two.  ``(a & ~b).bit_count()``
+    is then ``a``'s bucket-count surplus over ``b``, a lower bound on the
+    edit distance: one edit lowers at most one bucket count by one and
+    raises at most one by one, and the cap at two and bucket collisions are
+    both 1-Lipschitz.  (ED-Join's content filter,
+    :mod:`repro.filters.content_filter`, packed for two popcounts.)
+
+    >>> hex(histogram_signature("abca"))  # a, b, c once; a twice
+    '0x20000000e'
+    """
+    once = twice = 0
+    for code in map(ord, text):
+        bit = 1 << (code & 31)
+        twice |= once & bit
+        once |= bit
+    return once | twice << 32
+
+
+#: "Not computed yet" in the signature column: a ``twice`` bit without its
+#: ``once`` bit, which :func:`histogram_signature` never produces.
+_UNFILLED = 1 << 32
 
 
 class RecordStore:
@@ -49,13 +83,14 @@ class RecordStore:
     StringRecord(id=7, text='vldb')
     """
 
-    __slots__ = ("_ids", "_lengths", "_texts", "_refs", "_rows", "_free",
-                 "_live", "_text_chars")
+    __slots__ = ("_ids", "_lengths", "_texts", "_signatures", "_refs",
+                 "_rows", "_free", "_live", "_text_chars")
 
     def __init__(self) -> None:
         self._ids = array("q")
         self._lengths = array("q")
         self._texts: list[str] = []
+        self._signatures = array("Q")
         self._refs = array("q")
         # (id, text) -> row; the interning map that keeps one row per record.
         self._rows: dict[tuple[int, str], int] = {}
@@ -89,6 +124,7 @@ class RecordStore:
             self._ids.append(record.id)
             self._lengths.append(record.length)
             self._texts.append(record.text)
+            self._signatures.append(_UNFILLED)
             self._refs.append(1)
         self._rows[key] = row
         self._live += 1
@@ -110,6 +146,7 @@ class RecordStore:
             del self._rows[(self._ids[row], text)]
             self._text_chars -= len(text)
             self._texts[row] = ""
+            self._signatures[row] = _UNFILLED
             self._ids[row] = -1
             self._lengths[row] = 0
             self._free.append(row)
@@ -143,6 +180,27 @@ class RecordStore:
     def sort_key(self, row: int) -> tuple[str, int]:
         """The ``(text, id)`` ordering key of a row (sorted-posting invariant)."""
         return (self._texts[row], self._ids[row])
+
+    def rows_near(self, rows: Sequence[int], signature: int,
+                  tau: int) -> list[int]:
+        """The ``rows`` whose :func:`histogram_signature` is within ``tau``
+        bucket counts of ``signature`` in both directions — a superset of
+        the rows within edit distance ``tau`` of the text ``signature`` is of.
+
+        A row's signature is computed the first time it is compared and
+        kept until the row is released.  (Threads sharing a store may both
+        fill a row; they store the same value.)
+        """
+        column, texts, absent = self._signatures, self._texts, ~signature
+        near: list[int] = []
+        for row in rows:
+            candidate = column[row]
+            if candidate == _UNFILLED:
+                candidate = column[row] = histogram_signature(texts[row])
+            if ((candidate & absent).bit_count() <= tau
+                    and (signature & ~candidate).bit_count() <= tau):
+                near.append(row)
+        return near
 
     @property
     def ids(self) -> "array[int]":
@@ -179,17 +237,19 @@ class RecordStore:
         return len(self._texts)
 
     def approximate_bytes(self) -> int:
-        """Data-structure bytes of the columns: three machine words per
-        allocated row (id, length, text pointer) plus the live text payload.
+        """Data-structure bytes of the columns: four machine words per
+        allocated row (id, length, text pointer, signature) plus the live
+        text payload.
 
         Python container overhead is deliberately excluded, mirroring
         :meth:`repro.core.index.SegmentIndex.approximate_bytes`.
         """
-        return 24 * len(self._texts) + self._text_chars
+        return 32 * len(self._texts) + self._text_chars
 
     def deep_bytes(self) -> int:
         """Actual ``sys.getsizeof``-based footprint of the columns."""
         total = (sys.getsizeof(self._ids) + sys.getsizeof(self._lengths)
+                 + sys.getsizeof(self._signatures)
                  + sys.getsizeof(self._refs) + sys.getsizeof(self._texts)
                  + sys.getsizeof(self._rows) + sys.getsizeof(self._free))
         for text in self._texts:

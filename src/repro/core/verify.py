@@ -25,10 +25,11 @@ extensions:
 ``MyersVerifier``
     Bit-parallel kernel over the whole strings (library extension).
 ``BatchMyersVerifier``
-    Batched bit-parallel kernel (library extension): the probe's character
-    masks are built once and swept across every candidate of the inverted
-    list / batch group with Hyyrö's bounded cutoff — see
-    :mod:`repro.distance.myers_batch`.
+    The library default (:data:`~repro.config.DEFAULT_VERIFICATION`):
+    candidates are rejected on the store's 64-bit histogram-signature
+    column first, then the probe's character masks — built once per probe
+    text — are swept across the survivors with Hyyrö's bounded cutoff (see
+    :mod:`repro.distance.myers_batch`).
 
 Verifiers have one entry point, :meth:`BaseVerifier.verify_rows`: it takes
 a :class:`~repro.core.store.RecordStore` plus row ordinals, reads the text
@@ -55,7 +56,7 @@ from ..distance.myers_batch import BatchMyersKernel
 from ..distance.shared_prefix import SharedPrefixVerifier
 from ..exceptions import UnknownMethodError
 from ..types import JoinStatistics, StringRecord
-from .store import RecordStore
+from .store import RecordStore, histogram_signature
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,49 +152,64 @@ class MyersVerifier(WholeStringVerifier):
 
 
 class BatchMyersVerifier(BaseVerifier):
-    """Batched bit-parallel verification (library extension).
+    """Signature reject, then batched bit-parallel verification.
 
-    The probe's character masks are encoded into a
-    :class:`~repro.distance.myers_batch.BatchMyersKernel` exactly once and
-    swept across every candidate handed in — across *all* inverted-list
-    probes of one ``probe_record`` call, and across the whole ``(length,
-    tau)`` group of a ``probe_many`` batch, since the kernel is rebuilt
-    only when the probe string actually changes.  Each sweep terminates as
-    soon as the running score can no longer come back under ``tau``
-    (Hyyrö's bounded cutoff).  Results are element-identical to
-    :class:`MyersVerifier` and :class:`LengthAwareVerifier`.
+    A row whose :func:`~repro.core.store.histogram_signature` has more than
+    ``tau`` bucket counts in surplus over the probe's, or the probe's over
+    its, is rejected by two popcounts (each surplus is a lower bound on the
+    edit distance) and counted in ``num_signature_rejects``.  The survivors
+    are swept by a :class:`~repro.distance.myers_batch.BatchMyersKernel`
+    whose character masks are built once per probe text — shared by *all*
+    inverted-list probes of one ``probe_record`` call, and kept per query
+    while the engine alternates between the queries of a ``probe_many``
+    group — each sweep ending as soon as the score can no longer come back
+    under ``tau`` (Hyyrö's bounded cutoff).  Results are element-identical
+    to :class:`MyersVerifier` and :class:`LengthAwareVerifier`.
     """
 
     method = VerificationMethod.MYERS_BATCH
 
+    #: Probe texts whose kernel is kept: more than a fused group has in
+    #: practice, few enough that a join's one long-lived verifier
+    #: (thousands of probes, each used once) holds ~100 KB of masks.
+    PROBE_CACHE_SIZE = 64
+
     def __init__(self, tau: int, stats: JoinStatistics | None = None) -> None:
         super().__init__(tau, stats)
-        self._probe: str | None = None
-        self._kernel: BatchMyersKernel | None = None
-        #: Number of times the pattern masks were (re)built — the work the
-        #: batching amortises; tests assert it stays at one per probe.
+        # probe text -> (kernel, probe signature)
+        self._probes: dict[str, tuple[BatchMyersKernel, int]] = {}
+        #: Number of times pattern masks (and the probe signature beside
+        #: them) were built — the work the batching amortises: one per
+        #: distinct probe text among the last :attr:`PROBE_CACHE_SIZE`.
         self.masks_built = 0
 
-    def _kernel_for(self, probe: str) -> BatchMyersKernel:
-        if probe != self._probe or self._kernel is None:
-            self._kernel = BatchMyersKernel(probe)
-            self._probe = probe
+    def _kernel_for(self, probe: str) -> tuple[BatchMyersKernel, int]:
+        entry = self._probes.get(probe)
+        if entry is None:
+            if len(self._probes) >= self.PROBE_CACHE_SIZE:
+                self._probes.clear()
+            entry = self._probes[probe] = (BatchMyersKernel(probe),
+                                           histogram_signature(probe))
             self.masks_built += 1
-        return self._kernel
+        return entry
 
     def verify_rows(self, probe: str, store: RecordStore, rows: Sequence[int],
                     context: MatchContext) -> list[tuple[StringRecord, int]]:
         if not rows:
             return []
-        kernel = self._kernel_for(probe)
-        tau = self.tau
-        self.stats.num_verifications += len(rows)
+        kernel, signature = self._kernel_for(probe)
+        tau, stats = self.tau, self.stats
+        stats.num_verifications += len(rows)
+        survivors = store.rows_near(rows, signature, tau)
+        stats.num_signature_rejects += len(rows) - len(survivors)
+        if not survivors:
+            return []
         texts = store.texts
         distances = kernel.distances_within(
-            [texts[row] for row in rows], tau, self.stats)
+            [texts[row] for row in survivors], tau, stats)
         record_at = store.record_at
         return [(record_at(row), distance)
-                for row, distance in zip(rows, distances)
+                for row, distance in zip(survivors, distances)
                 if distance <= tau]
 
 

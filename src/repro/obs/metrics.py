@@ -49,6 +49,7 @@ FUNNEL_COUNTER_FIELDS: tuple[tuple[str, str], ...] = (
     ("num_postings_scanned", "engine_postings_scanned"),
     ("num_candidates", "engine_candidates"),
     ("num_verifications", "engine_verifications"),
+    ("num_signature_rejects", "engine_signature_rejects"),
     ("num_accepted", "engine_accepted"),
     ("num_results", "engine_results"),
     ("num_matrix_cells", "engine_matrix_cells"),

@@ -124,6 +124,7 @@ def build_explain_report(*, query: str, tau: int, verifier: Any,
         "verifier": {
             "kernel": verifier.method.value,
             "verifications": stats.num_verifications,
+            "signature_rejects": stats.num_signature_rejects,
             "matrix_cells": stats.num_matrix_cells,
             "early_terminations": stats.num_early_terminations,
         },
@@ -149,7 +150,8 @@ def empty_explain_report(query: str, tau: int) -> dict[str, Any]:
         "tau": tau,
         "funnel": {field: 0 for field in FUNNEL_FIELDS},
         "verifier": {"kernel": None, "verifications": 0,
-                     "matrix_cells": 0, "early_terminations": 0},
+                     "signature_rejects": 0, "matrix_cells": 0,
+                     "early_terminations": 0},
         "short_pool": {"records_checked": 0, "accepted": 0},
         "lengths": [],
         "stages": {field: 0.0 for field in _STAGE_FIELDS},
@@ -183,7 +185,8 @@ def merge_explain_reports(query: str, tau: int,
         for field in FUNNEL_FIELDS:
             merged["funnel"][field] += report["funnel"][field]
         verifier = report["verifier"]
-        for field in ("verifications", "matrix_cells", "early_terminations"):
+        for field in ("verifications", "signature_rejects", "matrix_cells",
+                      "early_terminations"):
             merged["verifier"][field] += verifier[field]
         if verifier["kernel"] is not None and verifier["kernel"] not in kernels:
             kernels.append(verifier["kernel"])

@@ -7,8 +7,8 @@ threshold ``max_tau`` under a pluggable
 string ``q`` with a per-query threshold ``tau ≤ max_tau`` is answered by
 probing the segment indices of every length in ``[|q| − tau, |q| + tau]``
 with the multi-match-aware substring selection and a pluggable
-verification kernel (the extension-based verifier by default; see
-:class:`~repro.config.VerificationMethod` for the alternatives).  The
+verification kernel (:data:`~repro.config.DEFAULT_VERIFICATION` by default;
+see :class:`~repro.config.VerificationMethod` for the alternatives).  The
 ``token-jaccard`` kernel answers the same surface with prefix-filter
 signatures over token sets instead (see :mod:`repro.core.kernel`).
 
@@ -35,7 +35,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ..config import PartitionStrategy, VerificationMethod, validate_threshold
+from ..config import (DEFAULT_VERIFICATION, PartitionStrategy,
+                      VerificationMethod, validate_threshold)
 from ..core.engine import Accept
 from ..core.kernel import (KernelBackend, SimilarityKernel,
                            check_batch_kernels, resolve_kernel)
@@ -343,9 +344,8 @@ class PassJoinSearcher(KernelSearcher):
     verification:
         Verification kernel used by the edit-distance kernel to check
         candidates (a :class:`~repro.config.VerificationMethod` or its
-        string name).  Defaults to the extension verifier;
-        ``"myers-batch"`` pays off on verification-heavy workloads with
-        long shared inverted lists.
+        string name).  Defaults to
+        :data:`~repro.config.DEFAULT_VERIFICATION`.
     kernel:
         Similarity kernel — a registered name or a
         :class:`~repro.core.kernel.SimilarityKernel` instance; defaults
@@ -361,7 +361,7 @@ class PassJoinSearcher(KernelSearcher):
     def __init__(self, strings: Iterable[str | StringRecord], max_tau: int,
                  partition: PartitionStrategy = PartitionStrategy.EVEN,
                  verification: VerificationMethod | str =
-                 VerificationMethod.EXTENSION,
+                 DEFAULT_VERIFICATION,
                  kernel: str | SimilarityKernel | None = None) -> None:
         self.kernel = resolve_kernel(kernel)
         self.max_tau = self.kernel.validate_tau(max_tau)

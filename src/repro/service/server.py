@@ -945,4 +945,9 @@ class BackgroundServer:
                     stop, self._loop).result(timeout=10)
             except RuntimeError:  # loop already closed (a shutdown op)
                 stop.close()
+            except TimeoutError:
+                # A loop closing after a shutdown op can take the call and
+                # never run it; run() has stopped the server by then.
+                if self._thread.is_alive():
+                    raise
         self._thread.join(timeout=10)

@@ -121,6 +121,9 @@ class JoinStatistics:
     num_postings_scanned: int = 0
     num_candidates: int = 0
     num_verifications: int = 0
+    #: Verifications decided by the default verifier's histogram signature
+    #: alone (zero DP cells); included in ``num_verifications``.
+    num_signature_rejects: int = 0
     num_accepted: int = 0
     num_results: int = 0
     num_matrix_cells: int = 0

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.config import (DEFAULT_CONFIG, DEFAULT_SERVICE_CONFIG, JoinConfig,
-                          PartitionStrategy, SelectionMethod, ServiceConfig,
-                          VerificationMethod, validate_threshold)
+from repro.config import (DEFAULT_CONFIG, DEFAULT_SERVICE_CONFIG,
+                          DEFAULT_VERIFICATION, JoinConfig, PartitionStrategy,
+                          SelectionMethod, ServiceConfig, VerificationMethod,
+                          validate_threshold)
 from repro.exceptions import ConfigurationError, InvalidThresholdError
 
 
@@ -21,9 +22,18 @@ class TestValidateThreshold:
 
 class TestJoinConfig:
     def test_defaults_are_the_papers_best_methods(self):
+        """Selection and partition default to the paper's best.  The
+        verifier is the one decision that departs from it: the library
+        default is ``DEFAULT_VERIFICATION`` (signature reject + batched
+        Myers) everywhere a default exists, and the paper's best,
+        share-prefix, stays selectable."""
         assert DEFAULT_CONFIG.selection is SelectionMethod.MULTI_MATCH
-        assert DEFAULT_CONFIG.verification is VerificationMethod.SHARE_PREFIX
         assert DEFAULT_CONFIG.partition is PartitionStrategy.EVEN
+        assert DEFAULT_VERIFICATION is VerificationMethod.MYERS_BATCH
+        assert DEFAULT_CONFIG.verification is DEFAULT_VERIFICATION
+        assert JoinConfig.from_names().verification is DEFAULT_VERIFICATION
+        assert (JoinConfig(verification="share-prefix").verification
+                is VerificationMethod.SHARE_PREFIX)
 
     def test_string_values_are_coerced_to_enums(self):
         config = JoinConfig(selection="position", verification="banded",

@@ -3,7 +3,7 @@
 import pytest
 
 from helpers import random_strings
-from repro.config import PartitionStrategy
+from repro.config import DEFAULT_VERIFICATION, PartitionStrategy
 from repro.core.engine import build_static_index, probe_record, sort_records
 from repro.core.selection import make_selector
 from repro.core.verify import make_verifier
@@ -41,8 +41,15 @@ class TestSearcherExplain:
         assert report["query"] == "vldb"
         assert report["tau"] == 1
         assert set(report["funnel"]) == set(FUNNEL_FIELDS)
-        assert report["verifier"]["kernel"] == "extension"
+        # Searchers verify with the library default unless told otherwise;
+        # the paper's verifiers stay selectable per searcher.
+        assert report["verifier"]["kernel"] == DEFAULT_VERIFICATION.value
+        assert PassJoinSearcher(STRINGS, max_tau=1, verification="share-prefix"
+                                ).explain("vldb", 1)["verifier"]["kernel"] == \
+            "share-prefix"
         assert report["verifier"]["verifications"] >= report["num_matches"]
+        assert (0 <= report["verifier"]["signature_rejects"]
+                <= report["verifier"]["verifications"])
         assert report["stages"]["total_seconds"] >= 0
         for entry in report["lengths"]:
             assert entry["selection_windows"] >= entry["index_probes"] >= 0
@@ -121,6 +128,10 @@ class TestRouterExplain:
             for field in FUNNEL_FIELDS:
                 assert report["funnel"][field] == sum(
                     shard["funnel"][field] for shard in report["shards"])
+            for field in ("verifications", "signature_rejects",
+                          "matrix_cells", "early_terminations"):
+                assert report["verifier"][field] == sum(
+                    shard["verifier"][field] for shard in report["shards"])
 
     def test_empty_probe_window_returns_zeroed_report(self):
         # Length-band placement: a query far outside every indexed length

@@ -10,7 +10,8 @@ construction time.
 
 import pytest
 
-from repro.config import DEFAULT_KERNEL, KERNELS, ServiceConfig
+from repro.config import (DEFAULT_KERNEL, DEFAULT_VERIFICATION, KERNELS,
+                          ServiceConfig)
 from repro.core.kernel import (JACCARD_SCALE, EditDistanceKernel,
                                SimilarityKernel, TokenJaccardKernel,
                                check_batch_kernels, check_kernel_match,
@@ -54,6 +55,14 @@ class TestRegistry:
         assert [entry["name"] for entry in catalogue] == list(kernel_names())
         for entry in catalogue:
             assert isinstance(entry["tau_semantics"], str)
+
+    def test_described_verifier_is_the_one_served(self):
+        # The serving tiers build their backend without naming a method,
+        # so `kernels` and explain's verifier.kernel must say the same.
+        kernel = get_kernel("edit-distance")
+        report = DynamicSearcher(["vldb", "pvldb"], max_tau=1).explain("vldb")
+        assert (kernel.describe()["verifier"] == report["verifier"]["kernel"]
+                == DEFAULT_VERIFICATION.value)
 
     def test_kernels_are_similarity_kernels(self):
         for name in kernel_names():

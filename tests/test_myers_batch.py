@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import VerificationMethod
+from repro.config import JoinConfig, VerificationMethod
+from repro.core.join import pass_join
+from repro.core.kernel import get_kernel
 from repro.core.store import RecordStore
 from repro.core.verify import (BatchMyersVerifier, LengthAwareVerifier,
                                MatchContext, MyersVerifier, make_verifier)
@@ -14,7 +16,7 @@ from repro.distance.myers_batch import BatchMyersKernel, build_pattern_masks
 from repro.exceptions import InvalidThresholdError
 from repro.types import JoinStatistics, StringRecord
 
-from helpers import store_rows
+from helpers import random_strings, store_rows
 
 #: Any MatchContext works for the whole-pair kernels under test here; the
 #: batched verifier never reads the segment alignment.
@@ -110,6 +112,90 @@ class TestBatchMyersVerifier:
         assert verifier.verify_rows("abc", store, [], CONTEXT) == []
         assert verifier.verify_rows("abc", *store_rows([]), CONTEXT) == []
         assert verifier.masks_built == 0  # nothing to verify, nothing built
+
+    def test_fused_group_builds_masks_once_per_query(self):
+        """The engine alternates between the queries of a same-length group
+        per posting list; each query's masks must survive the switch."""
+        backend = get_kernel("edit-distance").make_backend(2)
+        for i, text in enumerate(random_strings(200, 8, 8, seed=9)):
+            backend.add(StringRecord(id=i, text=text))
+        verifiers, calls = [], []
+
+        def factory(tau):
+            verifier = make_verifier("myers-batch", tau, JoinStatistics())
+            verify_rows = verifier.verify_rows
+
+            def counted(probe, *args):
+                calls.append(probe)
+                return verify_rows(probe, *args)
+
+            verifier.verify_rows = counted
+            verifiers.append(verifier)
+            return verifier
+
+        queries = ["abcdabcd", "dcbadcba"]
+        backend.probe_many([(query, 2) for query in queries],
+                           stats=JoinStatistics(), verifier_factory=factory)
+        (verifier,) = verifiers  # one (length, tau) group, one verifier
+        switches = sum(a != b for a, b in zip(calls, calls[1:]))
+        assert switches > len(queries)  # the probes did interleave
+        assert verifier.masks_built == len(queries)
+
+    def test_probe_cache_is_bounded(self):
+        # A join keeps one verifier for thousands of probes.
+        verifier = BatchMyersVerifier(1)
+        store, rows = store_rows([StringRecord(id=0, text="abcd")])
+        probes = 3 * BatchMyersVerifier.PROBE_CACHE_SIZE
+        for number in range(probes):
+            verifier.verify_rows(f"abc{number}", store, rows, CONTEXT)
+        assert verifier.masks_built == probes
+        assert len(verifier._probes) <= BatchMyersVerifier.PROBE_CACHE_SIZE
+
+
+class TestSignatureStage:
+    def test_rejects_without_a_sweep_and_counts_it(self):
+        stats = JoinStatistics()
+        verifier = BatchMyersVerifier(1, stats)
+        store, rows = store_rows(
+            StringRecord(id=i, text=t)
+            for i, t in enumerate(["abcdwxyz", "abcdmnop", "abcdwxyy"]))
+        accepted = verifier.verify_rows("abcdwxyz", store, rows, CONTEXT)
+        assert [(r.text, d) for r, d in accepted] == [("abcdwxyz", 0),
+                                                      ("abcdwxyy", 1)]
+        assert stats.num_verifications == 3
+        assert stats.num_signature_rejects == 1  # "abcdmnop": 4 buckets off
+        # A signature reject is a verification that cost zero cells.
+        only_reject = JoinStatistics()
+        BatchMyersVerifier(1, only_reject).verify_rows(
+            "abcdwxyz", store, rows[1:2], CONTEXT)
+        assert (only_reject.num_verifications,
+                only_reject.num_signature_rejects,
+                only_reject.num_matrix_cells) == (1, 1, 0)
+
+    def test_verifications_are_signature_rejects_plus_rows_swept(
+            self, monkeypatch):
+        swept = []
+        distances_within = BatchMyersKernel.distances_within
+
+        def counting(self, texts, tau, stats=None):
+            swept.append(len(texts))
+            return distances_within(self, texts, tau, stats)
+
+        monkeypatch.setattr(BatchMyersKernel, "distances_within", counting)
+        strings = random_strings(400, 4, 12, alphabet="abcdefgh", seed=3)
+        stats = pass_join(strings, tau=2).statistics
+        assert stats.num_signature_rejects > 0 and sum(swept) > 0
+        assert stats.num_verifications == (stats.num_signature_rejects
+                                           + sum(swept))
+        # The stage drops no candidate: the funnel counters above it mean
+        # what they mean for every whole-string verifier.
+        per_pair = pass_join(strings, 2, JoinConfig(verification="myers"))
+        assert per_pair.statistics.num_signature_rejects == 0
+        assert (stats.num_candidates, stats.num_verifications,
+                stats.num_accepted) == (
+            per_pair.statistics.num_candidates,
+            per_pair.statistics.num_verifications,
+            per_pair.statistics.num_accepted)
 
 
 # ----------------------------------------------------------------------

@@ -58,6 +58,21 @@ class TestMetricsOp:
         assert funnel == sorted(funnel, reverse=True)
         assert response["merged"]["gauges"]["cache_capacity"] == 1024
 
+    def test_signature_rejects_are_counted_per_kernel(self):
+        # Shares the segment "abcd" with the query, four buckets away.
+        service = SimilarityService(["abcdwxyz", "abcdmnop"],
+                                    ServiceConfig(max_tau=1))
+        service.handle_request({"op": "search", "query": "abcdwxyz", "tau": 1})
+        counters = service.handle_request({"op": "metrics"})["merged"][
+            "counters"]
+        assert counters["engine_signature_rejects"] == 1
+        assert counters["engine_signature_rejects.edit-distance"] == 1
+        assert counters["engine_verifications"] == 2  # rejects are included
+        report = service.handle_request(
+            {"op": "explain", "query": "abcdwxyz", "tau": 1})["explain"]
+        assert report["verifier"]["signature_rejects"] == 1
+        assert report["funnel"]["verifications"] == 2
+
     def test_histogram_count_equals_request_counter(self):
         service = make_service()
         for _ in range(3):
