@@ -10,8 +10,8 @@ Quick start
 >>> sorted((p.left, p.right) for p in result)
 [('sigmod', 'sigmmod'), ('vldb', 'pvldb')]
 
-On large collections, fan the probe phase out over CPU cores — the result
-set is identical to the serial join:
+On large collections, fan the join out over CPU cores — same pairs, same
+order as the serial join:
 
 >>> import repro
 >>> result = repro.join(["vldb", "pvldb", "sigmod", "sigmmod"], tau=1,
@@ -21,9 +21,9 @@ set is identical to the serial join:
 
 The top-level package re-exports the public API:
 
-* :func:`join` — one-call serial/parallel join (``workers=N``).
-* :func:`pass_join` / :func:`pass_join_rs` / :class:`PassJoin` — the join.
-* :class:`ParallelPassJoin` — the chunk-parallel driver behind :func:`join`.
+* :func:`join` — one-call self or R–S join (``workers=N``).
+* :func:`pass_join` / :func:`pass_join_rs` / :class:`PassJoin` — the join:
+  one driver, serial or over ``JoinConfig.workers`` processes.
 * :func:`edit_distance` and the bounded kernels — the distance substrate.
 * :mod:`repro.core.kernel` — pluggable similarity kernels
   (:func:`get_kernel`): character edit distance and token-set Jaccard,
@@ -41,11 +41,10 @@ The top-level package re-exports the public API:
 from .config import (DEFAULT_CONFIG, JoinConfig, PartitionStrategy,
                      SelectionMethod, VerificationMethod)
 from .core.index import SegmentIndex
-from .core.join import PassJoin, pass_join, pass_join_pairs, pass_join_rs
+from .core.join import (PassJoin, available_workers, join, pass_join,
+                        pass_join_pairs, pass_join_rs)
 from .core.kernel import (SimilarityKernel, get_kernel, kernel_names,
                           token_jaccard_distance)
-from .core.parallel import (ParallelPassJoin, available_workers, join,
-                            parallel_self_join)
 from .core.partition import partition, segment_layout
 from .core.selection import make_selector
 from .core.verify import make_verifier
@@ -53,7 +52,6 @@ from .distance import (banded_edit_distance, edit_distance,
                        length_aware_edit_distance, myers_edit_distance)
 from .exceptions import (ConfigurationError, DatasetError, InvalidPartitionError,
                          InvalidThresholdError, PassJoinError, UnknownMethodError)
-from .external import PartitionedSelfJoin, partitioned_self_join
 from .preprocessing import NormalizationConfig, normalize, normalize_all
 from .search import PassJoinSearcher, SearchMatch, search_all
 from .service import (AsyncServiceClient, DynamicSearcher, QueryCache,
@@ -70,13 +68,11 @@ __all__ = [
     # join
     "join",
     "PassJoin",
-    "ParallelPassJoin",
-    "parallel_self_join",
     "available_workers",
     "pass_join",
     "pass_join_pairs",
     "pass_join_rs",
-    # extensions: search, top-k, out-of-core
+    # extensions: search, top-k
     "PassJoinSearcher",
     "SearchMatch",
     "search_all",
@@ -91,8 +87,6 @@ __all__ = [
     "ServiceConfig",
     "top_k_join",
     "closest_pair",
-    "PartitionedSelfJoin",
-    "partitioned_self_join",
     # preprocessing
     "normalize",
     "normalize_all",

@@ -40,8 +40,7 @@ from ..baselines.part_enum import PartEnumJoin
 from ..baselines.trie_join import TrieJoin
 from ..config import (JoinConfig, PartitionStrategy, SelectionMethod,
                       VerificationMethod)
-from ..core.join import PassJoin
-from ..core.parallel import ParallelPassJoin, resolve_workers
+from ..core.join import PassJoin, resolve_workers
 from ..datasets.stats import dataset_statistics, length_histogram
 from ..datasets.synthetic import (generate_author_dataset,
                                   generate_querylog_dataset,
@@ -338,42 +337,47 @@ def table3_index_sizes(scale: float = 1.0,
 # ----------------------------------------------------------------------
 def parallel_scaling(scale: float = 1.0, name: str = "author", tau: int = 2,
                      worker_counts: Sequence[int] = (1, 2, 4),
-                     chunk_size: int | None = None,
-                     backend: str = "auto") -> ExperimentTable:
-    """Elapsed time of the chunk-parallel engine as workers grow.
+                     chunk_size: int | None = None) -> ExperimentTable:
+    """Elapsed time of :class:`~repro.core.join.PassJoin` as workers grow.
 
-    ``workers=1`` is the serial :class:`~repro.core.join.PassJoin`; every
-    other row runs :class:`~repro.core.parallel.ParallelPassJoin` and must
-    report the same result count (the harness records it per row so
-    benchmark assertions can check it).  ``speedup`` is serial time over the
-    row's time; the table notes record the measured CPU budget, since
-    speedups are bounded by the cores actually available.
+    Every row runs the same driver over the same strings; only
+    ``JoinConfig.workers`` changes (``workers=1`` is the one-span serial
+    run), and every row must return the first row's pairs in the first
+    row's order.  ``speedup`` is the baseline row's time over the row's
+    time; the table notes record the measured CPU budget, since speedups
+    are bounded by the cores actually available.
     """
     strings = build_datasets(scale, [name])[name]
-    measured: list[tuple[int, str, float, int]] = []
+    measured: list[tuple[int, float, int]] = []
+    expected = None
     for workers in worker_counts:
-        engine = ParallelPassJoin(tau, workers=workers, chunk_size=chunk_size,
-                                  backend=backend)
+        engine = PassJoin(tau, JoinConfig(workers=workers,
+                                          chunk_size=chunk_size))
         with Timer() as timer:
             result = engine.self_join(strings)
-        measured.append((workers, "serial" if workers == 1 else engine.backend,
-                         timer.seconds, len(result)))
+        if expected is None:
+            expected = result.pairs
+        elif result.pairs != expected:
+            raise AssertionError(
+                f"workers={workers} disagrees with workers="
+                f"{worker_counts[0]} on the result set")
+        measured.append((workers, timer.seconds, len(result)))
     # Baseline = the run with the fewest *effective* workers (0 = all CPUs,
     # so it never qualifies as the baseline on a multi-core machine).
     baseline_row = min(measured, key=lambda row: resolve_workers(row[0]))
     table = ExperimentTable(
         key="parallel-scaling",
-        title="Parallel chunked join: scaling with worker count",
-        columns=["dataset", "tau", "workers", "backend", "total_seconds",
+        title="Parallel join: scaling with worker count",
+        columns=["dataset", "tau", "num_strings", "workers", "total_seconds",
                  "speedup", "results"],
         notes=f"{available_cpus()} CPU(s) available; speedup is relative to "
               f"the workers={baseline_row[0]} run; " + _SCALE_NOTE,
     )
-    for workers, backend_used, seconds, results in measured:
-        table.add_row(dataset=name, tau=tau, workers=workers,
-                      backend=backend_used,
+    for workers, seconds, results in measured:
+        table.add_row(dataset=name, tau=tau, num_strings=len(strings),
+                      workers=workers,
                       total_seconds=round(seconds, 6),
-                      speedup=round(baseline_row[2] / max(seconds, 1e-9), 3),
+                      speedup=round(baseline_row[1] / max(seconds, 1e-9), 3),
                       results=results)
     return table
 

@@ -112,7 +112,7 @@ def available_cpus() -> int:
     run on a single-core container *cannot* beat serial, and asserting that
     it does would make the benchmark suite flaky across machines.
     """
-    from ..core.parallel import available_workers
+    from ..core.join import available_workers
 
     return available_workers()
 

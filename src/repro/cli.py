@@ -41,7 +41,6 @@ from .config import (DEFAULT_KERNEL, DEFAULT_VERIFICATION, KERNELS,
                      SHARD_POLICIES, JoinConfig, SelectionMethod,
                      ServiceConfig, VerificationMethod)
 from .core.join import PassJoin
-from .core.parallel import ParallelPassJoin
 from .datasets.loaders import load_strings, save_strings
 from .datasets.stats import dataset_statistics
 from .exceptions import PassJoinError
@@ -71,10 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            f"{DEFAULT_VERIFICATION.value}; the paper's "
                            "fastest: share-prefix)")
     join.add_argument("--workers", type=int, default=1,
-                      help="parallel probe workers for pass-join "
+                      help="worker processes for pass-join "
                            "(1 = serial, 0 = one per CPU; default 1)")
     join.add_argument("--chunk-size", type=int, default=None,
-                      help="probe strings per parallel chunk (default: auto)")
+                      help="sorted probe strings per span job (default: auto)")
     join.add_argument("--limit", type=int, help="read at most this many strings per file")
     join.add_argument("--quiet", action="store_true",
                       help="print only the summary, not the pairs")
@@ -213,8 +212,6 @@ def _make_join_algorithm(args: argparse.Namespace):
                                        verification=args.verification,
                                        workers=args.workers,
                                        chunk_size=args.chunk_size)
-        if config.workers != 1:
-            return ParallelPassJoin(args.tau, config)
         return PassJoin(args.tau, config)
     if args.algorithm == "ed-join":
         return EdJoin(args.tau)

@@ -105,8 +105,7 @@ def validate_threshold(tau: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class JoinConfig:
-    """Tuning knobs for :class:`repro.core.join.PassJoin` and the parallel
-    driver :class:`repro.core.parallel.ParallelPassJoin`.
+    """Tuning knobs for :class:`repro.core.join.PassJoin`.
 
     Parameters
     ----------
@@ -119,13 +118,14 @@ class JoinConfig:
     partition:
         Partition strategy for indexed strings (default: even).
     workers:
-        Number of parallel probe workers.  ``1`` (default) runs the serial
-        driver; ``0`` means "one per available CPU"; larger values fan probe
-        chunks out over worker processes (or threads, where ``fork`` is
-        unavailable).
+        Number of worker processes the join's span jobs are mapped over.
+        ``1`` (default) runs them in this process; ``0`` means "one per
+        available CPU".  Where ``fork`` is unavailable the spans run
+        in-process whatever the value (with a :class:`RuntimeWarning`).
     chunk_size:
-        Number of probe strings per parallel chunk; ``None`` (default) picks
-        a size that gives each worker several chunks.
+        Number of sorted probe strings per span job; ``None`` (default) is
+        one span for one worker and several spans per worker otherwise.
+        The pairs and their order do not depend on it.
     """
 
     selection: SelectionMethod = SelectionMethod.MULTI_MATCH

@@ -1,23 +1,16 @@
 """Shared filter-and-verify probe engine.
 
 The heart of Pass-Join — "given one probe string, find every similar string
-in a segment index" — is needed by two drivers with different index
-lifecycles:
+in a segment index" — is needed by callers with different index lifecycles:
+:class:`~repro.core.join.PassJoin` slides an index window along the sorted
+input and probes each string against it, while the searchers and the
+serving stack probe external queries against a long-lived index.
 
-* :class:`~repro.core.join.PassJoin` builds the index *incrementally* while
-  it sweeps the sorted input (self join) or once up front (R-S join), and
-  probes on the same thread.
-* :class:`~repro.core.parallel.ParallelPassJoin` builds one *static* index
-  over the whole collection and fans probe chunks out to workers.
-
-This module holds the logic both share: the canonical record ordering, the
-static index builder, and :func:`probe_record`, the per-probe
-select → lookup → verify pipeline.  The optional ``accept`` predicate (a
-function of the candidate's record *id*) lets the parallel self join
-reproduce the serial driver's "only already-visited strings are indexed"
-invariant on a full static index: a worker probing the record at sort
-position ``p`` accepts only partners at positions ``< p``, which yields
-exactly the serial result set with no cross-chunk deduplication.
+This module holds the logic they share: the canonical record ordering and
+:func:`probe_record`, the per-probe select → lookup → verify pipeline.  The
+optional ``accept`` predicate (a function of the candidate's record *id*)
+restricts which indexed records may partner a probe — the serving stack's
+tombstones and top-k exclusion.
 
 Candidate filtering runs on the columnar postings directly — record ids are
 read straight from the :class:`~repro.core.store.RecordStore` id column and
@@ -47,11 +40,9 @@ import time
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..config import PartitionStrategy
 from ..distance.banded import length_aware_edit_distance
 from ..types import JoinStatistics, StringRecord
 from .index import SegmentIndex
-from .partition import can_partition
 from .selection import (SelectedSubstring, SubstringSelector, WindowCache,
                         substrings_from_windows)
 from .verify import BaseVerifier, MatchContext
@@ -65,33 +56,13 @@ Accept = Callable[[int], bool]
 
 
 def sort_key(record: StringRecord) -> tuple[int, str]:
-    """Canonical (length, text) ordering used by every Pass-Join driver."""
+    """Canonical (length, text) ordering of the join and every searcher."""
     return (record.length, record.text)
 
 
 def sort_records(records: Sequence[StringRecord]) -> list[StringRecord]:
     """Return records in canonical order (stable, so ties keep input order)."""
     return sorted(records, key=sort_key)
-
-
-def build_static_index(ordered: Sequence[StringRecord], tau: int,
-                       strategy: PartitionStrategy,
-                       ) -> tuple[SegmentIndex, list[StringRecord]]:
-    """Index every partitionable record; pool the rest.
-
-    ``ordered`` must already be in canonical order — insertion order is what
-    keeps every inverted list sorted by the indexed string, the property the
-    shared-prefix verifier exploits.  Returns the index and the side pool of
-    strings too short to partition into ``tau + 1`` non-empty segments.
-    """
-    index = SegmentIndex(tau, strategy)
-    short_pool: list[StringRecord] = []
-    for record in ordered:
-        if can_partition(record.length, tau):
-            index.add(record)
-        else:
-            short_pool.append(record)
-    return index, short_pool
 
 
 class _ProbeState:

@@ -37,7 +37,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..config import (DEFAULT_VERIFICATION, PartitionStrategy,
                       VerificationMethod, validate_threshold)
-from ..core.engine import Accept
+from ..core.engine import Accept, sort_records
 from ..core.kernel import (KernelBackend, SimilarityKernel,
                            check_batch_kernels, resolve_kernel)
 from ..exceptions import InvalidThresholdError
@@ -374,7 +374,7 @@ class PassJoinSearcher(KernelSearcher):
         self._backend = self.kernel.make_backend(
             self.max_tau, partition=partition, verification=self.verification,
             seed=self._records, keep_sorted=False)
-        for record in sorted(self._records, key=lambda r: (r.length, r.text)):
+        for record in sort_records(self._records):
             self.statistics.num_indexed_segments += self._backend.add(record)
         self.statistics.index_entries = self._backend.entry_count()
         self.statistics.index_bytes = self._backend.approximate_bytes()

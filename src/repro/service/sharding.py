@@ -18,7 +18,7 @@ the serving layer the classic way — partition the collection:
   **fork-spawned worker processes** (the ``process`` backend) that receive
   their :class:`ShardContext` through fork-time copy-on-write memory — the
   same "hand the worker an explicit context, pickle nothing" pattern as
-  :class:`repro.core.parallel.WorkerContext` — and serve ops over a pipe.
+  :class:`repro.core.join.JoinRun` — and serve ops over a pipe.
 * :class:`ShardRouter` scatter-gathers ``search``/``search_top_k`` across
   the shards a query can touch and merges under the canonical
   ``(distance, id)`` ordering.  Because the shards partition the id space,
@@ -100,9 +100,9 @@ from typing import Iterable, Sequence
 
 from ..config import (DEFAULT_KERNEL, SHARD_BACKENDS, SHARD_POLICIES,
                       PartitionStrategy)
+from ..core.join import available_workers
 from ..core.kernel import (SimilarityKernel, check_batch_kernels,
                            resolve_kernel)
-from ..core.parallel import available_workers
 from ..exceptions import ConfigurationError, ServiceError
 from ..obs.metrics import funnel_snapshot, merge_snapshots
 from ..obs.trace import merge_explain_reports
@@ -149,7 +149,7 @@ def resolve_shard_backend(backend: str) -> str:
 class ShardContext:
     """Everything one shard worker needs to build its private index.
 
-    The sharded analogue of :class:`repro.core.parallel.WorkerContext`: the
+    The sharded analogue of :class:`repro.core.join.JoinRun`: the
     router builds one context per shard and hands it to the worker — through
     fork-time copy-on-write memory for process shards (nothing is pickled),
     as a plain argument for in-process shards.

@@ -62,7 +62,8 @@ def top_k_join(strings: Iterable[str | StringRecord], k: int,
     result = JoinResult(pairs=[])
     for tau in range(0, max_tau + 1):
         result = PassJoin(tau, config).self_join(records)
-        merged_stats = merged_stats.merge(result.statistics)
+        # Each round drops its index before the next builds one.
+        merged_stats = merged_stats.merge(result.statistics, coexisting=False)
         if len(result) >= k:
             break
 

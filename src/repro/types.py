@@ -137,11 +137,23 @@ class JoinStatistics:
     indexing_seconds: float = 0.0
     total_seconds: float = 0.0
 
-    def merge(self, other: "JoinStatistics") -> "JoinStatistics":
-        """Return a new statistics object with the counters of both runs."""
+    def merge(self, other: "JoinStatistics", *,
+              coexisting: bool = True) -> "JoinStatistics":
+        """Return a new statistics object with the counters of both runs.
+
+        Every field adds, except that ``index_entries`` / ``index_bytes``
+        are the size of an index, not a count of work: they add only when
+        the two indices are resident together (``coexisting`` — the shards
+        of one router).  Runs that each build and drop their own index —
+        the span jobs of a join, the rounds of a top-k join — pass
+        ``coexisting=False`` and report the larger peak.
+        """
         merged = JoinStatistics()
         for name in self.__dataclass_fields__:
             setattr(merged, name, getattr(self, name) + getattr(other, name))
+        if not coexisting:
+            merged.index_entries = max(self.index_entries, other.index_entries)
+            merged.index_bytes = max(self.index_bytes, other.index_bytes)
         return merged
 
     def as_dict(self) -> dict[str, float]:

@@ -4,7 +4,8 @@ import pytest
 
 from helpers import random_strings
 from repro.config import DEFAULT_VERIFICATION, PartitionStrategy
-from repro.core.engine import build_static_index, probe_record, sort_records
+from repro.core.engine import probe_record, sort_records
+from repro.core.index import SegmentIndex
 from repro.core.selection import make_selector
 from repro.core.verify import make_verifier
 from repro.exceptions import InvalidThresholdError
@@ -163,10 +164,12 @@ class TestRouterExplain:
 def _self_join_entries():
     # A probe that is itself indexed, run the way the join drivers run it.
     records = sort_records(as_records(["abcdef", "abcdeg", "abcxef"]))
-    index, pool = build_static_index(records, 1, PartitionStrategy.EVEN)
+    index = SegmentIndex(1, PartitionStrategy.EVEN)
+    for record in records:
+        index.add(record)
     stats = JoinStatistics()
     trace = ProbeTrace()
-    probe_record(records[0], tau=1, index=index, short_pool=pool,
+    probe_record(records[0], tau=1, index=index, short_pool=[],
                  selector=make_selector("multi-match", 1),
                  verifier=make_verifier("extension", 1, stats), stats=stats,
                  max_length=records[0].length + 1, allow_same_id=False,

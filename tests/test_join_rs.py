@@ -54,6 +54,22 @@ class TestRSJoinBasics:
         truth = brute_force_rs(left, right, 3)
         assert pass_join_rs(left, right, 3).pair_ids() == set(truth)
 
+    def test_index_is_a_sliding_window_over_the_indexed_side(self):
+        # Only S strings within tau of some probe's length are ever
+        # indexed, and those behind the current probe are evicted: the
+        # paper's R != S window, not a whole-S index.
+        tau = 1
+        left = ["abcde", "abcdefghijklmnopqrst"]                 # lengths 5, 20
+        right = ["x" * length for length in range(2, 41)]
+        right += ["abcdf", "abcdefghijklmnopqrsz"]
+        result = pass_join_rs(left, right, tau)
+        assert result.pair_ids() == {(0, 39), (1, 40)}
+        stats = result.statistics
+        in_a_window = [text for text in right
+                       if min(abs(len(text) - 5), abs(len(text) - 20)) <= tau]
+        assert stats.num_indexed_segments == (tau + 1) * len(in_a_window)
+        assert stats.index_entries == (tau + 1) * len(in_a_window) // 2
+
 
 class TestRSJoinOracle:
     @pytest.mark.parametrize("tau", [0, 1, 2, 3])

@@ -1,21 +1,34 @@
-"""Property tests: the parallel chunked engine is exact.
+"""The join is an ordered list of independent span jobs: every cut is exact.
 
-Every configuration of the parallel driver — worker counts, chunk sizes,
-process and thread backends, self and R-S joins, with and without strings
-too short to partition — must return the *exact* pair set (ids, distances,
-and texts) of the serial ``PassJoin``, which in turn is checked against the
-brute-force oracle.
+However the one driver cuts a sorted join into spans — ``chunk_size``,
+``workers``, self and R-S joins, with and without strings too short to
+partition — it must return the *exact* pairs (ids, distances, texts) of the
+one-span run **in the same order**, which in turn is checked against the
+brute-force oracle.  ``chunk_size`` with ``workers=1`` is the no-pool way
+to force many spans; ``workers > 1`` maps the same spans over a fork pool.
 """
 
+import dataclasses
+import random
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
-from repro import JoinConfig, ParallelPassJoin, PassJoin
-from repro.core.parallel import (chunk_spans, default_chunk_size,
-                                 resolve_backend, resolve_workers)
-from repro.exceptions import ConfigurationError
+from repro import JoinConfig, PassJoin, pass_join
+from repro.core import join as join_module
+from repro.core.engine import sort_records
+from repro.core.join import (JoinRun, chunk_spans, default_chunk_size,
+                             resolve_workers, run_span)
+from repro.types import as_records
 
 from helpers import brute_force_pairs, brute_force_rs_pairs, random_strings
+
+
+def spans_join(tau, workers=1, chunk_size=None, **fields):
+    return PassJoin(tau, JoinConfig(workers=workers, chunk_size=chunk_size,
+                                    **fields))
 
 
 @pytest.fixture(scope="module")
@@ -43,54 +56,47 @@ class TestSelfJoinEquality:
     @pytest.mark.parametrize("chunk_size", [None, 7])
     def test_parallel_matches_serial(self, mixed_strings, serial_result,
                                      workers, chunk_size):
-        engine = ParallelPassJoin(self.TAU, workers=workers,
-                                  chunk_size=chunk_size)
-        result = engine.self_join(mixed_strings)
-        assert result.sorted_pairs() == serial_result.sorted_pairs()
+        result = spans_join(self.TAU, workers, chunk_size).self_join(
+            mixed_strings)
+        assert result.pairs == serial_result.pairs
 
     def test_single_string_chunks(self, mixed_strings, serial_result):
-        engine = ParallelPassJoin(self.TAU, workers=2, chunk_size=1)
-        result = engine.self_join(mixed_strings)
-        assert result.sorted_pairs() == serial_result.sorted_pairs()
+        result = spans_join(self.TAU, 2, 1).self_join(mixed_strings)
+        assert result.pairs == serial_result.pairs
 
-    def test_thread_backend(self, mixed_strings, serial_result):
-        engine = ParallelPassJoin(self.TAU, workers=3, chunk_size=11,
-                                  backend="thread")
-        result = engine.self_join(mixed_strings)
-        assert result.sorted_pairs() == serial_result.sorted_pairs()
+    def test_many_spans_in_process(self, mixed_strings, serial_result):
+        result = spans_join(self.TAU, 1, 11).self_join(mixed_strings)
+        assert result.pairs == serial_result.pairs
 
     def test_pair_order_matches_serial(self, mixed_strings, serial_result):
-        # Stronger than set equality: chunks concatenate back into the
-        # serial driver's emission order, so output is deterministic.
-        result = ParallelPassJoin(self.TAU, workers=2,
-                                  chunk_size=13).self_join(mixed_strings)
+        # Stronger than set equality: spans concatenate back into the
+        # one-span emission order, so output is deterministic.
+        result = spans_join(self.TAU, 2, 13).self_join(mixed_strings)
         assert result.pairs == serial_result.pairs
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_randomized_collections(self, seed):
         strings = random_strings(90, 1, 12, alphabet="ab", seed=seed)
         truth = brute_force_pairs(strings, 1)
-        result = ParallelPassJoin(1, workers=4, chunk_size=9,
-                                  backend="thread").self_join(strings)
+        result = spans_join(1, 1, 9).self_join(strings)
         assert result.pair_ids() == set(truth)
         for pair in result:
             assert pair.distance == truth[pair.ids()]
 
     def test_all_selection_methods(self, mixed_strings, serial_result):
         for selection in repro.SelectionMethod:
-            config = JoinConfig(selection=selection, workers=2, chunk_size=17)
-            result = ParallelPassJoin(self.TAU, config).self_join(mixed_strings)
+            result = spans_join(self.TAU, 2, 17, selection=selection
+                                ).self_join(mixed_strings)
             assert result.pair_ids() == serial_result.pair_ids(), selection
 
     def test_all_verification_methods(self, mixed_strings, serial_result):
         for verification in repro.VerificationMethod:
-            config = JoinConfig(verification=verification, workers=2,
-                                chunk_size=17)
-            result = ParallelPassJoin(self.TAU, config).self_join(mixed_strings)
+            result = spans_join(self.TAU, 2, 17, verification=verification
+                                ).self_join(mixed_strings)
             assert result.pair_ids() == serial_result.pair_ids(), verification
 
     def test_workers_one_is_exactly_serial(self, mixed_strings, serial_result):
-        result = ParallelPassJoin(self.TAU, workers=1).self_join(mixed_strings)
+        result = repro.join(mixed_strings, self.TAU, workers=1)
         assert result.pairs == serial_result.pairs
         assert (result.statistics.num_candidates
                 == serial_result.statistics.num_candidates)
@@ -98,8 +104,47 @@ class TestSelfJoinEquality:
                 == serial_result.statistics.num_verifications)
 
     def test_empty_and_tiny_collections(self):
-        assert ParallelPassJoin(2, workers=4).self_join([]).pairs == []
-        assert ParallelPassJoin(2, workers=4).self_join(["abc"]).pairs == []
+        assert spans_join(2, 4).self_join([]).pairs == []
+        assert spans_join(2, 4).self_join(["abc"]).pairs == []
+        assert spans_join(2, 1, 4).self_join([]).pairs == []
+        assert spans_join(2, 1, 4).self_join(["solo"]).pairs == []
+
+
+class TestChunkSizes:
+    """Ported from the partitioned self join: any cut, same answer."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 10, 50, 1000])
+    def test_matches_in_memory_join(self, chunk_size):
+        strings = random_strings(120, 2, 16, alphabet="abc", seed=71)
+        expected = pass_join(strings, 2).pairs
+        assert spans_join(2, 1, chunk_size).self_join(strings).pairs == expected
+
+    def test_no_duplicate_pairs(self):
+        strings = random_strings(80, 3, 10, alphabet="ab", seed=72)
+        result = spans_join(2, 1, 7).self_join(strings)
+        ids = [pair.ids() for pair in result]
+        assert len(ids) == len(set(ids))
+
+    def test_distances_match_brute_force(self):
+        strings = random_strings(60, 3, 12, alphabet="abc", seed=73)
+        truth = brute_force_pairs(strings, 3)
+        result = spans_join(3, 1, 9).self_join(strings)
+        assert {pair.ids(): pair.distance for pair in result} == truth
+
+    def test_multiprocessing_gives_same_answer(self):
+        strings = random_strings(100, 3, 14, alphabet="abc", seed=74)
+        expected = pass_join(strings, 2).pairs
+        assert spans_join(2, 2, 20).self_join(strings).pairs == expected
+
+    def test_length_clusters_far_apart(self):
+        # No probe of one cluster can need a record of another: a span's
+        # warm-up starts inside its own cluster.
+        strings = (["a" * 3] * 4) + (["b" * 30] * 4) + (["c" * 80] * 4)
+        expected = pass_join(strings, 2)
+        result = spans_join(2, 1, 4).self_join(strings)
+        assert result.pairs == expected.pairs
+        assert (result.statistics.index_entries
+                <= expected.statistics.index_entries)
 
 
 class TestRSJoinEquality:
@@ -127,22 +172,137 @@ class TestRSJoinEquality:
     @pytest.mark.parametrize("chunk_size", [None, 5])
     def test_parallel_matches_serial(self, left, right, serial_rs, workers,
                                      chunk_size):
-        engine = ParallelPassJoin(self.TAU, workers=workers,
-                                  chunk_size=chunk_size)
-        result = engine.join(left, right)
-        assert result.sorted_pairs() == serial_rs.sorted_pairs()
+        result = spans_join(self.TAU, workers, chunk_size).join(left, right)
+        assert result.pairs == serial_rs.pairs
 
-    def test_thread_backend(self, left, right, serial_rs):
-        result = ParallelPassJoin(self.TAU, workers=3, chunk_size=8,
-                                  backend="thread").join(left, right)
-        assert result.sorted_pairs() == serial_rs.sorted_pairs()
+    def test_many_spans_in_process(self, left, right, serial_rs):
+        result = spans_join(self.TAU, 1, 8).join(left, right)
+        assert result.pairs == serial_rs.pairs
 
     def test_shared_ids_stay_distinct_collections(self):
         # In an R-S join equal ids on both sides are different strings and
         # must still pair up (allow_same_id path).
-        result = ParallelPassJoin(1, workers=2, chunk_size=2).join(
-            ["vldb", "icde"], ["vldb", "edbt"])
+        result = spans_join(1, 2, 2).join(["vldb", "icde"], ["vldb", "edbt"])
         assert (0, 0) in result.pair_ids()
+
+
+# ----------------------------------------------------------------------
+# The contract that makes jobs independent
+# ----------------------------------------------------------------------
+def _random_collection(rng, size):
+    """Strings of length 0..12 over a small alphabet (short ones included)."""
+    return ["".join(rng.choice("abc") for _ in range(rng.randint(0, 12)))
+            for _ in range(size)]
+
+
+class TestSpanJobAlone:
+    """``run_span`` on any ``[start, stop)`` returns exactly the serial pairs
+    that span's probes emit — nothing from a neighbour is needed or leaked."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_self_join_span(self, seed):
+        rng = random.Random(seed)
+        tau = seed % 4
+        probes = sort_records(as_records(_random_collection(rng, 70)))
+        position = {record.id: pos for pos, record in enumerate(probes)}
+        serial = PassJoin(tau).self_join(probes).pairs
+        run = JoinRun(tau, repro.DEFAULT_CONFIG, probes, probes, True)
+        for _ in range(6):
+            start = rng.randrange(len(probes))
+            stop = rng.randint(start, len(probes))
+            pairs, _ = run_span(run, start, stop)
+            # A self-join pair is emitted by its later-sorted member.
+            assert pairs == [pair for pair in serial if start <= max(
+                position[pair.left_id], position[pair.right_id]) < stop]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rs_join_span(self, seed):
+        rng = random.Random(100 + seed)
+        tau = seed % 4
+        probes = sort_records(as_records(_random_collection(rng, 50)))
+        indexed = sort_records(as_records(_random_collection(rng, 60)))
+        position = {record.id: pos for pos, record in enumerate(probes)}
+        serial = PassJoin(tau).join(probes, indexed).pairs
+        run = JoinRun(tau, repro.DEFAULT_CONFIG, probes, indexed, False)
+        for _ in range(6):
+            start = rng.randrange(len(probes))
+            stop = rng.randint(start, len(probes))
+            pairs, _ = run_span(run, start, stop)
+            assert pairs == [pair for pair in serial
+                             if start <= position[pair.left_id] < stop]
+
+
+texts = st.text(alphabet="abC ", min_size=0, max_size=10)
+collections = st.lists(texts, min_size=0, max_size=24)
+cuts = st.integers(min_value=1, max_value=9)
+
+
+@given(strings=collections, tau=st.integers(0, 3), chunk_size=cuts,
+       workers=st.sampled_from([1, 1, 1, 2]))
+@settings(max_examples=80, deadline=None)
+def test_any_cut_of_a_self_join_is_the_one_span_run(strings, tau, chunk_size,
+                                                    workers):
+    one_span = PassJoin(tau).self_join(strings)
+    result = spans_join(tau, workers, chunk_size).self_join(strings)
+    assert result.pairs == one_span.pairs
+    assert ({pair.ids(): pair.distance for pair in result}
+            == brute_force_pairs(strings, tau))
+
+
+@given(left=collections, right=collections, tau=st.integers(0, 3),
+       chunk_size=cuts, workers=st.sampled_from([1, 1, 1, 2]))
+@settings(max_examples=80, deadline=None)
+def test_any_cut_of_an_rs_join_is_the_one_span_run(left, right, tau,
+                                                   chunk_size, workers):
+    one_span = PassJoin(tau).join(left, right)
+    result = spans_join(tau, workers, chunk_size).join(left, right)
+    assert result.pairs == one_span.pairs
+    assert ({pair.ids(): pair.distance for pair in result}
+            == brute_force_rs_pairs(left, right, tau))
+
+
+class TestMergedStatistics:
+    """A chunked run's counters are the join's, not the sum of its jobs'."""
+
+    #: Wall-clock fields differ run to run; a job's index peak is at most
+    #: the one-span run's (a warm-up indexes a subset of the serial window).
+    UNCOMPARED = ("selection_seconds", "verification_seconds",
+                  "indexing_seconds", "total_seconds",
+                  "index_entries", "index_bytes")
+
+    def assert_same_work(self, chunked, one_span):
+        for name, value in dataclasses.asdict(one_span.statistics).items():
+            if name not in self.UNCOMPARED:
+                assert getattr(chunked.statistics, name) == value, name
+        assert 0 < (chunked.statistics.index_entries
+                    <= one_span.statistics.index_entries)
+        assert 0 < (chunked.statistics.index_bytes
+                    <= one_span.statistics.index_bytes)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("chunk_size", [1, 3, 17])
+    def test_self_join_counters_do_not_depend_on_the_cut(self, seed,
+                                                         chunk_size):
+        strings = _random_collection(random.Random(seed), 80)
+        tau = 1 + seed % 3
+        self.assert_same_work(
+            spans_join(tau, 1, chunk_size).self_join(strings),
+            PassJoin(tau).self_join(strings))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("chunk_size", [1, 3, 17])
+    def test_rs_join_counters_do_not_depend_on_the_cut(self, seed, chunk_size):
+        rng = random.Random(50 + seed)
+        left, right = _random_collection(rng, 60), _random_collection(rng, 70)
+        tau = 1 + seed % 3
+        self.assert_same_work(
+            spans_join(tau, 1, chunk_size).join(left, right),
+            PassJoin(tau).join(left, right))
+
+    def test_pool_run_reports_the_same_counters(self):
+        strings = random_strings(150, 2, 12, alphabet="abc", seed=9)
+        self.assert_same_work(spans_join(2, 2, 20).self_join(strings),
+                              PassJoin(2).self_join(strings))
 
 
 class TestConvenienceAPI:
@@ -159,9 +319,18 @@ class TestConvenienceAPI:
         result = repro.join(["vldb", "pvldb"], tau=1)
         assert result.pair_ids() == {(0, 1)}
 
-    def test_parallel_self_join_uses_all_cpus(self):
-        result = repro.parallel_self_join(["vldb", "pvldb", "icde"], tau=1)
-        assert result.pair_ids() == {(0, 1)}
+    def test_join_overrides_config_fields(self, monkeypatch):
+        cuts_made = []
+
+        def recording_chunk_spans(total, chunk_size):
+            cuts_made.append(chunk_size)
+            return chunk_spans(total, chunk_size)
+
+        monkeypatch.setattr(join_module, "chunk_spans", recording_chunk_spans)
+        config = JoinConfig(verification="length-aware", chunk_size=50)
+        repro.join(["ab", "abc", "abd"], 1, config=config)
+        repro.join(["ab", "abc", "abd"], 1, chunk_size=2, config=config)
+        assert cuts_made == [50, 2]
 
     def test_statistics_are_merged(self):
         strings = random_strings(60, 3, 10, seed=4)
@@ -180,13 +349,6 @@ class TestKnobs:
         assert resolve_workers(3) == 3
         assert resolve_workers(0) >= 1
 
-    def test_resolve_backend(self):
-        assert resolve_backend("thread") == "thread"
-        assert resolve_backend("process") == "process"
-        assert resolve_backend("auto") in ("process", "thread")
-        with pytest.raises(ConfigurationError):
-            resolve_backend("rayon")
-
     def test_default_chunk_size(self):
         assert default_chunk_size(0, 4) == 1
         assert default_chunk_size(100, 4) == 7  # ceil(100 / 16)
@@ -197,28 +359,22 @@ class TestKnobs:
         assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)]
         assert chunk_spans(0, 3) == []
 
-    def test_engine_reads_config_fields(self):
-        config = JoinConfig(workers=2, chunk_size=5)
-        engine = ParallelPassJoin(1, config)
-        assert engine.config.workers == 2
-        assert engine.config.chunk_size == 5
-
-    def test_constructor_overrides_config(self):
-        config = JoinConfig(workers=2, chunk_size=5)
-        engine = ParallelPassJoin(1, config, workers=4, chunk_size=9)
-        assert engine.config.workers == 4
-        assert engine.config.chunk_size == 9
+    def test_no_join_entry_point_takes_the_removed_knobs(self):
+        for call in (lambda: repro.join(["a"], 1, backend="thread"),
+                     lambda: repro.join(["a"], 1, partition_size=4),
+                     lambda: repro.join(["a"], 1, processes=2),
+                     lambda: PassJoin(1, workers=2)):
+            with pytest.raises(TypeError):
+                call()
+        assert len(dataclasses.fields(JoinConfig)) == 5
 
     def test_concurrent_runs_in_one_process(self, mixed_strings, serial_result):
-        """Overlapping parallel runs are supported: each gets its own context."""
-        from concurrent.futures import ThreadPoolExecutor
+        """Overlapping joins are supported: jobs share nothing mutable."""
 
         def run(_):
-            engine = ParallelPassJoin(2, workers=2, chunk_size=9,
-                                      backend="thread")
-            return engine.self_join(mixed_strings)
+            return spans_join(2, 1, 9).self_join(mixed_strings)
 
         with ThreadPoolExecutor(max_workers=3) as pool:
             results = list(pool.map(run, range(3)))
         for result in results:
-            assert result.sorted_pairs() == serial_result.sorted_pairs()
+            assert result.pairs == serial_result.pairs

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import PassJoin
 from repro.distance import edit_distance
 from repro.topk import closest_pair, top_k_join
 
@@ -57,6 +58,19 @@ class TestTopKJoin:
         assert result.statistics.num_strings == 3
         assert result.statistics.num_results == 1
         assert result.statistics.total_seconds > 0
+
+    def test_index_size_is_the_largest_rounds_not_their_sum(self, name_like_strings):
+        # Each round builds and drops its own index, so the join's peak is
+        # the largest round's (the rounds' peaks used to be added up).
+        result = top_k_join(name_like_strings, k=30)
+        final_tau = max(pair.distance for pair in result)
+        assert final_tau >= 1  # more than one round ran
+        rounds = [PassJoin(tau).self_join(name_like_strings).statistics
+                  for tau in range(final_tau + 1)]
+        stats = result.statistics
+        assert stats.index_entries == max(r.index_entries for r in rounds)
+        assert stats.index_bytes == max(r.index_bytes for r in rounds)
+        assert stats.num_candidates == sum(r.num_candidates for r in rounds)
 
 
 class TestClosestPair:

@@ -78,6 +78,14 @@ class TestJoinStatistics:
         # merge must not mutate the inputs
         assert first.num_candidates == 3
 
+    def test_merge_index_size_adds_only_for_coexisting_indices(self):
+        first = JoinStatistics(index_entries=5, index_bytes=50)
+        second = JoinStatistics(index_entries=8, index_bytes=40)
+        together = first.merge(second)
+        assert (together.index_entries, together.index_bytes) == (13, 90)
+        in_turn = first.merge(second, coexisting=False)
+        assert (in_turn.index_entries, in_turn.index_bytes) == (8, 50)
+
     def test_as_dict_round_trip(self):
         stats = JoinStatistics(num_results=5)
         assert stats.as_dict()["num_results"] == 5
