@@ -21,7 +21,7 @@ from .kernel import (SimilarityKernel, get_kernel, kernel_names,
                      resolve_kernel, token_jaccard_distance)
 from .partition import partition, segment_layout
 from .selection import make_selector
-from .store import PostingList, RecordStore
+from .store import RecordStore
 
 __all__ = [
     "PassJoin",
@@ -29,7 +29,6 @@ __all__ = [
     "pass_join_pairs",
     "SegmentIndex",
     "RecordStore",
-    "PostingList",
     "partition",
     "segment_layout",
     "make_selector",

@@ -3,18 +3,20 @@
 For every indexed string length ``l`` and segment ordinal ``i`` the index
 keeps a dictionary mapping segment text to the inverted list of strings
 whose ``i``-th segment equals that text.  Postings are stored columnar: the
-records themselves live once in a shared :class:`~repro.core.store.RecordStore`
-(parallel ``(id, length, text)`` columns) and every inverted list is a
-compact ``array('q')`` of store row ordinals.  :meth:`SegmentIndex.lookup`
-resolves ordinals lazily through a :class:`~repro.core.store.PostingList`
-view, so record objects are only materialised for candidates that survive
-the probe-side filters — and ``fork`` workers inherit flat arrays
-copy-on-write instead of touching refcounts on millions of record objects.
+records themselves live once in the index's own
+:class:`~repro.core.store.RecordStore` (parallel ``(id, length, text)``
+columns, one row per indexed record) and every inverted list is a compact
+``array('q')`` of store row ordinals.  :meth:`SegmentIndex.lookup` hands the
+probe loop a :class:`~repro.core.store.PostingList` of ordinals, so record
+objects are only materialised for candidates that survive the probe-side
+filters — and ``fork`` workers inherit flat arrays copy-on-write instead of
+touching refcounts on millions of record objects.
 
-The lists preserve insertion order; because the Pass-Join driver inserts
-strings in sorted (length, text) order, every inverted list is
-automatically sorted alphabetically by the indexed string — the property
-the shared-prefix verifier exploits.
+The lists preserve insertion order.  The Pass-Join driver inserts strings
+in sorted (length, text) order, so in a join every inverted list is sorted
+alphabetically by the indexed string, which lets the shared-prefix
+verifier share DP rows between neighbours.  A serving index appends in
+arrival order; no verifier depends on the order for its answers.
 
 The index also implements the paper's memory optimisation: once the driver
 has moved on to strings of length ``l``, indices for lengths smaller than
@@ -26,8 +28,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import insort
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..config import PartitionStrategy, validate_threshold
 from ..types import StringRecord
@@ -35,7 +36,9 @@ from .partition import can_partition, partition, segment_layout
 from .store import PostingList, RecordStore
 
 #: Bytes of one posting in the approximate accounting (one machine word —
-#: exactly one ``array('q')`` slot in the columnar layout).
+#: exactly one ``array('q')`` slot in the columnar layout).  Segment keys
+#: count one byte per character, in the incremental counters and in
+#: :meth:`SegmentIndex.approximate_bytes` alike.
 POSTING_BYTES = 8
 
 
@@ -50,22 +53,16 @@ class SegmentIndex:
     strategy:
         Partition strategy (even by default, see
         :mod:`repro.core.partition`).
-    store:
-        Optional shared :class:`~repro.core.store.RecordStore`.  By default
-        every index owns a private store; passing one lets several indices
-        (or an index and its owning searcher) share a single record table.
     """
 
     def __init__(self, tau: int,
-                 strategy: PartitionStrategy = PartitionStrategy.EVEN, *,
-                 store: RecordStore | None = None) -> None:
+                 strategy: PartitionStrategy = PartitionStrategy.EVEN) -> None:
         self.tau = validate_threshold(tau)
         self.strategy = strategy
-        self.store = store if store is not None else RecordStore()
+        self.store = RecordStore()
         # _indices[length][ordinal][segment_text] -> array('q') of store rows
         self._indices: dict[int, dict[int, dict[str, array]]] = {}
         self._records_per_length: dict[int, int] = {}
-        self._segment_count = 0
         # Incremental accounting, maintained by add()/evict_below() so the
         # driver can record the *peak* concurrent index size cheaply.
         self._entries_by_length: dict[int, int] = {}
@@ -80,42 +77,41 @@ class SegmentIndex:
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------
-    def add(self, record: StringRecord, *, keep_sorted: bool = False) -> int:
+    def add(self, record: StringRecord) -> int:
         """Partition ``record`` and add its segments; return the segment count.
 
         Strings shorter than ``tau + 1`` cannot be partitioned and are not
         indexed (the driver keeps them in a separate short-string pool);
         ``0`` is returned for them.
-
-        The join drivers insert records in canonical (length, text) order, so
-        plain appending keeps every inverted list sorted by the indexed
-        string — the property the share-prefix verifier exploits.  Callers
-        that insert out of order (the dynamic serving index) pass
-        ``keep_sorted=True`` to place each posting at its sorted position
-        instead, preserving that invariant under arbitrary insertions.
         """
-        length = record.length
-        if not can_partition(length, self.tau):
+        if not can_partition(record.length, self.tau):
             return 0
-        row = self.store.intern(record)
+        return self.add_row(self.store.add(record))
+
+    def add_row(self, row: int) -> int:
+        """Index the segments of the record stored at ``row`` (appending
+        to each inverted list); return the segment count.
+
+        The row then belongs to the index: :meth:`remove` and
+        :meth:`evict_below` release it.  The caller has checked that its
+        length can be partitioned.
+        """
+        text = self.store.text_at(row)
+        length = len(text)
         if length not in self._indices:
             self._lengths_version += 1
         per_length = self._indices.setdefault(length, {})
         added_bytes = 0
-        for segment in partition(record.text, self.tau, self.strategy):
+        for segment in partition(text, self.tau, self.strategy):
             per_ordinal = per_length.setdefault(segment.ordinal, {})
             postings = per_ordinal.get(segment.text)
             if postings is None:
                 per_ordinal[segment.text] = array("q", (row,))
                 added_bytes += len(segment.text) + POSTING_BYTES
             else:
-                if keep_sorted:
-                    insort(postings, row, key=self.store.sort_key)
-                else:
-                    postings.append(row)
+                postings.append(row)
                 added_bytes += POSTING_BYTES
         self._records_per_length[length] = self._records_per_length.get(length, 0) + 1
-        self._segment_count += self.tau + 1
         self._entries_by_length[length] = (
             self._entries_by_length.get(length, 0) + self.tau + 1)
         self._bytes_by_length[length] = (
@@ -128,8 +124,8 @@ class SegmentIndex:
         """Index every record; return the total number of segments added."""
         return sum(self.add(record) for record in records)
 
-    def remove(self, record: StringRecord) -> int:
-        """Remove a previously :meth:`add`-ed record's postings.
+    def remove(self, row: int) -> int:
+        """Remove the postings of the record indexed at ``row``.
 
         This is the compaction hook for the online service layer
         (:class:`repro.service.DynamicSearcher`): tombstoned records are
@@ -137,58 +133,37 @@ class SegmentIndex:
         remaining entries in their original relative order.  Emptied
         segment buckets *and* their enclosing per-ordinal dictionaries are
         pruned, so a long-lived dynamic index never accumulates empty dict
-        shells.  Returns the number of postings removed (``0`` when the
-        record was never indexed, e.g. because it was too short to
-        partition), and releases the record's store row once its last
-        posting is gone.
+        shells.  The row itself is released.  Returns the number of
+        postings removed (``tau + 1``).
         """
-        length = record.length
-        if not can_partition(length, self.tau):
-            return 0
-        per_length = self._indices.get(length)
-        if per_length is None:
-            return 0
-        row = self.store.find(record.id, record.text)
-        if row is None:
-            return 0
-        removed = 0
+        text = self.store.text_at(row)
+        length = len(text)
+        per_length = self._indices[length]
         removed_bytes = 0
-        for segment in partition(record.text, self.tau, self.strategy):
-            per_ordinal = per_length.get(segment.ordinal)
-            if per_ordinal is None:
-                continue
-            postings = per_ordinal.get(segment.text)
-            if postings is None:
-                continue
-            try:
-                postings.remove(row)
-            except ValueError:
-                continue
-            removed += 1
+        for segment in partition(text, self.tau, self.strategy):
+            per_ordinal = per_length[segment.ordinal]
+            postings = per_ordinal[segment.text]
+            postings.remove(row)
             removed_bytes += POSTING_BYTES
             if not postings:
                 del per_ordinal[segment.text]
                 removed_bytes += len(segment.text)
                 if not per_ordinal:
                     del per_length[segment.ordinal]
-        if removed == 0:
-            return 0
         self.store.release(row)
-        remaining = self._records_per_length.get(length, 0) - 1
+        removed = self.tau + 1
+        remaining = self._records_per_length[length] - 1
         if remaining > 0:
             self._records_per_length[length] = remaining
+            self._entries_by_length[length] -= removed
+            self._bytes_by_length[length] -= removed_bytes
         else:
-            self._records_per_length.pop(length, None)
+            del self._records_per_length[length]
+            del self._entries_by_length[length]
+            del self._bytes_by_length[length]
         if not per_length:
-            self._indices.pop(length, None)
+            del self._indices[length]
             self._lengths_version += 1
-        self._entries_by_length[length] = (
-            self._entries_by_length.get(length, 0) - removed)
-        self._bytes_by_length[length] = (
-            self._bytes_by_length.get(length, 0) - removed_bytes)
-        if remaining <= 0:
-            self._entries_by_length.pop(length, None)
-            self._bytes_by_length.pop(length, None)
         self._current_entries -= removed
         self._current_bytes -= removed_bytes
         return removed
@@ -208,12 +183,12 @@ class SegmentIndex:
         """Return the segment layout used for indexed strings of ``length``."""
         return segment_layout(length, self.tau, self.strategy)
 
-    def lookup(self, length: int, ordinal: int, text: str) -> Sequence[StringRecord]:
-        """Return the inverted list ``L_length^ordinal(text)`` (possibly empty).
+    def lookup(self, length: int, ordinal: int, text: str) -> PostingList | tuple:
+        """Return the inverted list ``L_length^ordinal(text)``, or ``()``.
 
-        Hits come back as a lazy :class:`~repro.core.store.PostingList`
-        view: iterating it materialises records on demand, while the probe
-        hot path reads its ``ordinals``/``store`` columns directly.
+        Hits come back as a :class:`~repro.core.store.PostingList` of store
+        row ordinals; :meth:`RecordStore.record_at` turns a row back into
+        its record.
         """
         per_length = self._indices.get(length)
         if per_length is None:
@@ -268,11 +243,6 @@ class SegmentIndex:
         return self._lengths_version
 
     @property
-    def segment_count(self) -> int:
-        """Total number of segments ever added (Table 3 accounting)."""
-        return self._segment_count
-
-    @property
     def current_entry_count(self) -> int:
         """Number of postings currently stored (cheap incremental counter)."""
         return self._current_entries
@@ -302,8 +272,8 @@ class SegmentIndex:
     def approximate_bytes(self) -> int:
         """Rough memory footprint of the inverted lists (Table 3 comparison).
 
-        The estimate counts the segment key strings plus one machine word
-        (8 bytes) per posting — exactly one ``array('q')`` slot in the
+        The estimate counts the segment key strings (one byte per
+        character) plus one machine word (8 bytes) per posting — exactly one ``array('q')`` slot in the
         columnar layout — mirroring how the paper counts "an integer to
         encode a segment" plus the inverted lists.  Python object overhead
         is deliberately excluded so the number reflects the data structure,
@@ -314,7 +284,7 @@ class SegmentIndex:
         for per_length in self._indices.values():
             for per_ordinal in per_length.values():
                 for text, postings in per_ordinal.items():
-                    total += len(text.encode("utf-8", errors="replace"))
+                    total += len(text)
                     total += POSTING_BYTES * len(postings)
         return total
 
@@ -361,13 +331,11 @@ class SegmentIndex:
         """
         record_overhead = sys.getsizeof(StringRecord(id=0, text=""))
         str_overhead = sys.getsizeof("")
-        total = self.approximate_bytes()
         store = self.store
-        for row in range(store.row_count):
-            if not store.is_live(row):
-                continue
-            total += record_overhead + str_overhead + len(store.text_at(row))
-        return total
+        # A free row's text is "", so summing the column counts live text.
+        return (self.approximate_bytes()
+                + store.live_count * (record_overhead + str_overhead)
+                + sum(map(len, store.texts)))
 
     def __len__(self) -> int:
         return self.entry_count()

@@ -53,7 +53,8 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from collections import Counter, OrderedDict
-from typing import (TYPE_CHECKING, Any, Callable, Collection, Iterable,
+from itertools import chain
+from typing import (TYPE_CHECKING, Any, Callable, Collection, Iterator,
                     Sequence)
 
 from ..config import (DEFAULT_VERIFICATION, KERNELS, PartitionStrategy,
@@ -113,23 +114,42 @@ class KernelBackend(ABC):
 
     A backend owns the kernel-specific data structures of one searcher
     (segment index and short-string pool for edit distance; token postings
-    and empty-set pool for Jaccard) and answers probes against them.  The
-    searcher above it keeps the kernel-agnostic bookkeeping: live records,
-    tombstones, epochs, per-key counts.
+    and empty-set pool for Jaccard) and answers probes against them.  It is
+    also the one place a record is held: :meth:`record` answers by id from
+    ``_rows`` or ``short_pool``.  The searcher above it keeps the
+    kernel-agnostic bookkeeping: tombstones, epochs, per-key counts.
 
-    ``short_pool`` holds the records the kernel cannot index (too short to
-    partition; token-less) — the searcher removes them directly via
-    :meth:`unpool` instead of tombstoning, exactly as the dynamic searcher
-    always treated the edit-distance short pool.
+    ``_rows`` maps the id of every indexed record to the backend's handle
+    on it (a store row; a record and its sorted tokens).  ``short_pool``
+    holds the records the kernel cannot index (too short to partition;
+    token-less) — the searcher removes them directly via :meth:`unpool`
+    instead of tombstoning, exactly as the dynamic searcher always treated
+    the edit-distance short pool.
     """
 
     kernel: "SimilarityKernel"
     max_tau: int
     short_pool: dict[int, StringRecord]
+    _rows: dict[int, Any]
 
     @abstractmethod
     def add(self, record: StringRecord) -> int:
         """Index ``record`` (or pool it); return the signature entries added."""
+
+    @abstractmethod
+    def record(self, record_id: int) -> StringRecord | None:
+        """The record held under ``record_id`` (indexed or pooled), or None."""
+
+    def record_ids(self) -> Iterator[int]:
+        """Ids of every record held, indexed then pooled."""
+        return chain(self._rows, self.short_pool)
+
+    def __len__(self) -> int:
+        """Number of records held, indexed or pooled."""
+        return len(self._rows) + len(self.short_pool)
+
+    def __contains__(self, record_id: int) -> bool:
+        return record_id in self._rows or record_id in self.short_pool
 
     def unpool(self, record_id: int) -> bool:
         """Drop a pooled record; True when it was in the short pool."""
@@ -229,15 +249,13 @@ class SimilarityKernel(ABC):
                      partition: PartitionStrategy = PartitionStrategy.EVEN,
                      verification: VerificationMethod | str =
                      DEFAULT_VERIFICATION,
-                     seed: Sequence[StringRecord] = (),
-                     keep_sorted: bool = True) -> KernelBackend:
+                     seed: Sequence[StringRecord] = ()) -> KernelBackend:
         """Build this kernel's per-searcher backend.
 
         ``seed`` is the initial collection (the Jaccard kernel freezes its
         token order from it; edit distance ignores it).  ``partition`` /
-        ``verification`` / ``keep_sorted`` configure the edit-distance
-        pipeline and must be left at their defaults for kernels they do
-        not apply to.
+        ``verification`` configure the edit-distance pipeline and must be
+        left at their defaults for kernels they do not apply to.
         """
 
     def describe(self) -> dict[str, Any]:
@@ -258,15 +276,17 @@ class EditDistanceBackend(KernelBackend):
 
     def __init__(self, kernel: "EditDistanceKernel", max_tau: int, *,
                  partition: PartitionStrategy,
-                 verification: VerificationMethod,
-                 keep_sorted: bool) -> None:
+                 verification: VerificationMethod) -> None:
         self.kernel = kernel
         self.max_tau = max_tau
         self.verification = verification
-        self.keep_sorted = keep_sorted
         self.index = SegmentIndex(max_tau, partition)
         self.selector = MultiMatchAwareSelector(max_tau)
         self.short_pool: dict[int, StringRecord] = {}
+        # id -> store row of every indexed record: what record() reads and
+        # remove_indexed() purges by.  Joins drive a bare SegmentIndex and
+        # never pay for it.
+        self._rows: dict[int, int] = {}
         # Persistent selection-window cache, shared across search /
         # search_many / explain calls and across batches.  Windows are pure
         # in (probe length, indexed length) under this backend's fixed
@@ -279,12 +299,20 @@ class EditDistanceBackend(KernelBackend):
 
     def add(self, record: StringRecord) -> int:
         if can_partition(record.length, self.max_tau):
-            return self.index.add(record, keep_sorted=self.keep_sorted)
+            row = self._rows[record.id] = self.index.store.add(record)
+            return self.index.add_row(row)
         self.short_pool[record.id] = record
         return 0
 
+    def record(self, record_id: int) -> StringRecord | None:
+        row = self._rows.get(record_id)
+        if row is None:
+            return self.short_pool.get(record_id)
+        return self.index.store.record_at(row)
+
     def remove_indexed(self, record: StringRecord) -> int:
-        return self.index.remove(record)
+        row = self._rows.pop(record.id, None)
+        return 0 if row is None else self.index.remove(row)
 
     def new_verifier(self, tau: int, stats: JoinStatistics) -> Any:
         return make_verifier(self.verification, tau, stats)
@@ -355,14 +383,12 @@ class EditDistanceKernel(SimilarityKernel):
                      partition: PartitionStrategy = PartitionStrategy.EVEN,
                      verification: VerificationMethod | str =
                      DEFAULT_VERIFICATION,
-                     seed: Sequence[StringRecord] = (),
-                     keep_sorted: bool = True) -> EditDistanceBackend:
+                     seed: Sequence[StringRecord] = ()) -> EditDistanceBackend:
         if not isinstance(verification, VerificationMethod):
             verification = VerificationMethod(str(verification))
         return EditDistanceBackend(self, self.validate_tau(max_tau),
                                    partition=partition,
-                                   verification=verification,
-                                   keep_sorted=keep_sorted)
+                                   verification=verification)
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -496,6 +522,10 @@ class TokenJaccardBackend(KernelBackend):
             self._postings.setdefault(token, set()).add(record.id)
         self._entries += len(prefix)
         return len(prefix)
+
+    def record(self, record_id: int) -> StringRecord | None:
+        entry = self._rows.get(record_id)
+        return self.short_pool.get(record_id) if entry is None else entry[0]
 
     def remove_indexed(self, record: StringRecord) -> int:
         entry = self._rows.pop(record.id, None)
@@ -655,8 +685,7 @@ class TokenJaccardKernel(SimilarityKernel):
                      partition: PartitionStrategy = PartitionStrategy.EVEN,
                      verification: VerificationMethod | str =
                      DEFAULT_VERIFICATION,
-                     seed: Sequence[StringRecord] = (),
-                     keep_sorted: bool = True) -> TokenJaccardBackend:
+                     seed: Sequence[StringRecord] = ()) -> TokenJaccardBackend:
         if partition != PartitionStrategy.EVEN:
             raise ConfigurationError(
                 f"the {self.name!r} kernel does not take a partition "

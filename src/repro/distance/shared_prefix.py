@@ -1,11 +1,16 @@
 """Shared-prefix incremental verification (Section 5.3 of the paper).
 
 When Pass-Join verifies the strings of one inverted list ``L_l^i(w)``
-against a probe string, the list is sorted alphabetically, so consecutive
-strings tend to share long prefixes.  The dynamic-programming rows computed
-for the previous string's prefix are therefore valid for the next string up
-to the length of their common prefix, and only the rows after it need to be
-(re)computed.
+against a probe string, consecutive strings may share a prefix.  The
+dynamic-programming rows computed for the previous string's prefix are then
+valid for the next string up to the length of their common prefix, and only
+the rows after it need to be (re)computed.
+
+Posting order only buys prefix sharing, never correctness: the verifier
+reuses the longest common prefix of whatever strings come consecutively.
+A join inserts strings in sorted (length, text) order, so its lists are
+alphabetical and neighbours share the most; a serving index appends in
+arrival order and shares less, with the same answers.
 
 :class:`SharedPrefixVerifier` encapsulates that: it is bound to one probe
 string (the matrix columns) and verifies a sequence of strings (the matrix

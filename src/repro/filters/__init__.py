@@ -1,30 +1,20 @@
-"""Filtering primitives shared by the baseline join algorithms.
+"""Filtering primitives of the q-gram baseline joins.
 
-Pass-Join itself only needs the length filter (built into its per-length
-index layout), but the q-gram baselines of the evaluation (All-Pairs-Ed,
-ED-Join) are built from the classic filter toolbox:
+Pass-Join itself needs none of these (its length filter is the per-length
+index layout).  The q-gram baselines of the evaluation use two:
 
-* :mod:`repro.filters.length_filter` — length difference bound.
-* :mod:`repro.filters.count_filter` — q-gram count filter.
-* :mod:`repro.filters.position_filter` — positional q-gram filter.
-* :mod:`repro.filters.prefix_filter` — prefix-filtering framework.
-* :mod:`repro.filters.content_filter` — content-based mismatch filter
+* :mod:`repro.filters.count_filter` — the q-gram count bound
+  (``minimum_shared_grams`` / ``shared_gram_count``), checked by both
+  All-Pairs-Ed and ED-Join.
+* :mod:`repro.filters.content_filter` — the content-based mismatch filter
   (character frequency L1 bound) used by ED-Join.
 """
 
 from .content_filter import content_filter_passes, frequency_distance_lower_bound
-from .count_filter import count_filter_passes, minimum_shared_grams
-from .length_filter import length_filter_passes
-from .position_filter import positional_match_possible
-from .prefix_filter import prefix_length_for_edit_distance, prefixes_share_gram
+from .count_filter import minimum_shared_grams
 
 __all__ = [
-    "length_filter_passes",
-    "count_filter_passes",
     "minimum_shared_grams",
-    "positional_match_possible",
-    "prefix_length_for_edit_distance",
-    "prefixes_share_gram",
     "content_filter_passes",
     "frequency_distance_lower_bound",
 ]

@@ -36,11 +36,3 @@ def shared_gram_count(grams_a: Iterable[str], grams_b: Iterable[str]) -> int:
     counts_b = Counter(grams_b)
     return sum(min(count, counts_b[gram]) for gram, count in counts_a.items())
 
-
-def count_filter_passes(grams_a: Iterable[str], grams_b: Iterable[str],
-                        length_a: int, length_b: int, q: int, tau: int) -> bool:
-    """True when the shared-gram count does not rule the pair out."""
-    needed = minimum_shared_grams(length_a, length_b, q, tau)
-    if needed <= 0:
-        return True
-    return shared_gram_count(grams_a, grams_b) >= needed

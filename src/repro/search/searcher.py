@@ -373,7 +373,7 @@ class PassJoinSearcher(KernelSearcher):
         self.statistics.num_strings = len(self._records)
         self._backend = self.kernel.make_backend(
             self.max_tau, partition=partition, verification=self.verification,
-            seed=self._records, keep_sorted=False)
+            seed=self._records)
         for record in sort_records(self._records):
             self.statistics.num_indexed_segments += self._backend.add(record)
         self.statistics.index_entries = self._backend.entry_count()

@@ -7,12 +7,13 @@ and filter-and-verify pipeline — for whichever
 may change between queries.
 
 * :meth:`~DynamicSearcher.insert` generates the new record's signatures and
-  places them at their *sorted* positions in the inverted lists (for the
-  edit-distance kernel's segment index), so the alphabetical-posting
-  invariant the share-prefix verifier exploits keeps holding under
-  arbitrary insertions (results never depended on posting order — they are
-  deduplicated by id and sorted by ``(distance, id)`` — but the invariant
-  keeps every verifier, present and future, usable on a mutated index).
+  appends them to the inverted lists.  Results never depend on posting
+  order: candidates are deduplicated by id and answers sorted by
+  ``(distance, id)``.
+* The kernel backend is the one record table: it holds every indexed or
+  pooled record and answers :attr:`~DynamicSearcher.records`,
+  :meth:`~DynamicSearcher.get_many` and the duplicate-id check by id.  A
+  record is live when the backend holds it and it is not tombstoned.
 * :meth:`~DynamicSearcher.delete` is a **tombstone**: the record's postings
   stay in the index but every search filters its id out, which makes
   deletion O(1).  Once ``compact_interval`` tombstones accumulate,
@@ -130,7 +131,6 @@ class DynamicSearcher(KernelSearcher):
         records = as_records(strings)
         self._backend = self.kernel.make_backend(
             self.max_tau, partition=partition, seed=records)
-        self._live: dict[int, StringRecord] = {}
         # live partition key -> number of live records with that key (lets
         # top-k widening skip thresholds no live record can possibly meet).
         self._length_counts: dict[int, int] = {}
@@ -144,19 +144,22 @@ class DynamicSearcher(KernelSearcher):
             deque() if log_mutations else None)
         self._log_trimmed_through = 0
         for record in records:
-            if record.id in self._live:
+            if record.id in self._backend:
                 # A duplicate would leave the loser's postings (and short-
                 # pool/length bookkeeping) behind as a searchable ghost.
                 raise ValueError(
                     f"duplicate id {record.id} in the initial collection")
             self._insert_record(record)
-        self.statistics.num_strings = len(self._live)
+        self.statistics.num_strings = len(self)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._live)
+        return len(self._backend) - len(self._tombstones)
+
+    def _is_live(self, record_id: int) -> bool:
+        return record_id in self._backend and record_id not in self._tombstones
 
     @property
     def epoch(self) -> int:
@@ -177,7 +180,10 @@ class DynamicSearcher(KernelSearcher):
     @property
     def records(self) -> list[StringRecord]:
         """The live records, ordered by id (a snapshot, safe to mutate)."""
-        return [self._live[record_id] for record_id in sorted(self._live)]
+        tombstones, held = self._tombstones, self._backend.record
+        return [held(record_id)
+                for record_id in sorted(self._backend.record_ids())
+                if record_id not in tombstones]
 
     @property
     def _short_pool(self) -> dict[int, StringRecord]:
@@ -207,7 +213,7 @@ class DynamicSearcher(KernelSearcher):
         postings are purged first so the old record cannot resurface).
         """
         record = coerce_insert_record(text, id, self._next_id)
-        if record.id in self._live:
+        if self._is_live(record.id):
             raise ValueError(f"id {record.id} is already in the collection")
         stale = self._tombstones.pop(record.id, None)
         if stale is not None:
@@ -225,9 +231,9 @@ class DynamicSearcher(KernelSearcher):
         silently skipped — the shard-migration extract step uses this to
         tolerate records deleted between planning and copying.
         """
-        live = self._live
-        return [live[record_id] for record_id in record_ids
-                if record_id in live]
+        held = self._backend.record
+        return [held(record_id) for record_id in record_ids
+                if self._is_live(record_id)]
 
     def insert_many(self, records: Iterable[str | StringRecord]) -> list[int]:
         """Insert several records (:meth:`insert` semantics); return the ids."""
@@ -239,9 +245,9 @@ class DynamicSearcher(KernelSearcher):
 
     def delete(self, record_id: int) -> bool:
         """Tombstone one record by id; return False when it is not live."""
-        record = self._live.pop(record_id, None)
-        if record is None:
+        if not self._is_live(record_id):
             return False
+        record = self._backend.record(record_id)
         if not self._backend.unpool(record_id):
             self._tombstones[record_id] = record
         key = self.kernel.record_key(record.text)
@@ -289,7 +295,6 @@ class DynamicSearcher(KernelSearcher):
 
     def _insert_record(self, record: StringRecord) -> None:
         self.statistics.num_indexed_segments += self._backend.add(record)
-        self._live[record.id] = record
         key = self.kernel.record_key(record.text)
         self._length_counts[key] = self._length_counts.get(key, 0) + 1
         self._next_id = max(self._next_id, record.id + 1)
@@ -383,6 +388,6 @@ class DynamicSearcher(KernelSearcher):
         return applied
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"DynamicSearcher(live={len(self._live)}, "
+        return (f"DynamicSearcher(live={len(self)}, "
                 f"tombstones={len(self._tombstones)}, epoch={self._epoch}, "
                 f"kernel={self.kernel.name!r}, max_tau={self.max_tau})")

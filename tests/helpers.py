@@ -50,8 +50,8 @@ def random_strings(count, min_len, max_len, alphabet="abcd", seed=0):
 
 
 def store_rows(records):
-    """``(store, rows)``: the records interned into a fresh ``RecordStore``
+    """``(store, rows)``: the records added to a fresh ``RecordStore``
     and their row ordinals — the ``verify_rows`` arguments for a candidate
     list (``verifier.verify_rows(probe, *store_rows(records), context)``)."""
     store = RecordStore()
-    return store, [store.intern(record) for record in records]
+    return store, [store.add(record) for record in records]

@@ -4,35 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distance import edit_distance
-from repro.filters import (content_filter_passes, count_filter_passes,
-                           frequency_distance_lower_bound, length_filter_passes,
-                           minimum_shared_grams, positional_match_possible,
-                           prefix_length_for_edit_distance, prefixes_share_gram)
-from repro.filters.length_filter import compatible_length_range
+from repro.filters import (content_filter_passes,
+                           frequency_distance_lower_bound, minimum_shared_grams)
+from repro.filters.count_filter import shared_gram_count
 from repro.baselines.qgram import qgrams
 
 texts = st.text(alphabet="abcd", max_size=16)
 taus = st.integers(min_value=0, max_value=4)
-
-
-class TestLengthFilter:
-    def test_passes_within_threshold(self):
-        assert length_filter_passes(10, 12, 2)
-
-    def test_fails_beyond_threshold(self):
-        assert not length_filter_passes(10, 13, 2)
-
-    def test_symmetric(self):
-        assert length_filter_passes(13, 10, 3) == length_filter_passes(10, 13, 3)
-
-    def test_compatible_length_range_clamped_at_zero(self):
-        assert list(compatible_length_range(1, 3)) == [0, 1, 2, 3, 4]
-
-    @given(a=texts, b=texts, tau=taus)
-    @settings(max_examples=200, deadline=None)
-    def test_never_prunes_a_similar_pair(self, a, b, tau):
-        if edit_distance(a, b) <= tau:
-            assert length_filter_passes(len(a), len(b), tau)
 
 
 class TestCountFilter:
@@ -44,38 +22,20 @@ class TestCountFilter:
             minimum_shared_grams(5, 5, 0, 1)
 
     def test_vacuous_bound_always_passes(self):
-        assert count_filter_passes(["ab"], ["cd"], 2, 2, 2, 3)
+        assert minimum_shared_grams(2, 2, 2, 3) <= 0
+        assert shared_gram_count(["ab"], ["cd"]) == 0
 
     def test_prunes_obviously_different_strings(self):
         a, b = "aaaaaaaaaa", "bbbbbbbbbb"
-        assert not count_filter_passes(qgrams(a, 2), qgrams(b, 2),
-                                       len(a), len(b), 2, 1)
+        assert (shared_gram_count(qgrams(a, 2), qgrams(b, 2))
+                < minimum_shared_grams(len(a), len(b), 2, 1))
 
     @given(a=texts, b=texts, tau=taus, q=st.integers(min_value=1, max_value=3))
     @settings(max_examples=300, deadline=None)
     def test_never_prunes_a_similar_pair(self, a, b, tau, q):
         if edit_distance(a, b) <= tau:
-            assert count_filter_passes(qgrams(a, q), qgrams(b, q),
-                                       len(a), len(b), q, tau)
-
-
-class TestPositionalFilter:
-    def test_within_and_beyond(self):
-        assert positional_match_possible(4, 6, 2)
-        assert not positional_match_possible(4, 7, 2)
-
-
-class TestPrefixFilter:
-    def test_prefix_length(self):
-        assert prefix_length_for_edit_distance(3, 2) == 7
-
-    def test_invalid_q(self):
-        with pytest.raises(ValueError):
-            prefix_length_for_edit_distance(0, 2)
-
-    def test_prefixes_share_gram(self):
-        assert prefixes_share_gram(["ab", "cd", "ef"], ["zz", "cd"], 2, 2)
-        assert not prefixes_share_gram(["ab", "cd"], ["zz", "yy"], 2, 2)
+            assert (shared_gram_count(qgrams(a, q), qgrams(b, q))
+                    >= minimum_shared_grams(len(a), len(b), q, tau))
 
 
 class TestContentFilter:

@@ -215,7 +215,7 @@ def test_batched_verifier_is_element_identical(probe, texts, tau, duplicate):
     Random inverted lists (including empty lists and duplicated entries —
     the same record can appear under several segments) must produce the
     same accepted records with the same distances, in the same order, over
-    a freshly interned store and over one shared across verifiers.
+    a freshly filled store and over one shared across verifiers.
     """
     if duplicate and texts:
         texts = texts + [texts[0]]

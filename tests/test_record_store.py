@@ -1,4 +1,4 @@
-"""Unit tests for the columnar record store and the posting views."""
+"""Unit tests for the columnar record store and its index integration."""
 
 import sys
 from array import array
@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import brute_force_pairs, random_strings
 from repro.core.index import SegmentIndex
 from repro.core.join import pass_join
-from repro.core.store import (_UNFILLED, PostingList, RecordStore,
-                              histogram_signature)
+from repro.core.store import _UNFILLED, RecordStore, histogram_signature
 from repro.distance import edit_distance
 from repro.types import StringRecord
 
@@ -19,78 +18,68 @@ def _record(identifier, text):
     return StringRecord(id=identifier, text=text)
 
 
-class TestInterning:
-    def test_intern_returns_columns(self):
+class TestRows:
+    def test_add_returns_columns(self):
         store = RecordStore()
-        row = store.intern(_record(7, "vldb"))
+        row = store.add(_record(7, "vldb"))
         assert store.id_at(row) == 7
         assert store.text_at(row) == "vldb"
         assert store.length_at(row) == 4
         assert store.record_at(row) == _record(7, "vldb")
-        assert store.sort_key(row) == ("vldb", 7)
-
-    def test_same_record_interns_to_same_row(self):
-        store = RecordStore()
-        first = store.intern(_record(1, "abcd"))
-        second = store.intern(_record(1, "abcd"))
-        assert first == second
-        assert store.live_count == 1
 
     def test_distinct_ids_get_distinct_rows(self):
         store = RecordStore()
-        rows = {store.intern(_record(i, "abcd")) for i in range(3)}
+        rows = {store.add(_record(i, "abcd")) for i in range(3)}
         assert len(rows) == 3
         assert store.live_count == 3
+
+    def test_every_add_takes_its_own_row(self):
+        # No interning: an equal record added twice owns two rows.
+        store = RecordStore()
+        rows = {store.add(_record(i % 2, "abcd")) for i in range(4)}
+        assert len(rows) == 4
+        assert store.live_count == 4
 
     def test_same_id_different_text_gets_its_own_row(self):
         # The dynamic index re-uses tombstoned ids with new texts; the two
         # rows must coexist while the stale one is being purged.
         store = RecordStore()
-        old = store.intern(_record(1, "abcd"))
-        new = store.intern(_record(1, "wxyz"))
+        old = store.add(_record(1, "abcd"))
+        new = store.add(_record(1, "wxyz"))
         assert old != new
         assert store.text_at(old) == "abcd"
         assert store.text_at(new) == "wxyz"
 
-    def test_find(self):
-        store = RecordStore()
-        row = store.intern(_record(3, "abc"))
-        assert store.find(3, "abc") == row
-        assert store.find(3, "abd") is None
-        assert store.find(4, "abc") is None
-
 
 class TestRelease:
-    def test_release_balances_intern(self):
+    def test_release_frees_the_row(self):
         store = RecordStore()
-        row = store.intern(_record(0, "abcd"))
-        store.intern(_record(0, "abcd"))
-        assert store.release(row) == 1
-        assert store.is_live(row)
-        assert store.release(row) == 0
-        assert not store.is_live(row)
-        assert store.find(0, "abcd") is None
-        assert store.live_count == 0
+        row = store.add(_record(0, "abcd"))
+        store.add(_record(1, "wxyz"))
+        store.release(row)
+        assert store.live_count == 1
+        assert store.text_at(row) == ""
+        assert store.approximate_bytes() == 32 * 2 + len("wxyz")
 
     def test_over_release_raises(self):
         store = RecordStore()
-        row = store.intern(_record(0, "abcd"))
+        row = store.add(_record(0, "abcd"))
         store.release(row)
         with pytest.raises(ValueError):
             store.release(row)
 
     def test_freed_rows_are_recycled(self):
         store = RecordStore()
-        row = store.intern(_record(0, "abcd"))
+        row = store.add(_record(0, "abcd"))
         store.release(row)
-        recycled = store.intern(_record(9, "wxyz"))
+        recycled = store.add(_record(9, "wxyz"))
         assert recycled == row
         assert store.row_count == 1
         assert store.record_at(recycled) == _record(9, "wxyz")
 
     def test_accounting_shrinks_on_release(self):
         store = RecordStore()
-        row = store.intern(_record(0, "abcdefgh"))
+        row = store.add(_record(0, "abcdefgh"))
         full = store.approximate_bytes()
         store.release(row)
         assert store.approximate_bytes() < full
@@ -147,7 +136,7 @@ class TestSignatureColumn:
     def test_rows_near_keeps_order_and_fills_on_first_use(self):
         store = RecordStore()
         texts = ["vldb", "", "pvldb", "sigmod"]
-        rows = [store.intern(_record(i, text)) for i, text in enumerate(texts)]
+        rows = [store.add(_record(i, text)) for i, text in enumerate(texts)]
         probe = histogram_signature("vldb")
         for _ in range(2):  # first use fills the column, the second reads it
             assert store.rows_near(rows, probe, 0) == [rows[0]]
@@ -162,17 +151,17 @@ class TestSignatureColumn:
            tau=st.integers(min_value=0, max_value=4))
     def test_rows_near_never_drops_a_row_within_tau(self, texts, probe, tau):
         store = RecordStore()
-        rows = [store.intern(_record(i, text)) for i, text in enumerate(texts)]
+        rows = [store.add(_record(i, text)) for i, text in enumerate(texts)]
         near = store.rows_near(rows, histogram_signature(probe), tau)
         assert [row for row, text in zip(rows, texts)
                 if edit_distance(text, probe) <= tau and row not in near] == []
 
     def test_recycled_row_never_serves_the_previous_signature(self):
         store = RecordStore()
-        row = store.intern(_record(0, "aaaa"))
+        row = store.add(_record(0, "aaaa"))
         assert store.rows_near([row], histogram_signature("aaaa"), 0) == [row]
         store.release(row)
-        assert store.intern(_record(1, "zzzz")) == row
+        assert store.add(_record(1, "zzzz")) == row
         assert store.rows_near([row], histogram_signature("aaaa"), 0) == []
         assert store.rows_near([row], histogram_signature("zzzz"), 0) == [row]
 
@@ -202,39 +191,20 @@ class TestSignatureColumn:
         assert store.deep_bytes() >= columns + sum(map(sys.getsizeof, texts))
 
 
-class TestPostingList:
-    def test_lazy_record_view(self):
-        store = RecordStore()
-        rows = array("q", (store.intern(_record(0, "abcd")),
-                           store.intern(_record(1, "abzz"))))
-        view = PostingList(store, rows)
-        assert len(view) == 2
-        assert list(view) == [_record(0, "abcd"), _record(1, "abzz")]
-        assert view[1] == _record(1, "abzz")
-        assert view[0:2] == [_record(0, "abcd"), _record(1, "abzz")]
-        assert view == [_record(0, "abcd"), _record(1, "abzz")]
-
-
 class TestIndexStoreIntegration:
     def test_index_owns_a_store_by_default(self):
         index = SegmentIndex(tau=1)
         index.add(_record(0, "abcd"))
         assert index.store.live_count == 1
 
-    def test_shared_store_across_indices(self):
-        store = RecordStore()
-        first = SegmentIndex(tau=1, store=store)
-        second = SegmentIndex(tau=2, store=store)
-        first.add(_record(0, "abcdef"))
-        second.add(_record(0, "abcdef"))
-        assert store.live_count == 1  # one interned row, two references
-
     def test_remove_releases_the_row(self):
         index = SegmentIndex(tau=1)
-        record = _record(0, "abcd")
-        index.add(record)
-        index.remove(record)
+        row = index.store.add(_record(0, "abcd"))
+        index.add_row(row)
+        index.remove(row)
         assert index.store.live_count == 0
+        with pytest.raises(ValueError):
+            index.store.release(row)
 
     def test_evict_below_releases_rows(self):
         index = SegmentIndex(tau=1)

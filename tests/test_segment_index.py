@@ -1,12 +1,23 @@
 """Unit tests for the segment inverted indices (Section 3.2)."""
 
+from hypothesis import example, given, settings, strategies as st
+
 from repro.config import PartitionStrategy
 from repro.core.index import SegmentIndex
+from repro.core.partition import can_partition
 from repro.types import StringRecord
 
 
 def _record(identifier, text):
     return StringRecord(id=identifier, text=text)
+
+
+def _hits(index, length, ordinal, text):
+    """The records of ``L_length^ordinal(text)``, read back through the store."""
+    postings = index.lookup(length, ordinal, text)
+    if not postings:
+        return []
+    return [index.store.record_at(row) for row in postings.ordinals]
 
 
 class TestSegmentIndexBuilding:
@@ -28,15 +39,15 @@ class TestSegmentIndexBuilding:
         index = SegmentIndex(tau=3)
         record = _record(1, "vankatesh")
         index.add(record)
-        assert list(index.lookup(9, 1, "va")) == [record]
-        assert list(index.lookup(9, 4, "esh")) == [record]
+        assert _hits(index, 9, 1, "va") == [record]
+        assert _hits(index, 9, 4, "esh") == [record]
 
     def test_lookup_missing_returns_empty(self):
         index = SegmentIndex(tau=2)
         index.add(_record(1, "abcdef"))
-        assert list(index.lookup(6, 1, "zz")) == []
-        assert list(index.lookup(7, 1, "ab")) == []
-        assert list(index.lookup(6, 9, "ab")) == []
+        assert not index.lookup(6, 1, "zz")
+        assert not index.lookup(7, 1, "ab")
+        assert not index.lookup(6, 9, "ab")
 
     def test_inverted_list_preserves_insertion_order(self):
         index = SegmentIndex(tau=1)
@@ -44,7 +55,7 @@ class TestSegmentIndexBuilding:
         second = _record(2, "abzz")
         index.add(first)
         index.add(second)
-        assert list(index.lookup(4, 1, "ab")) == [first, second]
+        assert _hits(index, 4, 1, "ab") == [first, second]
 
     def test_layout_matches_partition_module(self):
         index = SegmentIndex(tau=3)
@@ -53,7 +64,7 @@ class TestSegmentIndexBuilding:
     def test_partition_strategy_is_honoured(self):
         index = SegmentIndex(tau=2, strategy=PartitionStrategy.LEFT_HEAVY)
         index.add(_record(1, "abcdef"))
-        assert list(index.lookup(6, 3, "cdef")) == [_record(1, "abcdef")]
+        assert _hits(index, 6, 3, "cdef") == [_record(1, "abcdef")]
 
 
 class TestSegmentIndexLifecycle:
@@ -99,13 +110,6 @@ class TestSegmentIndexAccounting:
         assert index.entry_count() == index.current_entry_count == 4 * 3
         assert len(index) == 12
 
-    def test_segment_count_counts_all_added_segments(self):
-        index = SegmentIndex(tau=2)
-        index.add(_record(0, "abcdef"))
-        index.add(_record(1, "abcdefgh"))
-        index.evict_below(100)
-        assert index.segment_count == 6  # eviction does not reduce it
-
     def test_approximate_bytes_positive_and_consistent(self):
         index = SegmentIndex(tau=2)
         index.add(_record(0, "abcdef"))
@@ -121,3 +125,32 @@ class TestSegmentIndexAccounting:
         # Same segments twice: 2 distinct keys, 4 postings.
         assert index.distinct_segment_count() == 2
         assert index.entry_count() == 4
+
+#: One op of an index's life: add a string, remove the n-th live row, or
+#: evict every length below n.
+_ops = st.lists(st.tuples(st.sampled_from(["add", "add", "remove", "evict"]),
+                          st.text(alphabet="abñçú中文😀", max_size=9),
+                          st.integers(min_value=0, max_value=10)),
+                max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=st.integers(min_value=0, max_value=3), ops=_ops)
+@example(tau=2, ops=[("add", "ñandúñandú", 0), ("add", "abcdefghij", 1),
+                     ("add", "çççççççç", 2)])
+def test_incremental_accounting_matches_a_recount(tau, ops):
+    """The counters add/remove/evict keep equal a full recount, on any text."""
+    index = SegmentIndex(tau)
+    rows = []
+    for op, text, number in ops:
+        if op == "add" and can_partition(len(text), tau):
+            rows.append(index.store.add(_record(number, text)))
+            index.add_row(rows[-1])
+        elif op == "remove" and rows:
+            index.remove(rows.pop(number % len(rows)))
+        elif op == "evict":
+            index.evict_below(number)
+            rows = [row for row in rows if index.store.length_at(row) >= number]
+        assert index.current_approximate_bytes == index.approximate_bytes()
+        assert index.current_entry_count == index.entry_count()
+        assert index.store.live_count == len(rows)
