@@ -208,63 +208,6 @@ def build_report(scale: float) -> str:
         "reduced cardinality."))
 
     # ------------------------------------------------------------------
-    service = experiments.service_throughput(scale=scale)
-    sections.append(_section(
-        "Service throughput (beyond the paper — online serving)",
-        "The paper's system is a batch join; this reproduction adds an "
-        "online serving layer (dynamic index + LRU query cache + request "
-        "batcher behind an asyncio JSON-lines server, `passjoin serve`). "
-        "The experiment replays a repeated-query workload against the "
-        "serving core with the cache off and on.",
-        format_table(service, markdown=True),
-        "Cached and uncached runs return identical matches; on the "
-        "repeated workload (10% distinct queries) the cache delivers well "
-        "over the 2x queries/sec acceptance bar, since a hit is a "
-        "dictionary lookup instead of a full select-probe-verify pass.  "
-        "CI enforces the 2x bar via "
-        "`benchmarks/bench_service_throughput.py`."))
-
-    # ------------------------------------------------------------------
-    batch = experiments.batch_search(scale=scale)
-    mixed = experiments.batch_search(scale=scale, tau=3, mixed_tau=True)
-    sections.append(_section(
-        "Batch search (beyond the paper — batch executor v2)",
-        "The paper probes one string at a time; this reproduction adds a "
-        "batch-probe executor (`search_many()`, wire op `search-batch`, "
-        "CLI `query --file`) that answers a whole query batch in one "
-        "grouped index pass — duplicate queries probed once, selection "
-        "windows served from a persistent per-searcher cache keyed on "
-        "the index partition threshold (so they are shared across tau "
-        "groups and across batches), and postings scans fused: when "
-        "several queries in a batch probe the same (segment, window) "
-        "posting list it is scanned once and the surviving ordinals "
-        "fanned out to every interested query — all over a columnar "
-        "record store (interned (id, length, text) columns, postings as "
-        "flat array('q') ordinals).  The second table runs the mixed-tau "
-        "workload (per-query thresholds drawn from 1..3), where only "
-        "cross-group sharing can help; `windows_cache_hits` and "
-        "`postings_fanout` are the matching funnel-counter deltas.",
-        format_table(batch, markdown=True) + "\n\n"
-        + format_table(mixed, markdown=True),
-        "Batched and sequential runs return element-identical results "
-        "(asserted by the experiment itself, for both workloads) and the "
-        "batched path clears the >= 1.3x throughput bar CI enforces via "
-        "`benchmarks/bench_batch_search.py`; the mixed-tau run gates "
-        "unconditionally on equality and non-zero window-cache hits, and "
-        "on a >= 1.2x bar on runners with >= 2 CPUs (on a 1-CPU box the "
-        "bar is reported, not enforced).  Batch-aware top-k "
-        "(`search_top_k_many()`, wire op `top-k-batch`, CLI `query "
-        "--file --top-k`) widens tau in lockstep across a batch and "
-        "retires satisfied queries between rounds, element-identical to "
-        "sequential `search_top_k()`.  The memory columns compare "
-        "the columnar index (`index_bytes`: postings + record columns) "
-        "with the estimated pre-columnar object-list layout "
-        "(`object_index_bytes`: the same postings referencing one heap "
-        "record object per string) — the columnar layout is roughly half "
-        "the footprint on the author dataset, on top of being "
-        "copy-on-write friendly for fork-spawned workers."))
-
-    # ------------------------------------------------------------------
     funnel = experiments.filter_funnel(scale=scale)
     sections.append(_section(
         "Filter funnel (beyond the paper — observability)",
@@ -282,56 +225,11 @@ def build_report(scale: float) -> str:
         "scanned on a live server), and verify_rate — verifications per "
         "accepted match — quantifies filter tightness per threshold: it "
         "grows with tau exactly as the paper's candidate-count figures "
-        "predict.  `benchmarks/bench_batch_search.py` embeds the same "
-        "counters in its BENCH_batch_search.json trajectory, so a filter "
-        "regression shows up as a candidate-count jump even when "
-        "wall-clock noise hides it, and measures the cost of per-request "
-        "metrics recording (must stay < 5%)."))
-
-    # ------------------------------------------------------------------
-    sharded = experiments.sharded_throughput(scale=scale, backend="thread")
-    sections.append(_section(
-        "Sharded serving (beyond the paper — multi-core serving tier)",
-        "The serving core runs every index pass on one thread; "
-        "`serve --shards N` partitions the live collection across N shard "
-        "workers (hash-of-id or length-band placement) and scatter-gathers "
-        "queries, merging under the canonical (distance, id) ordering so "
-        "answers are element-identical to the unsharded server.",
-        format_table(sharded, markdown=True),
-        "Every shard count returns exactly the same total match count — "
-        "the property CI enforces via `benchmarks/bench_sharded_service.py`. "
-        "This report uses the in-process thread backend, so the speedup "
-        "column measures scatter-gather overhead, not parallelism; on a "
-        "1-CPU container expect < 1x.  Multi-core speedup comes from the "
-        "process backend (fork-spawned shard workers, each searching a "
-        "~1/N slice on its own core): run "
-        "`benchmarks/bench_sharded_service.py --backend process` on a "
-        "multi-core machine to measure it."))
-
-    # ------------------------------------------------------------------
-    resharding = experiments.resharding_throughput(scale=scale)
-    sections.append(_section(
-        "Resharding throughput (beyond the paper — elastic shard fleet)",
-        "The paper's system is static; this reproduction can resize the "
-        "shard fleet live (`add-shard`/`remove-shard` ops, CLI "
-        "`passjoin admin reshard --shards N`).  Placement is a pluggable "
-        "map — a consistent-hashing ring (`hash`, resizes move ~1/N of "
-        "the records), splittable length bands (`length`), or the legacy "
-        "`modulo` — and a resize streams the affected records between "
-        "shards in bounded batches while queries keep being answered.",
-        format_table(resharding, markdown=True),
-        "The same workload runs at a steady fleet size and *while* an "
-        "add-shard / remove-shard migration is in flight; every answer, "
-        "mid-migration included, is asserted element-identical to an "
-        "unsharded searcher (a dual-present record is probed on both its "
-        "donor and its recipient and deduplicated by the (distance, id) "
-        "merge).  The moved_frac column shows the consistent-hash ring "
-        "moving ~1/3 of the rows on a 2<->3 resize where the modulo map "
-        "would move nearly all of them.  On this 1-CPU container the "
-        "resize phases dip below steady throughput because the migration "
-        "work time-slices with query work on the one core — the claim "
-        "under test is availability and exactness, not speed, and CI "
-        "enforces it via `benchmarks/bench_resharding.py`."))
+        "predict.  The end-to-end benchmark reports the same counters "
+        "per layer (`benchmarks/e2e/run.py --trace 1`: "
+        "`core.engine.candidates`, `core.verify.verifications`, ...), so "
+        "a filter regression shows up as a count jump even when "
+        "wall-clock noise hides it."))
 
     # ------------------------------------------------------------------
     replicas = experiments.replica_scaling(scale=scale)
@@ -356,34 +254,6 @@ def build_report(scale: float) -> str:
         "enforces >= 1.4x read qps at 2 replicas via "
         "`benchmarks/bench_replica_throughput.py` (the exactness gate is "
         "enforced on every machine)."))
-
-    # ------------------------------------------------------------------
-    kernel_cmp = experiments.kernel_comparison(scale=scale)
-    sections.append(_section(
-        "Similarity kernels (beyond the paper — pluggable kernel layer)",
-        "The paper's pipeline is specific to edit distance; this "
-        "reproduction extracts the probe pipeline behind a "
-        "`SimilarityKernel` interface (signatures + candidate filters + "
-        "verifier + threshold semantics) and registers two kernels: "
-        "`edit-distance` (the Pass-Join pipeline, unchanged results) and "
-        "`token-jaccard` (prefix-filter signatures over a rare-first token "
-        "order, exact token-set overlap verification, scaled Jaccard "
-        "threshold `<= tau/100`).  Every serving layer — dynamic index, "
-        "query cache, batch executor, shard router, live resharding, "
-        "explain — serves whichever kernel the service is configured "
-        "with (`serve --kernel`).",
-        format_table(kernel_cmp, markdown=True),
-        "One corrupted-query workload over the multi-token title dataset "
-        "runs through both kernels; each kernel's matches are asserted "
-        "element-identical to a brute-force scan with its own distance "
-        "function, so the funnel columns compare honest implementations.  "
-        "The token-Jaccard kernel probes far fewer, larger signatures "
-        "(one posting list per prefix token vs one per partition segment), "
-        "which is why its query throughput is higher at equal candidate "
-        "quality; its index is also smaller (token postings vs segment "
-        "postings).  CI tracks both kernels' funnel and throughput via "
-        "`benchmarks/bench_kernels.py` and the `BENCH_kernels.json` "
-        "trajectory."))
 
     # ------------------------------------------------------------------
     ablation_partition = experiments.ablation_partition_strategies(scale=scale)

@@ -17,11 +17,16 @@ function                         paper content
 :func:`fig16_scalability`          Figure 16 — join time vs collection size
 ==============================  ============================================
 
-plus ablations that back design choices discussed in DESIGN.md
+plus ablations that back design choices discussed in EXPERIMENTS.md
 (:func:`ablation_partition_strategies`, :func:`ablation_verifier_kernels`,
-:func:`ablation_filter_quality`) and the tracked kernel benchmark
+:func:`ablation_filter_quality`), the tracked kernel benchmark
 :func:`verification_kernels` (batched vs per-pair bit-parallel
-verification, the source of ``BENCH_verification.json``).
+verification, the source of ``BENCH_verification.json``) and three
+experiments beyond the paper: :func:`parallel_scaling` (worker count),
+:func:`filter_funnel` (per-stage survivors on the search path) and
+:func:`replica_scaling` (read replicas, the source of
+``BENCH_replicas.json``).  Serving throughput is measured end to end by
+``benchmarks/e2e`` rather than here.
 
 Dataset sizes default to a few hundred–few thousand strings (the paper uses
 460k–860k; a pure-Python reproduction keeps the workload *shape* but scales
@@ -383,184 +388,6 @@ def parallel_scaling(scale: float = 1.0, name: str = "author", tau: int = 2,
 
 
 # ----------------------------------------------------------------------
-# Service throughput (beyond the paper — the online serving layer)
-# ----------------------------------------------------------------------
-def service_throughput(scale: float = 1.0, name: str = "author", tau: int = 2,
-                       num_queries: int | None = None,
-                       distinct_fraction: float = 0.1,
-                       cache_capacity: int = 1024,
-                       seed: int = 7) -> ExperimentTable:
-    """Queries/sec of the serving core with the query cache off and on.
-
-    A repeated-query workload (``distinct_fraction`` of the requests are
-    distinct; the rest repeat them, mimicking popular online lookups) runs
-    through :class:`~repro.service.server.SimilarityService` twice — once
-    with ``cache_capacity=0`` and once with the cache enabled.  Both runs
-    must return the same total number of matches; the table records the
-    speedup and the cache hit rate.  Transport (JSON framing, TCP) is
-    deliberately excluded: this measures the serving core the transport
-    multiplexes onto.
-    """
-    import random
-
-    from ..config import ServiceConfig
-    from ..datasets.corruption import apply_random_edits
-    from ..service.server import SimilarityService
-
-    strings = build_datasets(scale, [name])[name]
-    if num_queries is None:
-        num_queries = max(20, int(400 * scale))
-    rng = random.Random(seed)
-    distinct = max(1, min(num_queries, int(num_queries * distinct_fraction)))
-    pool = [apply_random_edits(rng.choice(strings), rng.randint(0, tau), rng)
-            for _ in range(distinct)]
-    workload = [rng.choice(pool) for _ in range(num_queries)]
-
-    table = ExperimentTable(
-        key="service-throughput",
-        title="Online service throughput: query cache off vs on",
-        columns=["dataset", "tau", "queries", "distinct", "cache", "seconds",
-                 "qps", "speedup", "hit_rate", "total_matches"],
-        notes=f"{distinct} distinct queries repeated to {num_queries} "
-              "requests; serving core only (no TCP transport); " + _SCALE_NOTE,
-    )
-    measured: list[tuple[str, float, float, int]] = []
-    for label, capacity in (("off", 0), ("on", cache_capacity)):
-        service = SimilarityService(
-            strings, ServiceConfig(max_tau=tau, cache_capacity=capacity))
-        keys = [("search", query, tau) for query in workload]
-        total_matches = 0
-        with Timer() as timer:
-            for key in keys:
-                matches, _ = service.execute_queries([key])[0]
-                total_matches += len(matches)
-        measured.append((label, timer.seconds,
-                         service.cache.stats.hit_rate, total_matches))
-    baseline_seconds = measured[0][1]
-    for label, seconds, hit_rate, total_matches in measured:
-        table.add_row(dataset=name, tau=tau, queries=num_queries,
-                      distinct=distinct, cache=label,
-                      seconds=round(seconds, 6),
-                      qps=round(num_queries / max(seconds, 1e-9), 1),
-                      speedup=round(baseline_seconds / max(seconds, 1e-9), 3),
-                      hit_rate=round(hit_rate, 4),
-                      total_matches=total_matches)
-    return table
-
-
-# ----------------------------------------------------------------------
-# Batch search (beyond the paper — the batch-probe executor)
-# ----------------------------------------------------------------------
-def batch_search(scale: float = 1.0, name: str = "author", tau: int = 2,
-                 num_queries: int | None = None, batch_size: int = 64,
-                 distinct_fraction: float = 0.1,
-                 seed: int = 7, mixed_tau: bool = False) -> ExperimentTable:
-    """Per-query ``search()`` vs the grouped ``search_many()`` batch path.
-
-    A repeated-query workload (``distinct_fraction`` of the requests are
-    distinct) runs against one :class:`~repro.search.PassJoinSearcher`
-    twice: once as sequential per-query searches and once in
-    ``batch_size``-query batches through the batch-probe executor, which
-    probes duplicate queries once and shares the selection-window
-    computation between same-length queries.  Both runs must return
-    element-identical results per query — the benchmark asserts it.
-
-    With ``mixed_tau`` every query draws its own threshold from
-    ``1..tau``, the workload where the v2 executor's persistent window
-    cache and fused posting scans matter: selection windows depend only on
-    the index partition threshold, so same-length queries share them even
-    across different per-query taus and across batches.  The
-    ``windows_cache_hits`` and ``postings_fanout`` columns record the
-    per-run deltas of the matching funnel counters.
-
-    The table also records the columnar index memory
-    (:meth:`SegmentIndex.memory_report
-    <repro.core.index.SegmentIndex.memory_report>`) next to the estimated
-    footprint of the pre-columnar object-list layout
-    (:meth:`~repro.core.index.SegmentIndex.object_layout_bytes`), the other
-    half of the refactor's win.
-    """
-    import random
-
-    from ..datasets.corruption import apply_random_edits
-    from ..search.searcher import PassJoinSearcher
-
-    strings = build_datasets(scale, [name])[name]
-    if num_queries is None:
-        num_queries = max(2 * batch_size, int(640 * scale))
-    rng = random.Random(seed)
-    distinct = max(1, min(num_queries, int(num_queries * distinct_fraction)))
-    pool = [apply_random_edits(rng.choice(strings), rng.randint(0, tau), rng)
-            for _ in range(distinct)]
-    workload = [rng.choice(pool) for _ in range(num_queries)]
-    if mixed_tau:
-        taus = [rng.randint(1, max(1, tau)) for _ in workload]
-    else:
-        taus = [tau] * len(workload)
-
-    searcher = PassJoinSearcher(strings, max_tau=tau)
-    memory = searcher._index.memory_report()
-    object_bytes = searcher._index.object_layout_bytes()
-
-    def funnel_counters() -> tuple[int, int]:
-        stats = searcher.statistics
-        return stats.num_windows_cache_hits, stats.num_postings_fanout
-
-    marker = funnel_counters()
-    with Timer() as sequential_timer:
-        sequential = [searcher.search(query, query_tau)
-                      for query, query_tau in zip(workload, taus)]
-    after = funnel_counters()
-    sequential_counters = tuple(now - then
-                                for now, then in zip(after, marker))
-    marker = after
-    with Timer() as batch_timer:
-        batched: list = []
-        for start in range(0, len(workload), batch_size):
-            batched.extend(searcher.search_many(
-                workload[start:start + batch_size],
-                taus[start:start + batch_size]))
-    batch_counters = tuple(now - then for now, then
-                           in zip(funnel_counters(), marker))
-    if batched != sequential:
-        raise AssertionError(
-            "batch-probe executor disagrees with per-query search")
-
-    table = ExperimentTable(
-        key="batch-search",
-        title="Batch-probe executor: sequential vs batched search",
-        columns=["dataset", "tau", "queries", "distinct", "batch_size",
-                 "mode", "seconds", "qps", "speedup", "total_matches",
-                 "windows_cache_hits", "postings_fanout",
-                 "index_bytes", "object_index_bytes"],
-        notes=f"{distinct} distinct queries repeated to {num_queries} "
-              f"requests in batches of {batch_size}; results asserted "
-              "element-identical; windows_cache_hits / postings_fanout are "
-              "the per-run funnel-counter deltas; index_bytes is the "
-              "columnar layout (postings + record columns), "
-              "object_index_bytes the estimated pre-columnar object-list "
-              "layout; " + _SCALE_NOTE,
-    )
-    tau_label = f"1..{max(1, tau)}" if mixed_tau else tau
-    baseline_seconds = sequential_timer.seconds
-    for mode, seconds, results, counters in (
-            ("sequential", sequential_timer.seconds, sequential,
-             sequential_counters),
-            ("batch", batch_timer.seconds, batched, batch_counters)):
-        table.add_row(dataset=name, tau=tau_label, queries=num_queries,
-                      distinct=distinct, batch_size=batch_size, mode=mode,
-                      seconds=round(seconds, 6),
-                      qps=round(num_queries / max(seconds, 1e-9), 1),
-                      speedup=round(baseline_seconds / max(seconds, 1e-9), 3),
-                      total_matches=sum(len(matches) for matches in results),
-                      windows_cache_hits=counters[0],
-                      postings_fanout=counters[1],
-                      index_bytes=memory["approximate_bytes"],
-                      object_index_bytes=object_bytes)
-    return table
-
-
-# ----------------------------------------------------------------------
 # Filter funnel (beyond the paper — the observability layer's view)
 # ----------------------------------------------------------------------
 def filter_funnel(scale: float = 1.0, name: str = "author",
@@ -619,191 +446,6 @@ def filter_funnel(scale: float = 1.0, name: str = "author",
                       accepted=accepted,
                       verify_rate=round(
                           funnel["num_verifications"] / max(accepted, 1), 3))
-    return table
-
-
-# ----------------------------------------------------------------------
-# Sharded serving throughput (beyond the paper — the sharded serving tier)
-# ----------------------------------------------------------------------
-def sharded_throughput(scale: float = 1.0, name: str = "author", tau: int = 2,
-                       num_queries: int | None = None,
-                       shard_counts: Sequence[int] = (1, 2, 3),
-                       policy: str = "hash", backend: str = "auto",
-                       seed: int = 7) -> ExperimentTable:
-    """Queries/sec of the serving core as the collection is sharded.
-
-    The same (all-distinct, cache-off) query workload runs against the
-    serving core configured with each shard count in ``shard_counts``;
-    ``shards=1`` is the unsharded :class:`~repro.service.DynamicSearcher`
-    baseline for the ``speedup`` column; it is always swept, first, no
-    matter how ``shard_counts`` is spelled.  Every row must report the same
-    total number of matches — the sharded tier is exact by construction,
-    and the benchmark asserts it.
-
-    Speedup depends on the machine: with the ``process`` backend each shard
-    worker searches a ~``1/N`` slice concurrently on its own core, while on
-    a 1-CPU box (or under the in-process ``thread`` backend) scatter-gather
-    costs are pure overhead and the column documents exactly that.  The
-    table notes record the CPU budget and resolved backend so the numbers
-    are interpretable either way.
-    """
-    import random
-
-    from ..config import ServiceConfig
-    from ..datasets.corruption import apply_random_edits
-    from ..service.server import SimilarityService
-    from ..service.sharding import resolve_shard_backend
-
-    strings = build_datasets(scale, [name])[name]
-    if num_queries is None:
-        num_queries = max(20, int(400 * scale))
-    rng = random.Random(seed)
-    workload = [apply_random_edits(rng.choice(strings), rng.randint(0, tau), rng)
-                for _ in range(num_queries)]
-    keys = [("search", query, tau) for query in workload]
-
-    # The unsharded run is the baseline: always present, always first.
-    shard_counts = (1, *[count for count in shard_counts if count != 1])
-    resolved = resolve_shard_backend(backend)
-    table = ExperimentTable(
-        key="sharded-throughput",
-        title="Sharded serving tier: throughput vs shard count",
-        columns=["dataset", "tau", "queries", "shards", "policy", "backend",
-                 "seconds", "qps", "speedup", "total_matches"],
-        notes=f"{available_cpus()} CPU(s) available, backend resolves to "
-              f"{resolved!r}; cache disabled so every query is a real index "
-              f"pass; on 1 CPU scatter-gather is pure overhead — speedup "
-              f"needs a multi-core runner; " + _SCALE_NOTE,
-    )
-    baseline_seconds: float | None = None
-    for shards in shard_counts:
-        service = SimilarityService(strings, ServiceConfig(
-            max_tau=tau, cache_capacity=0, shards=shards,
-            shard_policy=policy, shard_backend=backend))
-        try:
-            total_matches = 0
-            with Timer() as timer:
-                for key in keys:
-                    matches, _ = service.execute_queries([key])[0]
-                    total_matches += len(matches)
-        finally:
-            service.close()
-        if shards == 1:
-            baseline_seconds = timer.seconds
-        assert baseline_seconds is not None  # shards=1 is swept first
-        table.add_row(dataset=name, tau=tau, queries=num_queries,
-                      shards=shards, policy=policy if shards > 1 else "-",
-                      backend=resolved if shards > 1 else "unsharded",
-                      seconds=round(timer.seconds, 6),
-                      qps=round(num_queries / max(timer.seconds, 1e-9), 1),
-                      speedup=round(baseline_seconds
-                                    / max(timer.seconds, 1e-9), 3),
-                      total_matches=total_matches)
-    return table
-
-
-# ----------------------------------------------------------------------
-# Resharding throughput (beyond the paper — the elastic shard fleet)
-# ----------------------------------------------------------------------
-def resharding_throughput(scale: float = 1.0, name: str = "author",
-                          tau: int = 2, num_queries: int | None = None,
-                          policy: str = "hash", backend: str = "thread",
-                          migration_batch: int = 64,
-                          seed: int = 7) -> ExperimentTable:
-    """Serving throughput while the shard fleet is resized live.
-
-    Runs one query workload five times against a sharded serving core
-    (cache off): at a steady 2 shards, *while* an ``add-shard`` rebalance
-    streams records to a third shard (one bounded migration step between
-    queries — the interleaving a live server produces), at a steady 3
-    shards, while a ``remove-shard`` rebalance retires the third shard,
-    and at a steady 2 shards again.  Every single answer — including every
-    answer produced mid-migration — is asserted element-identical to an
-    unsharded :class:`~repro.service.DynamicSearcher` over the same
-    collection: the experiment *is* the zero-downtime claim, measured.
-
-    ``rows_moved``/``moved_frac`` report the migration volume of the two
-    resize phases: the consistent-hash ``hash`` policy moves ~1/N of the
-    collection where the legacy ``modulo`` map would move nearly all of it.
-    """
-    import random
-
-    from ..config import ServiceConfig
-    from ..datasets.corruption import apply_random_edits
-    from ..service.dynamic import DynamicSearcher
-    from ..service.server import SimilarityService
-    from ..service.sharding import resolve_shard_backend
-
-    strings = build_datasets(scale, [name])[name]
-    if num_queries is None:
-        num_queries = max(20, int(300 * scale))
-    rng = random.Random(seed)
-    workload = [apply_random_edits(rng.choice(strings), rng.randint(0, tau), rng)
-                for _ in range(num_queries)]
-    keys = [("search", query, tau) for query in workload]
-
-    oracle = DynamicSearcher(strings, max_tau=tau)
-    expected = [oracle.search(query, tau) for query in workload]
-
-    resolved = resolve_shard_backend(backend)
-    table = ExperimentTable(
-        key="resharding-throughput",
-        title="Elastic shard fleet: throughput while resharding",
-        columns=["dataset", "tau", "queries", "phase", "shards", "policy",
-                 "seconds", "qps", "rows_moved", "moved_frac"],
-        notes=f"{available_cpus()} CPU(s) available, backend resolves to "
-              f"{resolved!r}, migration_batch={migration_batch}; cache "
-              f"disabled so every query is a real index pass; every answer "
-              f"(mid-migration included) is asserted element-identical to "
-              f"an unsharded searcher; on 1 CPU the resize phases pay the "
-              f"migration work on the serving core's only core, so their "
-              f"qps dips — the point is that it never drops to zero; "
-              + _SCALE_NOTE,
-    )
-    service = SimilarityService(strings, ServiceConfig(
-        max_tau=tau, cache_capacity=0, shards=2, shard_policy=policy,
-        shard_backend=backend, migration_batch=migration_batch))
-
-    def run_phase(phase: str, resize: str | None) -> None:
-        rows_moved = 0
-        with Timer() as timer:
-            if resize is not None:
-                started = service.handle_request({"op": resize,
-                                                  "drain": False})
-                if not started.get("ok"):
-                    # A silently failed resize would degrade this phase
-                    # into a steady-state run and report the *previous*
-                    # migration's row counts — fail loudly instead.
-                    raise AssertionError(
-                        f"{phase}: {resize} failed: {started.get('error')}")
-            for key, matches in zip(keys, expected):
-                if resize is not None:
-                    service.migration_step()
-                answer, _ = service.execute_queries([key])[0]
-                if answer != matches:
-                    raise AssertionError(
-                        f"{phase}: sharded answer diverged from the "
-                        f"unsharded oracle for query {key[1]!r}")
-            if resize is not None:
-                while service.rebalance_status()["active"]:
-                    service.migration_step()
-        if resize is not None:
-            rows_moved = service.rebalance_status()["rows_copied"]
-        table.add_row(dataset=name, tau=tau, queries=num_queries,
-                      phase=phase, shards=service.searcher.num_shards,
-                      policy=policy, seconds=round(timer.seconds, 6),
-                      qps=round(num_queries / max(timer.seconds, 1e-9), 1),
-                      rows_moved=rows_moved,
-                      moved_frac=round(rows_moved / max(len(strings), 1), 3))
-
-    try:
-        run_phase("steady-2", None)
-        run_phase("during-add", "add-shard")
-        run_phase("steady-3", None)
-        run_phase("during-remove", "remove-shard")
-        run_phase("steady-2-after", None)
-    finally:
-        service.close()
     return table
 
 
@@ -1068,83 +710,6 @@ def ablation_filter_quality(scale: float = 1.0, name: str = "author",
     return table
 
 
-# ----------------------------------------------------------------------
-# Similarity kernels (beyond the paper — the pluggable-kernel layer)
-# ----------------------------------------------------------------------
-def kernel_comparison(scale: float = 1.0, name: str = "title",
-                      ed_tau: int = 2, jaccard_tau: int = 40,
-                      num_queries: int | None = None,
-                      seed: int = 7) -> ExperimentTable:
-    """Both similarity kernels serving the same workload, side by side.
-
-    One corrupted-query workload over the multi-token ``title`` dataset is
-    answered twice through the same :class:`~repro.search.PassJoinSearcher`
-    front end — once under the ``edit-distance`` kernel (character edits,
-    partition segments) and once under ``token-jaccard`` (token sets,
-    prefix-filter signatures).  Thresholds are chosen to be *semantically*
-    comparable, not numerically: ``ed_tau`` character edits vs a scaled
-    Jaccard distance of ``jaccard_tau`` (``<= jaccard_tau/100`` dissimilar).
-
-    Every kernel's results are asserted element-identical to a brute-force
-    scan with its own distance function — a fast-but-wrong kernel fails the
-    experiment rather than winning it.  The funnel columns show what the
-    two signature schemes hand the verifier on identical text.
-    """
-    import random
-
-    from ..core.kernel import token_jaccard_distance
-    from ..datasets.corruption import apply_random_edits
-    from ..distance import edit_distance
-    from ..search.searcher import PassJoinSearcher
-
-    strings = build_datasets(scale, [name])[name]
-    if num_queries is None:
-        num_queries = max(16, int(128 * scale))
-    rng = random.Random(seed)
-    workload = [apply_random_edits(rng.choice(strings), rng.randint(0, 3),
-                                   rng)
-                for _ in range(num_queries)]
-
-    table = ExperimentTable(
-        key="kernel-comparison",
-        title="Similarity kernels: edit distance vs token-set Jaccard",
-        columns=["dataset", "kernel", "tau", "queries", "seconds", "qps",
-                 "candidates", "verifications", "accepted", "total_matches",
-                 "index_bytes"],
-        notes="same workload through both kernels; each kernel's matches "
-              "are asserted element-identical to a brute-force scan with "
-              "its own distance; tau semantics differ by design "
-              "(character edits vs scaled Jaccard distance); " + _SCALE_NOTE,
-    )
-    oracles = {"edit-distance": edit_distance,
-               "token-jaccard": token_jaccard_distance}
-    for kernel, tau in (("edit-distance", ed_tau),
-                        ("token-jaccard", jaccard_tau)):
-        searcher = PassJoinSearcher(strings, max_tau=tau, kernel=kernel)
-        with Timer() as timer:
-            results = [searcher.search(query, tau) for query in workload]
-        distance = oracles[kernel]
-        for query, matches in zip(workload, results):
-            expected = sorted(
-                (record_id, text) for record_id, text in enumerate(strings)
-                if distance(text, query) <= tau)
-            if sorted((m.id, m.text) for m in matches) != expected:
-                raise AssertionError(
-                    f"{kernel} kernel disagrees with brute force on "
-                    f"{query!r}")
-        stats = searcher.statistics
-        table.add_row(dataset=name, kernel=kernel, tau=tau,
-                      queries=num_queries,
-                      seconds=round(timer.seconds, 6),
-                      qps=round(num_queries / max(timer.seconds, 1e-9), 1),
-                      candidates=stats.num_candidates,
-                      verifications=stats.num_verifications,
-                      accepted=stats.num_accepted,
-                      total_matches=sum(len(m) for m in results),
-                      index_bytes=stats.index_bytes)
-    return table
-
-
 #: Registry used by the CLI and by EXPERIMENTS.md generation.
 EXPERIMENTS: dict[str, Callable[..., ExperimentTable]] = {
     "table2": table2_dataset_statistics,
@@ -1156,15 +721,10 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentTable]] = {
     "figure15": fig15_comparison,
     "figure16": fig16_scalability,
     "parallel-scaling": parallel_scaling,
-    "service-throughput": service_throughput,
-    "batch-search": batch_search,
     "filter-funnel": filter_funnel,
-    "sharded-throughput": sharded_throughput,
-    "resharding-throughput": resharding_throughput,
     "replica-scaling": replica_scaling,
     "ablation-partition": ablation_partition_strategies,
     "ablation-verifier": ablation_verifier_kernels,
     "verification-kernels": verification_kernels,
     "ablation-filter-quality": ablation_filter_quality,
-    "kernel-comparison": kernel_comparison,
 }

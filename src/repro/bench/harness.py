@@ -9,6 +9,7 @@ to dataset sizes so the same experiment code serves both the quick
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -100,8 +101,8 @@ def scaled(sizes: Mapping[str, int], scale: float) -> dict[str, int]:
     size are impractically slow, so experiments run on scaled-down corpora
     and report the scale in their notes.
     """
-    if scale <= 0:
-        raise ExperimentError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ExperimentError(f"scale must be positive and finite, got {scale}")
     return {name: max(50, int(size * scale)) for name, size in sizes.items()}
 
 

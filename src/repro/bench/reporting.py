@@ -38,10 +38,9 @@ FUNNEL_METRIC_FIELDS = ("num_selected_substrings", "num_index_probes",
 def funnel_metrics(statistics: JoinStatistics) -> dict[str, int]:
     """The filter-funnel counters of ``statistics`` as a flat mapping.
 
-    Benchmark scripts merge this into the headline ``metrics`` of their
-    :func:`bench_run_payload` so ``BENCH_*.json`` trajectories track
-    candidate-count regressions — a filter change that suddenly lets 10x
-    more candidates through to the verifier — alongside raw speedups.
+    The ``filter-funnel`` experiment reports these stage by stage, so a
+    filter change that suddenly lets 10x more candidates through to the
+    verifier shows as a count jump rather than as wall-clock noise.
     """
     return {field: getattr(statistics, field)
             for field in FUNNEL_METRIC_FIELDS}

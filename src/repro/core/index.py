@@ -300,8 +300,7 @@ class SegmentIndex:
         return total
 
     def memory_report(self) -> dict[str, int]:
-        """Memory figures of the columnar layout, for the ``stats`` op and
-        the batch-search benchmark.
+        """Memory figures of the columnar layout, for the ``stats`` op.
 
         ``records`` counts live store rows (for a dynamic index this
         includes tombstoned records until compaction physically purges
@@ -317,25 +316,6 @@ class SegmentIndex:
             "store_bytes": store_bytes,
             "approximate_bytes": self._current_bytes + store_bytes,
         }
-
-    def object_layout_bytes(self) -> int:
-        """Estimated footprint of the pre-columnar object-list layout.
-
-        The counterfactual the memory benchmark compares against: the same
-        inverted lists holding per-posting references to heap
-        ``StringRecord`` objects — so each live record pays one record
-        object plus one string object on top of its text, where the
-        columnar layout pays three machine words.  Posting and segment-key
-        bytes are identical in both layouts and counted the same way as
-        :meth:`approximate_bytes`.
-        """
-        record_overhead = sys.getsizeof(StringRecord(id=0, text=""))
-        str_overhead = sys.getsizeof("")
-        store = self.store
-        # A free row's text is "", so summing the column counts live text.
-        return (self.approximate_bytes()
-                + store.live_count * (record_overhead + str_overhead)
-                + sum(map(len, store.texts)))
 
     def __len__(self) -> int:
         return self.entry_count()

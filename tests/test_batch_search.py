@@ -69,6 +69,18 @@ class TestSearchManyStatic:
         assert searcher.search_many(queries, tau=2) == [
             searcher.search(query, tau=2) for query in queries]
 
+    def test_shared_posting_lists_are_scanned_once(self):
+        # Same-length queries that differ in their last character select
+        # the same leading substrings, so the batch scans those posting
+        # lists once and fans the survivors out to every query.
+        searcher = PassJoinSearcher(
+            ["kaushic chaduri", "kaushik chakrab", "kaushuk chadhui",
+             "caushik chakrabar"], max_tau=2)
+        queries = ["kaushik chakrax", "kaushik chakray", "kaushik chakraz"]
+        batch = searcher.search_many(queries, tau=2)
+        assert searcher.statistics.num_postings_fanout > 0
+        assert batch == [searcher.search(query, tau=2) for query in queries]
+
 
 class TestSearchManyDynamic:
     def test_tombstones_are_filtered(self):

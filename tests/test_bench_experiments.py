@@ -122,47 +122,10 @@ class TestAblations:
         assert len(set(results.values())) == 1
         assert candidates["pass-join"] <= candidates["naive"]
 
-    def test_kernel_comparison_covers_both_kernels(self):
-        # The experiment itself asserts each kernel element-identical to a
-        # brute-force scan with its own distance, so reaching the table at
-        # all is the correctness check.
-        table = experiments.kernel_comparison(scale=SMALL)
-        assert ({row["kernel"] for row in table.rows}
-                == {"edit-distance", "token-jaccard"})
-        for row in table.rows:
-            assert row["accepted"] <= row["verifications"]
-
     def test_experiment_registry_is_complete(self):
-        assert {"table2", "table3", "figure11", "figure12", "figure13",
-                "figure14", "figure15", "figure16", "verification-kernels",
-                "resharding-throughput", "kernel-comparison"
-                } <= set(experiments.EXPERIMENTS)
-
-
-class TestReshardingThroughput:
-    def test_runs_five_phases_with_two_migrations(self):
-        table = experiments.resharding_throughput(scale=SMALL,
-                                                  migration_batch=8)
-        phases = table.column("phase")
-        assert phases == ["steady-2", "during-add", "steady-3",
-                          "during-remove", "steady-2-after"]
-        moving = [row for row in table.rows if row["rows_moved"] > 0]
-        assert len(moving) == 2
-        assert all(row["qps"] > 0 for row in table.rows)
-
-    def test_failed_resize_request_fails_loudly(self, monkeypatch):
-        # A refused add-shard must abort the experiment, not silently
-        # degrade the resize phase into a steady-state measurement.
-        from repro.service.server import SimilarityService
-
-        original = SimilarityService.handle_request
-
-        def refuse_reshards(self, payload):
-            if isinstance(payload, dict) and payload.get("op") == "add-shard":
-                return {"ok": False, "error": "injected failure"}
-            return original(self, payload)
-
-        monkeypatch.setattr(SimilarityService, "handle_request",
-                            refuse_reshards)
-        with pytest.raises(AssertionError, match="injected failure"):
-            experiments.resharding_throughput(scale=SMALL)
+        assert set(experiments.EXPERIMENTS) == {
+            "table2", "table3", "figure11", "figure12", "figure13",
+            "figure14", "figure15", "figure16", "parallel-scaling",
+            "filter-funnel", "replica-scaling", "ablation-partition",
+            "ablation-verifier", "verification-kernels",
+            "ablation-filter-quality"}

@@ -64,8 +64,9 @@ class TestTimerAndScaling:
         assert scaled({"a": 100}, 0.001) == {"a": 50}
 
     def test_scaled_invalid(self):
-        with pytest.raises(ExperimentError):
-            scaled({"a": 100}, 0)
+        for scale in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ExperimentError):
+                scaled({"a": 100}, scale)
 
     def test_geometric_speedup(self):
         assert geometric_speedup([1.0, 1.0], [2.0, 8.0]) == pytest.approx(4.0)

@@ -25,8 +25,8 @@ def tiny_report(report_module):
 
 def test_report_mentions_every_table_and_figure(tiny_report):
     for token in ("Table 2", "Table 3", "Figure 11", "Figures 12 & 13",
-                  "Figure 14", "Figure 15", "Figure 16", "Service throughput",
-                  "Sharded serving", "Ablations"):
+                  "Figure 14", "Figure 15", "Figure 16", "Filter funnel",
+                  "Replica scaling", "Ablations"):
         assert token in tiny_report, token
 
 

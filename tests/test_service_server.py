@@ -43,9 +43,15 @@ class TestDispatch:
     def test_second_identical_search_is_cached(self):
         request = {"op": "search", "query": "vldb", "tau": 1}
         first = self.service.handle_request(request)
+        before = self.service.searcher.statistics.as_dict()
         second = self.service.handle_request(request)
+        after = self.service.searcher.statistics.as_dict()
         assert second["cached"] is True
         assert second["matches"] == first["matches"]
+        # A hit does no engine work: no counter of the searcher moves.
+        counters = [name for name in before if not name.endswith("_seconds")]
+        assert {name: after[name] for name in counters} == {
+            name: before[name] for name in counters}
 
     def test_mutations_update_epoch_and_invalidate(self):
         request = {"op": "search", "query": "icde", "tau": 1}
