@@ -232,30 +232,6 @@ def build_report(scale: float) -> str:
         "wall-clock noise hides it."))
 
     # ------------------------------------------------------------------
-    replicas = experiments.replica_scaling(scale=scale)
-    sections.append(_section(
-        "Replica scaling (beyond the paper — read-replica fleet)",
-        "The paper's system answers one query stream from one index; this "
-        "reproduction can attach read replicas to every shard "
-        "(`serve --replicas N`).  Replicas apply an "
-        "epoch-tagged mutation stream from their primary; the router "
-        "serves a read from a replica only when the replica's applied "
-        "epoch equals the shard's current epoch, so a lagging (or dead) "
-        "replica falls through to the primary instead of answering stale.",
-        format_table(replicas, markdown=True),
-        "A fixed pool of concurrent reader threads drives the same "
-        "workload at 0 (baseline), 1, and 2 replicas per shard; every "
-        "answer is asserted element-identical to an unsharded searcher "
-        "and the replica_reads column shows the rotation actually "
-        "serving.  On this 1-CPU container replica routing is pure "
-        "overhead — the extra workers have no core to run on — so the "
-        "speedup column sits at ~1x; on a >= 4-CPU runner with the "
-        "process backend, reads spread across replica processes and CI "
-        "enforces >= 1.4x read qps at 2 replicas via "
-        "`benchmarks/bench_replica_throughput.py` (the exactness gate is "
-        "enforced on every machine)."))
-
-    # ------------------------------------------------------------------
     ablation_partition = experiments.ablation_partition_strategies(scale=scale)
     ablation_verifier = experiments.ablation_verifier_kernels(scale=scale)
     ablation_quality = experiments.ablation_filter_quality(scale=scale)

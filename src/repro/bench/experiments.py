@@ -21,12 +21,10 @@ plus ablations that back design choices discussed in EXPERIMENTS.md
 (:func:`ablation_partition_strategies`, :func:`ablation_verifier_kernels`,
 :func:`ablation_filter_quality`), the tracked kernel benchmark
 :func:`verification_kernels` (batched vs per-pair bit-parallel
-verification, the source of ``BENCH_verification.json``) and three
-experiments beyond the paper: :func:`parallel_scaling` (worker count),
-:func:`filter_funnel` (per-stage survivors on the search path) and
-:func:`replica_scaling` (read replicas, the source of
-``BENCH_replicas.json``).  Serving throughput is measured end to end by
-``benchmarks/e2e`` rather than here.
+verification, the source of ``BENCH_verification.json``) and two
+experiments beyond the paper: :func:`parallel_scaling` (worker count) and
+:func:`filter_funnel` (per-stage survivors on the search path).  Serving
+throughput is measured end to end by ``benchmarks/e2e`` rather than here.
 
 Dataset sizes default to a few hundred–few thousand strings (the paper uses
 460k–860k; a pure-Python reproduction keeps the workload *shape* but scales
@@ -450,118 +448,6 @@ def filter_funnel(scale: float = 1.0, name: str = "author",
 
 
 # ----------------------------------------------------------------------
-# Replica scaling (beyond the paper — the read-replica fleet)
-# ----------------------------------------------------------------------
-def replica_scaling(scale: float = 1.0, name: str = "author", tau: int = 2,
-                    num_queries: int | None = None,
-                    replica_counts: Sequence[int] = (0, 1, 2),
-                    readers: int = 4, backend: str = "auto",
-                    seed: int = 7) -> ExperimentTable:
-    """Read queries/sec as replicas are added to a single-shard fleet.
-
-    A fixed pool of ``readers`` concurrent reader threads drives the same
-    query workload against a one-shard :class:`~repro.service.ShardRouter`
-    configured with each replica count in ``replica_counts``;
-    ``replicas=0`` is the replica-free baseline for the ``speedup`` column
-    and is always swept, first, no matter how ``replica_counts`` is
-    spelled.  Every single answer is asserted element-identical to an
-    unsharded :class:`~repro.service.DynamicSearcher` over the same
-    collection — replicas never trade exactness for throughput.
-
-    With ``replicas=0`` all readers serialise on the primary worker's
-    request lock; with N replicas the read schedule rotates the same
-    readers across N independent workers, so with the ``process`` backend
-    on a multi-core box read throughput scales toward ``min(readers, N)``
-    concurrent index passes.  On 1 CPU (or under the in-process ``thread``
-    backend) replica workers add routing overhead without adding cores,
-    and the column documents exactly that; the table notes record the CPU
-    budget and resolved backend so the numbers are interpretable either
-    way.  ``replica_reads`` counts reads served by replicas (never stale
-    ones — a lagging replica falls through to the primary).
-    """
-    import random
-    import threading
-
-    from ..datasets.corruption import apply_random_edits
-    from ..service.dynamic import DynamicSearcher
-    from ..service.sharding import ShardRouter, resolve_shard_backend
-
-    strings = build_datasets(scale, [name])[name]
-    if num_queries is None:
-        num_queries = max(20, int(300 * scale))
-    rng = random.Random(seed)
-    workload = [apply_random_edits(rng.choice(strings), rng.randint(0, tau), rng)
-                for _ in range(num_queries)]
-
-    oracle = DynamicSearcher(strings, max_tau=tau)
-    expected = [oracle.search(query, tau) for query in workload]
-
-    # The replica-free run is the baseline: always present, always first.
-    replica_counts = (0, *[count for count in replica_counts if count != 0])
-    resolved = resolve_shard_backend(backend)
-    table = ExperimentTable(
-        key="replica-scaling",
-        title="Read-replica fleet: read throughput vs replica count",
-        columns=["dataset", "tau", "queries", "replicas", "readers",
-                 "backend", "seconds", "qps", "speedup", "replica_reads",
-                 "total_matches"],
-        notes=f"{available_cpus()} CPU(s) available, backend resolves to "
-              f"{resolved!r}, {readers} concurrent reader threads; every "
-              f"answer is asserted element-identical to an unsharded "
-              f"searcher; on 1 CPU replica routing is pure overhead — "
-              f"speedup needs a multi-core runner; " + _SCALE_NOTE,
-    )
-
-    def run_readers(router: ShardRouter) -> int:
-        failures: list[str] = []
-        matched = [0] * readers
-
-        def read_slice(slot: int) -> None:
-            for index in range(slot, len(workload), readers):
-                answer = router.search(workload[index], tau)
-                if answer != expected[index]:
-                    failures.append(workload[index])
-                    return
-                matched[slot] += len(answer)
-
-        threads = [threading.Thread(target=read_slice, args=(slot,))
-                   for slot in range(readers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise AssertionError(
-                f"replicated answer diverged from the unsharded oracle "
-                f"for query {failures[0]!r}")
-        return sum(matched)
-
-    baseline_seconds: float | None = None
-    for replicas in replica_counts:
-        router = ShardRouter(strings, shards=1, max_tau=tau,
-                             backend=backend, replicas_per_shard=replicas)
-        try:
-            with Timer() as timer:
-                total_matches = run_readers(router)
-            replica_reads = router.replica_reads
-        finally:
-            router.close()
-        if replicas == 0:
-            baseline_seconds = timer.seconds
-        assert baseline_seconds is not None  # replicas=0 is swept first
-        table.add_row(dataset=name, tau=tau, queries=num_queries,
-                      replicas=replicas, readers=readers,
-                      backend=resolved if replicas else "primary-only",
-                      seconds=round(timer.seconds, 6),
-                      qps=round(num_queries / max(timer.seconds, 1e-9), 1),
-                      speedup=round(baseline_seconds
-                                    / max(timer.seconds, 1e-9), 3),
-                      replica_reads=replica_reads,
-                      total_matches=total_matches)
-    return table
-
-
-# ----------------------------------------------------------------------
 # Ablations (beyond the paper's figures)
 # ----------------------------------------------------------------------
 def ablation_partition_strategies(scale: float = 1.0, name: str = "author",
@@ -722,7 +608,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentTable]] = {
     "figure16": fig16_scalability,
     "parallel-scaling": parallel_scaling,
     "filter-funnel": filter_funnel,
-    "replica-scaling": replica_scaling,
     "ablation-partition": ablation_partition_strategies,
     "ablation-verifier": ablation_verifier_kernels,
     "verification-kernels": verification_kernels,

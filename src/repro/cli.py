@@ -10,7 +10,6 @@ Six subcommands cover the day-to-day uses of the library::
     passjoin experiment figure15 --scale 0.5   # rerun a paper experiment
     passjoin serve FILE --tau 2 --port 8765    # online similarity service
     passjoin serve FILE --tau 20 --kernel token-jaccard  # Jaccard kernel
-    passjoin serve FILE --replicas 2           # read replicas per shard
     passjoin admin kernels                     # list registered kernels
     passjoin query "some string" --tau 1       # ask a running service
     passjoin query --file queries.txt --tau 1  # batch: one request, N queries
@@ -132,9 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--migration-batch", type=int, default=256,
                        help="records moved per live-resharding step "
                             "(default 256)")
-    serve.add_argument("--replicas", type=int, default=0,
-                       help="read replicas per shard; stale replicas are "
-                            "bypassed to the primary (default 0 = none)")
     serve.add_argument("--slow-query-ms", type=float, default=0.0,
                        help="log requests slower than this (milliseconds) "
                             "to the JSON slow-query log (default 0 = off)")
@@ -285,8 +281,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                            shard_backend=args.shard_backend,
                            migration_batch=args.migration_batch,
                            slow_query_ms=args.slow_query_ms,
-                           kernel=args.kernel,
-                           replicas=args.replicas)
+                           kernel=args.kernel)
     if config.slow_query_ms:
         from .obs.slowlog import configure_slow_query_logging
 
@@ -295,8 +290,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     def announce(address: tuple[str, int]) -> None:
         sharding = ("unsharded" if config.shards == 1 else
                     f"{config.shards} {config.shard_policy} shards")
-        if config.replicas:
-            sharding += f" x{config.replicas + 1} (read replicas)"
         print(f"serving {len(strings)} strings on {address[0]}:{address[1]} "
               f"(kernel={config.kernel}, max_tau={config.max_tau}, "
               f"cache={config.cache_capacity}, {sharding}); "
@@ -374,18 +367,6 @@ def _print_admin_status(stats: dict) -> None:
     print(f"rows per shard: {shards['sizes']}")
     print(f"bytes per shard: {shards['bytes']}")
     print(f"rows migrated (lifetime): {shards['rows_migrated']}")
-    replicas = shards.get("replicas")
-    if replicas is not None:
-        print(f"replicas per shard: {shards['replicas_per_shard']} "
-              f"(reads served by replicas: {shards['replica_reads']}, "
-              f"primary fallbacks: {shards['replica_fallbacks']})")
-        for shard, pool in enumerate(replicas):
-            for index, row in enumerate(pool):
-                state = "ok" if row["alive"] else "DEAD"
-                if row["alive"] and row["lag"]:
-                    state = f"stale (lag {row['lag']})"
-                print(f"  shard {shard} replica {index}: "
-                      f"applied epoch {row['applied_epoch']}, {state}")
     if rebalance["active"]:
         print(f"rebalance in flight: {rebalance['kind']} — "
               f"{rebalance['rows_copied']}/{rebalance['rows_total']} rows "

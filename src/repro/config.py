@@ -260,15 +260,6 @@ class ServiceConfig:
         token sets; ``tau`` is a scaled Jaccard distance in ``[0, 100)``).
         One server serves one kernel; requests naming another kernel are
         rejected with the served and registered kernel names.
-    replicas:
-        Read replicas per shard (``0``, the default, disables replication).
-        Each shard primary feeds ``replicas`` extra workers from its
-        epoch-tagged mutation log; reads load-balance across replicas whose
-        applied epoch matches the router's epoch mirror, and a stale or
-        dead replica is bypassed to the primary — never served.  Setting
-        ``replicas > 0`` routes even a single-shard service through the
-        :class:`~repro.service.sharding.ShardRouter` so the replica fleet
-        exists to serve from.
     """
 
     host: str = "127.0.0.1"
@@ -286,7 +277,6 @@ class ServiceConfig:
     migration_batch: int = 256
     slow_query_ms: float = 0.0
     kernel: str = DEFAULT_KERNEL
-    replicas: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.partition, PartitionStrategy):
@@ -300,8 +290,7 @@ class ServiceConfig:
         for name, value in (("port", self.port),
                             ("cache_capacity", self.cache_capacity),
                             ("max_query_batch", self.max_query_batch),
-                            ("compact_interval", self.compact_interval),
-                            ("replicas", self.replicas)):
+                            ("compact_interval", self.compact_interval)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ConfigurationError(
                     f"{name} must be a non-negative integer, got {value!r}")

@@ -23,12 +23,17 @@ def load_strings(path: str | Path, limit: int | None = None) -> list[str]:
         File to read.
     limit:
         Optional maximum number of strings to return (the file is read
-        lazily, so huge files with a small limit stay cheap).
+        lazily, so huge files with a small limit stay cheap); ``0`` returns
+        no strings and a negative limit raises :class:`DatasetError`.
     """
+    if limit is not None and limit < 0:
+        raise DatasetError(f"limit must be non-negative, got {limit}")
     file_path = Path(path)
     if not file_path.exists():
         raise DatasetError(f"dataset file does not exist: {file_path}")
     strings: list[str] = []
+    if limit == 0:
+        return strings
     with file_path.open("r", encoding="utf-8", errors="replace") as handle:
         for line in handle:
             text = line.rstrip("\n")

@@ -280,7 +280,7 @@ class KernelSearcher:
         follow the canonical ``(distance, id)`` ordering of
         :meth:`SearchMatch.sort_key`, so ties at the cut-off distance are
         broken by record id — deterministic across processes, index
-        builds, and serving replicas.
+        builds, and shards.
         """
         return self.search_top_k_many([query], k, max_tau)[0]
 

@@ -13,10 +13,8 @@ Two flavours over the same wire protocol (see
 Both return :class:`~repro.search.searcher.SearchMatch` objects rebuilt
 from the wire payload via :meth:`SearchMatch.from_dict`, so a round trip
 through the service yields values indistinguishable from a local search.
-Read-scaled servers need no client-side awareness: with read replicas the
-freshness routing happens entirely inside the shard router — a client
-never sees which replica served it, and the exactness guarantee is
-unchanged.
+Sharded servers need no client-side awareness: the shard router merges
+per-shard answers into exactly the unsharded result.
 ``ok: false`` responses raise :class:`~repro.exceptions.ServiceError`;
 violations of the wire protocol itself — the server closing the connection
 mid-response, a truncated or non-JSON frame, a reset transport — raise the

@@ -24,17 +24,6 @@ may change between queries.
 Every mutation bumps :attr:`~DynamicSearcher.epoch`, the invalidation token
 consumed by :class:`~repro.service.cache.QueryCache`.
 
-With ``log_mutations=True`` the searcher additionally keeps an epoch-tagged
-**mutation log** — one ``(epoch_after, op, payload)`` entry per explicit
-``insert``/``delete``/``compact`` — which the sharded router streams to a
-shard's read replicas (:meth:`~DynamicSearcher.mutation_log_tail` /
-:meth:`~DynamicSearcher.apply_mutations`).  Automatic compactions inside
-:meth:`~DynamicSearcher._bump` are deliberately *not* logged: a replica
-replaying the same explicit ops auto-compacts at exactly the same points
-(the trigger is a pure function of the op stream and ``compact_interval``),
-so primary and replica epochs stay in lockstep entry for entry — which is
-what lets the per-shard epoch double as the replica-freshness token.
-
 Exactness: search and top-k results are identical — element for element —
 to re-building a fresh ``PassJoinSearcher`` over the surviving records,
 because both run the same kernel backend over the same logical collection
@@ -44,7 +33,6 @@ asserts this equivalence on random interleavings, for both kernels.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from ..config import PartitionStrategy
@@ -70,7 +58,7 @@ def coerce_insert_record(text: str | StringRecord, id: int | None,
 class DynamicSearcher(KernelSearcher):
     """Approximate similarity search over a mutable collection.
 
-    This class owns mutation, compaction and replication; every query
+    This class owns mutation and compaction; every query
     method (``search`` / ``search_many`` / ``search_top_k`` /
     ``search_top_k_many`` / ``explain``) is the shared
     :class:`~repro.search.searcher.KernelSearcher` surface, filtering
@@ -97,10 +85,6 @@ class DynamicSearcher(KernelSearcher):
         Similarity kernel to serve — a registered name or a
         :class:`~repro.core.kernel.SimilarityKernel` instance; defaults
         to ``edit-distance``.
-    log_mutations:
-        Keep an epoch-tagged mutation log for replica catch-up (see the
-        module docstring).  Off by default — only a shard primary with
-        read replicas pays the bookkeeping.
 
     Examples
     --------
@@ -118,8 +102,7 @@ class DynamicSearcher(KernelSearcher):
     def __init__(self, strings: Iterable[str | StringRecord] = (), *,
                  max_tau: int, partition: PartitionStrategy = PartitionStrategy.EVEN,
                  compact_interval: int = 64,
-                 kernel: str | SimilarityKernel | None = None,
-                 log_mutations: bool = False) -> None:
+                 kernel: str | SimilarityKernel | None = None) -> None:
         self.kernel = resolve_kernel(kernel)
         self.max_tau = self.kernel.validate_tau(max_tau)
         if (isinstance(compact_interval, bool)
@@ -138,11 +121,6 @@ class DynamicSearcher(KernelSearcher):
         self._tombstones: dict[int, StringRecord] = {}
         self._epoch = 0
         self._next_id = 0
-        # Epoch-tagged (epoch_after, op, payload) entries for replica
-        # catch-up; None when logging is off (the common case).
-        self._mutation_log: deque[tuple[int, str, object]] | None = (
-            deque() if log_mutations else None)
-        self._log_trimmed_through = 0
         for record in records:
             if record.id in self._backend:
                 # A duplicate would leave the loser's postings (and short-
@@ -221,7 +199,6 @@ class DynamicSearcher(KernelSearcher):
         self._insert_record(record)
         self.statistics.num_strings += 1
         self._bump()
-        self._log("insert", record)
         return record.id
 
     def get_many(self, record_ids: Iterable[int]) -> list[StringRecord]:
@@ -258,7 +235,6 @@ class DynamicSearcher(KernelSearcher):
             self._length_counts.pop(key, None)
         self.statistics.num_strings -= 1
         self._bump()
-        self._log("delete", record_id)
         return True
 
     def compact(self) -> int:
@@ -270,18 +246,6 @@ class DynamicSearcher(KernelSearcher):
         anything bumps :attr:`epoch` — the physical index changed, and
         downstream caches keyed on the epoch must not outlive it — while a
         no-op compaction (no tombstones) leaves the epoch untouched.
-        """
-        purged = self._compact()
-        if purged:
-            self._log("compact", None)
-        return purged
-
-    def _compact(self) -> int:
-        """The compaction work, without mutation-log bookkeeping.
-
-        :meth:`_bump`'s automatic compaction comes through here so it is
-        never logged — a replica replaying the explicit op stream triggers
-        the same automatic compactions itself (see the module docstring).
         """
         purged = len(self._tombstones)
         for record in self._tombstones.values():
@@ -304,88 +268,9 @@ class DynamicSearcher(KernelSearcher):
     def _bump(self) -> None:
         self._epoch += 1
         if len(self._tombstones) > self.compact_interval:
-            self._compact()
+            self.compact()
         self.statistics.index_entries = self._backend.entry_count()
         self.statistics.index_bytes = self._backend.approximate_bytes()
-
-    def _log(self, op: str, payload: object) -> None:
-        if self._mutation_log is not None:
-            self._mutation_log.append((self._epoch, op, payload))
-
-    # ------------------------------------------------------------------
-    # Replication (the router streams these between primary and replicas)
-    # ------------------------------------------------------------------
-    def mutation_log_tail(self, since_epoch: int,
-                          ) -> list[tuple[int, str, object]]:
-        """The logged mutations past ``since_epoch``, oldest first.
-
-        The replica catch-up stream: a replica whose applied epoch is
-        ``since_epoch`` reaches this searcher's epoch by replaying exactly
-        these entries through :meth:`apply_mutations`.  Raises
-        ``ValueError`` when logging is off, or when the requested span was
-        already trimmed away (the replica is too stale to catch up from
-        the log and needs a full rebuild).
-        """
-        if self._mutation_log is None:
-            raise ValueError("mutation logging is disabled on this searcher")
-        if since_epoch < self._log_trimmed_through:
-            raise ValueError(
-                f"mutation log only reaches back to epoch "
-                f"{self._log_trimmed_through}; a replica at epoch "
-                f"{since_epoch} cannot catch up from it")
-        return [entry for entry in self._mutation_log
-                if entry[0] > since_epoch]
-
-    def trim_mutation_log(self, upto_epoch: int) -> int:
-        """Drop log entries at or below ``upto_epoch``; return the count.
-
-        Called by the router once every replica's applied epoch passed
-        ``upto_epoch``, so the log stays bounded by replication lag
-        instead of growing with the mutation history.
-        """
-        log = self._mutation_log
-        if log is None:
-            return 0
-        trimmed = 0
-        while log and log[0][0] <= upto_epoch:
-            log.popleft()
-            trimmed += 1
-        if upto_epoch > self._log_trimmed_through:
-            self._log_trimmed_through = upto_epoch
-        return trimmed
-
-    def apply_mutations(self, entries: Iterable[tuple[int, str, object]],
-                        ) -> int:
-        """Replay primary log entries on a replica; return how many applied.
-
-        Entries at or below the current epoch are skipped (idempotent
-        re-delivery).  After each replayed entry the epoch must land
-        exactly on the entry's ``epoch_after`` — logged epochs advance
-        deterministically, so any mismatch means this replica diverged
-        from its primary, and serving from it could return a stale or
-        wrong answer.  Divergence raises ``ValueError``; the router
-        responds by marking the replica dead and falling back to the
-        primary, never by serving the diverged index.
-        """
-        applied = 0
-        for epoch_after, op, payload in entries:
-            if epoch_after <= self._epoch:
-                continue
-            if op == "insert":
-                self.insert(payload)
-            elif op == "delete":
-                self.delete(payload)
-            elif op == "compact":
-                self.compact()
-            else:
-                raise ValueError(f"unknown mutation-log op {op!r}")
-            if self._epoch != epoch_after:
-                raise ValueError(
-                    f"replica diverged from its primary: epoch "
-                    f"{self._epoch} after replaying {op!r}, but the "
-                    f"primary logged {epoch_after}")
-            applied += 1
-        return applied
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DynamicSearcher(live={len(self)}, "

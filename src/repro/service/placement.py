@@ -44,7 +44,6 @@ Three maps implement the contract:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
 
 from ..config import SHARD_POLICIES
 from ..exceptions import ConfigurationError
@@ -127,7 +126,7 @@ class ConsistentHashPlacementMap(PlacementMap):
     """Consistent-hashing ring: a resize moves ~1/N of the records.
 
     Each shard owns :data:`VNODES` points on a 64-bit ring (the mixed hash
-    of ``(shard, replica)``); a record belongs to the shard owning the
+    of ``(shard, vnode)``); a record belongs to the shard owning the
     first point at or after ``mix64(id)``, wrapping past the top.  Because
     resizing only adds or removes one shard's points, ownership changes
     are confined to the arcs adjacent to those points — the property the
@@ -145,8 +144,8 @@ class ConsistentHashPlacementMap(PlacementMap):
         # collide).  Without it, a record whose id equals a point's raw
         # input would sit exactly on that point and the dense sequential
         # ids real collections use would all pile onto shard 0.
-        ring = [(mix64(((shard * VNODES + replica) << 1) | 1), shard)
-                for shard in range(shards) for replica in range(VNODES)]
+        ring = [(mix64(((shard * VNODES + vnode) << 1) | 1), shard)
+                for shard in range(shards) for vnode in range(VNODES)]
         ring.sort()
         self._points = [point for point, _ in ring]
         self._owners = [shard for _, shard in ring]
@@ -230,45 +229,3 @@ def make_placement_map(name: str, shards: int, max_tau: int) -> PlacementMap:
             f"got {name!r}") from None
     return map_type(shards, max_tau)
 
-
-class ReplicaReadSchedule:
-    """Round-robin rotation over a shard's eligible read endpoints.
-
-    The placement map decides *which shards* a query probes; with read
-    replicas each probed shard additionally has several physical endpoints
-    able to serve the read — the primary plus every replica whose applied
-    epoch matches the router's epoch mirror (the freshness token; a stale
-    replica is never eligible).  This schedule spreads consecutive reads
-    across those endpoints with a per-shard cursor, so a shard's replicas
-    share its read load evenly instead of the first fresh one taking all
-    of it.
-
-    The eligible set is recomputed by the router per read (freshness and
-    liveness change under mutations and faults); the schedule only owns
-    the rotation state, which is why it lives with the other placement
-    decisions rather than inside the router's scatter-gather plumbing.
-    """
-
-    def __init__(self) -> None:
-        self._cursors: dict[int, int] = {}
-
-    def choose(self, shard: int, candidates: Sequence[int]) -> int | None:
-        """Pick one of ``candidates`` (replica indices), rotating per shard.
-
-        Returns ``None`` when ``candidates`` is empty — the router falls
-        back to the shard primary.  The cursor advances on every call,
-        even across changing candidate sets, so a replica returning to
-        freshness re-enters the rotation immediately.
-        """
-        if not candidates:
-            return None
-        cursor = self._cursors.get(shard, 0)
-        self._cursors[shard] = cursor + 1
-        return candidates[cursor % len(candidates)]
-
-    def reset(self, shard: int | None = None) -> None:
-        """Drop the rotation state of ``shard`` (or of every shard)."""
-        if shard is None:
-            self._cursors.clear()
-        else:
-            self._cursors.pop(shard, None)

@@ -138,18 +138,14 @@ class SimilarityService:
     def __init__(self, strings: Iterable[str | StringRecord] = (),
                  config: ServiceConfig = DEFAULT_SERVICE_CONFIG) -> None:
         self.config = config
-        # replicas > 0 routes even a single-shard collection through the
-        # router: the replica fleet hangs off the router's scatter path,
-        # so an unsharded DynamicSearcher has nowhere to put one.
-        if config.shards > 1 or config.replicas > 0:
+        if config.shards > 1:
             self.searcher: DynamicSearcher | ShardRouter = ShardRouter(
                 strings, shards=config.shards, max_tau=config.max_tau,
                 partition=config.partition,
                 compact_interval=config.compact_interval,
                 policy=config.shard_policy, backend=config.shard_backend,
                 migration_batch=config.migration_batch,
-                kernel=config.kernel,
-                replicas_per_shard=config.replicas)
+                kernel=config.kernel)
         else:
             self.searcher = DynamicSearcher(
                 strings, max_tau=config.max_tau, partition=config.partition,
@@ -535,11 +531,6 @@ class SimilarityService:
         <repro.service.sharding.ShardRouter.metrics_snapshot>` when
         sharded, in which case the per-shard snapshots are also exposed
         under ``shards.per_shard``.
-
-        With read replicas the router's replica section is re-exported as
-        registry metrics — ``replica_reads``/``replica_fallbacks``
-        counters plus ``replica_lag_max``/``replicas_alive``/
-        ``replicas_total`` gauges.
         """
         with self._lock:
             uptime = time.monotonic() - self.started_monotonic
@@ -556,19 +547,8 @@ class SimilarityService:
                 engine = funnel_snapshot(searcher.statistics,
                                          memory=searcher.index_memory(),
                                          kernel=searcher.kernel.name)
-            sources = [self.metrics.snapshot(), self._cache_snapshot(), engine]
-            replicas = (shard_metrics.get("replicas")
-                        if isinstance(searcher, ShardRouter) else None)
-            if replicas is not None:
-                payload["shards"]["replicas"] = replicas
-                replica_registry = MetricsRegistry()
-                for name in ("replica_reads", "replica_fallbacks"):
-                    replica_registry.inc(name, replicas[name])
-                for name in ("replica_lag_max", "replicas_alive",
-                             "replicas_total"):
-                    replica_registry.set_gauge(name, replicas[name])
-                sources.append(replica_registry.snapshot())
-            payload["merged"] = merge_snapshots(sources)
+            payload["merged"] = merge_snapshots(
+                [self.metrics.snapshot(), self._cache_snapshot(), engine])
             return payload
 
     def stats(self) -> dict:
@@ -630,16 +610,6 @@ class SimilarityService:
                     "rows_migrated": searcher.rows_migrated_total,
                     "rebalance": searcher.rebalance_status(),
                 }
-                if searcher.replicas_per_shard:
-                    # Per-replica freshness and liveness (the ``admin status``
-                    # replica rows): applied epoch, lag behind the primary,
-                    # and whether the replica is still being served from.
-                    payload["shards"]["replicas_per_shard"] = (
-                        searcher.replicas_per_shard)
-                    payload["shards"]["replicas"] = searcher.replica_status()
-                    payload["shards"]["replica_reads"] = searcher.replica_reads
-                    payload["shards"]["replica_fallbacks"] = (
-                        searcher.replica_fallbacks)
             return payload
 
 

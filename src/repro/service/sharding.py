@@ -59,35 +59,13 @@ folds into its cache key — a mutation on one shard invalidates exactly the
 cached queries that probe it, and a resize (which changes probe sets) bumps
 the generation so no cached answer can outlive a placement change.
 
-Read replicas
--------------
-``replicas_per_shard=N`` gives every shard ``N`` **read replicas**: extra
-workers built from the same :class:`ShardContext` (fork-time copy-on-write
-for the process backend, exactly like the primaries) that each hold a full
-copy of their shard's index.  The primary keeps an epoch-tagged mutation
-log (:meth:`DynamicSearcher.mutation_log_tail
-<repro.service.dynamic.DynamicSearcher.mutation_log_tail>`); after every
-mutation the router ships the log tail to the shard's replicas, which
-replay it and report their ``applied_epoch`` back.
-
-Freshness is enforced with the machinery that already keys the query
-cache: a read (the ``search-many``/``top-k-many`` worker ops every query
-method scatters) may be served by a replica **only** when its applied
-epoch equals the router's epoch mirror for that shard — the same per-shard
-epoch that :meth:`ShardRouter.epoch_token` folds into cache keys.  A
-lagging, dead, or diverged replica is silently bypassed in favour of the
-primary (and a replica that fails mid-read is marked dead and the read
-retried on the primary), so
-replicated answers are element-identical to an unsharded searcher under
-any interleaving of mutations, resizes, and replica faults — a stale
-answer is structurally impossible, the replicas only ever *add* capacity.
-Writes always route to the primary.  Reads rotate across the fresh
-replicas (and their primary) via
-:class:`~repro.service.placement.ReplicaReadSchedule`; every worker
-endpoint carries its own lock held across one send/recv exchange, so
-multiple caller threads can drive reads against different endpoints of
-the same shard concurrently — the mechanism behind the replica read
-throughput benchmark (``benchmarks/bench_replica_throughput.py``).
+Concurrency
+-----------
+Every worker endpoint carries its own lock, held across one send/recv
+exchange, and a scatter takes the locks of its target shards in ascending
+shard order — so several caller threads may drive the same router at once
+without deadlocking or reading another thread's reply; they only queue per
+shard.
 """
 
 from __future__ import annotations
@@ -95,7 +73,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..config import (DEFAULT_KERNEL, SHARD_BACKENDS, SHARD_POLICIES,
@@ -110,8 +88,7 @@ from ..search.searcher import (SearchMatch, any_key_within, resolve_query_taus,
                                resolve_top_k)
 from ..types import JoinStatistics, StringRecord, as_records
 from .dynamic import DynamicSearcher, coerce_insert_record
-from .placement import (PlacementMap, ReplicaReadSchedule,
-                        make_placement_map)
+from .placement import PlacementMap, make_placement_map
 
 
 def resolve_shard_backend(backend: str) -> str:
@@ -160,17 +137,12 @@ class ShardContext:
     partition: PartitionStrategy
     compact_interval: int
     kernel: str = DEFAULT_KERNEL
-    #: True on a shard primary with read replicas: the primary keeps the
-    #: epoch-tagged mutation log its replicas catch up from.  Replicas are
-    #: built from the same context with this flag stripped.
-    log_mutations: bool = False
 
     def build(self) -> DynamicSearcher:
         return DynamicSearcher(self.records, max_tau=self.max_tau,
                                partition=self.partition,
                                compact_interval=self.compact_interval,
-                               kernel=self.kernel,
-                               log_mutations=self.log_mutations)
+                               kernel=self.kernel)
 
 
 def _apply_shard_op(searcher: DynamicSearcher, op: str, args: object) -> object:
@@ -211,16 +183,6 @@ def _apply_shard_op(searcher: DynamicSearcher, op: str, args: object) -> object:
     if op == "explain":
         query, tau = args
         return searcher.explain(query, tau)
-    if op == "log-tail":
-        # Primary only: the mutation entries a replica needs to catch up.
-        return searcher.mutation_log_tail(args)
-    if op == "log-trim":
-        # Primary only: every replica passed this epoch, drop the prefix.
-        return searcher.trim_mutation_log(args)
-    if op == "apply-log":
-        # Replica only: replay a primary log tail; the standard reply
-        # epoch then reports the replica's new applied epoch.
-        return searcher.apply_mutations(args)
     raise ServiceError(f"unknown shard op {op!r}")
 
 
@@ -244,9 +206,8 @@ class _InProcessShard:
 
     def send(self, op: str, args: object) -> None:
         if self._closed:
-            # Mirror the process backend's broken pipe: a stopped worker
-            # fails at send time, so replica fault handling is
-            # backend-agnostic.
+            # Mirror the process backend's broken pipe: a closed worker
+            # fails at send time on both backends.
             raise ServiceError("shard worker is closed")
         try:
             result = _apply_shard_op(self._searcher, op, args)
@@ -338,36 +299,6 @@ class _ProcessShard:
 
 
 # ----------------------------------------------------------------------
-# Read replicas
-# ----------------------------------------------------------------------
-@dataclass(slots=True)
-class _ReplicaState:
-    """One read replica of a shard: its worker plus replication progress.
-
-    ``applied_epoch`` is the epoch the replica's index reached by
-    replaying the primary's mutation log; the replica may serve reads only
-    while it equals the router's epoch mirror for the shard.  ``alive``
-    goes (permanently) False when the worker fails or is stopped — a dead
-    replica is never read from and never synced again, the primary simply
-    carries its share of the read load.
-    """
-
-    worker: object  # _InProcessShard | _ProcessShard
-    applied_epoch: int = 0
-    alive: bool = True
-
-
-#: Ops a fresh replica may serve.  Everything else — mutations, migration
-#: plumbing, status/metrics/records introspection — routes to the primary.
-_READ_OPS = frozenset({"search-many", "top-k-many"})
-
-#: Ops that move a shard's epoch: after one of these lands on a primary,
-#: the router ships the new mutation-log tail to that shard's replicas.
-_MUTATING_OPS = frozenset(
-    {"insert", "delete", "insert-many", "delete-many", "compact"})
-
-
-# ----------------------------------------------------------------------
 # Live migration state
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
@@ -430,10 +361,6 @@ class ShardRouter:
     migration_batch:
         Records one live-resharding step moves between two shards (bounds
         how long a step blocks queries).
-    replicas_per_shard:
-        Read replicas per shard (>= 0; 0 — the default — disables
-        replication entirely).  See the module docstring's *Read
-        replicas* section for the freshness contract.
 
     Examples
     --------
@@ -453,8 +380,7 @@ class ShardRouter:
                  partition: PartitionStrategy = PartitionStrategy.EVEN,
                  compact_interval: int = 64, policy: str = "hash",
                  backend: str = "auto", migration_batch: int = 256,
-                 kernel: str | SimilarityKernel | None = None,
-                 replicas_per_shard: int = 0) -> None:
+                 kernel: str | SimilarityKernel | None = None) -> None:
         if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
             raise ConfigurationError(
                 f"shards must be a positive integer, got {shards!r}")
@@ -463,12 +389,6 @@ class ShardRouter:
             raise ConfigurationError(
                 f"migration_batch must be a positive integer, "
                 f"got {migration_batch!r}")
-        if (isinstance(replicas_per_shard, bool)
-                or not isinstance(replicas_per_shard, int)
-                or replicas_per_shard < 0):
-            raise ConfigurationError(
-                f"replicas_per_shard must be a non-negative integer, "
-                f"got {replicas_per_shard!r}")
         self.kernel = resolve_kernel(kernel)
         self.max_tau = self.kernel.validate_tau(max_tau)
         self.num_shards = shards
@@ -497,26 +417,12 @@ class ShardRouter:
 
         self._mp_context = (multiprocessing.get_context("fork")
                             if self.backend == "process" else None)
-        self.replicas_per_shard = replicas_per_shard
-        contexts = [ShardContext(records=bucket, max_tau=self.max_tau,
-                                 partition=partition,
-                                 compact_interval=compact_interval,
-                                 kernel=self.kernel.name,
-                                 log_mutations=replicas_per_shard > 0)
-                    for bucket in per_shard]
-        self._shards = [self._spawn(context) for context in contexts]
-        # Per-shard replica pools (empty lists when replication is off,
-        # so every indexing path stays uniform).
-        self._replicas: list[list[_ReplicaState]] = [
-            self._spawn_replicas(context) for context in contexts]
-        self._read_schedule = ReplicaReadSchedule()
-        # Guards the read-schedule cursors and replica counters — the only
-        # router state concurrent reader threads mutate besides the
-        # per-worker locks.
-        self._read_lock = threading.Lock()
-        self._replication_paused = False
-        self.replica_reads = 0
-        self.replica_fallbacks = 0
+        self._shards = [
+            self._spawn(ShardContext(records=bucket, max_tau=self.max_tau,
+                                     partition=partition,
+                                     compact_interval=compact_interval,
+                                     kernel=self.kernel.name))
+            for bucket in per_shard]
         self._epochs = [0] * shards
         # Epochs of retired shards fold into the base so the scalar epoch
         # stays monotone across remove_shard.
@@ -534,17 +440,6 @@ class ShardRouter:
         if self.backend == "process":
             return _ProcessShard(context, self._mp_context)
         return _InProcessShard(context)
-
-    def _spawn_replicas(self, context: ShardContext) -> list[_ReplicaState]:
-        """Spawn the replica pool for one shard (its primary's context).
-
-        Replicas build from the same records — copy-on-write under the
-        process backend — but never log mutations themselves: they are
-        consumers of the primary's log, not producers.
-        """
-        replica_context = replace(context, log_mutations=False)
-        return [_ReplicaState(self._spawn(replica_context))
-                for _ in range(self.replicas_per_shard)]
 
     def _track_live(self, record_id: int, length: int, shard: int) -> None:
         self._shard_of[record_id] = shard
@@ -583,213 +478,48 @@ class ShardRouter:
         overlap their work across the scatter; in-process shards execute
         inline at ``send`` time.
 
-        Read ops may be served by a fresh replica instead of the primary
-        (:meth:`_read_endpoint`); a replica that fails mid-exchange is
-        marked dead and the read retried on its primary — reads are pure,
-        so the retry is safe and the caller never observes the fault.
-        Every endpoint's lock is held from its send to its recv.  Because
-        ``targets`` is ascending and every endpoint belongs to exactly one
-        shard, all threads acquire endpoint locks in shard order —
-        concurrent scatters cannot deadlock, they only queue per endpoint.
-
-        After a mutating op the affected shards' replicas are synced
-        (unless replication is paused), so replicas regain freshness —
-        and with it read eligibility — immediately.
+        Every worker's lock is held from its send to its recv.  Because
+        ``targets`` is ascending, all threads acquire worker locks in
+        shard order — concurrent scatters cannot deadlock, they only
+        queue per shard.
         """
         first_error: Exception | None = None
-        serve_from_replica = op in _READ_OPS and self.replicas_per_shard > 0
-        # Aligned with targets: (endpoint worker, _ReplicaState | None for
-        # a primary, send succeeded).
-        exchanges: list[tuple[object, _ReplicaState | None, bool]] = []
+        # Aligned with targets: the worker holding this op, or None when
+        # its send failed (its lock is already released).
+        sent: list = []
         for shard, args in zip(targets, args_list):
-            if serve_from_replica:
-                worker, replica = self._read_endpoint(shard)
-            else:
-                worker, replica = self._shards[shard], None
+            worker = self._shards[shard]
             worker.lock.acquire()
             try:
                 worker.send(op, args)
             except Exception as error:  # noqa: BLE001 - handled below
                 worker.lock.release()
-                if replica is not None:
-                    # Dead replica: demote it and re-send on the primary.
-                    self._mark_replica_dead(replica)
-                    worker, replica = self._shards[shard], None
-                    worker.lock.acquire()
-                    try:
-                        worker.send(op, args)
-                    except Exception as primary_error:  # noqa: BLE001
-                        worker.lock.release()
-                        if first_error is None:
-                            first_error = primary_error
-                        exchanges.append((worker, None, False))
-                        continue
-                    exchanges.append((worker, None, True))
-                    continue
                 if first_error is None:
                     first_error = error
-                exchanges.append((worker, None, False))
-                continue
-            exchanges.append((worker, replica, True))
+                worker = None
+            sent.append(worker)
         payloads: list = []
-        for (worker, replica, was_sent), shard, args in zip(
-                exchanges, targets, args_list):
-            if not was_sent:
+        for shard, worker in zip(targets, sent):
+            if worker is None:
                 payloads.append(None)
                 continue
             try:
                 payload, epoch = worker.recv()
             except Exception as error:  # noqa: BLE001 - handled below
-                worker.lock.release()
-                if replica is not None:
-                    self._mark_replica_dead(replica)
-                    try:
-                        payloads.append(self._primary_retry(shard, op, args))
-                    except Exception as retry_error:  # noqa: BLE001
-                        if first_error is None:
-                            first_error = retry_error
-                        payloads.append(None)
-                    continue
                 if first_error is None:
                     first_error = error
                 payloads.append(None)
             else:
-                worker.lock.release()
-                if replica is None:
-                    self._epochs[shard] = epoch
-                else:
-                    replica.applied_epoch = epoch
+                self._epochs[shard] = epoch
                 payloads.append(payload)
+            finally:
+                worker.lock.release()
         if first_error is not None:
             raise first_error
-        if op in _MUTATING_OPS and self.replicas_per_shard > 0:
-            for shard in dict.fromkeys(targets):
-                self._sync_replicas(shard)
         return payloads
-
-    def _primary_retry(self, shard: int, op: str, args: object) -> object:
-        """Re-run one read on the shard primary after a replica fault."""
-        worker = self._shards[shard]
-        with worker.lock:
-            worker.send(op, args)
-            payload, epoch = worker.recv()
-        self._epochs[shard] = epoch
-        return payload
 
     def _call(self, shard: int, op: str, args: object) -> object:
         return self._scatter((shard,), op, args)[0]
-
-    # ------------------------------------------------------------------
-    # Read replicas
-    # ------------------------------------------------------------------
-    def _read_endpoint(self, shard: int,
-                       ) -> tuple[object, _ReplicaState | None]:
-        """The worker that should serve a read on ``shard`` right now.
-
-        Eligible replicas are the alive ones whose applied epoch equals
-        the router's epoch mirror — the same per-shard epoch
-        :meth:`epoch_token` folds into cache keys, here acting as the
-        replica-freshness token.  The read schedule rotates across them;
-        with none eligible the primary serves (counted as a fallback when
-        the shard does have replicas configured).
-        """
-        pool = self._replicas[shard]
-        if pool:
-            current = self._epochs[shard]
-            fresh = [index for index, replica in enumerate(pool)
-                     if replica.alive and replica.applied_epoch == current]
-            with self._read_lock:
-                choice = self._read_schedule.choose(shard, fresh)
-                if choice is not None:
-                    self.replica_reads += 1
-                else:
-                    self.replica_fallbacks += 1
-            if choice is not None:
-                return pool[choice].worker, pool[choice]
-        return self._shards[shard], None
-
-    def _mark_replica_dead(self, replica: _ReplicaState) -> None:
-        replica.alive = False
-        with self._read_lock:
-            self.replica_fallbacks += 1
-
-    def _sync_replicas(self, shard: int) -> None:
-        """Ship the primary's mutation-log tail to the shard's replicas.
-
-        Called after every mutation that lands on ``shard``.  Each stale
-        replica replays exactly the entries past its own applied epoch;
-        a replica that fails (or whose replay detects divergence) is
-        marked dead, never served from again.  Afterwards the log is
-        trimmed to the slowest alive replica's epoch, keeping it bounded
-        by replication lag.  A no-op while replication is paused — the
-        lag-injection hook the property tests use — and for shards
-        without replicas.
-        """
-        pool = self._replicas[shard]
-        if not pool or self._replication_paused:
-            return
-        target_epoch = self._epochs[shard]
-        stale = [replica for replica in pool
-                 if replica.alive and replica.applied_epoch < target_epoch]
-        if stale:
-            oldest = min(replica.applied_epoch for replica in stale)
-            entries = self._call(shard, "log-tail", oldest)
-            for replica in stale:
-                tail = [entry for entry in entries
-                        if entry[0] > replica.applied_epoch]
-                try:
-                    with replica.worker.lock:
-                        replica.worker.send("apply-log", tail)
-                        _, epoch = replica.worker.recv()
-                except Exception:  # noqa: BLE001 - replica is demoted
-                    self._mark_replica_dead(replica)
-                    continue
-                replica.applied_epoch = epoch
-        floor = min((replica.applied_epoch
-                     for replica in pool if replica.alive),
-                    default=target_epoch)
-        self._call(shard, "log-trim", floor)
-
-    def pause_replication(self) -> None:
-        """Stop shipping mutations to replicas until :meth:`resume_replication`.
-
-        Mutations keep flowing to the primaries; replicas simply fall
-        behind, lose read eligibility, and every read falls back to the
-        primaries.  This is the lag-injection hook: the property suite
-        uses it to prove that an arbitrarily stale replica is bypassed,
-        never served.
-        """
-        self._replication_paused = True
-
-    def resume_replication(self) -> None:
-        """Resume replication and catch every shard's replicas up now."""
-        self._replication_paused = False
-        for shard in range(self.num_shards):
-            self._sync_replicas(shard)
-
-    def stop_replica(self, shard: int, index: int) -> None:
-        """Stop one replica worker and mark it dead (fault injection).
-
-        The shard keeps answering reads exactly — from its remaining
-        fresh replicas and its primary — and ``replica_status`` reports
-        the stopped replica as degraded.
-        """
-        replica = self._replicas[shard][index]
-        replica.alive = False
-        replica.worker.close()
-
-    def replica_status(self) -> list[list[dict]]:
-        """Per-shard replica health: applied epoch, lag, liveness.
-
-        ``lag`` measures mutation epochs the replica is behind its
-        primary; a fresh replica reads 0.  Feeds ``admin status``'s
-        replica rows and the service's replica metrics.
-        """
-        return [[{"applied_epoch": replica.applied_epoch,
-                  "lag": max(0, self._epochs[shard] - replica.applied_epoch),
-                  "alive": replica.alive}
-                 for replica in pool]
-                for shard, pool in enumerate(self._replicas)]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -900,30 +630,10 @@ class ShardRouter:
         them with :func:`~repro.obs.metrics.merge_snapshots`, following the
         :meth:`status_summary` one-scatter aggregation pattern.  Returns
         ``{"merged": ..., "per_shard": [...]}`` so the ``metrics`` wire op
-        can expose both the fleet total and the per-shard breakdown.  With
-        read replicas configured a ``"replicas"`` section is added:
-        routing counters (``replica_reads``/``replica_fallbacks``), the
-        worst alive replica's lag, and the alive/total population — the
-        numbers behind the ``replica_lag_max`` gauge the serving layer
-        exports.
+        can expose both the fleet total and the per-shard breakdown.
         """
         per_shard = self._scatter(range(self.num_shards), "metrics", None)
-        snapshot = {"merged": merge_snapshots(per_shard),
-                    "per_shard": per_shard}
-        if self.replicas_per_shard > 0:
-            status = self.replica_status()
-            flat = [entry for pool in status for entry in pool]
-            snapshot["replicas"] = {
-                "replica_reads": self.replica_reads,
-                "replica_fallbacks": self.replica_fallbacks,
-                "replica_lag_max": max(
-                    (entry["lag"] for entry in flat if entry["alive"]),
-                    default=0),
-                "replicas_alive": sum(
-                    1 for entry in flat if entry["alive"]),
-                "replicas_total": len(flat),
-            }
-        return snapshot
+        return {"merged": merge_snapshots(per_shard), "per_shard": per_shard}
 
     def shard_sizes(self) -> list[int]:
         """Number of live records per shard (placement balance check)."""
@@ -991,16 +701,10 @@ class ShardRouter:
         :meth:`rebalance_status`.
         """
         self._require_idle()
-        context = ShardContext(records=[], max_tau=self.max_tau,
-                               partition=self._partition,
-                               compact_interval=self._compact_interval,
-                               kernel=self.kernel.name,
-                               log_mutations=self.replicas_per_shard > 0)
-        self._shards.append(self._spawn(context))
-        # The new shard's replicas start empty at epoch 0 — exactly the
-        # primary's state — so they are fresh (and read-eligible) from
-        # the first moment.
-        self._replicas.append(self._spawn_replicas(context))
+        self._shards.append(self._spawn(ShardContext(
+            records=[], max_tau=self.max_tau, partition=self._partition,
+            compact_interval=self._compact_interval,
+            kernel=self.kernel.name)))
         self._epochs.append(0)
         self.num_shards += 1
         self._start_migration("add-shard",
@@ -1151,10 +855,6 @@ class ShardRouter:
             assert donor == self.num_shards - 1
             self._shards[donor].close()
             del self._shards[donor]
-            for replica in self._replicas[donor]:
-                replica.worker.close()
-            del self._replicas[donor]
-            self._read_schedule.reset(donor)
             self._epoch_base += self._epochs[donor]
             del self._epochs[donor]
             self.num_shards -= 1
@@ -1328,9 +1028,6 @@ class ShardRouter:
         self._closed = True
         for shard in self._shards:
             shard.close()
-        for pool in self._replicas:
-            for replica in pool:
-                replica.worker.close()
 
     def __enter__(self) -> "ShardRouter":
         return self

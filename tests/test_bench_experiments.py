@@ -126,6 +126,6 @@ class TestAblations:
         assert set(experiments.EXPERIMENTS) == {
             "table2", "table3", "figure11", "figure12", "figure13",
             "figure14", "figure15", "figure16", "parallel-scaling",
-            "filter-funnel", "replica-scaling", "ablation-partition",
+            "filter-funnel", "ablation-partition",
             "ablation-verifier", "verification-kernels",
             "ablation-filter-quality"}

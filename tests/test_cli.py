@@ -110,6 +110,12 @@ class TestWorkersFlag:
         assert code == 2
         assert "pass-join" in capsys.readouterr().err
 
+    def test_negative_limit_reports_error(self, strings_file, capsys):
+        code = main(["join", str(strings_file), "--tau", "1",
+                     "--limit", "-1"])
+        assert code == 1
+        assert "limit" in capsys.readouterr().err
+
     def test_negative_workers_reports_error(self, strings_file, capsys):
         code = main(["join", str(strings_file), "--tau", "1",
                      "--workers", "-2"])

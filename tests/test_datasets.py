@@ -125,6 +125,10 @@ class TestLoaders:
         path = tmp_path / "strings.txt"
         save_strings(path, [f"string-{i}" for i in range(100)])
         assert len(load_strings(path, limit=7)) == 7
+        assert load_strings(path, limit=0) == []
+        for limit in (-1, -5):
+            with pytest.raises(DatasetError, match="limit"):
+                load_strings(path, limit=limit)
 
     def test_empty_lines_are_skipped(self, tmp_path):
         path = tmp_path / "strings.txt"

@@ -26,7 +26,7 @@ def tiny_report(report_module):
 def test_report_mentions_every_table_and_figure(tiny_report):
     for token in ("Table 2", "Table 3", "Figure 11", "Figures 12 & 13",
                   "Figure 14", "Figure 15", "Figure 16", "Filter funnel",
-                  "Replica scaling", "Ablations"):
+                  "Verification kernels", "Ablations"):
         assert token in tiny_report, token
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.config import ServiceConfig
 from repro.search import SearchMatch
-from repro.service import DynamicSearcher, QueryCache
+from repro.service import DynamicSearcher, QueryCache, SimilarityService
 
 
 def match(i):
@@ -117,3 +118,48 @@ class TestCacheAgainstDynamicSearcher:
         searcher.delete(1)
         assert cache.get(key, searcher.epoch) is None
         assert [m.text for m in searcher.search("vldb", tau=1)] == ["vldb"]
+
+
+class TestCoalescedCacheAccounting:
+    """Satellite bugfix: batch duplicates are coalesced, not misses."""
+
+    def test_duplicates_counted_as_coalesced(self):
+        service = SimilarityService(["vldb", "pvldb"], ServiceConfig(port=0))
+        try:
+            key = ("search", "vldb", 1)
+            answers = service.execute_queries([key, key, key])
+            assert answers[0] == answers[1] == answers[2]
+            stats = service.cache.stats
+            assert stats.misses == 1
+            assert stats.coalesced == 2
+            assert stats.hits == 0
+            # A second batch hits once and coalesces the rest.
+            service.execute_queries([key, key])
+            assert stats.hits == 1
+            assert stats.coalesced == 3
+            assert stats.misses == 1
+        finally:
+            service.close()
+
+    def test_coalesced_counted_even_with_cache_disabled(self):
+        service = SimilarityService(
+            ["vldb"], ServiceConfig(port=0, cache_capacity=0))
+        try:
+            key = ("search", "vldb", 1)
+            service.execute_queries([key, key])
+            assert service.cache.stats.coalesced == 1
+            assert service.cache.stats.misses == 1
+        finally:
+            service.close()
+
+    def test_coalesced_surfaces_in_stats_and_metrics(self):
+        service = SimilarityService(["vldb"], ServiceConfig(port=0))
+        try:
+            key = ("search", "vldb", 1)
+            service.execute_queries([key, key])
+            assert service.stats()["cache"]["coalesced"] == 1
+            merged = service.metrics_payload()["merged"]
+            assert merged["counters"]["cache_coalesced"] == 1
+            assert merged["counters"]["cache_misses"] == 1
+        finally:
+            service.close()

@@ -4,6 +4,7 @@
   handler is left parked in ``readline()`` for the loop to cancel.
 * One op table: every op the server dispatches is a method of both
   clients, and the two clients return equal values for it.
+* No removed knob (``acceptors``, ``replicas``) comes back.
 """
 
 import asyncio
@@ -92,6 +93,22 @@ OP_CALLS = {
 #: Ops whose payload carries uptimes and wall-clock timings: two servers
 #: agree on its shape, not on its numbers.
 TIMED_OPS = ("stats", "metrics", "explain")
+
+
+class TestRemovedKnobs:
+    def test_acceptor_knob_is_gone(self, capsys):
+        # The acceptor pool and the read replicas were removed (one event
+        # loop serves every connection, one service lock keeps one read in
+        # flight); neither spelling of either knob may drift back.
+        from repro.cli import main as cli_main
+
+        for knob, value in (("acceptors", 2), ("replicas", 1)):
+            with pytest.raises(TypeError):
+                ServiceConfig(**{knob: value})
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(["serve", "strings.txt", f"--{knob}", str(value)])
+            assert excinfo.value.code == 2
+            assert f"--{knob}" in capsys.readouterr().err
 
 
 def method_name(op):

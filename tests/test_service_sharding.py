@@ -286,6 +286,51 @@ class TestShardEquivalence:
                             == single.search_top_k(query, 4))
 
 
+class TestConcurrentReaders:
+    """Several caller threads driving one router: the per-worker locks
+    keep every send paired with its own reply, on both backends."""
+
+    @pytest.mark.parametrize("backend", [
+        "thread", pytest.param("process", marks=needs_fork)])
+    def test_four_reader_threads_match_unsharded(self, backend):
+        import sys
+        import threading
+
+        strings = random_strings(200, 3, 12, alphabet="abcd", seed=31)
+        queries = random_strings(80, 3, 12, alphabet="abcd", seed=32)
+        single = DynamicSearcher(strings, max_tau=2)
+        expected = [single.search(query) for query in queries]
+        readers = 4
+        barrier = threading.Barrier(readers, timeout=60)
+        answers: list = [None] * len(queries)
+        errors: list[Exception] = []
+
+        def read_slice(slot: int) -> None:
+            try:
+                barrier.wait()
+                for index in range(slot, len(queries), readers):
+                    answers[index] = router.search(queries[index])
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the readers finely
+        try:
+            with make_router(strings, shards=2, backend=backend) as router:
+                assert router.backend == backend
+                threads = [threading.Thread(target=read_slice, args=(slot,))
+                           for slot in range(readers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert errors == []
+        assert answers == expected
+
+
 @needs_fork
 class TestProcessBackend:
     def test_equivalence_and_mutations_over_worker_processes(self):
