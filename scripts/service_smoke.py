@@ -6,10 +6,8 @@ asyncio server, the JSON-lines protocol, the blocking client, the query
 cache, and the dynamic index — in under a second, then repeats the exercise
 against a 2-shard server (modulo placement: consecutive ids live on
 different shards, so the near-duplicate searches below are genuinely
-cross-shard scatter-gathers), requires identical answers, continues
-with a live add-shard → query → remove-shard resize under load, and
-finishes with a ``token-jaccard`` kernel pass (serve → insert → search →
-explain → metrics with kernel-tagged funnel counters)::
+cross-shard scatter-gathers), requires identical answers, and finishes
+with a live add-shard → query → remove-shard resize under load::
 
     PYTHONPATH=src python scripts/service_smoke.py
 
@@ -224,68 +222,6 @@ def sharded_smoke() -> dict:
             return metrics_smoke(client, expect_shards=2)
 
 
-def jaccard_smoke() -> dict:
-    """Serve the token-jaccard kernel; insert → search → explain → metrics.
-
-    The same serving stack (server, cache, dynamic index, explain,
-    metrics) answers scaled token-set Jaccard queries; the scrape asserts
-    the kernel-tagged funnel counters (``engine_*.token-jaccard``) move in
-    lockstep with the untagged ones.
-    """
-    titles = ["similarity joins survey", "string similarity joins",
-              "partition based similarity joins", "trie based joins",
-              "approximate entity matching"]
-    config = ServiceConfig(port=0, max_tau=80, kernel="token-jaccard")
-    with BackgroundServer(titles, config) as (host, port):
-        with ServiceClient(host, port) as client:
-            catalogue = client.kernels()
-            assert catalogue["serving"] == "token-jaccard", catalogue
-            assert {entry["name"] for entry in catalogue["kernels"]} >= {
-                "edit-distance", "token-jaccard"}, catalogue
-            assert client.stats()["kernel"] == "token-jaccard"
-
-            # tau=50 <=> J >= 0.5 on token sets; the kernel field asserts
-            # which semantics the server must be running.
-            matches = client.search("similarity joins", tau=50,
-                                    kernel="token-jaccard")
-            # J = 2/3 against both 3-token titles (d=34), 1/2 against the
-            # 4-token one (d=50); the 2-token overlap titles miss the bar.
-            assert [(m.id, m.distance) for m in matches] == [
-                (0, 34), (1, 34), (2, 50)], matches
-            new_id = client.insert("similarity joins")
-            widened = client.search("similarity joins", tau=50)
-            assert (new_id, 0) in [(m.id, m.distance) for m in widened], widened
-
-            # A request naming the other kernel must be refused, not
-            # answered under the wrong semantics.
-            try:
-                client.search("x", tau=1, kernel="edit-distance")
-            except Exception as error:
-                assert "edit-distance" in str(error), error
-            else:
-                raise AssertionError("kernel mismatch was not rejected")
-
-            # Explain runs one traced probe through the same funnel.
-            report = client.explain("similarity joins", tau=50)
-            assert report["num_matches"] == len(widened), report
-
-            payload = client.metrics()
-            counters = payload["merged"]["counters"]
-            accepted = counters.get("engine_accepted", 0)
-            verified = counters.get("engine_verifications", 0)
-            candidates = counters.get("engine_candidates", 0)
-            postings = counters.get("engine_postings_scanned", 0)
-            assert 0 < accepted <= verified <= candidates <= postings, counters
-            # Every funnel stage is also exported under the kernel tag, and
-            # on a single-kernel server the tagged counter IS the total.
-            for stage in ("accepted", "verifications", "candidates",
-                          "postings_scanned"):
-                tagged = counters.get(f"engine_{stage}.token-jaccard")
-                assert tagged == counters.get(f"engine_{stage}"), (stage,
-                                                                   counters)
-            return payload
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="serving-stack smoke test")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
@@ -335,14 +271,12 @@ def main(argv: list[str] | None = None) -> int:
                              "--host", host, "--port", str(port)])
             assert code == 0, f"admin metrics --prometheus exited {code}"
     sharded_metrics = sharded_smoke()
-    jaccard_metrics = jaccard_smoke()
     if args.metrics_out:
         out = Path(args.metrics_out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(
             json.dumps({"unsharded": unsharded_metrics,
-                        "sharded": sharded_metrics,
-                        "token_jaccard": jaccard_metrics},
+                        "sharded": sharded_metrics},
                        indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
         print(f"metrics snapshots written to {args.metrics_out}")
@@ -351,8 +285,7 @@ def main(argv: list[str] | None = None) -> int:
           f"cache hits={stats['cache']['hits']}, "
           f"index bytes={stats['index']['approximate_bytes']}), "
           f"2-shard cross-shard + batch queries + top-k-batch + live "
-          f"add-shard/remove-shard + metrics/explain funnel + "
-          f"token-jaccard kernel pass verified")
+          f"add-shard/remove-shard + metrics/explain funnel verified")
     return 0
 
 

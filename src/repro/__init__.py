@@ -25,9 +25,6 @@ The top-level package re-exports the public API:
 * :func:`pass_join` / :func:`pass_join_rs` / :class:`PassJoin` — the join:
   one driver, serial or over ``JoinConfig.workers`` processes.
 * :func:`edit_distance` and the bounded kernels — the distance substrate.
-* :mod:`repro.core.kernel` — pluggable similarity kernels
-  (:func:`get_kernel`): character edit distance and token-set Jaccard,
-  served through the same index/cache/shard stack.
 * :class:`JoinConfig` and the method enums — configuration.
 * :mod:`repro.service` — the online serving layer: :class:`DynamicSearcher`
   (mutable index), :class:`QueryCache`, :class:`RequestBatcher`, and the
@@ -43,8 +40,6 @@ from .config import (DEFAULT_CONFIG, JoinConfig, PartitionStrategy,
 from .core.index import SegmentIndex
 from .core.join import (PassJoin, available_workers, join, pass_join,
                         pass_join_pairs, pass_join_rs)
-from .core.kernel import (SimilarityKernel, get_kernel, kernel_names,
-                          token_jaccard_distance)
 from .core.partition import partition, segment_layout
 from .core.selection import make_selector
 from .core.verify import make_verifier
@@ -97,11 +92,6 @@ __all__ = [
     "SelectionMethod",
     "VerificationMethod",
     "PartitionStrategy",
-    # similarity kernels
-    "SimilarityKernel",
-    "get_kernel",
-    "kernel_names",
-    "token_jaccard_distance",
     # building blocks
     "SegmentIndex",
     "partition",

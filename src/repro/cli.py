@@ -9,8 +9,6 @@ Six subcommands cover the day-to-day uses of the library::
     passjoin stats FILE                        # Table-2-style statistics
     passjoin experiment figure15 --scale 0.5   # rerun a paper experiment
     passjoin serve FILE --tau 2 --port 8765    # online similarity service
-    passjoin serve FILE --tau 20 --kernel token-jaccard  # Jaccard kernel
-    passjoin admin kernels                     # list registered kernels
     passjoin query "some string" --tau 1       # ask a running service
     passjoin query --file queries.txt --tau 1  # batch: one request, N queries
     passjoin admin reshard --shards 4          # live-resize a sharded server
@@ -36,9 +34,8 @@ from .baselines.naive import NaiveJoin
 from .baselines.trie_join import TrieJoin
 from .bench.experiments import DATASET_BUILDERS, EXPERIMENTS
 from .bench.reporting import format_table
-from .config import (DEFAULT_KERNEL, DEFAULT_VERIFICATION, KERNELS,
-                     SHARD_POLICIES, JoinConfig, SelectionMethod,
-                     ServiceConfig, VerificationMethod)
+from .config import (DEFAULT_VERIFICATION, SHARD_POLICIES, JoinConfig,
+                     SelectionMethod, ServiceConfig, VerificationMethod)
 from .core.join import PassJoin
 from .datasets.loaders import load_strings, save_strings
 from .datasets.stats import dataset_statistics
@@ -103,11 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tau", type=int, default=2,
                        help="maximum per-query distance threshold "
                             "(default 2)")
-    serve.add_argument("--kernel", default=DEFAULT_KERNEL,
-                       choices=list(KERNELS),
-                       help="similarity kernel to serve: character "
-                            "edit distance or token-set Jaccard "
-                            f"(default {DEFAULT_KERNEL})")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8765,
@@ -148,9 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--tau", type=int, default=None,
                        help="distance threshold (default: the "
                             "server's maximum)")
-    query.add_argument("--kernel", default=None, choices=list(KERNELS),
-                       help="assert which similarity kernel the server "
-                            "must be serving (default: don't check)")
     query.add_argument("--top-k", type=int, default=None,
                        help="return the k closest strings instead of a "
                             "threshold search")
@@ -192,13 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--prometheus", action="store_true",
                          help="render Prometheus text exposition format "
                               "instead of JSON")
-    kernels = admin_sub.add_parser(
-        "kernels", help="list the server's registered similarity kernels "
-                        "and which one it is serving")
-    kernels.add_argument("--host", default="127.0.0.1",
-                         help="server address (default 127.0.0.1)")
-    kernels.add_argument("--port", type=int, default=8765,
-                         help="server port (default 8765)")
     return parser
 
 
@@ -280,8 +262,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                            shards=args.shards, shard_policy=args.shard_policy,
                            shard_backend=args.shard_backend,
                            migration_batch=args.migration_batch,
-                           slow_query_ms=args.slow_query_ms,
-                           kernel=args.kernel)
+                           slow_query_ms=args.slow_query_ms)
     if config.slow_query_ms:
         from .obs.slowlog import configure_slow_query_logging
 
@@ -291,7 +272,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         sharding = ("unsharded" if config.shards == 1 else
                     f"{config.shards} {config.shard_policy} shards")
         print(f"serving {len(strings)} strings on {address[0]}:{address[1]} "
-              f"(kernel={config.kernel}, max_tau={config.max_tau}, "
+              f"(max_tau={config.max_tau}, "
               f"cache={config.cache_capacity}, {sharding}); "
               f"Ctrl-C to stop", file=sys.stderr)
 
@@ -316,8 +297,7 @@ def _command_query(args: argparse.Namespace) -> int:
     try:
         with ServiceClient(args.host, args.port) as client:
             if args.explain:
-                report = client.explain(args.text, args.tau,
-                                        kernel=args.kernel)
+                report = client.explain(args.text, args.tau)
                 print(json.dumps(report, indent=2, sort_keys=True))
                 funnel = report["funnel"]
                 print(f"# candidates={funnel['candidates']} "
@@ -329,11 +309,9 @@ def _command_query(args: argparse.Namespace) -> int:
                 queries = load_strings(args.file)
                 if args.top_k is not None:
                     results = client.top_k_batch(queries, args.top_k,
-                                                 args.tau,
-                                                 kernel=args.kernel)
+                                                 args.tau)
                 else:
-                    results = client.search_batch(queries, args.tau,
-                                                  kernel=args.kernel)
+                    results = client.search_batch(queries, args.tau)
                 total = 0
                 for query, matches in zip(queries, results):
                     for match in matches:
@@ -344,11 +322,9 @@ def _command_query(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 0
             if args.top_k is not None:
-                matches = client.top_k(args.text, args.top_k, args.tau,
-                                       kernel=args.kernel)
+                matches = client.top_k(args.text, args.top_k, args.tau)
             else:
-                matches = client.search(args.text, args.tau,
-                                        kernel=args.kernel)
+                matches = client.search(args.text, args.tau)
     except OSError as error:
         print(f"error: cannot reach server at {args.host}:{args.port} "
               f"({error})", file=sys.stderr)
@@ -394,17 +370,6 @@ def _command_admin(args: argparse.Namespace) -> int:
                 else:
                     payload.pop("ok", None)
                     print(json.dumps(payload, indent=2, sort_keys=True))
-                return 0
-            if args.admin_command == "kernels":
-                # Like metrics, the kernel catalogue exists on sharded and
-                # unsharded servers alike.
-                payload = client.kernels()
-                print(f"serving: {payload['serving']}")
-                for descriptor in payload["kernels"]:
-                    marker = ("*" if descriptor["name"] == payload["serving"]
-                              else " ")
-                    print(f" {marker} {descriptor['name']}: "
-                          f"{descriptor.get('tau_semantics', '')}")
                 return 0
             stats = client.stats()
             if "shards" not in stats:

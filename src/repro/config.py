@@ -9,6 +9,7 @@ what the Figure 12–14 ablation benchmarks need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -188,13 +189,6 @@ DEFAULT_CONFIG = JoinConfig()
 SHARD_POLICIES = ("hash", "length", "modulo")
 #: Shard execution backends; ``auto`` resolves per platform at runtime.
 SHARD_BACKENDS = ("auto", "process", "thread")
-#: Registered similarity kernels (see :mod:`repro.core.kernel`): the
-#: partition-based edit-distance pipeline and the prefix-filter token-set
-#: Jaccard pipeline.  :data:`repro.core.kernel` asserts its registry matches
-#: this tuple, the same contract placement maps keep with SHARD_POLICIES.
-KERNELS = ("edit-distance", "token-jaccard")
-#: Kernel served when a configuration does not name one.
-DEFAULT_KERNEL = "edit-distance"
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,13 +247,6 @@ class ServiceConfig:
         Latency threshold (milliseconds) above which a request is written
         to the structured slow-query log (see :mod:`repro.obs.slowlog`).
         ``0`` (default) disables slow-query logging.
-    kernel:
-        Similarity kernel the service runs (one of :data:`KERNELS`):
-        ``"edit-distance"`` (the Pass-Join partition pipeline; ``tau`` is
-        an edit-distance bound) or ``"token-jaccard"`` (prefix-filtered
-        token sets; ``tau`` is a scaled Jaccard distance in ``[0, 100)``).
-        One server serves one kernel; requests naming another kernel are
-        rejected with the served and registered kernel names.
     """
 
     host: str = "127.0.0.1"
@@ -276,7 +263,6 @@ class ServiceConfig:
     shard_backend: str = "auto"
     migration_batch: int = 256
     slow_query_ms: float = 0.0
-    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         if not isinstance(self.partition, PartitionStrategy):
@@ -300,18 +286,15 @@ class ServiceConfig:
                 or self.max_batch < 1):
             raise ConfigurationError(
                 f"max_batch must be a positive integer, got {self.max_batch!r}")
-        if (isinstance(self.batch_window, bool)
-                or not isinstance(self.batch_window, (int, float))
-                or self.batch_window < 0):
-            raise ConfigurationError(
-                f"batch_window must be a non-negative number, "
-                f"got {self.batch_window!r}")
-        if (isinstance(self.slow_query_ms, bool)
-                or not isinstance(self.slow_query_ms, (int, float))
-                or self.slow_query_ms < 0):
-            raise ConfigurationError(
-                f"slow_query_ms must be a non-negative number, "
-                f"got {self.slow_query_ms!r}")
+        for name, value in (("batch_window", self.batch_window),
+                            ("slow_query_ms", self.slow_query_ms)):
+            # NaN or infinity would leave the batcher's drain (or the
+            # slow-query log) waiting forever.
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value < 0):
+                raise ConfigurationError(
+                    f"{name} must be a non-negative finite number, "
+                    f"got {value!r}")
         if (isinstance(self.shards, bool) or not isinstance(self.shards, int)
                 or self.shards < 1):
             raise ConfigurationError(
@@ -330,9 +313,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"shard_backend must be one of {SHARD_BACKENDS}, "
                 f"got {self.shard_backend!r}")
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}")
 
 
 DEFAULT_SERVICE_CONFIG = ServiceConfig()

@@ -10,15 +10,13 @@ Sub-modules map one-to-one onto the paper's sections:
 * :mod:`repro.core.verify` — the verification strategies (Section 5).
 * :mod:`repro.core.join` — the :class:`PassJoin` driver gluing it all
   together (Algorithm 1).
-* :mod:`repro.core.kernel` — the pluggable similarity-kernel interface:
-  the Pass-Join pipeline packaged as the ``edit-distance`` kernel, plus a
-  prefix-filter ``token-jaccard`` kernel behind the same serving stack.
+* :mod:`repro.core.kernel` — the searchers' backend: one segment index,
+  short pool and window cache probed through the engine.
 """
 
 from .index import SegmentIndex
 from .join import PassJoin, pass_join, pass_join_pairs
-from .kernel import (SimilarityKernel, get_kernel, kernel_names,
-                     resolve_kernel, token_jaccard_distance)
+from .kernel import EditDistanceBackend, get_kernel
 from .partition import partition, segment_layout
 from .selection import make_selector
 from .store import RecordStore
@@ -32,9 +30,6 @@ __all__ = [
     "partition",
     "segment_layout",
     "make_selector",
-    "SimilarityKernel",
+    "EditDistanceBackend",
     "get_kernel",
-    "kernel_names",
-    "resolve_kernel",
-    "token_jaccard_distance",
 ]

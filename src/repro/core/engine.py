@@ -281,8 +281,7 @@ def dedupe_batch(queries: Sequence[tuple[str, int]],
 
     ``accept`` is one predicate for the whole batch or a sequence aligned
     with ``queries``; two entries are the same probe when query, tau and
-    predicate (by identity) all agree.  Shared by every kernel's
-    ``probe_many`` so the batch contract cannot drift between them.
+    predicate (by identity) all agree.
     """
     if accept is None or callable(accept):
         accepts: Sequence[Accept | None] = [accept] * len(queries)

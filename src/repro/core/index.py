@@ -71,7 +71,7 @@ class SegmentIndex:
         self._current_bytes = 0
         # Bumped whenever the *set* of indexed lengths changes (a length
         # group appears or disappears) — the invalidation signal consumed
-        # by the kernel backends' persistent window caches.
+        # by the searcher backend's persistent window cache.
         self._lengths_version = 0
 
     # ------------------------------------------------------------------

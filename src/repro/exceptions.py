@@ -14,11 +14,14 @@ class PassJoinError(Exception):
 
 
 class InvalidThresholdError(PassJoinError, ValueError):
-    """The edit-distance threshold ``tau`` is not a non-negative integer."""
+    """The edit-distance threshold ``tau`` is not a non-negative integer,
+    or exceeds the ``max_tau`` an index was built for."""
 
-    def __init__(self, tau: object) -> None:
+    def __init__(self, tau: object, max_tau: int | None = None) -> None:
         super().__init__(
             f"edit-distance threshold must be a non-negative integer, got {tau!r}"
+            if max_tau is None else
+            f"threshold {tau} exceeds this index's max_tau={max_tau}"
         )
         self.tau = tau
 

@@ -200,7 +200,7 @@ def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
 
 def funnel_snapshot(statistics: JoinStatistics,
                     memory: Mapping[str, int] | None = None,
-                    kernel: str | None = None) -> dict[str, Any]:
+                    ) -> dict[str, Any]:
     """Render a :class:`~repro.types.JoinStatistics` as a registry snapshot.
 
     The engine's probe pipeline and the verification kernels (including
@@ -209,19 +209,12 @@ def funnel_snapshot(statistics: JoinStatistics,
     those funnel counters merge with the service-level request metrics —
     and ship over a shard worker's pipe as a plain dict.  ``memory``
     optionally adds the columnar index's memory report as gauges.
-    ``kernel`` — the similarity kernel that produced the counters —
-    additionally emits each funnel counter under a kernel-tagged name
-    (``engine_candidates.token-jaccard``), so a scrape can attribute the
-    funnel to the similarity being served; the untagged names stay, and
-    stay the ones dashboards sum across a mixed fleet.
     """
     registry = MetricsRegistry()
     for field_name, metric_name in FUNNEL_COUNTER_FIELDS:
         value = getattr(statistics, field_name)
         if value:
             registry.inc(metric_name, value)
-            if kernel is not None:
-                registry.inc(f"{metric_name}.{kernel}", value)
     registry.set_gauge("engine_index_entries", statistics.index_entries)
     registry.set_gauge("engine_index_bytes", statistics.index_bytes)
     if memory is not None:

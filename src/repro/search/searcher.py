@@ -1,16 +1,13 @@
 """Build-once / query-many approximate similarity search.
 
 :class:`PassJoinSearcher` indexes a string collection for a maximum
-threshold ``max_tau`` under a pluggable
-:class:`~repro.core.kernel.SimilarityKernel`.  With the default
-``edit-distance`` kernel this is the Pass-Join partition scheme: a query
-string ``q`` with a per-query threshold ``tau ≤ max_tau`` is answered by
-probing the segment indices of every length in ``[|q| − tau, |q| + tau]``
-with the multi-match-aware substring selection and a pluggable
-verification kernel (:data:`~repro.config.DEFAULT_VERIFICATION` by default;
-see :class:`~repro.config.VerificationMethod` for the alternatives).  The
-``token-jaccard`` kernel answers the same surface with prefix-filter
-signatures over token sets instead (see :mod:`repro.core.kernel`).
+threshold ``max_tau`` with the Pass-Join partition scheme: a query string
+``q`` with a per-query threshold ``tau ≤ max_tau`` is answered by probing
+the segment indices of every length in ``[|q| − tau, |q| + tau]`` with the
+multi-match-aware substring selection and a pluggable verification kernel
+(:data:`~repro.config.DEFAULT_VERIFICATION` by default; see
+:class:`~repro.config.VerificationMethod` for the alternatives), all held
+by one :class:`~repro.core.kernel.EditDistanceBackend`.
 
 Why a query threshold below the index threshold stays correct: the index
 partitions every string into ``max_tau + 1`` segments.  If
@@ -19,13 +16,10 @@ applied with ``max_tau``) ``q`` contains a substring matching one of ``r``'s
 ``max_tau + 1`` segments, and the selection windows — computed with the
 *index's* ``max_tau`` — cover that substring.  Probing with the smaller
 ``tau`` only affects the verification bound, never the candidate coverage.
-(The token-jaccard analogue: index prefixes are sized for the loosest
-similarity ``max_tau`` admits, so tighter query thresholds only shorten
-the *query* prefix.)
 
-Strings the kernel cannot index (too short to partition; token-less) are
-kept in a side pool and verified against every query that passes the
-length filter, exactly as in the join driver.
+Strings too short to partition are kept in a side pool and verified
+against every query that passes the length filter, exactly as in the join
+driver.
 """
 
 from __future__ import annotations
@@ -38,11 +32,22 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from ..config import (DEFAULT_VERIFICATION, PartitionStrategy,
                       VerificationMethod, validate_threshold)
 from ..core.engine import Accept, sort_records
-from ..core.kernel import (KernelBackend, SimilarityKernel,
-                           check_batch_kernels, resolve_kernel)
+from ..core.kernel import EditDistanceBackend
 from ..exceptions import InvalidThresholdError
 from ..obs.trace import ProbeTrace, build_explain_report
 from ..types import JoinStatistics, StringRecord, as_records
+
+
+def resolve_tau(tau: int | None, max_tau: int) -> int:
+    """One query threshold: ``None`` means ``max_tau``, above it is refused.
+
+    The one over-the-limit check of every searcher, the shard router and
+    the wire layer, so all of them name the index's limit in the error.
+    """
+    resolved = max_tau if tau is None else validate_threshold(tau)
+    if resolved > max_tau:
+        raise InvalidThresholdError(resolved, max_tau)
+    return resolved
 
 
 def resolve_query_taus(queries: Sequence[str],
@@ -56,25 +61,16 @@ def resolve_query_taus(queries: Sequence[str],
     ``max_tau`` — shared by all three batch searchers so their threshold
     semantics cannot drift apart.
     """
-    def resolve_one(value: int | None) -> int:
-        resolved = max_tau if value is None else validate_threshold(value)
-        if resolved > max_tau:
-            raise InvalidThresholdError(resolved)
-        return resolved
-
     if tau is None or isinstance(tau, int):
-        return [resolve_one(tau)] * len(queries)
+        return [resolve_tau(tau, max_tau)] * len(queries)
     taus = list(tau)
     if len(taus) != len(queries):
         raise ValueError(f"got {len(queries)} queries but {len(taus)} "
                          f"thresholds")
-    return [resolve_one(value) for value in taus]
+    return [resolve_tau(value, max_tau) for value in taus]
 
 
-def resolve_top_k(kernel: SimilarityKernel, k: int, max_tau: int | None,
-                  ceiling: int,
-                  batch_kernel: "str | Sequence[str | None] | None" = None,
-                  ) -> int:
+def resolve_top_k(k: int, max_tau: int | None, ceiling: int) -> int:
     """Validate a top-k request; return the threshold widening may reach.
 
     ``ceiling`` is the index's ``max_tau``; a larger ``max_tau`` is clamped
@@ -82,16 +78,20 @@ def resolve_top_k(kernel: SimilarityKernel, k: int, max_tau: int | None,
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    check_batch_kernels(kernel, batch_kernel)
-    return ceiling if max_tau is None else min(kernel.validate_tau(max_tau),
+    return ceiling if max_tau is None else min(validate_threshold(max_tau),
                                                ceiling)
 
 
-def any_key_within(counts: Mapping[int, int], lo: int, hi: int) -> bool:
-    """True when some live partition key of ``counts`` lies in ``[lo, hi]``.
+def length_window(query: str, tau: int) -> tuple[int, int]:
+    """Inclusive range of record lengths within ``tau`` edits of ``query``."""
+    return max(0, len(query) - tau), len(query) + tau
 
-    The key filter every probe applies first: with no live record's key
-    (length; token count) inside a query's window no match is possible, so
+
+def any_key_within(counts: Mapping[int, int], lo: int, hi: int) -> bool:
+    """True when some live record length of ``counts`` lies in ``[lo, hi]``.
+
+    The length filter every probe applies first: with no live record's
+    length inside a query's :func:`length_window` no match is possible, so
     top-k widening skips the round and the router skips the scatter.
     """
     if hi - lo + 1 > len(counts):
@@ -150,37 +150,36 @@ def ranked_matches(raw: Iterable[tuple[StringRecord, int]],
 
 
 class KernelSearcher:
-    """The query surface over one kernel backend, written once.
+    """The query surface over one :class:`EditDistanceBackend`, written once.
 
     :class:`PassJoinSearcher` (a frozen collection) and
     :class:`~repro.service.dynamic.DynamicSearcher` (a mutable one) own
     construction and mutation and share every query method from here.  A
     frozen collection is the no-tombstone case of the mutable one, so the
-    only things a subclass provides besides ``kernel`` / ``max_tau`` /
-    ``statistics`` / ``_backend`` are ``_tombstones`` (records still in the
-    index but logically gone — always empty when frozen), ``_length_counts``
-    (live partition key → live record count) and ``__len__`` (live count).
+    only things a subclass provides besides ``max_tau`` / ``statistics`` /
+    ``_backend`` are ``_tombstones`` (records still in the index but
+    logically gone — always empty when frozen), ``_length_counts`` (live
+    record length → live record count) and ``__len__`` (live count).
 
     Scalar calls are the batch of one: :meth:`search` and
     :meth:`search_top_k` run exactly the code of :meth:`search_many` and
     :meth:`search_top_k_many`.
     """
 
-    kernel: SimilarityKernel
     max_tau: int
     statistics: JoinStatistics
-    _backend: KernelBackend
+    _backend: EditDistanceBackend
     _tombstones: Mapping[int, StringRecord]
     _length_counts: Mapping[int, int]
 
     @property
     def _index(self):
-        """The backend's signature index (edit-distance kernel only)."""
+        """The backend's segment index."""
         return self._backend.index
 
     @property
     def _selector(self):
-        """The backend's substring selector (edit-distance kernel only)."""
+        """The backend's substring selector."""
         return self._backend.selector
 
     def _accept(self, exclude: "Mapping[int, SearchMatch] | None" = None,
@@ -221,21 +220,16 @@ class KernelSearcher:
 
     def search_many(self, queries: Sequence[str],
                     tau: int | Sequence[int | None] | None = None,
-                    kernel: "str | Sequence[str | None] | None" = None,
                     ) -> list[list[SearchMatch]]:
         """Answer a batch of queries in one grouped index pass.
 
         ``tau`` is a single threshold for the whole batch or a sequence of
         per-query thresholds (``None`` entries default to ``max_tau``).
         Returns one result list per query, aligned with ``queries``;
-        duplicates in the batch are executed once and (for the
-        edit-distance kernel) queries of one shape share their selection
-        and posting scans (see :func:`repro.core.engine.probe_many`).
-        ``kernel`` (scalar or per-query) must name this searcher's kernel;
-        a batch naming two different kernels is rejected (see
-        :func:`repro.core.kernel.check_batch_kernels`).
+        duplicates in the batch are executed once and queries of one
+        shape share their selection and posting scans (see
+        :func:`repro.core.engine.probe_many`).
         """
-        check_batch_kernels(self.kernel, kernel)
         results = self._probe(queries,
                               resolve_query_taus(queries, tau, self.max_tau))
         self.statistics.num_results += sum(map(len, results))
@@ -286,7 +280,6 @@ class KernelSearcher:
 
     def search_top_k_many(self, queries: Sequence[str], k: int,
                           max_tau: int | None = None,
-                          kernel: "str | Sequence[str | None] | None" = None,
                           ) -> list[list[SearchMatch]]:
         """Top-k for a batch: widen tau in lockstep across the queries.
 
@@ -295,11 +288,11 @@ class KernelSearcher:
         over and are excluded from the probe (a round at ``tau`` can only
         add matches at distance exactly ``tau``), a query retires once it
         has ``k`` matches or has matched every live record, and a round no
-        live partition key can serve is skipped for that query.  Duplicate
+        live record length can serve is skipped for that query.  Duplicate
         queries widen once; ``num_results`` counts the matches returned,
         not every round's.
         """
-        limit = resolve_top_k(self.kernel, k, max_tau, self.max_tau, kernel)
+        limit = resolve_top_k(k, max_tau, self.max_tau)
         needed = min(k, len(self))
         found: dict[str, dict[int, SearchMatch]] = {
             query: {} for query in queries}
@@ -309,9 +302,8 @@ class KernelSearcher:
             if not active:
                 break
             members = [query for query in active
-                       if any_key_within(
-                           self._length_counts,
-                           *self.kernel.probe_key_range(query, tau))]
+                       if any_key_within(self._length_counts,
+                                         *length_window(query, tau))]
             if not members:
                 continue
             rounds = self._probe(members, [tau] * len(members),
@@ -334,22 +326,15 @@ class PassJoinSearcher(KernelSearcher):
         The collection to index (plain strings or
         :class:`~repro.types.StringRecord` objects with caller-chosen ids).
     max_tau:
-        Largest threshold any future query may use, under the kernel's
-        semantics.  Larger values make the index bigger (more signatures
+        Largest edit-distance threshold any future query may use.  Larger values make the index bigger (more signatures
         per string) and individual queries slightly slower, but allow
         looser searches.
     partition:
-        Partition strategy for the edit-distance kernel (the paper's even
-        scheme by default).
+        Partition strategy (the paper's even scheme by default).
     verification:
-        Verification kernel used by the edit-distance kernel to check
-        candidates (a :class:`~repro.config.VerificationMethod` or its
-        string name).  Defaults to
-        :data:`~repro.config.DEFAULT_VERIFICATION`.
-    kernel:
-        Similarity kernel — a registered name or a
-        :class:`~repro.core.kernel.SimilarityKernel` instance; defaults
-        to ``edit-distance``.
+        Verification kernel used to check candidates (a
+        :class:`~repro.config.VerificationMethod` or its string name).
+        Defaults to :data:`~repro.config.DEFAULT_VERIFICATION`.
 
     Examples
     --------
@@ -361,25 +346,20 @@ class PassJoinSearcher(KernelSearcher):
     def __init__(self, strings: Iterable[str | StringRecord], max_tau: int,
                  partition: PartitionStrategy = PartitionStrategy.EVEN,
                  verification: VerificationMethod | str =
-                 DEFAULT_VERIFICATION,
-                 kernel: str | SimilarityKernel | None = None) -> None:
-        self.kernel = resolve_kernel(kernel)
-        self.max_tau = self.kernel.validate_tau(max_tau)
-        self.verification = (verification
-                            if isinstance(verification, VerificationMethod)
-                            else VerificationMethod(str(verification)))
+                 DEFAULT_VERIFICATION) -> None:
+        self._backend = EditDistanceBackend(max_tau, partition=partition,
+                                            verification=verification)
+        self.max_tau = self._backend.max_tau
+        self.verification = self._backend.verification
         self.statistics = JoinStatistics()
         self._records = as_records(strings)
         self.statistics.num_strings = len(self._records)
-        self._backend = self.kernel.make_backend(
-            self.max_tau, partition=partition, verification=self.verification,
-            seed=self._records)
         for record in sort_records(self._records):
             self.statistics.num_indexed_segments += self._backend.add(record)
         self.statistics.index_entries = self._backend.entry_count()
         self.statistics.index_bytes = self._backend.approximate_bytes()
         self._tombstones: dict[int, StringRecord] = {}  # frozen: never any
-        self._length_counts = Counter(self.kernel.record_key(record.text)
+        self._length_counts = Counter(record.length
                                       for record in self._records)
 
     # ------------------------------------------------------------------

@@ -17,6 +17,7 @@ sockets, ...).
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence, TypeVar
 
@@ -73,8 +74,10 @@ class RequestBatcher:
                  max_batch: int = 64, window: float = 0.002) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {max_batch!r}")
-        if window < 0:
-            raise ValueError(f"window must be non-negative, got {window!r}")
+        if not math.isfinite(window) or window < 0:
+            # NaN or infinity would schedule a drain that never runs.
+            raise ValueError(
+                f"window must be non-negative and finite, got {window!r}")
         self._execute = execute
         self.max_batch = max_batch
         self.window = window

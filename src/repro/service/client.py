@@ -106,34 +106,30 @@ class _OpTable:
         """Send ``payload``; return ``parse`` of the ``ok`` response."""
         raise NotImplementedError
 
-    def search(self, query: str, tau: int | None = None, *,
-               kernel: str | None = None) -> list[SearchMatch]:
-        """Search; ``kernel`` (optional) asserts which kernel must serve it."""
-        return self._roundtrip(
-            _payload("search", query=query, tau=tau, kernel=kernel),
-            _parse_matches)
+    def search(self, query: str, tau: int | None = None) -> list[SearchMatch]:
+        """Every string within ``tau`` (default: the server's ``max_tau``)."""
+        return self._roundtrip(_payload("search", query=query, tau=tau),
+                               _parse_matches)
 
-    def search_batch(self, queries: Sequence[str], tau: int | None = None, *,
-                     kernel: str | None = None) -> list[list[SearchMatch]]:
+    def search_batch(self, queries: Sequence[str],
+                     tau: int | None = None) -> list[list[SearchMatch]]:
         """Answer many queries with one ``search-batch`` request line.
 
         Returns one result list per query, aligned with ``queries`` — the
         server answers the whole batch with a single grouped index pass.
-        A whole batch targets one kernel; pass ``kernel`` to assert it.
         """
         return self._roundtrip(
-            _payload("search-batch", queries=list(queries), tau=tau,
-                     kernel=kernel), _parse_batch)
+            _payload("search-batch", queries=list(queries), tau=tau),
+            _parse_batch)
 
-    def top_k(self, query: str, k: int, max_tau: int | None = None, *,
-              kernel: str | None = None) -> list[SearchMatch]:
+    def top_k(self, query: str, k: int,
+              max_tau: int | None = None) -> list[SearchMatch]:
         return self._roundtrip(
-            _payload("top-k", query=query, k=k, max_tau=max_tau,
-                     kernel=kernel), _parse_matches)
+            _payload("top-k", query=query, k=k, max_tau=max_tau),
+            _parse_matches)
 
     def top_k_batch(self, queries: Sequence[str], k: int,
-                    max_tau: int | None = None, *,
-                    kernel: str | None = None) -> list[list[SearchMatch]]:
+                    max_tau: int | None = None) -> list[list[SearchMatch]]:
         """Answer many top-k queries with one ``top-k-batch`` request line.
 
         ``k`` and ``max_tau`` are shared across the batch; the server
@@ -143,7 +139,7 @@ class _OpTable:
         """
         return self._roundtrip(
             _payload("top-k-batch", queries=list(queries), k=k,
-                     max_tau=max_tau, kernel=kernel), _parse_batch)
+                     max_tau=max_tau), _parse_batch)
 
     def insert(self, text: str, *, id: int | None = None) -> int:
         return self._roundtrip(_payload("insert", text=text, id=id),
@@ -169,17 +165,7 @@ class _OpTable:
         """
         return self._roundtrip(_payload("metrics"), _whole)
 
-    def kernels(self) -> dict:
-        """The server's similarity-kernel catalogue (the ``kernels`` op).
-
-        The response carries ``serving`` (the kernel name this service is
-        configured with) and ``kernels`` (one descriptor per registered
-        kernel: name, threshold semantics, partition-key definition).
-        """
-        return self._roundtrip(_payload("kernels"), _whole)
-
-    def explain(self, query: str, tau: int | None = None, *,
-                kernel: str | None = None) -> dict:
+    def explain(self, query: str, tau: int | None = None) -> dict:
         """Run one traced probe on the server; return the explain report.
 
         The report's per-stage funnel, per-length breakdown, verifier
@@ -188,9 +174,8 @@ class _OpTable:
         the same, as dicts (see :meth:`PassJoinSearcher.explain
         <repro.search.searcher.PassJoinSearcher.explain>`).
         """
-        return self._roundtrip(
-            _payload("explain", query=query, tau=tau, kernel=kernel),
-            itemgetter("explain"))
+        return self._roundtrip(_payload("explain", query=query, tau=tau),
+                               itemgetter("explain"))
 
     def add_shard(self) -> dict:
         """Grow the server's shard fleet by one; return the rebalance status.

@@ -1,19 +1,19 @@
-"""A mutable build-once index: kernel search over a living collection.
+"""A mutable build-once index: similarity search over a living collection.
 
 :class:`DynamicSearcher` is the online counterpart of
-:class:`~repro.search.searcher.PassJoinSearcher`: the same signature index
-and filter-and-verify pipeline — for whichever
-:class:`~repro.core.kernel.SimilarityKernel` it serves — but the collection
-may change between queries.
+:class:`~repro.search.searcher.PassJoinSearcher`: the same segment index
+and filter-and-verify pipeline, but the collection may change between
+queries.
 
 * :meth:`~DynamicSearcher.insert` generates the new record's signatures and
   appends them to the inverted lists.  Results never depend on posting
   order: candidates are deduplicated by id and answers sorted by
   ``(distance, id)``.
-* The kernel backend is the one record table: it holds every indexed or
-  pooled record and answers :attr:`~DynamicSearcher.records`,
-  :meth:`~DynamicSearcher.get_many` and the duplicate-id check by id.  A
-  record is live when the backend holds it and it is not tombstoned.
+* The :class:`~repro.core.kernel.EditDistanceBackend` is the one record
+  table: it holds every indexed or pooled record and answers
+  :attr:`~DynamicSearcher.records`, :meth:`~DynamicSearcher.get_many` and
+  the duplicate-id check by id.  A record is live when the backend holds
+  it and it is not tombstoned.
 * :meth:`~DynamicSearcher.delete` is a **tombstone**: the record's postings
   stay in the index but every search filters its id out, which makes
   deletion O(1).  Once ``compact_interval`` tombstones accumulate,
@@ -26,9 +26,9 @@ consumed by :class:`~repro.service.cache.QueryCache`.
 
 Exactness: search and top-k results are identical — element for element —
 to re-building a fresh ``PassJoinSearcher`` over the surviving records,
-because both run the same kernel backend over the same logical collection
-and the result ordering is canonical.  The property-based test suite
-asserts this equivalence on random interleavings, for both kernels.
+because both run the same backend over the same logical collection and the
+result ordering is canonical.  The property-based test suite asserts this
+equivalence on random interleavings.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..config import PartitionStrategy
-from ..core.kernel import SimilarityKernel, resolve_kernel
+from ..core.kernel import EditDistanceBackend
 from ..search.searcher import KernelSearcher
 from ..types import JoinStatistics, StringRecord, as_records
 
@@ -72,19 +72,13 @@ class DynamicSearcher(KernelSearcher):
         ids must be unique — a duplicate raises ``ValueError``, as it
         would leave one record's postings behind as a searchable ghost).
     max_tau:
-        Largest threshold any query may use, under the kernel's
-        semantics (edit distance; scaled Jaccard distance).
+        Largest edit-distance threshold any query may use.
     partition:
-        Partition strategy for the edit-distance kernel (the paper's even
-        scheme by default; other kernels reject non-default values).
+        Partition strategy (the paper's even scheme by default).
     compact_interval:
         Tombstone budget: once this many deleted records are still
         physically present in the index, the next mutation compacts.
         ``0`` compacts on every delete.
-    kernel:
-        Similarity kernel to serve — a registered name or a
-        :class:`~repro.core.kernel.SimilarityKernel` instance; defaults
-        to ``edit-distance``.
 
     Examples
     --------
@@ -101,10 +95,9 @@ class DynamicSearcher(KernelSearcher):
 
     def __init__(self, strings: Iterable[str | StringRecord] = (), *,
                  max_tau: int, partition: PartitionStrategy = PartitionStrategy.EVEN,
-                 compact_interval: int = 64,
-                 kernel: str | SimilarityKernel | None = None) -> None:
-        self.kernel = resolve_kernel(kernel)
-        self.max_tau = self.kernel.validate_tau(max_tau)
+                 compact_interval: int = 64) -> None:
+        self._backend = EditDistanceBackend(max_tau, partition=partition)
+        self.max_tau = self._backend.max_tau
         if (isinstance(compact_interval, bool)
                 or not isinstance(compact_interval, int) or compact_interval < 0):
             raise ValueError(f"compact_interval must be a non-negative integer, "
@@ -112,10 +105,8 @@ class DynamicSearcher(KernelSearcher):
         self.compact_interval = compact_interval
         self.statistics = JoinStatistics()
         records = as_records(strings)
-        self._backend = self.kernel.make_backend(
-            self.max_tau, partition=partition, seed=records)
-        # live partition key -> number of live records with that key (lets
-        # top-k widening skip thresholds no live record can possibly meet).
+        # live length -> number of live records of that length (lets top-k
+        # widening skip thresholds no live record can possibly meet).
         self._length_counts: dict[int, int] = {}
         # id -> record still present in the signature index but logically gone.
         self._tombstones: dict[int, StringRecord] = {}
@@ -165,7 +156,7 @@ class DynamicSearcher(KernelSearcher):
 
     @property
     def _short_pool(self) -> dict[int, StringRecord]:
-        """Records the kernel cannot index (too short; token-less)."""
+        """Records too short to partition (never indexed)."""
         return self._backend.short_pool
 
     def index_memory(self) -> dict[str, int]:
@@ -227,12 +218,11 @@ class DynamicSearcher(KernelSearcher):
         record = self._backend.record(record_id)
         if not self._backend.unpool(record_id):
             self._tombstones[record_id] = record
-        key = self.kernel.record_key(record.text)
-        remaining = self._length_counts.get(key, 0) - 1
+        remaining = self._length_counts.get(record.length, 0) - 1
         if remaining > 0:
-            self._length_counts[key] = remaining
+            self._length_counts[record.length] = remaining
         else:
-            self._length_counts.pop(key, None)
+            self._length_counts.pop(record.length, None)
         self.statistics.num_strings -= 1
         self._bump()
         return True
@@ -259,8 +249,8 @@ class DynamicSearcher(KernelSearcher):
 
     def _insert_record(self, record: StringRecord) -> None:
         self.statistics.num_indexed_segments += self._backend.add(record)
-        key = self.kernel.record_key(record.text)
-        self._length_counts[key] = self._length_counts.get(key, 0) + 1
+        self._length_counts[record.length] = (
+            self._length_counts.get(record.length, 0) + 1)
         self._next_id = max(self._next_id, record.id + 1)
         self.statistics.index_entries = self._backend.entry_count()
         self.statistics.index_bytes = self._backend.approximate_bytes()
@@ -275,4 +265,4 @@ class DynamicSearcher(KernelSearcher):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DynamicSearcher(live={len(self)}, "
                 f"tombstones={len(self._tombstones)}, epoch={self._epoch}, "
-                f"kernel={self.kernel.name!r}, max_tau={self.max_tau})")
+                f"max_tau={self.max_tau})")

@@ -83,32 +83,25 @@ class PlacementMap:
         self.max_tau = max_tau
 
     def place(self, record_id: int, length: int) -> int:
-        """Owning shard of a record (pure in ``record_id`` and ``length``).
-
-        ``length`` is the record's *partition key* under the served
-        similarity kernel — the character length for edit distance, the
-        token-set size for token-jaccard (the parameter keeps its
-        historical name; any non-negative integer key works).
-        """
+        """Owning shard of a record (pure in ``record_id`` and ``length``)."""
         raise NotImplementedError
 
     def probe_key_span(self, lo: int, hi: int) -> tuple[int, ...]:
-        """Shards holding records whose partition key lies in ``[lo, hi]``.
+        """Shards holding records whose length lies in ``[lo, hi]``.
 
-        The kernel computes the inclusive key window a query can match
-        (:meth:`SimilarityKernel.probe_key_range
-        <repro.core.kernel.SimilarityKernel.probe_key_range>`); the map
-        answers which shards own any key in it — a superset of
-        :meth:`place` over every key in the window (the soundness
-        contract the test suite checks for every map).
+        The router passes the inclusive length window a query can match
+        (:func:`~repro.search.searcher.length_window`); the map answers
+        which shards own any length in it — a superset of :meth:`place`
+        over every length in the window (the soundness contract the test
+        suite checks for every map).
         """
         raise NotImplementedError
 
     def probe_shards(self, query_length: int, tau: int) -> tuple[int, ...]:
         """Shards a query of ``query_length`` at ``tau`` may find matches in.
 
-        Edit-distance convenience wrapper over :meth:`probe_key_span`
-        (the key window of an ED probe is ``[|q| − τ, |q| + τ]``).
+        Convenience wrapper over :meth:`probe_key_span` (the length window
+        of a probe is ``[|q| − τ, |q| + τ]``).
         """
         return self.probe_key_span(max(0, query_length - tau),
                                    query_length + tau)

@@ -59,13 +59,12 @@ import threading
 import time
 from typing import Callable, Iterable, Sequence
 
-from ..config import DEFAULT_SERVICE_CONFIG, ServiceConfig, validate_threshold
-from ..core.kernel import (check_batch_kernels, check_kernel_match,
-                           describe_kernels)
-from ..exceptions import InvalidThresholdError, ServiceError
+from ..config import DEFAULT_SERVICE_CONFIG, ServiceConfig
+from ..core.kernel import EditDistanceKernel
+from ..exceptions import ConfigurationError, ServiceError
 from ..obs.metrics import MetricsRegistry, funnel_snapshot, merge_snapshots
 from ..obs.slowlog import log_slow_query
-from ..search.searcher import SearchMatch
+from ..search.searcher import SearchMatch, resolve_tau, resolve_top_k
 from ..types import StringRecord
 from .batcher import RequestBatcher
 from .cache import QueryCache
@@ -88,7 +87,7 @@ RESHARD_OPS = ("add-shard", "remove-shard")
 #: Every operation the service understands.
 ALL_OPS = QUERY_OPS + RESHARD_OPS + (
     "rebalance-status", "insert", "delete", "compact", "stats", "metrics",
-    "explain", "kernels", "ping", "shutdown")
+    "explain", "ping", "shutdown")
 
 #: Query keys are tuples: ("search", query, tau) or ("top-k", query, k, limit).
 QueryKey = tuple
@@ -113,6 +112,23 @@ def _require_int(payload: dict, field: str, *, minimum: int = 0) -> int:
         raise ValueError(f"field {field!r} must be an integer >= {minimum}, "
                          f"got {value!r}")
     return value
+
+
+def _check_kernel_fields(payload: dict) -> None:
+    """Refuse a request that names a similarity other than edit distance.
+
+    A request may carry a ``kernel`` name, and a batch a per-query
+    ``kernels`` list; both only assert what the server serves.  Any other
+    name, or a non-string, is refused, so a client written for another
+    similarity gets an error instead of edit-distance answers.
+    """
+    names = payload.get("kernels")
+    for name in (payload.get("kernel"),
+                 *(names if isinstance(names, list) else [names])):
+        if name is not None and name != EditDistanceKernel.name:
+            raise ConfigurationError(
+                f"this server serves only the {EditDistanceKernel.name!r} "
+                f"kernel, but the request names {name!r}")
 
 
 class SimilarityService:
@@ -144,13 +160,11 @@ class SimilarityService:
                 partition=config.partition,
                 compact_interval=config.compact_interval,
                 policy=config.shard_policy, backend=config.shard_backend,
-                migration_batch=config.migration_batch,
-                kernel=config.kernel)
+                migration_batch=config.migration_batch)
         else:
             self.searcher = DynamicSearcher(
                 strings, max_tau=config.max_tau, partition=config.partition,
-                compact_interval=config.compact_interval,
-                kernel=config.kernel)
+                compact_interval=config.compact_interval)
         self.cache = QueryCache(config.cache_capacity)
         self.queries_served = 0
         # Service-level telemetry: per-op request/error counters and
@@ -198,33 +212,24 @@ class SimilarityService:
 
         All per-request validation happens here — before any key joins a
         batch — so one malformed request can never fail the batch it
-        shares an execution with.  Kernel fields follow the pinned
-        mixed-batch semantics of
-        :func:`~repro.core.kernel.check_batch_kernels`: a scalar ``kernel``
-        (or a batch's per-query ``kernels`` list) must name the served
-        kernel, and a ``kernels`` list naming two different kernels is
-        rejected outright — the whole batch fails before any query runs.
+        shares an execution with.  A ``kernel`` field (or a batch's
+        per-query ``kernels`` list) naming anything but edit distance fails
+        the whole request before any query runs.
         """
+        _check_kernel_fields(payload)
         if payload.get("op") in (BATCH_OP, TOP_K_BATCH_OP):
             queries = self._validate_batch_queries(payload)
         else:
-            self._check_kernel_field(payload)
             queries = [_require_str(payload, "query")]
         return [self._query_key(payload, query) for query in queries]
 
     def _query_key(self, payload: dict, query: str) -> QueryKey:
         max_tau = self.searcher.max_tau
         if payload.get("op") in ("search", BATCH_OP):
-            tau = payload.get("tau")
-            tau = max_tau if tau is None else validate_threshold(tau)
-            if tau > max_tau:
-                raise InvalidThresholdError(tau)
-            return ("search", query, tau)
+            return ("search", query, resolve_tau(payload.get("tau"), max_tau))
         k = _require_int(payload, "k", minimum=1)
-        limit = payload.get("max_tau")
-        limit = (max_tau if limit is None
-                 else min(validate_threshold(limit), max_tau))
-        return ("top-k", query, k, limit)
+        return ("top-k", query, k,
+                resolve_top_k(k, payload.get("max_tau"), max_tau))
 
     def render_answers(self, op: str,
                        answers: Sequence[tuple[list[SearchMatch], bool]],
@@ -246,23 +251,6 @@ class SimilarityService:
         return {"ok": True, "matches": [match.to_dict() for match in matches],
                 "cached": cached, "epoch": epoch}
 
-    def _check_kernel_field(self, payload: dict) -> None:
-        """Validate an optional ``kernel`` request field.
-
-        A request may name the kernel it expects; naming any kernel other
-        than the one this server serves is rejected (one server, one
-        kernel — the ``kernels`` op tells clients which).  The field never
-        reaches the query key: within one service it is an assertion, not
-        a parameter.
-        """
-        requested = payload.get("kernel")
-        if requested is None:
-            return
-        if not isinstance(requested, str):
-            raise ValueError(
-                f"field 'kernel' must be a string, got {requested!r}")
-        check_kernel_match(self.searcher.kernel, requested)
-
     def _validate_batch_queries(self, payload: dict) -> list[str]:
         queries = payload.get("queries")
         if (not isinstance(queries, list)
@@ -273,18 +261,6 @@ class SimilarityService:
         if limit and len(queries) > limit:
             raise ValueError(f"batch of {len(queries)} queries exceeds "
                              f"max_query_batch={limit}")
-        self._check_kernel_field(payload)
-        kernels = payload.get("kernels")
-        if kernels is not None:
-            if (not isinstance(kernels, list)
-                    or not all(name is None or isinstance(name, str)
-                               for name in kernels)):
-                raise ValueError(f"field 'kernels' must be a list of kernel "
-                                 f"names, got {kernels!r}")
-            if len(kernels) != len(queries):
-                raise ValueError(f"got {len(queries)} queries but "
-                                 f"{len(kernels)} kernel names")
-            check_batch_kernels(self.searcher.kernel, kernels)
         return queries
 
     def execute_queries(self, keys: Sequence[QueryKey],
@@ -467,14 +443,10 @@ class SimilarityService:
         if op == "metrics":
             return self.metrics_payload()
         if op == "explain":
-            self._check_kernel_field(payload)
+            _check_kernel_fields(payload)
             query = _require_str(payload, "query")
             report = self.searcher.explain(query, payload.get("tau"))
             return {"ok": True, "explain": report,
-                    "epoch": self.searcher.epoch}
-        if op == "kernels":
-            return {"ok": True, "serving": self.searcher.kernel.name,
-                    "kernels": describe_kernels(),
                     "epoch": self.searcher.epoch}
         if op == "ping":
             return {"ok": True, "pong": True, "epoch": self.searcher.epoch}
@@ -545,8 +517,7 @@ class SimilarityService:
                                      "per_shard": shard_metrics["per_shard"]}
             else:
                 engine = funnel_snapshot(searcher.statistics,
-                                         memory=searcher.index_memory(),
-                                         kernel=searcher.kernel.name)
+                                         memory=searcher.index_memory())
             payload["merged"] = merge_snapshots(
                 [self.metrics.snapshot(), self._cache_snapshot(), engine])
             return payload
@@ -583,7 +554,6 @@ class SimilarityService:
                 "size": len(searcher),
                 "epoch": searcher.epoch,
                 "tombstones": tombstones,
-                "kernel": searcher.kernel.name,
                 "max_tau": searcher.max_tau,
                 "uptime_seconds": time.monotonic() - self.started_monotonic,
                 "queries_served": self.queries_served,

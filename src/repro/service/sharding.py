@@ -76,16 +76,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..config import (DEFAULT_KERNEL, SHARD_BACKENDS, SHARD_POLICIES,
-                      PartitionStrategy)
+from ..config import (SHARD_BACKENDS, SHARD_POLICIES, PartitionStrategy,
+                      validate_threshold)
 from ..core.join import available_workers
-from ..core.kernel import (SimilarityKernel, check_batch_kernels,
-                           resolve_kernel)
 from ..exceptions import ConfigurationError, ServiceError
 from ..obs.metrics import funnel_snapshot, merge_snapshots
 from ..obs.trace import merge_explain_reports
-from ..search.searcher import (SearchMatch, any_key_within, resolve_query_taus,
-                               resolve_top_k)
+from ..search.searcher import (SearchMatch, any_key_within, length_window,
+                               resolve_query_taus, resolve_top_k)
 from ..types import JoinStatistics, StringRecord, as_records
 from .dynamic import DynamicSearcher, coerce_insert_record
 from .placement import PlacementMap, make_placement_map
@@ -136,13 +134,11 @@ class ShardContext:
     max_tau: int
     partition: PartitionStrategy
     compact_interval: int
-    kernel: str = DEFAULT_KERNEL
 
     def build(self) -> DynamicSearcher:
         return DynamicSearcher(self.records, max_tau=self.max_tau,
                                partition=self.partition,
-                               compact_interval=self.compact_interval,
-                               kernel=self.kernel)
+                               compact_interval=self.compact_interval)
 
 
 def _apply_shard_op(searcher: DynamicSearcher, op: str, args: object) -> object:
@@ -178,8 +174,7 @@ def _apply_shard_op(searcher: DynamicSearcher, op: str, args: object) -> object:
         # A registry snapshot is a plain dict, so it survives the process
         # backend's pipe unchanged and merges in the router.
         return funnel_snapshot(searcher.statistics,
-                               memory=searcher.index_memory(),
-                               kernel=searcher.kernel.name)
+                               memory=searcher.index_memory())
     if op == "explain":
         query, tau = args
         return searcher.explain(query, tau)
@@ -379,8 +374,7 @@ class ShardRouter:
                  shards: int, max_tau: int,
                  partition: PartitionStrategy = PartitionStrategy.EVEN,
                  compact_interval: int = 64, policy: str = "hash",
-                 backend: str = "auto", migration_batch: int = 256,
-                 kernel: str | SimilarityKernel | None = None) -> None:
+                 backend: str = "auto", migration_batch: int = 256) -> None:
         if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
             raise ConfigurationError(
                 f"shards must be a positive integer, got {shards!r}")
@@ -389,8 +383,7 @@ class ShardRouter:
             raise ConfigurationError(
                 f"migration_batch must be a positive integer, "
                 f"got {migration_batch!r}")
-        self.kernel = resolve_kernel(kernel)
-        self.max_tau = self.kernel.validate_tau(max_tau)
+        self.max_tau = validate_threshold(max_tau)
         self.num_shards = shards
         self.policy = make_placement_map(policy, shards, self.max_tau)
         self.backend = resolve_shard_backend(backend)
@@ -400,28 +393,24 @@ class ShardRouter:
 
         per_shard: list[list[StringRecord]] = [[] for _ in range(shards)]
         self._shard_of: dict[int, int] = {}  # live record id -> shard index
-        # live record id -> partition key under the kernel (text length for
-        # edit distance, token-set size for token-jaccard).
-        self._length_of: dict[int, int] = {}
-        self._length_counts: dict[int, int] = {}  # live key -> record count
+        self._length_of: dict[int, int] = {}  # live record id -> length
+        self._length_counts: dict[int, int] = {}  # live length -> count
         self._next_id = 0
         for record in as_records(strings):
             if record.id in self._shard_of:
                 raise ValueError(
                     f"duplicate id {record.id} in the initial collection: "
                     f"sharded results are only exact over unique ids")
-            key = self.kernel.record_key(record.text)
-            shard = self.policy.place(record.id, key)
+            shard = self.policy.place(record.id, record.length)
             per_shard[shard].append(record)
-            self._track_live(record.id, key, shard)
+            self._track_live(record.id, record.length, shard)
 
         self._mp_context = (multiprocessing.get_context("fork")
                             if self.backend == "process" else None)
         self._shards = [
             self._spawn(ShardContext(records=bucket, max_tau=self.max_tau,
                                      partition=partition,
-                                     compact_interval=compact_interval,
-                                     kernel=self.kernel.name))
+                                     compact_interval=compact_interval))
             for bucket in per_shard]
         self._epochs = [0] * shards
         # Epochs of retired shards fold into the base so the scalar epoch
@@ -657,10 +646,9 @@ class ShardRouter:
         record = coerce_insert_record(text, id, self._next_id)
         if record.id in self._shard_of:
             raise ValueError(f"id {record.id} is already in the collection")
-        key = self.kernel.record_key(record.text)
-        shard = self.policy.place(record.id, key)
+        shard = self.policy.place(record.id, record.length)
         self._call(shard, "insert", record)
-        self._track_live(record.id, key, shard)
+        self._track_live(record.id, record.length, shard)
         return record.id
 
     def delete(self, record_id: int) -> bool:
@@ -703,8 +691,7 @@ class ShardRouter:
         self._require_idle()
         self._shards.append(self._spawn(ShardContext(
             records=[], max_tau=self.max_tau, partition=self._partition,
-            compact_interval=self._compact_interval,
-            kernel=self.kernel.name)))
+            compact_interval=self._compact_interval)))
         self._epochs.append(0)
         self.num_shards += 1
         self._start_migration("add-shard",
@@ -872,17 +859,15 @@ class ShardRouter:
     def _probe_targets(self, query: str, tau: int) -> tuple[int, ...]:
         """Shards a query must scatter to right now (possibly none).
 
-        The kernel turns the query into an inclusive partition-key window
-        (``[|q| − τ, |q| + τ]`` for edit distance, the Jaccard size filter
-        for token sets); the probe set is empty when no live record's key
-        falls inside it — a match is impossible on the key filter alone,
-        so the query is answered ``[]`` without touching any shard (the
-        empty-band fast path of the ``length`` policy, valid for every
-        policy).  During a migration the old and new maps' probe sets are
-        unioned: an unmoved record is still covered by the old map, a
-        moved one by the new.
+        The probe set is empty when no live record's length falls inside
+        the query's window ``[|q| − τ, |q| + τ]`` — a match is impossible
+        on the length filter alone, so the query is answered ``[]``
+        without touching any shard (the empty-band fast path of the
+        ``length`` policy, valid for every policy).  During a migration
+        the old and new maps' probe sets are unioned: an unmoved record is
+        still covered by the old map, a moved one by the new.
         """
-        lo, hi = self.kernel.probe_key_range(query, tau)
+        lo, hi = length_window(query, tau)
         if not any_key_within(self._length_counts, lo, hi):
             return ()
         targets = self.policy.probe_key_span(lo, hi)
@@ -937,7 +922,6 @@ class ShardRouter:
 
     def search_many(self, queries: Sequence[str],
                     tau: int | Sequence[int | None] | None = None,
-                    kernel: "str | Sequence[str | None] | None" = None,
                     ) -> list[list[SearchMatch]]:
         """Answer a batch of threshold searches in one scatter round.
 
@@ -950,10 +934,7 @@ class ShardRouter:
         ``(distance, id)`` ordering.  Results are element-identical to the
         unsharded batch (and therefore to per-query :meth:`search` calls);
         queries whose probe set is empty stay ``[]`` without scattering.
-        ``kernel`` follows the rejection semantics of
-        :func:`~repro.service.dynamic.check_batch_kernels`.
         """
-        check_batch_kernels(self.kernel, kernel)
         taus = resolve_query_taus(queries, tau, self.max_tau)
         return self._scatter_queries(
             queries, taus, "search-many",
@@ -992,7 +973,6 @@ class ShardRouter:
 
     def search_top_k_many(self, queries: Sequence[str], k: int,
                           max_tau: int | None = None,
-                          kernel: "str | Sequence[str | None] | None" = None,
                           ) -> list[list[SearchMatch]]:
         """Merge the per-shard top-k lists into the global top-k.
 
@@ -1011,7 +991,7 @@ class ShardRouter:
         identical copies; the merge dedupes them before the cut to ``k``.)
         Queries whose probe set is empty stay ``[]`` without scattering.
         """
-        limit = resolve_top_k(self.kernel, k, max_tau, self.max_tau, kernel)
+        limit = resolve_top_k(k, max_tau, self.max_tau)
         merged = self._scatter_queries(
             queries, [limit] * len(queries), "top-k-many",
             lambda positions: (tuple(queries[position]

@@ -7,10 +7,10 @@ from repro.distance.levenshtein import edit_distance
 from repro.exceptions import InvalidThresholdError
 from repro.types import JoinStatistics
 
-KERNELS = [banded_edit_distance, length_aware_edit_distance]
+BOUNDED_DISTANCES = [banded_edit_distance, length_aware_edit_distance]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", BOUNDED_DISTANCES)
 class TestBoundedKernels:
     def test_identical(self, kernel):
         assert kernel("pass-join", "pass-join", 2) == 0

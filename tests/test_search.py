@@ -28,7 +28,8 @@ class TestBasicSearch:
 
     def test_query_tau_above_index_tau_rejected(self):
         searcher = PassJoinSearcher(["abc"], max_tau=1)
-        with pytest.raises(InvalidThresholdError):
+        with pytest.raises(InvalidThresholdError,
+                           match="threshold 2 exceeds this index's max_tau=1"):
             searcher.search("abc", tau=2)
 
     def test_short_indexed_strings_are_found(self):

@@ -93,5 +93,6 @@ class TestFailure:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             RequestBatcher(lambda keys: [], max_batch=0)
-        with pytest.raises(ValueError):
-            RequestBatcher(lambda keys: [], window=-1)
+        for window in (-1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                RequestBatcher(lambda keys: [], window=window)

@@ -86,7 +86,6 @@ OP_CALLS = {
     "stats": (),
     "metrics": (),
     "explain": ("vldb", 1),
-    "kernels": (),
     "ping": (),
     "shutdown": (),
 }
@@ -97,12 +96,14 @@ TIMED_OPS = ("stats", "metrics", "explain")
 
 class TestRemovedKnobs:
     def test_acceptor_knob_is_gone(self, capsys):
-        # The acceptor pool and the read replicas were removed (one event
-        # loop serves every connection, one service lock keeps one read in
-        # flight); neither spelling of either knob may drift back.
+        # The acceptor pool, the read replicas and the kernel choice were
+        # removed (one event loop serves every connection, one service lock
+        # keeps one read in flight, one similarity is served); no spelling
+        # of any of these knobs may drift back.
         from repro.cli import main as cli_main
 
-        for knob, value in (("acceptors", 2), ("replicas", 1)):
+        for knob, value in (("acceptors", 2), ("replicas", 1),
+                            ("kernel", "edit-distance")):
             with pytest.raises(TypeError):
                 ServiceConfig(**{knob: value})
             with pytest.raises(SystemExit) as excinfo:

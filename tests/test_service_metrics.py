@@ -66,7 +66,6 @@ class TestMetricsOp:
         counters = service.handle_request({"op": "metrics"})["merged"][
             "counters"]
         assert counters["engine_signature_rejects"] == 1
-        assert counters["engine_signature_rejects.edit-distance"] == 1
         assert counters["engine_verifications"] == 2  # rejects are included
         report = service.handle_request(
             {"op": "explain", "query": "abcdwxyz", "tau": 1})["explain"]

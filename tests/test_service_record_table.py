@@ -1,16 +1,14 @@
-"""The kernel backend as the dynamic searcher's one record table.
+"""The searcher backend as the dynamic searcher's one record table.
 
 ``DynamicSearcher`` keeps no record map of its own: ``records``,
 ``get_many``, ``len`` and the duplicate-id check read through the backend,
 minus the tombstones.  These properties drive random insert / delete /
-compact / tombstoned-id-reuse interleavings on both kernels against a
-plain dict, and check that no store row outlives its record.
+compact / tombstoned-id-reuse interleavings against a plain dict, and check that no store row outlives its record.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kernel import tokenize
 from repro.core.partition import can_partition
 from repro.service import DynamicSearcher
 from repro.types import StringRecord
@@ -25,13 +23,11 @@ _ops = st.lists(st.one_of(
     st.tuples(st.just("compact"))), max_size=40)
 
 
-def _indexable(kernel, text):
-    if kernel == "edit-distance":
-        return can_partition(len(text), MAX_TAU)
-    return bool(tokenize(text))
+def _indexable(text):
+    return can_partition(len(text), MAX_TAU)
 
 
-def _check(searcher, kernel, model, tombstones):
+def _check(searcher, model, tombstones):
     assert len(searcher) == len(model)
     assert searcher.records == [StringRecord(record_id, model[record_id])
                                 for record_id in sorted(model)]
@@ -40,15 +36,14 @@ def _check(searcher, kernel, model, tombstones):
         StringRecord(record_id, model[record_id])
         for record_id in asked if record_id in model]
     assert searcher.tombstone_count == len(tombstones)
-    indexed = sum(_indexable(kernel, text) for text in model.values())
+    indexed = sum(_indexable(text) for text in model.values())
     assert searcher.index_memory()["records"] == indexed + len(tombstones)
 
 
-@pytest.mark.parametrize("kernel", ["edit-distance", "token-jaccard"])
 @settings(max_examples=150, deadline=None)
 @given(ops=_ops, compact_interval=st.integers(min_value=0, max_value=3))
-def test_backend_is_the_record_table(kernel, ops, compact_interval):
-    searcher = DynamicSearcher(max_tau=MAX_TAU, kernel=kernel,
+def test_backend_is_the_record_table(ops, compact_interval):
+    searcher = DynamicSearcher(max_tau=MAX_TAU,
                                compact_interval=compact_interval)
     model: dict[int, str] = {}
     # Deleted ids whose postings are still in the index (the model of
@@ -70,7 +65,7 @@ def test_backend_is_the_record_table(kernel, ops, compact_interval):
         elif op[0] == "delete":
             _, record_id = op
             assert searcher.delete(record_id) == (record_id in model)
-            if record_id in model and _indexable(kernel, model[record_id]):
+            if record_id in model and _indexable(model[record_id]):
                 tombstones.add(record_id)
             model.pop(record_id, None)
         else:
@@ -78,6 +73,6 @@ def test_backend_is_the_record_table(kernel, ops, compact_interval):
             tombstones.clear()
         if len(tombstones) > compact_interval:
             tombstones.clear()  # the automatic compaction
-        _check(searcher, kernel, model, tombstones)
+        _check(searcher, model, tombstones)
     searcher.compact()
-    _check(searcher, kernel, model, set())
+    _check(searcher, model, set())

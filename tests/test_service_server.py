@@ -89,6 +89,7 @@ class TestDispatch:
         response = self.service.handle_request(
             {"op": "search", "query": "x", "tau": 9})
         assert response["ok"] is False
+        assert response["error"] == "threshold 9 exceeds this index's max_tau=2"
 
     def test_stats_and_ping(self):
         assert self.service.handle_request({"op": "ping"})["pong"] is True
