@@ -114,17 +114,24 @@ def _require_int(payload: dict, field: str, *, minimum: int = 0) -> int:
     return value
 
 
-def _check_kernel_fields(payload: dict) -> None:
+def check_kernel_fields(payload: dict) -> None:
     """Refuse a request that names a similarity other than edit distance.
 
     A request may carry a ``kernel`` name, and a batch a per-query
-    ``kernels`` list; both only assert what the server serves.  Any other
-    name, or a non-string, is refused, so a client written for another
-    similarity gets an error instead of edit-distance answers.
+    ``kernels`` list aligned with its ``queries``; both only assert what
+    the server serves.  Any other name, or a non-string, is refused, so a
+    client written for another similarity gets an error instead of
+    edit-distance answers.
     """
     names = payload.get("kernels")
-    for name in (payload.get("kernel"),
-                 *(names if isinstance(names, list) else [names])):
+    if names is not None:
+        queries = payload.get("queries")
+        if not isinstance(names, list) or (isinstance(queries, list)
+                                           and len(names) != len(queries)):
+            raise ValueError(
+                f"field 'kernels' must list one kernel name per query "
+                f"({EditDistanceKernel.name!r} or null), got {names!r}")
+    for name in (payload.get("kernel"), *(names or ())):
         if name is not None and name != EditDistanceKernel.name:
             raise ConfigurationError(
                 f"this server serves only the {EditDistanceKernel.name!r} "
@@ -216,7 +223,7 @@ class SimilarityService:
         per-query ``kernels`` list) naming anything but edit distance fails
         the whole request before any query runs.
         """
-        _check_kernel_fields(payload)
+        check_kernel_fields(payload)
         if payload.get("op") in (BATCH_OP, TOP_K_BATCH_OP):
             queries = self._validate_batch_queries(payload)
         else:
@@ -443,7 +450,7 @@ class SimilarityService:
         if op == "metrics":
             return self.metrics_payload()
         if op == "explain":
-            _check_kernel_fields(payload)
+            check_kernel_fields(payload)
             query = _require_str(payload, "query")
             report = self.searcher.explain(query, payload.get("tau"))
             return {"ok": True, "explain": report,

@@ -320,6 +320,15 @@ class TestTopKManyStatic:
         with pytest.raises(ValueError):
             searcher.search_top_k_many(["vldb"], 0)
 
+    def test_token_jaccard_kernel(self):
+        # The token strings the deleted token-Jaccard kernel was checked
+        # on, now under edit distance: ties at every distance.
+        texts = ["a b", "a b c", "b c", "c d", "a"]
+        searcher = PassJoinSearcher(texts, max_tau=3)
+        queries = ["a b", "c", "d a", "a b"]
+        assert searcher.search_top_k_many(queries, 2) == [
+            searcher.search_top_k(query, 2) for query in queries]
+
 
 class TestTopKManyProperty:
     @given(ops=MUTATIONS,
@@ -366,6 +375,16 @@ class TestTopKManyProperty:
             queries = random_strings(10, 2, 12, alphabet="abc", seed=32)
             assert router.search_top_k_many(queries, 3) == [
                 single.search_top_k(query, 3) for query in queries]
+
+    def test_token_jaccard_dynamic(self):
+        # As test_token_jaccard_kernel, with a delete and compactions.
+        searcher = DynamicSearcher(max_tau=3, compact_interval=3)
+        for text in ["a b", "a b c", "b c", "c d", "a", "b d"]:
+            searcher.insert(text)
+        searcher.delete(2)
+        queries = ["a b", "c", "d a"]
+        assert searcher.search_top_k_many(queries, 2) == [
+            searcher.search_top_k(query, 2) for query in queries]
 
 
 # ----------------------------------------------------------------------

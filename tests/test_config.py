@@ -123,6 +123,19 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError, match="shards"):
             ServiceConfig(shards=-2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_serve_refuses_a_non_finite_slow_query_threshold(
+            self, value, tmp_path, capsys):
+        # Refused before the server starts: a NaN or infinite threshold
+        # would start one whose slow-query log can never fire.
+        from repro.cli import main as cli_main
+
+        path = tmp_path / "strings.txt"
+        path.write_text("vldb\npvldb\n")
+        assert cli_main(["serve", str(path), "--port", "0",
+                         "--slow-query-ms", value]) == 1
+        assert "slow_query_ms" in capsys.readouterr().err
+
     def test_bad_migration_batch_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="migration_batch"):
             ServiceConfig(migration_batch=0)

@@ -32,6 +32,31 @@ class TestBasicSearch:
                            match="threshold 2 exceeds this index's max_tau=1"):
             searcher.search("abc", tau=2)
 
+    @pytest.mark.parametrize("kind", ["static", "dynamic", "sharded"])
+    def test_every_entry_point_names_the_limit(self, kind):
+        # One over-the-limit check serves every searcher and entry point,
+        # so each names the index's max_tau instead of calling 3 invalid.
+        from repro.service import DynamicSearcher, ShardRouter
+
+        strings = ["vldb", "pvldb", "icde"]
+        searcher = {"static": lambda: PassJoinSearcher(strings, max_tau=2),
+                    "dynamic": lambda: DynamicSearcher(strings, max_tau=2),
+                    "sharded": lambda: ShardRouter(strings, shards=2,
+                                                   max_tau=2,
+                                                   backend="thread"),
+                    }[kind]()
+        message = "threshold 3 exceeds this index's max_tau=2"
+        try:
+            for call in (lambda: searcher.search("vldb", 3),
+                         lambda: searcher.search_many(["vldb", "icde"],
+                                                      tau=[1, 3]),
+                         lambda: searcher.explain("vldb", 3)):
+                with pytest.raises(InvalidThresholdError, match=message):
+                    call()
+            assert searcher.search("vldb", 2)
+        finally:
+            getattr(searcher, "close", lambda: None)()
+
     def test_short_indexed_strings_are_found(self):
         searcher = PassJoinSearcher(["a", "ab", "abcdef"], max_tau=3)
         assert {m.text for m in searcher.search("ab", tau=1)} == {"a", "ab"}

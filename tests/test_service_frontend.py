@@ -4,10 +4,11 @@
   handler is left parked in ``readline()`` for the loop to cancel.
 * One op table: every op the server dispatches is a method of both
   clients, and the two clients return equal values for it.
-* No removed knob (``acceptors``, ``replicas``) comes back.
+* No removed knob (``acceptors``, ``replicas``, ``kernel``) comes back.
 """
 
 import asyncio
+import dataclasses
 import logging
 import threading
 import time
@@ -110,6 +111,33 @@ class TestRemovedKnobs:
                 cli_main(["serve", "strings.txt", f"--{knob}", str(value)])
             assert excinfo.value.code == 2
             assert f"--{knob}" in capsys.readouterr().err
+
+    def test_kernel_cli_surfaces_are_gone(self, capsys):
+        from repro.cli import main as cli_main
+
+        for argv in (["query", "vldb", "--kernel", "edit-distance"],
+                     ["admin", "kernels"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(argv)
+            assert excinfo.value.code == 2
+            assert "kernel" in capsys.readouterr().err
+
+    def test_clients_take_no_kernel(self):
+        # Neither client lists kernels or takes a kernel with a query.
+        for client_class in (ServiceClient, AsyncServiceClient):
+            assert not hasattr(client_class, "kernels")
+            for method, arguments in (("search", ("vldb",)),
+                                      ("search_batch", (["vldb"],)),
+                                      ("top_k", ("vldb", 1)),
+                                      ("top_k_batch", (["vldb"], 1))):
+                with pytest.raises(TypeError):
+                    getattr(client_class, method)(None, *arguments,
+                                                  kernel="edit-distance")
+
+    def test_config_and_op_table_sizes(self):
+        assert len(dataclasses.fields(ServiceConfig)) == 14
+        assert len(ALL_OPS) == 15
+        assert "kernels" not in ALL_OPS
 
 
 def method_name(op):

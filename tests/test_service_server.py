@@ -91,6 +91,16 @@ class TestDispatch:
         assert response["ok"] is False
         assert response["error"] == "threshold 9 exceeds this index's max_tau=2"
 
+    @pytest.mark.parametrize("request_", [
+        {"op": "search-batch", "queries": ["vldb", "icde"], "tau": 3},
+        {"op": "explain", "query": "vldb", "tau": 3},
+        {"op": "search", "query": "vldb", "tau": 3, "kernel": "edit-distance"},
+    ], ids=["search-batch", "explain", "search-naming-the-kernel"])
+    def test_tau_above_max_names_the_limit(self, request_):
+        response = self.service.handle_request(request_)
+        assert response["ok"] is False
+        assert response["error"] == "threshold 3 exceeds this index's max_tau=2"
+
     def test_stats_and_ping(self):
         assert self.service.handle_request({"op": "ping"})["pong"] is True
         stats = self.service.handle_request({"op": "stats"})
