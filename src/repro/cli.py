@@ -106,9 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="TCP port (default 8765; 0 = ephemeral)")
     serve.add_argument("--cache-capacity", type=int, default=1024,
                        help="query-cache entries (0 disables; default 1024)")
-    serve.add_argument("--compact-interval", type=int, default=64,
-                       help="tombstones tolerated before index compaction "
-                            "(default 64)")
     serve.add_argument("--shards", type=int, default=1,
                        help="shard workers to partition the collection "
                             "across (default 1 = unsharded)")
@@ -258,7 +255,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     strings = load_strings(args.path, limit=args.limit)
     config = ServiceConfig(host=args.host, port=args.port, max_tau=args.tau,
                            cache_capacity=args.cache_capacity,
-                           compact_interval=args.compact_interval,
                            shards=args.shards, shard_policy=args.shard_policy,
                            shard_backend=args.shard_backend,
                            migration_batch=args.migration_batch,
@@ -396,7 +392,7 @@ def _command_admin(args: argparse.Namespace) -> int:
                 # The server streams the migration in the background;
                 # queries keep being answered while we poll.  A failed
                 # drain surfaces as an "error" field — abort rather than
-                # polling an migration that will never finish.
+                # polling a migration that will never finish.
                 while status["active"] and "error" not in status:
                     time.sleep(args.poll)
                     status = client.rebalance_status()

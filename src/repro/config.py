@@ -221,10 +221,6 @@ class ServiceConfig:
         Seconds the batcher waits for more concurrent requests before
         draining a non-full batch (small: it only exists to catch requests
         arriving in the same scheduling quantum).
-    compact_interval:
-        Number of tombstoned (deleted but still indexed) records the
-        dynamic index tolerates before compacting automatically; ``0``
-        compacts on every delete.
     shards:
         Number of shard workers the collection is partitioned across.
         ``1`` (default) serves a single unsharded dynamic index; larger
@@ -257,7 +253,6 @@ class ServiceConfig:
     max_batch: int = 64
     max_query_batch: int = 1024
     batch_window: float = 0.002
-    compact_interval: int = 64
     shards: int = 1
     shard_policy: str = "hash"
     shard_backend: str = "auto"
@@ -275,8 +270,7 @@ class ServiceConfig:
                                      f"got {self.host!r}")
         for name, value in (("port", self.port),
                             ("cache_capacity", self.cache_capacity),
-                            ("max_query_batch", self.max_query_batch),
-                            ("compact_interval", self.compact_interval)):
+                            ("max_query_batch", self.max_query_batch)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ConfigurationError(
                     f"{name} must be a non-negative integer, got {value!r}")

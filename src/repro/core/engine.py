@@ -10,7 +10,7 @@ This module holds the logic they share: the canonical record ordering and
 :func:`probe_record`, the per-probe select → lookup → verify pipeline.  The
 optional ``accept`` predicate (a function of the candidate's record *id*)
 restricts which indexed records may partner a probe — the serving stack's
-tombstones and top-k exclusion.
+top-k exclusion.
 
 Candidate filtering runs on the columnar postings directly — record ids are
 read straight from the :class:`~repro.core.store.RecordStore` id column and
@@ -51,7 +51,7 @@ if TYPE_CHECKING:
     from ..obs.trace import ProbeTrace
 
 
-#: A predicate over candidate record ids (tombstones, top-k exclusion).
+#: A predicate over candidate record ids (top-k exclusion).
 Accept = Callable[[int], bool]
 
 

@@ -127,10 +127,10 @@ class SegmentIndex:
     def remove(self, row: int) -> int:
         """Remove the postings of the record indexed at ``row``.
 
-        This is the compaction hook for the online service layer
-        (:class:`repro.service.DynamicSearcher`): tombstoned records are
-        physically purged from the inverted lists here, keeping the
-        remaining entries in their original relative order.  Emptied
+        This is how the online service layer
+        (:class:`repro.service.DynamicSearcher`) deletes a record: its
+        postings leave the inverted lists at once, keeping the remaining
+        entries in their original relative order.  Emptied
         segment buckets *and* their enclosing per-ordinal dictionaries are
         pruned, so a long-lived dynamic index never accumulates empty dict
         shells.  The row itself is released.  Returns the number of
@@ -302,10 +302,9 @@ class SegmentIndex:
     def memory_report(self) -> dict[str, int]:
         """Memory figures of the columnar layout, for the ``stats`` op.
 
-        ``records`` counts live store rows (for a dynamic index this
-        includes tombstoned records until compaction physically purges
-        them); ``approximate_bytes`` is the inverted lists plus the record
-        columns.
+        ``records`` counts live store rows (for a dynamic index, one per
+        live indexed record); ``approximate_bytes`` is the inverted lists
+        plus the record columns.
         """
         store_bytes = self.store.approximate_bytes()
         return {

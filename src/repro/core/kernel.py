@@ -41,9 +41,9 @@ class EditDistanceBackend:
     The backend is also the one place a searcher's records are held:
     :meth:`record` answers by id from ``_rows`` (id → store row of every
     indexed record) or ``short_pool`` (records too short to partition).
-    The searcher above it keeps the bookkeeping: tombstones, epochs,
-    per-length counts.  A pooled record is removed directly via
-    :meth:`unpool` instead of tombstoning.
+    The searcher above it keeps the bookkeeping: epochs, per-length
+    counts.  Deleting a record is :meth:`unpool` for a pooled one and
+    :meth:`remove_indexed` for an indexed one.
     """
 
     def __init__(self, max_tau: int, *,
@@ -64,7 +64,7 @@ class EditDistanceBackend:
         # in (probe length, indexed length) under this backend's fixed
         # partition threshold and never hold row ordinals, so staleness is
         # impossible; the cache is still dropped whenever the indexed
-        # length *set* changes (remove / compact / evict_below) so keys for
+        # length *set* changes (remove / evict_below) so keys for
         # dead lengths do not pin memory.
         self.window_cache = WindowCache(self.selector)
         self._cache_lengths_version = self.index.lengths_version
@@ -100,7 +100,8 @@ class EditDistanceBackend:
         return self.short_pool.pop(record_id, None) is not None
 
     def remove_indexed(self, record: StringRecord) -> int:
-        """Physically purge an indexed record's segments; return the count."""
+        """Remove an indexed record's segments and release its store row;
+        return the number of segments removed."""
         row = self._rows.pop(record.id, None)
         return 0 if row is None else self.index.remove(row)
 
@@ -123,7 +124,7 @@ class EditDistanceBackend:
         """All indexed/pooled records within ``tau`` of ``query``.
 
         ``accept`` filters candidate record ids before verification
-        (tombstones, top-k exclusion); ``trace`` collects the per-stage
+        (top-k exclusion); ``trace`` collects the per-stage
         explain breakdown; ``verifier`` overrides the default verifier
         (the explain path passes the instance it will report on).
         """

@@ -5,7 +5,7 @@ A :class:`ProbeTrace` rides through one
 counters deliberately aggregate away: *per indexed length*, which
 partition layout was consulted, how many selection windows were probed,
 how many postings each probe scanned, and where candidates fell out of
-the funnel (id filter, tombstone/exclude callback, already matched,
+the funnel (id filter, top-k exclude callback, already matched,
 already verified).  ``explain`` runs the probe against a private
 :class:`~repro.types.JoinStatistics`, so the trace plus the statistics
 deltas reconstruct the paper's filter funnel exactly for a single query.

@@ -155,11 +155,10 @@ class KernelSearcher:
     :class:`PassJoinSearcher` (a frozen collection) and
     :class:`~repro.service.dynamic.DynamicSearcher` (a mutable one) own
     construction and mutation and share every query method from here.  A
-    frozen collection is the no-tombstone case of the mutable one, so the
-    only things a subclass provides besides ``max_tau`` / ``statistics`` /
-    ``_backend`` are ``_tombstones`` (records still in the index but
-    logically gone — always empty when frozen), ``_length_counts`` (live
-    record length → live record count) and ``__len__`` (live count).
+    delete leaves nothing in the index, so a frozen collection and a
+    mutable one probe alike; the only things a subclass provides besides
+    ``max_tau`` / ``statistics`` / ``_backend`` are ``_length_counts``
+    (live record length → live record count) and ``__len__`` (live count).
 
     Scalar calls are the batch of one: :meth:`search` and
     :meth:`search_top_k` run exactly the code of :meth:`search_many` and
@@ -169,7 +168,6 @@ class KernelSearcher:
     max_tau: int
     statistics: JoinStatistics
     _backend: EditDistanceBackend
-    _tombstones: Mapping[int, StringRecord]
     _length_counts: Mapping[int, int]
 
     @property
@@ -182,28 +180,24 @@ class KernelSearcher:
         """The backend's substring selector."""
         return self._backend.selector
 
-    def _accept(self, exclude: "Mapping[int, SearchMatch] | None" = None,
-                ) -> Accept | None:
-        """The candidate-id predicate of one probe (``None``: accept all).
+    @staticmethod
+    def _accept(exclude: "Mapping[int, SearchMatch]") -> Accept | None:
+        """The candidate-id predicate of one top-k widening probe.
 
-        Rejects tombstoned ids and, for top-k widening, the ids in
-        ``exclude`` — earlier rounds' hits, whose distance is already
-        known and must not be verified again.
+        Rejects the ids in ``exclude`` — earlier rounds' hits, whose
+        distance is already known and must not be verified again;
+        ``None`` (accept all) when there are none.
         """
-        tombstones = self._tombstones
-        if not tombstones and not exclude:
-            return None
         if not exclude:
-            return lambda record_id: record_id not in tombstones
-        return lambda record_id: (record_id not in tombstones
-                                  and record_id not in exclude)
+            return None
+        return lambda record_id: record_id not in exclude
 
     def _probe(self, queries: Sequence[str], taus: Sequence[int],
                excludes: "Sequence[Mapping[int, SearchMatch]] | None" = None,
                ) -> list[list[SearchMatch]]:
         """One batch pass over the backend (validated taus, no result
         counting): a ``(distance, id)``-sorted match list per query."""
-        accept = (self._accept() if excludes is None
+        accept = (None if excludes is None
                   else [self._accept(exclude) for exclude in excludes])
         raw = self._backend.probe_many(list(zip(queries, taus)),
                                        stats=self.statistics, accept=accept)
@@ -238,12 +232,10 @@ class KernelSearcher:
     def explain(self, query: str, tau: int | None = None) -> dict[str, Any]:
         """Run one traced probe and return the per-stage funnel breakdown.
 
-        The probe executes the :meth:`search` pipeline — including the
-        tombstone filter, whose rejections show up as ``filtered_excluded``
-        in the per-length entries — but against a *private*
-        :class:`~repro.types.JoinStatistics` (production counters stay
-        untouched) and with a :class:`~repro.obs.trace.ProbeTrace` observing
-        the engine.  The report (a plain JSON-ready dict) carries the filter
+        The probe executes the :meth:`search` pipeline, but against a
+        *private* :class:`~repro.types.JoinStatistics` (production counters
+        stay untouched) and with a :class:`~repro.obs.trace.ProbeTrace`
+        observing the engine.  The report (a plain JSON-ready dict) carries the filter
         funnel, a per-indexed-length breakdown with the partition layout and
         selection windows, the verifier kernel and its counters, stage wall
         times, and the matches themselves — ``funnel.accepted`` always
@@ -255,8 +247,7 @@ class KernelSearcher:
         verifier = self._backend.new_verifier(tau, stats)
         trace = ProbeTrace()
         started = time.perf_counter()
-        raw = self._backend.probe(query, tau, stats=stats,
-                                  accept=self._accept(), trace=trace,
+        raw = self._backend.probe(query, tau, stats=stats, trace=trace,
                                   verifier=verifier)
         total_seconds = time.perf_counter() - started
         matches = ranked_matches(raw)
@@ -358,7 +349,6 @@ class PassJoinSearcher(KernelSearcher):
             self.statistics.num_indexed_segments += self._backend.add(record)
         self.statistics.index_entries = self._backend.entry_count()
         self.statistics.index_bytes = self._backend.approximate_bytes()
-        self._tombstones: dict[int, StringRecord] = {}  # frozen: never any
         self._length_counts = Counter(record.length
                                       for record in self._records)
 

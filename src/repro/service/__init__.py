@@ -5,7 +5,8 @@ it into a long-lived service on the path to the ROADMAP's "heavy traffic"
 north star.  Three layers, composable and individually testable:
 
 1. **Dynamic index** — :class:`DynamicSearcher`: the Pass-Join search
-   index with ``insert``/``delete`` (tombstones + periodic compaction).
+   index with ``insert``/``delete`` (a delete removes the record's
+   postings and frees its row at once).
    Search and top-k stay exact: results are always identical to a fresh
    :class:`~repro.search.searcher.PassJoinSearcher` over the surviving
    strings.

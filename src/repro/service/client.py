@@ -149,9 +149,6 @@ class _OpTable:
         return self._roundtrip(_payload("delete", id=record_id),
                                itemgetter("deleted"))
 
-    def compact(self) -> int:
-        return self._roundtrip(_payload("compact"), itemgetter("purged"))
-
     def stats(self) -> dict:
         return self._roundtrip(_payload("stats"), _whole)
 

@@ -12,14 +12,12 @@ queries.
 * The :class:`~repro.core.kernel.EditDistanceBackend` is the one record
   table: it holds every indexed or pooled record and answers
   :attr:`~DynamicSearcher.records`, :meth:`~DynamicSearcher.get_many` and
-  the duplicate-id check by id.  A record is live when the backend holds
-  it and it is not tombstoned.
-* :meth:`~DynamicSearcher.delete` is a **tombstone**: the record's postings
-  stay in the index but every search filters its id out, which makes
-  deletion O(1).  Once ``compact_interval`` tombstones accumulate,
-  :meth:`~DynamicSearcher.compact` physically purges them via the
-  backend's ``remove_indexed`` (deletion cost is amortised and the index
-  never drifts far from the fresh-build footprint).
+  the duplicate-id check by id.  A record is live when the backend
+  holds it.
+* :meth:`~DynamicSearcher.delete` removes the record at once: its
+  ``max_tau + 1`` postings leave the inverted lists and its store row is
+  released (a pooled short record just leaves the pool), so the index
+  always holds exactly what a fresh build over the live records would.
 
 Every mutation bumps :attr:`~DynamicSearcher.epoch`, the invalidation token
 consumed by :class:`~repro.service.cache.QueryCache`.
@@ -48,21 +46,26 @@ def coerce_insert_record(text: str | StringRecord, id: int | None,
     Shared by :class:`DynamicSearcher` and the sharded router so the two
     can never diverge on id semantics: a ready-made record keeps its id
     unless ``id=`` overrides it; plain text takes ``id=`` or the caller's
-    next auto id (one above the largest ever seen).
+    next auto id (one above the largest ever seen).  A non-integer id
+    (``bool`` included) raises ``TypeError`` before the caller mutates
+    anything.
     """
     if isinstance(text, StringRecord):
-        return text if id is None else StringRecord(id=id, text=text.text)
-    return StringRecord(id=next_id if id is None else id, text=str(text))
+        record = text if id is None else StringRecord(id=id, text=text.text)
+    else:
+        record = StringRecord(id=next_id if id is None else id, text=str(text))
+    if isinstance(record.id, bool) or not isinstance(record.id, int):
+        raise TypeError(f"record id must be an integer, got {record.id!r}")
+    return record
 
 
 class DynamicSearcher(KernelSearcher):
     """Approximate similarity search over a mutable collection.
 
-    This class owns mutation and compaction; every query
-    method (``search`` / ``search_many`` / ``search_top_k`` /
-    ``search_top_k_many`` / ``explain``) is the shared
-    :class:`~repro.search.searcher.KernelSearcher` surface, filtering
-    tombstones through its accept hook.
+    This class owns mutation; every query method (``search`` /
+    ``search_many`` / ``search_top_k`` / ``search_top_k_many`` /
+    ``explain``) is the shared
+    :class:`~repro.search.searcher.KernelSearcher` surface.
 
     Parameters
     ----------
@@ -75,10 +78,6 @@ class DynamicSearcher(KernelSearcher):
         Largest edit-distance threshold any query may use.
     partition:
         Partition strategy (the paper's even scheme by default).
-    compact_interval:
-        Tombstone budget: once this many deleted records are still
-        physically present in the index, the next mutation compacts.
-        ``0`` compacts on every delete.
 
     Examples
     --------
@@ -94,22 +93,15 @@ class DynamicSearcher(KernelSearcher):
     """
 
     def __init__(self, strings: Iterable[str | StringRecord] = (), *,
-                 max_tau: int, partition: PartitionStrategy = PartitionStrategy.EVEN,
-                 compact_interval: int = 64) -> None:
+                 max_tau: int,
+                 partition: PartitionStrategy = PartitionStrategy.EVEN) -> None:
         self._backend = EditDistanceBackend(max_tau, partition=partition)
         self.max_tau = self._backend.max_tau
-        if (isinstance(compact_interval, bool)
-                or not isinstance(compact_interval, int) or compact_interval < 0):
-            raise ValueError(f"compact_interval must be a non-negative integer, "
-                             f"got {compact_interval!r}")
-        self.compact_interval = compact_interval
         self.statistics = JoinStatistics()
         records = as_records(strings)
         # live length -> number of live records of that length (lets top-k
         # widening skip thresholds no live record can possibly meet).
         self._length_counts: dict[int, int] = {}
-        # id -> record still present in the signature index but logically gone.
-        self._tombstones: dict[int, StringRecord] = {}
         self._epoch = 0
         self._next_id = 0
         for record in records:
@@ -125,34 +117,26 @@ class DynamicSearcher(KernelSearcher):
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._backend) - len(self._tombstones)
-
-    def _is_live(self, record_id: int) -> bool:
-        return record_id in self._backend and record_id not in self._tombstones
+        return len(self._backend)
 
     @property
     def epoch(self) -> int:
-        """Mutation counter: bumped by every insert, every delete, and every
-        compaction that physically purges postings.
-
-        A compaction with nothing to purge is a logical no-op (the visible
-        collection is unchanged), so it deliberately leaves the epoch — and
-        therefore every cached query result — intact.
-        """
+        """Mutation counter: bumped exactly once by every insert and every
+        delete that changes the collection."""
         return self._epoch
 
     @property
     def tombstone_count(self) -> int:
-        """Deleted records still physically present in the index."""
-        return len(self._tombstones)
+        """Always 0: a delete leaves nothing behind.  Kept only because
+        ``benchmarks/e2e/tracing.py`` reads it."""
+        return 0
 
     @property
     def records(self) -> list[StringRecord]:
         """The live records, ordered by id (a snapshot, safe to mutate)."""
-        tombstones, held = self._tombstones, self._backend.record
+        held = self._backend.record
         return [held(record_id)
-                for record_id in sorted(self._backend.record_ids())
-                if record_id not in tombstones]
+                for record_id in sorted(self._backend.record_ids())]
 
     @property
     def _short_pool(self) -> dict[int, StringRecord]:
@@ -162,10 +146,9 @@ class DynamicSearcher(KernelSearcher):
     def index_memory(self) -> dict[str, int]:
         """Memory figures of the signature index (the ``stats`` op payload).
 
-        ``records`` counts live store rows — tombstoned records remain
-        until compaction purges them; ``approximate_bytes`` covers the
-        inverted lists plus the record columns (see the backend's
-        ``memory_report``).
+        ``records`` counts store rows, one per live indexed record;
+        ``approximate_bytes`` covers the inverted lists plus the record
+        columns (see the backend's ``memory_report``).
         """
         return self._backend.memory_report()
 
@@ -178,15 +161,12 @@ class DynamicSearcher(KernelSearcher):
         Ids are auto-assigned (one above the largest ever seen) unless the
         caller provides one via ``id=`` or a ready-made
         :class:`~repro.types.StringRecord`.  Inserting a live id raises
-        ``ValueError``; re-using a tombstoned id is allowed (the stale
-        postings are purged first so the old record cannot resurface).
+        ``ValueError``, a non-integer id ``TypeError``; re-using a deleted
+        id is allowed.
         """
         record = coerce_insert_record(text, id, self._next_id)
-        if self._is_live(record.id):
+        if record.id in self._backend:
             raise ValueError(f"id {record.id} is already in the collection")
-        stale = self._tombstones.pop(record.id, None)
-        if stale is not None:
-            self._backend.remove_indexed(stale)
         self._insert_record(record)
         self.statistics.num_strings += 1
         self._bump()
@@ -195,13 +175,13 @@ class DynamicSearcher(KernelSearcher):
     def get_many(self, record_ids: Iterable[int]) -> list[StringRecord]:
         """The live records among ``record_ids``, in the order given.
 
-        Ids that are not live (never inserted, deleted, tombstoned) are
-        silently skipped — the shard-migration extract step uses this to
+        Ids that are not live (never inserted, or deleted) are silently
+        skipped — the shard-migration extract step uses this to
         tolerate records deleted between planning and copying.
         """
         held = self._backend.record
         return [held(record_id) for record_id in record_ids
-                if self._is_live(record_id)]
+                if record_id in self._backend]
 
     def insert_many(self, records: Iterable[str | StringRecord]) -> list[int]:
         """Insert several records (:meth:`insert` semantics); return the ids."""
@@ -212,12 +192,16 @@ class DynamicSearcher(KernelSearcher):
         return sum(self.delete(record_id) for record_id in record_ids)
 
     def delete(self, record_id: int) -> bool:
-        """Tombstone one record by id; return False when it is not live."""
-        if not self._is_live(record_id):
-            return False
+        """Remove one record by id; return False when it is not live.
+
+        The record's postings leave the index and its store row is
+        released before this returns.
+        """
         record = self._backend.record(record_id)
+        if record is None:
+            return False
         if not self._backend.unpool(record_id):
-            self._tombstones[record_id] = record
+            self._backend.remove_indexed(record)
         remaining = self._length_counts.get(record.length, 0) - 1
         if remaining > 0:
             self._length_counts[record.length] = remaining
@@ -226,26 +210,6 @@ class DynamicSearcher(KernelSearcher):
         self.statistics.num_strings -= 1
         self._bump()
         return True
-
-    def compact(self) -> int:
-        """Purge every tombstone from the signature index; return the count.
-
-        After compaction the index holds exactly the postings a fresh build
-        over the live records would (posting order aside), so memory does
-        not leak across delete-heavy workloads.  A compaction that purges
-        anything bumps :attr:`epoch` — the physical index changed, and
-        downstream caches keyed on the epoch must not outlive it — while a
-        no-op compaction (no tombstones) leaves the epoch untouched.
-        """
-        purged = len(self._tombstones)
-        for record in self._tombstones.values():
-            self._backend.remove_indexed(record)
-        self._tombstones.clear()
-        if purged:
-            self._epoch += 1
-        self.statistics.index_entries = self._backend.entry_count()
-        self.statistics.index_bytes = self._backend.approximate_bytes()
-        return purged
 
     def _insert_record(self, record: StringRecord) -> None:
         self.statistics.num_indexed_segments += self._backend.add(record)
@@ -257,12 +221,9 @@ class DynamicSearcher(KernelSearcher):
 
     def _bump(self) -> None:
         self._epoch += 1
-        if len(self._tombstones) > self.compact_interval:
-            self.compact()
         self.statistics.index_entries = self._backend.entry_count()
         self.statistics.index_bytes = self._backend.approximate_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"DynamicSearcher(live={len(self)}, "
-                f"tombstones={len(self._tombstones)}, epoch={self._epoch}, "
+        return (f"DynamicSearcher(live={len(self)}, epoch={self._epoch}, "
                 f"max_tau={self.max_tau})")

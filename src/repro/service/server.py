@@ -6,7 +6,7 @@ Two classes split the serving stack along the transport boundary:
   :class:`~repro.service.dynamic.DynamicSearcher`, the
   :class:`~repro.service.cache.QueryCache`, and the request vocabulary
   (``search`` / ``top-k`` / ``search-batch`` / ``insert`` / ``delete`` /
-  ``compact`` / ``stats`` / ``metrics`` / ``explain`` / ``ping``, plus the
+  ``stats`` / ``metrics`` / ``explain`` / ``ping``, plus the
   fleet-resize admin ops ``add-shard`` / ``remove-shard`` /
   ``rebalance-status`` on sharded services), mapping request dictionaries
   to response dictionaries.  Every dispatched request is recorded into a
@@ -86,7 +86,7 @@ QUERY_OPS = ("search", "top-k", BATCH_OP, TOP_K_BATCH_OP)
 RESHARD_OPS = ("add-shard", "remove-shard")
 #: Every operation the service understands.
 ALL_OPS = QUERY_OPS + RESHARD_OPS + (
-    "rebalance-status", "insert", "delete", "compact", "stats", "metrics",
+    "rebalance-status", "insert", "delete", "stats", "metrics",
     "explain", "ping", "shutdown")
 
 #: Query keys are tuples: ("search", query, tau) or ("top-k", query, k, limit).
@@ -147,7 +147,7 @@ class SimilarityService:
         Initial collection served by the dynamic index.
     config:
         A :class:`~repro.config.ServiceConfig`; ``max_tau``, ``partition``,
-        ``cache_capacity``, ``compact_interval``, and the ``shards*`` fields
+        ``cache_capacity``, and the ``shards*`` fields
         are consumed here, the transport fields by :class:`SimilarityServer`.
 
     With ``config.shards > 1`` the collection is served by a
@@ -165,13 +165,11 @@ class SimilarityService:
             self.searcher: DynamicSearcher | ShardRouter = ShardRouter(
                 strings, shards=config.shards, max_tau=config.max_tau,
                 partition=config.partition,
-                compact_interval=config.compact_interval,
                 policy=config.shard_policy, backend=config.shard_backend,
                 migration_batch=config.migration_batch)
         else:
             self.searcher = DynamicSearcher(
-                strings, max_tau=config.max_tau, partition=config.partition,
-                compact_interval=config.compact_interval)
+                strings, max_tau=config.max_tau, partition=config.partition)
         self.cache = QueryCache(config.cache_capacity)
         self.queries_served = 0
         # Service-level telemetry: per-op request/error counters and
@@ -423,9 +421,6 @@ class SimilarityService:
             deleted = self.searcher.delete(record_id)
             return {"ok": True, "deleted": deleted,
                     "epoch": self.searcher.epoch}
-        if op == "compact":
-            purged = self.searcher.compact()
-            return {"ok": True, "purged": purged, "epoch": self.searcher.epoch}
         if op in RESHARD_OPS:
             router = self._require_router(op)
             drain = payload.get("drain", True)
@@ -544,14 +539,12 @@ class SimilarityService:
         with self._lock:
             searcher = self.searcher
             if isinstance(searcher, ShardRouter):
-                # One status scatter covers tombstones, statistics, and memory;
-                # going through the properties separately would scatter thrice.
+                # One status scatter covers statistics and memory; going
+                # through the properties separately would scatter twice.
                 summary = searcher.status_summary()
-                tombstones = summary["tombstones"]
                 statistics = summary["statistics"]
                 memory = summary["memory"]
             else:
-                tombstones = searcher.tombstone_count
                 statistics = searcher.statistics
                 memory = searcher.index_memory()
             cache = self.cache.stats.as_dict()
@@ -560,7 +553,9 @@ class SimilarityService:
             payload = {
                 "size": len(searcher),
                 "epoch": searcher.epoch,
-                "tombstones": tombstones,
+                # Always 0: deletes leave no tombstones.  Kept only
+                # because benchmarks/e2e/passes.py reads the key.
+                "tombstones": 0,
                 "max_tau": searcher.max_tau,
                 "uptime_seconds": time.monotonic() - self.started_monotonic,
                 "queries_served": self.queries_served,

@@ -47,9 +47,10 @@ between steps:
 * Mutations keep flowing during a migration: inserts place by the **new**
   map, deletes route to the record's current shard (and eagerly remove a
   dual-present donor copy so it cannot resurface).
-* When the plan is drained the donors are compacted — tombstoned store
-  rows are physically released, so per-shard row counts return to balance
-  — and a retiring shard's worker (``remove_shard``) is closed.
+* A release step deletes its batch from the donor, which releases the
+  donor's store rows at once, so per-shard row counts are back in balance
+  when the plan is drained; a retiring shard's worker (``remove_shard``)
+  is then closed.
 
 Mutations route to the owning shard and bump only that shard's epoch.  The
 router mirrors the per-shard epochs in :attr:`ShardRouter.epoch_vector`;
@@ -133,12 +134,10 @@ class ShardContext:
     records: list[StringRecord]
     max_tau: int
     partition: PartitionStrategy
-    compact_interval: int
 
     def build(self) -> DynamicSearcher:
         return DynamicSearcher(self.records, max_tau=self.max_tau,
-                               partition=self.partition,
-                               compact_interval=self.compact_interval)
+                               partition=self.partition)
 
 
 def _apply_shard_op(searcher: DynamicSearcher, op: str, args: object) -> object:
@@ -161,13 +160,10 @@ def _apply_shard_op(searcher: DynamicSearcher, op: str, args: object) -> object:
         return searcher.insert_many(args)
     if op == "delete-many":
         return searcher.delete_many(args)
-    if op == "compact":
-        return searcher.compact()
     if op == "records":
         return searcher.records
     if op == "status":
         return {"size": len(searcher),
-                "tombstones": searcher.tombstone_count,
                 "statistics": searcher.statistics,
                 "memory": searcher.index_memory()}
     if op == "metrics":
@@ -227,8 +223,7 @@ def _shard_worker_main(conn, context: ShardContext) -> None:
     """Process-backend worker loop: build the shard index, serve ops.
 
     Every reply carries the shard's current epoch so the router's mirror
-    stays exact even when a delete triggers an automatic compaction inside
-    the worker (which moves the epoch twice in one op).
+    stays exact.
     """
     searcher = context.build()
     try:
@@ -311,7 +306,6 @@ class _LiveMigration:
     old_policy: PlacementMap
     retiring: int | None  # shard worker to close once the plan is drained
     copies: deque  # of (donor, recipient, list[record_id])
-    donors: frozenset[int]
     rows_total: int
     releases: deque = field(default_factory=deque)  # of (donor, list[id])
     dual: dict = field(default_factory=dict)  # record id -> donor shard
@@ -326,8 +320,8 @@ class ShardRouter:
     """Scatter-gather facade over an elastic fleet of shard workers.
 
     Duck-types the :class:`DynamicSearcher` surface the serving core uses
-    (``search``/``search_top_k``/``insert``/``delete``/``compact``/
-    ``epoch``/``statistics``/``len``), so :class:`SimilarityService` serves
+    (``search``/``search_top_k``/``insert``/``delete``/``epoch``/
+    ``statistics``/``len``), so :class:`SimilarityService` serves
     a sharded collection through the exact same dispatch code.  Results are
     element-identical to a single unsharded searcher over the same records
     — including while an :meth:`add_shard`/:meth:`remove_shard` migration
@@ -373,7 +367,7 @@ class ShardRouter:
     def __init__(self, strings: Iterable[str | StringRecord] = (), *,
                  shards: int, max_tau: int,
                  partition: PartitionStrategy = PartitionStrategy.EVEN,
-                 compact_interval: int = 64, policy: str = "hash",
+                 policy: str = "hash",
                  backend: str = "auto", migration_batch: int = 256) -> None:
         if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
             raise ConfigurationError(
@@ -389,7 +383,6 @@ class ShardRouter:
         self.backend = resolve_shard_backend(backend)
         self.migration_batch = migration_batch
         self._partition = partition
-        self._compact_interval = compact_interval
 
         per_shard: list[list[StringRecord]] = [[] for _ in range(shards)]
         self._shard_of: dict[int, int] = {}  # live record id -> shard index
@@ -409,8 +402,7 @@ class ShardRouter:
                             if self.backend == "process" else None)
         self._shards = [
             self._spawn(ShardContext(records=bucket, max_tau=self.max_tau,
-                                     partition=partition,
-                                     compact_interval=compact_interval))
+                                     partition=partition))
             for bucket in per_shard]
         self._epochs = [0] * shards
         # Epochs of retired shards fold into the base so the scalar epoch
@@ -558,11 +550,6 @@ class ShardRouter:
                 *(self._epochs[shard] for shard in targets))
 
     @property
-    def tombstone_count(self) -> int:
-        """Deleted records still physically present across all shards."""
-        return self.status_summary()["tombstones"]
-
-    @property
     def records(self) -> list[StringRecord]:
         """The live records across all shards, ordered by id (a snapshot).
 
@@ -581,11 +568,11 @@ class ShardRouter:
         return self.status_summary()["statistics"]
 
     def shard_status(self) -> list[dict]:
-        """Per-shard ``{"size", "tombstones", "statistics"}`` snapshots."""
+        """Per-shard ``{"size", "statistics", "memory"}`` snapshots."""
         return self._scatter(range(self.num_shards), "status", None)
 
     def status_summary(self) -> dict:
-        """Fleet-wide tombstones, merged statistics, and memory in one scatter.
+        """Fleet-wide merged statistics and memory in one scatter.
 
         The single aggregation point over :meth:`shard_status` — callers
         needing several of these values (the service ``stats`` op) pay one
@@ -593,18 +580,16 @@ class ShardRouter:
         the per-shard columnar-index figures; ``shard_memory`` keeps the
         per-shard breakdown for the sharded ``stats`` payload.
         """
-        tombstones = 0
         merged = JoinStatistics()
         memory: dict[str, int] = {}
         shard_memory: list[dict[str, int]] = []
         for status in self.shard_status():
-            tombstones += status["tombstones"]
             merged = merged.merge(status["statistics"])
             shard_memory.append(status["memory"])
             for field_name, value in status["memory"].items():
                 memory[field_name] = memory.get(field_name, 0) + value
-        return {"tombstones": tombstones, "statistics": merged,
-                "memory": memory, "shard_memory": shard_memory}
+        return {"statistics": merged, "memory": memory,
+                "shard_memory": shard_memory}
 
     def index_memory(self) -> dict[str, int]:
         """Summed per-shard columnar-index memory figures (one scatter)."""
@@ -639,7 +624,7 @@ class ShardRouter:
 
         Same id semantics as :meth:`DynamicSearcher.insert`: auto-assigned
         one above the largest ever seen unless given, inserting a live id
-        raises ``ValueError``, re-using a tombstoned id is allowed.  While
+        raises ``ValueError``, re-using a deleted id is allowed.  While
         a migration is in flight, placement follows the **new** map — the
         fleet layout the migration is moving towards.
         """
@@ -652,7 +637,7 @@ class ShardRouter:
         return record.id
 
     def delete(self, record_id: int) -> bool:
-        """Tombstone one record on its owning shard; False when not live.
+        """Delete one record from its owning shard; False when not live.
 
         A record that is dual-present mid-migration (copied to its
         recipient, not yet released from its donor) is deleted from both
@@ -671,10 +656,6 @@ class ShardRouter:
                     self._call(donor, "delete", record_id)
         return bool(deleted)
 
-    def compact(self) -> int:
-        """Compact every shard; return the total number of purged postings."""
-        return sum(self._scatter(range(self.num_shards), "compact", None))
-
     # ------------------------------------------------------------------
     # Live resharding
     # ------------------------------------------------------------------
@@ -690,8 +671,7 @@ class ShardRouter:
         """
         self._require_idle()
         self._shards.append(self._spawn(ShardContext(
-            records=[], max_tau=self.max_tau, partition=self._partition,
-            compact_interval=self._compact_interval)))
+            records=[], max_tau=self.max_tau, partition=self._partition)))
         self._epochs.append(0)
         self.num_shards += 1
         self._start_migration("add-shard",
@@ -732,9 +712,9 @@ class ShardRouter:
         Either copies one batch of records from a donor to its recipient
         (after which those records are dual-present and queries dedupe
         them) or releases one already-copied batch from its donor.  A
-        no-op when no migration is active.  The last step compacts the
-        donors — physically releasing the moved rows from their record
-        stores — and, for ``remove-shard``, closes the retiring worker.
+        no-op when no migration is active.  A release step frees the moved
+        rows from the donor's record store; the last step, for
+        ``remove-shard``, closes the retiring worker.
         """
         migration = self._migration
         if migration is None:
@@ -743,7 +723,7 @@ class ShardRouter:
             donor, recipient, planned = migration.copies.popleft()
             # Re-validate the plan against the present: skip records the
             # caller deleted since planning, and records whose placement
-            # changed again (a tombstoned id re-inserted with a new length
+            # changed again (a deleted id re-inserted with a new length
             # is already where the new map wants it).
             ids = [record_id for record_id in planned
                    if self._shard_of.get(record_id) == donor
@@ -822,8 +802,7 @@ class ShardRouter:
         self._generation += 1
         self._migration = _LiveMigration(
             kind=kind, old_policy=old_policy, retiring=retiring,
-            copies=copies, donors=frozenset(donor for donor, _ in moves),
-            rows_total=rows_total)
+            copies=copies, rows_total=rows_total)
         if not copies:
             self._finish_migration()
 
@@ -831,12 +810,6 @@ class ShardRouter:
         migration = self._migration
         assert migration is not None
         assert not migration.dual, "dual-present records left behind"
-        donors = sorted(migration.donors)
-        if donors:
-            # Purge the donors' migration tombstones so the moved rows are
-            # physically released and per-shard row counts re-balance now,
-            # not at some future compaction.
-            self._scatter(donors, "compact", None)
         if migration.retiring is not None:
             donor = migration.retiring
             assert donor == self.num_shards - 1

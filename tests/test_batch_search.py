@@ -1,7 +1,7 @@
 """Tests for the batch-probe executor (``search_many`` / ``search-batch``).
 
 The load-bearing property (the PR's acceptance criterion): over random
-query batches interleaved with insert/delete/compact, ``search_many()`` is
+query batches interleaved with insert/delete, ``search_many()`` is
 **element-identical** to sequential ``search()`` calls — on the static
 searcher, the dynamic searcher, and a 2-shard router under both placement
 policies.
@@ -84,8 +84,7 @@ class TestSearchManyStatic:
 
 class TestSearchManyDynamic:
     def test_tombstones_are_filtered(self):
-        searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=1,
-                                   compact_interval=100)
+        searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=1)
         searcher.delete(1)
         batch = searcher.search_many(["vldb", "pvldb"], tau=1)
         assert batch == [searcher.search("vldb", tau=1),
@@ -94,7 +93,7 @@ class TestSearchManyDynamic:
                    for matches in batch for match in matches)
 
     def test_matches_sequential_after_mutations(self):
-        searcher = DynamicSearcher(max_tau=2, compact_interval=2)
+        searcher = DynamicSearcher(max_tau=2)
         for text in random_strings(60, 2, 12, alphabet="abc", seed=9):
             searcher.insert(text)
         for record_id in (3, 10, 25, 40):
@@ -111,7 +110,6 @@ MUTATIONS = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), st.text(alphabet="ab", max_size=8)),
         st.tuples(st.just("delete"), st.integers(min_value=0, max_value=30)),
-        st.tuples(st.just("compact"), st.just(None)),
     ), max_size=15)
 
 BATCHES = st.lists(
@@ -124,12 +122,10 @@ def _apply(searcher, ops, live):
         if op[0] == "insert":
             searcher.insert(op[1])
             live.add(max(live, default=-1) + 1)
-        elif op[0] == "delete":
+        else:
             target = op[1] % (max(live) + 1) if live else 0
             searcher.delete(target)
             live.discard(target)
-        else:
-            searcher.compact()
 
 
 class TestBatchEquivalenceProperty:
@@ -137,7 +133,7 @@ class TestBatchEquivalenceProperty:
            max_tau=st.integers(min_value=0, max_value=3))
     @settings(max_examples=60, deadline=None)
     def test_unsharded(self, ops, batches, max_tau):
-        searcher = DynamicSearcher(max_tau=max_tau, compact_interval=2)
+        searcher = DynamicSearcher(max_tau=max_tau)
         live: set[int] = set()
         _apply(searcher, ops, live)
         for batch in batches:
@@ -150,9 +146,9 @@ class TestBatchEquivalenceProperty:
            max_tau=st.integers(min_value=0, max_value=2))
     @settings(max_examples=40, deadline=None)
     def test_two_shards_both_policies(self, policy, ops, batches, max_tau):
-        single = DynamicSearcher(max_tau=max_tau, compact_interval=2)
+        single = DynamicSearcher(max_tau=max_tau)
         router = ShardRouter(shards=2, max_tau=max_tau, policy=policy,
-                             backend="thread", compact_interval=2)
+                             backend="thread")
         with router:
             live: set[int] = set()
             _apply(single, ops, live)
@@ -338,7 +334,7 @@ class TestTopKManyProperty:
            k=st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_unsharded_dynamic(self, ops, batch, max_tau, k):
-        searcher = DynamicSearcher(max_tau=max_tau, compact_interval=2)
+        searcher = DynamicSearcher(max_tau=max_tau)
         live: set[int] = set()
         _apply(searcher, ops, live)
         assert searcher.search_top_k_many(batch, k) == [
@@ -352,9 +348,9 @@ class TestTopKManyProperty:
            k=st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
     def test_two_shards_both_policies(self, policy, ops, batch, max_tau, k):
-        single = DynamicSearcher(max_tau=max_tau, compact_interval=2)
+        single = DynamicSearcher(max_tau=max_tau)
         router = ShardRouter(shards=2, max_tau=max_tau, policy=policy,
-                             backend="thread", compact_interval=2)
+                             backend="thread")
         with router:
             live: set[int] = set()
             _apply(single, ops, live)
@@ -377,8 +373,8 @@ class TestTopKManyProperty:
                 single.search_top_k(query, 3) for query in queries]
 
     def test_token_jaccard_dynamic(self):
-        # As test_token_jaccard_kernel, with a delete and compactions.
-        searcher = DynamicSearcher(max_tau=3, compact_interval=3)
+        # As test_token_jaccard_kernel, with a delete.
+        searcher = DynamicSearcher(max_tau=3)
         for text in ["a b", "a b c", "b c", "c d", "a", "b d"]:
             searcher.insert(text)
         searcher.delete(2)
@@ -399,32 +395,28 @@ class TestPersistentWindowCache:
         assert searcher.statistics.num_windows_cache_hits > before
 
     def test_cache_cleared_when_length_group_disappears(self):
-        searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=2,
-                                   compact_interval=100)
+        searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=2)
         backend = searcher._backend
         searcher.search("vldb", 2)
         assert len(backend.window_cache) > 0
-        searcher.delete(2)  # the only length-6 record
-        searcher.compact()  # physical purge drops the length group
+        searcher.delete(2)  # the only length-6 record: its group goes
         backend.active_window_cache()
         assert len(backend.window_cache) == 0
 
     def test_cached_pre_purge_window_never_yields_released_row(self):
         # Length-4 keeps a survivor, so the length set — and therefore the
-        # window cache — is untouched by the purge: the second search runs
-        # over windows cached *before* the purge and must not resurrect
+        # window cache — is untouched by the delete: the second search runs
+        # over windows cached *before* the delete and must not resurrect
         # the released store row.
-        searcher = DynamicSearcher(["vldb", "avdb", "pvldb"], max_tau=2,
-                                   compact_interval=100)
+        searcher = DynamicSearcher(["vldb", "avdb", "pvldb"], max_tau=2)
         backend = searcher._backend
         version = backend.index.lengths_version
         first = searcher.search("vldb", 2)
         assert 1 in {match.id for match in first}
         assert len(backend.window_cache) > 0
         searcher.delete(1)
-        searcher.compact()
         assert backend.index.lengths_version == version
-        assert len(backend.window_cache) > 0  # cache survived the purge
+        assert len(backend.window_cache) > 0  # cache survived the delete
         again = searcher.search("vldb", 2)
         assert all(match.id != 1 for match in again)
         assert again == [match for match in first if match.id != 1]

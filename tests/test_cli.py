@@ -240,7 +240,7 @@ class TestServeAndQuery:
                             fake_run_service)
         assert cli.main(["serve", str(strings_file), "--tau", "1",
                          "--port", "0", "--cache-capacity", "16",
-                         "--compact-interval", "8", "--limit", "3",
+                         "--limit", "3",
                          "--shards", "2", "--shard-policy", "length",
                          "--shard-backend", "thread",
                          "--migration-batch", "32"]) == 0
@@ -248,7 +248,6 @@ class TestServeAndQuery:
         assert config.max_tau == 1
         assert config.port == 0
         assert config.cache_capacity == 16
-        assert config.compact_interval == 8
         assert config.shards == 2
         assert config.shard_policy == "length"
         assert config.shard_backend == "thread"

@@ -104,7 +104,6 @@ class TestServiceConfig:
         ("batch_window", -0.1), ("batch_window", "fast"),
         ("batch_window", float("nan")), ("batch_window", float("inf")),
         ("slow_query_ms", float("nan")), ("slow_query_ms", float("inf")),
-        ("compact_interval", -1),
         ("shards", 0), ("shards", True), ("shards", 1.5),
         ("shard_policy", "round-robin"), ("shard_policy", 3),
         ("shard_backend", "forkserver"),

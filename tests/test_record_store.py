@@ -41,8 +41,8 @@ class TestRows:
         assert store.live_count == 4
 
     def test_same_id_different_text_gets_its_own_row(self):
-        # The dynamic index re-uses tombstoned ids with new texts; the two
-        # rows must coexist while the stale one is being purged.
+        # Rows are owned, never looked up by id: two records sharing an id
+        # get a row each.
         store = RecordStore()
         old = store.add(_record(1, "abcd"))
         new = store.add(_record(1, "wxyz"))

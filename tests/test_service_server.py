@@ -108,21 +108,20 @@ class TestDispatch:
         assert "cache" in stats and "epoch" in stats
         assert "shards" not in stats  # unsharded service
 
-    def test_compact_op_invalidates_cached_queries(self):
-        # Regression for the epoch contract: a compaction that purges
-        # tombstones is a physical index change and must bump the epoch,
-        # so cached answers cannot outlive it.
-        request = {"op": "search", "query": "vldb", "tau": 1}
+    def test_compact_op_is_unknown(self):
+        # Deletes purge at once, so there is nothing left to compact.
+        response = self.service.handle_request({"op": "compact"})
+        assert response["ok"] is False
+        assert "unknown op 'compact'" in response["error"]
+
+    def test_delete_frees_its_row_and_stats_show_no_tombstones(self):
+        before = self.service.handle_request({"op": "stats"})
         deleted = self.service.handle_request({"op": "delete", "id": 4})
         assert deleted["deleted"] is True
-        first = self.service.handle_request(request)
-        assert self.service.handle_request(request)["cached"] is True
-        compacted = self.service.handle_request({"op": "compact"})
-        assert compacted["purged"] == 1
-        after = self.service.handle_request(request)
-        assert after["cached"] is False
-        assert after["matches"] == first["matches"]  # same answer, re-proved
-        assert after["epoch"] > first["epoch"]
+        after = self.service.handle_request({"op": "stats"})
+        assert after["index"]["records"] == before["index"]["records"] - 1
+        assert after["index_entries"] < before["index_entries"]
+        assert after["tombstones"] == 0
 
 
 class TestSyncClientEndToEnd:
@@ -147,12 +146,6 @@ class TestSyncClientEndToEnd:
         assert client.delete(new_id) is True
         assert client.delete(new_id) is False
         assert client.search("brandnew", tau=0) == []
-
-    def test_compact(self, client):
-        new_id = client.insert("tocompact")
-        client.delete(new_id)
-        assert client.compact() >= 0
-        assert client.stats()["tombstones"] == 0
 
     def test_server_error_raises_service_error(self, client):
         with pytest.raises(ServiceError):
@@ -204,7 +197,6 @@ class TestAsyncClientEndToEnd:
                     SearchMatch(0, 777, "asyncnew")]
                 assert (await client.top_k("vldb", 1))[0].distance == 0
                 assert await client.delete(777) is True
-                assert await client.compact() >= 0
                 assert (await client.stats())["size"] == len(STRINGS)
             await server.stop()
 

@@ -97,7 +97,7 @@ class TestRouterBasics:
             assert {m.id for m in router.search("alpha", tau=1)} == {500, 501}
 
     def test_tombstoned_id_reusable(self):
-        with make_router(["abcdef"], max_tau=1, compact_interval=100) as router:
+        with make_router(["abcdef"], max_tau=1) as router:
             router.delete(0)
             router.insert("qrstuv", id=0)
             assert [m.text for m in router.search("abcdef", tau=1)] == []
@@ -114,14 +114,40 @@ class TestRouterBasics:
             assert router.epoch_vector == (2, 1, 0)
             assert router.epoch == 3
 
-    def test_compact_purges_all_shards(self):
+    def test_deletes_release_rows_on_every_shard(self):
         strings = [f"string{i:02d}" for i in range(9)]
-        with make_router(strings, compact_interval=100) as router:
+        with make_router(strings) as router:
             for record_id in range(4):
                 router.delete(record_id)
-            assert router.tombstone_count == 4
-            assert router.compact() == 4
-            assert router.tombstone_count == 0
+            summary = router.status_summary()
+            assert summary["memory"]["records"] == 5
+            assert [memory["records"] for memory in summary["shard_memory"]
+                    ] == router.shard_sizes()
+            assert "tombstones" not in summary
+            assert all("tombstones" not in status
+                       for status in router.shard_status())
+
+    def test_compaction_surface_is_gone(self):
+        with pytest.raises(TypeError):
+            make_router(compact_interval=4)
+        with make_router() as router:
+            assert not hasattr(router, "compact")
+            assert not hasattr(router, "tombstone_count")
+
+    @pytest.mark.parametrize("bad_id", [2.5, True])
+    def test_non_integer_id_refused_before_any_shard_changes(self, bad_id):
+        with make_router(["vldb", "pvldb", "sigmod"], max_tau=2) as router:
+            router.delete(1)  # leaves a free store row on its shard
+            epochs = router.epoch_vector
+            for text in ("a", "icde"):  # pooled, indexed
+                with pytest.raises(TypeError):
+                    router.insert(text, id=bad_id)
+            assert router.epoch_vector == epochs
+            assert router.index_memory()["records"] == len(router) == 2
+            assert router.insert("a") == 3
+            assert router.insert("icde") == 4
+            assert router.index_memory()["records"] == 3
+            assert [record.id for record in router.records] == [0, 2, 3, 4]
 
     def test_records_and_len_and_sizes(self):
         strings = [f"word{i:02d}" for i in range(10)]
@@ -220,8 +246,8 @@ class TestShardedServiceCache:
 def apply_ops(ops, *, max_tau, policy, shards=3, backend="thread"):
     """Drive a ShardRouter and an unsharded DynamicSearcher in lockstep."""
     router = ShardRouter(shards=shards, max_tau=max_tau, policy=policy,
-                         backend=backend, compact_interval=4)
-    single = DynamicSearcher(max_tau=max_tau, compact_interval=4)
+                         backend=backend)
+    single = DynamicSearcher(max_tau=max_tau)
     live: set[int] = set()
     for op in ops:
         if op[0] == "insert":

@@ -4,7 +4,7 @@ The token-Jaccard kernel is deleted; the serving stack these suites drove
 is not.  They keep its data — whitespace-separated words over a small
 vocabulary, so records collide and spaces dominate the alphabet — and now
 check edit distance on it.  The load-bearing property: under ANY
-interleaving of insert / delete / compact / search, every searcher — the
+interleaving of insert / delete / search, every searcher — the
 static ``PassJoinSearcher``, the mutable ``DynamicSearcher``, and a
 2-shard ``ShardRouter`` on both backends — returns results
 **element-identical** to a brute-force edit-distance scan of every
@@ -42,7 +42,6 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), TEXTS),
         st.tuples(st.just("delete"), st.integers(min_value=0, max_value=30)),
-        st.tuples(st.just("compact"),),
         st.tuples(st.just("search"), TEXTS),
     ), max_size=25)
 
@@ -66,10 +65,9 @@ def token_sentences(count, seed):
             for _ in range(count)]
 
 
-def apply_ops(ops, *, compact_interval=4):
+def apply_ops(ops):
     """Drive a DynamicSearcher and a dict of survivors in lockstep."""
-    searcher = DynamicSearcher(max_tau=MAX_TAU,
-                               compact_interval=compact_interval)
+    searcher = DynamicSearcher(max_tau=MAX_TAU)
     surviving: dict[int, str] = {}
     for op in ops:
         if op[0] == "insert":
@@ -78,8 +76,6 @@ def apply_ops(ops, *, compact_interval=4):
             target = op[1] % (max(surviving) + 1) if surviving else 0
             assert searcher.delete(target) == (target in surviving)
             surviving.pop(target, None)
-        elif op[0] == "compact":
-            searcher.compact()
         else:  # search mid-stream, against the oracle
             assert (searcher.search(op[1], MAX_TAU)
                     == brute_force(surviving, op[1], MAX_TAU))
@@ -125,15 +121,13 @@ class TestDynamicOracle:
 
     def test_scripted_interleaving_with_compaction(self):
         sentences = token_sentences(40, seed=11)
-        searcher = DynamicSearcher(sentences[:30], max_tau=MAX_TAU,
-                                   compact_interval=3)
+        searcher = DynamicSearcher(sentences[:30], max_tau=MAX_TAU)
         surviving = dict(enumerate(sentences[:30]))
-        for record_id in (0, 7, 13, 29):
+        for record_id in (0, 7, 13, 29):  # each delete purges as it goes
             searcher.delete(record_id)
             surviving.pop(record_id)
         for text in sentences[30:]:
             surviving[searcher.insert(text)] = text
-        searcher.compact()
         for query in token_sentences(10, seed=12):
             for tau in (0, 2, MAX_TAU):
                 assert (searcher.search(query, tau)
@@ -175,9 +169,6 @@ class TestShardedOracle:
                     target = op[1] % (max(live) + 1) if live else 0
                     assert router.delete(target) == single.delete(target)
                     live.discard(target)
-                elif op[0] == "compact":
-                    router.compact()
-                    single.compact()
                 else:
                     assert router.search(op[1]) == single.search(op[1])
             for query in queries:
