@@ -7,7 +7,9 @@ cache, and the dynamic index — in under a second, then repeats the exercise
 against a 2-shard server (modulo placement: consecutive ids live on
 different shards, so the near-duplicate searches below are genuinely
 cross-shard scatter-gathers), requires identical answers, and finishes
-with a live add-shard → query → remove-shard resize under load::
+with a live add-shard → query → remove-shard resize under load.  On both
+servers a request with a misspelled field must be refused, and a
+duplicate-key ``search-batch`` must raise ``cache.coalesced``::
 
     PYTHONPATH=src python scripts/service_smoke.py
 
@@ -37,6 +39,7 @@ import tempfile  # noqa: E402
 
 from repro.cli import main as cli_main  # noqa: E402
 from repro.config import ServiceConfig  # noqa: E402
+from repro.exceptions import ServiceError  # noqa: E402
 from repro.obs import parse_prometheus, render_prometheus  # noqa: E402
 from repro.service import BackgroundServer, ServiceClient  # noqa: E402
 
@@ -144,6 +147,20 @@ def top_k_batch_smoke(client: ServiceClient, host: str, port: int) -> None:
         Path(path).unlink()
 
 
+def contract_smoke(client: ServiceClient) -> None:
+    """A misspelled field is refused; batch duplicates count as coalesced."""
+    try:
+        client.request({"op": "search", "query": "vldb", "tua": 0})
+    except ServiceError as error:
+        assert "'tua'" in str(error), error
+    else:
+        raise AssertionError("a search with an undeclared field was answered")
+    before = client.stats()["cache"]["coalesced"]
+    client.search_batch(["icde"] * 3, tau=1)
+    after = client.stats()["cache"]["coalesced"]
+    assert after == before + 2, (before, after)
+
+
 def sharded_smoke() -> dict:
     """Start a 2-shard server; verify a cross-shard query and mutations.
 
@@ -207,6 +224,8 @@ def sharded_smoke() -> dict:
             assert client.search("vldb", tau=1) == matches
             assert client.top_k("sigmod", 2) == top
 
+            contract_smoke(client)
+
             # Cross-shard top-k-batch: per-shard lockstep widening must
             # merge to the same answers as per-query top-k.
             top_k_batch_smoke(client, host, port)
@@ -264,6 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             assert stats["requests_by_op"].get("search", 0) >= 2, stats
             assert stats["errors"] == 0, stats
             assert stats["cache"]["capacity"] > stats["cache"]["size"], stats
+            contract_smoke(client)
             unsharded_metrics = metrics_smoke(client)
             code = cli_main(["admin", "metrics", "--prometheus",
                              "--host", host, "--port", str(port)])

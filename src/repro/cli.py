@@ -34,7 +34,7 @@ from .baselines.naive import NaiveJoin
 from .baselines.trie_join import TrieJoin
 from .bench.experiments import DATASET_BUILDERS, EXPERIMENTS
 from .bench.reporting import format_table
-from .config import (DEFAULT_VERIFICATION, SHARD_POLICIES, JoinConfig,
+from .config import (DEFAULT_VERIFICATION, SHARD_BACKENDS, JoinConfig,
                      SelectionMethod, ServiceConfig, VerificationMethod)
 from .core.join import PassJoin
 from .datasets.loaders import load_strings, save_strings
@@ -110,11 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="shard workers to partition the collection "
                             "across (default 1 = unsharded)")
     serve.add_argument("--shard-policy", default="hash",
-                       choices=list(SHARD_POLICIES),
-                       help="record placement: consistent-hash ring, length "
-                            "bands, or legacy id%%N (default hash)")
+                       choices=("hash", "length"),  # modulo: tests only
+                       help="record placement: consistent-hash ring or "
+                            "length bands (default hash)")
     serve.add_argument("--shard-backend", default="auto",
-                       choices=["auto", "process", "thread"],
+                       choices=SHARD_BACKENDS,
                        help="shard execution: fork-spawned processes, "
                             "in-process, or auto per platform (default auto)")
     serve.add_argument("--migration-batch", type=int, default=256,

@@ -3,13 +3,13 @@
 Under concurrent load many clients ask similar (often identical) questions
 in the same scheduling quantum.  :class:`RequestBatcher` sits between the
 asyncio transport and the (synchronous) index: requests submitted while a
-batch is open are queued, duplicates are answered by a single execution,
-and the whole batch runs in one call into the serving core — one
-cache-epoch check, one pass over the index per unique query, and no
-interleaved mutations in the middle of a batch.
+batch is open are queued, and the whole batch runs in one call into the
+serving core — one cache-epoch check, one pass over the index, and no
+interleaved mutations in the middle of a batch.  The serving core's
+``execute_queries`` answers (and counts) duplicate keys once.
 
 The batcher is transport-agnostic: it only needs a callable that maps a
-list of unique request keys to a list of results.  That keeps it testable
+list of request keys to a list of results.  That keeps it testable
 without sockets, and reusable for any future transport (HTTP, unix domain
 sockets, ...).
 """
@@ -19,9 +19,9 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-Key = TypeVar("Key", bound=Hashable)
+Key = TypeVar("Key")
 
 
 @dataclass(slots=True)
@@ -30,17 +30,6 @@ class BatcherStats:
 
     requests: int = 0
     batches: int = 0
-    unique_executed: int = 0
-
-    @property
-    def coalesced(self) -> int:
-        """Requests answered without their own execution (duplicates)."""
-        return self.requests - self.unique_executed
-
-    def as_dict(self) -> dict[str, int]:
-        return {"requests": self.requests, "batches": self.batches,
-                "unique_executed": self.unique_executed,
-                "coalesced": self.coalesced}
 
 
 class RequestBatcher:
@@ -49,10 +38,10 @@ class RequestBatcher:
     Parameters
     ----------
     execute:
-        Synchronous callable mapping a list of **unique** keys to their
-        results, in order.  It runs on the event-loop thread (the index is
-        pure CPU work with no await points, exactly like the rest of the
-        request handler).
+        Synchronous callable mapping a list of keys (duplicates included)
+        to their results, in order.  It runs on the event-loop thread (the
+        index is pure CPU work with no await points, exactly like the rest
+        of the request handler).
     max_batch:
         Batch size that triggers an immediate drain.
     window:
@@ -86,13 +75,7 @@ class RequestBatcher:
         self._drain_task: asyncio.Task | None = None
 
     async def submit(self, key: Key) -> object:
-        """Queue one request and await its result.
-
-        Identical keys in the same batch share one execution.  A waiter
-        gets its own shallow copy when the result is a plain list;
-        results of any other shape are shared between duplicate waiters
-        and must be treated as read-only.
-        """
+        """Queue one request and await its result."""
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending.append((key, future))
@@ -119,22 +102,13 @@ class RequestBatcher:
         if not batch:
             return
         self.stats.batches += 1
-        unique: list[Key] = []
-        positions: dict[Key, int] = {}
-        for key, _ in batch:
-            if key not in positions:
-                positions[key] = len(unique)
-                unique.append(key)
         try:
-            results = self._execute(unique)
+            results = self._execute([key for key, _ in batch])
         except Exception as error:  # noqa: BLE001 - forwarded to every waiter
             for _, future in batch:
                 if not future.cancelled():
                     future.set_exception(error)
             return
-        self.stats.unique_executed += len(unique)
-        for key, future in batch:
-            if future.cancelled():
-                continue
-            result = results[positions[key]]
-            future.set_result(list(result) if isinstance(result, list) else result)
+        for (_, future), result in zip(batch, results):
+            if not future.cancelled():
+                future.set_result(result)

@@ -4,12 +4,9 @@ Two classes split the serving stack along the transport boundary:
 
 * :class:`SimilarityService` — the transport-free core.  It owns the
   :class:`~repro.service.dynamic.DynamicSearcher`, the
-  :class:`~repro.service.cache.QueryCache`, and the request vocabulary
-  (``search`` / ``top-k`` / ``search-batch`` / ``insert`` / ``delete`` /
-  ``stats`` / ``metrics`` / ``explain`` / ``ping``, plus the
-  fleet-resize admin ops ``add-shard`` / ``remove-shard`` /
-  ``rebalance-status`` on sharded services), mapping request dictionaries
-  to response dictionaries.  Every dispatched request is recorded into a
+  :class:`~repro.service.cache.QueryCache`, and the op handlers of
+  :data:`OPS`, mapping request dictionaries to response dictionaries.
+  Every dispatched request is recorded into a
   :class:`~repro.obs.metrics.MetricsRegistry` (per-op counts, errors,
   latency histograms) and — past
   :attr:`~repro.config.ServiceConfig.slow_query_ms` — into the structured
@@ -25,13 +22,15 @@ Two classes split the serving stack along the transport boundary:
   loop could only overlap the JSON and socket work, which is a fraction
   of a percent of a read.
 
-Both entry points answer a query op (``search`` / ``top-k`` /
-``search-batch`` / ``top-k-batch``) through the same two steps —
-:meth:`SimilarityService.build_query_keys` validates the payload into
-keys, :meth:`SimilarityService.render_answers` turns the keys' answers
-into the response — and differ only in what runs the keys in between:
-``handle_request`` calls :meth:`SimilarityService.execute_queries`, the
-transport awaits them on its batcher.
+:data:`OPS` is the request contract: one row per op, its fields and its
+handler.  Both entry points check a request against it before anything
+reaches the batcher, the cache or the collection, refusing an unknown op,
+a missing or mistyped field, and any field the op does not declare.  A
+query op then takes the same two steps on both —
+:meth:`SimilarityService.build_query_keys` turns the payload into keys,
+:meth:`SimilarityService.render_answers` turns the keys' answers into the
+response — and only what runs the keys differs: ``handle_request`` calls
+:meth:`SimilarityService.execute_queries`, the transport its batcher.
 
 :class:`BackgroundServer` runs the whole stack in a daemon thread with its
 own event loop — the harness used by the synchronous client tests, the CLI
@@ -44,8 +43,8 @@ Wire protocol (one JSON object per line)::
        "cached": false, "epoch": 0}
     → {"op": "insert", "text": "pvldb"}
     ← {"ok": true, "id": 7, "epoch": 1}
-    → {"op": "nonsense"}
-    ← {"ok": false, "error": "unknown op 'nonsense' ..."}
+    → {"op": "search", "query": "vldb", "tua": 0}
+    ← {"ok": false, "error": "op 'search' has no field 'tua' ..."}
 
 Malformed lines produce an ``ok: false`` response; the connection stays
 open (one bad request must not kill a pipelined client).
@@ -57,7 +56,7 @@ import asyncio
 import json
 import threading
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..config import DEFAULT_SERVICE_CONFIG, ServiceConfig
 from ..core.kernel import EditDistanceKernel
@@ -76,18 +75,6 @@ BATCH_OP = "search-batch"
 #: The batch top-k operation (many queries, one shared ``k``/``max_tau``),
 #: answered through the lockstep-widening ``search_top_k_many`` path.
 TOP_K_BATCH_OP = "top-k-batch"
-#: Query operations: answered from ``execute_queries`` in-process and
-#: routed through the batcher by the TCP transport.
-QUERY_OPS = ("search", "top-k", BATCH_OP, TOP_K_BATCH_OP)
-#: Fleet-resize admin operations (sharded services only).  The TCP
-#: transport answers these as soon as the migration is planned and drains
-#: it in a background task so queries keep flowing; the transport-free
-#: core drains synchronously unless the request carries ``drain: false``.
-RESHARD_OPS = ("add-shard", "remove-shard")
-#: Every operation the service understands.
-ALL_OPS = QUERY_OPS + RESHARD_OPS + (
-    "rebalance-status", "insert", "delete", "stats", "metrics",
-    "explain", "ping", "shutdown")
 
 #: Query keys are tuples: ("search", query, tau) or ("top-k", query, k, limit).
 QueryKey = tuple
@@ -97,21 +84,6 @@ QueryKey = tuple
 #: response) easily exceeds; both the server and the async client size
 #: their streams with this instead.
 STREAM_LIMIT = 16 * 1024 * 1024
-
-
-def _require_str(payload: dict, field: str) -> str:
-    value = payload.get(field)
-    if not isinstance(value, str):
-        raise ValueError(f"field {field!r} must be a string, got {value!r}")
-    return value
-
-
-def _require_int(payload: dict, field: str, *, minimum: int = 0) -> int:
-    value = payload.get(field)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"field {field!r} must be an integer >= {minimum}, "
-                         f"got {value!r}")
-    return value
 
 
 def check_kernel_fields(payload: dict) -> None:
@@ -136,6 +108,53 @@ def check_kernel_fields(payload: dict) -> None:
             raise ConfigurationError(
                 f"this server serves only the {EditDistanceKernel.name!r} "
                 f"kernel, but the request names {name!r}")
+
+
+class Field(NamedTuple):
+    """A declared field: its type as a refusal names it, the type's test,
+    and whether a request must carry it.  Values are checked when the
+    query keys are built, and kernel names by :func:`check_kernel_fields`.
+    """
+
+    type: str
+    test: Callable[[object], bool]
+    required: bool = False
+
+
+class WireOp(NamedTuple):
+    """An op's fields and handler: ``handler(service, payload)`` returns the
+    response's own fields, a query op's ``(service, payload, queries)``
+    returns the queries' cache/batch keys."""
+
+    fields: dict[str, Field]
+    handler: Callable[..., object]
+    query: bool = False
+
+
+def check_request(payload: object) -> WireOp:
+    """The :data:`OPS` row ``payload`` fits; ``ValueError`` if none."""
+    if not isinstance(payload, dict):
+        raise ValueError("request must be a JSON object")
+    op = payload.get("op")
+    # A non-string op (a list, an object) is unhashable: no dict lookup.
+    operation = OPS.get(op) if isinstance(op, str) else None
+    if operation is None:
+        raise ValueError(f"unknown op {op!r}; expected one of "
+                         f"{', '.join(ALL_OPS)}")
+    fields = operation.fields
+    for name, value in payload.items():
+        field = fields.get(name)
+        if field is None and name != "op":
+            raise ValueError(f"op {op!r} has no field {name!r} (its fields: "
+                             f"{', '.join(map(repr, fields)) or 'none'})")
+        if field is not None and not field.test(value):
+            raise ValueError(f"field {name!r} must be {field.type}, "
+                             f"got {value!r}")
+    for name, field in fields.items():
+        if field.required and name not in payload:
+            raise ValueError(f"op {op!r} requires field {name!r}")
+    check_kernel_fields(payload)
+    return operation
 
 
 class SimilarityService:
@@ -201,40 +220,17 @@ class SimilarityService:
     # Query path (used directly and by the batcher)
     # ------------------------------------------------------------------
     def build_query_keys(self, payload: dict) -> list[QueryKey]:
-        """Validate a query request into its cache/batch keys, one per query.
+        """The cache/batch keys of a checked query request, one per query.
 
-        ``search`` and ``top-k`` carry one ``query``; ``search-batch`` and
-        ``top-k-batch`` carry ``queries`` (a list of strings, bounded by
-        :attr:`~repro.config.ServiceConfig.max_query_batch` so one request
-        line cannot monopolise the server) and apply their scalar fields
-        to every query.  The search ops take an optional ``tau``
-        (default and upper bound: the served ``max_tau``) and yield
-        ``("search", query, tau)`` keys; the top-k ops take ``k``
-        (required, >= 1) and an optional ``max_tau`` and yield ``("top-k",
-        query, k, limit)`` keys — the same key whichever op built it, so
-        the cache and the sharded epoch-vector widening are shared between
-        the scalar and batch entry points.
-
-        All per-request validation happens here — before any key joins a
-        batch — so one malformed request can never fail the batch it
-        shares an execution with.  A ``kernel`` field (or a batch's
-        per-query ``kernels`` list) naming anything but edit distance fails
-        the whole request before any query runs.
+        The value checks run here, before any key joins a batch, so one
+        malformed request can never fail the batch it shares.
         """
-        check_kernel_fields(payload)
-        if payload.get("op") in (BATCH_OP, TOP_K_BATCH_OP):
-            queries = self._validate_batch_queries(payload)
-        else:
-            queries = [_require_str(payload, "query")]
-        return [self._query_key(payload, query) for query in queries]
-
-    def _query_key(self, payload: dict, query: str) -> QueryKey:
-        max_tau = self.searcher.max_tau
-        if payload.get("op") in ("search", BATCH_OP):
-            return ("search", query, resolve_tau(payload.get("tau"), max_tau))
-        k = _require_int(payload, "k", minimum=1)
-        return ("top-k", query, k,
-                resolve_top_k(k, payload.get("max_tau"), max_tau))
+        queries = payload.get("queries", [payload.get("query")])
+        limit = self.config.max_query_batch
+        if limit and len(queries) > limit:
+            raise ValueError(f"batch of {len(queries)} queries exceeds "
+                             f"max_query_batch={limit}")
+        return OPS[payload["op"]].handler(self, payload, queries)
 
     def render_answers(self, op: str,
                        answers: Sequence[tuple[list[SearchMatch], bool]],
@@ -255,18 +251,6 @@ class SimilarityService:
         (matches, cached), = answers
         return {"ok": True, "matches": [match.to_dict() for match in matches],
                 "cached": cached, "epoch": epoch}
-
-    def _validate_batch_queries(self, payload: dict) -> list[str]:
-        queries = payload.get("queries")
-        if (not isinstance(queries, list)
-                or not all(isinstance(query, str) for query in queries)):
-            raise ValueError(
-                f"field 'queries' must be a list of strings, got {queries!r}")
-        limit = self.config.max_query_batch
-        if limit and len(queries) > limit:
-            raise ValueError(f"batch of {len(queries)} queries exceeds "
-                             f"max_query_batch={limit}")
-        return queries
 
     def execute_queries(self, keys: Sequence[QueryKey],
                         ) -> list[tuple[list[SearchMatch], bool]]:
@@ -351,36 +335,35 @@ class SimilarityService:
     def handle_request(self, payload: object) -> dict:
         """Map one request object to one response object (never raises).
 
-        Every request dispatched here is recorded into :attr:`metrics`
-        (request count, latency histogram, error count — all keyed by op)
+        The request is checked against its :data:`OPS` row and answered by
+        the row's handler.  Every request dispatched here is recorded into
+        :attr:`metrics` (request count, latency histogram, error count)
         via :meth:`record_request`; the TCP transport answers query ops
         through its batcher instead and records those itself, so each
         request is counted exactly once whichever way it enters.
         """
-        if not isinstance(payload, dict):
-            return {"ok": False, "error": "request must be a JSON object"}
-        op = payload.get("op")
         started = time.perf_counter()
         try:
+            operation = check_request(payload)
             with self._lock:
-                if op in QUERY_OPS:
-                    response = self.render_answers(op, self.execute_queries(
-                        self.build_query_keys(payload)))
+                if operation.query:
+                    response = self.render_answers(
+                        payload["op"],
+                        self.execute_queries(self.build_query_keys(payload)))
                 else:
-                    response = self._dispatch(payload, op)
+                    response = {"ok": True, **operation.handler(self, payload),
+                                "epoch": self.searcher.epoch}
         except (ValueError, TypeError, ServiceError) as error:
             # ServiceError covers serving-infrastructure failures (e.g. a
             # dead shard worker): the contract is one error response per
             # bad request, never an exception up through the transport.
             response = {"ok": False, "error": str(error)}
-        query = payload.get("query")
-        self.record_request(op, time.perf_counter() - started,
-                            bool(response.get("ok")),
-                            query=query if isinstance(query, str) else None)
+        if isinstance(payload, dict):  # a non-object names no op to count
+            self.record_request(payload, time.perf_counter() - started,
+                                bool(response.get("ok")))
         return response
 
-    def record_request(self, op: object, seconds: float, ok: bool, *,
-                       query: str | None = None) -> None:
+    def record_request(self, payload: dict, seconds: float, ok: bool) -> None:
         """Record one finished request into the service metrics.
 
         The counter increment and the histogram observation share the op
@@ -391,6 +374,7 @@ class SimilarityService:
         than :attr:`~repro.config.ServiceConfig.slow_query_ms` also emit a
         structured slow-query log event.
         """
+        op, query = payload.get("op"), payload.get("query")
         name = op if isinstance(op, str) and op in ALL_OPS else "unknown"
         with self._lock:
             self.metrics.inc(f"requests.{name}")
@@ -400,7 +384,8 @@ class SimilarityService:
         threshold = self.config.slow_query_ms
         if threshold and seconds * 1000.0 >= threshold:
             log_slow_query(op=name, seconds=seconds, threshold_ms=threshold,
-                           ok=ok, query=query)
+                           ok=ok,
+                           query=query if isinstance(query, str) else None)
 
     def count(self, name: str) -> None:
         """Bump one counter of :attr:`metrics` (the transport's
@@ -408,56 +393,31 @@ class SimilarityService:
         with self._lock:
             self.metrics.inc(name)
 
-    def _dispatch(self, payload: dict, op: object) -> dict:
-        """Answer one mutation or admin op (caller holds the lock)."""
-        if op == "insert":
-            text = _require_str(payload, "text")
-            record_id = (None if payload.get("id") is None
-                         else _require_int(payload, "id"))
-            new_id = self.searcher.insert(text, id=record_id)
-            return {"ok": True, "id": new_id, "epoch": self.searcher.epoch}
-        if op == "delete":
-            record_id = _require_int(payload, "id")
-            deleted = self.searcher.delete(record_id)
-            return {"ok": True, "deleted": deleted,
-                    "epoch": self.searcher.epoch}
-        if op in RESHARD_OPS:
-            router = self._require_router(op)
-            drain = payload.get("drain", True)
-            if not isinstance(drain, bool):
-                raise ValueError(
-                    f"field 'drain' must be a boolean, got {drain!r}")
-            status = (router.add_shard(drain=drain) if op == "add-shard"
-                      else router.remove_shard(drain=drain))
-            # Cleared only now: a *rejected* resize (e.g. a migration
-            # already in flight) must not erase the record of why the
-            # previous drain failed.
-            self.reshard_error = None
-            return {"ok": True, "status": status, "epoch": self.searcher.epoch}
-        if op == "rebalance-status":
-            router = self._require_router(op)
-            status = router.rebalance_status()
-            if self.reshard_error is not None:
-                status["error"] = self.reshard_error
-            return {"ok": True, "status": status, "epoch": self.searcher.epoch}
-        if op == "stats":
-            return {"ok": True, **self.stats()}
-        if op == "metrics":
-            return self.metrics_payload()
-        if op == "explain":
-            check_kernel_fields(payload)
-            query = _require_str(payload, "query")
-            report = self.searcher.explain(query, payload.get("tau"))
-            return {"ok": True, "explain": report,
-                    "epoch": self.searcher.epoch}
-        if op == "ping":
-            return {"ok": True, "pong": True, "epoch": self.searcher.epoch}
-        if op == "shutdown":
-            return {"ok": False,
-                    "error": "shutdown is handled by the TCP transport, "
-                             "not the service core"}
-        return {"ok": False, "error": f"unknown op {op!r}; expected one of "
-                                      f"{', '.join(ALL_OPS)}"}
+    # ------------------------------------------------------------------
+    # Op handlers (the rows of OPS)
+    # ------------------------------------------------------------------
+    def _search_keys(self, payload: dict, queries: list) -> list[QueryKey]:
+        tau = resolve_tau(payload.get("tau"), self.searcher.max_tau)
+        return [("search", query, tau) for query in queries]
+
+    def _top_k_keys(self, payload: dict, queries: list) -> list[QueryKey]:
+        k = payload["k"]
+        limit = resolve_top_k(k, payload.get("max_tau"), self.searcher.max_tau)
+        return [("top-k", query, k, limit) for query in queries]
+
+    def _resize(self, payload: dict) -> dict:
+        router = self._require_router(payload["op"])
+        resize = (router.add_shard if payload["op"] == "add-shard"
+                  else router.remove_shard)
+        status = resize(drain=payload.get("drain", True))
+        # Cleared only now: a *rejected* resize (a migration in flight)
+        # must not erase the record of why the previous drain failed.
+        self.reshard_error = None
+        return {"status": status}
+
+    def _transport_only(self, payload: dict) -> dict:
+        raise ServiceError("shutdown is handled by the TCP transport, not "
+                           "the service core")
 
     def _require_router(self, op: str) -> ShardRouter:
         """The sharded searcher, or a clear error for unsharded services."""
@@ -477,9 +437,12 @@ class SimilarityService:
             return self._require_router("migration-step").migration_step()
 
     def rebalance_status(self) -> dict:
-        """The router's rebalance status (for tests and the drain task)."""
+        """The router's rebalance status, with the last drain failure."""
         with self._lock:
-            return self._require_router("rebalance-status").rebalance_status()
+            status = self._require_router("rebalance-status").rebalance_status()
+            if self.reshard_error is not None:
+                status["error"] = self.reshard_error
+            return status
 
     def _cache_snapshot(self) -> dict:
         """The query cache's counters and occupancy as a registry snapshot."""
@@ -583,6 +546,62 @@ class SimilarityService:
                     "rebalance": searcher.rebalance_status(),
                 }
             return payload
+
+
+# ``type(value) is int`` keeps booleans out of the integer fields.
+_STRING = Field("a string", lambda value: isinstance(value, str), True)
+_QUERIES = Field("a list of strings", lambda value: isinstance(value, list)
+                 and all(isinstance(item, str) for item in value), True)
+_TAU = Field("an integer or null",
+             lambda value: value is None or type(value) is int)
+_K = Field("an integer", lambda value: type(value) is int, True)
+_KERNEL = Field("a kernel name", lambda value: True)
+_DRAIN = Field("a boolean", lambda value: isinstance(value, bool))
+_ID = Field("an integer >= 0",
+            lambda value: type(value) is int and value >= 0, True)
+
+#: The wire protocol: every op, the fields it takes, and its handler.  A
+#: request carrying a field its op does not declare is refused.
+OPS: dict[str, WireOp] = {
+    "search": WireOp({"query": _STRING, "tau": _TAU, "kernel": _KERNEL},
+                     SimilarityService._search_keys, query=True),
+    "top-k": WireOp({"query": _STRING, "k": _K, "max_tau": _TAU,
+                     "kernel": _KERNEL},
+                    SimilarityService._top_k_keys, query=True),
+    BATCH_OP: WireOp({"queries": _QUERIES, "tau": _TAU, "kernel": _KERNEL,
+                      "kernels": _KERNEL},
+                     SimilarityService._search_keys, query=True),
+    TOP_K_BATCH_OP: WireOp({"queries": _QUERIES, "k": _K, "max_tau": _TAU,
+                            "kernel": _KERNEL, "kernels": _KERNEL},
+                           SimilarityService._top_k_keys, query=True),
+    "add-shard": WireOp({"drain": _DRAIN}, SimilarityService._resize),
+    "remove-shard": WireOp({"drain": _DRAIN}, SimilarityService._resize),
+    "rebalance-status": WireOp({}, lambda service, payload: {
+        "status": service.rebalance_status()}),
+    "insert": WireOp(
+        {"text": _STRING, "id": Field("an integer >= 0 or null", lambda value:
+                                     value is None or _ID.test(value))},
+        lambda service, payload: {"id": service.searcher.insert(
+            payload["text"], id=payload.get("id"))}),
+    "delete": WireOp({"id": _ID}, lambda service, payload: {
+        "deleted": service.searcher.delete(payload["id"])}),
+    "stats": WireOp({}, lambda service, payload: service.stats()),
+    "metrics": WireOp({}, lambda service, payload: service.metrics_payload()),
+    "explain": WireOp(
+        {"query": _STRING, "tau": _TAU, "kernel": _KERNEL},
+        lambda service, payload: {"explain": service.searcher.explain(
+            payload["query"], payload.get("tau"))}),
+    "ping": WireOp({}, lambda service, payload: {"pong": True}),
+    "shutdown": WireOp({}, SimilarityService._transport_only),
+}
+#: Query operations: their keys run through ``execute_queries`` or the batcher.
+QUERY_OPS = tuple(op for op, operation in OPS.items() if operation.query)
+#: Fleet-resize ops (sharded services only): the TCP transport drains them
+#: in the background, the core unless the request says ``drain: false``.
+RESHARD_OPS = tuple(op for op, operation in OPS.items()
+                    if "drain" in operation.fields)
+#: Every operation the service understands.
+ALL_OPS = tuple(OPS)
 
 
 class SimilarityServer:
@@ -742,7 +761,8 @@ class SimilarityServer:
     async def _respond(self, payload: object) -> dict:
         """Map one parsed request line to its response object.
 
-        Query ops are validated into keys, every key joins the shared
+        A line :data:`OPS` refuses is answered by ``handle_request``.
+        Query ops are built into keys, every key joins the shared
         :class:`RequestBatcher` batch — so a batch request coalesces with
         whatever concurrent single queries are in flight, and the drain
         answers them all with one grouped ``search_many()`` (or ``(k,
@@ -761,12 +781,17 @@ class SimilarityServer:
         the batch as a whole (and its single ``epoch`` field, read after
         the last drain) is not guaranteed to be one snapshot.
         """
-        op = payload.get("op") if isinstance(payload, dict) else None
+        try:
+            operation = check_request(payload)
+        except ValueError:
+            # The core answers (and counts) the refusal.
+            return self.service.handle_request(payload)
+        op = payload["op"]
         if op == "shutdown":
             return {"ok": True, "stopping": True}
         if op in RESHARD_OPS:
             return self._handle_reshard(payload)
-        if op not in QUERY_OPS:
+        if not operation.query:
             return self.service.handle_request(payload)
         started = time.perf_counter()
         try:
@@ -784,10 +809,8 @@ class SimilarityServer:
             # forwards to every waiter (e.g. a dead shard worker): answer
             # with an error line instead of tearing down the connection.
             response = {"ok": False, "error": str(error)}
-        query = payload.get("query")
-        self.service.record_request(
-            op, time.perf_counter() - started, bool(response.get("ok")),
-            query=query if isinstance(query, str) else None)
+        self.service.record_request(payload, time.perf_counter() - started,
+                                    bool(response.get("ok")))
         return response
 
     def _handle_reshard(self, payload: dict) -> dict:

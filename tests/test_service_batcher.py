@@ -35,10 +35,10 @@ class TestCoalescing:
         results = gather(batcher, ["a", "b", "a", "a", "b"])
         assert results == ["result:a", "result:b", "result:a", "result:a",
                            "result:b"]
-        assert recorder.batches == [["a", "b"]]  # deduped, one execution
+        # One execution gets every key: deduplication is the execute
+        # hook's job (the serving core's execute_queries), not the batcher's.
+        assert recorder.batches == [["a", "b", "a", "a", "b"]]
         assert batcher.stats.requests == 5
-        assert batcher.stats.unique_executed == 2
-        assert batcher.stats.coalesced == 3
         assert batcher.stats.batches == 1
 
     def test_zero_window_still_coalesces_same_tick_submits(self):
@@ -88,7 +88,8 @@ class TestFailure:
         batcher = RequestBatcher(recorder, window=0.005)
         results = gather(batcher, ["a", "b"])
         assert all(isinstance(result, RuntimeError) for result in results)
-        assert batcher.stats.unique_executed == 0
+        assert recorder.batches == [["a", "b"]]
+        assert batcher.stats.batches == 1
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

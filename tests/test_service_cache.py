@@ -4,7 +4,8 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.search import SearchMatch
-from repro.service import DynamicSearcher, QueryCache, SimilarityService
+from repro.service import (BackgroundServer, DynamicSearcher, QueryCache,
+                           ServiceClient, SimilarityService)
 
 
 def match(i):
@@ -151,6 +152,17 @@ class TestCoalescedCacheAccounting:
             assert service.cache.stats.misses == 1
         finally:
             service.close()
+
+    def test_duplicates_coalesced_over_tcp(self):
+        # The batcher passes every key through, so execute_queries counts
+        # the duplicates of a TCP batch exactly as it does in-process.
+        with BackgroundServer(["vldb", "pvldb"],
+                              ServiceConfig(port=0)) as address:
+            with ServiceClient(*address) as client:
+                client.search_batch(["vldb"] * 3, tau=1)
+                cache = client.stats()["cache"]
+        assert cache["coalesced"] == 2
+        assert cache["hits"] + cache["misses"] == 1
 
     def test_coalesced_surfaces_in_stats_and_metrics(self):
         service = SimilarityService(["vldb"], ServiceConfig(port=0))

@@ -9,6 +9,7 @@
 
 import asyncio
 import dataclasses
+import inspect
 import logging
 import threading
 import time
@@ -19,7 +20,8 @@ from repro.config import ServiceConfig
 from repro.exceptions import ProtocolError
 from repro.service import (AsyncServiceClient, BackgroundServer,
                            ServiceClient)
-from repro.service.server import ALL_OPS
+from repro.service.client import _OpTable
+from repro.service.server import ALL_OPS, OPS
 
 STRINGS = ["vldb", "pvldb", "sigmod", "sigmmod", "icde", "edbt"]
 
@@ -133,6 +135,16 @@ class TestRemovedKnobs:
                     getattr(client_class, method)(None, *arguments,
                                                   kernel="edit-distance")
 
+    def test_serve_does_not_offer_modulo_placement(self, capsys):
+        # modulo stays a ServiceConfig placement for tests; serve refuses it.
+        from repro.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["serve", "strings.txt", "--shards", "2",
+                      "--shard-policy", "modulo"])
+        assert excinfo.value.code == 2
+        assert "--shard-policy" in capsys.readouterr().err
+
     def test_config_and_op_table_sizes(self):
         assert len(dataclasses.fields(ServiceConfig)) == 13
         assert len(ALL_OPS) == 14
@@ -157,7 +169,29 @@ def method_name(op):
     return op.replace("-", "_")
 
 
+class _PayloadRecorder(_OpTable):
+    """An op table that records the payload of each call, sending nothing."""
+
+    def _roundtrip(self, payload, parse):
+        self.payload = payload
+
+
 class TestOpTableParity:
+    @pytest.mark.parametrize("op", ALL_OPS)
+    def test_client_sends_only_declared_fields(self, op):
+        # Every optional argument set: the payload may carry no field the
+        # server's table does not declare for the op.
+        recorder = _PayloadRecorder()
+        method = getattr(recorder, method_name(op))
+        parameters = inspect.signature(method).parameters.values()
+        optional = {parameter.name: 1 for parameter in parameters
+                    if parameter.default is not inspect.Parameter.empty}
+        required = OP_CALLS[op][:len(parameters) - len(optional)]
+        method(*required, **optional)
+        assert recorder.payload["op"] == op
+        assert set(recorder.payload) - {"op"} <= set(OPS[op].fields)
+        assert len(recorder.payload) == 1 + len(required) + len(optional)
+
     def test_every_dispatched_op_is_a_method_of_both_clients(self):
         assert set(OP_CALLS) == set(ALL_OPS)
         for op in ALL_OPS:

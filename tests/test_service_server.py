@@ -177,12 +177,15 @@ class TestAsyncClientEndToEnd:
                 for client_ in clients:
                     await client_.close()
                 await server.stop()
-            return results, server.batcher.stats
+            return results, server.batcher.stats, service.cache.stats
 
-        results, stats = asyncio.run(scenario())
+        results, stats, cache = asyncio.run(scenario())
         assert all(result == results[0] for result in results)
         assert stats.requests == 5
-        assert stats.unique_executed == 1  # one index pass for all five
+        assert stats.batches == 1
+        # One index pass for all five: execute_queries answers the four
+        # duplicates from the first.
+        assert (cache.misses, cache.hits, cache.coalesced) == (1, 0, 4)
 
     def test_full_vocabulary(self):
         async def scenario():
