@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -353,6 +354,16 @@ def _command_admin(args: argparse.Namespace) -> int:
     from .exceptions import ProtocolError, ServiceError
     from .service.client import ServiceClient
 
+    if args.admin_command == "reshard":
+        # Refused before connecting: a bad value must not surface only
+        # once a resize is under way.
+        if args.shards < 1:
+            print("error: --shards must be >= 1", file=sys.stderr)
+            return 2
+        if not (math.isfinite(args.poll) and args.poll >= 0):
+            print("error: --poll must be a finite number of seconds >= 0",
+                  file=sys.stderr)
+            return 2
     try:
         with ServiceClient(args.host, args.port) as client:
             if args.admin_command == "metrics":
@@ -377,9 +388,6 @@ def _command_admin(args: argparse.Namespace) -> int:
                 _print_admin_status(stats)
                 return 0
             target = args.shards
-            if target < 1:
-                print("error: --shards must be >= 1", file=sys.stderr)
-                return 2
             current = stats["shards"]["count"]
             while current != target:
                 grow = current < target

@@ -7,10 +7,7 @@ input and probes each string against it, while the searchers and the
 serving stack probe external queries against a long-lived index.
 
 This module holds the logic they share: the canonical record ordering and
-:func:`probe_record`, the per-probe select → lookup → verify pipeline.  The
-optional ``accept`` predicate (a function of the candidate's record *id*)
-restricts which indexed records may partner a probe — the serving stack's
-top-k exclusion.
+:func:`probe_record`, the per-probe select → lookup → verify pipeline.
 
 Candidate filtering runs on the columnar postings directly — record ids are
 read straight from the :class:`~repro.core.store.RecordStore` id column and
@@ -26,9 +23,9 @@ the one per-posting id filter per interested query, and verifies the
 survivors.  :func:`probe_record` drives it with a single state (carrying
 the join's ``max_length``, same-id exclusion and the optional ``explain``
 trace); :func:`probe_many` is the batch driver: duplicate ``(query, tau)``
-lookups execute once (:func:`dedupe_batch`), unique queries are grouped by
-shape, and when several queries of a group select the same substring its
-posting list is scanned once and fans out to every interested query
+lookups execute once, unique queries are grouped by shape, and when
+several queries of a group select the same substring its posting list is
+scanned once and fans out to every interested query
 (``num_postings_fanout``).  Selection windows resolve through the caller's
 persistent :class:`~repro.core.selection.WindowCache` when one is passed
 (hits counted as ``num_windows_cache_hits``).
@@ -51,10 +48,6 @@ if TYPE_CHECKING:
     from ..obs.trace import ProbeTrace
 
 
-#: A predicate over candidate record ids (top-k exclusion).
-Accept = Callable[[int], bool]
-
-
 def sort_key(record: StringRecord) -> tuple[int, str]:
     """Canonical (length, text) ordering of the join and every searcher."""
     return (record.length, record.text)
@@ -68,16 +61,14 @@ def sort_records(records: Sequence[StringRecord]) -> list[StringRecord]:
 class _ProbeState:
     """Per-query accumulator of one :func:`_probe_group` pass."""
 
-    __slots__ = ("text", "probe_id", "exclude_self", "accept", "found",
-                 "matches", "checked")
+    __slots__ = ("text", "probe_id", "exclude_self", "found", "matches",
+                 "checked")
 
     def __init__(self, text: str, skip_rechecks: bool,
-                 accept: Accept | None,
                  probe_id: int = -1, exclude_self: bool = False) -> None:
         self.text = text
         self.probe_id = probe_id
         self.exclude_self = exclude_self
-        self.accept = accept
         self.found: dict[int, int] = {}
         self.matches: list[tuple[StringRecord, int]] = []
         self.checked: set[int] | None = set() if skip_rechecks else None
@@ -115,8 +106,8 @@ def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
     ``states`` are queries of one length probed at one ``tau`` with one
     ``verifier``; each accumulates its own ``matches``.  Every posting
     list is fetched once per distinct substring and then filtered per
-    interested state, in the fixed order same-id → excluded (``accept``)
-    → already-found → rechecked; ``trace`` is fed once per filtered list.
+    interested state, in the fixed order same-id → already-found →
+    rechecked; ``trace`` is fed once per filtered list.
     """
     lead_text = states[0].text
     query_length = len(lead_text)
@@ -127,9 +118,6 @@ def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
             continue
         for state in states:
             if record.id == state.probe_id and state.exclude_self:
-                continue
-            accept = state.accept
-            if accept is not None and not accept(record.id):
                 continue
             verification_started = time.perf_counter()
             stats.num_verifications += 1
@@ -183,19 +171,15 @@ def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
             for state in interested:
                 probe_id = state.probe_id
                 exclude_self = state.exclude_self
-                accept = state.accept
                 found = state.found
                 checked = state.checked
                 rows: list[int] = []
                 row_ids: list[int] = []
-                same_id = excluded = rechecked = 0
+                same_id = rechecked = 0
                 for row in postings.ordinals:
                     record_id = store_ids[row]
                     if record_id == probe_id and exclude_self:
                         same_id += 1
-                        continue
-                    if accept is not None and not accept(record_id):
-                        excluded += 1
                         continue
                     if record_id in found:
                         continue
@@ -229,7 +213,7 @@ def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
                 if entry is not None:
                     trace.record_scan(
                         entry, scanned=scanned, same_id=same_id,
-                        excluded=excluded, rechecked=rechecked,
+                        rechecked=rechecked,
                         candidates=len(rows), verifications=verifications,
                         accepted=accepted_here)
 
@@ -244,7 +228,6 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
                  selector: SubstringSelector, verifier: BaseVerifier,
                  stats: JoinStatistics, max_length: int,
                  allow_same_id: bool = False,
-                 accept: Accept | None = None,
                  trace: "ProbeTrace | None" = None,
                  window_cache: WindowCache | None = None,
                  ) -> list[tuple[StringRecord, int]]:
@@ -253,11 +236,8 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
     The one-state driver of :func:`_probe_group`.  ``max_length`` bounds
     the indexed lengths probed: ``|probe|`` for the self join (a partner
     longer than the probe sorts after it) and ``|probe| + τ`` for the R-S
-    join.  ``accept`` optionally restricts which indexed records may
-    partner the probe by record id; ids it rejects are skipped before
-    candidate counting and verification, exactly as if they were not
-    indexed at all.  Unless ``allow_same_id``, the probe's own id is
-    excluded by an integer compare (no callable on the join hot path).
+    join.  Unless ``allow_same_id``, the probe's own id is excluded by an
+    integer compare.
 
     ``trace`` optionally collects a per-indexed-length breakdown for the
     ``explain`` op.  ``window_cache`` optionally resolves selection windows
@@ -265,7 +245,7 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
     counted as ``num_windows_cache_hits``) instead of calling
     ``selector.select`` per probe.
     """
-    state = _ProbeState(probe.text, verifier.exact_per_pair, accept,
+    state = _ProbeState(probe.text, verifier.exact_per_pair,
                         probe_id=probe.id, exclude_self=not allow_same_id)
     _probe_group([state], tau=tau, max_length=max_length, index=index,
                  short_pool=short_pool, selector=selector,
@@ -274,45 +254,19 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
     return state.matches
 
 
-def dedupe_batch(queries: Sequence[tuple[str, int]],
-                 accept: Accept | Sequence[Accept | None] | None,
-                 ) -> dict[tuple[str, int, Accept | None], list[int]]:
-    """Collapse a batch to its unique probes and the positions they answer.
-
-    ``accept`` is one predicate for the whole batch or a sequence aligned
-    with ``queries``; two entries are the same probe when query, tau and
-    predicate (by identity) all agree.
-    """
-    if accept is None or callable(accept):
-        accepts: Sequence[Accept | None] = [accept] * len(queries)
-    else:
-        accepts = list(accept)
-        if len(accepts) != len(queries):
-            raise ValueError(
-                f"accept sequence length {len(accepts)} does not match "
-                f"{len(queries)} queries")
-    unique: dict[tuple[str, int, Accept | None], list[int]] = {}
-    for position, (text, tau) in enumerate(queries):
-        unique.setdefault((text, tau, accepts[position]), []).append(position)
-    return unique
-
-
 def probe_many(queries: Sequence[tuple[str, int]], *, index: SegmentIndex,
                short_pool: Sequence[StringRecord],
                selector: SubstringSelector,
                verifier_factory: Callable[[int], BaseVerifier],
                stats: JoinStatistics,
-               accept: Accept | Sequence[Accept | None] | None = None,
                window_cache: WindowCache | None = None,
                ) -> list[list[tuple[StringRecord, int]]]:
     """Answer a batch of ``(query text, tau)`` searches in one grouped pass.
 
-    The batch driver of :func:`_probe_group`, behind ``search_many()`` and
-    the top-k widening:
+    The batch form of :func:`_probe_group`, behind ``search_many()``:
 
-    1. **Deduplicate** — identical ``(query, tau)`` pairs (under the same
-       ``accept`` predicate) are probed once and their result is fanned
-       out to every occurrence (:func:`dedupe_batch`).
+    1. **Deduplicate** — identical ``(query, tau)`` pairs are probed once
+       and their result is fanned out to every occurrence.
     2. **Group by shape** — unique queries are grouped by
        ``(query length, tau)``; a group shares one verifier, one selection
        per indexed length (windows depend only on the two lengths — the
@@ -322,28 +276,25 @@ def probe_many(queries: Sequence[tuple[str, int]], *, index: SegmentIndex,
 
     Each result list is element-identical to :func:`probe_record` on that
     query — both run the same loop — which is the property-test contract.
-    Queries are external probes (no same-id exclusion); ``accept`` is one
-    predicate for every query or a sequence aligned with ``queries`` (one
-    predicate or ``None`` per position — the hook top-k widening uses to
-    exclude each query's already-found partners).  Returns one
+    Queries are external probes (no same-id exclusion).  Returns one
     ``(record, distance)`` list per input position.
     """
     results: list[list[tuple[StringRecord, int]]] = [[] for _ in queries]
-    groups: dict[tuple[int, int],
-                 list[tuple[str, Accept | None, list[int]]]] = {}
-    for (text, tau, query_accept), positions in dedupe_batch(
-            queries, accept).items():
-        groups.setdefault((len(text), tau), []).append(
-            (text, query_accept, positions))
+    unique: dict[tuple[str, int], list[int]] = {}
+    for position, (text, tau) in enumerate(queries):
+        unique.setdefault((text, tau), []).append(position)
+    groups: dict[tuple[int, int], list[tuple[str, list[int]]]] = {}
+    for (text, tau), positions in unique.items():
+        groups.setdefault((len(text), tau), []).append((text, positions))
     for query_length, tau in sorted(groups):
         members = groups[query_length, tau]
         verifier = verifier_factory(tau)
-        states = [_ProbeState(text, verifier.exact_per_pair, query_accept)
-                  for text, query_accept, _ in members]
+        states = [_ProbeState(text, verifier.exact_per_pair)
+                  for text, _ in members]
         _probe_group(states, tau=tau, max_length=query_length + tau,
                      index=index, short_pool=short_pool, selector=selector,
                      window_cache=window_cache, verifier=verifier, stats=stats)
-        for state, (_, _, positions) in zip(states, members):
+        for state, (_, positions) in zip(states, members):
             for position in positions:
                 results[position] = list(state.matches)
     return results

@@ -25,7 +25,7 @@ from ..config import (DEFAULT_VERIFICATION, PartitionStrategy,
                       VerificationMethod, validate_threshold)
 from ..exceptions import UnknownMethodError
 from ..types import JoinStatistics, StringRecord
-from .engine import Accept, probe_many, probe_record
+from .engine import probe_many, probe_record
 from .index import SegmentIndex
 from .partition import can_partition
 from .selection import MultiMatchAwareSelector, WindowCache
@@ -41,8 +41,8 @@ class EditDistanceBackend:
     The backend is also the one place a searcher's records are held:
     :meth:`record` answers by id from ``_rows`` (id → store row of every
     indexed record) or ``short_pool`` (records too short to partition).
-    The searcher above it keeps the bookkeeping: epochs, per-length
-    counts.  Deleting a record is :meth:`unpool` for a pooled one and
+    The searcher above it keeps the bookkeeping: ids, epochs.  Deleting
+    a record is :meth:`unpool` for a pooled one and
     :meth:`remove_indexed` for an indexed one.
     """
 
@@ -118,15 +118,13 @@ class EditDistanceBackend:
         return self.window_cache
 
     def probe(self, query: str, tau: int, *, stats: JoinStatistics,
-              accept: Accept | None = None,
               trace: "ProbeTrace | None" = None,
               verifier: Any = None) -> list[tuple[StringRecord, int]]:
         """All indexed/pooled records within ``tau`` of ``query``.
 
-        ``accept`` filters candidate record ids before verification
-        (top-k exclusion); ``trace`` collects the per-stage
-        explain breakdown; ``verifier`` overrides the default verifier
-        (the explain path passes the instance it will report on).
+        ``trace`` collects the per-stage explain breakdown; ``verifier``
+        overrides the default verifier (the explain path passes the
+        instance it will report on).
         """
         if verifier is None:
             verifier = self.new_verifier(tau, stats)
@@ -134,20 +132,17 @@ class EditDistanceBackend:
             StringRecord(id=-1, text=query), tau=tau, index=self.index,
             short_pool=list(self.short_pool.values()),
             selector=self.selector, verifier=verifier, stats=stats,
-            max_length=len(query) + tau, allow_same_id=True, accept=accept,
-            trace=trace, window_cache=self.active_window_cache())
+            max_length=len(query) + tau, allow_same_id=True, trace=trace,
+            window_cache=self.active_window_cache())
 
     def probe_many(self, queries: Sequence[tuple[str, int]], *,
                    stats: JoinStatistics,
-                   accept: Accept | Sequence[Accept | None] | None = None,
                    verifier_factory: Callable[[int], Any] | None = None,
                    ) -> list[list[tuple[StringRecord, int]]]:
         """Batch :meth:`probe`: one result list per ``(query, tau)`` input.
 
-        ``accept`` is one predicate applied to every query or a sequence
-        aligned with ``queries`` (one predicate or ``None`` per position
-        — what the top-k widening uses to exclude each query's own
-        earlier hits).
+        ``verifier_factory`` maps a tau to the verifier of its group
+        (default: :meth:`new_verifier`).
         """
         if verifier_factory is None:
             def verifier_factory(tau: int) -> Any:
@@ -156,8 +151,7 @@ class EditDistanceBackend:
             queries, index=self.index,
             short_pool=list(self.short_pool.values()),
             selector=self.selector, verifier_factory=verifier_factory,
-            stats=stats, accept=accept,
-            window_cache=self.active_window_cache())
+            stats=stats, window_cache=self.active_window_cache())
 
     def entry_count(self) -> int:
         """Segment entries currently stored (postings)."""

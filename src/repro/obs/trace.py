@@ -5,10 +5,10 @@ A :class:`ProbeTrace` rides through one
 counters deliberately aggregate away: *per indexed length*, which
 partition layout was consulted, how many selection windows were probed,
 how many postings each probe scanned, and where candidates fell out of
-the funnel (id filter, top-k exclude callback, already matched,
-already verified).  ``explain`` runs the probe against a private
-:class:`~repro.types.JoinStatistics`, so the trace plus the statistics
-deltas reconstruct the paper's filter funnel exactly for a single query.
+the funnel (same id, already matched, already verified).  ``explain``
+runs the probe against a private :class:`~repro.types.JoinStatistics`,
+so the trace plus the statistics deltas reconstruct the paper's filter
+funnel exactly for a single query.
 
 The trace is an *observer* of the one probe loop, not a second copy of
 it: the engine keeps local drop counters for every posting list it filters
@@ -38,8 +38,8 @@ FUNNEL_FIELDS: tuple[str, ...] = (
 #: lengths disjoint, but hash placement spreads every length fleet-wide).
 _LENGTH_COUNTER_FIELDS: tuple[str, ...] = (
     "selection_windows", "index_probes", "postings_scanned",
-    "filtered_same_id", "filtered_excluded", "filtered_already_found",
-    "filtered_rechecked", "candidates", "verifications", "accepted")
+    "filtered_same_id", "filtered_already_found", "filtered_rechecked",
+    "candidates", "verifications", "accepted")
 
 _STAGE_FIELDS: tuple[str, ...] = (
     "selection_seconds", "verification_seconds", "total_seconds")
@@ -79,19 +79,18 @@ class ProbeTrace:
 
     @staticmethod
     def record_scan(entry: dict[str, Any], *, scanned: int, same_id: int = 0,
-                    excluded: int, rechecked: int = 0, candidates: int,
+                    rechecked: int = 0, candidates: int,
                     verifications: int, accepted: int) -> None:
         """Attribute one filtered posting list to its per-length ``entry``.
 
-        Every scanned posting either fell to one of the four id filters or
+        Every scanned posting either fell to one of the three id filters or
         became a candidate, so the already-found drops — the one filter the
         hot loop does not count — are what the other figures leave over.
         """
         entry["postings_scanned"] += scanned
         entry["filtered_same_id"] += same_id
-        entry["filtered_excluded"] += excluded
         entry["filtered_already_found"] += (
-            scanned - same_id - excluded - rechecked - candidates)
+            scanned - same_id - rechecked - candidates)
         entry["filtered_rechecked"] += rechecked
         entry["candidates"] += candidates
         entry["verifications"] += verifications

@@ -25,13 +25,12 @@ driver.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..config import (DEFAULT_VERIFICATION, PartitionStrategy,
                       VerificationMethod, validate_threshold)
-from ..core.engine import Accept, sort_records
+from ..core.engine import sort_records
 from ..core.kernel import EditDistanceBackend
 from ..exceptions import InvalidThresholdError
 from ..obs.trace import ProbeTrace, build_explain_report
@@ -71,13 +70,15 @@ def resolve_query_taus(queries: Sequence[str],
 
 
 def resolve_top_k(k: int, max_tau: int | None, ceiling: int) -> int:
-    """Validate a top-k request; return the threshold widening may reach.
+    """Validate a top-k request; return the threshold it searches at.
 
-    ``ceiling`` is the index's ``max_tau``; a larger ``max_tau`` is clamped
-    to it.  Shared by the searchers and the shard router.
+    ``k`` must be a positive ``int`` (not a ``bool``).  ``ceiling`` is the
+    index's ``max_tau``; a larger ``max_tau`` is clamped to it.  Shared by
+    the searchers and the shard router, so a bad ``k`` is refused before
+    any probe.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     return ceiling if max_tau is None else min(validate_threshold(max_tau),
                                                ceiling)
 
@@ -92,7 +93,7 @@ def any_key_within(counts: Mapping[int, int], lo: int, hi: int) -> bool:
 
     The length filter every probe applies first: with no live record's
     length inside a query's :func:`length_window` no match is possible, so
-    top-k widening skips the round and the router skips the scatter.
+    the shard router skips the scatter.
     """
     if hi - lo + 1 > len(counts):
         return any(lo <= key <= hi for key in counts)
@@ -156,19 +157,18 @@ class KernelSearcher:
     :class:`~repro.service.dynamic.DynamicSearcher` (a mutable one) own
     construction and mutation and share every query method from here.  A
     delete leaves nothing in the index, so a frozen collection and a
-    mutable one probe alike; the only things a subclass provides besides
-    ``max_tau`` / ``statistics`` / ``_backend`` are ``_length_counts``
-    (live record length → live record count) and ``__len__`` (live count).
+    mutable one probe alike; a subclass provides only ``max_tau``,
+    ``statistics`` and ``_backend``.
 
     Scalar calls are the batch of one: :meth:`search` and
     :meth:`search_top_k` run exactly the code of :meth:`search_many` and
-    :meth:`search_top_k_many`.
+    :meth:`search_top_k_many`, and a top-k search is a threshold search at
+    the limit cut to ``k``.
     """
 
     max_tau: int
     statistics: JoinStatistics
     _backend: EditDistanceBackend
-    _length_counts: Mapping[int, int]
 
     @property
     def _index(self):
@@ -180,27 +180,12 @@ class KernelSearcher:
         """The backend's substring selector."""
         return self._backend.selector
 
-    @staticmethod
-    def _accept(exclude: "Mapping[int, SearchMatch]") -> Accept | None:
-        """The candidate-id predicate of one top-k widening probe.
-
-        Rejects the ids in ``exclude`` — earlier rounds' hits, whose
-        distance is already known and must not be verified again;
-        ``None`` (accept all) when there are none.
-        """
-        if not exclude:
-            return None
-        return lambda record_id: record_id not in exclude
-
     def _probe(self, queries: Sequence[str], taus: Sequence[int],
-               excludes: "Sequence[Mapping[int, SearchMatch]] | None" = None,
                ) -> list[list[SearchMatch]]:
         """One batch pass over the backend (validated taus, no result
         counting): a ``(distance, id)``-sorted match list per query."""
-        accept = (None if excludes is None
-                  else [self._accept(exclude) for exclude in excludes])
         raw = self._backend.probe_many(list(zip(queries, taus)),
-                                       stats=self.statistics, accept=accept)
+                                       stats=self.statistics)
         return [ranked_matches(matches) for matches in raw]
 
     def search(self, query: str, tau: int | None = None) -> list[SearchMatch]:
@@ -259,53 +244,28 @@ class KernelSearcher:
                      max_tau: int | None = None) -> list[SearchMatch]:
         """Return the ``k`` live indexed strings closest to ``query``.
 
-        The threshold is grown from 0 upwards (see
-        :meth:`search_top_k_many`) until ``k`` matches are found or
-        ``max_tau`` (default: the index's ``max_tau``) is reached.  Results
-        follow the canonical ``(distance, id)`` ordering of
-        :meth:`SearchMatch.sort_key`, so ties at the cut-off distance are
-        broken by record id — deterministic across processes, index
-        builds, and shards.
+        Only strings within ``max_tau`` (default, and at most: the index's
+        ``max_tau``) are candidates.  Results follow the canonical
+        ``(distance, id)`` ordering of :meth:`SearchMatch.sort_key`, so
+        ties at the cut-off distance are broken by record id —
+        deterministic across processes, index builds, and shards.
         """
         return self.search_top_k_many([query], k, max_tau)[0]
 
     def search_top_k_many(self, queries: Sequence[str], k: int,
                           max_tau: int | None = None,
                           ) -> list[list[SearchMatch]]:
-        """Top-k for a batch: widen tau in lockstep across the queries.
+        """Top-k for a batch: one threshold search at the limit, cut to k.
 
-        Each round is one batch pass at ``tau`` over the queries that still
-        need matches, and it is incremental: earlier rounds' hits carry
-        over and are excluded from the probe (a round at ``tau`` can only
-        add matches at distance exactly ``tau``), a query retires once it
-        has ``k`` matches or has matched every live record, and a round no
-        live record length can serve is skipped for that query.  Duplicate
-        queries widen once; ``num_results`` counts the matches returned,
-        not every round's.
+        A search's matches are sorted by ``(distance, id)``, so its first
+        ``k`` are the exact top-k.  ``k`` is validated before any probe;
+        ``num_results`` counts the matches returned.
         """
         limit = resolve_top_k(k, max_tau, self.max_tau)
-        needed = min(k, len(self))
-        found: dict[str, dict[int, SearchMatch]] = {
-            query: {} for query in queries}
-        for tau in range(0, limit + 1):
-            active = [query for query, hits in found.items()
-                      if len(hits) < needed]
-            if not active:
-                break
-            members = [query for query in active
-                       if any_key_within(self._length_counts,
-                                         *length_window(query, tau))]
-            if not members:
-                continue
-            rounds = self._probe(members, [tau] * len(members),
-                                 [found[query] for query in members])
-            for query, matches in zip(members, rounds):
-                found[query].update((match.id, match) for match in matches)
-        best = {query: sorted(hits.values(), key=SearchMatch.sort_key)[:k]
-                for query, hits in found.items()}
-        self.statistics.num_results += sum(len(best[query])
-                                           for query in queries)
-        return [list(best[query]) for query in queries]
+        best = [matches[:k]
+                for matches in self._probe(queries, [limit] * len(queries))]
+        self.statistics.num_results += sum(map(len, best))
+        return best
 
 
 class PassJoinSearcher(KernelSearcher):
@@ -346,11 +306,14 @@ class PassJoinSearcher(KernelSearcher):
         self._records = as_records(strings)
         self.statistics.num_strings = len(self._records)
         for record in sort_records(self._records):
+            if record.id in self._backend:
+                # A duplicate would shadow one record and leave the other's
+                # postings behind as a ghost.
+                raise ValueError(
+                    f"duplicate id {record.id} in the initial collection")
             self.statistics.num_indexed_segments += self._backend.add(record)
         self.statistics.index_entries = self._backend.entry_count()
         self.statistics.index_bytes = self._backend.approximate_bytes()
-        self._length_counts = Counter(record.length
-                                      for record in self._records)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -133,9 +133,9 @@ class _OpTable:
         """Answer many top-k queries with one ``top-k-batch`` request line.
 
         ``k`` and ``max_tau`` are shared across the batch; the server
-        widens tau in lockstep and retires satisfied queries, so the batch
-        costs far fewer index passes than ``len(queries)`` calls to
-        :meth:`top_k` while returning element-identical results.
+        answers it with one batch pass at the limit, cut to ``k``, instead
+        of ``len(queries)`` calls to :meth:`top_k`, and returns
+        element-identical results.
         """
         return self._roundtrip(
             _payload("top-k-batch", queries=list(queries), k=k,

@@ -25,8 +25,9 @@ consumed by :class:`~repro.service.cache.QueryCache`.
 Exactness: search and top-k results are identical — element for element —
 to re-building a fresh ``PassJoinSearcher`` over the surviving records,
 because both run the same backend over the same logical collection and the
-result ordering is canonical.  The property-based test suite asserts this
-equivalence on random interleavings.
+result ordering is canonical; a top-k answer is the threshold search at
+its limit cut to ``k``.  The property-based test suite asserts both
+against a brute-force oracle on random interleavings.
 """
 
 from __future__ import annotations
@@ -99,15 +100,12 @@ class DynamicSearcher(KernelSearcher):
         self.max_tau = self._backend.max_tau
         self.statistics = JoinStatistics()
         records = as_records(strings)
-        # live length -> number of live records of that length (lets top-k
-        # widening skip thresholds no live record can possibly meet).
-        self._length_counts: dict[int, int] = {}
         self._epoch = 0
         self._next_id = 0
         for record in records:
             if record.id in self._backend:
-                # A duplicate would leave the loser's postings (and short-
-                # pool/length bookkeeping) behind as a searchable ghost.
+                # A duplicate would leave the loser's postings (or short-
+                # pool entry) behind as a searchable ghost.
                 raise ValueError(
                     f"duplicate id {record.id} in the initial collection")
             self._insert_record(record)
@@ -202,19 +200,12 @@ class DynamicSearcher(KernelSearcher):
             return False
         if not self._backend.unpool(record_id):
             self._backend.remove_indexed(record)
-        remaining = self._length_counts.get(record.length, 0) - 1
-        if remaining > 0:
-            self._length_counts[record.length] = remaining
-        else:
-            self._length_counts.pop(record.length, None)
         self.statistics.num_strings -= 1
         self._bump()
         return True
 
     def _insert_record(self, record: StringRecord) -> None:
         self.statistics.num_indexed_segments += self._backend.add(record)
-        self._length_counts[record.length] = (
-            self._length_counts.get(record.length, 0) + 1)
         self._next_id = max(self._next_id, record.id + 1)
         self.statistics.index_entries = self._backend.entry_count()
         self.statistics.index_bytes = self._backend.approximate_bytes()

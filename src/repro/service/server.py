@@ -73,7 +73,8 @@ from .sharding import ShardRouter
 #: The batch query operation (one request carrying many search queries).
 BATCH_OP = "search-batch"
 #: The batch top-k operation (many queries, one shared ``k``/``max_tau``),
-#: answered through the lockstep-widening ``search_top_k_many`` path.
+#: answered by one ``search_top_k_many`` pass: a threshold search at the
+#: limit, cut to ``k``.
 TOP_K_BATCH_OP = "top-k-batch"
 
 #: Query keys are tuples: ("search", query, tau) or ("top-k", query, k, limit).
@@ -264,8 +265,8 @@ class SimilarityService:
         pass over the whole batch (duplicates probed once, same-length
         queries sharing their selection windows) instead of one pass per
         unique query; top-k misses are grouped by ``(k, limit)`` and each
-        group widens tau in lockstep through one ``search_top_k_many()``
-        pass, retiring satisfied queries between rounds.
+        group is one ``search_top_k_many()`` pass, a threshold search at
+        ``limit`` cut to ``k``.
 
         Cache keying depends on the serving backend.  Unsharded, the plain
         query key is presented together with the scalar epoch and a
@@ -318,8 +319,8 @@ class SimilarityService:
                     batches = self.searcher.search_many(
                         queries, tau=[key[2] for _, key, _, _ in entries])
                 else:
-                    # Each (k, limit) group widens tau in lockstep through
-                    # one batch pass instead of one pass per query.
+                    # Each (k, limit) group is one batch pass at the limit
+                    # instead of one pass per query.
                     batches = self.searcher.search_top_k_many(queries, *group)
                 for (position, _, cache_key, cache_epoch), matches in zip(
                         entries, batches):

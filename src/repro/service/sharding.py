@@ -24,9 +24,8 @@ the serving layer the classic way — partition the collection:
   ``(distance, id)`` ordering.  Because the shards partition the id space,
   the merged result list is **element identical** to a single unsharded
   :class:`DynamicSearcher` over the same records (property-tested on random
-  interleavings of insert/delete/search/resize).  Top-k merges the
-  per-shard top-k lists: any global top-k member must be in its own shard's
-  top-k, so the union provably covers the global answer.
+  interleavings of insert/delete/search/resize).  Top-k is that merged
+  threshold search at the limit, cut to ``k``.
 
 Live resharding
 ---------------
@@ -145,9 +144,6 @@ def _apply_shard_op(searcher: DynamicSearcher, op: str, args: object) -> object:
     if op == "search-many":
         return searcher.search_many([query for query, _ in args],
                                     tau=[tau for _, tau in args])
-    if op == "top-k-many":
-        queries, k, limit = args
-        return searcher.search_top_k_many(list(queries), k, limit)
     if op == "insert":
         return searcher.insert(args)
     if op == "delete":
@@ -909,30 +905,18 @@ class ShardRouter:
         queries whose probe set is empty stay ``[]`` without scattering.
         """
         taus = resolve_query_taus(queries, tau, self.max_tau)
-        return self._scatter_queries(
-            queries, taus, "search-many",
-            lambda positions: tuple((queries[position], taus[position])
-                                    for position in positions))
-
-    def _scatter_queries(self, queries: Sequence[str], taus: Sequence[int],
-                         op: str, shard_args) -> list[list[SearchMatch]]:
-        """One scatter round of a query batch; one merged list per query.
-
-        Each shard is sent ``shard_args(positions)`` for the positions of
-        the queries whose probe set (at that query's tau) includes it and
-        answers with one match list per position; queries no shard can
-        serve stay ``[]`` without scattering.
-        """
         sub_batches: dict[int, list[int]] = {}
-        for position, (query, tau) in enumerate(zip(queries, taus)):
-            for shard in self._probe_targets(query, tau):
+        for position, (query, query_tau) in enumerate(zip(queries, taus)):
+            for shard in self._probe_targets(query, query_tau):
                 sub_batches.setdefault(shard, []).append(position)
         per_query: list[list[Sequence[SearchMatch]]] = [[] for _ in queries]
         targets = sorted(sub_batches)
         if targets:
             gathered = self._scatter_each(
-                targets, op,
-                [shard_args(sub_batches[shard]) for shard in targets])
+                targets, "search-many",
+                [tuple((queries[position], taus[position])
+                       for position in sub_batches[shard])
+                 for shard in targets])
             for shard, bucket in zip(targets, gathered):
                 for position, matches in zip(sub_batches[shard], bucket):
                     per_query[position].append(matches)
@@ -947,29 +931,16 @@ class ShardRouter:
     def search_top_k_many(self, queries: Sequence[str], k: int,
                           max_tau: int | None = None,
                           ) -> list[list[SearchMatch]]:
-        """Merge the per-shard top-k lists into the global top-k.
+        """Top-k for a batch: :meth:`search_many` at the limit, cut to k.
 
-        Each shard receives only the sub-batch of queries whose probe set
-        (at the widening *limit*) includes it and widens its local batch in
-        lockstep via :meth:`DynamicSearcher.search_top_k_many
-        <repro.search.searcher.KernelSearcher.search_top_k_many>`; the
-        router merges each query's per-shard local top-k lists and cuts to
-        ``k``.  Exact by a standard argument: if a match is among the
-        global k closest, fewer than k matches beat it anywhere — so fewer
-        than k beat it in its own shard, and it appears in that shard's
-        local top-k.  The union of the local top-k lists therefore contains
-        the global top-k, and the canonical ``(distance, id)`` sort makes
-        the selection deterministic and identical to the unsharded
-        searcher.  (A dual-present record mid-migration contributes two
-        identical copies; the merge dedupes them before the cut to ``k``.)
-        Queries whose probe set is empty stay ``[]`` without scattering.
+        The merged threshold search is sorted by ``(distance, id)`` and
+        element-identical to the unsharded one, so its first ``k`` matches
+        are the unsharded top-k.  ``k`` is validated before any scatter.
+        Each shard counts every match within the limit in its
+        ``num_results``, before the router's cut.
         """
         limit = resolve_top_k(k, max_tau, self.max_tau)
-        merged = self._scatter_queries(
-            queries, [limit] * len(queries), "top-k-many",
-            lambda positions: (tuple(queries[position]
-                                     for position in positions), k, limit))
-        return [matches[:k] for matches in merged]
+        return [matches[:k] for matches in self.search_many(queries, limit)]
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -295,7 +295,7 @@ class TestBatchOverTheWire:
 
 
 # ----------------------------------------------------------------------
-# Batch-aware top-k: lockstep widening vs sequential search_top_k
+# Batch top-k vs sequential search_top_k
 # ----------------------------------------------------------------------
 class TestTopKManyStatic:
     def test_matches_sequential(self):

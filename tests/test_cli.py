@@ -311,6 +311,22 @@ class TestAdmin:
                          "--host", host, "--port", str(port)]) == 1
             assert "unsharded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--poll", "-1"), ("--poll", "nan"), ("--poll", "inf"),
+        ("--shards", "0")])
+    def test_reshard_refuses_bad_values_before_connecting(self, flag, value,
+                                                          capsys):
+        # Nothing listens on port 1: exit 2 (not 1, "cannot reach") shows
+        # the value was refused before any connection or resize.
+        args = {"--shards": "3", "--poll": "0.05", flag: value}
+        code = main(["admin", "reshard", "--host", "127.0.0.1",
+                     "--port", "1", *[part for pair in args.items()
+                                      for part in pair]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "cannot reach" not in err
+
     def test_admin_unreachable_server_reports_error(self, capsys):
         assert main(["admin", "status", "--host", "127.0.0.1",
                      "--port", "1"]) == 1

@@ -57,6 +57,14 @@ class TestBasicSearch:
         finally:
             getattr(searcher, "close", lambda: None)()
 
+    def test_duplicate_ids_refused(self):
+        # Two records under id 0 used to index both: the answer kept one
+        # ("vldbx"), dropped "pvldb" at distance 1, and left a ghost row.
+        records = [StringRecord(0, "vldbx"), StringRecord(0, "pvldb"),
+                   StringRecord(1, "vldb")]
+        with pytest.raises(ValueError, match="duplicate id 0"):
+            PassJoinSearcher(records, max_tau=1)
+
     def test_short_indexed_strings_are_found(self):
         searcher = PassJoinSearcher(["a", "ab", "abcdef"], max_tau=3)
         assert {m.text for m in searcher.search("ab", tau=1)} == {"a", "ab"}
@@ -149,6 +157,31 @@ class TestTopKSearch:
                      stats.num_verifications), before)))
         assert deltas[0] == deltas[1]
         assert deltas[0][0] == 4  # the matches returned, counted once
+
+
+    @pytest.mark.parametrize("kind", ["static", "dynamic", "sharded"])
+    @pytest.mark.parametrize("k", [2.5, True, False, "3", 0, -1])
+    def test_bad_k_refused_before_any_probe(self, kind, k):
+        # A float k used to run every probe and then fail slicing, and
+        # k=True was answered as k=1.
+        from repro.service import DynamicSearcher, ShardRouter
+
+        strings = ["vldb", "pvldb", "icde"]
+        searcher = {"static": lambda: PassJoinSearcher(strings, max_tau=2),
+                    "dynamic": lambda: DynamicSearcher(strings, max_tau=2),
+                    "sharded": lambda: ShardRouter(strings, shards=2,
+                                                   max_tau=2,
+                                                   backend="thread"),
+                    }[kind]()
+        try:
+            before = searcher.statistics.as_dict()
+            with pytest.raises(ValueError, match="k must be a positive"):
+                searcher.search_top_k("vldb", k)
+            with pytest.raises(ValueError, match="k must be a positive"):
+                searcher.search_top_k_many(["vldb", "icde"], k)
+            assert searcher.statistics.as_dict() == before
+        finally:
+            getattr(searcher, "close", lambda: None)()
 
 
 class TestSearchMatchWireFormat:

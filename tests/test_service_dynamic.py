@@ -149,25 +149,26 @@ class TestDeleteIsRemove:
             DynamicSearcher(max_tau=1, compact_interval=64)
         assert not hasattr(DynamicSearcher(max_tau=1), "compact")
 
-    def test_probes_take_no_accept_predicate_after_a_delete(self, monkeypatch):
-        # A plain search passes no per-posting filter, deletes or not; only
-        # top-k widening excludes ids, and only after its first round.
+    def test_top_k_is_one_probe_at_the_limit_after_a_delete(self,
+                                                            monkeypatch):
+        # Every query is one backend pass; a top-k call probes once, at
+        # its limit, and cuts the sorted answer to k.
         searcher = DynamicSearcher(["abcdef", "abcdeg", "abcdxx"], max_tau=2)
         searcher.delete(1)
         seen = []
         probe_many = searcher._backend.probe_many
 
         def spy(queries, **kwargs):
-            seen.append(kwargs["accept"])
+            seen.append(queries)
             return probe_many(queries, **kwargs)
 
         monkeypatch.setattr(searcher._backend, "probe_many", spy)
         searcher.search("abcdef", tau=1)
         searcher.search_many(["abcdef", "abcdxx"], tau=1)
-        assert seen == [None, None]
-        searcher.search_top_k("abcdef", k=2)
-        assert seen[2] == [None]  # tau = 0: nothing to exclude yet
-        assert all(accept is not None for accept in seen[3])
+        top = searcher.search_top_k("abcdef", k=1)
+        assert seen == [[("abcdef", 1)], [("abcdef", 1), ("abcdxx", 1)],
+                        [("abcdef", 2)]]
+        assert top == searcher.search("abcdef", tau=2)[:1]
 
 
 class TestInsertIdValidation:
@@ -235,45 +236,45 @@ class TestSortedPostingInvariant:
             assert share == extension
 
 
-class TestTopKWidening:
+def _counts(statistics):
+    """The non-time counters of a JoinStatistics."""
+    return {name: value for name, value in statistics.as_dict().items()
+            if not name.endswith("_seconds")}
+
+
+class TestTopKCounters:
     def test_num_results_counted_once(self):
-        # Regression: every widening round used to re-count its matches.
+        # num_results counts the matches a top-k call returns, not every
+        # match of the search at its limit.
         searcher = DynamicSearcher(["abcd", "abce"], max_tau=2)
         before = searcher.statistics.num_results
         result = searcher.search_top_k("abcd", k=5)
         assert [m.text for m in result] == ["abcd", "abce"]
         assert searcher.statistics.num_results == before + 2
+        assert [m.text for m in searcher.search_top_k("abcd", k=1)] == [
+            "abcd"]
+        assert searcher.statistics.num_results == before + 3
 
-    def test_skips_taus_outside_every_live_length(self):
+    def test_probes_nothing_outside_every_live_length(self):
         searcher = DynamicSearcher(["abcdefgh"], max_tau=2)
         probes_before = searcher.statistics.num_index_probes
         assert searcher.search_top_k("x", k=1) == []
         assert searcher.statistics.num_index_probes == probes_before
         assert searcher.statistics.num_verifications == 0
 
-    def test_stops_widening_once_every_live_record_matched(self):
-        searcher = DynamicSearcher(["aaaa"], max_tau=2)
-        fresh = DynamicSearcher(["aaaa"], max_tau=2)
-        result = searcher.search_top_k("aaaa", k=3)
-        assert result == fresh.search("aaaa", tau=0)
-        # Only the tau=0 round ran: identical selection work to one search.
-        assert (searcher.statistics.num_selected_substrings
-                == fresh.statistics.num_selected_substrings)
-
-    def test_widening_does_not_reverify_earlier_hits(self):
-        strings = ["abcd", "abce", "abff", "azzz"]
-        searcher = DynamicSearcher(strings, max_tau=2)
-        searcher.search_top_k("abcd", k=len(strings))
-        widened = searcher.statistics.num_verifications
-        # An upper bound witness: one full search at the final threshold
-        # verifies every candidate once; incremental widening may verify a
-        # record at most once across all rounds, so it can at worst match
-        # the per-round sum of candidates *excluding* earlier hits.
-        oracle = DynamicSearcher(strings, max_tau=2)
-        oracle.search("abcd", 0)
-        oracle.search("abcd", 1)
-        oracle.search("abcd", 2)
-        assert widened <= oracle.statistics.num_verifications
+    def test_counts_are_one_search_at_the_limit(self):
+        # The funnel of a top-k call is the funnel of one search at its
+        # limit: every candidate is verified once, whatever k is.
+        strings = ["abcd", "abce", "abff", "azzz", "aaaa"]
+        for k in (1, 2, len(strings)):
+            searcher = DynamicSearcher(strings, max_tau=2)
+            fresh = DynamicSearcher(strings, max_tau=2)
+            top = searcher.search_top_k("abcd", k=k, max_tau=3)
+            found = fresh.search("abcd", tau=2)
+            assert top == found[:k]
+            expected = _counts(fresh.statistics)
+            expected["num_results"] -= len(found) - len(top)
+            assert _counts(searcher.statistics) == expected
 
 
 def _index_rows(index, records):
