@@ -7,41 +7,43 @@ input and probes each string against it, while the searchers and the
 serving stack probe external queries against a long-lived index.
 
 This module holds the logic they share: the canonical record ordering and
-:func:`probe_record`, the per-probe select → lookup → verify pipeline.
+the one probe loop, :func:`_probe_group`, behind :func:`probe_record` (one
+query: the join, ``search``, ``explain``) and :func:`probe_many` (a
+batch).  Per indexed length the loop runs three steps:
 
-Candidate filtering runs on the columnar postings directly — record ids are
-read straight from the :class:`~repro.core.store.RecordStore` id column and
-surviving row ordinals are handed to the verifier's ``verify_rows`` entry
-point, so a :class:`~repro.types.StringRecord` is only materialised for
-candidates the verifier actually touches (and, for the batched Myers
-verifier, only for candidates it *accepts*).
+1. **Match** — for every segment ordinal, the substrings the selection
+   window (Section 4) picks are tested against that ordinal's segment
+   dictionary *as a set*: one ``dict_keys.isdisjoint`` call, in C, per
+   window.  Most windows miss outright; only a window that hits is walked
+   position by position, in selection order, to fetch its posting lists.
+   A group of same-length queries tests the union of its members'
+   substrings and fans each hit list out to every query selecting it
+   (``num_postings_fanout``).
+2. **Collect** — each posting list is filtered per interested query on the
+   store's id column (same id → already found → already seen), so a
+   :class:`~repro.types.StringRecord` is only materialised for rows the
+   verifier accepts.
+3. **Verify** — with an exact-per-pair verifier (the default batched
+   Myers and every whole-string kernel) each query gathers its candidate
+   rows over the whole probe, in first-seen order, and makes **one**
+   ``verify_rows`` call.  The paper's extension verifiers decide a pair
+   relative to the matching segment, so they verify each hit list as it
+   is collected, with its :class:`~repro.core.verify.MatchContext`.
 
-The pipeline itself is written once, in :func:`_probe_group`: a list of
-per-query states sharing one ``(length, tau)`` shape walks the indexed
-lengths, selects substrings, looks each distinct substring up once, runs
-the one per-posting id filter per interested query, and verifies the
-survivors.  :func:`probe_record` drives it with a single state (carrying
-the join's ``max_length``, same-id exclusion and the optional ``explain``
-trace); :func:`probe_many` is the batch driver: duplicate ``(query, tau)``
-lookups execute once, unique queries are grouped by shape, and when
-several queries of a group select the same substring its posting list is
-scanned once and fans out to every interested query
-(``num_postings_fanout``).  Selection windows resolve through the caller's
-persistent :class:`~repro.core.selection.WindowCache` when one is passed
-(hits counted as ``num_windows_cache_hits``).
+Selection windows resolve through a :class:`~repro.core.selection.WindowCache`
+when the caller passes one (the join's span-local cache, a searcher's
+persistent one); ``selection_seconds`` times the whole match step.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..distance.banded import length_aware_edit_distance
 from ..types import JoinStatistics, StringRecord
 from .index import SegmentIndex
-from .selection import (SelectedSubstring, SubstringSelector, WindowCache,
-                        substrings_from_windows)
+from .selection import SubstringSelector, WindowCache
 from .verify import BaseVerifier, MatchContext
 
 if TYPE_CHECKING:
@@ -59,40 +61,26 @@ def sort_records(records: Sequence[StringRecord]) -> list[StringRecord]:
 
 
 class _ProbeState:
-    """Per-query accumulator of one :func:`_probe_group` pass."""
+    """Per-query accumulator of one :func:`_probe_group` pass.
+
+    ``seen`` (record ids) and ``pending`` (their store rows, first-seen
+    order) exist only for an exact-per-pair verifier: a pair is decided
+    once, so every later hit of a seen row is dropped and ``pending`` is
+    verified in one call at the end.
+    """
 
     __slots__ = ("text", "probe_id", "exclude_self", "found", "matches",
-                 "checked")
+                 "seen", "pending")
 
-    def __init__(self, text: str, skip_rechecks: bool,
+    def __init__(self, text: str, exact_per_pair: bool,
                  probe_id: int = -1, exclude_self: bool = False) -> None:
         self.text = text
         self.probe_id = probe_id
         self.exclude_self = exclude_self
         self.found: dict[int, int] = {}
         self.matches: list[tuple[StringRecord, int]] = []
-        self.checked: set[int] | None = set() if skip_rechecks else None
-
-
-def _fuse(states: Sequence[_ProbeState],
-          selections: Sequence[SelectedSubstring],
-          ) -> list[tuple[SelectedSubstring, list[_ProbeState]]]:
-    """Pair every distinct substring to look up with the queries selecting it.
-
-    ``selections`` are the lead state's; every state of a group has the
-    same length, hence the same windows, and differs only in the text
-    under them.
-    """
-    work: list[tuple[SelectedSubstring, list[_ProbeState]]] = []
-    for selection in selections:
-        start = selection.start
-        stop = start + selection.seg_length
-        by_substring: dict[str, list[_ProbeState]] = {}
-        for state in states:
-            by_substring.setdefault(state.text[start:stop], []).append(state)
-        for substring, interested in by_substring.items():
-            work.append((selection._replace(text=substring), interested))
-    return work
+        self.seen: set[int] | None = set() if exact_per_pair else None
+        self.pending: list[int] = []
 
 
 def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
@@ -101,16 +89,19 @@ def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
                  window_cache: WindowCache | None, verifier: BaseVerifier,
                  stats: JoinStatistics,
                  trace: "ProbeTrace | None" = None) -> None:
-    """Run the select → lookup → filter → verify pipeline for one group.
+    """Run the match → collect → verify pipeline for one group.
 
     ``states`` are queries of one length probed at one ``tau`` with one
     ``verifier``; each accumulates its own ``matches``.  Every posting
-    list is fetched once per distinct substring and then filtered per
-    interested state, in the fixed order same-id → already-found →
-    rechecked; ``trace`` is fed once per filtered list.
+    list is fetched once per distinct selected substring and then filtered
+    per interested state, in the fixed order same-id → already-found →
+    already-seen; ``trace`` observes the counts per indexed length.
     """
     lead_text = states[0].text
     query_length = len(lead_text)
+    fused = len(states) > 1
+    texts = [state.text for state in states]
+    per_hit = not verifier.exact_per_pair
 
     # Strings too short to partition are verified directly, per query.
     for record in short_pool:
@@ -132,69 +123,101 @@ def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
                 state.found[record.id] = distance
                 state.matches.append((record, distance))
 
+    store = index.store
+    store_ids = store.ids
     for length in range(max(query_length - tau, 0), max_length + 1):
-        if not index.has_length(length):
+        segments_by_ordinal = index.length_group(length)
+        if segments_by_ordinal is None:
             continue
         layout = index.layout(length)
 
-        selection_started = time.perf_counter()
-        if window_cache is None:
-            selections = selector.select(lead_text, length, layout)
-        else:
-            selections = substrings_from_windows(
-                lead_text,
-                window_cache.windows(query_length, length, layout, stats))
-        stats.selection_seconds += time.perf_counter() - selection_started
-        stats.num_selected_substrings += len(selections) * len(states)
-        if len(states) == 1:
-            # The join, and every all-distinct batch shape: nothing to fuse.
-            work, num_probes = zip(selections, repeat(states)), len(selections)
-        else:
-            work = _fuse(states, selections)
-            num_probes = len(work)
+        # Match: one key-set test per window; walk only the windows that hit.
+        match_started = time.perf_counter()
+        windows = (selector.windows(query_length, length, layout)
+                   if window_cache is None
+                   else window_cache.windows(query_length, length, layout))
+        # (ordinal, start, seg_start, seg_length, posting rows, interested
+        # states) per hit, in selection order.
+        hits: list[tuple] = []
+        num_positions = num_probes = 0
+        for ordinal, seg_start, seg_length, lo, hi in windows:
+            if hi < lo:
+                continue
+            positions = range(lo, hi + 1)
+            num_positions += len(positions)
+            if fused:
+                per_position = [{text[start:start + seg_length]
+                                 for text in texts} for start in positions]
+                num_probes += sum(map(len, per_position))
+                keys = set().union(*per_position)
+            else:
+                num_probes += len(positions)
+                keys = {lead_text[start:start + seg_length]
+                        for start in positions}
+            segments = segments_by_ordinal.get(ordinal)
+            if segments is None or segments.keys().isdisjoint(keys):
+                continue
+            for start in positions:
+                stop = start + seg_length
+                if not fused:
+                    postings = segments.get(lead_text[start:stop])
+                    if postings:
+                        hits.append((ordinal, start, seg_start, seg_length,
+                                     postings, states))
+                    continue
+                interested_by_substring: dict[str, list[_ProbeState]] = {}
+                for state in states:
+                    interested_by_substring.setdefault(
+                        state.text[start:stop], []).append(state)
+                for substring, interested in interested_by_substring.items():
+                    postings = segments.get(substring)
+                    if postings:
+                        hits.append((ordinal, start, seg_start, seg_length,
+                                     postings, interested))
+        stats.selection_seconds += time.perf_counter() - match_started
+        stats.num_selected_substrings += num_positions * len(states)
         stats.num_index_probes += num_probes
         entry = (None if trace is None
                  else trace.length_entry(length, layout, num_probes))
 
-        for selection, interested in work:
-            postings = index.lookup(length, selection.ordinal, selection.text)
-            if not postings:
-                continue
+        # Collect (and, for a per-hit verifier, verify) every hit list.
+        for ordinal, start, seg_start, seg_length, postings, interested in hits:
             scanned = len(postings)
             stats.num_postings_scanned += scanned
             if len(interested) > 1:
                 # One scan of this posting list serves every interested
                 # query in the group.
                 stats.num_postings_fanout += len(interested) - 1
-            store = postings.store
-            store_ids = store.ids
             for state in interested:
                 probe_id = state.probe_id
                 exclude_self = state.exclude_self
                 found = state.found
-                checked = state.checked
-                rows: list[int] = []
-                row_ids: list[int] = []
-                same_id = rechecked = 0
-                for row in postings.ordinals:
+                seen = state.seen
+                rows = [] if per_hit else state.pending
+                collected = len(rows)
+                repeats: list[int] | None = [] if entry is not None else None
+                same_id = 0
+                for row in postings:
                     record_id = store_ids[row]
                     if record_id == probe_id and exclude_self:
                         same_id += 1
                         continue
                     if record_id in found:
                         continue
-                    if checked is not None and record_id in checked:
-                        rechecked += 1
-                        continue
+                    if seen is not None:
+                        if record_id in seen:
+                            if repeats is not None:
+                                repeats.append(record_id)
+                            continue
+                        seen.add(record_id)
                     rows.append(row)
-                    row_ids.append(record_id)
+                candidates = len(rows) - collected
+                stats.num_candidates += candidates
                 verifications = accepted_here = 0
-                if rows:
-                    stats.num_candidates += len(rows)
-                    context = MatchContext(ordinal=selection.ordinal,
-                                           probe_start=selection.start,
-                                           seg_start=selection.seg_start,
-                                           seg_length=selection.seg_length)
+                if per_hit and rows:
+                    context = MatchContext(ordinal=ordinal, probe_start=start,
+                                           seg_start=seg_start,
+                                           seg_length=seg_length)
                     verifications_before = stats.num_verifications
                     verification_started = time.perf_counter()
                     accepted = verifier.verify_rows(state.text, store, rows,
@@ -203,8 +226,6 @@ def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
                         time.perf_counter() - verification_started)
                     verifications = (stats.num_verifications
                                      - verifications_before)
-                    if checked is not None:
-                        checked.update(row_ids)
                     for record, distance in accepted:
                         if record.id not in found:
                             found[record.id] = distance
@@ -213,11 +234,26 @@ def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
                 if entry is not None:
                     trace.record_scan(
                         entry, scanned=scanned, same_id=same_id,
-                        rechecked=rechecked,
-                        candidates=len(rows), verifications=verifications,
+                        candidates=candidates, verifications=verifications,
                         accepted=accepted_here)
+                    if not per_hit:
+                        trace.record_collected(
+                            entry, [store_ids[row] for row in rows[collected:]],
+                            repeats)
 
     for state in states:
+        if state.pending:
+            # Verify once: every candidate row of the probe in one call.
+            verification_started = time.perf_counter()
+            accepted = verifier.verify_rows(state.text, store, state.pending,
+                                            None)
+            stats.verification_seconds += (
+                time.perf_counter() - verification_started)
+            for record, distance in accepted:
+                state.found[record.id] = distance
+                state.matches.append((record, distance))
+            if trace is not None:
+                trace.record_verified(state.found)
         # Counted once per unique query (not per fan-out position), so the
         # funnel invariant accepted <= verifications holds.
         stats.num_accepted += len(state.matches)
@@ -241,9 +277,8 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
 
     ``trace`` optionally collects a per-indexed-length breakdown for the
     ``explain`` op.  ``window_cache`` optionally resolves selection windows
-    through a persistent :class:`~repro.core.selection.WindowCache` (hits
-    counted as ``num_windows_cache_hits``) instead of calling
-    ``selector.select`` per probe.
+    through a :class:`~repro.core.selection.WindowCache` instead of
+    calling ``selector.windows`` per probe; the cache counts its own hits.
     """
     state = _ProbeState(probe.text, verifier.exact_per_pair,
                         probe_id=probe.id, exclude_self=not allow_same_id)

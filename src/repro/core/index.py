@@ -171,9 +171,15 @@ class SegmentIndex:
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
-    def has_length(self, length: int) -> bool:
-        """True when at least one string of ``length`` is indexed."""
-        return length in self._indices
+    def length_group(self, length: int) -> dict[int, dict[str, array]] | None:
+        """The segment dictionaries of one indexed length, or ``None``.
+
+        Maps each segment ordinal to its ``{segment text: store rows}``
+        dictionary — the inverted lists ``L_length^i`` themselves, which the
+        probe engine tests a whole selection window against with one
+        key-set operation.  Read-only for callers.
+        """
+        return self._indices.get(length)
 
     def indexed_lengths(self) -> list[int]:
         """Return the indexed string lengths in ascending order."""

@@ -58,7 +58,7 @@ from ..types import (JoinResult, JoinStatistics, SimilarPair, StringRecord,
 from .engine import probe_record, sort_records
 from .index import SegmentIndex
 from .partition import can_partition
-from .selection import make_selector
+from .selection import WindowCache, make_selector
 from .verify import make_verifier
 
 
@@ -151,6 +151,9 @@ def run_span(run: JoinRun, start: int, stop: int,
     make_pair = normalise_pair if self_join else SimilarPair
     stats = JoinStatistics()
     selector = make_selector(run.config.selection, tau)
+    # Probe lengths ascend, so a probe length's windows are dead once a
+    # longer probe arrives; one probe length reaches <= 2τ + 1 indexed lengths.
+    window_cache = WindowCache(selector, capacity=2 * tau + 2)
     verifier = make_verifier(run.config.verification, tau, stats)
     index = SegmentIndex(tau, run.config.partition)
     short_pool: list[StringRecord] = []
@@ -182,7 +185,8 @@ def run_span(run: JoinRun, start: int, stop: int,
                                short_pool=short_pool, selector=selector,
                                verifier=verifier, stats=stats,
                                max_length=probe.length + ahead,
-                               allow_same_id=not self_join)
+                               allow_same_id=not self_join,
+                               window_cache=window_cache)
         for partner, distance in matches:
             pairs.append(make_pair(probe.id, partner.id, distance,
                                    probe.text, partner.text))
@@ -216,6 +220,14 @@ def _run_span_in_worker(span: tuple[int, int],
     """Map function for fork pools: read the run installed at init."""
     assert _WORKER_RUN is not None, "worker started without a run"
     return run_span(_WORKER_RUN, *span)
+
+
+def _refuse_duplicate_ids(records: list[StringRecord], side: str) -> None:
+    seen: set[int] = set()
+    for record in records:
+        if record.id in seen:
+            raise ValueError(f"duplicate id {record.id} in the join's {side}")
+        seen.add(record.id)
 
 
 class PassJoin:
@@ -254,6 +266,11 @@ class PassJoin:
     def _run(self, left: list[StringRecord],
              right: list[StringRecord] | None) -> JoinResult:
         started = time.perf_counter()
+        # A pair is reported by id: a repeated id on one side would drop or
+        # mislabel its pairs.  Equal ids across the two R-S sides are fine.
+        _refuse_duplicate_ids(left, "input" if right is None else "left input")
+        if right is not None:
+            _refuse_duplicate_ids(right, "right input")
         probes = sort_records(left)
         indexed = probes if right is None else sort_records(right)
         run = JoinRun(tau=self.tau, config=self.config, probes=probes,

@@ -128,12 +128,16 @@ class EditDistanceBackend:
         """
         if verifier is None:
             verifier = self.new_verifier(tau, stats)
-        return probe_record(
+        window_cache = self.active_window_cache()
+        hits = window_cache.hits
+        matches = probe_record(
             StringRecord(id=-1, text=query), tau=tau, index=self.index,
             short_pool=list(self.short_pool.values()),
             selector=self.selector, verifier=verifier, stats=stats,
             max_length=len(query) + tau, allow_same_id=True, trace=trace,
-            window_cache=self.active_window_cache())
+            window_cache=window_cache)
+        stats.num_windows_cache_hits += window_cache.hits - hits
+        return matches
 
     def probe_many(self, queries: Sequence[tuple[str, int]], *,
                    stats: JoinStatistics,
@@ -147,11 +151,15 @@ class EditDistanceBackend:
         if verifier_factory is None:
             def verifier_factory(tau: int) -> Any:
                 return self.new_verifier(tau, stats)
-        return probe_many(
+        window_cache = self.active_window_cache()
+        hits = window_cache.hits
+        found = probe_many(
             queries, index=self.index,
             short_pool=list(self.short_pool.values()),
             selector=self.selector, verifier_factory=verifier_factory,
-            stats=stats, window_cache=self.active_window_cache())
+            stats=stats, window_cache=window_cache)
+        stats.num_windows_cache_hits += window_cache.hits - hits
+        return found
 
     def entry_count(self) -> int:
         """Segment entries currently stored (postings)."""

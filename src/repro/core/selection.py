@@ -27,13 +27,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ..config import SelectionMethod, validate_threshold
 from ..exceptions import UnknownMethodError
-
-if TYPE_CHECKING:
-    from ..types import JoinStatistics
 
 
 class SelectedSubstring(NamedTuple):
@@ -59,25 +56,6 @@ class Window(NamedTuple):
     def size(self) -> int:
         """Number of start positions in the window (0 when empty)."""
         return max(0, self.hi - self.lo + 1)
-
-
-def substrings_from_windows(probe: str, windows: Sequence[Window],
-                            ) -> list[SelectedSubstring]:
-    """Materialise the selected substrings of ``probe`` from its windows."""
-    selections: list[SelectedSubstring] = []
-    for window in windows:
-        seg_length = window.seg_length
-        for start in range(window.lo, window.hi + 1):
-            selections.append(
-                SelectedSubstring(
-                    ordinal=window.ordinal,
-                    start=start,
-                    text=probe[start:start + seg_length],
-                    seg_start=window.seg_start,
-                    seg_length=seg_length,
-                )
-            )
-    return selections
 
 
 class SubstringSelector(ABC):
@@ -109,8 +87,11 @@ class SubstringSelector(ABC):
     def select(self, probe: str, indexed_length: int,
                layout: Sequence[tuple[int, int]]) -> list[SelectedSubstring]:
         """Materialise the selected substrings of ``probe`` for one index length."""
-        return substrings_from_windows(
-            probe, self.windows(len(probe), indexed_length, layout))
+        return [SelectedSubstring(window.ordinal, start,
+                                  probe[start:start + window.seg_length],
+                                  window.seg_start, window.seg_length)
+                for window in self.windows(len(probe), indexed_length, layout)
+                for start in range(window.lo, window.hi + 1)]
 
     def count(self, probe_length: int, indexed_length: int,
               layout: Sequence[tuple[int, int]]) -> int:
@@ -179,16 +160,20 @@ class WindowCache:
     :meth:`clear` therefore exist to cap memory (e.g. after the indexed
     length set changes and old keys go cold), not for correctness.
 
-    Hits are counted both on the cache object (``hits``/``misses``) and,
-    when a :class:`~repro.types.JoinStatistics` is passed, into
-    ``num_windows_cache_hits`` — the ``engine_windows_cache_hits`` funnel
-    counter.
+    Hits and misses are counted on the cache object; a searcher adds its
+    probes' hits to ``num_windows_cache_hits`` (the
+    ``engine_windows_cache_hits`` funnel counter).  A join's span-local
+    cache is not counted, so the join's counters do not depend on how it
+    is cut into spans.
     """
 
     __slots__ = ("selector", "capacity", "hits", "misses", "_entries")
 
     def __init__(self, selector: SubstringSelector,
                  capacity: int = 4096) -> None:
+        if isinstance(capacity, bool) or not isinstance(capacity, int):
+            raise TypeError("WindowCache capacity must be an int, "
+                            f"not {type(capacity).__name__}")
         if capacity < 1:
             raise ValueError("WindowCache capacity must be >= 1")
         self.selector = selector
@@ -199,8 +184,7 @@ class WindowCache:
             OrderedDict())
 
     def windows(self, probe_length: int, indexed_length: int,
-                layout: Sequence[tuple[int, int]],
-                stats: "JoinStatistics | None" = None) -> list[Window]:
+                layout: Sequence[tuple[int, int]]) -> list[Window]:
         """Return the cached windows for ``(probe_length, indexed_length)``.
 
         ``layout`` must be the index's layout for ``indexed_length`` — the
@@ -212,8 +196,6 @@ class WindowCache:
         if cached is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            if stats is not None:
-                stats.num_windows_cache_hits += 1
             return cached
         self.misses += 1
         windows = self.selector.windows(probe_length, indexed_length, layout)

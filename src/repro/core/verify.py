@@ -86,8 +86,9 @@ class BaseVerifier(ABC):
 
     method: VerificationMethod
     #: Whether the strategy decides definitively for a pair, independent of
-    #: the particular matching substring.  The driver may then skip repeated
-    #: verification of the same pair found through different substrings.
+    #: the particular matching substring.  The engine then collects each
+    #: pair once, however many substrings find it, and verifies all of a
+    #: probe's candidates in one :meth:`verify_rows` call.
     exact_per_pair: bool = True
 
     def __init__(self, tau: int, stats: JoinStatistics | None = None) -> None:
@@ -96,11 +97,15 @@ class BaseVerifier(ABC):
 
     @abstractmethod
     def verify_rows(self, probe: str, store: RecordStore, rows: Sequence[int],
-                    context: MatchContext) -> list[tuple[StringRecord, int]]:
+                    context: MatchContext | None,
+                    ) -> list[tuple[StringRecord, int]]:
         """Return ``(record, distance)`` for the store ``rows`` within ``τ``.
 
         The probe engine filters candidate ordinals on the store's id
-        column and hands the surviving rows here.
+        column and hands the surviving rows here.  An
+        :attr:`exact_per_pair` verifier gets every candidate of the probe
+        in one call, found through many matches, so its ``context`` is
+        ``None``; the others get one hit list and where it matched.
         """
 
 
@@ -115,7 +120,8 @@ class WholeStringVerifier(BaseVerifier):
     _distance: Callable[[str, str, int, JoinStatistics], int]
 
     def verify_rows(self, probe: str, store: RecordStore, rows: Sequence[int],
-                    context: MatchContext) -> list[tuple[StringRecord, int]]:
+                    context: MatchContext | None,
+                    ) -> list[tuple[StringRecord, int]]:
         tau, stats, distance_of = self.tau, self.stats, self._distance
         texts = store.texts
         accepted: list[tuple[StringRecord, int]] = []
@@ -159,45 +165,28 @@ class BatchMyersVerifier(BaseVerifier):
     its, is rejected by two popcounts (each surplus is a lower bound on the
     edit distance) and counted in ``num_signature_rejects``.  The survivors
     are swept by a :class:`~repro.distance.myers_batch.BatchMyersKernel`
-    whose character masks are built once per probe text — shared by *all*
-    inverted-list probes of one ``probe_record`` call, and kept per query
-    while the engine alternates between the queries of a ``probe_many``
-    group — each sweep ending as soon as the score can no longer come back
-    under ``tau`` (Hyyrö's bounded cutoff).  Results are element-identical
-    to :class:`MyersVerifier` and :class:`LengthAwareVerifier`.
+    whose character masks are built once per call — the probe engine
+    makes one call per query, with every candidate row of the probe — each
+    sweep ending as soon as the score can no longer come back under
+    ``tau`` (Hyyrö's bounded cutoff).  Results are element-identical to
+    :class:`MyersVerifier` and :class:`LengthAwareVerifier`.
     """
 
     method = VerificationMethod.MYERS_BATCH
 
-    #: Probe texts whose kernel is kept: more than a fused group has in
-    #: practice, few enough that a join's one long-lived verifier
-    #: (thousands of probes, each used once) holds ~100 KB of masks.
-    PROBE_CACHE_SIZE = 64
-
     def __init__(self, tau: int, stats: JoinStatistics | None = None) -> None:
         super().__init__(tau, stats)
-        # probe text -> (kernel, probe signature)
-        self._probes: dict[str, tuple[BatchMyersKernel, int]] = {}
-        #: Number of times pattern masks (and the probe signature beside
-        #: them) were built — the work the batching amortises: one per
-        #: distinct probe text among the last :attr:`PROBE_CACHE_SIZE`.
+        #: Number of calls that built the probe's signature (and, when a
+        #: row survives it, its pattern masks): one per call with rows.
         self.masks_built = 0
 
-    def _kernel_for(self, probe: str) -> tuple[BatchMyersKernel, int]:
-        entry = self._probes.get(probe)
-        if entry is None:
-            if len(self._probes) >= self.PROBE_CACHE_SIZE:
-                self._probes.clear()
-            entry = self._probes[probe] = (BatchMyersKernel(probe),
-                                           histogram_signature(probe))
-            self.masks_built += 1
-        return entry
-
     def verify_rows(self, probe: str, store: RecordStore, rows: Sequence[int],
-                    context: MatchContext) -> list[tuple[StringRecord, int]]:
+                    context: MatchContext | None,
+                    ) -> list[tuple[StringRecord, int]]:
         if not rows:
             return []
-        kernel, signature = self._kernel_for(probe)
+        signature = histogram_signature(probe)
+        self.masks_built += 1
         tau, stats = self.tau, self.stats
         stats.num_verifications += len(rows)
         survivors = store.rows_near(rows, signature, tau)
@@ -205,7 +194,7 @@ class BatchMyersVerifier(BaseVerifier):
         if not survivors:
             return []
         texts = store.texts
-        distances = kernel.distances_within(
+        distances = BatchMyersKernel(probe).distances_within(
             [texts[row] for row in survivors], tau, stats)
         record_at = store.record_at
         return [(record_at(row), distance)

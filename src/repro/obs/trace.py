@@ -14,6 +14,12 @@ The trace is an *observer* of the one probe loop, not a second copy of
 it: the engine keeps local drop counters for every posting list it filters
 anyway and hands them to :meth:`ProbeTrace.record_scan` once per list when
 a trace rides along, so traced and untraced probes execute the same code.
+An exact-per-pair verifier runs once per probe, after every list was
+collected; the engine then tells the trace which rows each length first
+saw (:meth:`ProbeTrace.record_collected`) and which it saw again, and
+:meth:`ProbeTrace.record_verified` gives each verification and acceptance
+to the length that first saw its row and splits the repeats into
+already-found (accepted) and rechecked (rejected) drops.
 
 :func:`build_explain_report` renders trace + statistics + matches into a
 plain-dict report (JSON- and pickle-ready), and
@@ -23,7 +29,7 @@ plain-dict report (JSON- and pickle-ready), and
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Container, Iterable, Mapping, Sequence
 
 from ..types import JoinStatistics
 
@@ -48,12 +54,17 @@ _STAGE_FIELDS: tuple[str, ...] = (
 class ProbeTrace:
     """Mutable tracing context threaded through one ``probe_record`` call."""
 
-    __slots__ = ("lengths", "short_pool_checked", "short_pool_accepted")
+    __slots__ = ("lengths", "short_pool_checked", "short_pool_accepted",
+                 "_first_seen", "_repeats")
 
     def __init__(self) -> None:
         self.lengths: dict[int, dict[str, Any]] = {}
         self.short_pool_checked = 0
         self.short_pool_accepted = 0
+        # (length entry, record id) of every collected candidate, and of
+        # every later hit of one, awaiting the probe's one verify call.
+        self._first_seen: list[tuple[dict[str, Any], int]] = []
+        self._repeats: list[tuple[dict[str, Any], int]] = []
 
     def length_entry(self, length: int,
                      layout: Sequence[tuple[int, int]],
@@ -79,22 +90,49 @@ class ProbeTrace:
 
     @staticmethod
     def record_scan(entry: dict[str, Any], *, scanned: int, same_id: int = 0,
-                    rechecked: int = 0, candidates: int,
-                    verifications: int, accepted: int) -> None:
+                    candidates: int, verifications: int = 0,
+                    accepted: int = 0) -> None:
         """Attribute one filtered posting list to its per-length ``entry``.
 
-        Every scanned posting either fell to one of the three id filters or
-        became a candidate, so the already-found drops — the one filter the
-        hot loop does not count — are what the other figures leave over.
+        Every scanned posting either fell to the same-id filter, became a
+        candidate, or was dropped as already found; the already-found
+        drops — the one filter the hot loop does not count — are what the
+        other figures leave over.  Repeats of a row still awaiting its
+        verify call count as already found until :meth:`record_verified`.
         """
         entry["postings_scanned"] += scanned
         entry["filtered_same_id"] += same_id
-        entry["filtered_already_found"] += (
-            scanned - same_id - rechecked - candidates)
-        entry["filtered_rechecked"] += rechecked
+        entry["filtered_already_found"] += scanned - same_id - candidates
         entry["candidates"] += candidates
         entry["verifications"] += verifications
         entry["accepted"] += accepted
+
+    def record_collected(self, entry: dict[str, Any],
+                         candidate_ids: Sequence[int],
+                         repeat_ids: Sequence[int]) -> None:
+        """Note the rows one posting list added to the pending candidates
+        and the ones it hit again, for :meth:`record_verified`."""
+        self._first_seen.extend((entry, record_id)
+                                for record_id in candidate_ids)
+        self._repeats.extend((entry, record_id) for record_id in repeat_ids)
+
+    def record_verified(self, accepted_ids: Container[int]) -> None:
+        """Settle the collected candidates once their one verify call ran.
+
+        An exact-per-pair verifier verifies each candidate once, so each
+        length is given one verification per row it saw first, and an
+        acceptance when the row was accepted; a repeat hit of a rejected
+        row moves from already-found to rechecked.
+        """
+        for entry, record_id in self._first_seen:
+            entry["verifications"] += 1
+            entry["accepted"] += record_id in accepted_ids
+        for entry, record_id in self._repeats:
+            if record_id not in accepted_ids:
+                entry["filtered_already_found"] -= 1
+                entry["filtered_rechecked"] += 1
+        self._first_seen.clear()
+        self._repeats.clear()
 
     def length_payloads(self) -> list[dict[str, Any]]:
         """Per-length entries as plain dicts, ascending by indexed length."""

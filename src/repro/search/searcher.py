@@ -58,8 +58,14 @@ def resolve_query_taus(queries: Sequence[str],
     ``max_tau``) or a sequence aligned with ``queries`` whose entries are
     again ints or ``None``.  Every resolved threshold is validated against
     ``max_tau`` — shared by all three batch searchers so their threshold
-    semantics cannot drift apart.
+    semantics cannot drift apart.  A bare ``str`` is refused for either
+    argument: it is one query (or no threshold), not a sequence of them.
     """
+    if isinstance(queries, str):
+        raise TypeError("search_many takes a sequence of queries, not a str")
+    if isinstance(tau, str):
+        raise TypeError("tau must be an int, None or a sequence of them, "
+                        "not a str")
     if tau is None or isinstance(tau, int):
         return [resolve_tau(tau, max_tau)] * len(queries)
     taus = list(tau)

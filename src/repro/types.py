@@ -45,8 +45,11 @@ def as_records(strings: Iterable[str | StringRecord]) -> list[StringRecord]:
 
     Plain strings are numbered by their position in the iterable.  Existing
     :class:`StringRecord` instances are passed through unchanged, which lets
-    callers keep their own identifier space.
+    callers keep their own identifier space.  A bare ``str`` is refused:
+    it is one string, not a collection of its characters.
     """
+    if isinstance(strings, str):
+        raise TypeError("expected a collection of strings, not a str")
     records: list[StringRecord] = []
     for position, item in enumerate(strings):
         if isinstance(item, StringRecord):
@@ -132,6 +135,8 @@ class JoinStatistics:
     num_postings_fanout: int = 0
     index_entries: int = 0
     index_bytes: int = 0
+    #: The probe engine's match step: selecting windows and testing them
+    #: against the segment dictionaries (the index lookups included).
     selection_seconds: float = 0.0
     verification_seconds: float = 0.0
     indexing_seconds: float = 0.0

@@ -437,6 +437,39 @@ class TestPersistentWindowCache:
         with pytest.raises(ValueError):
             WindowCache(None, capacity=0)
 
+    @pytest.mark.parametrize("capacity", [True, 2.5, "8", None])
+    def test_capacity_must_be_an_int(self, capacity):
+        from repro.core.selection import WindowCache
+
+        with pytest.raises(TypeError):
+            WindowCache(None, capacity=capacity)
+
+
+class TestBareStrRefused:
+    """A str is one query, not a batch of its characters."""
+
+    @pytest.fixture(params=["static", "dynamic", "router"])
+    def searcher(self, request):
+        strings = ["vldb", "pvldb", "sigmod"]
+        if request.param == "static":
+            yield PassJoinSearcher(strings, max_tau=2)
+        elif request.param == "dynamic":
+            yield DynamicSearcher(strings, max_tau=2)
+        else:
+            with ShardRouter(strings, shards=2, max_tau=2,
+                             backend="thread") as router:
+                yield router
+
+    def test_queries_str_refused(self, searcher):
+        with pytest.raises(TypeError, match="not a str"):
+            searcher.search_many("vldb", 1)
+
+    def test_tau_str_refused(self, searcher):
+        with pytest.raises(TypeError, match="not a str"):
+            searcher.search_many(["vldb"], "12")
+        with pytest.raises(TypeError, match="not a str"):
+            searcher.search_many(["vldb", "pvldb"], "12")
+
 
 # ----------------------------------------------------------------------
 # top-k-batch over the serving core and the wire

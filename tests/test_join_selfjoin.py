@@ -143,3 +143,46 @@ class TestStatistics:
         result = pass_join(strings, 1)
         # C(5, 2) = 10 unordered pairs, each reported once.
         assert len(result) == 10
+
+
+class TestInputContracts:
+    """A join reports pairs by id and reads a collection of strings."""
+
+    def test_self_join_refuses_duplicate_ids(self):
+        from repro import join
+        from repro.types import StringRecord
+
+        with pytest.raises(ValueError, match="duplicate id 0"):
+            join([StringRecord(0, "abcd"), StringRecord(0, "abce")], 1)
+
+    def test_rs_join_refuses_duplicate_ids_within_a_side(self):
+        from repro.core.join import pass_join_rs
+        from repro.types import StringRecord
+
+        with pytest.raises(ValueError, match="duplicate id 5 .*right"):
+            pass_join_rs([StringRecord(0, "abcd")],
+                         [StringRecord(5, "abcx"), StringRecord(5, "abcd")], 1)
+        with pytest.raises(ValueError, match="duplicate id 0 .*left"):
+            pass_join_rs([StringRecord(0, "abcd"), StringRecord(0, "abcx")],
+                         [StringRecord(5, "abcd")], 1)
+
+    def test_rs_join_allows_equal_ids_across_sides(self):
+        from repro.core.join import pass_join_rs
+        from repro.types import StringRecord
+
+        result = pass_join_rs([StringRecord(0, "abcd")],
+                              [StringRecord(0, "abcx"), StringRecord(5, "abcd")],
+                              1)
+        assert sorted((pair.left_id, pair.right_id, pair.distance)
+                      for pair in result) == [(0, 0, 1), (0, 5, 0)]
+
+    def test_a_bare_str_is_not_a_collection(self):
+        from repro import join
+        from repro.types import as_records
+
+        with pytest.raises(TypeError, match="not a str"):
+            pass_join("abc", 1)
+        with pytest.raises(TypeError, match="not a str"):
+            join(["abc", "abd"], 1, right="abc")
+        with pytest.raises(TypeError, match="not a str"):
+            as_records("vldb")

@@ -87,15 +87,34 @@ class TestBatchMyersVerifier:
         assert verifier.exact_per_pair
 
     def test_masks_built_once_per_probe(self):
-        verifier = BatchMyersVerifier(2)
+        """The engine verifies all of a probe's candidates in one call, so
+        masks are built once per probe however many lists it hit."""
+        stats = JoinStatistics()
+        verifier = BatchMyersVerifier(2, stats)
+        calls = []
+        verify_rows = verifier.verify_rows
+
+        def counted(probe, store, rows, context):
+            calls.append((probe, list(rows), context))
+            return verify_rows(probe, store, rows, context)
+
+        verifier.verify_rows = counted
+        backend = get_kernel("edit-distance").make_backend(2)
+        for i, text in enumerate(["vldbxyz", "pvldbxy", "vldbxy", "vldcxyz"]):
+            backend.add(StringRecord(id=i, text=text))
+        found = backend.probe("vldbxyz", 2, stats=stats, verifier=verifier)
+        assert sorted(record.id for record, _ in found) == [0, 1, 2, 3]
+        assert stats.num_postings_scanned > stats.num_candidates == 4
+        assert [(probe, sorted(rows), context)
+                for probe, rows, context in calls] == [
+            ("vldbxyz", [0, 1, 2, 3], None)]
+        assert verifier.masks_built == 1
+        # Called directly, each call with rows builds them once.
         records = [StringRecord(id=i, text=t)
                    for i, t in enumerate(["vldb", "pvldb", "sigmod"])]
-        # Many calls with the same probe — one mask build.
-        for _ in range(5):
-            verifier.verify_rows("vldbj", *store_rows(records), CONTEXT)
-        assert verifier.masks_built == 1
-        verifier.verify_rows("icde", *store_rows(records), CONTEXT)
-        assert verifier.masks_built == 2
+        for _ in range(3):
+            verify_rows("vldbj", *store_rows(records), CONTEXT)
+        assert verifier.masks_built == 4
 
     def test_verify_rows_materialises_only_accepted_records(self):
         store, rows = store_rows(
@@ -114,8 +133,8 @@ class TestBatchMyersVerifier:
         assert verifier.masks_built == 0  # nothing to verify, nothing built
 
     def test_fused_group_builds_masks_once_per_query(self):
-        """The engine alternates between the queries of a same-length group
-        per posting list; each query's masks must survive the switch."""
+        """A same-length group shares its posting scans, and each query
+        is still verified in one call that builds its masks once."""
         backend = get_kernel("edit-distance").make_backend(2)
         for i, text in enumerate(random_strings(200, 8, 8, seed=9)):
             backend.add(StringRecord(id=i, text=text))
@@ -133,23 +152,23 @@ class TestBatchMyersVerifier:
             verifiers.append(verifier)
             return verifier
 
-        queries = ["abcdabcd", "dcbadcba"]
+        queries = ["abcdabcd", "abcddcba"]
+        stats = JoinStatistics()
         backend.probe_many([(query, 2) for query in queries],
-                           stats=JoinStatistics(), verifier_factory=factory)
+                           stats=stats, verifier_factory=factory)
         (verifier,) = verifiers  # one (length, tau) group, one verifier
-        switches = sum(a != b for a, b in zip(calls, calls[1:]))
-        assert switches > len(queries)  # the probes did interleave
+        assert stats.num_postings_fanout > 0  # the group did share scans
+        assert calls == queries
         assert verifier.masks_built == len(queries)
 
-    def test_probe_cache_is_bounded(self):
+    def test_nothing_is_kept_across_probes(self):
         # A join keeps one verifier for thousands of probes.
         verifier = BatchMyersVerifier(1)
         store, rows = store_rows([StringRecord(id=0, text="abcd")])
-        probes = 3 * BatchMyersVerifier.PROBE_CACHE_SIZE
-        for number in range(probes):
+        for number in range(200):
             verifier.verify_rows(f"abc{number}", store, rows, CONTEXT)
-        assert verifier.masks_built == probes
-        assert len(verifier._probes) <= BatchMyersVerifier.PROBE_CACHE_SIZE
+        assert verifier.masks_built == 200
+        assert set(vars(verifier)) == {"tau", "stats", "masks_built"}
 
 
 class TestSignatureStage:

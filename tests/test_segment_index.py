@@ -28,12 +28,21 @@ class TestSegmentIndexBuilding:
     def test_short_string_is_not_indexed(self):
         index = SegmentIndex(tau=3)
         assert index.add(_record(1, "ab")) == 0
-        assert not index.has_length(2)
+        assert index.length_group(2) is None
 
     def test_add_all(self):
         index = SegmentIndex(tau=1)
         added = index.add_all([_record(0, "abcd"), _record(1, "wxyz"), _record(2, "a")])
         assert added == 4  # two strings x two segments; "a" skipped
+
+    def test_length_group_is_the_lookup_dictionaries(self):
+        index = SegmentIndex(tau=1)
+        index.add_all([_record(0, "abcd"), _record(1, "abxy")])
+        group = index.length_group(4)
+        assert sorted(group) == [1, 2]
+        assert sorted(group[1]) == ["ab"] and sorted(group[2]) == ["cd", "xy"]
+        assert list(group[1]["ab"]) == list(index.lookup(4, 1, "ab").ordinals)
+        assert index.length_group(5) is None
 
     def test_lookup_finds_indexed_segment(self):
         index = SegmentIndex(tau=3)
@@ -82,8 +91,8 @@ class TestSegmentIndexLifecycle:
         index.add(_record(2, "abcdef"))
         removed = index.evict_below(4)
         assert removed == 1
-        assert not index.has_length(2)
-        assert index.has_length(4) and index.has_length(6)
+        assert index.length_group(2) is None
+        assert index.length_group(4) and index.length_group(6)
 
     def test_evict_updates_current_counters(self):
         index = SegmentIndex(tau=1)

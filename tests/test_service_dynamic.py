@@ -301,7 +301,7 @@ class TestSegmentIndexRemove:
         index = SegmentIndex(tau=1)
         [row] = _index_rows(index, [StringRecord(0, "abcdef")])
         index.remove(row)
-        assert not index.has_length(6)
+        assert index.length_group(6) is None
         assert index.entry_count() == 0
         assert index.current_entry_count == 0
         assert index.current_approximate_bytes == 0
