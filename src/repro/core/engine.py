@@ -64,22 +64,22 @@ class _ProbeState:
     """Per-query accumulator of one :func:`_probe_group` pass.
 
     ``seen`` (record ids) and ``pending`` (their store rows, first-seen
-    order) exist only for an exact-per-pair verifier: a pair is decided
-    once, so every later hit of a seen row is dropped and ``pending`` is
-    verified in one call at the end.
+    order) serve an exact-per-pair verifier: a pair is decided once, so
+    every later hit of a seen row is dropped and ``pending`` is verified
+    in one call at the end.
     """
 
     __slots__ = ("text", "probe_id", "exclude_self", "found", "matches",
                  "seen", "pending")
 
-    def __init__(self, text: str, exact_per_pair: bool,
-                 probe_id: int = -1, exclude_self: bool = False) -> None:
+    def __init__(self, text: str, probe_id: int = -1,
+                 exclude_self: bool = False) -> None:
         self.text = text
         self.probe_id = probe_id
         self.exclude_self = exclude_self
         self.found: dict[int, int] = {}
         self.matches: list[tuple[StringRecord, int]] = []
-        self.seen: set[int] | None = set() if exact_per_pair else None
+        self.seen: set[int] = set()
         self.pending: list[int] = []
 
 
@@ -192,7 +192,7 @@ def _probe_group(states: Sequence[_ProbeState], *, tau: int, max_length: int,
                 probe_id = state.probe_id
                 exclude_self = state.exclude_self
                 found = state.found
-                seen = state.seen
+                seen = None if per_hit else state.seen
                 rows = [] if per_hit else state.pending
                 collected = len(rows)
                 repeats: list[int] | None = [] if entry is not None else None
@@ -280,8 +280,8 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
     through a :class:`~repro.core.selection.WindowCache` instead of
     calling ``selector.windows`` per probe; the cache counts its own hits.
     """
-    state = _ProbeState(probe.text, verifier.exact_per_pair,
-                        probe_id=probe.id, exclude_self=not allow_same_id)
+    state = _ProbeState(probe.text, probe_id=probe.id,
+                        exclude_self=not allow_same_id)
     _probe_group([state], tau=tau, max_length=max_length, index=index,
                  short_pool=short_pool, selector=selector,
                  window_cache=window_cache, verifier=verifier, stats=stats,
@@ -324,8 +324,7 @@ def probe_many(queries: Sequence[tuple[str, int]], *, index: SegmentIndex,
     for query_length, tau in sorted(groups):
         members = groups[query_length, tau]
         verifier = verifier_factory(tau)
-        states = [_ProbeState(text, verifier.exact_per_pair)
-                  for text, _ in members]
+        states = [_ProbeState(text) for text, _ in members]
         _probe_group(states, tau=tau, max_length=query_length + tau,
                      index=index, short_pool=short_pool, selector=selector,
                      window_cache=window_cache, verifier=verifier, stats=stats)
