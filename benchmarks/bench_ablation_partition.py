@@ -1,4 +1,4 @@
-"""Ablation — even vs skewed partition strategies (DESIGN.md section 6).
+"""Ablation — even vs skewed partition strategies (PAPER.md, Section 3.1).
 
 The paper argues (Section 3.1) that short segments have low pruning power,
 which is why it partitions evenly.  This ablation makes that concrete: the

@@ -35,7 +35,8 @@ This file is generated by `python scripts/make_experiments_report.py`
 **How to read it.**  The paper's evaluation ran C++ implementations on
 612k–863k-string corpora (DBLP Author, AOL Query Log, DBLP Author+Title).
 This reproduction is pure Python on synthetic stand-in datasets of a few
-hundred to a few thousand strings (see DESIGN.md for the substitutions), so
+hundred to a few thousand strings (`src/repro/datasets/synthetic.py`
+documents the substitutions), so
 *absolute* numbers are not comparable.  What is expected to reproduce — and
 what the tables below document — is the *shape* of every result: which
 method wins, in what order the series move, and where the crossovers fall.

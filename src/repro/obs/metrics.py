@@ -55,7 +55,6 @@ FUNNEL_COUNTER_FIELDS: tuple[tuple[str, str], ...] = (
     ("num_matrix_cells", "engine_matrix_cells"),
     ("num_early_terminations", "engine_early_terminations"),
     ("num_windows_cache_hits", "engine_windows_cache_hits"),
-    ("num_postings_fanout", "engine_postings_fanout"),
     ("selection_seconds", "engine_selection_seconds"),
     ("verification_seconds", "engine_verification_seconds"),
 )

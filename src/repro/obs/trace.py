@@ -10,16 +10,13 @@ runs the probe against a private :class:`~repro.types.JoinStatistics`,
 so the trace plus the statistics deltas reconstruct the paper's filter
 funnel exactly for a single query.
 
-The trace is an *observer* of the one probe loop, not a second copy of
-it: the engine keeps local drop counters for every posting list it filters
-anyway and hands them to :meth:`ProbeTrace.record_scan` once per list when
-a trace rides along, so traced and untraced probes execute the same code.
-An exact-per-pair verifier runs once per probe, after every list was
-collected; the engine then tells the trace which rows each length first
-saw (:meth:`ProbeTrace.record_collected`) and which it saw again, and
-:meth:`ProbeTrace.record_verified` gives each verification and acceptance
-to the length that first saw its row and splits the repeats into
-already-found (accepted) and rechecked (rejected) drops.
+The trace is an *observer* of the one probe pass, not a second copy of
+it: the engine hands it each indexed length's hit posting lists as the
+match step produces them (:meth:`ProbeTrace.record_length`) and, once the
+probe has verified, what it accepted (:meth:`ProbeTrace.settle`), which
+then walks the hit lists once to split every row into same id, already
+found, rechecked or candidate, and gives each verification and acceptance
+to its length.  Traced and untraced probes execute the same code.
 
 :func:`build_explain_report` renders trace + statistics + matches into a
 plain-dict report (JSON- and pickle-ready), and
@@ -55,26 +52,27 @@ class ProbeTrace:
     """Mutable tracing context threaded through one ``probe_record`` call."""
 
     __slots__ = ("lengths", "short_pool_checked", "short_pool_accepted",
-                 "_first_seen", "_repeats")
+                 "_hits")
 
     def __init__(self) -> None:
         self.lengths: dict[int, dict[str, Any]] = {}
         self.short_pool_checked = 0
         self.short_pool_accepted = 0
-        # (length entry, record id) of every collected candidate, and of
-        # every later hit of one, awaiting the probe's one verify call.
-        self._first_seen: list[tuple[dict[str, Any], int]] = []
-        self._repeats: list[tuple[dict[str, Any], int]] = []
+        # (length entry, hit posting lists) per visited length, in probe
+        # order, awaiting :meth:`settle`.
+        self._hits: list[tuple[dict[str, Any], Sequence[Sequence[int]]]] = []
 
-    def length_entry(self, length: int,
-                     layout: Sequence[tuple[int, int]],
-                     num_selections: int) -> dict[str, Any]:
-        """The per-indexed-length entry, created on first visit.
+    def record_length(self, length: int,
+                      layout: Sequence[tuple[int, int]],
+                      num_selections: int,
+                      hit_lists: Sequence[Sequence[int]]) -> None:
+        """Note one indexed length the probe matched against.
 
         ``layout`` is the even-partition segment table for ``length``
-        (``(seg_start, seg_length)`` pairs) and ``num_selections`` the
-        number of signatures (selected substrings; prefix tokens) the
-        probe looks up against that layout — each is one index probe.
+        (``(seg_start, seg_length)`` pairs), ``num_selections`` the number
+        of substrings the probe selected against it — each is one index
+        probe — and ``hit_lists`` the store-row posting lists that hit, in
+        selection order.
         """
         entry = self.lengths.get(length)
         if entry is None:
@@ -86,53 +84,52 @@ class ProbeTrace:
             }
         entry["selection_windows"] += num_selections
         entry["index_probes"] += num_selections
-        return entry
+        self._hits.append((entry, hit_lists))
 
-    @staticmethod
-    def record_scan(entry: dict[str, Any], *, scanned: int, same_id: int = 0,
-                    candidates: int, verifications: int = 0,
-                    accepted: int = 0) -> None:
-        """Attribute one filtered posting list to its per-length ``entry``.
+    def settle(self, store_ids: Sequence[int], excluded_id: int | None,
+               found: Mapping[int, int] | Container[int],
+               verifications: Sequence[int] | None = None) -> None:
+        """Attribute every hit row to its length once the probe verified.
 
-        Every scanned posting either fell to the same-id filter, became a
-        candidate, or was dropped as already found; the already-found
-        drops — the one filter the hot loop does not count — are what the
-        other figures leave over.  Repeats of a row still awaiting its
-        verify call count as already found until :meth:`record_verified`.
+        A row belongs to one indexed length, so each length's figures come
+        from its own hit lists.  A row with ``excluded_id`` (the probe's
+        own) is a same-id drop.  With an exact-per-pair verifier
+        (``verifications`` is ``None``; ``found`` holds the accepted ids)
+        a row's first hit is a candidate and one verification, accepted if
+        found; a later hit is already found when the row was accepted and
+        rechecked when not.  A per-hit verifier gives each hit list's
+        verification count, and ``found`` maps each accepted id to the
+        number of the list that accepted it: a row found by an earlier
+        list is already found, any other row a candidate.
         """
-        entry["postings_scanned"] += scanned
-        entry["filtered_same_id"] += same_id
-        entry["filtered_already_found"] += scanned - same_id - candidates
-        entry["candidates"] += candidates
-        entry["verifications"] += verifications
-        entry["accepted"] += accepted
-
-    def record_collected(self, entry: dict[str, Any],
-                         candidate_ids: Sequence[int],
-                         repeat_ids: Sequence[int]) -> None:
-        """Note the rows one posting list added to the pending candidates
-        and the ones it hit again, for :meth:`record_verified`."""
-        self._first_seen.extend((entry, record_id)
-                                for record_id in candidate_ids)
-        self._repeats.extend((entry, record_id) for record_id in repeat_ids)
-
-    def record_verified(self, accepted_ids: Container[int]) -> None:
-        """Settle the collected candidates once their one verify call ran.
-
-        An exact-per-pair verifier verifies each candidate once, so each
-        length is given one verification per row it saw first, and an
-        acceptance when the row was accepted; a repeat hit of a rejected
-        row moves from already-found to rechecked.
-        """
-        for entry, record_id in self._first_seen:
-            entry["verifications"] += 1
-            entry["accepted"] += record_id in accepted_ids
-        for entry, record_id in self._repeats:
-            if record_id not in accepted_ids:
-                entry["filtered_already_found"] -= 1
-                entry["filtered_rechecked"] += 1
-        self._first_seen.clear()
-        self._repeats.clear()
+        seen: set[int] = set()
+        number = 0
+        for entry, hit_lists in self._hits:
+            for postings in hit_lists:
+                entry["postings_scanned"] += len(postings)
+                if verifications is not None:
+                    entry["verifications"] += verifications[number]
+                for row in postings:
+                    record_id = store_ids[row]
+                    if record_id == excluded_id:
+                        entry["filtered_same_id"] += 1
+                    elif verifications is not None:
+                        accepted_at = found.get(record_id)
+                        if accepted_at is not None and accepted_at < number:
+                            entry["filtered_already_found"] += 1
+                        else:
+                            entry["candidates"] += 1
+                            entry["accepted"] += accepted_at == number
+                    elif record_id in seen:
+                        entry["filtered_already_found" if record_id in found
+                              else "filtered_rechecked"] += 1
+                    else:
+                        seen.add(record_id)
+                        entry["candidates"] += 1
+                        entry["verifications"] += 1
+                        entry["accepted"] += record_id in found
+                number += 1
+        self._hits.clear()
 
     def length_payloads(self) -> list[dict[str, Any]]:
         """Per-length entries as plain dicts, ascending by indexed length."""

@@ -206,14 +206,13 @@ class KernelSearcher:
     def search_many(self, queries: Sequence[str],
                     tau: int | Sequence[int | None] | None = None,
                     ) -> list[list[SearchMatch]]:
-        """Answer a batch of queries in one grouped index pass.
+        """Answer a batch of queries, one probe pass per unique query.
 
         ``tau`` is a single threshold for the whole batch or a sequence of
         per-query thresholds (``None`` entries default to ``max_tau``).
         Returns one result list per query, aligned with ``queries``;
-        duplicates in the batch are executed once and queries of one
-        shape share their selection and posting scans (see
-        :func:`repro.core.engine.probe_many`).
+        duplicates in the batch are executed once and each tau builds one
+        verifier (see :func:`repro.core.engine.probe_many`).
         """
         results = self._probe(queries,
                               resolve_query_taus(queries, tau, self.max_tau))

@@ -116,7 +116,7 @@ class _OpTable:
         """Answer many queries with one ``search-batch`` request line.
 
         Returns one result list per query, aligned with ``queries`` — the
-        server answers the whole batch with a single grouped index pass.
+        server answers the whole batch with one ``search_many()`` call.
         """
         return self._roundtrip(
             _payload("search-batch", queries=list(queries), tau=tau),

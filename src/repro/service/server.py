@@ -261,12 +261,11 @@ class SimilarityService:
         :class:`~repro.service.batcher.RequestBatcher` execute hook: no
         mutation can interleave with the call, so every answer in a batch
         reflects the same collection snapshot.  Cache misses of kind
-        ``search`` are answered by **one** grouped ``search_many()`` index
-        pass over the whole batch (duplicates probed once, same-length
-        queries sharing their selection windows) instead of one pass per
-        unique query; top-k misses are grouped by ``(k, limit)`` and each
-        group is one ``search_top_k_many()`` pass, a threshold search at
-        ``limit`` cut to ``k``.
+        ``search`` are answered by **one** ``search_many()`` call over the
+        whole batch (duplicates probed once, selection windows from the
+        searcher's cache); top-k misses are grouped by ``(k, limit)`` and
+        each group is one ``search_top_k_many()`` pass, a threshold search
+        at ``limit`` cut to ``k``.
 
         Cache keying depends on the serving backend.  Unsharded, the plain
         query key is presented together with the scalar epoch and a

@@ -132,6 +132,8 @@ class JoinStatistics:
     num_matrix_cells: int = 0
     num_early_terminations: int = 0
     num_windows_cache_hits: int = 0
+    #: Always 0 since a batch probes each query on its own; kept only for
+    #: its one reader, ``benchmarks/e2e/tracing.py:165``.
     num_postings_fanout: int = 0
     index_entries: int = 0
     index_bytes: int = 0
