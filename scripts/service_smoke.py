@@ -4,8 +4,8 @@
 Exercises the full serving stack end to end over a real TCP socket — the
 asyncio server, the JSON-lines protocol, the blocking client, the query
 cache, and the dynamic index — in under a second, then repeats the exercise
-against a 2-shard server (modulo placement: consecutive ids live on
-different shards, so the near-duplicate searches below are genuinely
+against a 2-shard server (the consistent-hashing ring puts ids 0 and 1
+on different shards, so the near-duplicate searches below are genuinely
 cross-shard scatter-gathers), requires identical answers, and finishes
 with a live add-shard → query → remove-shard resize under load.  On both
 servers a request with a misspelled field must be refused, and a
@@ -41,7 +41,8 @@ from repro.cli import main as cli_main  # noqa: E402
 from repro.config import ServiceConfig  # noqa: E402
 from repro.exceptions import ServiceError  # noqa: E402
 from repro.obs import parse_prometheus, render_prometheus  # noqa: E402
-from repro.service import BackgroundServer, ServiceClient  # noqa: E402
+from repro.service import (BackgroundServer, HashRing,  # noqa: E402
+                           ServiceClient)
 
 STRINGS = ["vldb", "pvldb", "sigmod", "sigmmod", "icde", "edbt"]
 
@@ -174,9 +175,12 @@ def sharded_smoke() -> dict:
     process (what ``auto`` would do on a multi-core runner) is exactly the
     fork-with-live-threads pattern CPython warns about.
     """
+    # "vldb" (id 0) and "pvldb" (id 1) must sit on different shards, or
+    # the cross-shard search below would read one shard only.
+    ring = HashRing(2)
+    assert ring.place(0) != ring.place(1), "ids 0 and 1 share a shard"
     config = ServiceConfig(port=0, max_tau=2, shards=2,
-                           shard_policy="modulo", shard_backend="thread",
-                           migration_batch=2)
+                           shard_backend="thread", migration_batch=2)
     with BackgroundServer(STRINGS, config) as (host, port):
         with ServiceClient(host, port) as client:
             stats = client.stats()
@@ -186,8 +190,8 @@ def sharded_smoke() -> dict:
             assert stats["index"]["records"] == sum(
                 shard["records"] for shard in stats["shards"]["memory"]), stats
 
-            # Cross-shard scatter-gather: id 0 lives on shard 0, id 1 on
-            # shard 1; the merged answer must equal the unsharded one.
+            # Cross-shard scatter-gather: ids 0 and 1 live on different
+            # shards; the merged answer must equal the unsharded one.
             matches = client.search("vldb", tau=1)
             assert [(m.id, m.distance, m.text) for m in matches] == [
                 (0, 0, "vldb"), (1, 1, "pvldb")], matches

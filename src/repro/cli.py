@@ -110,10 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=1,
                        help="shard workers to partition the collection "
                             "across (default 1 = unsharded)")
-    serve.add_argument("--shard-policy", default="hash",
-                       choices=("hash", "length"),  # modulo: tests only
-                       help="record placement: consistent-hash ring or "
-                            "length bands (default hash)")
     serve.add_argument("--shard-backend", default="auto",
                        choices=SHARD_BACKENDS,
                        help="shard execution: fork-spawned processes, "
@@ -256,7 +252,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     strings = load_strings(args.path, limit=args.limit)
     config = ServiceConfig(host=args.host, port=args.port, max_tau=args.tau,
                            cache_capacity=args.cache_capacity,
-                           shards=args.shards, shard_policy=args.shard_policy,
+                           shards=args.shards,
                            shard_backend=args.shard_backend,
                            migration_batch=args.migration_batch,
                            slow_query_ms=args.slow_query_ms)
@@ -267,7 +263,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     def announce(address: tuple[str, int]) -> None:
         sharding = ("unsharded" if config.shards == 1 else
-                    f"{config.shards} {config.shard_policy} shards")
+                    f"{config.shards} shards")
         print(f"serving {len(strings)} strings on {address[0]}:{address[1]} "
               f"(max_tau={config.max_tau}, "
               f"cache={config.cache_capacity}, {sharding}); "
@@ -335,8 +331,7 @@ def _command_query(args: argparse.Namespace) -> int:
 def _print_admin_status(stats: dict) -> None:
     shards = stats["shards"]
     rebalance = shards["rebalance"]
-    print(f"shards: {shards['count']} ({shards['policy']} placement, "
-          f"{shards['backend']} backend)")
+    print(f"shards: {shards['count']} ({shards['backend']} backend)")
     print(f"rows per shard: {shards['sizes']}")
     print(f"bytes per shard: {shards['bytes']}")
     print(f"rows migrated (lifetime): {shards['rows_migrated']}")

@@ -182,11 +182,6 @@ class JoinConfig:
 DEFAULT_CONFIG = JoinConfig()
 
 
-#: Shard placement policies of the sharded serving tier
-#: (:mod:`repro.service.placement`): ``hash`` is a consistent-hashing ring
-#: (resizes move ~1/N of the records), ``length`` places by splittable
-#: length bands, ``modulo`` is the legacy ``id % N`` map.
-SHARD_POLICIES = ("hash", "length", "modulo")
 #: Shard execution backends; ``auto`` resolves per platform at runtime.
 SHARD_BACKENDS = ("auto", "process", "thread")
 
@@ -224,12 +219,9 @@ class ServiceConfig:
     shards:
         Number of shard workers the collection is partitioned across.
         ``1`` (default) serves a single unsharded dynamic index; larger
-        values route through a :class:`repro.service.sharding.ShardRouter`.
-    shard_policy:
-        Record placement: ``"hash"`` (consistent-hashing ring — uniform,
-        and a fleet resize only moves ~1/N of the records), ``"length"``
-        (length bands — queries only probe intersecting shards), or
-        ``"modulo"`` (the legacy ``id % N`` map).
+        values route through a :class:`repro.service.sharding.ShardRouter`,
+        which places records on a consistent-hashing ring (uniform, and a
+        fleet resize only moves ~1/N of the records).
     shard_backend:
         ``"process"`` (fork-spawned shard workers), ``"thread"``
         (in-process shards), or ``"auto"`` (process on multi-core fork
@@ -254,7 +246,6 @@ class ServiceConfig:
     max_query_batch: int = 1024
     batch_window: float = 0.002
     shards: int = 1
-    shard_policy: str = "hash"
     shard_backend: str = "auto"
     migration_batch: int = 256
     slow_query_ms: float = 0.0
@@ -299,10 +290,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"migration_batch must be a positive integer, "
                 f"got {self.migration_batch!r}")
-        if self.shard_policy not in SHARD_POLICIES:
-            raise ConfigurationError(
-                f"shard_policy must be one of {SHARD_POLICIES}, "
-                f"got {self.shard_policy!r}")
         if self.shard_backend not in SHARD_BACKENDS:
             raise ConfigurationError(
                 f"shard_backend must be one of {SHARD_BACKENDS}, "

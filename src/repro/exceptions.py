@@ -35,7 +35,7 @@ class ConfigurationError(PassJoinError, ValueError):
 
     Raised at construction time by :class:`repro.config.JoinConfig` and
     :class:`repro.config.ServiceConfig` so a bad knob (``shards < 1``, an
-    unknown ``shard_policy``, ``migration_batch < 1``, ...) fails with a
+    unknown ``shard_backend``, ``migration_batch < 1``, ...) fails with a
     clear message instead of deep inside the serving stack.
     """
 

@@ -37,8 +37,8 @@ FUNNEL_FIELDS: tuple[str, ...] = (
     "candidates", "verifications", "accepted")
 
 #: Per-length counters, in report order; summed when merging shard
-#: reports for a length indexed on several shards (length-band policy keeps
-#: lengths disjoint, but hash placement spreads every length fleet-wide).
+#: reports for a length indexed on several shards (the hash ring spreads
+#: every length fleet-wide).
 _LENGTH_COUNTER_FIELDS: tuple[str, ...] = (
     "selection_windows", "index_probes", "postings_scanned",
     "filtered_same_id", "filtered_already_found", "filtered_rechecked",

@@ -23,11 +23,12 @@ north star.  Three layers, composable and individually testable:
    across an elastic fleet of shard workers (in-process or fork-spawned
    processes) and scatter-gathers queries with results element-identical
    to a single :class:`DynamicSearcher`; enabled via
-   ``ServiceConfig(shards=N)``.  Placement is a pluggable
-   :class:`~repro.service.placement.PlacementMap` (consistent-hash ring,
-   length bands, legacy modulo), and ``add_shard``/``remove_shard``
-   resize the fleet live — records stream between shards in bounded
-   batches while queries keep being answered exactly.
+   ``ServiceConfig(shards=N)``.  Placement is one consistent-hashing
+   ring (:class:`~repro.service.placement.HashRing`), the cache keys on
+   the router's scalar epoch as it does unsharded, and
+   ``add_shard``/``remove_shard`` resize the fleet live — records stream
+   between shards in bounded batches while queries keep being answered
+   exactly.
 
 Every layer is observable through :mod:`repro.obs`: the service records
 per-op request counts, error counts, and latency histograms into a
@@ -48,24 +49,18 @@ from .batcher import BatcherStats, RequestBatcher
 from .cache import CacheStats, QueryCache
 from .client import AsyncServiceClient, ServiceClient
 from .dynamic import DynamicSearcher
-from .placement import (ConsistentHashPlacementMap, LengthBandPlacementMap,
-                        ModuloPlacementMap, PlacementMap, make_placement_map)
+from .placement import HashRing
 from .server import (BackgroundServer, SimilarityServer, SimilarityService,
                      run_service)
-from .sharding import (SHARD_BACKENDS, SHARD_POLICIES, ShardContext,
-                       ShardRouter, resolve_shard_backend)
+from .sharding import (SHARD_BACKENDS, ShardContext, ShardRouter,
+                       resolve_shard_backend)
 
 __all__ = [
     "DynamicSearcher",
     "ShardRouter",
     "ShardContext",
-    "PlacementMap",
-    "ConsistentHashPlacementMap",
-    "LengthBandPlacementMap",
-    "ModuloPlacementMap",
-    "make_placement_map",
+    "HashRing",
     "resolve_shard_backend",
-    "SHARD_POLICIES",
     "SHARD_BACKENDS",
     "QueryCache",
     "CacheStats",

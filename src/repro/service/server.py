@@ -172,10 +172,8 @@ class SimilarityService:
 
     With ``config.shards > 1`` the collection is served by a
     :class:`~repro.service.sharding.ShardRouter` (which duck-types the
-    :class:`DynamicSearcher` surface, so dispatch is identical) and cache
-    keys grow the composite per-shard epoch vector the query depends on —
-    a mutation on one shard makes exactly the queries that probe it miss,
-    instead of invalidating the whole cache.
+    :class:`DynamicSearcher` surface, so dispatch and cache keying are
+    identical: the cache keys on the router's scalar epoch.
     """
 
     def __init__(self, strings: Iterable[str | StringRecord] = (),
@@ -184,8 +182,7 @@ class SimilarityService:
         if config.shards > 1:
             self.searcher: DynamicSearcher | ShardRouter = ShardRouter(
                 strings, shards=config.shards, max_tau=config.max_tau,
-                partition=config.partition,
-                policy=config.shard_policy, backend=config.shard_backend,
+                partition=config.partition, backend=config.shard_backend,
                 migration_batch=config.migration_batch)
         else:
             self.searcher = DynamicSearcher(
@@ -267,14 +264,9 @@ class SimilarityService:
         each group is one ``search_top_k_many()`` pass, a threshold search
         at ``limit`` cut to ``k``.
 
-        Cache keying depends on the serving backend.  Unsharded, the plain
-        query key is presented together with the scalar epoch and a
-        mutation invalidates the cache wholesale (any insert can change any
-        answer).  Sharded, the key is widened with the **composite epoch
-        vector** of exactly the shards the query probes (a pure function of
-        the query and threshold): a mutation bumps one shard's epoch, so
-        entries depending on that shard simply stop matching and age out of
-        the LRU, while entries over the other shards keep hitting.
+        The cache is keyed on the plain query key and the searcher's
+        scalar epoch, sharded or not: a mutation invalidates the cache
+        wholesale (any insert can change any answer).
 
         Duplicate keys within one batch are answered by copying the first
         occurrence's answer and counted as ``cache.coalesced`` — they
@@ -282,14 +274,13 @@ class SimilarityService:
         records one miss (or one hit), not one per duplicate.
         """
         with self._lock:
-            epoch_token = getattr(self.searcher, "epoch_token", None)
             epoch = self.searcher.epoch
             answers: list[tuple[list[SearchMatch], bool] | None] = (
                 [None] * len(keys))
             # Cache misses by execution group: None for every search key,
             # (k, limit) for top-k keys.
             misses: dict[tuple[int, int] | None,
-                         list[tuple[int, QueryKey, QueryKey, int]]] = {}
+                         list[tuple[int, QueryKey]]] = {}
             leaders: dict[QueryKey, int] = {}
             duplicates: list[tuple[int, int]] = []
             for position, key in enumerate(keys):
@@ -301,29 +292,23 @@ class SimilarityService:
                     duplicates.append((position, leader))
                     continue
                 leaders[key] = position
-                if epoch_token is None:
-                    cache_key, cache_epoch = key, epoch
-                else:
-                    cache_key, cache_epoch = key + (epoch_token(key),), 0
-                cached = self.cache.get(cache_key, cache_epoch)
+                cached = self.cache.get(key, epoch)
                 if cached is not None:
                     answers[position] = (cached, True)
                     continue
                 group = None if key[0] == "search" else key[2:]
-                misses.setdefault(group, []).append(
-                    (position, key, cache_key, cache_epoch))
+                misses.setdefault(group, []).append((position, key))
             for group, entries in misses.items():
-                queries = [key[1] for _, key, _, _ in entries]
+                queries = [key[1] for _, key in entries]
                 if group is None:
                     batches = self.searcher.search_many(
-                        queries, tau=[key[2] for _, key, _, _ in entries])
+                        queries, tau=[key[2] for _, key in entries])
                 else:
                     # Each (k, limit) group is one batch pass at the limit
                     # instead of one pass per query.
                     batches = self.searcher.search_top_k_many(queries, *group)
-                for (position, _, cache_key, cache_epoch), matches in zip(
-                        entries, batches):
-                    self.cache.put(cache_key, cache_epoch, matches)
+                for (position, key), matches in zip(entries, batches):
+                    self.cache.put(key, epoch, matches)
                     answers[position] = (matches, False)
             for position, leader in duplicates:
                 answers[position] = answers[leader]
@@ -534,7 +519,6 @@ class SimilarityService:
             if isinstance(searcher, ShardRouter):
                 payload["shards"] = {
                     "count": searcher.num_shards,
-                    "policy": searcher.policy.name,
                     "backend": searcher.backend,
                     # Placement balance: live rows, columnar bytes per shard.
                     "sizes": searcher.shard_sizes(),

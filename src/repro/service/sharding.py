@@ -4,13 +4,11 @@ One :class:`~repro.service.dynamic.DynamicSearcher` runs every index pass on
 a single thread, so a busy server saturates one core.  This module scales
 the serving layer the classic way — partition the collection:
 
-* A **placement map** (:mod:`repro.service.placement`) assigns every record
-  to exactly one of ``N`` shards and every query to the subset of shards it
-  must probe.  ``hash`` is a consistent-hashing ring (uniform load,
-  scatter-all queries, resizes move ~1/N of the records), ``length`` places
-  by splittable length bands (a query only touches the shards whose bands
-  intersect ``[|q| − τ, |q| + τ]``), ``modulo`` is the legacy ``id % N``
-  map.
+* A consistent-hashing ring (:class:`~repro.service.placement.HashRing`)
+  assigns every record to exactly one of ``N`` shards; a resize moves ~1/N
+  of the records.  Placement ignores length, so a query probes every shard
+  — or none, when no live record's length lies within its window
+  ``[|q| − τ, |q| + τ]``.
 * Each shard owns a full private :class:`DynamicSearcher` over its records.
   Shards run either **in-process** (the ``thread`` backend — the calling
   thread drives each shard directly; the right choice for tests, 1-CPU
@@ -20,44 +18,42 @@ the serving layer the classic way — partition the collection:
   same "hand the worker an explicit context, pickle nothing" pattern as
   :class:`repro.core.join.JoinRun` — and serve ops over a pipe.
 * :class:`ShardRouter` scatter-gathers ``search``/``search_top_k`` across
-  the shards a query can touch and merges under the canonical
-  ``(distance, id)`` ordering.  Because the shards partition the id space,
-  the merged result list is **element identical** to a single unsharded
-  :class:`DynamicSearcher` over the same records (property-tested on random
-  interleavings of insert/delete/search/resize).  Top-k is that merged
-  threshold search at the limit, cut to ``k``.
+  the shards and merges under the canonical ``(distance, id)`` ordering.
+  Because the shards partition the id space, the merged result list is
+  **element identical** to a single unsharded :class:`DynamicSearcher`
+  over the same records (property-tested on random interleavings of
+  insert/delete/search/resize).  Top-k is that merged threshold search at
+  the limit, cut to ``k``.
 
 Live resharding
 ---------------
 :meth:`ShardRouter.add_shard` and :meth:`ShardRouter.remove_shard` resize
 the fleet **without stopping the service**.  A resize diffs the old and new
-placement maps into a migration plan — which record ids move from which
-donor shard to which recipient — and executes it in bounded batches
+rings into a migration plan — which record ids move from which donor shard
+to which recipient — and executes it in bounded batches
 (``migration_batch`` records per step) so queries keep being answered
 between steps:
 
 * A **copy step** extracts one batch of records from its donor and inserts
   them into the recipient.  Until the matching **release step** deletes
-  them from the donor, those records are *dual-present*; queries probe the
-  union of the old and new maps' probe sets and the ``(distance, id)``
-  merge deduplicates by id, so answers stay element-identical to an
-  unsharded searcher throughout (the property tests drive searches between
-  every step).
+  them from the donor, those records are *dual-present*; queries probe
+  every shard — the new one and a retiring one included — and the
+  ``(distance, id)`` merge deduplicates by id, so answers stay
+  element-identical to an unsharded searcher throughout (the property
+  tests drive searches between every step).
 * Mutations keep flowing during a migration: inserts place by the **new**
-  map, deletes route to the record's current shard (and eagerly remove a
+  ring, deletes route to the record's current shard (and eagerly remove a
   dual-present donor copy so it cannot resurface).
 * A release step deletes its batch from the donor, which releases the
   donor's store rows at once, so per-shard row counts are back in balance
   when the plan is drained; a retiring shard's worker (``remove_shard``)
   is then closed.
 
-Mutations route to the owning shard and bump only that shard's epoch.  The
+Mutations route to the owning shard and bump that shard's epoch.  The
 router mirrors the per-shard epochs in :attr:`ShardRouter.epoch_vector`;
-:meth:`ShardRouter.epoch_token` returns the placement generation plus the
-epochs of exactly the shards a query key probes, which the serving core
-folds into its cache key — a mutation on one shard invalidates exactly the
-cached queries that probe it, and a resize (which changes probe sets) bumps
-the generation so no cached answer can outlive a placement change.
+their sum (plus the final epochs of retired shards) is the scalar
+:attr:`ShardRouter.epoch` the serving core keys its cache on, exactly as
+for an unsharded searcher.
 
 Concurrency
 -----------
@@ -76,8 +72,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..config import (SHARD_BACKENDS, SHARD_POLICIES, PartitionStrategy,
-                      validate_threshold)
+from ..config import SHARD_BACKENDS, PartitionStrategy, validate_threshold
 from ..core.join import available_workers
 from ..exceptions import ConfigurationError, ServiceError
 from ..obs.metrics import funnel_snapshot, merge_snapshots
@@ -86,7 +81,7 @@ from ..search.searcher import (SearchMatch, any_key_within, length_window,
                                resolve_query_taus, resolve_top_k)
 from ..types import JoinStatistics, StringRecord, as_records
 from .dynamic import DynamicSearcher, coerce_insert_record
-from .placement import PlacementMap, make_placement_map
+from .placement import HashRing
 
 
 def resolve_shard_backend(backend: str) -> str:
@@ -188,7 +183,7 @@ class _InProcessShard:
         self._reply: tuple[str, object, int] | None = None
         self._closed = False
         # Serialises one send/recv exchange per caller thread; see
-        # _scatter_each for the acquisition discipline.
+        # _scatter for the acquisition discipline.
         self.lock = threading.Lock()
 
     def send(self, op: str, args: object) -> None:
@@ -299,7 +294,6 @@ class _LiveMigration:
     """
 
     kind: str  # "add-shard" | "remove-shard"
-    old_policy: PlacementMap
     retiring: int | None  # shard worker to close once the plan is drained
     copies: deque  # of (donor, recipient, list[record_id])
     rows_total: int
@@ -331,15 +325,12 @@ class ShardRouter:
     Parameters
     ----------
     strings:
-        Initial collection, partitioned across the shards by ``policy``.
+        Initial collection, partitioned across the shards by the
+        consistent-hashing ring (:attr:`ring`).
     shards:
         Number of shard workers (>= 1; 1 is a degenerate single shard).
     max_tau:
         Largest per-query threshold, forwarded to every shard index.
-    policy:
-        ``"hash"`` (consistent-hashing ring, scatter-all), ``"length"``
-        (length bands, queries touch only intersecting shards), or
-        ``"modulo"`` (legacy ``id % N``).
     backend:
         ``"thread"`` (in-process), ``"process"`` (fork workers), or
         ``"auto"`` (process on multi-core fork platforms, thread elsewhere).
@@ -363,11 +354,8 @@ class ShardRouter:
     def __init__(self, strings: Iterable[str | StringRecord] = (), *,
                  shards: int, max_tau: int,
                  partition: PartitionStrategy = PartitionStrategy.EVEN,
-                 policy: str = "hash",
                  backend: str = "auto", migration_batch: int = 256) -> None:
-        if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-            raise ConfigurationError(
-                f"shards must be a positive integer, got {shards!r}")
+        self.ring = HashRing(shards)  # validates ``shards``
         if (isinstance(migration_batch, bool)
                 or not isinstance(migration_batch, int) or migration_batch < 1):
             raise ConfigurationError(
@@ -375,7 +363,6 @@ class ShardRouter:
                 f"got {migration_batch!r}")
         self.max_tau = validate_threshold(max_tau)
         self.num_shards = shards
-        self.policy = make_placement_map(policy, shards, self.max_tau)
         self.backend = resolve_shard_backend(backend)
         self.migration_batch = migration_batch
         self._partition = partition
@@ -390,7 +377,7 @@ class ShardRouter:
                 raise ValueError(
                     f"duplicate id {record.id} in the initial collection: "
                     f"sharded results are only exact over unique ids")
-            shard = self.policy.place(record.id, record.length)
+            shard = self.ring.place(record.id)
             per_shard[shard].append(record)
             self._track_live(record.id, record.length, shard)
 
@@ -404,10 +391,6 @@ class ShardRouter:
         # Epochs of retired shards fold into the base so the scalar epoch
         # stays monotone across remove_shard.
         self._epoch_base = 0
-        # Placement generation: bumped when a migration starts and when it
-        # finishes, i.e. whenever any query's probe set may change.  Part
-        # of every cache token, so cached answers never survive a resize.
-        self._generation = 0
         self._migration: _LiveMigration | None = None
         self._last_migration: dict = {}
         self.rows_migrated_total = 0
@@ -438,15 +421,8 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def _scatter(self, targets: Sequence[int], op: str,
                  args: object) -> list:
-        """Send one op (same args) to every target shard; collect replies."""
-        return self._scatter_each(targets, op, [args] * len(targets))
+        """Send one op (same args) to every target shard; collect replies.
 
-    def _scatter_each(self, targets: Sequence[int], op: str,
-                      args_list: Sequence[object]) -> list:
-        """Send one op with per-shard args, then collect every reply.
-
-        ``args_list`` is aligned with ``targets`` (the batch executor
-        sends each shard only the sub-batch of queries that probe it).
         Both phases run to completion before any error is re-raised: a
         failed send (dead worker) must not stop the reply of an
         already-sent shard from being drained — a process shard's pipe
@@ -464,7 +440,7 @@ class ShardRouter:
         # Aligned with targets: the worker holding this op, or None when
         # its send failed (its lock is already released).
         sent: list = []
-        for shard, args in zip(targets, args_list):
+        for shard in targets:
             worker = self._shards[shard]
             worker.lock.acquire()
             try:
@@ -510,9 +486,10 @@ class ShardRouter:
 
         Monotone — each shard epoch only grows, and a removed shard's
         final epoch folds into a base term instead of vanishing — and
-        moved by every mutation, so it serves the wire protocol's
-        ``epoch`` field; cache keys use the finer-grained
-        :meth:`epoch_token` instead.
+        moved by every mutation and by every migration step that moves
+        rows, so it serves the wire protocol's ``epoch`` field and the
+        serving core's cache key alike.  Answers never depend on placement,
+        so a resize needs no key of its own.
         """
         return self._epoch_base + sum(self._epochs)
 
@@ -520,30 +497,6 @@ class ShardRouter:
     def epoch_vector(self) -> tuple[int, ...]:
         """Per-shard mutation counters, in shard order."""
         return tuple(self._epochs)
-
-    @property
-    def generation(self) -> int:
-        """Placement generation: bumped whenever probe sets may change."""
-        return self._generation
-
-    def epoch_token(self, key: tuple) -> tuple[int, ...]:
-        """Cache-key part: generation plus the probed shards' epochs.
-
-        ``key`` is a serving-core query key — ``("search", query, tau)`` or
-        ``("top-k", query, k, limit)``.  Within one placement generation
-        the probe set is a pure function of the query and threshold, so
-        the token needs only the epochs, in shard order: a mutation on any
-        probed shard changes the token (and thereby misses the cache),
-        while mutations on unrelated shards leave it — and every cached
-        answer that only probes other shards — intact.  The leading
-        generation term changes when a resize starts or finishes, so no
-        cached answer can be served across a placement change it did not
-        see.
-        """
-        tau = key[2] if key[0] == "search" else key[3]
-        targets = self._probe_targets(key[1], tau)
-        return (self._generation,
-                *(self._epochs[shard] for shard in targets))
 
     @property
     def records(self) -> list[StringRecord]:
@@ -627,7 +580,7 @@ class ShardRouter:
         record = coerce_insert_record(text, id, self._next_id)
         if record.id in self._shard_of:
             raise ValueError(f"id {record.id} is already in the collection")
-        shard = self.policy.place(record.id, record.length)
+        shard = self.ring.place(record.id)
         self._call(shard, "insert", record)
         self._track_live(record.id, record.length, shard)
         return record.id
@@ -658,8 +611,8 @@ class ShardRouter:
     def add_shard(self, *, drain: bool = True) -> dict:
         """Grow the fleet by one empty shard and rebalance onto it.
 
-        Starts a live migration from the current placement map to the same
-        map resized over ``num_shards + 1`` workers.  With ``drain=True``
+        Starts a live migration from the current ring to the ring over
+        ``num_shards + 1`` workers.  With ``drain=True``
         (default) the whole plan executes before returning; with
         ``drain=False`` it is left in flight for :meth:`migration_step` —
         queries and mutations remain fully available either way.  Returns
@@ -670,9 +623,7 @@ class ShardRouter:
             records=[], max_tau=self.max_tau, partition=self._partition)))
         self._epochs.append(0)
         self.num_shards += 1
-        self._start_migration("add-shard",
-                              self.policy.resized(self.num_shards),
-                              retiring=None)
+        self._start_migration("add-shard", retiring=None)
         if drain:
             self.drain_migration()
         return self.rebalance_status()
@@ -681,11 +632,11 @@ class ShardRouter:
                      drain: bool = True) -> dict:
         """Shrink the fleet by retiring its highest-numbered shard.
 
-        Streams every record off the retiring shard (and, under the
-        ``length`` policy, re-deals the remaining bands) before closing its
+        Streams every record off the retiring shard onto the survivors (on
+        the ring nothing moves between surviving shards) before closing its
         worker.  Only the last shard can be retired: lower shard indices
-        must stay stable because the placement maps address shards by
-        index.  ``drain`` as in :meth:`add_shard`.
+        must stay stable because the ring addresses shards by index.
+        ``drain`` as in :meth:`add_shard`.
         """
         self._require_idle()
         if self.num_shards <= 1:
@@ -695,9 +646,8 @@ class ShardRouter:
             raise ServiceError(
                 f"only the highest-numbered shard can be removed "
                 f"(got {shard}, expected {last}); lower shard indices must "
-                f"stay stable for the placement map")
-        self._start_migration("remove-shard", self.policy.resized(last),
-                              retiring=last)
+                f"stay stable for the ring")
+        self._start_migration("remove-shard", retiring=last)
         if drain:
             self.drain_migration()
         return self.rebalance_status()
@@ -718,13 +668,10 @@ class ShardRouter:
         if migration.copies:
             donor, recipient, planned = migration.copies.popleft()
             # Re-validate the plan against the present: skip records the
-            # caller deleted since planning, and records whose placement
-            # changed again (a deleted id re-inserted with a new length
-            # is already where the new map wants it).
+            # caller deleted since planning (a deleted id re-inserted since
+            # already sits where the new ring wants it).
             ids = [record_id for record_id in planned
-                   if self._shard_of.get(record_id) == donor
-                   and self.policy.place(
-                       record_id, self._length_of[record_id]) == recipient]
+                   if self._shard_of.get(record_id) == donor]
             if ids:
                 records = self._call(donor, "extract", ids)
                 self._call(recipient, "insert-many", records)
@@ -757,8 +704,6 @@ class ShardRouter:
         status = {
             "active": self._migration is not None,
             "shards": self.num_shards,
-            "policy": self.policy.name,
-            "generation": self._generation,
             "rows_migrated_total": self.rows_migrated_total,
         }
         migration = self._migration
@@ -778,12 +723,13 @@ class ShardRouter:
                 "a resharding migration is already in flight; poll "
                 "rebalance-status until it completes")
 
-    def _start_migration(self, kind: str, new_policy: PlacementMap,
-                         retiring: int | None) -> None:
-        """Diff old vs new placement into bounded copy batches; activate."""
+    def _start_migration(self, kind: str, retiring: int | None) -> None:
+        """Diff the old ring against the resized one into bounded copy
+        batches; activate."""
+        self.ring = HashRing(self.num_shards if retiring is None else retiring)
         moves: dict[tuple[int, int], list[int]] = {}
         for record_id, shard in self._shard_of.items():
-            target = new_policy.place(record_id, self._length_of[record_id])
+            target = self.ring.place(record_id)
             if target != shard:
                 moves.setdefault((shard, target), []).append(record_id)
         copies: deque = deque()
@@ -794,11 +740,9 @@ class ShardRouter:
             for start in range(0, len(ids), self.migration_batch):
                 copies.append((donor, recipient,
                                ids[start:start + self.migration_batch]))
-        old_policy, self.policy = self.policy, new_policy
-        self._generation += 1
         self._migration = _LiveMigration(
-            kind=kind, old_policy=old_policy, retiring=retiring,
-            copies=copies, rows_total=rows_total)
+            kind=kind, retiring=retiring, copies=copies,
+            rows_total=rows_total)
         if not copies:
             self._finish_migration()
 
@@ -815,7 +759,6 @@ class ShardRouter:
             del self._epochs[donor]
             self.num_shards -= 1
         self.rows_migrated_total += migration.rows_copied
-        self._generation += 1
         self._migration = None
         self._last_migration = {
             "kind": migration.kind, "rows_total": migration.rows_total,
@@ -825,27 +768,20 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _probe_targets(self, query: str, tau: int) -> tuple[int, ...]:
-        """Shards a query must scatter to right now (possibly none).
+    def _probe_targets(self, query: str, tau: int) -> range:
+        """Shards a query must scatter to right now: all of them, or none.
 
         The probe set is empty when no live record's length falls inside
         the query's window ``[|q| − τ, |q| + τ]`` — a match is impossible
         on the length filter alone, so the query is answered ``[]``
-        without touching any shard (the empty-band fast path of the
-        ``length`` policy, valid for every policy).  During a migration
-        the old and new maps' probe sets are unioned: an unmoved record is
-        still covered by the old map, a moved one by the new.
+        without touching any shard.  Otherwise it is every shard: the ring
+        ignores length, and during a migration ``range(num_shards)``
+        already covers both a new shard and a retiring one.
         """
         lo, hi = length_window(query, tau)
         if not any_key_within(self._length_counts, lo, hi):
-            return ()
-        targets = self.policy.probe_key_span(lo, hi)
-        migration = self._migration
-        if migration is not None:
-            union = set(targets)
-            union.update(migration.old_policy.probe_key_span(lo, hi))
-            targets = tuple(sorted(union))
-        return targets
+            return range(0)
+        return range(self.num_shards)
 
     def _merge(self, gathered: Iterable[Sequence[SearchMatch]],
                ) -> list[SearchMatch]:
@@ -894,9 +830,8 @@ class ShardRouter:
                     ) -> list[list[SearchMatch]]:
         """Answer a batch of threshold searches in one scatter round.
 
-        Each shard receives only the sub-batch of queries whose probe set
-        includes it (a pure function of query length and threshold under
-        the placement map), runs its own grouped
+        Every shard receives the same sub-batch — the queries whose probe
+        set is not empty — runs its own
         :meth:`DynamicSearcher.search_many
         <repro.service.dynamic.DynamicSearcher.search_many>` pass, and the
         router merges the per-shard answers under the canonical
@@ -905,20 +840,17 @@ class ShardRouter:
         queries whose probe set is empty stay ``[]`` without scattering.
         """
         taus = resolve_query_taus(queries, tau, self.max_tau)
-        sub_batches: dict[int, list[int]] = {}
-        for position, (query, query_tau) in enumerate(zip(queries, taus)):
-            for shard in self._probe_targets(query, query_tau):
-                sub_batches.setdefault(shard, []).append(position)
+        positions = [position for position, (query, query_tau)
+                     in enumerate(zip(queries, taus))
+                     if self._probe_targets(query, query_tau)]
         per_query: list[list[Sequence[SearchMatch]]] = [[] for _ in queries]
-        targets = sorted(sub_batches)
-        if targets:
-            gathered = self._scatter_each(
-                targets, "search-many",
-                [tuple((queries[position], taus[position])
-                       for position in sub_batches[shard])
-                 for shard in targets])
-            for shard, bucket in zip(targets, gathered):
-                for position, matches in zip(sub_batches[shard], bucket):
+        if positions:
+            gathered = self._scatter(
+                range(self.num_shards), "search-many",
+                tuple((queries[position], taus[position])
+                      for position in positions))
+            for bucket in gathered:
+                for position, matches in zip(positions, bucket):
                     per_query[position].append(matches)
         return [self._merge(buckets) for buckets in per_query]
 
@@ -961,5 +893,5 @@ class ShardRouter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ShardRouter(shards={self.num_shards}, "
-                f"policy={self.policy.name!r}, backend={self.backend!r}, "
+                f"backend={self.backend!r}, "
                 f"live={len(self)}, max_tau={self.max_tau})")

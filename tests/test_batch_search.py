@@ -3,11 +3,12 @@
 The load-bearing property (the PR's acceptance criterion): over random
 query batches interleaved with insert/delete, ``search_many()`` is
 **element-identical** to sequential ``search()`` calls — on the static
-searcher, the dynamic searcher, and a 2-shard router under both placement
-policies.
+searcher, the dynamic searcher, and a 2-shard router on both shard
+backends.
 """
 
 import asyncio
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,12 @@ from repro.service.client import AsyncServiceClient
 from repro.service.server import ALL_OPS, BATCH_OP, TOP_K_BATCH_OP
 
 from helpers import random_strings
+
+#: Shard backends a router test runs on (``process`` needs ``fork``).
+BACKENDS = ["thread", pytest.param(
+    "process", marks=pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="process backend requires fork"))]
 
 
 class TestSearchManyStatic:
@@ -140,14 +147,13 @@ class TestBatchEquivalenceProperty:
                 searcher.search(query) for query in batch]
             _apply(searcher, ops[:3], live)
 
-    @pytest.mark.parametrize("policy", ["hash", "length"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @given(ops=MUTATIONS, batches=BATCHES,
            max_tau=st.integers(min_value=0, max_value=2))
     @settings(max_examples=40, deadline=None)
-    def test_two_shards_both_policies(self, policy, ops, batches, max_tau):
+    def test_two_shards_both_backends(self, backend, ops, batches, max_tau):
         single = DynamicSearcher(max_tau=max_tau)
-        router = ShardRouter(shards=2, max_tau=max_tau, policy=policy,
-                             backend="thread")
+        router = ShardRouter(shards=2, max_tau=max_tau, backend=backend)
         with router:
             live: set[int] = set()
             _apply(single, ops, live)
@@ -209,8 +215,8 @@ class TestShardRouterSearchMany:
     def test_matches_sequential_and_unsharded(self):
         strings = random_strings(50, 2, 12, alphabet="abc", seed=15)
         single = DynamicSearcher(strings, max_tau=2)
-        for policy in ("hash", "length"):
-            with ShardRouter(strings, shards=3, max_tau=2, policy=policy,
+        for shards in (2, 3, 4):
+            with ShardRouter(strings, shards=shards, max_tau=2,
                              backend="thread") as router:
                 queries = random_strings(12, 2, 12, alphabet="abc", seed=16)
                 batch = router.search_many(queries, tau=2)
@@ -220,7 +226,7 @@ class TestShardRouterSearchMany:
     def test_per_query_taus_route_to_the_right_shards(self):
         strings = ["ab", "abc", "abcdef", "abcdefg"]
         single = DynamicSearcher(strings, max_tau=2)
-        with ShardRouter(strings, shards=2, max_tau=2, policy="length",
+        with ShardRouter(strings, shards=2, max_tau=2,
                          backend="thread") as router:
             queries = ["ab", "abcdef", "abcd"]
             taus = [0, 2, 1]
@@ -385,17 +391,16 @@ class TestTopKManyProperty:
         assert searcher.search_top_k_many(batch, k) == [
             searcher.search_top_k(query, k) for query in batch]
 
-    @pytest.mark.parametrize("policy", ["hash", "length"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @given(ops=MUTATIONS,
            batch=st.lists(st.text(alphabet="ab", max_size=8),
                           min_size=1, max_size=5),
            max_tau=st.integers(min_value=0, max_value=2),
            k=st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
-    def test_two_shards_both_policies(self, policy, ops, batch, max_tau, k):
+    def test_two_shards_both_backends(self, backend, ops, batch, max_tau, k):
         single = DynamicSearcher(max_tau=max_tau)
-        router = ShardRouter(shards=2, max_tau=max_tau, policy=policy,
-                             backend="thread")
+        router = ShardRouter(shards=2, max_tau=max_tau, backend=backend)
         with router:
             live: set[int] = set()
             _apply(single, ops, live)
@@ -409,8 +414,8 @@ class TestTopKManyProperty:
     def test_mid_resharding_parity(self):
         strings = random_strings(40, 2, 12, alphabet="abc", seed=31)
         single = DynamicSearcher(strings, max_tau=2)
-        with ShardRouter(strings, shards=2, max_tau=2, policy="hash",
-                         backend="thread", migration_batch=3) as router:
+        with ShardRouter(strings, shards=2, max_tau=2, backend="thread",
+                         migration_batch=3) as router:
             router.add_shard(drain=False)
             router.migration_step()  # mid-migration: rows dual-present
             queries = random_strings(10, 2, 12, alphabet="abc", seed=32)

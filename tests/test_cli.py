@@ -241,7 +241,7 @@ class TestServeAndQuery:
         assert cli.main(["serve", str(strings_file), "--tau", "1",
                          "--port", "0", "--cache-capacity", "16",
                          "--limit", "3",
-                         "--shards", "2", "--shard-policy", "length",
+                         "--shards", "2",
                          "--shard-backend", "thread",
                          "--migration-batch", "32"]) == 0
         config = captured_args["config"]
@@ -249,13 +249,12 @@ class TestServeAndQuery:
         assert config.port == 0
         assert config.cache_capacity == 16
         assert config.shards == 2
-        assert config.shard_policy == "length"
         assert config.shard_backend == "thread"
         assert config.migration_batch == 32
         assert len(captured_args["strings"]) == 3
         err = capsys.readouterr().err
         assert "serving 3 strings" in err
-        assert "2 length shards" in err
+        assert "2 shards" in err
 
     def test_serve_missing_file_reports_error(self, tmp_path, capsys):
         code = main(["serve", str(tmp_path / "nope.txt")])
@@ -297,7 +296,8 @@ class TestAdmin:
             assert main(["admin", "status",
                          "--host", host, "--port", str(port)]) == 0
             out = capsys.readouterr().out
-            assert "shards: 2" in out
+            assert "shards: 2 (thread backend)" in out
+            assert "placement" not in out
             assert "rows per shard:" in out
             assert "rows migrated (lifetime): 0" in out
 

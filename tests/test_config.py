@@ -105,7 +105,6 @@ class TestServiceConfig:
         ("batch_window", float("nan")), ("batch_window", float("inf")),
         ("slow_query_ms", float("nan")), ("slow_query_ms", float("inf")),
         ("shards", 0), ("shards", True), ("shards", 1.5),
-        ("shard_policy", "round-robin"), ("shard_policy", 3),
         ("shard_backend", "forkserver"),
         ("migration_batch", 0), ("migration_batch", -3),
         ("migration_batch", True), ("migration_batch", 2.5),
@@ -139,9 +138,10 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError, match="migration_batch"):
             ServiceConfig(migration_batch=0)
 
-    def test_unknown_shard_policy_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="shard_policy"):
-            ServiceConfig(shard_policy="zipcode")
+    def test_shard_policy_is_not_a_field(self):
+        # One placement map: even the former default is refused.
+        with pytest.raises(TypeError, match="shard_policy"):
+            ServiceConfig(shard_policy="hash")
 
     def test_config_error_alias_catches_configuration_errors(self):
         from repro.exceptions import ConfigError
@@ -152,18 +152,14 @@ class TestServiceConfig:
     def test_sharding_defaults_are_unsharded(self):
         config = ServiceConfig()
         assert config.shards == 1
-        assert config.shard_policy == "hash"
         assert config.shard_backend == "auto"
         assert config.migration_batch == 256
 
     def test_sharding_fields_accepted(self):
-        config = ServiceConfig(shards=4, shard_policy="length",
-                               shard_backend="thread", migration_batch=32)
-        assert (config.shards, config.shard_policy, config.shard_backend,
-                config.migration_batch) == (4, "length", "thread", 32)
-
-    def test_modulo_policy_accepted(self):
-        assert ServiceConfig(shard_policy="modulo").shard_policy == "modulo"
+        config = ServiceConfig(shards=4, shard_backend="thread",
+                               migration_batch=32)
+        assert (config.shards, config.shard_backend,
+                config.migration_batch) == (4, "thread", 32)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

@@ -114,11 +114,11 @@ class TestDynamicExplain:
 
 
 class TestRouterExplain:
-    @pytest.mark.parametrize("policy", ["hash", "length"])
-    def test_merged_report_matches_unsharded(self, policy):
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_merged_report_matches_unsharded(self, shards):
         strings = random_strings(40, 3, 12, seed=5)
         oracle = DynamicSearcher(strings, max_tau=2)
-        with ShardRouter(strings, shards=3, max_tau=2, policy=policy,
+        with ShardRouter(strings, shards=shards, max_tau=2,
                          backend="thread") as router:
             for query in random_strings(10, 3, 12, seed=6):
                 report = router.explain(query, 2)
@@ -130,7 +130,7 @@ class TestRouterExplain:
                 assert len(report["shards"]) >= 1
 
     def test_per_shard_reports_sum_into_merged_funnel(self):
-        with ShardRouter(STRINGS, shards=2, max_tau=1, policy="modulo",
+        with ShardRouter(STRINGS, shards=2, max_tau=1,
                          backend="thread") as router:
             report = router.explain("vldb", 1)
             for field in FUNNEL_FIELDS:
@@ -142,10 +142,9 @@ class TestRouterExplain:
                     shard["verifier"][field] for shard in report["shards"])
 
     def test_empty_probe_window_returns_zeroed_report(self):
-        # Length-band placement: a query far outside every indexed length
-        # touches no shard at all.
+        # A query far outside every indexed length touches no shard at all.
         with ShardRouter(["ab", "abc"], shards=2, max_tau=1,
-                         policy="length", backend="thread") as router:
+                         backend="thread") as router:
             report = router.explain("x" * 50, 1)
             assert report == empty_explain_report("x" * 50, 1)
 
@@ -156,7 +155,7 @@ class TestRouterExplain:
                 router.explain("vldb", 2)
 
     def test_process_backend_reports_cross_the_pipe(self):
-        with ShardRouter(STRINGS, shards=2, max_tau=1, policy="modulo",
+        with ShardRouter(STRINGS, shards=2, max_tau=1,
                          backend="process") as router:
             report = router.explain("vldb", 1)
             matches = router.search("vldb", 1)

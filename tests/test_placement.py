@@ -1,11 +1,12 @@
-"""Unit tests for the placement maps (repro.service.placement).
+"""Unit tests for record placement (repro.service.placement).
 
-Two contracts matter for every map:
+Two contracts matter:
 
-* **Probe soundness** — the shard that owns a record of length ``l`` is in
-  the probe set of any query whose length window includes ``l``.  Break
+* **Probe soundness** — any live record a query could match (its length
+  lies in the query's window) sits on a shard the router probes, and the
+  router probes nothing when no live length lies in the window.  Break
   this and sharded searches silently lose matches.
-* **Resize stability** — ``resized()`` must reassign few records (the
+* **Resize stability** — growing the ring must reassign few records (the
   consistent-hash ring's whole reason to exist) and the records that do
   move on a grow must move *to the new shard* (nothing shuffles between
   surviving shards).
@@ -14,104 +15,69 @@ Two contracts matter for every map:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import ServiceConfig
 from repro.exceptions import ConfigurationError
-from repro.service.placement import (VNODES, ConsistentHashPlacementMap,
-                                     LengthBandPlacementMap,
-                                     ModuloPlacementMap, make_placement_map,
-                                     mix64)
+from repro.service.placement import VNODES, HashRing, mix64
+from repro.service.sharding import ShardRouter
 
-ALL_MAP_TYPES = [ConsistentHashPlacementMap, LengthBandPlacementMap,
-                 ModuloPlacementMap]
+from helpers import random_strings
+
+#: Record-id families the ring must place: the dense auto-id case, sparse
+#: caller-chosen ids, and ids near the top of the 64-bit range.
+ID_FAMILIES = {
+    "dense": range(200),
+    "sparse": range(0, 200 * 7919, 7919),
+    "huge": range(2 ** 62, 2 ** 62 + 200),
+}
 
 
-class TestRegistry:
-    def test_names_resolve_to_their_types(self):
-        assert isinstance(make_placement_map("hash", 2, 1),
-                          ConsistentHashPlacementMap)
-        assert isinstance(make_placement_map("length", 2, 1),
-                          LengthBandPlacementMap)
-        assert isinstance(make_placement_map("modulo", 2, 1),
-                          ModuloPlacementMap)
+def thread_router(shards):
+    return ShardRouter(shards=shards, max_tau=1, backend="thread")
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_placement_map("zipcode", 2, 1)
 
-    @pytest.mark.parametrize("map_type", ALL_MAP_TYPES)
+class TestValidation:
+    @pytest.mark.parametrize("build", [HashRing, thread_router,
+                                       lambda shards: ServiceConfig(
+                                           shards=shards)],
+                             ids=["ring", "router", "config"])
     @pytest.mark.parametrize("bad", [0, -1, True, 1.5])
-    def test_invalid_shard_counts_rejected(self, map_type, bad):
+    def test_invalid_shard_counts_rejected(self, build, bad):
         with pytest.raises(ConfigurationError):
-            map_type(bad, 1)
-
-    @pytest.mark.parametrize("map_type", ALL_MAP_TYPES)
-    def test_resized_preserves_kind_and_max_tau(self, map_type):
-        resized = map_type(2, 3).resized(5)
-        assert type(resized) is map_type
-        assert (resized.num_shards, resized.max_tau) == (5, 3)
+            build(bad)
 
 
 class TestContracts:
-    @pytest.mark.parametrize("map_type", ALL_MAP_TYPES)
+    @pytest.mark.parametrize("family", sorted(ID_FAMILIES))
     @pytest.mark.parametrize("shards", [1, 2, 3, 5])
-    def test_place_lands_on_a_real_shard(self, map_type, shards):
-        placement = map_type(shards, 2)
-        for record_id in range(200):
-            for length in (0, 3, 17):
-                assert 0 <= placement.place(record_id, length) < shards
+    def test_place_lands_on_a_real_shard(self, family, shards):
+        ring = HashRing(shards)
+        assert {ring.place(record_id) for record_id in ID_FAMILIES[family]
+                } <= set(range(shards))
 
-    @pytest.mark.parametrize("map_type", ALL_MAP_TYPES)
+    @pytest.mark.parametrize("max_tau", [0, 1, 2])
     @pytest.mark.parametrize("shards", [1, 2, 3, 5])
-    def test_probe_covers_every_owner_in_the_window(self, map_type, shards):
-        # Probe soundness: any record a query could match is on a probed
-        # shard, for every (query length, tau, record id, record length).
-        placement = map_type(shards, 2)
-        for query_length in range(0, 25):
-            for tau in (0, 1, 2):
-                probed = set(placement.probe_shards(query_length, tau))
-                for length in range(max(0, query_length - tau),
-                                    query_length + tau + 1):
-                    for record_id in (0, 7, 12345):
-                        assert placement.place(record_id, length) in probed
+    def test_probe_covers_every_owner_in_the_window(self, max_tau, shards):
+        # Probe soundness: every live record whose length lies in a query's
+        # window is on a probed shard, and a window holding no live length
+        # probes nothing.  Lengths 3-8 and 14-16 leave a gap to fall into.
+        strings = (random_strings(30, 3, 8, seed=shards)
+                   + random_strings(10, 14, 16, seed=shards + 1))
+        with ShardRouter(strings, shards=shards, max_tau=max_tau,
+                         backend="thread") as router:
+            for query_length in range(0, 25):
+                query = "a" * query_length
+                for tau in range(max_tau + 1):
+                    probed = set(router._probe_targets(query, tau))
+                    owners = {router._shard_of[record_id]
+                              for record_id, text in enumerate(strings)
+                              if abs(len(text) - query_length) <= tau}
+                    assert owners <= probed
+                    assert bool(probed) == bool(owners)
 
-    @pytest.mark.parametrize("map_type", ALL_MAP_TYPES)
-    def test_placement_is_deterministic(self, map_type):
-        first, second = map_type(4, 2), map_type(4, 2)
-        assert all(first.place(i, i % 9) == second.place(i, i % 9)
-                   for i in range(500))
-
-
-class TestModulo:
-    def test_places_by_id_and_probes_everything(self):
-        placement = ModuloPlacementMap(3, 2)
-        assert [placement.place(i, 10) for i in range(6)] == [0, 1, 2, 0, 1, 2]
-        assert placement.probe_shards(5, 0) == (0, 1, 2)
-
-    def test_resize_moves_almost_everything(self):
-        # The cautionary baseline: modulo reassigns ~N/(N+1) of the ids.
-        old, new = ModuloPlacementMap(4, 2), ModuloPlacementMap(4, 2).resized(5)
-        moved = sum(old.place(i, 0) != new.place(i, 0) for i in range(1000))
-        assert moved > 700
-
-
-class TestLengthBands:
-    def test_colocates_similar_lengths(self):
-        placement = LengthBandPlacementMap(4, 2)  # band width 3
-        assert placement.place(99, 0) == placement.place(7, 2) == 0
-        assert placement.place(0, 3) == 1
-
-    def test_probes_only_intersecting_shards(self):
-        placement = LengthBandPlacementMap(4, 2)
-        # lengths [7, 9] -> bands 2..3 -> shards 2 and 3, nothing else.
-        assert placement.probe_shards(8, 1) == (2, 3)
-        # with fewer shards than bands in the window, scatter to all.
-        assert LengthBandPlacementMap(2, 2).probe_shards(8, 2) == (0, 1)
-
-    def test_resize_redeals_bands_not_band_membership(self):
-        old, new = LengthBandPlacementMap(3, 2), LengthBandPlacementMap(3, 2).resized(4)
-        for length in range(0, 40):
-            band = length // 3
-            assert old.place(0, length) == band % 3
-            assert new.place(0, length) == band % 4
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_placement_is_deterministic(self, shards):
+        first, second = HashRing(shards), HashRing(shards)
+        assert all(first.place(i) == second.place(i) for i in range(500))
 
 
 class TestConsistentHash:
@@ -124,15 +90,14 @@ class TestConsistentHash:
         # Dense sequential ids (the auto-id common case) must not pile up
         # (the regression guarded here: ring points and record keys once
         # shared mix64 inputs, gluing ids 0..VNODES-1 onto shard 0).
-        placement = ConsistentHashPlacementMap(4, 2)
+        ring = HashRing(4)
         sizes = [0] * 4
         for record_id in range(2000):
-            sizes[placement.place(record_id, 0)] += 1
+            sizes[ring.place(record_id)] += 1
         assert min(sizes) > 2000 // 4 // 3  # no shard below 1/3 of fair share
 
     def test_ring_has_vnodes_points_per_shard(self):
-        placement = ConsistentHashPlacementMap(3, 2)
-        assert len(placement._points) == 3 * VNODES
+        assert len(HashRing(3)._points) == 3 * VNODES
 
     @pytest.mark.parametrize("shards", [2, 3, 4, 8])
     def test_grow_moves_at_most_2_over_n_and_only_to_the_new_shard(
@@ -141,20 +106,18 @@ class TestConsistentHash:
         # (expected 1/N; 2/N absorbs virtual-node variance), and every
         # moved record moves to the shard that was added.
         population = 5000
-        old = ConsistentHashPlacementMap(shards, 2)
-        new = old.resized(shards + 1)
+        old, new = HashRing(shards), HashRing(shards + 1)
         moved = [record_id for record_id in range(population)
-                 if old.place(record_id, 0) != new.place(record_id, 0)]
+                 if old.place(record_id) != new.place(record_id)]
         assert len(moved) <= 2 * population // (shards + 1)
-        assert all(new.place(record_id, 0) == shards for record_id in moved)
+        assert all(new.place(record_id) == shards for record_id in moved)
 
     @pytest.mark.parametrize("shards", [2, 3, 4, 8])
     def test_shrink_moves_only_the_retired_shards_records(self, shards):
         population = 5000
-        old = ConsistentHashPlacementMap(shards + 1, 2)
-        new = old.resized(shards)
+        old, new = HashRing(shards + 1), HashRing(shards)
         for record_id in range(population):
-            before, after = old.place(record_id, 0), new.place(record_id, 0)
+            before, after = old.place(record_id), new.place(record_id)
             if before != shards:  # survivor-owned records never move
                 assert after == before
 
@@ -164,7 +127,6 @@ class TestConsistentHash:
     def test_place_is_stable_under_unrelated_growth(self, record_id, shards):
         # Consistency property over arbitrary ids: either the record keeps
         # its owner across a grow, or it moves to the new shard.
-        old = ConsistentHashPlacementMap(shards, 1)
-        new = old.resized(shards + 1)
-        before, after = old.place(record_id, 0), new.place(record_id, 0)
+        before = HashRing(shards).place(record_id)
+        after = HashRing(shards + 1).place(record_id)
         assert after == before or after == shards

@@ -3,11 +3,12 @@
 The load-bearing property (the PR's acceptance criterion): random
 interleavings of insert / delete / search / ``add_shard`` / ``remove_shard``
 — including queries issued **while a migration is in flight** — keep a
-``ShardRouter`` element-identical to an unsharded ``DynamicSearcher``, for
-every placement policy and for both the thread and process backends.  On
-top of that: the consistent-hash ring's ``≤ ~2/N`` rows-moved bound, donor
-row release after migration, the length policy's empty-band fast path, and
-the degenerate ``search_many`` batches.
+``ShardRouter`` element-identical to an unsharded ``DynamicSearcher``, at
+several fleet sizes and for both the thread and process backends.  On top
+of that: the consistent-hash ring's ``≤ ~2/N`` rows-moved bound, donor row
+release after migration, the empty-length-window fast path, the scalar
+epoch the service cache keys on, and the degenerate ``search_many``
+batches.
 """
 
 import multiprocessing
@@ -27,34 +28,35 @@ FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not FORK_AVAILABLE,
                                 reason="process backend requires fork")
 
-ALL_POLICIES = ["hash", "length", "modulo"]
+#: Initial fleet sizes the oracle tests run the consistent-hash ring at.
+SHARD_COUNTS = [2, 3, 4]
 
 
-def make_pair(strings, *, shards=3, max_tau=2, policy="hash",
-              backend="thread", migration_batch=4, **kwargs):
+def make_pair(strings, *, shards=3, max_tau=2, backend="thread",
+              migration_batch=4, **kwargs):
     """A router and its unsharded oracle over the same collection."""
     router = ShardRouter(strings, shards=shards, max_tau=max_tau,
-                         policy=policy, backend=backend,
-                         migration_batch=migration_batch, **kwargs)
+                         backend=backend, migration_batch=migration_batch,
+                         **kwargs)
     return router, DynamicSearcher(strings, max_tau=max_tau)
 
 
 class TestAddRemoveBasics:
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_add_then_remove_roundtrip_preserves_answers(self, policy):
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_add_then_remove_roundtrip_preserves_answers(self, shards):
         strings = random_strings(50, 3, 12, alphabet="abc", seed=31)
         queries = random_strings(10, 2, 13, alphabet="abc", seed=32)
-        router, single = make_pair(strings, policy=policy)
+        router, single = make_pair(strings, shards=shards)
         with router:
             expected = [single.search(query) for query in queries]
             status = router.add_shard()
             assert status["active"] is False
-            assert status["shards"] == router.num_shards == 4
-            assert len(router.epoch_vector) == 4
+            assert status["shards"] == router.num_shards == shards + 1
+            assert len(router.epoch_vector) == shards + 1
             assert [router.search(query) for query in queries] == expected
             status = router.remove_shard()
-            assert status["shards"] == router.num_shards == 3
-            assert len(router._shards) == 3
+            assert status["shards"] == router.num_shards == shards
+            assert len(router._shards) == shards
             assert [router.search(query) for query in queries] == expected
             assert sum(router.shard_sizes()) == len(single)
 
@@ -100,7 +102,7 @@ class TestAddRemoveBasics:
 
     def test_status_reports_progress_and_last_summary(self):
         strings = [f"string{i:03d}" for i in range(30)]
-        router, _ = make_pair(strings, policy="modulo", migration_batch=5)
+        router, _ = make_pair(strings, migration_batch=5)
         with router:
             status = router.add_shard(drain=False)
             assert status["active"] is True
@@ -120,33 +122,46 @@ class TestAddRemoveBasics:
 
 
 class TestMigrationVolume:
-    def test_consistent_hash_grow_moves_at_most_2_over_n(self):
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_consistent_hash_grow_moves_at_most_2_over_n(self, shards):
         # Acceptance: the rows-migrated counter stays within ~2/N on a
         # consistent-hash resize (expected 1/N; 2/N absorbs ring variance).
         strings = [f"record-{i:04d}" for i in range(400)]
-        router, _ = make_pair(strings, shards=4, policy="hash")
+        bound = 2 * len(strings) // (shards + 1)
+        router, _ = make_pair(strings, shards=shards)
         with router:
             status = router.add_shard()
-            assert status["rows_total"] <= 2 * len(strings) // 5
+            assert 0 < status["rows_total"] <= bound
             assert router.rows_migrated_total == status["rows_total"]
             shrink = router.remove_shard()
-            assert shrink["rows_total"] <= 2 * len(strings) // 5
+            assert shrink["rows_total"] <= bound
 
-    def test_modulo_grow_moves_most_rows(self):
-        # The baseline the ring beats: id % N reassigns nearly everything.
-        strings = [f"record-{i:04d}" for i in range(200)]
-        router, _ = make_pair(strings, shards=4, policy="modulo")
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_every_step_that_moves_rows_moves_the_epoch(self, shards):
+        # The service cache keys on the scalar epoch alone, so a step that
+        # changes any shard's contents must raise it (and none may lower
+        # it), on a grow and on a shrink alike.
+        strings = random_strings(60, 3, 12, alphabet="abcd", seed=shards)
+        router, _ = make_pair(strings, shards=shards, migration_batch=5)
         with router:
-            status = router.add_shard()
-            assert status["rows_total"] > len(strings) // 2
+            for resize in (router.add_shard, router.remove_shard):
+                status = resize(drain=False)
+                assert status["rows_total"] > 0
+                while status["active"]:
+                    epoch = router.epoch
+                    moved = status["rows_copied"] + status["rows_released"]
+                    status = router.migration_step()
+                    assert (status["rows_copied"] + status["rows_released"]
+                            > moved)
+                    assert router.epoch > epoch
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_donor_store_rows_are_released(self, policy):
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_donor_store_rows_are_released(self, shards):
         # After a drained resize every moved row must be gone from its
         # donor's RecordStore: fleet-wide store rows == live rows.  The
         # release steps' deletes free them; nothing runs afterwards.
         strings = random_strings(60, 3, 12, alphabet="abcd", seed=35)
-        router, _ = make_pair(strings, policy=policy)
+        router, _ = make_pair(strings, shards=shards)
         with router:
             for resize in (router.add_shard, router.remove_shard):
                 resize()
@@ -156,11 +171,11 @@ class TestMigrationVolume:
 
 
 class TestMidMigrationQueries:
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_queries_between_every_step_match_oracle(self, policy):
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_queries_between_every_step_match_oracle(self, shards):
         strings = random_strings(60, 2, 12, alphabet="abc", seed=36)
         queries = random_strings(8, 1, 13, alphabet="abc", seed=37)
-        router, single = make_pair(strings, policy=policy, migration_batch=3)
+        router, single = make_pair(strings, shards=shards, migration_batch=3)
         with router:
             for resize in (router.add_shard, router.remove_shard):
                 resize(drain=False)
@@ -171,11 +186,11 @@ class TestMidMigrationQueries:
                         assert (router.search_top_k(query, 3)
                                 == single.search_top_k(query, 3))
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_mutations_during_migration(self, policy):
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_mutations_during_migration(self, shards):
         strings = random_strings(40, 3, 10, alphabet="ab", seed=38)
         queries = random_strings(8, 2, 11, alphabet="ab", seed=39)
-        router, single = make_pair(strings, policy=policy, migration_batch=2)
+        router, single = make_pair(strings, shards=shards, migration_batch=2)
         with router:
             router.add_shard(drain=False)
             router.migration_step()  # first batch is now dual-present
@@ -191,11 +206,12 @@ class TestMidMigrationQueries:
                 assert router.search(query) == single.search(query)
             assert len(router) == len(single)
 
-    def test_deleting_a_dual_present_record_removes_both_copies(self):
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_deleting_a_dual_present_record_removes_both_copies(self, shards):
         # Force dual presence, delete, and make sure the donor copy can
         # never resurface — even before the release step runs.
         strings = [f"record{i:02d}" for i in range(20)]
-        router, single = make_pair(strings, shards=2, policy="modulo",
+        router, single = make_pair(strings, shards=shards,
                                    migration_batch=50)
         with router:
             router.add_shard(drain=False)
@@ -210,21 +226,32 @@ class TestMidMigrationQueries:
             assert router.search(strings[victim], tau=0) == []
 
 
-def run_elastic_ops(ops, *, policy, backend="thread", max_tau=2):
-    """Drive a router and its oracle through an elastic op interleaving."""
-    router = ShardRouter(shards=2, max_tau=max_tau, policy=policy,
-                         backend=backend, migration_batch=2)
+def run_elastic_ops(ops, *, shards=2, backend="thread", max_tau=2):
+    """Drive a router and its oracle through an elastic op interleaving.
+
+    After every op the router's scalar epoch (the service cache key) must
+    not have fallen, and it must have risen whenever the op changed the
+    collection or moved rows between shards.
+    """
+    router = ShardRouter(shards=shards, max_tau=max_tau, backend=backend,
+                         migration_batch=2)
     single = DynamicSearcher(max_tau=max_tau)
     inserted = 0
     try:
         for op in ops:
             kind = op[0]
+            epoch = router.epoch
+            moved = (router.rebalance_status().get("rows_copied", 0)
+                     + router.rebalance_status().get("rows_released", 0))
+            changed = False
             if kind == "insert":
                 assert router.insert(op[1]) == single.insert(op[1])
                 inserted += 1
+                changed = True
             elif kind == "delete":
                 target = op[1] % max(1, inserted)
-                assert router.delete(target) == single.delete(target)
+                changed = router.delete(target)
+                assert changed == single.delete(target)
             elif kind == "search":
                 assert router.search(op[1]) == single.search(op[1])
             elif kind == "grow":
@@ -233,8 +260,11 @@ def run_elastic_ops(ops, *, policy, backend="thread", max_tau=2):
             elif kind == "shrink":
                 if router._migration is None and router.num_shards > 1:
                     router.remove_shard(drain=False)
-            else:  # step
-                router.migration_step()
+            elif router._migration is not None:  # step
+                status = router.migration_step()
+                changed = (status["rows_copied"] + status["rows_released"]
+                           > moved)
+            assert router.epoch > epoch if changed else router.epoch >= epoch
             assert len(router) == len(single)
         router.drain_migration()
         return router, single
@@ -257,13 +287,13 @@ ELASTIC_OPS = st.lists(
 class TestElasticEquivalence:
     """The acceptance property: resizes never change any answer."""
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @given(ops=ELASTIC_OPS,
            queries=st.lists(st.text(alphabet="ab", max_size=8), min_size=1,
                             max_size=4))
     @settings(max_examples=50, deadline=None)
-    def test_interleaved_resizes_match_unsharded(self, policy, ops, queries):
-        router, single = run_elastic_ops(ops, policy=policy)
+    def test_interleaved_resizes_match_unsharded(self, shards, ops, queries):
+        router, single = run_elastic_ops(ops, shards=shards)
         with router:
             for query in queries:
                 for tau in range(router.max_tau + 1):
@@ -272,12 +302,12 @@ class TestElasticEquivalence:
                         == single.search_top_k(query, 3))
 
     @needs_fork
-    @pytest.mark.parametrize("policy", ["hash", "length"])
+    @pytest.mark.parametrize("shards", [2, 3])
     @given(ops=ELASTIC_OPS)
     @settings(max_examples=8, deadline=None)
     def test_interleaved_resizes_match_unsharded_process_backend(
-            self, policy, ops):
-        router, single = run_elastic_ops(ops, policy=policy,
+            self, shards, ops):
+        router, single = run_elastic_ops(ops, shards=shards,
                                          backend="process")
         with router:
             for query in ("", "ab", "abab", "bbbbbb"):
@@ -308,28 +338,28 @@ class TestProcessBackendResharding:
 class TestDegenerateBatches:
     """search_many() edge batches (satellite): always element-identical."""
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_empty_batch(self, policy):
-        router, _ = make_pair(["abcd", "bcde"], policy=policy)
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_empty_batch(self, shards):
+        router, _ = make_pair(["abcd", "bcde"], shards=shards)
         with router:
             assert router.search_many([]) == []
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_all_duplicate_batch(self, policy):
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_all_duplicate_batch(self, shards):
         strings = random_strings(30, 3, 9, alphabet="ab", seed=43)
-        router, single = make_pair(strings, policy=policy)
+        router, single = make_pair(strings, shards=shards)
         with router:
             batch = ["abab"] * 6
             assert (router.search_many(batch)
                     == [single.search("abab")] * 6
                     == [router.search("abab")] * 6)
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_batch_issued_mid_migration(self, policy):
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_batch_issued_mid_migration(self, shards):
         strings = random_strings(40, 3, 10, alphabet="abc", seed=44)
         queries = random_strings(6, 2, 11, alphabet="abc", seed=45)
         batch = queries + [queries[0], queries[0]]  # duplicates too
-        router, single = make_pair(strings, policy=policy, migration_batch=3)
+        router, single = make_pair(strings, shards=shards, migration_batch=3)
         with router:
             expected = [single.search(query) for query in batch]
             router.add_shard(drain=False)
@@ -340,24 +370,23 @@ class TestDegenerateBatches:
             assert router.search_many(batch) == expected
 
 
-class TestLengthPolicyEdges:
-    """Empty-band fast path (satellite): no scatter when no band can match."""
+class TestLengthWindowEdges:
+    """Empty-window fast path: no scatter when no live length can match."""
 
     def spy_scatter(self, router):
         calls = []
-        original = router._scatter_each
+        original = router._scatter
 
-        def recording(targets, op, args_list):
+        def recording(targets, op, args):
             calls.append((tuple(targets), op))
-            return original(targets, op, args_list)
+            return original(targets, op, args)
 
-        router._scatter_each = recording
+        router._scatter = recording
         return calls
 
     def test_out_of_band_query_returns_empty_without_scatter(self):
         strings = ["abcd", "abcde", "bcdef"]  # lengths 4-5 only
-        router, single = make_pair(strings, shards=2, policy="length",
-                                   max_tau=1)
+        router, single = make_pair(strings, shards=2, max_tau=1)
         with router:
             calls = self.spy_scatter(router)
             query = "a" * 20  # window [19, 21]: intersects no live length
@@ -367,32 +396,25 @@ class TestLengthPolicyEdges:
             assert calls == []  # not a single shard was probed
 
     def test_empty_shard_edge(self):
-        # All records fall into one band -> the other shards own nothing;
-        # queries against their (empty) bands return [] without scattering.
-        strings = ["abcd", "abce", "abcf"]  # one band (width 2, lengths 4-5)
-        router, single = make_pair(strings, shards=3, policy="length",
-                                   max_tau=1)
+        # Every record has length 4; a query whose window [1, 3] holds no
+        # live length returns [] without scattering.
+        strings = ["abcd", "abce", "abcf"]
+        router, single = make_pair(strings, shards=3, max_tau=1)
         with router:
             calls = self.spy_scatter(router)
             assert router.search("ab", tau=1) == single.search("ab", 1) == []
             assert calls == []
-            # A populated window still scatters, and only to the shards
-            # whose bands intersect it (bands 1-2 -> shards 1 and 2).
-            assert router.search("abcd", tau=1) == single.search("abcd", 1)
-            assert calls == [((1, 2), "search-many")]
 
     def test_boundary_lengths_still_covered(self):
         # Window edges exactly touching a populated band must still probe.
         strings = ["abcdef"]  # length 6
-        router, single = make_pair([*strings], shards=2, policy="length",
-                                   max_tau=2)
+        router, single = make_pair([*strings], shards=2, max_tau=2)
         with router:
             for query in ("abcd", "abcdefgh"):  # |q| ± 2 touches length 6
                 assert router.search(query, 2) == single.search(query, 2)
 
     def test_deleting_last_record_of_a_length_restores_fast_path(self):
-        router, single = make_pair(["abcd"], shards=2, policy="length",
-                                   max_tau=1)
+        router, single = make_pair(["abcd"], shards=2, max_tau=1)
         with router:
             assert router.search("abcd") == single.search("abcd")
             router.delete(0), single.delete(0)
@@ -404,9 +426,9 @@ class TestLengthPolicyEdges:
 class TestServiceResharding:
     """The wire layer: add-shard / remove-shard / rebalance-status ops."""
 
-    def make_service(self, strings, **overrides):
-        config = ServiceConfig(max_tau=2, shards=2, shard_backend="thread",
-                               migration_batch=4, **overrides)
+    def make_service(self, strings, *, shards=2):
+        config = ServiceConfig(max_tau=2, shards=shards,
+                               shard_backend="thread", migration_batch=4)
         return SimilarityService(strings, config)
 
     def test_reshard_ops_roundtrip(self):
@@ -444,17 +466,18 @@ class TestServiceResharding:
         finally:
             service.close()
 
-    def test_cache_never_serves_stale_answers_across_a_resize(self):
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_cache_never_serves_stale_answers_across_a_resize(self, shards):
         strings = [f"string{i:02d}" for i in range(30)]
-        service = self.make_service(strings)
+        service = self.make_service(strings, shards=shards)
         try:
             search = {"op": "search", "query": "string07", "tau": 1}
             first = service.handle_request(search)
             assert service.handle_request(search)["cached"] is True
             service.handle_request({"op": "add-shard"})
             after = service.handle_request(search)
-            # The generation term retired the old entry; the re-computed
-            # answer matches, and caching resumes on the new placement.
+            # The moved rows moved the epoch, which dropped the old entry;
+            # the re-computed answer matches, and caching resumes.
             assert after["cached"] is False
             assert after["matches"] == first["matches"]
             assert service.handle_request(search)["cached"] is True

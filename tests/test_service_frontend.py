@@ -4,7 +4,8 @@
   handler is left parked in ``readline()`` for the loop to cancel.
 * One op table: every op the server dispatches is a method of both
   clients, and the two clients return equal values for it.
-* No removed knob (``acceptors``, ``replicas``, ``kernel``) comes back.
+* No removed knob (``acceptors``, ``replicas``, ``kernel``,
+  ``shard_policy``) comes back, and placement stays one map.
 """
 
 import asyncio
@@ -19,7 +20,7 @@ import pytest
 from repro.config import ServiceConfig
 from repro.exceptions import ProtocolError
 from repro.service import (AsyncServiceClient, BackgroundServer,
-                           ServiceClient)
+                           ServiceClient, ShardRouter, SimilarityService)
 from repro.service.client import _OpTable
 from repro.service.server import ALL_OPS, OPS
 
@@ -135,18 +136,52 @@ class TestRemovedKnobs:
                     getattr(client_class, method)(None, *arguments,
                                                   kernel="edit-distance")
 
-    def test_serve_does_not_offer_modulo_placement(self, capsys):
-        # modulo stays a ServiceConfig placement for tests; serve refuses it.
+    @pytest.mark.parametrize("policy", ["hash", "length", "modulo"])
+    def test_shard_policy_knob_is_gone(self, policy, capsys):
+        # One placement map: no former policy name is accepted anywhere.
         from repro.cli import main as cli_main
 
+        with pytest.raises(TypeError):
+            ServiceConfig(shards=2, shard_policy=policy)
+        with pytest.raises(TypeError):
+            ShardRouter(shards=2, max_tau=1, policy=policy, backend="thread")
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["serve", "strings.txt", "--shards", "2",
-                      "--shard-policy", "modulo"])
+                      "--shard-policy", policy])
         assert excinfo.value.code == 2
         assert "--shard-policy" in capsys.readouterr().err
 
+    def test_placement_has_one_map(self):
+        import repro.service
+        from repro.service import placement
+
+        for name in ("PlacementMap", "ConsistentHashPlacementMap",
+                     "LengthBandPlacementMap", "ModuloPlacementMap",
+                     "make_placement_map", "SHARD_POLICIES"):
+            assert not hasattr(placement, name)
+            assert name not in repro.service.__all__
+        assert "HashRing" in repro.service.__all__
+        assert not hasattr(placement.HashRing(2), "max_tau")
+
+    def test_router_reports_no_policy_or_generation(self):
+        # Answers never depend on placement, so neither the router nor
+        # the wire reports a policy or a placement generation.
+        service = SimilarityService(STRINGS, ServiceConfig(
+            max_tau=1, shards=2, shard_backend="thread"))
+        try:
+            router = service.searcher
+            for name in ("policy", "generation", "epoch_token"):
+                assert not hasattr(router, name)
+            shards = service.handle_request({"op": "stats"})["shards"]
+            assert "policy" not in shards
+            for status in (shards["rebalance"], router.rebalance_status()):
+                assert "policy" not in status
+                assert "generation" not in status
+        finally:
+            service.close()
+
     def test_config_and_op_table_sizes(self):
-        assert len(dataclasses.fields(ServiceConfig)) == 13
+        assert len(dataclasses.fields(ServiceConfig)) == 12
         assert len(ALL_OPS) == 14
         assert "kernels" not in ALL_OPS
         assert "compact" not in ALL_OPS

@@ -109,8 +109,8 @@ class TestMetricsOp:
 
 class TestShardedMetrics:
     def test_thread_backend_reports_per_shard_breakdown(self):
-        service = make_service(shards=2, shard_policy="modulo",
-                               shard_backend="thread", cache_capacity=0)
+        service = make_service(shards=2, shard_backend="thread",
+                               cache_capacity=0)
         try:
             service.handle_request({"op": "search", "query": "vldb", "tau": 1})
             response = service.handle_request({"op": "metrics"})
@@ -122,7 +122,7 @@ class TestShardedMetrics:
                 shard["counters"].get("engine_candidates", 0)
                 for shard in per_shard)
             # "vldb" (id 0) and "pvldb" (id 1) live on different shards
-            # under modulo placement: both workers accepted a match.
+            # of the 2-shard ring: both workers accepted a match.
             accepted = [shard["counters"].get("engine_accepted", 0)
                         for shard in per_shard]
             assert accepted == [1, 1]
@@ -130,8 +130,8 @@ class TestShardedMetrics:
             service.close()
 
     def test_fork_worker_counters_survive_the_pipe(self):
-        service = make_service(shards=2, shard_policy="modulo",
-                               shard_backend="process", cache_capacity=0)
+        service = make_service(shards=2, shard_backend="process",
+                               cache_capacity=0)
         try:
             for _ in range(2):
                 service.handle_request({"op": "search", "query": "vldb",

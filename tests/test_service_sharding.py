@@ -1,10 +1,10 @@
 """Tests for the sharded serving tier.
 
 The load-bearing property (the PR's acceptance criterion): for random
-interleavings of insert/delete/search, a 3-shard ``ShardRouter`` (thread
-backend) returns **element-identical** results to a single unsharded
-``DynamicSearcher`` — for both placement policies, for threshold search and
-top-k alike.  The process backend is exercised separately (and skipped on
+interleavings of insert/delete/search, a ``ShardRouter`` (thread backend)
+returns **element-identical** results to a single unsharded
+``DynamicSearcher`` — at 2, 3 and 4 shards, for threshold search and top-k
+alike.  The process backend is exercised separately (and skipped on
 platforms without ``fork``).
 """
 
@@ -26,9 +26,9 @@ FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not FORK_AVAILABLE,
                                 reason="process backend requires fork")
 
-#: Every placement policy the router accepts (unit-level coverage of the
-#: maps themselves lives in test_placement.py).
-ALL_POLICIES = ["hash", "length", "modulo"]
+#: Fleet sizes the oracle tests run the consistent-hash ring at
+#: (unit-level coverage of the ring itself lives in test_placement.py).
+SHARD_COUNTS = [2, 3, 4]
 
 
 class TestBackends:
@@ -55,9 +55,9 @@ class TestBackends:
         assert resolved == ["thread"]
 
 
-def make_router(strings=(), *, shards=3, max_tau=2, policy="hash",
-                backend="thread", **kwargs):
-    return ShardRouter(strings, shards=shards, max_tau=max_tau, policy=policy,
+def make_router(strings=(), *, shards=3, max_tau=2, backend="thread",
+                **kwargs):
+    return ShardRouter(strings, shards=shards, max_tau=max_tau,
                        backend=backend, **kwargs)
 
 
@@ -104,13 +104,16 @@ class TestRouterBasics:
             assert [m.text for m in router.search("qrstuv", tau=0)] == ["qrstuv"]
 
     def test_mutations_bump_only_the_owning_shard(self):
-        # The modulo policy pins ids to shards deterministically.
-        with make_router(max_tau=1, policy="modulo") as router:
-            router.insert("aaaa", id=0)   # shard 0
+        with make_router(max_tau=1) as router:
+            # The first ids the ring places on shards 0 and 1.
+            first, second = (next(record_id for record_id in range(1000)
+                                  if router.ring.place(record_id) == shard)
+                             for shard in (0, 1))
+            router.insert("aaaa", id=first)
             assert router.epoch_vector == (1, 0, 0)
-            router.insert("bbbb", id=4)   # 4 % 3 == 1
+            router.insert("bbbb", id=second)
             assert router.epoch_vector == (1, 1, 0)
-            router.delete(0)
+            router.delete(first)
             assert router.epoch_vector == (2, 1, 0)
             assert router.epoch == 3
 
@@ -180,37 +183,38 @@ class TestRouterBasics:
         # Two live records with one id could land on different shards and
         # surface twice in a merged result, so the router refuses them.
         with pytest.raises(ValueError):
-            make_router([StringRecord(0, "abab"), StringRecord(0, "cdcdcd")],
-                        policy="length")
+            make_router([StringRecord(0, "abab"), StringRecord(0, "cdcdcd")])
 
 
-class TestEpochToken:
-    def test_hash_token_depends_on_every_shard(self):
-        with make_router(["aaaa"], policy="hash") as router:
-            key = ("search", "aaaa", 1)
-            before = router.epoch_token(key)
-            # generation term first, then the probed (= all) shard epochs.
-            assert before == (router.generation, *router.epoch_vector)
-            router.insert("bbbb")
-            assert router.epoch_token(key) != before
+class TestEpoch:
+    def test_epoch_depends_on_every_shard(self):
+        with make_router(max_tau=1) as router:
+            # A mutation on any shard moves the scalar epoch, which is the
+            # sum of the per-shard epochs.
+            for shard in range(router.num_shards):
+                record_id = next(candidate for candidate in range(1000)
+                                 if router.ring.place(candidate) == shard)
+                before = router.epoch
+                router.insert("aaaa", id=record_id)
+                assert router.epoch == before + 1
+                assert router.epoch == sum(router.epoch_vector)
 
-    def test_length_token_ignores_unrelated_shards(self):
-        # band width 2 (max_tau=1): lengths 2-3 -> shard 1, 4-5 -> shard 0.
-        with make_router(["ab", "abcd"], shards=2, max_tau=1,
-                         policy="length") as router:
-            short_key = ("search", "ab", 0)
-            long_key = ("search", "abcd", 0)
-            short_before = router.epoch_token(short_key)
-            long_before = router.epoch_token(long_key)
-            router.insert("abce")  # length 4 -> shard 0: the "long" shard
-            assert router.epoch_token(long_key) != long_before
-            assert router.epoch_token(short_key) == short_before
+
+def cache_trace(service, requests):
+    """``cached`` per request, then the cache counters."""
+    flags = [service.handle_request(request).get("cached")
+             for request in requests]
+    stats = service.cache.stats
+    return flags, (stats.hits, stats.misses, stats.invalidations)
 
 
 class TestShardedServiceCache:
-    def test_mutation_on_one_shard_keeps_other_shards_cached(self):
-        config = ServiceConfig(max_tau=1, shards=2, shard_policy="length",
-                               shard_backend="thread")
+    @pytest.mark.parametrize("backend", [
+        "thread", pytest.param("process", marks=needs_fork)])
+    def test_mutation_on_one_shard_invalidates_the_cache(self, backend):
+        # The sharded cache keys on the router's scalar epoch, exactly as
+        # the unsharded one does: any mutation drops the warm cache.
+        config = ServiceConfig(max_tau=1, shards=2, shard_backend=backend)
         service = SimilarityService(["ab", "abcd"], config)
         try:
             short = {"op": "search", "query": "ab", "tau": 0}
@@ -218,12 +222,41 @@ class TestShardedServiceCache:
             for request in (short, long):
                 service.handle_request(request)
                 assert service.handle_request(request)["cached"] is True
-            # Mutate the shard owning length-4 strings only.
-            service.handle_request({"op": "insert", "text": "abce"})
+            invalidations = service.cache.stats.invalidations
+            record_id = service.handle_request(
+                {"op": "insert", "text": "abce"})["id"]
+            owner = service.searcher.ring.place(record_id)
+            assert service.searcher.epoch_vector[1 - owner] == 0
+            assert service.handle_request(short)["cached"] is False
+            assert service.cache.stats.invalidations == invalidations + 1
             assert service.handle_request(long)["cached"] is False
             assert service.handle_request(short)["cached"] is True
         finally:
             service.close()
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_sharded_cache_counts_match_unsharded(self, shards):
+        # One cache key: the same request stream hits, misses and
+        # invalidates identically whether or not the collection is sharded.
+        strings = random_strings(40, 2, 10, alphabet="abc", seed=shards)
+        queries = random_strings(6, 2, 10, alphabet="abc", seed=shards + 50)
+        requests = []
+        for round_index in range(3):
+            for query in queries + queries[:2]:
+                requests.append({"op": "search", "query": query, "tau": 1})
+                requests.append({"op": "top-k", "query": query, "k": 2})
+            requests.append({"op": "insert", "text": queries[round_index]})
+            requests.append({"op": "delete", "id": round_index * 5})
+        plain = SimilarityService(strings, ServiceConfig(max_tau=2))
+        sharded = SimilarityService(strings, ServiceConfig(
+            max_tau=2, shards=shards, shard_backend="thread"))
+        try:
+            expected = cache_trace(plain, requests)
+            assert cache_trace(sharded, requests) == expected
+            assert expected[1][2] > 0  # the stream did invalidate
+        finally:
+            plain.close()
+            sharded.close()
 
     def test_sharded_answers_match_unsharded_service(self):
         strings = random_strings(50, 2, 12, alphabet="abcd", seed=11)
@@ -243,10 +276,9 @@ class TestShardedServiceCache:
             sharded.close()
 
 
-def apply_ops(ops, *, max_tau, policy, shards=3, backend="thread"):
+def apply_ops(ops, *, max_tau, shards=3, backend="thread"):
     """Drive a ShardRouter and an unsharded DynamicSearcher in lockstep."""
-    router = ShardRouter(shards=shards, max_tau=max_tau, policy=policy,
-                         backend=backend)
+    router = ShardRouter(shards=shards, max_tau=max_tau, backend=backend)
     single = DynamicSearcher(max_tau=max_tau)
     live: set[int] = set()
     for op in ops:
@@ -273,35 +305,35 @@ OPS = st.lists(
 class TestShardEquivalence:
     """The acceptance property: sharded answers are element-identical."""
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @given(ops=OPS,
            queries=st.lists(st.text(alphabet="ab", max_size=8), min_size=1,
                             max_size=4),
            max_tau=st.integers(min_value=0, max_value=3))
     @settings(max_examples=60, deadline=None)
-    def test_interleaved_ops_match_unsharded(self, policy, ops, queries,
+    def test_interleaved_ops_match_unsharded(self, shards, ops, queries,
                                              max_tau):
-        router, single = apply_ops(ops, max_tau=max_tau, policy=policy)
+        router, single = apply_ops(ops, max_tau=max_tau, shards=shards)
         with router:
             for query in queries:
                 for tau in range(max_tau + 1):
                     assert router.search(query, tau) == single.search(query, tau)
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @given(ops=OPS,
            query=st.text(alphabet="ab", max_size=8),
            k=st.integers(min_value=1, max_value=5))
     @settings(max_examples=40, deadline=None)
-    def test_interleaved_top_k_matches_unsharded(self, policy, ops, query, k):
-        router, single = apply_ops(ops, max_tau=2, policy=policy)
+    def test_interleaved_top_k_matches_unsharded(self, shards, ops, query, k):
+        router, single = apply_ops(ops, max_tau=2, shards=shards)
         with router:
             assert router.search_top_k(query, k) == single.search_top_k(query, k)
 
-    def test_scripted_interleaving_both_policies(self):
+    def test_scripted_interleaving_every_shard_count(self):
         strings = random_strings(60, 2, 12, alphabet="abc", seed=5)
-        for policy in ALL_POLICIES:
+        for shards in SHARD_COUNTS:
             single = DynamicSearcher(strings[:45], max_tau=2)
-            with make_router(strings[:45], policy=policy) as router:
+            with make_router(strings[:45], shards=shards) as router:
                 for record_id in (0, 9, 17, 44):
                     assert router.delete(record_id) == single.delete(record_id)
                 for text in strings[45:]:
@@ -384,22 +416,23 @@ class TestProcessBackend:
                 "abcdef"]
 
     def test_dead_worker_does_not_desync_healthy_shards(self):
-        # Modulo placement: "abcdef" has id 0 -> shard 0; kill shard 1's
-        # worker.  A scatter that includes the dead shard fails at send
-        # time, but shard 0's reply must still be drained — otherwise the
-        # next op on shard 0 would read this op's stale answer off the
-        # pipe.
-        with make_router(["abcdef", "qrstuv"], shards=2, policy="modulo",
+        # "abcdef" has id 0; kill the worker of the other shard.  A
+        # scatter that includes the dead shard fails at send time, but the
+        # healthy shard's reply must still be drained — otherwise its next
+        # op would read this op's stale answer off the pipe.
+        with make_router(["abcdef", "qrstuv"], shards=2,
                          backend="process") as router:
-            router._shards[1]._process.kill()
-            router._shards[1]._process.join(timeout=5)
+            healthy = router.ring.place(0)
+            dead = router._shards[1 - healthy]
+            dead._process.kill()
+            dead._process.join(timeout=5)
             for _ in range(2):  # repeatedly: the failure must not compound
                 with pytest.raises(Exception):
                     router.search("abcdef", tau=1)
-            # Shard 0 alone still answers correctly and freshly.
-            shard0 = router._shards[0]
-            shard0.send("search-many", (("abcdef", 1),))
-            (matches,), epoch = shard0.recv()
+            # The healthy shard alone still answers correctly and freshly.
+            survivor = router._shards[healthy]
+            survivor.send("search-many", (("abcdef", 1),))
+            (matches,), epoch = survivor.recv()
             assert [m.text for m in matches] == ["abcdef"]
             assert epoch == 0
 

@@ -144,21 +144,21 @@ class TestDynamicOracle:
             assert funnel["accepted"] <= funnel["verifications"]
 
 
-def make_pair(texts, **kwargs):
-    """A 2-shard router and its unsharded oracle."""
+def make_pair(texts, *, shards=2, **kwargs):
+    """A router (2 shards unless told) and its unsharded oracle."""
     kwargs.setdefault("backend", "thread")
-    router = ShardRouter(texts, shards=2, max_tau=MAX_TAU,
+    router = ShardRouter(texts, shards=shards, max_tau=MAX_TAU,
                          migration_batch=3, **kwargs)
     return router, DynamicSearcher(texts, max_tau=MAX_TAU)
 
 
 class TestShardedOracle:
-    @pytest.mark.parametrize("policy", ["hash", "length", "modulo"])
+    @pytest.mark.parametrize("shards", [2, 3, 4])
     @given(ops=OPS, queries=st.lists(TEXTS, min_size=1, max_size=3),
            tau=TAUS)
     @settings(max_examples=40, deadline=None)
-    def test_interleaved_ops_match_unsharded(self, policy, ops, queries, tau):
-        router, single = make_pair([], policy=policy)
+    def test_interleaved_ops_match_unsharded(self, shards, ops, queries, tau):
+        router, single = make_pair([], shards=shards)
         with router:
             live: set[int] = set()
             for op in ops:
@@ -177,7 +177,7 @@ class TestShardedOracle:
     def test_live_resharding_between_every_step(self):
         texts = token_sentences(40, seed=21)
         queries = token_sentences(8, seed=22)
-        router, single = make_pair(texts, policy="length")
+        router, single = make_pair(texts)
         with router:
             for resize in (router.add_shard, router.remove_shard):
                 resize(drain=False)
@@ -208,7 +208,6 @@ class TestServingStack:
     def make_service(self, texts, *, shards=2):
         return SimilarityService(
             texts, ServiceConfig(max_tau=MAX_TAU, shards=shards,
-                                 shard_policy="length",
                                  shard_backend="thread", migration_batch=3))
 
     def test_cache_and_batch_match_oracle_across_a_live_resize(self):
@@ -235,8 +234,8 @@ class TestServingStack:
             assert batch["results"] == [
                 [m.to_dict() for m in brute_force(surviving, q, 2)]
                 for q in queries]
-            # Live resize with queries between the steps: cache entries from
-            # the old placement must never leak through.
+            # Live resize with queries between the steps: no cache entry may
+            # outlive a step that moved rows.
             service.handle_request({"op": "add-shard", "drain": False})
             while service.rebalance_status()["active"]:
                 service.migration_step()
