@@ -171,7 +171,7 @@ class SimilarityService:
         are consumed here, the transport fields by :class:`SimilarityServer`.
 
     With ``config.shards > 1`` the collection is served by a
-    :class:`~repro.service.sharding.ShardRouter` (which duck-types the
+    :class:`~repro.service.sharding.ShardRouter`, which duck-types the
     :class:`DynamicSearcher` surface, so dispatch and cache keying are
     identical: the cache keys on the router's scalar epoch.
     """
