@@ -198,9 +198,9 @@ class ServiceConfig:
         by :attr:`repro.service.server.SimilarityServer.address`).
     max_tau:
         Largest edit-distance threshold any query may use; the dynamic
-        index partitions every string into ``max_tau + 1`` segments.
-    partition:
-        Partition strategy for indexed strings (default: even).
+        index partitions every string evenly into ``max_tau + 1`` segments
+        and verifies with :data:`DEFAULT_VERIFICATION` (the partition and
+        the verifier are join options only).
     cache_capacity:
         Maximum number of query results kept by the LRU
         :class:`~repro.service.cache.QueryCache`; ``0`` disables caching.
@@ -240,7 +240,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8765
     max_tau: int = 2
-    partition: PartitionStrategy = PartitionStrategy.EVEN
     cache_capacity: int = 1024
     max_batch: int = 64
     max_query_batch: int = 1024
@@ -251,10 +250,6 @@ class ServiceConfig:
     slow_query_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.partition, PartitionStrategy):
-            object.__setattr__(
-                self, "partition", PartitionStrategy(str(self.partition))
-            )
         validate_threshold(self.max_tau)
         if not isinstance(self.host, str) or not self.host:
             raise ConfigurationError(f"host must be a non-empty string, "

@@ -73,9 +73,11 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
     probe's own id is excluded by an integer compare.
 
     ``trace`` optionally collects a per-indexed-length breakdown for the
-    ``explain`` op.  ``window_cache`` optionally resolves selection windows
-    through a :class:`~repro.core.selection.WindowCache` instead of
-    calling ``selector.windows`` per probe; the cache counts its own hits.
+    ``explain`` op, which only the searchers run: its figures assume an
+    exact-per-pair verifier.  ``window_cache`` optionally resolves
+    selection windows through a :class:`~repro.core.selection.WindowCache`
+    instead of calling ``selector.windows`` per probe; the cache counts its
+    own hits.
     """
     text = probe.text
     query_length = len(text)
@@ -148,26 +150,21 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
     if per_hit:
         # Verify each hit list with where it matched (Section 5.2): a pair
         # rejected through one segment may be accepted through a later
-        # one, so only pairs already accepted are dropped.  ``found`` maps
-        # an accepted id to its hit list's number, for the trace.
-        found: dict[int, int] = {}
-        verifications: list[int] = []
-        for number, (postings, context) in enumerate(zip(hits, contexts)):
+        # one, so only pairs already accepted are dropped.
+        found: set[int] = set()
+        for postings, context in zip(hits, contexts):
             rows = [row for row in postings
                     if (record_id := store_ids[row]) != excluded_id
                     and record_id not in found]
             stats.num_candidates += len(rows)
-            verifications_before = stats.num_verifications
             if rows:
                 verification_started = time.perf_counter()
                 for record, distance in verifier.verify_rows(
                         text, store, rows, context):
-                    found[record.id] = number
+                    found.add(record.id)
                     matches.append((record, distance))
                 stats.verification_seconds += (
                     time.perf_counter() - verification_started)
-            verifications.append(
-                stats.num_verifications - verifications_before)
     else:
         # Collect: every hit row once, in first-seen order.  No found test:
         # short-pool ids (the only ones found yet) and indexed ids are
@@ -184,11 +181,8 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
                 time.perf_counter() - verification_started)
     stats.num_accepted += len(matches)
     if trace is not None:
-        if per_hit:
-            trace.settle(store_ids, excluded_id, found, verifications)
-        else:
-            trace.settle(store_ids, excluded_id,
-                         {record.id for record, _ in matches})
+        trace.settle(store_ids, excluded_id,
+                     {record.id for record, _ in matches})
     return matches
 
 

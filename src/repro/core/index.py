@@ -6,8 +6,8 @@ whose ``i``-th segment equals that text.  Postings are stored columnar: the
 records themselves live once in the index's own
 :class:`~repro.core.store.RecordStore` (parallel ``(id, length, text)``
 columns, one row per indexed record) and every inverted list is a compact
-``array('q')`` of store row ordinals.  :meth:`SegmentIndex.lookup` hands the
-probe loop a :class:`~repro.core.store.PostingList` of ordinals, so record
+``array('q')`` of store row ordinals.  The probe loop reads a length's
+segment dictionaries whole (:meth:`SegmentIndex.length_group`), so record
 objects are only materialised for candidates that survive the probe-side
 filters — and ``fork`` workers inherit flat arrays copy-on-write instead of
 touching refcounts on millions of record objects.
@@ -33,7 +33,7 @@ from typing import Iterable
 from ..config import PartitionStrategy, validate_threshold
 from ..types import StringRecord
 from .partition import can_partition, partition, segment_layout
-from .store import PostingList, RecordStore
+from .store import RecordStore
 
 #: Bytes of one posting in the approximate accounting (one machine word —
 #: exactly one ``array('q')`` slot in the columnar layout).  Segment keys
@@ -189,11 +189,11 @@ class SegmentIndex:
         """Return the segment layout used for indexed strings of ``length``."""
         return segment_layout(length, self.tau, self.strategy)
 
-    def lookup(self, length: int, ordinal: int, text: str) -> PostingList | tuple:
+    def lookup(self, length: int, ordinal: int, text: str) -> array | tuple:
         """Return the inverted list ``L_length^ordinal(text)``, or ``()``.
 
-        Hits come back as a :class:`~repro.core.store.PostingList` of store
-        row ordinals; :meth:`RecordStore.record_at` turns a row back into
+        Hits come back as the ``array('q')`` of store row ordinals itself
+        (not a copy); :meth:`RecordStore.record_at` turns a row back into
         its record.
         """
         per_length = self._indices.get(length)
@@ -202,10 +202,7 @@ class SegmentIndex:
         per_ordinal = per_length.get(ordinal)
         if per_ordinal is None:
             return ()
-        postings = per_ordinal.get(text)
-        if postings is None:
-            return ()
-        return PostingList(self.store, postings)
+        return per_ordinal.get(text, ())
 
     def records_with_length(self, length: int) -> int:
         """Number of indexed strings of exactly ``length``."""

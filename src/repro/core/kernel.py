@@ -21,8 +21,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from ..config import (DEFAULT_VERIFICATION, PartitionStrategy,
-                      VerificationMethod, validate_threshold)
+from ..config import DEFAULT_VERIFICATION, validate_threshold
 from ..exceptions import UnknownMethodError
 from ..types import JoinStatistics, StringRecord
 from .engine import probe_many, probe_record
@@ -44,15 +43,16 @@ class EditDistanceBackend:
     The searcher above it keeps the bookkeeping: ids, epochs.  Deleting
     a record is :meth:`unpool` for a pooled one and
     :meth:`remove_indexed` for an indexed one.
+
+    Every served index is built one way: the even partition and
+    :data:`~repro.config.DEFAULT_VERIFICATION`.  The paper's skewed
+    partitions and its extension verifiers are join options
+    (:class:`~repro.config.JoinConfig`) only.
     """
 
-    def __init__(self, max_tau: int, *,
-                 partition: PartitionStrategy = PartitionStrategy.EVEN,
-                 verification: VerificationMethod | str =
-                 DEFAULT_VERIFICATION) -> None:
+    def __init__(self, max_tau: int) -> None:
         self.max_tau = validate_threshold(max_tau)
-        self.verification = VerificationMethod(verification)
-        self.index = SegmentIndex(self.max_tau, partition)
+        self.index = SegmentIndex(self.max_tau)
         self.selector = MultiMatchAwareSelector(self.max_tau)
         self.short_pool: dict[int, StringRecord] = {}
         # id -> store row of every indexed record: what record() reads and
@@ -107,7 +107,7 @@ class EditDistanceBackend:
 
     def new_verifier(self, tau: int, stats: JoinStatistics) -> Any:
         """The verifier :meth:`probe` uses at ``tau`` (explain reports it)."""
-        return make_verifier(self.verification, tau, stats)
+        return make_verifier(DEFAULT_VERIFICATION, tau, stats)
 
     def active_window_cache(self) -> WindowCache:
         """The persistent window cache, cleared if the length set changed."""
@@ -180,13 +180,9 @@ class EditDistanceKernel:
 
     name = "edit-distance"
 
-    def make_backend(self, max_tau: int, *,
-                     partition: PartitionStrategy = PartitionStrategy.EVEN,
-                     verification: VerificationMethod | str =
-                     DEFAULT_VERIFICATION) -> EditDistanceBackend:
+    def make_backend(self, max_tau: int) -> EditDistanceBackend:
         """A fresh backend answering thresholds up to ``max_tau``."""
-        return EditDistanceBackend(max_tau, partition=partition,
-                                   verification=verification)
+        return EditDistanceBackend(max_tau)
 
 
 _EDIT_DISTANCE = EditDistanceKernel()

@@ -226,20 +226,3 @@ class RecordStore:
         return (f"RecordStore(live={self.live_count}, rows={len(self._texts)}, "
                 f"free={len(self._free)})")
 
-
-class PostingList:
-    """One inverted list: the store row ordinals ``L_l^i(w)`` holds.
-
-    The probe loop reads :attr:`ordinals` and the :attr:`store` columns
-    directly and materialises only the candidates that survive the
-    id-level filters.
-    """
-
-    __slots__ = ("store", "ordinals")
-
-    def __init__(self, store: RecordStore, ordinals: array) -> None:
-        self.store = store
-        self.ordinals = ordinals
-
-    def __len__(self) -> int:
-        return len(self.ordinals)

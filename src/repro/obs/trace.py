@@ -87,39 +87,24 @@ class ProbeTrace:
         self._hits.append((entry, hit_lists))
 
     def settle(self, store_ids: Sequence[int], excluded_id: int | None,
-               found: Mapping[int, int] | Container[int],
-               verifications: Sequence[int] | None = None) -> None:
+               found: Container[int]) -> None:
         """Attribute every hit row to its length once the probe verified.
 
         A row belongs to one indexed length, so each length's figures come
         from its own hit lists.  A row with ``excluded_id`` (the probe's
-        own) is a same-id drop.  With an exact-per-pair verifier
-        (``verifications`` is ``None``; ``found`` holds the accepted ids)
-        a row's first hit is a candidate and one verification, accepted if
-        found; a later hit is already found when the row was accepted and
-        rechecked when not.  A per-hit verifier gives each hit list's
-        verification count, and ``found`` maps each accepted id to the
-        number of the list that accepted it: a row found by an earlier
-        list is already found, any other row a candidate.
+        own) is a same-id drop.  The verifier is exact per pair and
+        ``found`` holds the accepted ids: a row's first hit is a candidate
+        and one verification, accepted if found; a later hit is already
+        found when the row was accepted and rechecked when not.
         """
         seen: set[int] = set()
-        number = 0
         for entry, hit_lists in self._hits:
             for postings in hit_lists:
                 entry["postings_scanned"] += len(postings)
-                if verifications is not None:
-                    entry["verifications"] += verifications[number]
                 for row in postings:
                     record_id = store_ids[row]
                     if record_id == excluded_id:
                         entry["filtered_same_id"] += 1
-                    elif verifications is not None:
-                        accepted_at = found.get(record_id)
-                        if accepted_at is not None and accepted_at < number:
-                            entry["filtered_already_found"] += 1
-                        else:
-                            entry["candidates"] += 1
-                            entry["accepted"] += accepted_at == number
                     elif record_id in seen:
                         entry["filtered_already_found" if record_id in found
                               else "filtered_rechecked"] += 1
@@ -128,7 +113,6 @@ class ProbeTrace:
                         entry["candidates"] += 1
                         entry["verifications"] += 1
                         entry["accepted"] += record_id in found
-                number += 1
         self._hits.clear()
 
     def length_payloads(self) -> list[dict[str, Any]]:
@@ -214,7 +198,6 @@ def merge_explain_reports(query: str, tau: int,
     merged = empty_explain_report(query, tau)
     lengths: dict[int, dict[str, Any]] = {}
     all_matches: list[Mapping[str, Any]] = []
-    kernels: list[str] = []
     for report in reports:
         for field in FUNNEL_FIELDS:
             merged["funnel"][field] += report["funnel"][field]
@@ -222,8 +205,9 @@ def merge_explain_reports(query: str, tau: int,
         for field in ("verifications", "signature_rejects", "matrix_cells",
                       "early_terminations"):
             merged["verifier"][field] += verifier[field]
-        if verifier["kernel"] is not None and verifier["kernel"] not in kernels:
-            kernels.append(verifier["kernel"])
+        if verifier["kernel"] is not None:
+            # Every shard runs the one served verifier.
+            merged["verifier"]["kernel"] = verifier["kernel"]
         merged["short_pool"]["records_checked"] += (
             report["short_pool"]["records_checked"])
         merged["short_pool"]["accepted"] += report["short_pool"]["accepted"]
@@ -237,10 +221,6 @@ def merge_explain_reports(query: str, tau: int,
         for field in _STAGE_FIELDS:
             merged["stages"][field] += report["stages"][field]
         all_matches.extend(report["matches"])
-    if len(kernels) == 1:
-        merged["verifier"]["kernel"] = kernels[0]
-    elif kernels:
-        merged["verifier"]["kernel"] = kernels
 
     merged["lengths"] = [lengths[length] for length in sorted(lengths)]
     seen_ids: set[int] = set()

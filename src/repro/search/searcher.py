@@ -4,10 +4,12 @@
 threshold ``max_tau`` with the Pass-Join partition scheme: a query string
 ``q`` with a per-query threshold ``tau ≤ max_tau`` is answered by probing
 the segment indices of every length in ``[|q| − tau, |q| + tau]`` with the
-multi-match-aware substring selection and a pluggable verification kernel
-(:data:`~repro.config.DEFAULT_VERIFICATION` by default; see
-:class:`~repro.config.VerificationMethod` for the alternatives), all held
-by one :class:`~repro.core.kernel.EditDistanceBackend`.
+multi-match-aware substring selection and verifying the candidates with
+:data:`~repro.config.DEFAULT_VERIFICATION`, all held by one
+:class:`~repro.core.kernel.EditDistanceBackend`.  A searcher is built one
+way, with the even partition and that verifier; the paper's other
+partitions and verifiers are join options
+(:class:`~repro.config.JoinConfig`).
 
 Why a query threshold below the index threshold stays correct: the index
 partitions every string into ``max_tau + 1`` segments.  If
@@ -28,9 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ..config import (DEFAULT_VERIFICATION, PartitionStrategy,
-                      VerificationMethod, validate_threshold)
-from ..core.engine import sort_records
+from ..config import validate_threshold
 from ..core.kernel import EditDistanceBackend
 from ..exceptions import InvalidThresholdError
 from ..obs.trace import ProbeTrace, build_explain_report
@@ -160,11 +160,10 @@ class KernelSearcher:
     """The query surface over one :class:`EditDistanceBackend`, written once.
 
     :class:`PassJoinSearcher` (a frozen collection) and
-    :class:`~repro.service.dynamic.DynamicSearcher` (a mutable one) own
-    construction and mutation and share every query method from here.  A
-    delete leaves nothing in the index, so a frozen collection and a
-    mutable one probe alike; a subclass provides only ``max_tau``,
-    ``statistics`` and ``_backend``.
+    :class:`~repro.service.dynamic.DynamicSearcher` (a mutable one) share
+    the constructor and every query method from here; the dynamic one adds
+    mutation.  A delete leaves nothing in the index, so a frozen
+    collection and a mutable one probe alike.
 
     Scalar calls are the batch of one: :meth:`search` and
     :meth:`search_top_k` run exactly the code of :meth:`search_many` and
@@ -172,9 +171,21 @@ class KernelSearcher:
     the limit cut to ``k``.
     """
 
-    max_tau: int
-    statistics: JoinStatistics
-    _backend: EditDistanceBackend
+    def __init__(self, records: Sequence[StringRecord], max_tau: int) -> None:
+        """Index ``records`` (ids must be unique) for thresholds up to
+        ``max_tau``."""
+        self._backend = EditDistanceBackend(max_tau)
+        self.max_tau = self._backend.max_tau
+        self.statistics = JoinStatistics(num_strings=len(records))
+        for record in records:
+            if record.id in self._backend:
+                # A duplicate would shadow one record and leave the other's
+                # postings (or short-pool entry) behind as a ghost.
+                raise ValueError(
+                    f"duplicate id {record.id} in the initial collection")
+            self.statistics.num_indexed_segments += self._backend.add(record)
+        self.statistics.index_entries = self._backend.entry_count()
+        self.statistics.index_bytes = self._backend.approximate_bytes()
 
     @property
     def _index(self):
@@ -285,12 +296,6 @@ class PassJoinSearcher(KernelSearcher):
         Largest edit-distance threshold any future query may use.  Larger values make the index bigger (more signatures
         per string) and individual queries slightly slower, but allow
         looser searches.
-    partition:
-        Partition strategy (the paper's even scheme by default).
-    verification:
-        Verification kernel used to check candidates (a
-        :class:`~repro.config.VerificationMethod` or its string name).
-        Defaults to :data:`~repro.config.DEFAULT_VERIFICATION`.
 
     Examples
     --------
@@ -299,26 +304,10 @@ class PassJoinSearcher(KernelSearcher):
     ['vldb', 'pvldb']
     """
 
-    def __init__(self, strings: Iterable[str | StringRecord], max_tau: int,
-                 partition: PartitionStrategy = PartitionStrategy.EVEN,
-                 verification: VerificationMethod | str =
-                 DEFAULT_VERIFICATION) -> None:
-        self._backend = EditDistanceBackend(max_tau, partition=partition,
-                                            verification=verification)
-        self.max_tau = self._backend.max_tau
-        self.verification = self._backend.verification
-        self.statistics = JoinStatistics()
+    def __init__(self, strings: Iterable[str | StringRecord],
+                 max_tau: int) -> None:
         self._records = as_records(strings)
-        self.statistics.num_strings = len(self._records)
-        for record in sort_records(self._records):
-            if record.id in self._backend:
-                # A duplicate would shadow one record and leave the other's
-                # postings behind as a ghost.
-                raise ValueError(
-                    f"duplicate id {record.id} in the initial collection")
-            self.statistics.num_indexed_segments += self._backend.add(record)
-        self.statistics.index_entries = self._backend.entry_count()
-        self.statistics.index_bytes = self._backend.approximate_bytes()
+        super().__init__(self._records, max_tau)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

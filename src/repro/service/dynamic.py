@@ -34,10 +34,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..config import PartitionStrategy
-from ..core.kernel import EditDistanceBackend
 from ..search.searcher import KernelSearcher
-from ..types import JoinStatistics, StringRecord, as_records
+from ..types import StringRecord, as_records
 
 
 def coerce_insert_record(text: str | StringRecord, id: int | None,
@@ -63,9 +61,9 @@ def coerce_insert_record(text: str | StringRecord, id: int | None,
 class DynamicSearcher(KernelSearcher):
     """Approximate similarity search over a mutable collection.
 
-    This class owns mutation; every query method (``search`` /
-    ``search_many`` / ``search_top_k`` / ``search_top_k_many`` /
-    ``explain``) is the shared
+    This class owns mutation; the constructor and every query method
+    (``search`` / ``search_many`` / ``search_top_k`` /
+    ``search_top_k_many`` / ``explain``) are the shared
     :class:`~repro.search.searcher.KernelSearcher` surface.
 
     Parameters
@@ -77,8 +75,6 @@ class DynamicSearcher(KernelSearcher):
         would leave one record's postings behind as a searchable ghost).
     max_tau:
         Largest edit-distance threshold any query may use.
-    partition:
-        Partition strategy (the paper's even scheme by default).
 
     Examples
     --------
@@ -94,22 +90,14 @@ class DynamicSearcher(KernelSearcher):
     """
 
     def __init__(self, strings: Iterable[str | StringRecord] = (), *,
-                 max_tau: int,
-                 partition: PartitionStrategy = PartitionStrategy.EVEN) -> None:
-        self._backend = EditDistanceBackend(max_tau, partition=partition)
-        self.max_tau = self._backend.max_tau
-        self.statistics = JoinStatistics()
+                 max_tau: int) -> None:
         records = as_records(strings)
+        super().__init__(records, max_tau)
         self._epoch = 0
-        self._next_id = 0
-        for record in records:
-            if record.id in self._backend:
-                # A duplicate would leave the loser's postings (or short-
-                # pool entry) behind as a searchable ghost.
-                raise ValueError(
-                    f"duplicate id {record.id} in the initial collection")
-            self._insert_record(record)
-        self.statistics.num_strings = len(self)
+        # One above the largest id ever seen, never below 0.  A generator:
+        # a list of every id would add to the server's peak memory.
+        self._next_id = max(
+            0, max((record.id for record in records), default=-1) + 1)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -165,7 +153,8 @@ class DynamicSearcher(KernelSearcher):
         record = coerce_insert_record(text, id, self._next_id)
         if record.id in self._backend:
             raise ValueError(f"id {record.id} is already in the collection")
-        self._insert_record(record)
+        self.statistics.num_indexed_segments += self._backend.add(record)
+        self._next_id = max(self._next_id, record.id + 1)
         self.statistics.num_strings += 1
         self._bump()
         return record.id
@@ -203,12 +192,6 @@ class DynamicSearcher(KernelSearcher):
         self.statistics.num_strings -= 1
         self._bump()
         return True
-
-    def _insert_record(self, record: StringRecord) -> None:
-        self.statistics.num_indexed_segments += self._backend.add(record)
-        self._next_id = max(self._next_id, record.id + 1)
-        self.statistics.index_entries = self._backend.entry_count()
-        self.statistics.index_bytes = self._backend.approximate_bytes()
 
     def _bump(self) -> None:
         self._epoch += 1

@@ -166,9 +166,12 @@ class SimilarityService:
     strings:
         Initial collection served by the dynamic index.
     config:
-        A :class:`~repro.config.ServiceConfig`; ``max_tau``, ``partition``,
+        A :class:`~repro.config.ServiceConfig`; ``max_tau``,
         ``cache_capacity``, and the ``shards*`` fields
         are consumed here, the transport fields by :class:`SimilarityServer`.
+
+    Every served index is built with the even partition and
+    :data:`~repro.config.DEFAULT_VERIFICATION`; neither is configurable.
 
     With ``config.shards > 1`` the collection is served by a
     :class:`~repro.service.sharding.ShardRouter`, which duck-types the
@@ -182,11 +185,10 @@ class SimilarityService:
         if config.shards > 1:
             self.searcher: DynamicSearcher | ShardRouter = ShardRouter(
                 strings, shards=config.shards, max_tau=config.max_tau,
-                partition=config.partition, backend=config.shard_backend,
+                backend=config.shard_backend,
                 migration_batch=config.migration_batch)
         else:
-            self.searcher = DynamicSearcher(
-                strings, max_tau=config.max_tau, partition=config.partition)
+            self.searcher = DynamicSearcher(strings, max_tau=config.max_tau)
         self.cache = QueryCache(config.cache_capacity)
         self.queries_served = 0
         # Service-level telemetry: per-op request/error counters and

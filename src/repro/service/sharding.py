@@ -72,7 +72,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..config import SHARD_BACKENDS, PartitionStrategy, validate_threshold
+from ..config import SHARD_BACKENDS, validate_threshold
 from ..core.join import available_workers
 from ..exceptions import ConfigurationError, ServiceError
 from ..obs.metrics import funnel_snapshot, merge_snapshots
@@ -127,11 +127,9 @@ class ShardContext:
 
     records: list[StringRecord]
     max_tau: int
-    partition: PartitionStrategy
 
     def build(self) -> DynamicSearcher:
-        return DynamicSearcher(self.records, max_tau=self.max_tau,
-                               partition=self.partition)
+        return DynamicSearcher(self.records, max_tau=self.max_tau)
 
 
 def _apply_shard_op(searcher: DynamicSearcher, op: str, args: object) -> object:
@@ -353,7 +351,6 @@ class ShardRouter:
 
     def __init__(self, strings: Iterable[str | StringRecord] = (), *,
                  shards: int, max_tau: int,
-                 partition: PartitionStrategy = PartitionStrategy.EVEN,
                  backend: str = "auto", migration_batch: int = 256) -> None:
         self.ring = HashRing(shards)  # validates ``shards``
         if (isinstance(migration_batch, bool)
@@ -365,7 +362,6 @@ class ShardRouter:
         self.num_shards = shards
         self.backend = resolve_shard_backend(backend)
         self.migration_batch = migration_batch
-        self._partition = partition
 
         per_shard: list[list[StringRecord]] = [[] for _ in range(shards)]
         self._shard_of: dict[int, int] = {}  # live record id -> shard index
@@ -384,8 +380,7 @@ class ShardRouter:
         self._mp_context = (multiprocessing.get_context("fork")
                             if self.backend == "process" else None)
         self._shards = [
-            self._spawn(ShardContext(records=bucket, max_tau=self.max_tau,
-                                     partition=partition))
+            self._spawn(ShardContext(records=bucket, max_tau=self.max_tau))
             for bucket in per_shard]
         self._epochs = [0] * shards
         # Epochs of retired shards fold into the base so the scalar epoch
@@ -619,8 +614,8 @@ class ShardRouter:
         :meth:`rebalance_status`.
         """
         self._require_idle()
-        self._shards.append(self._spawn(ShardContext(
-            records=[], max_tau=self.max_tau, partition=self._partition)))
+        self._shards.append(self._spawn(ShardContext(records=[],
+                                                     max_tau=self.max_tau)))
         self._epochs.append(0)
         self.num_shards += 1
         self._start_migration("add-shard", retiring=None)

@@ -91,10 +91,6 @@ class TestServiceConfig:
         assert config.cache_capacity == 1024
         assert DEFAULT_SERVICE_CONFIG == config
 
-    def test_partition_coerced_from_string(self):
-        assert (ServiceConfig(partition="even").partition
-                is PartitionStrategy.EVEN)
-
     @pytest.mark.parametrize("field,bad", [
         ("host", ""), ("host", 80),
         ("port", -1), ("port", 70000), ("port", True),

@@ -42,12 +42,8 @@ class TestSearcherExplain:
         assert report["query"] == "vldb"
         assert report["tau"] == 1
         assert set(report["funnel"]) == set(FUNNEL_FIELDS)
-        # Searchers verify with the library default unless told otherwise;
-        # the paper's verifiers stay selectable per searcher.
+        # Every searcher verifies with the library default.
         assert report["verifier"]["kernel"] == DEFAULT_VERIFICATION.value
-        assert PassJoinSearcher(STRINGS, max_tau=1, verification="share-prefix"
-                                ).explain("vldb", 1)["verifier"]["kernel"] == \
-            "share-prefix"
         assert report["verifier"]["verifications"] >= report["num_matches"]
         assert (0 <= report["verifier"]["signature_rejects"]
                 <= report["verifier"]["verifications"])
@@ -177,7 +173,8 @@ def _self_join_entries():
     trace = ProbeTrace()
     probe_record(records[0], tau=1, index=index, short_pool=[],
                  selector=make_selector("multi-match", 1),
-                 verifier=make_verifier("extension", 1, stats), stats=stats,
+                 verifier=make_verifier(DEFAULT_VERIFICATION, 1, stats),
+                 stats=stats,
                  max_length=records[0].length + 1, allow_same_id=False,
                  trace=trace)
     return trace.length_payloads()
@@ -191,10 +188,9 @@ def _multi_segment_entries():
 
 def _rechecked_entries():
     # "abcxxfgh" shares the segments "ab" and "fgh" of "ab|cde|fgh" but is
-    # two edits away: an exact-per-pair verifier rejects it once at tau=1
-    # and the second shared segment must not verify it again.
-    searcher = PassJoinSearcher(["abcdefgh"], max_tau=2,
-                                verification="length-aware")
+    # two edits away: the default (exact-per-pair) verifier rejects it once
+    # at tau=1 and the second shared segment must not verify it again.
+    searcher = PassJoinSearcher(["abcdefgh"], max_tau=2)
     return searcher.explain("abcxxfgh", 1)["lengths"]
 
 

@@ -10,8 +10,8 @@ Inputs are small seeded collections: titles at ``τ = 8`` (long strings,
 sparse candidates) and authors at ``τ = 3`` with a few strings too short
 to partition (the short-pool path), self-joined under every verifier;
 one R–S join; one ``search_many`` batch with a duplicate and same-length
-near-twins, each unique query probed on its own; and ``explain`` reports
-under the default and a per-match verifier.
+near-twins, each unique query probed on its own; and an ``explain``
+report under the default verifier, the only one a searcher runs.
 """
 
 import pytest
@@ -192,14 +192,6 @@ EXPLAIN_LENGTHS = {
         12: (6, 6, 8, 0, 1, 3, 4, 4, 1),
         13: (4, 4, 4, 0, 0, 0, 4, 4, 0),
     },
-    "share-prefix": {
-        7: (4, 4, 0, 0, 0, 0, 0, 0, 0),
-        9: (8, 8, 0, 0, 0, 0, 0, 0, 0),
-        10: (8, 8, 16, 0, 7, 0, 9, 9, 4),
-        11: (8, 8, 9, 0, 0, 0, 9, 9, 0),
-        12: (6, 6, 8, 0, 1, 0, 7, 7, 1),
-        13: (4, 4, 4, 0, 0, 0, 4, 4, 0),
-    },
 }
 
 EXPLAIN_FIELDS = ("selection_windows", "index_probes", "postings_scanned",
@@ -210,12 +202,10 @@ EXPLAIN_FIELDS = ("selection_windows", "index_probes", "postings_scanned",
 
 @pytest.mark.parametrize("verification, funnel, verifier", [
     ("myers-batch", (38, 38, 37, 20, 20, 5), (20, 12, 750, 3)),
-    ("share-prefix", (38, 38, 37, 29, 29, 5), (29, 0, 469, 24)),
 ])
 def test_explain_report(authors, verification, funnel, verifier):
-    report = PassJoinSearcher(authors, max_tau=3,
-                              verification=verification).explain(
-                                  "james demi", tau=3)
+    report = PassJoinSearcher(authors, max_tau=3).explain("james demi",
+                                                          tau=3)
     assert report["funnel"] == dict(zip(
         ("selected_substrings", "index_probes", "postings_scanned",
          "candidates", "verifications", "accepted"), funnel))

@@ -6,13 +6,14 @@ window every probe and shard scatter filters by, and the wire guard: a
 request may name the ``edit-distance`` kernel, and naming anything else
 fails the request instead of being answered under edit distance.  The
 searchers, the router and ``ServiceConfig`` take no kernel argument at
-all, so asking them for another similarity fails at the call.
+all, so asking them for another similarity fails at the call — and no
+partition or verifier argument either: every served index is built with
+the even partition and the default verifier.
 """
 
 import pytest
 
-from repro.config import (DEFAULT_VERIFICATION, PartitionStrategy,
-                          ServiceConfig, VerificationMethod)
+from repro.config import DEFAULT_VERIFICATION, ServiceConfig
 from repro.core.kernel import EditDistanceKernel, get_kernel
 from repro.exceptions import (ConfigurationError, InvalidThresholdError,
                               ServiceError, UnknownMethodError)
@@ -21,6 +22,7 @@ from repro.search.searcher import length_window
 from repro.service import (BackgroundServer, DynamicSearcher, ServiceClient,
                            ShardRouter, SimilarityService)
 from repro.service.server import check_kernel_fields
+from repro.types import JoinStatistics
 
 #: One valid request per op that runs queries, keyed by op.
 QUERY_REQUESTS = {
@@ -45,11 +47,12 @@ class TestRegistry:
         assert "edit-distance" in message
 
     def test_described_verifier_is_the_one_served(self):
-        # The serving tiers build their backend without naming a method,
-        # so a get_kernel backend and explain's verifier.kernel agree.
+        # Every backend verifies with the default, so a get_kernel
+        # backend's verifier and explain's verifier.kernel agree.
         backend = get_kernel("edit-distance").make_backend(1)
+        verifier = backend.new_verifier(1, JoinStatistics())
         report = DynamicSearcher(["vldb", "pvldb"], max_tau=1).explain("vldb")
-        assert (backend.verification.value == report["verifier"]["kernel"]
+        assert (verifier.method.value == report["verifier"]["kernel"]
                 == DEFAULT_VERIFICATION.value)
 
 
@@ -61,19 +64,31 @@ class TestThresholdSemantics:
         with pytest.raises(InvalidThresholdError):
             kernel.make_backend(-1)
 
-    def test_make_backend_passes_its_strategies_through(self):
-        backend = get_kernel("edit-distance").make_backend(
-            2, partition=PartitionStrategy.LEFT_HEAVY,
-            verification="share-prefix")
-        assert backend.index.strategy is PartitionStrategy.LEFT_HEAVY
-        assert backend.verification is VerificationMethod.SHARE_PREFIX
-        # Only the deleted token-Jaccard backend was seeded.
-        with pytest.raises(TypeError):
-            get_kernel("edit-distance").make_backend(2, seed=1)
-
     def test_edit_distance_probe_key_range(self):
         assert length_window("abcd", 2) == (2, 6)
         assert length_window("a", 3) == (0, 4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PassJoinSearcher(["vldb"], max_tau=1, partition="left-heavy"),
+    lambda: PassJoinSearcher(["vldb"], max_tau=1, verification="share-prefix"),
+    lambda: DynamicSearcher(["vldb"], max_tau=1, partition="left-heavy"),
+    lambda: ShardRouter(["vldb"], shards=2, max_tau=1, backend="thread",
+                        partition="left-heavy"),
+    lambda: ServiceConfig(partition="left-heavy"),
+    lambda: get_kernel("edit-distance").make_backend(2, partition="even"),
+    lambda: get_kernel("edit-distance").make_backend(
+        2, verification="share-prefix"),
+    # Only the deleted token-Jaccard backend was seeded.
+    lambda: get_kernel("edit-distance").make_backend(2, seed=1),
+], ids=["searcher-partition", "searcher-verification", "dynamic-partition",
+        "router-partition", "service-config-partition",
+        "backend-partition", "backend-verification", "backend-seed"])
+def test_searcher_strategy_knobs_are_gone(build):
+    # Every served index is built one way; the paper's other partitions and
+    # verifiers are join options (JoinConfig) only.
+    with pytest.raises(TypeError):
+        build()
 
 
 class TestBackendConstruction:

@@ -14,10 +14,8 @@ def _record(identifier, text):
 
 def _hits(index, length, ordinal, text):
     """The records of ``L_length^ordinal(text)``, read back through the store."""
-    postings = index.lookup(length, ordinal, text)
-    if not postings:
-        return []
-    return [index.store.record_at(row) for row in postings.ordinals]
+    return [index.store.record_at(row)
+            for row in index.lookup(length, ordinal, text)]
 
 
 class TestSegmentIndexBuilding:
@@ -41,7 +39,7 @@ class TestSegmentIndexBuilding:
         group = index.length_group(4)
         assert sorted(group) == [1, 2]
         assert sorted(group[1]) == ["ab"] and sorted(group[2]) == ["cd", "xy"]
-        assert list(group[1]["ab"]) == list(index.lookup(4, 1, "ab").ordinals)
+        assert index.lookup(4, 1, "ab") is group[1]["ab"]
         assert index.length_group(5) is None
 
     def test_lookup_finds_indexed_segment(self):

@@ -181,7 +181,7 @@ class TestRemovedKnobs:
             service.close()
 
     def test_config_and_op_table_sizes(self):
-        assert len(dataclasses.fields(ServiceConfig)) == 12
+        assert len(dataclasses.fields(ServiceConfig)) == 11
         assert len(ALL_OPS) == 14
         assert "kernels" not in ALL_OPS
         assert "compact" not in ALL_OPS
