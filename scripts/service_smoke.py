@@ -17,11 +17,13 @@ After each pass it scrapes the ``metrics`` op and asserts the
 observability invariants: the engine's filter funnel only shrinks
 (accepted <= verifications <= candidates <= postings scanned), every
 per-op latency histogram counts exactly as many observations as the
-``requests.<op>`` counter, the Prometheus rendering parses as valid
-exposition text, and an ``explain`` trace reports the same number of
-accepted matches as the equivalent ``search``.  ``--metrics-out FILE``
-writes the scraped snapshots as JSON (what CI uploads next to the bench
-trajectories).
+``requests.<op>`` counter, the request batcher's ``batch_size`` histogram
+counts ``batcher_batches`` drains of ``batcher_requests`` requests in
+all, the Prometheus rendering parses as valid exposition text and
+carries the batcher's families, and an ``explain`` trace reports the
+same number of accepted matches as the equivalent ``search``.
+``--metrics-out FILE`` writes the scraped snapshots as JSON (what CI
+uploads next to the bench trajectories).
 
 Exits 0 when every assertion holds, 1 (with a traceback) otherwise.
 """
@@ -45,6 +47,9 @@ from repro.service import (BackgroundServer, HashRing,  # noqa: E402
                            ServiceClient)
 
 STRINGS = ["vldb", "pvldb", "sigmod", "sigmmod", "icde", "edbt"]
+#: The request batcher's metric families in the ``metrics`` payload.
+BATCHER_FAMILIES = ("batcher_requests", "batcher_batches", "batch_size",
+                    "batcher_wait_seconds", "batcher_pending")
 
 
 def metrics_smoke(client: ServiceClient,
@@ -73,9 +78,21 @@ def metrics_smoke(client: ServiceClient,
         assert histogram is not None, (name, sorted(merged["histograms"]))
         assert histogram["count"] == value, (name, value, histogram)
 
+    # The transport's batcher: one batch_size observation per drain, of
+    # as many requests as the drain answered, and one wait per request.
+    histograms = merged["histograms"]
+    batch_size = histograms["batch_size"]
+    assert batch_size["count"] == counters["batcher_batches"] > 0, merged
+    assert batch_size["sum"] == counters["batcher_requests"], merged
+    assert histograms["batcher_wait_seconds"]["count"] == counters[
+        "batcher_requests"], merged
+    assert merged["gauges"]["batcher_pending"] >= 1, merged["gauges"]
+
     # The Prometheus rendering must parse as valid exposition text.
     families = parse_prometheus(render_prometheus(merged))
     assert families, "prometheus rendering produced no metric families"
+    for family in BATCHER_FAMILIES:
+        assert f"passjoin_{family}" in families, (family, sorted(families))
 
     if expect_shards is not None:
         shards = payload["shards"]

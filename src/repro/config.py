@@ -214,8 +214,12 @@ class ServiceConfig:
         monopolise the serving core.
     batch_window:
         Seconds the batcher waits for more concurrent requests before
-        draining a non-full batch (small: it only exists to catch requests
-        arriving in the same scheduling quantum).
+        draining a non-full batch.  ``0`` (default) drains on the next
+        event-loop turn: the requests the loop read in the same turn
+        coalesce, and requests that arrive while a batch executes queue in
+        their sockets and join the next drain.  A positive window delays
+        every read by up to that long: 2 ms is ~80% of a lone client's
+        read on the e2e ``serve_distinct`` workload.
     shards:
         Number of shard workers the collection is partitioned across.
         ``1`` (default) serves a single unsharded dynamic index; larger
@@ -243,7 +247,7 @@ class ServiceConfig:
     cache_capacity: int = 1024
     max_batch: int = 64
     max_query_batch: int = 1024
-    batch_window: float = 0.002
+    batch_window: float = 0.0
     shards: int = 1
     shard_backend: str = "auto"
     migration_batch: int = 256

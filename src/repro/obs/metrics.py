@@ -120,10 +120,21 @@ class MetricsRegistry:
         name are ignored — bounds are fixed at creation, which is what
         keeps snapshots mergeable.
         """
+        self.histogram(name, buckets).observe(value)
+
+    def histogram(self, name: str,
+                  buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
+                  ) -> _Histogram:
+        """The histogram ``name``, created empty with ``buckets`` if new.
+
+        A hot path that observes one histogram many times can hold the
+        returned object and call its ``observe`` directly, skipping the
+        name lookup.
+        """
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = _Histogram(tuple(buckets))
-        histogram.observe(value)
+        return histogram
 
     # ------------------------------------------------------------------
     # Introspection

@@ -16,11 +16,12 @@ Two classes split the serving stack along the transport boundary:
 * :class:`SimilarityServer` — the asyncio JSON-lines TCP transport.  One
   request object per line, one response object per line, UTF-8.  Query
   operations flow through a :class:`~repro.service.batcher.RequestBatcher`
-  so concurrent lookups coalesce into single index passes; mutations and
-  admin operations execute immediately.  One event loop serves every
-  connection: the core answers a whole batch under its lock, so a second
-  loop could only overlap the JSON and socket work, which is a fraction
-  of a percent of a read.
+  so concurrent lookups coalesce into single index passes (it records its
+  drains into the core's registry); mutations and admin operations
+  execute immediately.  One event loop serves every connection: the core
+  answers a whole batch under its lock, so a second loop could only
+  overlap the JSON and socket work, which is a fraction of a percent of
+  a read.
 
 :data:`OPS` is the request contract: one row per op, its fields and its
 handler.  Both entry points check a request against it before anything
@@ -447,10 +448,11 @@ class SimilarityService:
 
         Merges three sources with
         :func:`~repro.obs.metrics.merge_snapshots`: the service-level
-        request metrics (:attr:`metrics`), the query cache's counters, and
-        the engine's filter funnel — read from the searcher's
-        :class:`~repro.types.JoinStatistics` directly when unsharded, or
-        scatter-gathered and summed across the fleet by
+        request metrics (:attr:`metrics`, which also holds the TCP
+        transport's ``batcher_*`` and ``batch_size`` families), the query
+        cache's counters, and the engine's filter funnel — read from the
+        searcher's :class:`~repro.types.JoinStatistics` directly when
+        unsharded, or scatter-gathered and summed across the fleet by
         :meth:`ShardRouter.metrics_snapshot
         <repro.service.sharding.ShardRouter.metrics_snapshot>` when
         sharded, in which case the per-shard snapshots are also exposed
@@ -613,7 +615,8 @@ class SimilarityServer:
         self.port = config.port if port is None else port
         self.batcher = RequestBatcher(service.execute_queries,
                                       max_batch=config.max_batch,
-                                      window=config.batch_window)
+                                      window=config.batch_window,
+                                      metrics=service.metrics)
         self.address: tuple[str, int] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stopped: asyncio.Event | None = None
@@ -889,16 +892,16 @@ class BackgroundServer:
         return self._server.address
 
     def __exit__(self, *exc_info: object) -> None:
+        # End serve_forever() from the loop's own thread; run() then stops
+        # the server and closes the service there.  Only a callback
+        # crosses threads: after a shutdown op the loop may be closing and
+        # drop what it is handed.  A dropped callback leaves nothing
+        # behind; a dropped coroutine would never be awaited.
         if self._loop is not None and self._server is not None:
-            stop = self._server.stop()
             try:
-                asyncio.run_coroutine_threadsafe(
-                    stop, self._loop).result(timeout=10)
+                self._loop.call_soon_threadsafe(self._server._stopped.set)
             except RuntimeError:  # loop already closed (a shutdown op)
-                stop.close()
-            except TimeoutError:
-                # A loop closing after a shutdown op can take the call and
-                # never run it; run() has stopped the server by then.
-                if self._thread.is_alive():
-                    raise
+                pass
         self._thread.join(timeout=10)
+        if self._thread.is_alive():
+            raise ServiceError("background server failed to stop within 10s")

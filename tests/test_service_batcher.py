@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.service import RequestBatcher
 
 
@@ -80,6 +81,38 @@ class TestCoalescing:
         first, second = gather(batcher, ["k", "k"])
         first.append(3)
         assert second == [1, 2]
+
+
+class TestTelemetry:
+    def test_families_exist_before_the_first_drain(self):
+        registry = MetricsRegistry()
+        RequestBatcher(Recorder(), metrics=registry)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {"batcher_requests": 0,
+                                        "batcher_batches": 0}
+        assert snapshot["gauges"] == {"batcher_pending": 0}
+        for name in ("batch_size", "batcher_wait_seconds"):
+            assert snapshot["histograms"][name]["count"] == 0
+
+    def test_drains_are_recorded_into_the_given_registry(self):
+        registry = MetricsRegistry()
+        batcher = RequestBatcher(Recorder(), max_batch=3, window=0,
+                                 metrics=registry)
+        gather(batcher, ["a", "b", "c", "d", "e"])
+        snapshot = registry.snapshot()
+        counters = snapshot["counters"]
+        sizes = snapshot["histograms"]["batch_size"]
+        waits = snapshot["histograms"]["batcher_wait_seconds"]
+        # max_batch=3 drains the first three at once, the zero-window task
+        # the last two: two drains, one size observation each.
+        assert (counters["batcher_requests"], counters["batcher_batches"]) \
+            == (5, 2) == (batcher.stats.requests, batcher.stats.batches)
+        assert (sizes["count"], sizes["sum"]) == (2, 5)
+        assert waits["count"] == 5 and waits["sum"] >= 0
+        assert snapshot["gauges"]["batcher_pending"] == 2  # the last drain
+
+    def test_default_window_is_zero(self):
+        assert RequestBatcher(Recorder()).window == 0
 
 
 class TestFailure:

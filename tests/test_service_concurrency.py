@@ -15,7 +15,9 @@ loop, so each client must observe **epoch-consistent** results:
   the epoch, but can never change those results.
 
 Run both unsharded and against a 2-shard router, which exercises the
-composite-epoch cache keys under concurrent load.
+composite-epoch cache keys under concurrent load.  At the default batch
+window (``0``) concurrent distinct reads must still share batcher drains,
+with every answer equal to a local searcher's.
 """
 
 import threading
@@ -23,6 +25,8 @@ import threading
 import pytest
 
 from repro.config import ServiceConfig
+from repro.datasets.synthetic import generate_author_dataset
+from repro.search.searcher import PassJoinSearcher
 from repro.service import BackgroundServer, ServiceClient
 
 BASE = ["vldb", "pvldb", "sigmod", "sigmmod", "icde", "edbt", "kdd"]
@@ -126,3 +130,47 @@ def test_interleaved_clients_with_tiny_batch_window():
     run_concurrent_load(ServiceConfig(
         port=0, max_tau=2, batch_window=0.005, shards=2,
         shard_backend="thread"))
+
+
+def test_default_window_coalesces_distinct_queries_from_eight_clients():
+    # Window 0 drains on the next loop turn.  While one drain executes,
+    # the other clients' lines wait in their sockets, and the loop reads
+    # them into the next drain together — so batches stay larger than one
+    # although no two requests share a query.
+    config = ServiceConfig(port=0, max_tau=2)
+    assert config.batch_window == 0
+    strings = generate_author_dataset(2000, seed=7)
+    clients, rounds = 8, 25
+    queries = [strings[number::clients][:rounds] for number in range(clients)]
+    oracle = PassJoinSearcher(strings, max_tau=2)
+    expected = [[oracle.search(query, tau=2) for query in own]
+                for own in queries]
+    start = threading.Barrier(clients)
+    answers: dict[int, list] = {}
+
+    def client_loop(host, port, number):
+        with ServiceClient(host, port) as client:
+            start.wait(timeout=30)
+            answers[number] = [client.search(query, tau=2)
+                               for query in queries[number]]
+
+    background = BackgroundServer(strings, config)
+    with background as (host, port):
+        threads = [threading.Thread(target=client_loop,
+                                    args=(host, port, number), daemon=True)
+                   for number in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "client thread hung"
+        stats = background._server.batcher.stats
+        with ServiceClient(host, port) as client:
+            metrics = client.metrics()["merged"]
+    assert [answers.get(number) for number in range(clients)] == expected
+    assert stats.requests == clients * rounds
+    assert stats.batches < stats.requests  # mean batch size above one
+    histogram = metrics["histograms"]["batch_size"]
+    assert histogram["count"] == metrics["counters"]["batcher_batches"]
+    assert histogram["sum"] == metrics["counters"]["batcher_requests"]
+    assert histogram["sum"] > histogram["count"]

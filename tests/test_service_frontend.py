@@ -10,10 +10,13 @@
 
 import asyncio
 import dataclasses
+import gc
 import inspect
 import logging
+import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -73,6 +76,43 @@ class TestShutdownWithOpenConnections:
             match.text for match in result] == ["vldb", "pvldb"]
         assert [record.getMessage() for record in caplog.records
                 if record.levelno >= logging.WARNING] == []
+
+    @pytest.mark.parametrize("loop_closing", [False, True],
+                             ids=["shutdown", "shutdown-loop-closing"])
+    def test_shutdown_op_leaves_no_unawaited_coroutine(self, loop_closing,
+                                                       monkeypatch):
+        """Regression: after a ``shutdown`` op the exit could hand a
+        ``stop()`` coroutine to a loop that was already closing, which
+        dropped it unawaited ("coroutine 'SimilarityServer.stop' was never
+        awaited") and left the exit waiting 10 s.  ``loop-closing`` holds
+        the server's loop between its last turn and ``close()`` until the
+        exit has begun, which makes that race certain."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            background = BackgroundServer(STRINGS, ServiceConfig(port=0))
+            started = time.perf_counter()
+            with background as address:
+                closing = threading.Event()
+                if loop_closing:
+                    loop, close = background._loop, background._loop.close
+
+                    def close_late():
+                        closing.set()
+                        time.sleep(0.1)
+                        close()
+
+                    loop.close = close_late
+                with ServiceClient(*address) as client:
+                    assert client.search("vldb", tau=1)
+                    client.shutdown()
+                if loop_closing:
+                    assert closing.wait(timeout=5)
+            gc.collect()
+        assert [str(hook.exc_value) for hook in unraisable] == []
+        assert not background._thread.is_alive()
+        assert time.perf_counter() - started < 5.0
 
 
 #: One call per op of the server's vocabulary: client method arguments.
