@@ -8,15 +8,16 @@ serving core — one cache-epoch check, one pass over the index, and no
 interleaved mutations in the middle of a batch.  The serving core's
 ``execute_queries`` answers (and counts) duplicate keys once.
 
-The default window is ``0``: the first submit schedules the drain as a
-task, so it runs on the next event-loop turn instead of after a sleep.
-What coalesces is everything submitted before that turn — the keys of one
-``search-batch`` line, and every connection whose request line the loop
-read in the same turn.  Requests that arrive while a batch executes wait
-in their socket buffers (the execute call runs on the loop thread and
-never yields), and the loop reads them together into the next drain, as
-in group commit.  A positive window holds every drain back by that long
-to catch later arrivals; a lone closed-loop client pays all of it.
+The default window is 1 ms, the shortest sleep the event loop's timer
+expresses.  What coalesces is everything submitted before the drain — the
+keys of one ``search-batch`` line, and every connection whose request
+line the loop read in the window.  Requests that arrive while a batch
+executes wait in their socket buffers (the execute call runs on the loop
+thread and never yields), and the loop reads them together into the next
+drain, as in group commit.  A lone closed-loop client pays the whole
+window.  Window ``0`` schedules the drain as a task on the next loop turn
+instead: reads are then engine-bound, and so is their run-to-run spread,
+which on a shared VM follows the host's CPU speed.
 
 The batcher is transport-agnostic: it only needs a callable that maps a
 list of request keys to a list of results.  That keeps it testable
@@ -74,9 +75,9 @@ class RequestBatcher:
     max_batch:
         Batch size that triggers an immediate drain.
     window:
-        Seconds a non-full batch waits for more requests before draining.
-        ``0`` (the default) still coalesces: the drain is scheduled as a
-        task, so every request submitted before the loop runs it joins
+        Seconds a non-full batch waits for more requests before draining
+        (default 1 ms).  ``0`` still coalesces: the drain is scheduled as
+        a task, so every request submitted before the loop runs it joins
         the batch.
     metrics:
         Registry the batcher's telemetry is recorded into (a private one
@@ -97,7 +98,7 @@ class RequestBatcher:
     """
 
     def __init__(self, execute: Callable[[list[Key]], Sequence[object]], *,
-                 max_batch: int = 64, window: float = 0.0,
+                 max_batch: int = 64, window: float = 0.001,
                  metrics: MetricsRegistry | None = None) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {max_batch!r}")

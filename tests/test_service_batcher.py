@@ -111,8 +111,8 @@ class TestTelemetry:
         assert waits["count"] == 5 and waits["sum"] >= 0
         assert snapshot["gauges"]["batcher_pending"] == 2  # the last drain
 
-    def test_default_window_is_zero(self):
-        assert RequestBatcher(Recorder()).window == 0
+    def test_default_window_is_one_millisecond(self):
+        assert RequestBatcher(Recorder()).window == 0.001
 
 
 class TestFailure:

@@ -16,8 +16,8 @@ loop, so each client must observe **epoch-consistent** results:
 
 Run both unsharded and against a 2-shard router, which exercises the
 composite-epoch cache keys under concurrent load.  At the default batch
-window (``0``) concurrent distinct reads must still share batcher drains,
-with every answer equal to a local searcher's.
+window (1 ms) concurrent distinct reads must share batcher drains, with
+every answer equal to a local searcher's.
 """
 
 import threading
@@ -133,12 +133,12 @@ def test_interleaved_clients_with_tiny_batch_window():
 
 
 def test_default_window_coalesces_distinct_queries_from_eight_clients():
-    # Window 0 drains on the next loop turn.  While one drain executes,
-    # the other clients' lines wait in their sockets, and the loop reads
-    # them into the next drain together — so batches stay larger than one
-    # although no two requests share a query.
+    # Lines that arrive in the 1 ms window, or while one drain executes
+    # (they wait in their sockets), are read into the next drain together
+    # — so batches stay larger than one although no two requests share a
+    # query.
     config = ServiceConfig(port=0, max_tau=2)
-    assert config.batch_window == 0
+    assert config.batch_window == 0.001
     strings = generate_author_dataset(2000, seed=7)
     clients, rounds = 8, 25
     queries = [strings[number::clients][:rounds] for number in range(clients)]
