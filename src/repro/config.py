@@ -222,7 +222,7 @@ class ServiceConfig:
         ``serve_distinct`` workload is then ~0.6 ms (~2 ms with the 1 ms
         wait), all of it CPU work, so served throughput follows the
         host's CPU speed — on a shared 2-vCPU VM its run-to-run quartile
-        spread was 17–27% at ``0`` and 5–7% at 1 ms.
+        spread was 17–27% at ``0`` and 4–9% at 1 ms.
     shards:
         Number of shard workers the collection is partitioned across.
         ``1`` (default) serves a single unsharded dynamic index; larger
