@@ -40,7 +40,7 @@ from .config import (DEFAULT_CONFIG, JoinConfig, PartitionStrategy,
 from .core.index import SegmentIndex
 from .core.join import (PassJoin, available_workers, join, pass_join,
                         pass_join_pairs, pass_join_rs)
-from .core.partition import partition, segment_layout
+from .core.partition import segment_layout
 from .core.selection import make_selector
 from .core.verify import make_verifier
 from .distance import (banded_edit_distance, edit_distance,
@@ -94,7 +94,6 @@ __all__ = [
     "PartitionStrategy",
     # building blocks
     "SegmentIndex",
-    "partition",
     "segment_layout",
     "make_selector",
     "make_verifier",

@@ -2,7 +2,8 @@
 
 Sub-modules map one-to-one onto the paper's sections:
 
-* :mod:`repro.core.partition` — the even-partition scheme (Section 3.1).
+* :mod:`repro.core.partition` — the segment layout of a string length
+  (Section 3.1).
 * :mod:`repro.core.index` — the segment inverted indices ``L_l^i``
   (Section 3.2).
 * :mod:`repro.core.selection` — the four substring-selection methods
@@ -17,7 +18,7 @@ Sub-modules map one-to-one onto the paper's sections:
 from .index import SegmentIndex
 from .join import PassJoin, pass_join, pass_join_pairs
 from .kernel import EditDistanceBackend, get_kernel
-from .partition import partition, segment_layout
+from .partition import segment_layout
 from .selection import make_selector
 from .store import RecordStore
 
@@ -27,7 +28,6 @@ __all__ = [
     "pass_join_pairs",
     "SegmentIndex",
     "RecordStore",
-    "partition",
     "segment_layout",
     "make_selector",
     "EditDistanceBackend",

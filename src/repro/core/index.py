@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Iterable
 
 from ..config import PartitionStrategy, validate_threshold
 from ..types import StringRecord
-from .partition import can_partition, partition, segment_layout
+from .partition import can_partition, segment_layout
 from .store import RecordStore
 
 #: Bytes of one posting in the approximate accounting (one machine word —
@@ -62,10 +61,8 @@ class SegmentIndex:
         self.store = RecordStore()
         # _indices[length][ordinal][segment_text] -> array('q') of store rows
         self._indices: dict[int, dict[int, dict[str, array]]] = {}
-        self._records_per_length: dict[int, int] = {}
-        # Incremental accounting, maintained by add()/evict_below() so the
-        # driver can record the *peak* concurrent index size cheaply.
-        self._entries_by_length: dict[int, int] = {}
+        # Incremental accounting, maintained by add()/remove()/evict_below()
+        # so the driver can record the *peak* concurrent index size cheaply.
         self._bytes_by_length: dict[int, int] = {}
         self._current_entries = 0
         self._current_bytes = 0
@@ -98,31 +95,29 @@ class SegmentIndex:
         """
         text = self.store.text_at(row)
         length = len(text)
-        if length not in self._indices:
+        layout = segment_layout(length, self.tau, self.strategy)
+        per_length = self._indices.get(length)
+        if per_length is None:
+            per_length = self._indices[length] = {}
             self._lengths_version += 1
-        per_length = self._indices.setdefault(length, {})
         added_bytes = 0
-        for segment in partition(text, self.tau, self.strategy):
-            per_ordinal = per_length.setdefault(segment.ordinal, {})
-            postings = per_ordinal.get(segment.text)
+        for ordinal, (start, seg_length) in enumerate(layout, 1):
+            key = text[start:start + seg_length]
+            per_ordinal = per_length.get(ordinal)
+            if per_ordinal is None:
+                per_ordinal = per_length[ordinal] = {}
+            postings = per_ordinal.get(key)
             if postings is None:
-                per_ordinal[segment.text] = array("q", (row,))
-                added_bytes += len(segment.text) + POSTING_BYTES
+                per_ordinal[key] = array("q", (row,))
+                added_bytes += seg_length + POSTING_BYTES
             else:
                 postings.append(row)
                 added_bytes += POSTING_BYTES
-        self._records_per_length[length] = self._records_per_length.get(length, 0) + 1
-        self._entries_by_length[length] = (
-            self._entries_by_length.get(length, 0) + self.tau + 1)
         self._bytes_by_length[length] = (
             self._bytes_by_length.get(length, 0) + added_bytes)
         self._current_entries += self.tau + 1
         self._current_bytes += added_bytes
         return self.tau + 1
-
-    def add_all(self, records: Iterable[StringRecord]) -> int:
-        """Index every record; return the total number of segments added."""
-        return sum(self.add(record) for record in records)
 
     def remove(self, row: int) -> int:
         """Remove the postings of the record indexed at ``row``.
@@ -140,33 +135,28 @@ class SegmentIndex:
         length = len(text)
         per_length = self._indices[length]
         removed_bytes = 0
-        for segment in partition(text, self.tau, self.strategy):
-            per_ordinal = per_length[segment.ordinal]
-            postings = per_ordinal[segment.text]
+        for ordinal, (start, seg_length) in enumerate(
+                segment_layout(length, self.tau, self.strategy), 1):
+            key = text[start:start + seg_length]
+            per_ordinal = per_length[ordinal]
+            postings = per_ordinal[key]
             postings.remove(row)
             removed_bytes += POSTING_BYTES
             if not postings:
-                del per_ordinal[segment.text]
-                removed_bytes += len(segment.text)
+                del per_ordinal[key]
+                removed_bytes += seg_length
                 if not per_ordinal:
-                    del per_length[segment.ordinal]
+                    del per_length[ordinal]
         self.store.release(row)
-        removed = self.tau + 1
-        remaining = self._records_per_length[length] - 1
-        if remaining > 0:
-            self._records_per_length[length] = remaining
-            self._entries_by_length[length] -= removed
+        if per_length:
             self._bytes_by_length[length] -= removed_bytes
         else:
-            del self._records_per_length[length]
-            del self._entries_by_length[length]
-            del self._bytes_by_length[length]
-        if not per_length:
             del self._indices[length]
+            del self._bytes_by_length[length]
             self._lengths_version += 1
-        self._current_entries -= removed
+        self._current_entries -= self.tau + 1
         self._current_bytes -= removed_bytes
-        return removed
+        return self.tau + 1
 
     # ------------------------------------------------------------------
     # Probing
@@ -181,32 +171,9 @@ class SegmentIndex:
         """
         return self._indices.get(length)
 
-    def indexed_lengths(self) -> list[int]:
-        """Return the indexed string lengths in ascending order."""
-        return sorted(self._indices)
-
     def layout(self, length: int) -> tuple[tuple[int, int], ...]:
         """Return the segment layout used for indexed strings of ``length``."""
         return segment_layout(length, self.tau, self.strategy)
-
-    def lookup(self, length: int, ordinal: int, text: str) -> array | tuple:
-        """Return the inverted list ``L_length^ordinal(text)``, or ``()``.
-
-        Hits come back as the ``array('q')`` of store row ordinals itself
-        (not a copy); :meth:`RecordStore.record_at` turns a row back into
-        its record.
-        """
-        per_length = self._indices.get(length)
-        if per_length is None:
-            return ()
-        per_ordinal = per_length.get(ordinal)
-        if per_ordinal is None:
-            return ()
-        return per_ordinal.get(text, ())
-
-    def records_with_length(self, length: int) -> int:
-        """Number of indexed strings of exactly ``length``."""
-        return self._records_per_length.get(length, 0)
 
     # ------------------------------------------------------------------
     # Lifecycle / accounting
@@ -226,12 +193,11 @@ class SegmentIndex:
             self._lengths_version += 1
         for length in stale:
             per_length = self._indices.pop(length)
-            for postings in per_length.get(1, {}).values():
+            for postings in per_length[1].values():
                 for row in postings:
                     self.store.release(row)
-            self._records_per_length.pop(length, None)
-            self._current_entries -= self._entries_by_length.pop(length, 0)
-            self._current_bytes -= self._bytes_by_length.pop(length, 0)
+                self._current_entries -= (self.tau + 1) * len(postings)
+            self._current_bytes -= self._bytes_by_length.pop(length)
         return len(stale)
 
     @property

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from ..config import PartitionStrategy, validate_threshold
 from ..exceptions import InvalidPartitionError
-from ..types import Segment
 
 
 def minimum_partition_length(tau: int) -> int:
@@ -62,7 +61,12 @@ def segment_layout(length: int, tau: int,
     """Return ``(start, segment_length)`` for each of the ``τ + 1`` segments.
 
     Start offsets are 0-based.  The layout is cached because it is looked up
-    once per (probe string, indexed length) pair during a join.
+    once per indexed string and once per (probe string, indexed length)
+    pair during a join.  The segments of a string are its slices:
+
+    >>> text = "vankatesh"
+    >>> [text[start:start + seg_len] for start, seg_len in segment_layout(9, 3)]
+    ['va', 'nk', 'at', 'esh']
     """
     lengths = segment_lengths(length, tau, strategy)
     layout: list[tuple[int, int]] = []
@@ -71,21 +75,6 @@ def segment_layout(length: int, tau: int,
         layout.append((start, seg_len))
         start += seg_len
     return tuple(layout)
-
-
-def partition(text: str, tau: int,
-              strategy: PartitionStrategy = PartitionStrategy.EVEN) -> list[Segment]:
-    """Split ``text`` into ``τ + 1`` :class:`~repro.types.Segment` objects.
-
-    >>> [seg.text for seg in partition("vankatesh", 3)]
-    ['va', 'nk', 'at', 'esh']
-    """
-    segments: list[Segment] = []
-    for ordinal, (start, seg_len) in enumerate(segment_layout(len(text), tau, strategy),
-                                               start=1):
-        segments.append(Segment(ordinal=ordinal, start=start,
-                                text=text[start:start + seg_len]))
-    return segments
 
 
 def can_partition(length: int, tau: int) -> bool:

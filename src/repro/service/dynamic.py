@@ -46,8 +46,9 @@ def coerce_insert_record(text: str | StringRecord, id: int | None,
     can never diverge on id semantics: a ready-made record keeps its id
     unless ``id=`` overrides it; plain text takes ``id=`` or the caller's
     next auto id (one above the largest ever seen).  A non-integer id
-    (``bool`` included) raises ``TypeError`` before the caller mutates
-    anything.
+    (``bool`` included) raises ``TypeError``, and an id outside the record
+    store's signed 64-bit id column (an auto id included) ``ValueError``,
+    before the caller mutates anything.
     """
     if isinstance(text, StringRecord):
         record = text if id is None else StringRecord(id=id, text=text.text)
@@ -55,6 +56,8 @@ def coerce_insert_record(text: str | StringRecord, id: int | None,
         record = StringRecord(id=next_id if id is None else id, text=str(text))
     if isinstance(record.id, bool) or not isinstance(record.id, int):
         raise TypeError(f"record id must be an integer, got {record.id!r}")
+    if not -2**63 <= record.id < 2**63:
+        raise ValueError(f"record id {record.id} does not fit in 64 bits")
     return record
 
 

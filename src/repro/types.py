@@ -4,7 +4,6 @@ The types in this module are deliberately small, immutable (where practical)
 data carriers:
 
 * :class:`StringRecord` — a string plus its stable identifier in a collection.
-* :class:`Segment` — one piece of an even partition of an indexed string.
 * :class:`SimilarPair` — one join result (ids, strings, and edit distance).
 * :class:`JoinStatistics` — instrumentation counters collected by a join run.
 * :class:`JoinResult` — the pairs plus the statistics of a completed join.
@@ -57,35 +56,6 @@ def as_records(strings: Iterable[str | StringRecord]) -> list[StringRecord]:
         else:
             records.append(StringRecord(id=position, text=str(item)))
     return records
-
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """One segment of an even partition of a string.
-
-    Attributes
-    ----------
-    ordinal:
-        1-based segment index ``i`` (the paper's :math:`L_l^i` ordinal).
-    start:
-        0-based start offset of the segment inside its source string.
-    text:
-        The segment's characters.
-    """
-
-    ordinal: int
-    start: int
-    text: str
-
-    @property
-    def length(self) -> int:
-        """Number of characters in the segment."""
-        return len(self.text)
-
-    @property
-    def end(self) -> int:
-        """0-based exclusive end offset of the segment in its source string."""
-        return self.start + len(self.text)
 
 
 @dataclass(frozen=True, slots=True, order=True)

@@ -55,3 +55,10 @@ def store_rows(records):
     list (``verifier.verify_rows(probe, *store_rows(records), context)``)."""
     store = RecordStore()
     return store, [store.add(record) for record in records]
+
+
+def indexed_records_with_length(index, length):
+    """How many records of ``length`` a ``SegmentIndex`` holds: each
+    record has exactly one posting in its length's ordinal-1 lists."""
+    group = index.length_group(length)
+    return sum(map(len, group[1].values())) if group else 0

@@ -8,7 +8,7 @@ brute-force result, whatever selection/verification strategy is configured.
 from hypothesis import given, settings, strategies as st
 
 from repro import JoinConfig, SelectionMethod, VerificationMethod, pass_join
-from repro.core.partition import partition, segment_layout
+from repro.core.partition import segment_layout
 from repro.core.selection import make_selector
 from repro.distance import edit_distance
 
@@ -76,11 +76,11 @@ def test_selection_completeness(r, s, tau, method):
         return  # outside the framework's indexed/probe length relationship
     if edit_distance(r, s) > tau:
         return
-    segments = partition(r, tau)
     layout = segment_layout(len(r), tau)
+    segments = [r[start:start + seg_len] for start, seg_len in layout]
     selector = make_selector(method, tau)
     selected = selector.select(s, len(r), layout)
-    hit = any(selection.text == segments[selection.ordinal - 1].text
+    hit = any(selection.text == segments[selection.ordinal - 1]
               for selection in selected)
     assert hit, (r, s, tau, method)
 

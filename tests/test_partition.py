@@ -3,9 +3,11 @@
 import pytest
 
 from repro.config import PartitionStrategy
+from repro.core.index import SegmentIndex
 from repro.core.partition import (can_partition, minimum_partition_length,
-                                  partition, segment_layout, segment_lengths)
+                                  segment_layout, segment_lengths)
 from repro.exceptions import InvalidPartitionError, InvalidThresholdError
+from repro.types import StringRecord
 
 
 class TestSegmentLengths:
@@ -77,30 +79,39 @@ class TestSegmentLayout:
         assert segment_layout(20, 2) is segment_layout(20, 2)
 
 
+def _indexed_segments(text, tau):
+    """The segment keys an index files ``text`` under, by ordinal."""
+    index = SegmentIndex(tau)
+    index.add(StringRecord(0, text))
+    return {ordinal: list(keys)
+            for ordinal, keys in index.length_group(len(text)).items()}
+
+
 class TestPartition:
     def test_paper_example_vankatesh(self):
-        segments = partition("vankatesh", 3)
-        assert [segment.text for segment in segments] == ["va", "nk", "at", "esh"]
-        assert [segment.ordinal for segment in segments] == [1, 2, 3, 4]
-        assert [segment.start for segment in segments] == [0, 2, 4, 6]
+        assert _indexed_segments("vankatesh", 3) == {
+            1: ["va"], 2: ["nk"], 3: ["at"], 4: ["esh"]}
 
     def test_paper_example_kaushic_chaduri(self):
         # Figure 1: "kaushic chaduri" -> kau | shic | _cha | duri
-        segments = partition("kaushic chaduri", 3)
-        assert [segment.text for segment in segments] == ["kau", "shic", " cha", "duri"]
+        assert _indexed_segments("kaushic chaduri", 3) == {
+            1: ["kau"], 2: ["shic"], 3: [" cha"], 4: ["duri"]}
 
     def test_segments_reassemble_to_string(self):
         text = "an arbitrary example string"
-        for tau in range(0, 6):
-            assert "".join(seg.text for seg in partition(text, tau)) == text
+        for strategy in PartitionStrategy:
+            for tau in range(0, 6):
+                layout = segment_layout(len(text), tau, strategy)
+                assert "".join(text[start:start + seg_len]
+                               for start, seg_len in layout) == text
 
     def test_number_of_segments_is_tau_plus_one(self):
         for tau in range(0, 6):
-            assert len(partition("abcdefghij", tau)) == tau + 1
+            assert len(segment_layout(10, tau)) == tau + 1
 
     def test_partition_too_short_string_raises(self):
         with pytest.raises(InvalidPartitionError):
-            partition("ab", 3)
+            segment_layout(2, 3)
 
 
 class TestHelpers:

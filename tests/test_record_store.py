@@ -6,7 +6,8 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_pairs, random_strings
+from helpers import (brute_force_pairs, indexed_records_with_length,
+                     random_strings)
 from repro.core.index import SegmentIndex
 from repro.core.join import pass_join
 from repro.core.store import _UNFILLED, RecordStore, histogram_signature
@@ -212,7 +213,7 @@ class TestIndexStoreIntegration:
         index.add(_record(1, "abcdef"))
         index.evict_below(6)
         assert index.store.live_count == 1
-        assert index.records_with_length(4) == 0
+        assert indexed_records_with_length(index, 4) == 0
 
     def test_memory_report_sums_postings_and_store(self):
         index = SegmentIndex(tau=2)

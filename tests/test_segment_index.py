@@ -7,6 +7,8 @@ from repro.core.index import SegmentIndex
 from repro.core.partition import can_partition
 from repro.types import StringRecord
 
+from helpers import indexed_records_with_length
+
 
 def _record(identifier, text):
     return StringRecord(id=identifier, text=text)
@@ -15,7 +17,7 @@ def _record(identifier, text):
 def _hits(index, length, ordinal, text):
     """The records of ``L_length^ordinal(text)``, read back through the store."""
     return [index.store.record_at(row)
-            for row in index.lookup(length, ordinal, text)]
+            for row in index.length_group(length)[ordinal][text]]
 
 
 class TestSegmentIndexBuilding:
@@ -28,18 +30,13 @@ class TestSegmentIndexBuilding:
         assert index.add(_record(1, "ab")) == 0
         assert index.length_group(2) is None
 
-    def test_add_all(self):
-        index = SegmentIndex(tau=1)
-        added = index.add_all([_record(0, "abcd"), _record(1, "wxyz"), _record(2, "a")])
-        assert added == 4  # two strings x two segments; "a" skipped
-
     def test_length_group_is_the_lookup_dictionaries(self):
         index = SegmentIndex(tau=1)
-        index.add_all([_record(0, "abcd"), _record(1, "abxy")])
+        index.add(_record(0, "abcd"))
+        index.add(_record(1, "abxy"))
         group = index.length_group(4)
         assert sorted(group) == [1, 2]
         assert sorted(group[1]) == ["ab"] and sorted(group[2]) == ["cd", "xy"]
-        assert index.lookup(4, 1, "ab") is group[1]["ab"]
         assert index.length_group(5) is None
 
     def test_lookup_finds_indexed_segment(self):
@@ -52,9 +49,10 @@ class TestSegmentIndexBuilding:
     def test_lookup_missing_returns_empty(self):
         index = SegmentIndex(tau=2)
         index.add(_record(1, "abcdef"))
-        assert not index.lookup(6, 1, "zz")
-        assert not index.lookup(7, 1, "ab")
-        assert not index.lookup(6, 9, "ab")
+        group = index.length_group(6)
+        assert "zz" not in group[1]
+        assert index.length_group(7) is None
+        assert 9 not in group
 
     def test_inverted_list_preserves_insertion_order(self):
         index = SegmentIndex(tau=1)
@@ -75,13 +73,6 @@ class TestSegmentIndexBuilding:
 
 
 class TestSegmentIndexLifecycle:
-    def test_indexed_lengths_sorted(self):
-        index = SegmentIndex(tau=1)
-        index.add(_record(0, "abcdef"))
-        index.add(_record(1, "ab"))
-        index.add(_record(2, "abcd"))
-        assert index.indexed_lengths() == [2, 4, 6]
-
     def test_evict_below_removes_stale_lengths(self):
         index = SegmentIndex(tau=1)
         index.add(_record(0, "ab"))
@@ -105,8 +96,8 @@ class TestSegmentIndexLifecycle:
         index = SegmentIndex(tau=1)
         index.add(_record(0, "abcd"))
         index.add(_record(1, "wxyz"))
-        assert index.records_with_length(4) == 2
-        assert index.records_with_length(9) == 0
+        assert indexed_records_with_length(index, 4) == 2
+        assert indexed_records_with_length(index, 9) == 0
 
 
 class TestSegmentIndexAccounting:
@@ -142,12 +133,16 @@ _ops = st.lists(st.tuples(st.sampled_from(["add", "add", "remove", "evict"]),
 
 
 @settings(max_examples=200, deadline=None)
-@given(tau=st.integers(min_value=0, max_value=3), ops=_ops)
-@example(tau=2, ops=[("add", "ñandúñandú", 0), ("add", "abcdefghij", 1),
-                     ("add", "çççççççç", 2)])
-def test_incremental_accounting_matches_a_recount(tau, ops):
-    """The counters add/remove/evict keep equal a full recount, on any text."""
-    index = SegmentIndex(tau)
+@given(tau=st.integers(min_value=0, max_value=3),
+       strategy=st.sampled_from(PartitionStrategy), ops=_ops)
+@example(tau=2, strategy=PartitionStrategy.EVEN,
+         ops=[("add", "ñandúñandú", 0), ("add", "abcdefghij", 1),
+              ("add", "çççççççç", 2)])
+def test_incremental_accounting_matches_a_recount(tau, strategy, ops):
+    """The counters add/remove/evict keep equal a full recount, on any text
+    and under every partition strategy; each live row is posted under its
+    layout's slices, and no emptied posting list is left behind."""
+    index = SegmentIndex(tau, strategy)
     rows = []
     for op, text, number in ops:
         if op == "add" and can_partition(len(text), tau):
@@ -161,3 +156,15 @@ def test_incremental_accounting_matches_a_recount(tau, ops):
         assert index.current_approximate_bytes == index.approximate_bytes()
         assert index.current_entry_count == index.entry_count()
         assert index.store.live_count == len(rows)
+        for row in rows:
+            text = index.store.text_at(row)
+            group = index.length_group(len(text))
+            for ordinal, (start, seg_length) in enumerate(
+                    index.layout(len(text)), 1):
+                assert row in group[ordinal][text[start:start + seg_length]]
+        live_lengths = {index.store.length_at(row) for row in rows}
+        for length in range(10):  # every text above is shorter than 10
+            group = index.length_group(length)
+            assert (group is not None) == (length in live_lengths)
+            assert all(postings for per_ordinal in (group or {}).values()
+                       for postings in per_ordinal.values())

@@ -21,7 +21,7 @@ from repro.search import PassJoinSearcher, SearchMatch
 from repro.service import DynamicSearcher
 from repro.types import JoinStatistics, StringRecord
 
-from helpers import random_strings
+from helpers import indexed_records_with_length, random_strings
 
 
 def fresh_equivalent(searcher: DynamicSearcher) -> PassJoinSearcher:
@@ -197,6 +197,21 @@ class TestInsertIdValidation:
         assert searcher.insert("icde") == 3
         assert searcher.index_memory()["records"] == 3
 
+    def test_id_outside_64_bits_refused_before_any_change(self):
+        # The store's id column is signed 64-bit: an id past it must be
+        # refused, not overflow inside the store mid-insert.
+        searcher = DynamicSearcher(["vldb", "pvldb"], max_tau=2)
+        for bad_id in (2**63, -2**63 - 1):
+            with pytest.raises(ValueError):
+                searcher.insert("icdeicde", id=bad_id)
+        assert (len(searcher), searcher.epoch) == (2, 0)
+        assert searcher.insert("icdeicde", id=2**63 - 1) == 2**63 - 1
+        epoch = searcher.epoch
+        with pytest.raises(ValueError):
+            searcher.insert("sigmod")  # the next auto id is 2**63
+        assert (len(searcher), searcher.epoch) == (3, epoch)
+        assert searcher.index_memory()["records"] == 3
+
 
 def _probe_with_verifier(searcher: DynamicSearcher, query: str, tau: int,
                          method: str) -> list[tuple[int, int]]:
@@ -295,7 +310,7 @@ class TestSegmentIndexRemove:
         assert index.entry_count() == entries_with_both - 2
         assert index.current_entry_count == index.entry_count()
         assert index.current_approximate_bytes == index.approximate_bytes()
-        assert index.records_with_length(6) == 1
+        assert indexed_records_with_length(index, 6) == 1
 
     def test_remove_last_record_of_a_length_drops_the_group(self):
         index = SegmentIndex(tau=1)

@@ -219,6 +219,25 @@ class TestAsyncClientEndToEnd:
         asyncio.run(scenario())
 
 
+class TestInsertIdRangeOverTheWire:
+    def test_id_outside_64_bits_is_an_error_line(self):
+        # The wire accepts any id >= 0; one past the store's signed 64-bit
+        # column must come back as an error response on a live connection.
+        config = ServiceConfig(port=0, max_tau=2)
+        with BackgroundServer(STRINGS, config) as address, \
+                ServiceClient(*address) as client:
+            before = client.stats()
+            with pytest.raises(ServiceError, match="64 bits"):
+                client.insert("icdeicde", id=2**63)
+            after = client.stats()
+            assert (after["size"], after["epoch"]) == (
+                before["size"], before["epoch"])
+            counters = client.metrics()["merged"]["counters"]
+            assert counters["requests.insert"] == 1
+            assert counters["errors.insert"] == 1
+            assert client.insert("icdeicde", id=2**63 - 1) == 2**63 - 1
+
+
 class TestCacheInvalidationOverTheWire:
     def test_mutation_between_identical_queries(self, server_address):
         with ServiceClient(*server_address) as client:

@@ -152,6 +152,18 @@ class TestRouterBasics:
             assert router.index_memory()["records"] == 3
             assert [record.id for record in router.records] == [0, 2, 3, 4]
 
+    def test_id_outside_64_bits_refused_before_any_shard_changes(self):
+        with make_router(["vldb", "pvldb"], shards=2) as router:
+            epochs = router.epoch_vector
+            with pytest.raises(ValueError):
+                router.insert("icdeicde", id=2**63)
+            assert (len(router), router.epoch_vector) == (2, epochs)
+            assert router.insert("icdeicde", id=2**63 - 1) == 2**63 - 1
+            epochs = router.epoch_vector
+            with pytest.raises(ValueError):
+                router.insert("sigmod")  # the next auto id is 2**63
+            assert (len(router), router.epoch_vector) == (3, epochs)
+
     def test_records_and_len_and_sizes(self):
         strings = [f"word{i:02d}" for i in range(10)]
         with make_router(strings) as router:

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.types import (JoinResult, JoinStatistics, Segment, SimilarPair,
-                         StringRecord, as_records, normalise_pair,
-                         records_by_length)
+from repro.types import (JoinResult, JoinStatistics, SimilarPair, StringRecord,
+                         as_records, normalise_pair, records_by_length)
 
 
 class TestStringRecord:
@@ -40,13 +39,6 @@ class TestAsRecords:
 
     def test_non_string_items_are_stringified(self):
         assert as_records([123])[0].text == "123"
-
-
-class TestSegment:
-    def test_end_and_length(self):
-        segment = Segment(ordinal=2, start=3, text="nk")
-        assert segment.length == 2
-        assert segment.end == 5
 
 
 class TestSimilarPair:

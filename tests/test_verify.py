@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import VerificationMethod
-from repro.core.partition import partition, segment_layout
+from repro.core.partition import segment_layout
 from repro.core.verify import (BandedVerifier, BatchMyersVerifier,
                                ExtensionVerifier, LengthAwareVerifier,
                                MatchContext, MyersVerifier,
@@ -19,12 +19,12 @@ ALL_METHODS = list(VerificationMethod)
 
 def _context_for(indexed_text, probe, tau, ordinal):
     """Build a MatchContext for a real matching segment of ``indexed_text``."""
-    segment = partition(indexed_text, tau)[ordinal - 1]
-    probe_start = probe.find(segment.text)
+    seg_start, seg_length = segment_layout(len(indexed_text), tau)[ordinal - 1]
+    segment = indexed_text[seg_start:seg_start + seg_length]
+    probe_start = probe.find(segment)
     assert probe_start >= 0, "test fixture must contain the segment"
     return segment, MatchContext(ordinal=ordinal, probe_start=probe_start,
-                                 seg_start=segment.start,
-                                 seg_length=segment.length)
+                                 seg_start=seg_start, seg_length=seg_length)
 
 
 class TestMakeVerifier:
@@ -63,7 +63,7 @@ class TestWholePairAcceptance:
         # occurrence is rejected by the tightened extension bounds and the
         # pair is instead accepted here, as Theorem 6 guarantees).
         segment, context = _context_for(indexed, probe, tau, ordinal=2)
-        assert segment.text == "shik"
+        assert segment == "shik"
         verifier = make_verifier(method, tau)
         accepted = verifier.verify_rows(
             probe, *store_rows([StringRecord(id=4, text=indexed)]), context)
@@ -77,7 +77,7 @@ class TestWholePairAcceptance:
         indexed = "kaushuk chadhui"        # s5
         probe = "caushik chakrabar"        # s6; ed(s5, s6) = 6 > 3
         segment, context = _context_for(indexed, probe, tau, ordinal=3)
-        assert segment.text == " cha"
+        assert segment == " cha"
         verifier = make_verifier(method, tau)
         accepted = verifier.verify_rows(
             probe, *store_rows([StringRecord(id=5, text=indexed)]), context)
