@@ -8,8 +8,12 @@ against a 2-shard server (the consistent-hashing ring puts ids 0 and 1
 on different shards, so the near-duplicate searches below are genuinely
 cross-shard scatter-gathers), requires identical answers, and finishes
 with a live add-shard → query → remove-shard resize under load.  On both
-servers a request with a misspelled field must be refused, and a
-duplicate-key ``search-batch`` must raise ``cache.coalesced``::
+servers a request with a misspelled field must be refused, a
+duplicate-key ``search-batch`` must raise ``cache.coalesced``, and a write
+must drop exactly the cached answers it can change: an insert far from a
+cached query leaves it ``cached: true``, one within ``tau`` of it is
+answered fresh (``cached: false``, the new id in the answer) and counts
+one ``cache_invalidations`` in the ``metrics`` op::
 
     PYTHONPATH=src python scripts/service_smoke.py
 
@@ -184,6 +188,32 @@ def contract_smoke(client: ServiceClient) -> None:
     assert after == before + 2, (before, after)
 
 
+def cache_smoke(client: ServiceClient) -> None:
+    """A write drops only the cached answers it can change.
+
+    Run first on a fresh server, so the one cached answer is the only
+    entry a write can drop.
+    """
+    def invalidations() -> int:
+        counters = client.metrics()["merged"]["counters"]
+        return counters.get("cache_invalidations", 0)
+
+    search = {"op": "search", "query": "sigmod", "tau": 1}
+    client.request(search)
+    assert client.request(search)["cached"] is True
+    before = invalidations()
+    far = client.insert("zzzzzzzzzz")
+    assert client.request(search)["cached"] is True, "a far insert dropped it"
+    assert invalidations() == before
+    near = client.insert("sigmodx")  # one edit from the cached query
+    answer = client.request(search)
+    assert answer["cached"] is False, answer
+    assert near in [match["id"] for match in answer["matches"]], answer
+    assert invalidations() == before + 1
+    assert client.delete(far) is True and client.delete(near) is True
+    assert invalidations() == before + 2  # the answer holding ``near``
+
+
 def sharded_smoke() -> dict:
     """Start a 2-shard server; verify a cross-shard query and mutations.
 
@@ -206,6 +236,7 @@ def sharded_smoke() -> dict:
             assert len(stats["shards"]["memory"]) == 2, stats
             assert stats["index"]["records"] == sum(
                 shard["records"] for shard in stats["shards"]["memory"]), stats
+            cache_smoke(client)
 
             # Cross-shard scatter-gather: ids 0 and 1 live on different
             # shards; the merged answer must equal the unsharded one.
@@ -270,6 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     config = ServiceConfig(port=0, max_tau=2)
     with BackgroundServer(STRINGS, config) as (host, port):
         with ServiceClient(host, port) as client:
+            cache_smoke(client)
             # Query 1: threshold search finds the planted near-duplicates.
             matches = client.search("vldb", tau=1)
             assert [(m.id, m.distance, m.text) for m in matches] == [
@@ -329,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
           f"cache hits={stats['cache']['hits']}, "
           f"index bytes={stats['index']['approximate_bytes']}), "
           f"2-shard cross-shard + batch queries + top-k-batch + live "
-          f"add-shard/remove-shard + metrics/explain funnel verified")
+          f"add-shard/remove-shard + per-entry cache drops + "
+          f"metrics/explain funnel verified")
     return 0
 
 

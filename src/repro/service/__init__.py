@@ -10,8 +10,8 @@ north star.  Three layers, composable and individually testable:
    Search and top-k stay exact: results are always identical to a fresh
    :class:`~repro.search.searcher.PassJoinSearcher` over the surviving
    strings.
-2. **Serving core** — :class:`QueryCache` (LRU keyed on the query,
-   invalidated wholesale when the collection's mutation epoch moves) and
+2. **Serving core** — :class:`QueryCache` (LRU keyed on the query; a
+   write drops only the cached answers it can change) and
    :class:`RequestBatcher` (coalesces concurrent lookups into one index
    pass); :class:`SimilarityService` wires the two around the dynamic
    index and speaks the request/response vocabulary.

@@ -4,7 +4,7 @@ Under concurrent load many clients ask similar (often identical) questions
 in the same scheduling quantum.  :class:`RequestBatcher` sits between the
 asyncio transport and the (synchronous) index: requests submitted while a
 batch is open are queued, and the whole batch runs in one call into the
-serving core — one cache-epoch check, one pass over the index, and no
+serving core — one pass over the cache, one over the index, and no
 interleaved mutations in the middle of a batch.  The serving core's
 ``execute_queries`` answers (and counts) duplicate keys once.
 

@@ -19,8 +19,11 @@ queries.
   released (a pooled short record just leaves the pool), so the index
   always holds exactly what a fresh build over the live records would.
 
-Every mutation bumps :attr:`~DynamicSearcher.epoch`, the invalidation token
-consumed by :class:`~repro.service.cache.QueryCache`.
+Every mutation bumps :attr:`~DynamicSearcher.epoch`, which the service
+reports with each answer.  The query cache does not read it: the service
+drops the cached answers a write can change
+(:meth:`~repro.service.server.SimilarityService.insert` /
+:meth:`~repro.service.server.SimilarityService.delete`).
 
 Exactness: search and top-k results are identical — element for element —
 to re-building a fresh ``PassJoinSearcher`` over the surviving records,
@@ -35,7 +38,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..search.searcher import KernelSearcher
-from ..types import StringRecord, as_records
+from ..types import StringRecord, as_records, check_id_range
 
 
 def coerce_insert_record(text: str | StringRecord, id: int | None,
@@ -56,8 +59,7 @@ def coerce_insert_record(text: str | StringRecord, id: int | None,
         record = StringRecord(id=next_id if id is None else id, text=str(text))
     if isinstance(record.id, bool) or not isinstance(record.id, int):
         raise TypeError(f"record id must be an integer, got {record.id!r}")
-    if not -2**63 <= record.id < 2**63:
-        raise ValueError(f"record id {record.id} does not fit in 64 bits")
+    check_id_range(record.id)
     return record
 
 

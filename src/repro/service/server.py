@@ -176,8 +176,11 @@ class SimilarityService:
 
     With ``config.shards > 1`` the collection is served by a
     :class:`~repro.service.sharding.ShardRouter`, which duck-types the
-    :class:`DynamicSearcher` surface, so dispatch and cache keying are
-    identical: the cache keys on the router's scalar epoch.
+    :class:`DynamicSearcher` surface, so dispatch and the cache are
+    identical: :meth:`insert` and :meth:`delete` drop the cached answers
+    the write can change, sharded or not.  Writes go through those two
+    methods (the wire ops do); a write made on :attr:`searcher` directly
+    would leave stale answers in the cache.
     """
 
     def __init__(self, strings: Iterable[str | StringRecord] = (),
@@ -267,9 +270,9 @@ class SimilarityService:
         each group is one ``search_top_k_many()`` pass, a threshold search
         at ``limit`` cut to ``k``.
 
-        The cache is keyed on the plain query key and the searcher's
-        scalar epoch, sharded or not: a mutation invalidates the cache
-        wholesale (any insert can change any answer).
+        The cache is keyed on the plain query key, sharded or not; a
+        write drops only the entries it can change (:meth:`insert`,
+        :meth:`delete`).
 
         Duplicate keys within one batch are answered by copying the first
         occurrence's answer and counted as ``cache.coalesced`` — they
@@ -277,7 +280,6 @@ class SimilarityService:
         records one miss (or one hit), not one per duplicate.
         """
         with self._lock:
-            epoch = self.searcher.epoch
             answers: list[tuple[list[SearchMatch], bool] | None] = (
                 [None] * len(keys))
             # Cache misses by execution group: None for every search key,
@@ -295,7 +297,7 @@ class SimilarityService:
                     duplicates.append((position, leader))
                     continue
                 leaders[key] = position
-                cached = self.cache.get(key, epoch)
+                cached = self.cache.get(key)
                 if cached is not None:
                     answers[position] = (cached, True)
                     continue
@@ -311,11 +313,46 @@ class SimilarityService:
                     # instead of one pass per query.
                     batches = self.searcher.search_top_k_many(queries, *group)
                 for (position, key), matches in zip(entries, batches):
-                    self.cache.put(key, epoch, matches)
+                    self.cache.put(key, matches)
                     answers[position] = (matches, False)
             for position, leader in duplicates:
                 answers[position] = answers[leader]
             return answers  # type: ignore[return-value]
+
+    # ------------------------------------------------------------------
+    # Mutation
+    # ------------------------------------------------------------------
+    def insert(self, text: str, id: int | None = None) -> int:
+        """Insert one string; drop the cached answers it can change.
+
+        Those are the answers of the queries within their threshold of
+        ``text`` (``tau`` for a search, ``limit`` for a top-k), which
+        :meth:`QueryCache.drop_near
+        <repro.service.cache.QueryCache.drop_near>` finds.
+        """
+        with self._lock:
+            record_id = self._mutate(self.searcher.insert, text, id=id)
+            self.cache.drop_near(text)
+            return record_id
+
+    def delete(self, record_id: int) -> bool:
+        """Delete one record by id; drop the cached answers that hold it."""
+        with self._lock:
+            deleted = self._mutate(self.searcher.delete, record_id)
+            if deleted:
+                self.cache.drop_holding(record_id)
+            return deleted
+
+    def _mutate(self, mutation: Callable, *args, **kwargs):
+        """Run ``mutation``; clear the whole cache if it raises
+        :class:`ServiceError` — a dead shard worker leaves the collection's
+        state unknown.  A refused write (``ValueError``, ``TypeError``)
+        changed nothing and keeps the cache."""
+        try:
+            return mutation(*args, **kwargs)
+        except ServiceError:
+            self.cache.clear()
+            raise
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -569,10 +606,10 @@ OPS: dict[str, WireOp] = {
     "insert": WireOp(
         {"text": _STRING, "id": Field("an integer >= 0 or null", lambda value:
                                      value is None or _ID.test(value))},
-        lambda service, payload: {"id": service.searcher.insert(
+        lambda service, payload: {"id": service.insert(
             payload["text"], id=payload.get("id"))}),
     "delete": WireOp({"id": _ID}, lambda service, payload: {
-        "deleted": service.searcher.delete(payload["id"])}),
+        "deleted": service.delete(payload["id"])}),
     "stats": WireOp({}, lambda service, payload: service.stats()),
     "metrics": WireOp({}, lambda service, payload: service.metrics_payload()),
     "explain": WireOp(

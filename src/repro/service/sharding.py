@@ -52,8 +52,10 @@ between steps:
 Mutations route to the owning shard and bump that shard's epoch.  The
 router mirrors the per-shard epochs in :attr:`ShardRouter.epoch_vector`;
 their sum (plus the final epochs of retired shards) is the scalar
-:attr:`ShardRouter.epoch` the serving core keys its cache on, exactly as
-for an unsharded searcher.
+:attr:`ShardRouter.epoch` the wire protocol reports, exactly as for an
+unsharded searcher.  The serving core's query cache does not key on it:
+answers do not depend on placement, so a migration step drops no cached
+answer.
 
 Concurrency
 -----------
@@ -482,9 +484,7 @@ class ShardRouter:
         Monotone — each shard epoch only grows, and a removed shard's
         final epoch folds into a base term instead of vanishing — and
         moved by every mutation and by every migration step that moves
-        rows, so it serves the wire protocol's ``epoch`` field and the
-        serving core's cache key alike.  Answers never depend on placement,
-        so a resize needs no key of its own.
+        rows; it serves the wire protocol's ``epoch`` field.
         """
         return self._epoch_base + sum(self._epochs)
 

@@ -39,19 +39,29 @@ class StringRecord:
         return len(self.text)
 
 
+def check_id_range(record_id: int) -> None:
+    """Raise ``ValueError`` when ``record_id`` does not fit the
+    record store's signed 64-bit id column."""
+    if not -2**63 <= record_id < 2**63:
+        raise ValueError(f"record id {record_id} does not fit in 64 bits")
+
+
 def as_records(strings: Iterable[str | StringRecord]) -> list[StringRecord]:
     """Normalise an iterable of strings (or records) to ``StringRecord``s.
 
     Plain strings are numbered by their position in the iterable.  Existing
     :class:`StringRecord` instances are passed through unchanged, which lets
-    callers keep their own identifier space.  A bare ``str`` is refused:
-    it is one string, not a collection of its characters.
+    callers keep their own identifier space; an id outside signed 64 bits
+    raises ``ValueError`` here, before any index stores a row.  A bare
+    ``str`` is refused: it is one string, not a collection of its
+    characters.
     """
     if isinstance(strings, str):
         raise TypeError("expected a collection of strings, not a str")
     records: list[StringRecord] = []
     for position, item in enumerate(strings):
         if isinstance(item, StringRecord):
+            check_id_range(item.id)
             records.append(item)
         else:
             records.append(StringRecord(id=position, text=str(item)))

@@ -155,6 +155,23 @@ class TestInputContracts:
         with pytest.raises(ValueError, match="duplicate id 0"):
             join([StringRecord(0, "abcd"), StringRecord(0, "abce")], 1)
 
+    def test_join_refuses_ids_outside_64_bits(self):
+        # The record store's id column is signed 64-bit: an id past it is
+        # a ValueError before any row is stored, not an OverflowError.
+        from repro import join
+        from repro.types import StringRecord
+
+        for bad_id in (2**63, -2**63 - 1):
+            with pytest.raises(ValueError, match="64 bits"):
+                join([StringRecord(bad_id, "abcdef"),
+                      StringRecord(1, "abcdeg")], tau=1)
+            with pytest.raises(ValueError, match="64 bits"):
+                join([StringRecord(1, "abcdeg")],
+                     right=[StringRecord(bad_id, "abcdef")], tau=1)
+        edges = [StringRecord(2**63 - 1, "abcdef"),
+                 StringRecord(-2**63, "abcdeg")]
+        assert join(edges, tau=1).pair_ids() == {(-2**63, 2**63 - 1)}
+
     def test_rs_join_refuses_duplicate_ids_within_a_side(self):
         from repro.core.join import pass_join_rs
         from repro.types import StringRecord

@@ -474,13 +474,19 @@ class TestServiceResharding:
             search = {"op": "search", "query": "string07", "tau": 1}
             first = service.handle_request(search)
             assert service.handle_request(search)["cached"] is True
-            service.handle_request({"op": "add-shard"})
-            after = service.handle_request(search)
-            # The moved rows moved the epoch, which dropped the old entry;
-            # the re-computed answer matches, and caching resumes.
-            assert after["cached"] is False
-            assert after["matches"] == first["matches"]
-            assert service.handle_request(search)["cached"] is True
+            epoch = service.searcher.epoch
+            for resize in ("add-shard", "remove-shard"):
+                service.handle_request({"op": resize})
+                # Answers do not depend on placement: the moved rows moved
+                # the epoch but dropped no entry, and the cached answer is
+                # the one the resized fleet computes.
+                after = service.handle_request(search)
+                assert after["cached"] is True
+                assert after["matches"] == first["matches"]
+                assert [match.to_dict() for match in service.searcher.search(
+                    "string07", tau=1)] == first["matches"]
+            assert service.searcher.epoch > epoch
+            assert service.cache.stats.invalidations == 0
         finally:
             service.close()
 

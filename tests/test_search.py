@@ -65,6 +65,10 @@ class TestBasicSearch:
         with pytest.raises(ValueError, match="duplicate id 0"):
             PassJoinSearcher(records, max_tau=1)
 
+    def test_ids_outside_64_bits_refused(self):
+        with pytest.raises(ValueError, match="64 bits"):
+            PassJoinSearcher([StringRecord(2**63, "abcdef")], max_tau=1)
+
     def test_short_indexed_strings_are_found(self):
         searcher = PassJoinSearcher(["a", "ab", "abcdef"], max_tau=3)
         assert {m.text for m in searcher.search("ab", tau=1)} == {"a", "ab"}

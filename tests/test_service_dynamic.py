@@ -212,6 +212,16 @@ class TestInsertIdValidation:
         assert (len(searcher), searcher.epoch) == (3, epoch)
         assert searcher.index_memory()["records"] == 3
 
+    def test_constructor_refuses_ids_outside_64_bits(self):
+        # The constructor path used to reach the store and raise a bare
+        # OverflowError; it shares insert's range check now.
+        for bad_id in (2**63, -2**63 - 1):
+            with pytest.raises(ValueError, match="64 bits"):
+                DynamicSearcher([StringRecord(bad_id, "abcdef")], max_tau=1)
+        searcher = DynamicSearcher([StringRecord(2**63 - 1, "abcdef")],
+                                   max_tau=1)
+        assert [m.id for m in searcher.search("abcdeg")] == [2**63 - 1]
+
 
 def _probe_with_verifier(searcher: DynamicSearcher, query: str, tau: int,
                          method: str) -> list[tuple[int, int]]:

@@ -164,6 +164,11 @@ class TestRouterBasics:
                 router.insert("sigmod")  # the next auto id is 2**63
             assert (len(router), router.epoch_vector) == (3, epochs)
 
+    def test_constructor_refuses_ids_outside_64_bits(self):
+        with pytest.raises(ValueError, match="64 bits"):
+            ShardRouter([StringRecord(2**63, "abcdef")], shards=2,
+                        max_tau=1, backend="thread")
+
     def test_records_and_len_and_sizes(self):
         strings = [f"word{i:02d}" for i in range(10)]
         with make_router(strings) as router:
@@ -224,32 +229,47 @@ class TestShardedServiceCache:
     @pytest.mark.parametrize("backend", [
         "thread", pytest.param("process", marks=needs_fork)])
     def test_mutation_on_one_shard_invalidates_the_cache(self, backend):
-        # The sharded cache keys on the router's scalar epoch, exactly as
-        # the unsharded one does: any mutation drops the warm cache.
+        # A write drops only the cached answers it can change, on
+        # whichever shard it lands, and keeps the rest.
         config = ServiceConfig(max_tau=1, shards=2, shard_backend=backend)
         service = SimilarityService(["ab", "abcd"], config)
         try:
             short = {"op": "search", "query": "ab", "tau": 0}
             long = {"op": "search", "query": "abcd", "tau": 0}
-            for request in (short, long):
+            wide = {"op": "top-k", "query": "abcd", "k": 1, "max_tau": 1}
+            for request in (short, long, wide):
                 service.handle_request(request)
                 assert service.handle_request(request)["cached"] is True
-            invalidations = service.cache.stats.invalidations
-            record_id = service.handle_request(
-                {"op": "insert", "text": "abce"})["id"]
-            owner = service.searcher.ring.place(record_id)
-            assert service.searcher.epoch_vector[1 - owner] == 0
-            assert service.handle_request(short)["cached"] is False
-            assert service.cache.stats.invalidations == invalidations + 1
-            assert service.handle_request(long)["cached"] is False
+            stats = service.cache.stats
+            # Far from every query: nothing is dropped.
+            far = service.handle_request({"op": "insert", "text": "zzzzzz"})
             assert service.handle_request(short)["cached"] is True
+            assert stats.invalidations == 0
+            # Within the top-k limit of "abcd" only.
+            service.handle_request({"op": "insert", "text": "abce"})
+            assert stats.invalidations == 1
+            assert service.handle_request(short)["cached"] is True
+            assert service.handle_request(long)["cached"] is True
+            answer = service.handle_request(wide)
+            assert answer["cached"] is False
+            assert [m["id"] for m in answer["matches"]] == [1]
+            # Deleting "abcd" (id 1) drops the answers that hold it.
+            service.handle_request({"op": "delete", "id": 1})
+            assert stats.invalidations == 3  # long and the re-cached wide
+            assert service.handle_request(short)["cached"] is True
+            assert service.handle_request(long)["matches"] == []
+            # Deleting an id no answer holds drops nothing.
+            service.handle_request({"op": "delete", "id": far["id"]})
+            assert stats.invalidations == 3
+            assert service.handle_request(long)["cached"] is True
         finally:
             service.close()
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_sharded_cache_counts_match_unsharded(self, shards):
-        # One cache key: the same request stream hits, misses and
-        # invalidates identically whether or not the collection is sharded.
+        # One cache, one invalidation path: the same request stream hits,
+        # misses and drops identically whether or not the collection is
+        # sharded.
         strings = random_strings(40, 2, 10, alphabet="abc", seed=shards)
         queries = random_strings(6, 2, 10, alphabet="abc", seed=shards + 50)
         requests = []
@@ -265,7 +285,13 @@ class TestShardedServiceCache:
         try:
             expected = cache_trace(plain, requests)
             assert cache_trace(sharded, requests) == expected
-            assert expected[1][2] > 0  # the stream did invalidate
+            flags, (_, _, invalidations) = expected
+            assert invalidations > 0  # the stream did drop entries
+            # Every answer was cached in round 0; the first reads of round 1
+            # come after two writes, and most of them still hit.
+            per_round = (len(queries) + 2) * 2 + 2
+            first_reads = flags[per_round:per_round + len(queries) * 2]
+            assert sum(first_reads) > len(first_reads) // 2, first_reads
         finally:
             plain.close()
             sharded.close()
@@ -474,6 +500,28 @@ class TestProcessBackend:
             searched = service.handle_request(
                 {"op": "search", "query": "vldb", "tau": 1})
             assert searched["ok"] is False
+        finally:
+            service.close()
+
+    def test_failed_mutation_clears_the_cache(self):
+        # A refused write changed nothing and keeps the cache; a write a
+        # dead worker failed leaves the collection unknown and clears it.
+        config = ServiceConfig(max_tau=2, shards=2, shard_backend="process")
+        service = SimilarityService(["vldb", "pvldb", "sigmod"], config)
+        try:
+            search = {"op": "search", "query": "sigmod", "tau": 0}
+            service.handle_request(search)
+            refused = service.handle_request(
+                {"op": "insert", "text": "sigmod", "id": 2})
+            assert refused["ok"] is False and "already" in refused["error"]
+            assert service.handle_request(search)["cached"] is True
+            dead = service.searcher.ring.place(1)
+            service.searcher._shards[dead]._process.kill()
+            service.searcher._shards[dead]._process.join(timeout=5)
+            failed = service.handle_request({"op": "delete", "id": 1})
+            assert failed["ok"] is False
+            assert len(service.cache) == 0
+            assert service.cache.stats.invalidations == 1
         finally:
             service.close()
 
