@@ -11,11 +11,15 @@ the one probe pass, :func:`probe_record` (one query: the join, ``search``,
 ``explain``), which :func:`probe_many` runs once per unique query of a
 batch.  A pass runs three steps:
 
-1. **Match** — per indexed length and segment ordinal, the substrings the
-   selection window (Section 4) picks are tested against that ordinal's
-   segment dictionary *as a set*: one ``dict_keys.isdisjoint`` call, in C,
-   per window.  Most windows miss outright; only a window that hits is
-   looked up, in selection order, and its posting lists are kept.
+1. **Match** — per indexed length, the selection windows (Section 4)
+   come as a :class:`~repro.core.selection.WindowPlan`: per non-empty
+   window, its segment ordinal and the ``slice`` objects that cut its
+   substrings out of the probe.  Each window's substrings are tested
+   against that ordinal's segment dictionary *as a set*: one
+   ``dict_keys.isdisjoint`` call, in C, per window.  Most windows miss
+   outright; only a window that hits is looked up, in selection order,
+   and its posting lists are kept (for the extension verifiers of step
+   3, with where each one matched).
 2. **Collect** — with an exact-per-pair verifier (the default batched
    Myers and every whole-string kernel) the hit lists are deduplicated in
    C, in first-seen order, so a :class:`~repro.types.StringRecord` is only
@@ -25,9 +29,12 @@ batch.  A pass runs three steps:
    relative to the matching segment, so they verify each hit list on its
    own, with its :class:`~repro.core.verify.MatchContext`.
 
-Selection windows resolve through a :class:`~repro.core.selection.WindowCache`
-when the caller passes one (the join's span-local cache, a searcher's
-persistent one); ``selection_seconds`` times the whole match step.
+Plans resolve through a :class:`~repro.core.selection.WindowCache` when
+the caller passes one (the join's span-local cache, a searcher's
+persistent one), so a cached length pair costs no per-window arithmetic
+and no layout read; without one, every call plans
+``selector.windows`` afresh.  ``selection_seconds`` times the whole match
+step, once per probe.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from ..distance.banded import length_aware_edit_distance
 from ..types import JoinStatistics, StringRecord
 from .index import SegmentIndex
-from .selection import SubstringSelector, WindowCache
+from .selection import SubstringSelector, WindowCache, plan_windows
 from .verify import BaseVerifier, MatchContext
 
 if TYPE_CHECKING:
@@ -75,9 +82,9 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
     ``trace`` optionally collects a per-indexed-length breakdown for the
     ``explain`` op, which only the searchers run: its figures assume an
     exact-per-pair verifier.  ``window_cache`` optionally resolves
-    selection windows through a :class:`~repro.core.selection.WindowCache`
-    instead of calling ``selector.windows`` per probe; the cache counts its
-    own hits.
+    window plans through a :class:`~repro.core.selection.WindowCache`
+    instead of planning ``selector.windows`` per probe; the cache counts
+    its own hits.
     """
     text = probe.text
     query_length = len(text)
@@ -101,48 +108,55 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
         trace.short_pool_checked += checked
         trace.short_pool_accepted += len(matches)
 
-    # Match: one key-set test per window; look up only the windows that hit.
+    # Match: one key-set test per window of the length pair's plan; look
+    # up only the windows that hit.
     per_hit = not verifier.exact_per_pair
     hits: list[Sequence[int]] = []  # hit posting lists, in selection order
     contexts: list[MatchContext] = []  # where each hit matched, if per_hit
+    slice_text = text.__getitem__
+    layout_of = index.layout
+    num_positions = 0
+    match_started = time.perf_counter()
     for length in range(max(query_length - tau, 0), max_length + 1):
         segments_by_ordinal = index.length_group(length)
         if segments_by_ordinal is None:
             continue
-        layout = index.layout(length)
-        match_started = time.perf_counter()
-        windows = (selector.windows(query_length, length, layout)
-                   if window_cache is None
-                   else window_cache.windows(query_length, length, layout))
+        plan = (plan_windows(selector.windows(query_length, length,
+                                              layout_of(length)))
+                if window_cache is None
+                else window_cache.plan(query_length, length, layout_of))
+        num_positions += plan.num_positions
         first_hit = len(hits)
-        num_positions = 0
-        for ordinal, seg_start, seg_length, lo, hi in windows:
-            if hi < lo:
-                continue
-            num_positions += hi + 1 - lo
-            segments = segments_by_ordinal.get(ordinal)
-            if segments is None:
-                continue
-            substrings = [text[start:start + seg_length]
-                          for start in range(lo, hi + 1)]
-            if segments.keys().isdisjoint(substrings):
-                continue
-            if not per_hit:
-                hits.extend(filter(None, map(segments.get, substrings)))
-                continue
-            for start, substring in enumerate(substrings, lo):
-                postings = segments.get(substring)
-                if postings:
-                    hits.append(postings)
-                    contexts.append(MatchContext(
-                        ordinal=ordinal, probe_start=start,
-                        seg_start=seg_start, seg_length=seg_length))
-        stats.selection_seconds += time.perf_counter() - match_started
-        stats.num_selected_substrings += num_positions
-        stats.num_index_probes += num_positions
+        if per_hit:
+            for ordinal, seg_start, seg_length, lo, hi in plan.windows:
+                segments = segments_by_ordinal.get(ordinal)
+                if hi < lo or segments is None:
+                    continue
+                substrings = [text[start:start + seg_length]
+                              for start in range(lo, hi + 1)]
+                if segments.keys().isdisjoint(substrings):
+                    continue
+                for start, substring in enumerate(substrings, lo):
+                    postings = segments.get(substring)
+                    if postings:
+                        hits.append(postings)
+                        contexts.append(MatchContext(
+                            ordinal=ordinal, probe_start=start,
+                            seg_start=seg_start, seg_length=seg_length))
+        else:
+            for ordinal, slices in plan.steps:
+                segments = segments_by_ordinal.get(ordinal)
+                if segments is None or segments.keys().isdisjoint(
+                        map(slice_text, slices)):
+                    continue
+                hits.extend(filter(None, map(
+                    segments.get, map(slice_text, slices))))
         if trace is not None:
-            trace.record_length(length, layout, num_positions,
-                                hits[first_hit:])
+            trace.record_length(length, layout_of(length),
+                                plan.num_positions, hits[first_hit:])
+    stats.selection_seconds += time.perf_counter() - match_started
+    stats.num_selected_substrings += num_positions
+    stats.num_index_probes += num_positions
 
     store = index.store
     store_ids = store.ids

@@ -151,8 +151,9 @@ def run_span(run: JoinRun, start: int, stop: int,
     make_pair = normalise_pair if self_join else SimilarPair
     stats = JoinStatistics()
     selector = make_selector(run.config.selection, tau)
-    # Probe lengths ascend, so a probe length's windows are dead once a
-    # longer probe arrives; one probe length reaches <= 2τ + 1 indexed lengths.
+    # Probe lengths ascend, so a probe length's window plans are dead once
+    # a longer probe arrives; one probe length reaches <= 2τ + 1 indexed
+    # lengths.
     window_cache = WindowCache(selector, capacity=2 * tau + 2)
     verifier = make_verifier(run.config.verification, tau, stats)
     index = SegmentIndex(tau, run.config.partition)
@@ -181,11 +182,14 @@ def run_span(run: JoinRun, start: int, stop: int,
             index_range(max(cursor, low), high)
             cursor = high
             stats.indexing_seconds += time.perf_counter() - indexing_started
+        # No same-id filter: a self-join probe is indexed only after it
+        # probes (warm-up included), and an R-S join's sides are different
+        # collections whose equal ids are different strings.
         matches = probe_record(probe, tau=tau, index=index,
                                short_pool=short_pool, selector=selector,
                                verifier=verifier, stats=stats,
                                max_length=probe.length + ahead,
-                               allow_same_id=not self_join,
+                               allow_same_id=True,
                                window_cache=window_cache)
         for partner, distance in matches:
             pairs.append(make_pair(probe.id, partner.id, distance,

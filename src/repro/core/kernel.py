@@ -59,8 +59,8 @@ class EditDistanceBackend:
         # remove_indexed() purges by.  Joins drive a bare SegmentIndex and
         # never pay for it.
         self._rows: dict[int, int] = {}
-        # Persistent selection-window cache, shared across search /
-        # search_many / explain calls and across batches.  Windows are pure
+        # Persistent window-plan cache, shared across search /
+        # search_many / explain calls and across batches.  Plans are pure
         # in (probe length, indexed length) under this backend's fixed
         # partition threshold and never hold row ordinals, so staleness is
         # impossible; the cache is still dropped whenever the indexed

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..config import SelectionMethod, validate_threshold
 from ..exceptions import UnknownMethodError
@@ -147,18 +147,48 @@ class MultiMatchAwareSelector(SubstringSelector):
         return max(left_lo, right_lo), min(left_hi, right_hi)
 
 
+class WindowPlan(NamedTuple):
+    """Selection windows of one ``(probe length, indexed length)``, planned.
+
+    ``windows`` are :meth:`SubstringSelector.windows` as returned;
+    ``steps`` holds one ``(ordinal, slices)`` pair per *non-empty* window,
+    in ordinal order, whose ``slice`` objects cut the window's substrings
+    out of a probe of that length in start order; ``num_positions`` is the
+    number of those substrings (each one index probe).  A plan holds
+    segment geometry only, so it serves any probe of its length.
+    """
+
+    windows: list[Window]
+    steps: tuple[tuple[int, tuple[slice, ...]], ...]
+    num_positions: int
+
+
+def plan_windows(windows: list[Window]) -> WindowPlan:
+    """The :class:`WindowPlan` of one length pair's selection windows."""
+    steps = tuple(
+        (window.ordinal,
+         tuple(slice(start, start + window.seg_length)
+               for start in range(window.lo, window.hi + 1)))
+        for window in windows if window.hi >= window.lo)
+    return WindowPlan(windows, steps,
+                      sum(len(slices) for _, slices in steps))
+
+
 class WindowCache:
-    """Bounded LRU cache of selection windows, persistent across probes.
+    """Bounded LRU cache of window plans, persistent across probes.
 
     Selection windows are a pure function of ``(probe length, indexed
     length)`` once the selector (whose ``tau`` is the *index partition
     threshold*, not the per-query one) and the partition layout rule are
-    fixed — which they are for the lifetime of one index.  A
-    :class:`Window` carries segment geometry only, never row ordinals, so a
-    cached window can never point at a released store row: posting lookups
-    always go through the live index.  The capacity bound and
-    :meth:`clear` therefore exist to cap memory (e.g. after the indexed
-    length set changes and old keys go cold), not for correctness.
+    fixed — which they are for the lifetime of one index.  Each entry is
+    the :class:`WindowPlan` of one length pair: the windows plus the slice
+    objects the match step cuts the probe with, so a cached length pair
+    costs the engine no per-window arithmetic.  A plan carries segment
+    geometry only, never row ordinals, so it can never point at a released
+    store row: posting lookups always go through the live index.  The
+    capacity bound and :meth:`clear` therefore exist to cap memory (e.g.
+    after the indexed length set changes and old keys go cold), not for
+    correctness.
 
     Hits and misses are counted on the cache object; a searcher adds its
     probes' hits to ``num_windows_cache_hits`` (the
@@ -180,16 +210,18 @@ class WindowCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        self._entries: OrderedDict[tuple[int, int], list[Window]] = (
+        self._entries: OrderedDict[tuple[int, int], WindowPlan] = (
             OrderedDict())
 
-    def windows(self, probe_length: int, indexed_length: int,
-                layout: Sequence[tuple[int, int]]) -> list[Window]:
-        """Return the cached windows for ``(probe_length, indexed_length)``.
+    def plan(self, probe_length: int, indexed_length: int,
+             layout_of: Callable[[int], Sequence[tuple[int, int]]],
+             ) -> WindowPlan:
+        """Return the cached plan for ``(probe_length, indexed_length)``.
 
-        ``layout`` must be the index's layout for ``indexed_length`` — the
-        cache trusts the caller because the layout is itself a pure
-        function of the indexed length under a fixed index.
+        ``layout_of`` maps an indexed length to the index's segment layout
+        (``SegmentIndex.layout``); it is called only on a miss.  The cache
+        trusts it because the layout is itself a pure function of the
+        indexed length under a fixed index.
         """
         key = (probe_length, indexed_length)
         cached = self._entries.get(key)
@@ -198,14 +230,15 @@ class WindowCache:
             self.hits += 1
             return cached
         self.misses += 1
-        windows = self.selector.windows(probe_length, indexed_length, layout)
-        self._entries[key] = windows
+        plan = plan_windows(self.selector.windows(
+            probe_length, indexed_length, layout_of(indexed_length)))
+        self._entries[key] = plan
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-        return windows
+        return plan
 
     def clear(self) -> None:
-        """Drop every cached window set (the invalidation hook)."""
+        """Drop every cached plan (the invalidation hook)."""
         self._entries.clear()
 
     def __len__(self) -> int:

@@ -481,6 +481,23 @@ class TestPersistentWindowCache:
         backend.active_window_cache()
         assert len(backend.window_cache) == 0
 
+    def test_plan_entries_cleared_when_a_length_group_appears(self):
+        from repro.core.selection import WindowPlan
+
+        searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=2)
+        backend = searcher._backend
+        searcher.search("vldb", 2)
+        entries = list(backend.window_cache._entries.values())
+        assert entries and all(isinstance(plan, WindowPlan)
+                               for plan in entries)
+        version = backend.index.lengths_version
+        searcher.insert("databases")  # a new indexed length
+        assert backend.index.lengths_version != version
+        backend.active_window_cache()
+        assert len(backend.window_cache) == 0
+        assert searcher.search("vldb", 2) == searcher.search("vldb", 2)
+        assert len(backend.window_cache) > 0
+
     def test_capacity_must_be_positive(self):
         from repro.core.selection import WindowCache
 

@@ -164,7 +164,8 @@ class TestRouterExplain:
 # scanned posting must land in exactly one bucket, whichever filter took it.
 # ----------------------------------------------------------------------
 def _self_join_entries():
-    # A probe that is itself indexed, run the way the join drivers run it.
+    # A probe that is itself indexed, its own id excluded: the join never
+    # probes an indexed probe, so only a direct call reaches this filter.
     records = sort_records(as_records(["abcdef", "abcdeg", "abcxef"]))
     index = SegmentIndex(1, PartitionStrategy.EVEN)
     for record in records:

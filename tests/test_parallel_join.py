@@ -181,7 +181,7 @@ class TestRSJoinEquality:
 
     def test_shared_ids_stay_distinct_collections(self):
         # In an R-S join equal ids on both sides are different strings and
-        # must still pair up (allow_same_id path).
+        # must still pair up.
         result = spans_join(1, 2, 2).join(["vldb", "icde"], ["vldb", "edbt"])
         assert (0, 0) in result.pair_ids()
 
@@ -230,6 +230,38 @@ class TestSpanJobAlone:
             pairs, _ = run_span(run, start, stop)
             assert pairs == [pair for pair in serial
                              if start <= position[pair.left_id] < stop]
+
+
+class TestNoSameIdFilter:
+    """A self-join probe is indexed only after it probes, so ``run_span``
+    skips the same-id filter: with it forced back on, every pair and every
+    non-time counter is the same, at one span and at several."""
+
+    TIME_FIELDS = ("selection_seconds", "verification_seconds",
+                   "indexing_seconds", "total_seconds")
+
+    def counters(self, result):
+        return {name: value
+                for name, value in result.statistics.as_dict().items()
+                if name not in self.TIME_FIELDS}
+
+    @pytest.mark.parametrize("chunk_size", [None, 1, 7])
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    def test_filter_changes_nothing(self, monkeypatch, mixed_strings, tau,
+                                    chunk_size):
+        seen = []
+        probe_record = join_module.probe_record
+
+        def filtered(probe, **kwargs):
+            seen.append(kwargs["allow_same_id"])
+            return probe_record(probe, **{**kwargs, "allow_same_id": False})
+
+        unfiltered = spans_join(tau, 1, chunk_size).self_join(mixed_strings)
+        monkeypatch.setattr(join_module, "probe_record", filtered)
+        result = spans_join(tau, 1, chunk_size).self_join(mixed_strings)
+        assert seen and all(seen)  # the join itself asks for no filter
+        assert result.pairs == unfiltered.pairs
+        assert self.counters(result) == self.counters(unfiltered)
 
 
 texts = st.text(alphabet="abC ", min_size=0, max_size=10)

@@ -5,6 +5,7 @@ import pytest
 from repro.config import SelectionMethod
 from repro.core.partition import segment_layout
 from repro.core.selection import (LengthBasedSelector, MultiMatchAwareSelector,
+                                  Window, WindowCache, WindowPlan, plan_windows,
                                   PositionAwareSelector, ShiftBasedSelector,
                                   make_selector, theoretical_selection_count)
 from repro.exceptions import UnknownMethodError
@@ -172,3 +173,87 @@ class TestEdgeCases:
     def test_theoretical_count_unknown_method(self):
         with pytest.raises(UnknownMethodError):
             theoretical_selection_count("bogus", 10, 9, 2)
+
+
+class TestWindowPlan:
+    def test_plan_slices_cut_the_selected_substrings(self):
+        for method in SelectionMethod:
+            selector = make_selector(method, TAU)
+            plan = plan_windows(
+                selector.windows(len(PROBE), INDEXED_LENGTH, LAYOUT))
+            planned = [(ordinal, PROBE[cut]) for ordinal, slices in plan.steps
+                       for cut in slices]
+            assert planned == [
+                (selected.ordinal, selected.text) for selected in
+                selector.select(PROBE, INDEXED_LENGTH, LAYOUT)]
+            assert plan.num_positions == len(planned) == selector.count(
+                len(PROBE), INDEXED_LENGTH, LAYOUT)
+
+    def test_empty_windows_get_no_step(self):
+        selector = make_selector("multi-match", 2)
+        windows = selector.windows(3, 12, segment_layout(12, 2))
+        assert windows and all(window.size == 0 for window in windows)
+        plan = plan_windows(windows)
+        assert plan == WindowPlan(windows, (), 0)
+
+
+def _plan_values(value):
+    """Every leaf of a plan: what a cached entry holds."""
+    if isinstance(value, (tuple, list)) and not isinstance(value, Window):
+        for item in value:
+            yield from _plan_values(item)
+    else:
+        yield value
+
+
+class TestWindowCachePlans:
+    def layouts(self):
+        calls = []
+
+        def layout_of(length):
+            calls.append(length)
+            return segment_layout(length, TAU)
+        return calls, layout_of
+
+    def test_entries_are_plans_of_geometry_only(self):
+        cache = WindowCache(make_selector("multi-match", TAU))
+        _, layout_of = self.layouts()
+        plan = cache.plan(len(PROBE), INDEXED_LENGTH, layout_of)
+        assert isinstance(plan, WindowPlan)
+        assert plan.windows == cache.selector.windows(
+            len(PROBE), INDEXED_LENGTH, LAYOUT)
+        # Windows (segment geometry), slices of probe positions and counts:
+        # nothing that names a store row.
+        leaves = list(_plan_values(plan))
+        assert all(type(leaf) in (Window, slice, int) for leaf in leaves)
+        assert all(0 <= cut.start < cut.stop <= len(PROBE)
+                   for cut in leaves if type(cut) is slice)
+
+    def test_layout_read_only_on_a_miss(self):
+        cache = WindowCache(make_selector("multi-match", TAU))
+        calls, layout_of = self.layouts()
+        first = cache.plan(len(PROBE), INDEXED_LENGTH, layout_of)
+        assert cache.plan(len(PROBE), INDEXED_LENGTH, layout_of) is first
+        assert calls == [INDEXED_LENGTH]
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_capacity_bounds_the_plans_lru(self):
+        cache = WindowCache(make_selector("multi-match", TAU), capacity=2)
+        calls, layout_of = self.layouts()
+        for indexed_length in (9, 10, 9, 11):
+            cache.plan(10, indexed_length, layout_of)
+        assert len(cache) == 2
+        # 9 was used after 10, so 10 was the one evicted.
+        cache.plan(10, 9, layout_of)
+        cache.plan(10, 10, layout_of)
+        assert calls == [9, 10, 11, 10]
+
+    def test_len_counts_keys_not_windows_or_slices(self):
+        cache = WindowCache(make_selector("length", TAU))
+        _, layout_of = self.layouts()
+        for _ in range(3):
+            for indexed_length in (8, 9, 10):
+                cache.plan(len(PROBE), indexed_length, layout_of)
+        assert len(cache) == 3
+        cache.clear()
+        assert len(cache) == 0
