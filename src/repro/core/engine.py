@@ -14,12 +14,14 @@ batch.  A pass runs three steps:
 1. **Match** — per indexed length, the selection windows (Section 4)
    come as a :class:`~repro.core.selection.WindowPlan`: per non-empty
    window, its segment ordinal and the ``slice`` objects that cut its
-   substrings out of the probe.  Each window's substrings are tested
-   against that ordinal's segment dictionary *as a set*: one
-   ``dict_keys.isdisjoint`` call, in C, per window.  Most windows miss
-   outright; only a window that hits is looked up, in selection order,
-   and its posting lists are kept (for the extension verifiers of step
-   3, with where each one matched).
+   substrings out of the probe.  One loop walks the plan for every
+   verifier.  Each window's substrings are tested against that ordinal's
+   segment dictionary *as a set*: one ``dict_keys.isdisjoint`` call, in
+   C, per window.  Most windows miss outright; only a window that hits is
+   looked up, in selection order, and its posting lists are kept.  For
+   the extension verifiers of step 3 a hit also records where it
+   matched, a :class:`~repro.core.verify.MatchContext` built from the
+   slice and the indexed length's segment layout.
 2. **Collect** — with an exact-per-pair verifier (the default batched
    Myers and every whole-string kernel) the hit lists are deduplicated in
    C, in first-seen order, so a :class:`~repro.types.StringRecord` is only
@@ -32,9 +34,10 @@ batch.  A pass runs three steps:
 Plans resolve through a :class:`~repro.core.selection.WindowCache` when
 the caller passes one (the join's span-local cache, a searcher's
 persistent one), so a cached length pair costs no per-window arithmetic
-and no layout read; without one, every call plans
-``selector.windows`` afresh.  ``selection_seconds`` times the whole match
-step, once per probe.
+and, under an exact-per-pair verifier, no layout read; without one,
+every call plans ``selector.windows`` afresh.  A plan is segment geometry
+only, so a cached one never goes stale.  ``selection_seconds`` times the
+whole match step, once per probe.
 """
 
 from __future__ import annotations
@@ -127,28 +130,22 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
                 else window_cache.plan(query_length, length, layout_of))
         num_positions += plan.num_positions
         first_hit = len(hits)
-        if per_hit:
-            for ordinal, seg_start, seg_length, lo, hi in plan.windows:
-                segments = segments_by_ordinal.get(ordinal)
-                if hi < lo or segments is None:
-                    continue
-                substrings = [text[start:start + seg_length]
-                              for start in range(lo, hi + 1)]
-                if segments.keys().isdisjoint(substrings):
-                    continue
-                for start, substring in enumerate(substrings, lo):
-                    postings = segments.get(substring)
+        for ordinal, slices in plan.steps:
+            segments = segments_by_ordinal.get(ordinal)
+            if segments is None or segments.keys().isdisjoint(
+                    map(slice_text, slices)):
+                continue
+            if per_hit:
+                seg_start = layout_of(length)[ordinal - 1][0]
+                for cut in slices:
+                    postings = segments.get(text[cut])
                     if postings:
                         hits.append(postings)
                         contexts.append(MatchContext(
-                            ordinal=ordinal, probe_start=start,
-                            seg_start=seg_start, seg_length=seg_length))
-        else:
-            for ordinal, slices in plan.steps:
-                segments = segments_by_ordinal.get(ordinal)
-                if segments is None or segments.keys().isdisjoint(
-                        map(slice_text, slices)):
-                    continue
+                            ordinal=ordinal, probe_start=cut.start,
+                            seg_start=seg_start,
+                            seg_length=cut.stop - cut.start))
+            else:
                 hits.extend(filter(None, map(
                     segments.get, map(slice_text, slices))))
         if trace is not None:

@@ -66,10 +66,6 @@ class SegmentIndex:
         self._bytes_by_length: dict[int, int] = {}
         self._current_entries = 0
         self._current_bytes = 0
-        # Bumped whenever the *set* of indexed lengths changes (a length
-        # group appears or disappears) — the invalidation signal consumed
-        # by the searcher backend's persistent window cache.
-        self._lengths_version = 0
 
     # ------------------------------------------------------------------
     # Building
@@ -99,7 +95,6 @@ class SegmentIndex:
         per_length = self._indices.get(length)
         if per_length is None:
             per_length = self._indices[length] = {}
-            self._lengths_version += 1
         added_bytes = 0
         for ordinal, (start, seg_length) in enumerate(layout, 1):
             key = text[start:start + seg_length]
@@ -153,7 +148,6 @@ class SegmentIndex:
         else:
             del self._indices[length]
             del self._bytes_by_length[length]
-            self._lengths_version += 1
         self._current_entries -= self.tau + 1
         self._current_bytes -= removed_bytes
         return self.tau + 1
@@ -189,8 +183,6 @@ class SegmentIndex:
         the record table bounded by the live window too.
         """
         stale = [length for length in self._indices if length < min_length]
-        if stale:
-            self._lengths_version += 1
         for length in stale:
             per_length = self._indices.pop(length)
             for postings in per_length[1].values():
@@ -199,17 +191,6 @@ class SegmentIndex:
                 self._current_entries -= (self.tau + 1) * len(postings)
             self._current_bytes -= self._bytes_by_length.pop(length)
         return len(stale)
-
-    @property
-    def lengths_version(self) -> int:
-        """Generation counter of the indexed length *set*.
-
-        Changes exactly when a length group is created or destroyed
-        (:meth:`add` of a first record, :meth:`remove` of a last record,
-        :meth:`evict_below`).  Persistent window caches compare it against
-        the value they last saw and clear themselves on mismatch.
-        """
-        return self._lengths_version
 
     @property
     def current_entry_count(self) -> int:

@@ -62,12 +62,10 @@ class EditDistanceBackend:
         # Persistent window-plan cache, shared across search /
         # search_many / explain calls and across batches.  Plans are pure
         # in (probe length, indexed length) under this backend's fixed
-        # partition threshold and never hold row ordinals, so staleness is
-        # impossible; the cache is still dropped whenever the indexed
-        # length *set* changes (remove / evict_below) so keys for
-        # dead lengths do not pin memory.
+        # partition threshold and never hold row ordinals, so no write
+        # makes one stale; the LRU bound caps the keys of lengths gone
+        # cold.
         self.window_cache = WindowCache(self.selector)
-        self._cache_lengths_version = self.index.lengths_version
 
     def add(self, record: StringRecord) -> int:
         """Index ``record`` (or pool it); return the segment entries added."""
@@ -109,14 +107,6 @@ class EditDistanceBackend:
         """The verifier :meth:`probe` uses at ``tau`` (explain reports it)."""
         return make_verifier(DEFAULT_VERIFICATION, tau, stats)
 
-    def active_window_cache(self) -> WindowCache:
-        """The persistent window cache, cleared if the length set changed."""
-        version = self.index.lengths_version
-        if version != self._cache_lengths_version:
-            self.window_cache.clear()
-            self._cache_lengths_version = version
-        return self.window_cache
-
     def probe(self, query: str, tau: int, *, stats: JoinStatistics,
               trace: "ProbeTrace | None" = None,
               verifier: Any = None) -> list[tuple[StringRecord, int]]:
@@ -128,7 +118,7 @@ class EditDistanceBackend:
         """
         if verifier is None:
             verifier = self.new_verifier(tau, stats)
-        window_cache = self.active_window_cache()
+        window_cache = self.window_cache
         hits = window_cache.hits
         matches = probe_record(
             StringRecord(id=-1, text=query), tau=tau, index=self.index,
@@ -151,7 +141,7 @@ class EditDistanceBackend:
         if verifier_factory is None:
             def verifier_factory(tau: int) -> Any:
                 return self.new_verifier(tau, stats)
-        window_cache = self.active_window_cache()
+        window_cache = self.window_cache
         hits = window_cache.hits
         found = probe_many(
             queries, index=self.index,

@@ -150,15 +150,14 @@ class MultiMatchAwareSelector(SubstringSelector):
 class WindowPlan(NamedTuple):
     """Selection windows of one ``(probe length, indexed length)``, planned.
 
-    ``windows`` are :meth:`SubstringSelector.windows` as returned;
-    ``steps`` holds one ``(ordinal, slices)`` pair per *non-empty* window,
-    in ordinal order, whose ``slice`` objects cut the window's substrings
-    out of a probe of that length in start order; ``num_positions`` is the
-    number of those substrings (each one index probe).  A plan holds
-    segment geometry only, so it serves any probe of its length.
+    ``steps`` holds one ``(ordinal, slices)`` pair per *non-empty* window
+    of :meth:`SubstringSelector.windows`, in ordinal order, whose ``slice``
+    objects cut the window's substrings out of a probe of that length in
+    start order; ``num_positions`` is the number of those substrings (each
+    one index probe).  A plan holds segment geometry only, so it serves
+    any probe of its length.
     """
 
-    windows: list[Window]
     steps: tuple[tuple[int, tuple[slice, ...]], ...]
     num_positions: int
 
@@ -170,8 +169,7 @@ def plan_windows(windows: list[Window]) -> WindowPlan:
          tuple(slice(start, start + window.seg_length)
                for start in range(window.lo, window.hi + 1)))
         for window in windows if window.hi >= window.lo)
-    return WindowPlan(windows, steps,
-                      sum(len(slices) for _, slices in steps))
+    return WindowPlan(steps, sum(len(slices) for _, slices in steps))
 
 
 class WindowCache:
@@ -181,14 +179,13 @@ class WindowCache:
     length)`` once the selector (whose ``tau`` is the *index partition
     threshold*, not the per-query one) and the partition layout rule are
     fixed — which they are for the lifetime of one index.  Each entry is
-    the :class:`WindowPlan` of one length pair: the windows plus the slice
-    objects the match step cuts the probe with, so a cached length pair
-    costs the engine no per-window arithmetic.  A plan carries segment
-    geometry only, never row ordinals, so it can never point at a released
-    store row: posting lookups always go through the live index.  The
-    capacity bound and :meth:`clear` therefore exist to cap memory (e.g.
-    after the indexed length set changes and old keys go cold), not for
-    correctness.
+    the :class:`WindowPlan` of one length pair: the slice objects the
+    match step cuts the probe with, so a cached length pair costs the
+    engine no per-window arithmetic.  A plan carries segment geometry
+    only, never row ordinals, so it can never point at a released store
+    row: posting lookups always go through the live index.  Nothing
+    invalidates a plan, not even a length group that disappears and comes
+    back; the capacity bound only caps memory.
 
     Hits and misses are counted on the cache object; a searcher adds its
     probes' hits to ``num_windows_cache_hits`` (the
@@ -236,10 +233,6 @@ class WindowCache:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return plan
-
-    def clear(self) -> None:
-        """Drop every cached plan (the invalidation hook)."""
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

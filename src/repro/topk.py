@@ -20,6 +20,7 @@ from typing import Iterable
 
 from .config import JoinConfig
 from .core.join import PassJoin
+from .search.searcher import resolve_top_k
 from .types import JoinResult, JoinStatistics, SimilarPair, StringRecord, as_records
 
 
@@ -33,12 +34,13 @@ def top_k_join(strings: Iterable[str | StringRecord], k: int,
     strings:
         The collection to self-join.
     k:
-        Number of pairs to return.  Fewer pairs are returned when the
-        collection has fewer than ``k`` pairs within ``max_tau``.
+        Number of pairs to return, a positive ``int``.  Fewer pairs are
+        returned when the collection has fewer than ``k`` pairs within
+        ``max_tau``.
     max_tau:
-        Safety cap on the threshold growth.  Defaults to the length of the
-        longest string (at which point every length-compatible pair has been
-        considered).
+        Safety cap on the threshold growth, a non-negative ``int``.
+        Defaults to (and is clamped to) the length of the longest string,
+        at which point every length-compatible pair has been considered.
     config:
         Optional :class:`~repro.config.JoinConfig` forwarded to each round.
 
@@ -50,13 +52,11 @@ def top_k_join(strings: Iterable[str | StringRecord], k: int,
     >>> sorted((p.left, p.right) for p in result)
     [('vldb', 'pvldb'), ('vldb', 'vldbj')]
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
     records = as_records(strings)
+    max_tau = resolve_top_k(
+        k, max_tau, max((record.length for record in records), default=0))
     if len(records) < 2:
         return JoinResult(pairs=[], statistics=JoinStatistics(num_strings=len(records)))
-    if max_tau is None:
-        max_tau = max(record.length for record in records)
 
     merged_stats = JoinStatistics()
     result = JoinResult(pairs=[])

@@ -444,59 +444,38 @@ class TestPersistentWindowCache:
         searcher.search("vldc", 2)  # same length: windows already cached
         assert searcher.statistics.num_windows_cache_hits > before
 
-    def test_cache_cleared_when_length_group_disappears(self):
+    def test_plan_survives_a_length_group_leaving_and_returning(self):
+        from repro.types import StringRecord
+
         searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=2)
-        backend = searcher._backend
+        window_cache = searcher._backend.window_cache
         searcher.search("vldb", 2)
-        assert len(backend.window_cache) > 0
+        plan = window_cache._entries[4, 6]  # cached beside "sigmod"
         searcher.delete(2)  # the only length-6 record: its group goes
-        backend.active_window_cache()
-        assert len(backend.window_cache) == 0
+        new_id = searcher.insert("pvldbx")  # and a new one comes
+        fresh = PassJoinSearcher(
+            [StringRecord(id=0, text="vldb"), StringRecord(id=1, text="pvldb"),
+             StringRecord(id=new_id, text="pvldbx")], max_tau=2)
+        hits = window_cache.hits
+        again = searcher.search("vldb", 2)
+        assert again == fresh.search("vldb", 2)
+        assert new_id in {match.id for match in again}
+        assert window_cache._entries[4, 6] is plan
+        assert window_cache.hits > hits
 
     def test_cached_pre_purge_window_never_yields_released_row(self):
-        # Length-4 keeps a survivor, so the length set — and therefore the
-        # window cache — is untouched by the delete: the second search runs
-        # over windows cached *before* the delete and must not resurrect
-        # the released store row.
+        # The second search runs over windows cached *before* the delete
+        # and must not resurrect the released store row.
         searcher = DynamicSearcher(["vldb", "avdb", "pvldb"], max_tau=2)
         backend = searcher._backend
-        version = backend.index.lengths_version
         first = searcher.search("vldb", 2)
         assert 1 in {match.id for match in first}
         assert len(backend.window_cache) > 0
         searcher.delete(1)
-        assert backend.index.lengths_version == version
         assert len(backend.window_cache) > 0  # cache survived the delete
         again = searcher.search("vldb", 2)
         assert all(match.id != 1 for match in again)
         assert again == [match for match in first if match.id != 1]
-
-    def test_cache_cleared_on_evict_below(self):
-        searcher = PassJoinSearcher(["vldb", "pvldb", "sigmod"], max_tau=2)
-        backend = searcher._backend
-        searcher.search("vldb", 2)
-        assert len(backend.window_cache) > 0
-        backend.index.evict_below(10)  # every indexed length is shorter
-        assert backend.index.lengths_version != backend._cache_lengths_version
-        backend.active_window_cache()
-        assert len(backend.window_cache) == 0
-
-    def test_plan_entries_cleared_when_a_length_group_appears(self):
-        from repro.core.selection import WindowPlan
-
-        searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=2)
-        backend = searcher._backend
-        searcher.search("vldb", 2)
-        entries = list(backend.window_cache._entries.values())
-        assert entries and all(isinstance(plan, WindowPlan)
-                               for plan in entries)
-        version = backend.index.lengths_version
-        searcher.insert("databases")  # a new indexed length
-        assert backend.index.lengths_version != version
-        backend.active_window_cache()
-        assert len(backend.window_cache) == 0
-        assert searcher.search("vldb", 2) == searcher.search("vldb", 2)
-        assert len(backend.window_cache) > 0
 
     def test_capacity_must_be_positive(self):
         from repro.core.selection import WindowCache

@@ -147,7 +147,8 @@ def reference_probe(probe, tau, max_length, index, selector, verification,
        tau=st.integers(0, 4), query_tau=st.integers(0, 4),
        method=st.sampled_from(list(SelectionMethod)),
        strategy=st.sampled_from(list(PartitionStrategy)),
-       verification=st.sampled_from(["myers-batch", "extension"]),
+       verification=st.sampled_from(["myers-batch", "extension",
+                                    "share-prefix"]),
        probe_is_indexed=st.booleans(), reach=st.integers(0, 8),
        cached=st.booleans())
 def test_plan_walk_matches_window_loop(drawn, tau, query_tau, method,

@@ -5,7 +5,7 @@ import pytest
 from repro.config import SelectionMethod
 from repro.core.partition import segment_layout
 from repro.core.selection import (LengthBasedSelector, MultiMatchAwareSelector,
-                                  Window, WindowCache, WindowPlan, plan_windows,
+                                  WindowCache, WindowPlan, plan_windows,
                                   PositionAwareSelector, ShiftBasedSelector,
                                   make_selector, theoretical_selection_count)
 from repro.exceptions import UnknownMethodError
@@ -194,12 +194,12 @@ class TestWindowPlan:
         windows = selector.windows(3, 12, segment_layout(12, 2))
         assert windows and all(window.size == 0 for window in windows)
         plan = plan_windows(windows)
-        assert plan == WindowPlan(windows, (), 0)
+        assert plan == WindowPlan((), 0)
 
 
 def _plan_values(value):
     """Every leaf of a plan: what a cached entry holds."""
-    if isinstance(value, (tuple, list)) and not isinstance(value, Window):
+    if isinstance(value, tuple):
         for item in value:
             yield from _plan_values(item)
     else:
@@ -220,12 +220,12 @@ class TestWindowCachePlans:
         _, layout_of = self.layouts()
         plan = cache.plan(len(PROBE), INDEXED_LENGTH, layout_of)
         assert isinstance(plan, WindowPlan)
-        assert plan.windows == cache.selector.windows(
-            len(PROBE), INDEXED_LENGTH, LAYOUT)
-        # Windows (segment geometry), slices of probe positions and counts:
-        # nothing that names a store row.
+        assert plan == plan_windows(cache.selector.windows(
+            len(PROBE), INDEXED_LENGTH, LAYOUT))
+        # Ordinals, slices of probe positions and counts: nothing that
+        # names a store row.
         leaves = list(_plan_values(plan))
-        assert all(type(leaf) in (Window, slice, int) for leaf in leaves)
+        assert all(type(leaf) in (slice, int) for leaf in leaves)
         assert all(0 <= cut.start < cut.stop <= len(PROBE)
                    for cut in leaves if type(cut) is slice)
 
@@ -255,5 +255,3 @@ class TestWindowCachePlans:
             for indexed_length in (8, 9, 10):
                 cache.plan(len(PROBE), indexed_length, layout_of)
         assert len(cache) == 3
-        cache.clear()
-        assert len(cache) == 0

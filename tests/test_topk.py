@@ -44,9 +44,14 @@ class TestTopKJoin:
         result = top_k_join(strings, k=2, max_tau=1)
         assert len(result) == 0  # every pair is at distance 4 > 1
 
-    def test_invalid_k(self):
+    @pytest.mark.parametrize("strings", [["vldb", "pvldb", "vldbj"], [],
+                                         ["only"]])
+    @pytest.mark.parametrize("k, max_tau", [
+        (0, None), (-1, None), (True, None), (1.5, None), ("2", None),
+        (1, -1), (1, True), (1, 1.5)])
+    def test_invalid_arguments_refused_up_front(self, strings, k, max_tau):
         with pytest.raises(ValueError):
-            top_k_join(["a", "b"], k=0)
+            top_k_join(strings, k=k, max_tau=max_tau)
 
     def test_tiny_collections(self):
         assert len(top_k_join([], k=3)) == 0
