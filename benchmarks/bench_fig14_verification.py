@@ -6,7 +6,7 @@ assertions are made on the deterministic work counter (DP cells computed),
 which is what drives the elapsed-time ordering the paper reports.
 
 The module also carries the *tracked* verification-kernel benchmark: the
-library's default verifier (``myers-batch``: a 64-bit histogram-signature
+library's default verifier (``myers-batch``: a 256-bit histogram-signature
 reject in front of the batched bit-parallel sweep) against the per-pair
 Myers baseline on a verification-dominated Figure 14 configuration.  The
 ratio is the whole default verifier's — signature reject and mask reuse

@@ -134,7 +134,7 @@ def build_report(scale: float) -> str:
         "The paper's verifiers process one candidate pair at a time and "
         "start a DP for each.  The library's default verifier "
         "(`VerificationMethod.MYERS_BATCH`, `DEFAULT_VERIFICATION`) first "
-        "rejects a candidate whose 64-bit capped character histogram — a "
+        "rejects a candidate whose 256-bit capped character histogram — a "
         "lazily filled column of the record store — is more than tau bucket "
         "counts away from the probe's (ED-Join's content filter in two "
         "popcounts), then encodes the probe's character masks once and "

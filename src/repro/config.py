@@ -59,7 +59,7 @@ class VerificationMethod(str, Enum):
     ``MYERS_BATCH``
         Batched bit-parallel verifier (library extension, and the library
         default — :data:`DEFAULT_VERIFICATION`): candidates are first
-        rejected on a 64-bit character-histogram signature, then one
+        rejected on a 256-bit capped character-histogram signature, then one
         probe's character masks are built once and swept across the
         survivors with Hyyrö's bounded cutoff.
     """

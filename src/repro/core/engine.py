@@ -11,17 +11,22 @@ the one probe pass, :func:`probe_record` (one query: the join, ``search``,
 ``explain``), which :func:`probe_many` runs once per unique query of a
 batch.  A pass runs three steps:
 
-1. **Match** — per indexed length, the selection windows (Section 4)
-   come as a :class:`~repro.core.selection.WindowPlan`: per non-empty
-   window, its segment ordinal and the ``slice`` objects that cut its
-   substrings out of the probe.  One loop walks the plan for every
-   verifier.  Each window's substrings are tested against that ordinal's
-   segment dictionary *as a set*: one ``dict_keys.isdisjoint`` call, in
-   C, per window.  Most windows miss outright; only a window that hits is
-   looked up, in selection order, and its posting lists are kept.  For
-   the extension verifiers of step 3 a hit also records where it
-   matched, a :class:`~repro.core.verify.MatchContext` built from the
-   slice and the indexed length's segment layout.
+1. **Match** — the selection windows (Section 4) of the probe's length
+   against every indexed length it reaches come as one
+   :class:`~repro.core.selection.ProbePlan`: the distinct ``slice``
+   objects of all the windows, and per indexed length and non-empty
+   window, its segment ordinal and its positions among those slices.
+   The probe is sliced once per distinct substring — the ``τ + 1``
+   indexed lengths' windows overlap, so a long probe's substrings repeat
+   several times over — and one loop walks the plan for every verifier.
+   Each window's substrings are picked out of that list and tested
+   against that ordinal's segment dictionary *as a set*: one
+   ``dict_keys.isdisjoint`` call, in C, per window.  Most windows miss
+   outright; only a window that hits is looked up, in selection order,
+   and its posting lists are kept.  For the extension verifiers of step 3
+   a hit also records where it matched, a
+   :class:`~repro.core.verify.MatchContext` built from the slice and the
+   indexed length's segment layout.
 2. **Collect** — with an exact-per-pair verifier (the default batched
    Myers and every whole-string kernel) the hit lists are deduplicated in
    C, in first-seen order, so a :class:`~repro.types.StringRecord` is only
@@ -33,9 +38,10 @@ batch.  A pass runs three steps:
 
 Plans resolve through a :class:`~repro.core.selection.WindowCache` when
 the caller passes one (the join's span-local cache, a searcher's
-persistent one), so a cached length pair costs no per-window arithmetic
-and, under an exact-per-pair verifier, no layout read; without one,
-every call plans ``selector.windows`` afresh.  A plan is segment geometry
+persistent one), keyed by the probe length and its range of indexed
+lengths, so a cached probe length costs no per-window arithmetic and,
+under an exact-per-pair verifier, no layout read; without one, every
+call plans ``selector.windows`` afresh.  A plan is segment geometry
 only, so a cached one never goes stale.  ``selection_seconds`` times the
 whole match step, once per probe.
 """
@@ -49,7 +55,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from ..distance.banded import length_aware_edit_distance
 from ..types import JoinStatistics, StringRecord
 from .index import SegmentIndex
-from .selection import SubstringSelector, WindowCache, plan_windows
+from .selection import SubstringSelector, WindowCache, plan_probe
 from .verify import BaseVerifier, MatchContext
 
 if TYPE_CHECKING:
@@ -84,10 +90,10 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
 
     ``trace`` optionally collects a per-indexed-length breakdown for the
     ``explain`` op, which only the searchers run: its figures assume an
-    exact-per-pair verifier.  ``window_cache`` optionally resolves
-    window plans through a :class:`~repro.core.selection.WindowCache`
-    instead of planning ``selector.windows`` per probe; the cache counts
-    its own hits.
+    exact-per-pair verifier.  ``window_cache`` optionally resolves the
+    probe's plan through a :class:`~repro.core.selection.WindowCache`
+    instead of planning ``selector.windows`` per probe; the present
+    indexed lengths walked are added to its hits or misses.
     """
     text = probe.text
     query_length = len(text)
@@ -111,35 +117,43 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
         trace.short_pool_checked += checked
         trace.short_pool_accepted += len(matches)
 
-    # Match: one key-set test per window of the length pair's plan; look
-    # up only the windows that hit.
+    # Match: slice each distinct substring of the probe's plan once, then
+    # one key-set test per window of every present indexed length; look up
+    # only the windows that hit.
     per_hit = not verifier.exact_per_pair
     hits: list[Sequence[int]] = []  # hit posting lists, in selection order
     contexts: list[MatchContext] = []  # where each hit matched, if per_hit
-    slice_text = text.__getitem__
     layout_of = index.layout
-    num_positions = 0
+    # Lengths below tau + 1 of the index are never indexed.
+    low = max(query_length - tau, index.tau + 1)
+    num_positions = present = 0
     match_started = time.perf_counter()
-    for length in range(max(query_length - tau, 0), max_length + 1):
+    if window_cache is None:
+        plan, cached = plan_probe(selector, query_length, low, max_length,
+                                  layout_of), False
+    else:
+        plan, cached = window_cache.plan(query_length, low, max_length,
+                                         layout_of)
+    cuts = plan.cuts
+    subs = list(map(text.__getitem__, cuts))
+    sub_at = subs.__getitem__
+    for length, steps, length_positions in plan.lengths:
         segments_by_ordinal = index.length_group(length)
         if segments_by_ordinal is None:
             continue
-        plan = (plan_windows(selector.windows(query_length, length,
-                                              layout_of(length)))
-                if window_cache is None
-                else window_cache.plan(query_length, length, layout_of))
-        num_positions += plan.num_positions
+        present += 1
+        num_positions += length_positions
         first_hit = len(hits)
-        for ordinal, slices in plan.steps:
+        for ordinal, pick, positions in steps:
             segments = segments_by_ordinal.get(ordinal)
-            if segments is None or segments.keys().isdisjoint(
-                    map(slice_text, slices)):
+            if segments is None or segments.keys().isdisjoint(pick(subs)):
                 continue
             if per_hit:
                 seg_start = layout_of(length)[ordinal - 1][0]
-                for cut in slices:
-                    postings = segments.get(text[cut])
+                for position in positions:
+                    postings = segments.get(subs[position])
                     if postings:
+                        cut = cuts[position]
                         hits.append(postings)
                         contexts.append(MatchContext(
                             ordinal=ordinal, probe_start=cut.start,
@@ -147,10 +161,15 @@ def probe_record(probe: StringRecord, *, tau: int, index: SegmentIndex,
                             seg_length=cut.stop - cut.start))
             else:
                 hits.extend(filter(None, map(
-                    segments.get, map(slice_text, slices))))
+                    segments.get, map(sub_at, positions))))
         if trace is not None:
-            trace.record_length(length, layout_of(length),
-                                plan.num_positions, hits[first_hit:])
+            trace.record_length(length, layout_of(length), length_positions,
+                                hits[first_hit:])
+    if window_cache is not None:
+        if cached:
+            window_cache.hits += present
+        else:
+            window_cache.misses += present
     stats.selection_seconds += time.perf_counter() - match_started
     stats.num_selected_substrings += num_positions
     stats.num_index_probes += num_positions

@@ -151,10 +151,9 @@ def run_span(run: JoinRun, start: int, stop: int,
     make_pair = normalise_pair if self_join else SimilarPair
     stats = JoinStatistics()
     selector = make_selector(run.config.selection, tau)
-    # Probe lengths ascend, so a probe length's window plans are dead once
-    # a longer probe arrives; one probe length reaches <= 2τ + 1 indexed
-    # lengths.
-    window_cache = WindowCache(selector, capacity=2 * tau + 2)
+    # Probe lengths ascend, so a probe length's plan is dead once a longer
+    # probe arrives.
+    window_cache = WindowCache(selector, capacity=1)
     verifier = make_verifier(run.config.verification, tau, stats)
     index = SegmentIndex(tau, run.config.partition)
     short_pool: list[StringRecord] = []

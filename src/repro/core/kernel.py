@@ -59,12 +59,12 @@ class EditDistanceBackend:
         # remove_indexed() purges by.  Joins drive a bare SegmentIndex and
         # never pay for it.
         self._rows: dict[int, int] = {}
-        # Persistent window-plan cache, shared across search /
+        # Persistent probe-plan cache, shared across search /
         # search_many / explain calls and across batches.  Plans are pure
-        # in (probe length, indexed length) under this backend's fixed
-        # partition threshold and never hold row ordinals, so no write
-        # makes one stale; the LRU bound caps the keys of lengths gone
-        # cold.
+        # in (probe length, indexed-length range) under this backend's
+        # fixed partition threshold and never hold row ordinals, so no
+        # write makes one stale; the LRU bound caps the keys of lengths
+        # gone cold.
         self.window_cache = WindowCache(self.selector)
 
     def add(self, record: StringRecord) -> int:

@@ -21,12 +21,22 @@ with ``Δ = |s| − l`` and, for the multi-match-aware method,
 Positions here are 0-based (the paper uses 1-based positions; the windows
 are the same after shifting by one).  Every window is clamped to the valid
 substring range ``[0, |s| − l_i]``.
+
+The probe engine does not walk :class:`Window` objects: :func:`plan_probe`
+compiles the windows of one probe length against a whole range of
+indexed lengths into a :class:`ProbePlan`.  The ``τ + 1`` indexed lengths
+near ``|s|`` have near-equal segment lengths and overlapping windows, so
+one substring is selected several times over; the plan names each
+distinct ``(start, stop)`` once, in ``cuts``, and every window names its
+substrings by their positions in ``cuts``.  A :class:`WindowCache` keeps
+plans across probes.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from ..config import SelectionMethod, validate_threshold
@@ -147,48 +157,88 @@ class MultiMatchAwareSelector(SubstringSelector):
         return max(left_lo, right_lo), min(left_hi, right_hi)
 
 
-class WindowPlan(NamedTuple):
-    """Selection windows of one ``(probe length, indexed length)``, planned.
+class LengthPlan(NamedTuple):
+    """The selection windows of one indexed length within a :class:`ProbePlan`.
 
-    ``steps`` holds one ``(ordinal, slices)`` pair per *non-empty* window
-    of :meth:`SubstringSelector.windows`, in ordinal order, whose ``slice``
-    objects cut the window's substrings out of a probe of that length in
-    start order; ``num_positions`` is the number of those substrings (each
-    one index probe).  A plan holds segment geometry only, so it serves
-    any probe of its length.
+    ``steps`` holds one ``(ordinal, pick, positions)`` triple per
+    *non-empty* window of :meth:`SubstringSelector.windows`, in ordinal
+    order: ``positions`` indexes the plan's ``cuts`` in start order, and
+    ``pick`` is an :func:`operator.itemgetter` that returns those
+    substrings from the probe's list of cut substrings as a tuple (a
+    one-position window repeats its index, since ``itemgetter(i)`` would
+    return a bare ``str``).  ``num_positions`` is the number of the
+    length's substrings, each one index probe.
     """
 
-    steps: tuple[tuple[int, tuple[slice, ...]], ...]
+    length: int
+    steps: tuple[tuple[int, Callable[[Sequence[str]], tuple[str, ...]],
+                       tuple[int, ...]], ...]
     num_positions: int
 
 
-def plan_windows(windows: list[Window]) -> WindowPlan:
-    """The :class:`WindowPlan` of one length pair's selection windows."""
-    steps = tuple(
-        (window.ordinal,
-         tuple(slice(start, start + window.seg_length)
-               for start in range(window.lo, window.hi + 1)))
-        for window in windows if window.hi >= window.lo)
-    return WindowPlan(steps, sum(len(slices) for _, slices in steps))
+class ProbePlan(NamedTuple):
+    """Selection windows of one probe length over a range of indexed lengths.
+
+    ``cuts`` holds each distinct ``slice`` of every window once, so a
+    probe slices each of its distinct substrings once however many
+    windows (of however many indexed lengths) select it; ``lengths`` holds
+    one :class:`LengthPlan` per indexed length of the range, ascending.  A
+    plan holds segment geometry only, so it serves any probe of its
+    length.
+    """
+
+    cuts: tuple[slice, ...]
+    lengths: tuple[LengthPlan, ...]
+
+
+def plan_probe(selector: SubstringSelector, probe_length: int, low: int,
+               high: int, layout_of: Callable[[int], Sequence[tuple[int, int]]],
+               ) -> ProbePlan:
+    """The :class:`ProbePlan` of a probe length against indexed lengths
+    ``low`` to ``high``; ``layout_of`` maps an indexed length to its
+    segment layout (``SegmentIndex.layout``)."""
+    cuts: dict[tuple[int, int], int] = {}
+    lengths = []
+    for length in range(low, high + 1):
+        steps = []
+        for window in selector.windows(probe_length, length,
+                                       layout_of(length)):
+            if window.hi < window.lo:
+                continue
+            positions = tuple(
+                cuts.setdefault((start, start + window.seg_length),
+                                len(cuts))
+                for start in range(window.lo, window.hi + 1))
+            pick = (itemgetter(*positions) if len(positions) > 1
+                    else itemgetter(positions[0], positions[0]))
+            steps.append((window.ordinal, pick, positions))
+        lengths.append(LengthPlan(
+            length, tuple(steps),
+            sum(len(positions) for _, _, positions in steps)))
+    return ProbePlan(tuple(slice(start, stop) for start, stop in cuts),
+                     tuple(lengths))
 
 
 class WindowCache:
-    """Bounded LRU cache of window plans, persistent across probes.
+    """Bounded LRU cache of probe plans, persistent across probes.
 
     Selection windows are a pure function of ``(probe length, indexed
     length)`` once the selector (whose ``tau`` is the *index partition
     threshold*, not the per-query one) and the partition layout rule are
     fixed — which they are for the lifetime of one index.  Each entry is
-    the :class:`WindowPlan` of one length pair: the slice objects the
-    match step cuts the probe with, so a cached length pair costs the
-    engine no per-window arithmetic.  A plan carries segment geometry
+    the :class:`ProbePlan` of one probe length over one range of indexed
+    lengths: the distinct slices the match step cuts the probe with and
+    every window's positions among them, so a cached probe length costs
+    the engine no per-window arithmetic.  A plan carries segment geometry
     only, never row ordinals, so it can never point at a released store
     row: posting lookups always go through the live index.  Nothing
     invalidates a plan, not even a length group that disappears and comes
     back; the capacity bound only caps memory.
 
-    Hits and misses are counted on the cache object; a searcher adds its
-    probes' hits to ``num_windows_cache_hits`` (the
+    Hits and misses count indexed lengths, not plans: the probe engine
+    adds the number of present indexed lengths it walked to ``hits`` when
+    the plan was cached and to ``misses`` when it was built.  A searcher
+    adds its probes' hits to ``num_windows_cache_hits`` (the
     ``engine_windows_cache_hits`` funnel counter).  A join's span-local
     cache is not counted, so the join's counters do not depend on how it
     is cut into spans.
@@ -207,32 +257,29 @@ class WindowCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        self._entries: OrderedDict[tuple[int, int], WindowPlan] = (
+        self._entries: OrderedDict[tuple[int, int, int], ProbePlan] = (
             OrderedDict())
 
-    def plan(self, probe_length: int, indexed_length: int,
+    def plan(self, probe_length: int, low: int, high: int,
              layout_of: Callable[[int], Sequence[tuple[int, int]]],
-             ) -> WindowPlan:
-        """Return the cached plan for ``(probe_length, indexed_length)``.
+             ) -> tuple[ProbePlan, bool]:
+        """Return the plan for ``probe_length`` over indexed lengths
+        ``low`` to ``high``, and whether it was cached.
 
-        ``layout_of`` maps an indexed length to the index's segment layout
-        (``SegmentIndex.layout``); it is called only on a miss.  The cache
-        trusts it because the layout is itself a pure function of the
-        indexed length under a fixed index.
+        ``layout_of`` is called only on a miss.  The cache trusts it
+        because the layout is itself a pure function of the indexed length
+        under a fixed index.
         """
-        key = (probe_length, indexed_length)
+        key = (probe_length, low, high)
         cached = self._entries.get(key)
         if cached is not None:
             self._entries.move_to_end(key)
-            self.hits += 1
-            return cached
-        self.misses += 1
-        plan = plan_windows(self.selector.windows(
-            probe_length, indexed_length, layout_of(indexed_length)))
+            return cached, True
+        plan = plan_probe(self.selector, probe_length, low, high, layout_of)
         self._entries[key] = plan
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-        return plan
+        return plan, False
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -8,8 +8,9 @@ a :class:`~repro.core.index.SegmentIndex` become compact ``array('q')``
 buffers:
 
 * **Memory** — a posting costs 8 bytes in a flat buffer, and a record costs
-  four machine words plus its text, instead of one heap ``StringRecord``
-  object per record plus list slots per posting.
+  four machine words plus its text (and, once filled, its 32-byte
+  signature), instead of one heap ``StringRecord`` object per record plus
+  list slots per posting.
 * **Fork friendliness** — worker processes spawned with ``fork`` (the
   parallel join pool, the process shard backend) inherit flat arrays
   copy-on-write.  Iterating them never touches per-object reference
@@ -26,11 +27,12 @@ frees it, so long-lived mutable indices do not grow without bound under
 insert/delete churn.  The store keeps no ``id → row`` map; whoever needs to
 find a record's row again (the serving backend) keeps that map itself.
 
-A fourth column holds each row's :func:`histogram_signature`, which the
-default verifier rejects candidates on before any DP runs.  It is filled on
-a row's *first use* (:meth:`RecordStore.rows_near`), not at ``add``:
-~2 µs per string would land in every index build, and most rows of a
-served collection are never a candidate.
+A fourth column, a list of ints, holds each row's 256-bit
+:func:`histogram_signature`, which the default verifier rejects candidates
+on before any DP runs.  It is filled on a row's *first use*
+(:meth:`RecordStore.rows_near`), not at ``add``: several µs per string
+would land in every index build, and most rows of a served collection are
+never a candidate.
 """
 
 from __future__ import annotations
@@ -42,31 +44,55 @@ from typing import Sequence
 from ..types import StringRecord
 
 
+#: Levels of the :func:`histogram_signature` thermometer: bucket counts
+#: are capped at this many.
+SIGNATURE_LEVELS = 8
+
+#: Bytes of one filled signature (32 buckets by ``SIGNATURE_LEVELS`` bits).
+SIGNATURE_BYTES = 32 * SIGNATURE_LEVELS // 8
+
+# _THERMOMETER[m]: bit 0 of each of the lowest ``m`` levels, i.e. one
+# bucket holding ``m`` characters.
+_THERMOMETER = tuple(sum(1 << 32 * level for level in range(count))
+                     for count in range(SIGNATURE_LEVELS + 1))
+
+# Every bit a signature can hold: ``_ALL ^ s`` is the complement of ``s``
+# as a non-negative int, which ``&`` takes faster than ``~s``.
+_ALL = (1 << 32 * SIGNATURE_LEVELS) - 1
+
+
 def histogram_signature(text: str) -> int:
-    """Capped character histogram of ``text``, packed as ``once | twice << 32``.
+    """Capped character histogram of ``text``, packed as a thermometer.
 
-    Characters fall into 32 buckets by ``ord(c) & 31``; bit ``b`` of
-    ``once`` is set iff bucket ``b`` holds a character of ``text``, bit
-    ``b`` of ``twice`` iff it holds at least two.  ``(a & ~b).bit_count()``
-    is then ``a``'s bucket-count surplus over ``b``, a lower bound on the
-    edit distance: one edit lowers at most one bucket count by one and
-    raises at most one by one, and the cap at two and bucket collisions are
-    both 1-Lipschitz.  (ED-Join's content filter,
-    :mod:`repro.filters.content_filter`, packed for two popcounts.)
+    Characters fall into 32 buckets by ``ord(c) & 31``, and each bucket's
+    count is capped at :data:`SIGNATURE_LEVELS` (8).  Level ``k`` (1 to 8)
+    is the 32-bit word at bits ``32(k−1)`` to ``32k−1``: its bit ``b`` is
+    set iff bucket ``b`` holds at least ``k`` characters, so every level is
+    a subset of the one below.  ``(a & ~b).bit_count()`` is then ``a``'s
+    bucket-count surplus over ``b``, a lower bound on the edit distance:
+    one edit lowers at most one bucket count by one and raises at most one
+    by one, and the cap and bucket collisions are both 1-Lipschitz.
+    (ED-Join's content filter, :mod:`repro.filters.content_filter`, packed
+    for two popcounts.)  A cap of two would saturate on long strings, whose
+    buckets mostly hold more than two characters; eight levels keep long
+    titles apart.
 
-    >>> hex(histogram_signature("abca"))  # a, b, c once; a twice
-    '0x20000000e'
+    >>> signature = histogram_signature("banana")  # b once, n twice, a thrice
+    >>> [hex(signature >> 32 * level & 0xFFFFFFFF) for level in range(4)]
+    ['0x4006', '0x4002', '0x2', '0x0']
     """
-    once = twice = 0
+    counts = [0] * 32
     for code in map(ord, text):
-        bit = 1 << (code & 31)
-        twice |= once & bit
-        once |= bit
-    return once | twice << 32
+        counts[code & 31] += 1
+    signature, cap = 0, SIGNATURE_LEVELS
+    for bucket, count in enumerate(counts):
+        if count:
+            signature |= _THERMOMETER[count if count < cap else cap] << bucket
+    return signature
 
 
-#: "Not computed yet" in the signature column: a ``twice`` bit without its
-#: ``once`` bit, which :func:`histogram_signature` never produces.
+#: "Not computed yet" in the signature column: a level-2 bit without its
+#: level-1 bit, which :func:`histogram_signature` never produces.
 _UNFILLED = 1 << 32
 
 
@@ -94,7 +120,7 @@ class RecordStore:
         # A free row's length is -1, which no stored text has.
         self._lengths = array("q")
         self._texts: list[str] = []
-        self._signatures = array("Q")
+        self._signatures: list[int] = []
         self._free: list[int] = []
         self._text_chars = 0
 
@@ -158,14 +184,15 @@ class RecordStore:
         kept until the row is released.  (Threads sharing a store may both
         fill a row; they store the same value.)
         """
-        column, texts, absent = self._signatures, self._texts, ~signature
+        column, texts = self._signatures, self._texts
+        absent = _ALL ^ signature
         near: list[int] = []
         for row in rows:
             candidate = column[row]
             if candidate == _UNFILLED:
                 candidate = column[row] = histogram_signature(texts[row])
             if ((candidate & absent).bit_count() <= tau
-                    and (signature & ~candidate).bit_count() <= tau):
+                    and (signature & (_ALL ^ candidate)).bit_count() <= tau):
                 near.append(row)
         return near
 
@@ -205,21 +232,29 @@ class RecordStore:
 
     def approximate_bytes(self) -> int:
         """Data-structure bytes of the columns: four machine words per
-        allocated row (id, length, text pointer, signature) plus the live
-        text payload at one byte per character.
+        allocated row (id, length, text pointer, signature pointer), the
+        :data:`SIGNATURE_BYTES` (32: a 256-bit signature) of every filled
+        signature, and the live text payload at one byte per character.
 
         Python container overhead is deliberately excluded, mirroring
         :meth:`repro.core.index.SegmentIndex.approximate_bytes`.
         """
-        return 32 * len(self._texts) + self._text_chars
+        column = self._signatures
+        filled = len(column) - column.count(_UNFILLED)
+        return (32 * len(self._texts) + SIGNATURE_BYTES * filled
+                + self._text_chars)
 
     def deep_bytes(self) -> int:
-        """Actual ``sys.getsizeof``-based footprint of the columns."""
+        """Actual ``sys.getsizeof``-based footprint of the columns, the
+        texts and the filled signatures."""
         total = (sys.getsizeof(self._ids) + sys.getsizeof(self._lengths)
                  + sys.getsizeof(self._signatures)
                  + sys.getsizeof(self._texts) + sys.getsizeof(self._free))
         for text in self._texts:
             total += sys.getsizeof(text)
+        for signature in self._signatures:
+            if signature != _UNFILLED:
+                total += sys.getsizeof(signature)
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

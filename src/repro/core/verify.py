@@ -26,8 +26,9 @@ extensions:
     Bit-parallel kernel over the whole strings (library extension).
 ``BatchMyersVerifier``
     The library default (:data:`~repro.config.DEFAULT_VERIFICATION`):
-    candidates are rejected on the store's 64-bit histogram-signature
-    column first, then the probe's character masks — built once per probe
+    candidates are rejected on the store's 256-bit histogram-signature
+    column first (bucket counts capped at eight, so long strings still
+    differ), then the probe's character masks — built once per probe
     text — are swept across the survivors with Hyyrö's bounded cutoff (see
     :mod:`repro.distance.myers_batch`).
 

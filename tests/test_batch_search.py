@@ -450,7 +450,8 @@ class TestPersistentWindowCache:
         searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=2)
         window_cache = searcher._backend.window_cache
         searcher.search("vldb", 2)
-        plan = window_cache._entries[4, 6]  # cached beside "sigmod"
+        # "vldb" at tau 2 probes indexed lengths 3 to 6 ("sigmod" among them).
+        plan = window_cache._entries[4, 3, 6]
         searcher.delete(2)  # the only length-6 record: its group goes
         new_id = searcher.insert("pvldbx")  # and a new one comes
         fresh = PassJoinSearcher(
@@ -460,7 +461,7 @@ class TestPersistentWindowCache:
         again = searcher.search("vldb", 2)
         assert again == fresh.search("vldb", 2)
         assert new_id in {match.id for match in again}
-        assert window_cache._entries[4, 6] is plan
+        assert window_cache._entries[4, 3, 6] is plan
         assert window_cache.hits > hits
 
     def test_cached_pre_purge_window_never_yields_released_row(self):

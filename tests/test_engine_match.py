@@ -1,8 +1,9 @@
 """The planned match step against a plain loop over ``selector.windows``.
 
-``probe_record`` walks each length pair's cached
-:class:`~repro.core.selection.WindowPlan` (the slice objects of every
-non-empty window) instead of the windows themselves.  The reference here
+``probe_record`` walks each probe length's cached
+:class:`~repro.core.selection.ProbePlan` (the distinct slices of every
+non-empty window and each window's positions among them) instead of the
+windows themselves.  The reference here
 is the loop it replaced, written out: every window of
 ``selector.windows``, every start position, one posting lookup each.  The
 plan walk must find the same hit lists in the same order: as the engine

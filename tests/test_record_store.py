@@ -10,7 +10,8 @@ from helpers import (brute_force_pairs, indexed_records_with_length,
                      random_strings)
 from repro.core.index import SegmentIndex
 from repro.core.join import pass_join
-from repro.core.store import _UNFILLED, RecordStore, histogram_signature
+from repro.core.store import (_UNFILLED, SIGNATURE_BYTES, RecordStore,
+                               histogram_signature)
 from repro.distance import edit_distance
 from repro.types import StringRecord
 
@@ -87,8 +88,8 @@ class TestRelease:
         assert store.deep_bytes() > 0
 
 
-#: Alphabets that stress the 32-bucket, cap-at-two signature: few
-#: characters (counts far above the cap), more than 32 distinct characters
+#: Alphabets that stress the 32-bucket, cap-at-eight signature: few
+#: characters (counts above the cap), more than 32 distinct characters
 #: (buckets collide), and non-ASCII code points (``ord(c) & 31`` folds
 #: them onto the ASCII buckets).  Empty strings are always drawable.
 signature_texts = st.one_of(
@@ -97,6 +98,12 @@ signature_texts = st.one_of(
                      "0123456789 .,-", max_size=12),
     st.text(alphabet="aÁāǎæбвжλπ中文字😀", max_size=10),
     st.text(max_size=10))
+
+
+#: Long titles' regime: bucket counts of three to ten or so, where levels
+#: 3 to 8 of the signature decide the bound.
+long_signature_texts = st.text(alphabet="abcdefghijkl", min_size=40,
+                               max_size=120)
 
 
 def _surplus(left, right):
@@ -112,25 +119,43 @@ class TestHistogramSignature:
         assert max(_surplus(sa, sb), _surplus(sb, sa)) <= edit_distance(a, b)
 
     @settings(max_examples=200, deadline=None)
-    @given(text=signature_texts)
-    def test_twice_plane_is_a_subset_of_the_once_plane(self, text):
+    @given(a=long_signature_texts, edits=st.lists(
+        st.tuples(st.integers(0, 119), st.sampled_from("abcdefghijkl"),
+                  st.integers(0, 1)), max_size=12))
+    def test_high_levels_keep_the_lower_bound(self, a, edits):
+        # 40 to 120 characters over 12 letters: bucket counts run through
+        # levels 3 to 8, and a few edits keep the edit distance small.
+        b = a
+        for at, char, removed in edits:
+            at = min(at, len(b))
+            b = b[:at] + char + b[at + removed:]
+        sa, sb = histogram_signature(a), histogram_signature(b)
+        assert max(_surplus(sa, sb), _surplus(sb, sa)) <= edit_distance(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.one_of(signature_texts, long_signature_texts))
+    def test_each_level_is_a_subset_of_the_one_below(self, text):
         signature = histogram_signature(text)
-        once, twice = signature & 0xFFFFFFFF, signature >> 32
-        assert twice & ~once == 0
-        assert twice >> 32 == 0  # 64 bits: fits the array('Q') column
+        levels = [signature >> 32 * level & 0xFFFFFFFF for level in range(8)]
+        assert all(upper & ~lower == 0
+                   for lower, upper in zip(levels, levels[1:]))
+        assert signature >> 32 * 8 == 0  # nothing above level 8
         assert signature != _UNFILLED
 
     def test_the_unfilled_sentinel_is_not_a_signature(self):
-        once, twice = _UNFILLED & 0xFFFFFFFF, _UNFILLED >> 32
-        assert twice & ~once != 0
+        level_1, level_2 = _UNFILLED & 0xFFFFFFFF, _UNFILLED >> 32 & 0xFFFFFFFF
+        assert level_2 & ~level_1 != 0
 
     def test_cap_collisions_and_empty(self):
         assert histogram_signature("") == 0
-        assert histogram_signature("aa") == histogram_signature("aaaaaaa")
+        assert histogram_signature("a" * 8) == histogram_signature("a" * 11)
+        assert histogram_signature("a" * 7) != histogram_signature("a" * 8)
         # 'a' (97) and 'A' (65) share bucket 1: a collision counts twice.
         assert histogram_signature("aA") == histogram_signature("aa")
+        assert _surplus(histogram_signature("a" * 11),
+                        histogram_signature("b")) == 8  # capped at eight
         assert _surplus(histogram_signature("aaa"),
-                        histogram_signature("b")) == 2  # capped at two
+                        histogram_signature("b")) == 3
 
 
 class TestSignatureColumn:
@@ -181,15 +206,33 @@ class TestSignatureColumn:
         for i, text in enumerate(texts):
             index.add(_record(i, text))
         store, chars = index.store, sum(map(len, texts))
-        # id + length + text pointer + signature: four machine words a row.
+        # id + length + text pointer + signature pointer: four machine
+        # words a row; no signature is filled yet.
         assert store.approximate_bytes() == 32 * len(texts) + chars
         report = index.memory_report()
         assert report["store_bytes"] == 32 * len(texts) + chars
         assert report["approximate_bytes"] == (report["postings_bytes"]
                                                + report["store_bytes"])
-        columns = (sys.getsizeof(array("q")) * 3 + sys.getsizeof(array("Q"))
+        columns = (sys.getsizeof(array("q")) * 2 + sys.getsizeof([]) * 2
                    + 8 * 4 * len(texts))
         assert store.deep_bytes() >= columns + sum(map(sys.getsizeof, texts))
+
+    def test_filled_signatures_are_accounted(self):
+        texts = ["abcdef", "abcxyz", "qwerty", "qwertz"]
+        store = RecordStore()
+        rows = [store.add(_record(i, text)) for i, text in enumerate(texts)]
+        approximate, deep = store.approximate_bytes(), store.deep_bytes()
+        store.rows_near(rows[:3], histogram_signature("abcdef"), 1)
+        # Each filled row adds its 256-bit signature: 32 bytes of data.
+        assert SIGNATURE_BYTES == 32
+        assert store.approximate_bytes() == approximate + 3 * SIGNATURE_BYTES
+        assert store.deep_bytes() == deep + sum(
+            sys.getsizeof(histogram_signature(text)) for text in texts[:3])
+        # A released row keeps its four words (it waits on the free list)
+        # and drops its text and signature.
+        store.release(rows[0])
+        assert store.approximate_bytes() == (
+            approximate - len(texts[0]) + 2 * SIGNATURE_BYTES)
 
 
 class TestIndexStoreIntegration:

@@ -1,13 +1,19 @@
 """Unit tests for the four substring-selection methods (Section 4)."""
 
+from operator import itemgetter
+
 import pytest
 
 from repro.config import SelectionMethod
+from repro.core.engine import probe_record
+from repro.core.index import SegmentIndex
 from repro.core.partition import segment_layout
 from repro.core.selection import (LengthBasedSelector, MultiMatchAwareSelector,
-                                  WindowCache, WindowPlan, plan_windows,
+                                  ProbePlan, WindowCache, plan_probe,
                                   PositionAwareSelector, ShiftBasedSelector,
                                   make_selector, theoretical_selection_count)
+from repro.core.verify import make_verifier
+from repro.types import JoinStatistics, StringRecord
 from repro.exceptions import UnknownMethodError
 
 # The paper's running example: r = "vankatesh" (indexed, length 9, tau = 3),
@@ -175,26 +181,84 @@ class TestEdgeCases:
             theoretical_selection_count("bogus", 10, 9, 2)
 
 
-class TestWindowPlan:
-    def test_plan_slices_cut_the_selected_substrings(self):
+def layout_of(length):
+    return segment_layout(length, TAU)
+
+
+class TestProbePlan:
+    def test_plan_positions_cut_the_selected_substrings(self):
         for method in SelectionMethod:
             selector = make_selector(method, TAU)
-            plan = plan_windows(
-                selector.windows(len(PROBE), INDEXED_LENGTH, LAYOUT))
-            planned = [(ordinal, PROBE[cut]) for ordinal, slices in plan.steps
-                       for cut in slices]
-            assert planned == [
-                (selected.ordinal, selected.text) for selected in
-                selector.select(PROBE, INDEXED_LENGTH, LAYOUT)]
-            assert plan.num_positions == len(planned) == selector.count(
-                len(PROBE), INDEXED_LENGTH, LAYOUT)
+            plan = plan_probe(selector, len(PROBE), 7, 11, layout_of)
+            assert [entry.length for entry in plan.lengths] == [7, 8, 9, 10, 11]
+            for length, steps, num_positions in plan.lengths:
+                planned = [(ordinal, PROBE[plan.cuts[position]])
+                           for ordinal, _, positions in steps
+                           for position in positions]
+                layout = layout_of(length)
+                assert planned == [
+                    (selected.ordinal, selected.text) for selected in
+                    selector.select(PROBE, length, layout)]
+                assert num_positions == len(planned) == selector.count(
+                    len(PROBE), length, layout)
+
+    def test_cuts_are_distinct_and_positions_name_their_span(self):
+        selector = make_selector("multi-match", TAU)
+        plan = plan_probe(selector, len(PROBE), 7, 13, layout_of)
+        spans = [(cut.start, cut.stop) for cut in plan.cuts]
+        assert len(set(spans)) == len(spans)
+        used = set()
+        for length, steps, _ in plan.lengths:
+            windows = {window.ordinal: window for window in selector.windows(
+                len(PROBE), length, layout_of(length))}
+            for ordinal, pick, positions in steps:
+                window = windows[ordinal]
+                assert [spans[position] for position in positions] == [
+                    (start, start + window.seg_length)
+                    for start in range(window.lo, window.hi + 1)]
+                used.update(positions)
+        assert used == set(range(len(spans)))  # no cut goes unused
+        # The indexed lengths' windows overlap: fewer cuts than positions.
+        assert len(spans) < sum(entry.num_positions for entry in plan.lengths)
+
+    def test_one_position_window_hits_a_multi_character_segment(self):
+        # Multi-match windows of "avataresha"-long probes against length 9
+        # give ordinal 1 the single start 0, and its segment is "va".  A
+        # pick of one index must still hand isdisjoint a tuple of
+        # substrings, not the characters of one.
+        selector = make_selector("multi-match", TAU)
+        plan = plan_probe(selector, len(PROBE), 9, 9, layout_of)
+        ordinal, pick, positions = plan.lengths[0].steps[0]
+        assert (ordinal, len(positions)) == (1, 1)
+        subs = [PROBE[cut] for cut in plan.cuts]
+        assert pick(subs) == ("av", "av")
+        index = SegmentIndex(TAU)
+        index.add(StringRecord(id=0, text="vankatesh"))
+        stats = JoinStatistics()
+        probe_record(StringRecord(id=1, text="vaxxxxxxxx"), tau=TAU,
+                     index=index, short_pool=[], selector=selector,
+                     verifier=make_verifier("myers-batch", TAU, stats),
+                     stats=stats, max_length=10)
+        # Only ordinal 1 ("va" at start 0) matches: one candidate.
+        assert (stats.num_postings_scanned, stats.num_candidates) == (1, 1)
 
     def test_empty_windows_get_no_step(self):
         selector = make_selector("multi-match", 2)
         windows = selector.windows(3, 12, segment_layout(12, 2))
         assert windows and all(window.size == 0 for window in windows)
-        plan = plan_windows(windows)
-        assert plan == WindowPlan((), 0)
+        plan = plan_probe(selector, 3, 12, 12,
+                          lambda length: segment_layout(length, 2))
+        assert plan == ProbePlan((), ((12, (), 0),))
+
+
+def _shape(plan):
+    """A plan with each picker replaced by what it picks from the list of
+    cut numbers (itemgetters compare by identity)."""
+    numbers = list(range(len(plan.cuts)))
+    return (plan.cuts, [(length, [(ordinal, pick(numbers), positions)
+                                  for ordinal, pick, positions in steps],
+                         num_positions)
+                        for length, steps, num_positions in plan.lengths])
 
 
 def _plan_values(value):
@@ -210,48 +274,50 @@ class TestWindowCachePlans:
     def layouts(self):
         calls = []
 
-        def layout_of(length):
+        def counted_layout_of(length):
             calls.append(length)
             return segment_layout(length, TAU)
-        return calls, layout_of
+        return calls, counted_layout_of
 
     def test_entries_are_plans_of_geometry_only(self):
         cache = WindowCache(make_selector("multi-match", TAU))
-        _, layout_of = self.layouts()
-        plan = cache.plan(len(PROBE), INDEXED_LENGTH, layout_of)
-        assert isinstance(plan, WindowPlan)
-        assert plan == plan_windows(cache.selector.windows(
-            len(PROBE), INDEXED_LENGTH, LAYOUT))
-        # Ordinals, slices of probe positions and counts: nothing that
-        # names a store row.
+        _, counted_layout_of = self.layouts()
+        plan, cached = cache.plan(len(PROBE), 7, 13, counted_layout_of)
+        assert not cached and isinstance(plan, ProbePlan)
+        assert _shape(plan) == _shape(plan_probe(
+            cache.selector, len(PROBE), 7, 13, layout_of))
+        # Ordinals, slices of probe positions, position pickers and
+        # counts: nothing that names a store row.
         leaves = list(_plan_values(plan))
-        assert all(type(leaf) in (slice, int) for leaf in leaves)
+        assert all(type(leaf) in (slice, int, itemgetter) for leaf in leaves)
         assert all(0 <= cut.start < cut.stop <= len(PROBE)
                    for cut in leaves if type(cut) is slice)
 
     def test_layout_read_only_on_a_miss(self):
         cache = WindowCache(make_selector("multi-match", TAU))
-        calls, layout_of = self.layouts()
-        first = cache.plan(len(PROBE), INDEXED_LENGTH, layout_of)
-        assert cache.plan(len(PROBE), INDEXED_LENGTH, layout_of) is first
-        assert calls == [INDEXED_LENGTH]
-        assert (cache.hits, cache.misses) == (1, 1)
+        calls, counted_layout_of = self.layouts()
+        first, _ = cache.plan(len(PROBE), 8, 10, counted_layout_of)
+        assert cache.plan(len(PROBE), 8, 10, counted_layout_of) == (
+            first, True)
+        assert calls == [8, 9, 10]
+        # The engine counts hits and misses, in present indexed lengths.
+        assert (cache.hits, cache.misses) == (0, 0)
 
     def test_capacity_bounds_the_plans_lru(self):
         cache = WindowCache(make_selector("multi-match", TAU), capacity=2)
-        calls, layout_of = self.layouts()
+        calls, counted_layout_of = self.layouts()
         for indexed_length in (9, 10, 9, 11):
-            cache.plan(10, indexed_length, layout_of)
+            cache.plan(10, indexed_length, indexed_length, counted_layout_of)
         assert len(cache) == 2
         # 9 was used after 10, so 10 was the one evicted.
-        cache.plan(10, 9, layout_of)
-        cache.plan(10, 10, layout_of)
+        cache.plan(10, 9, 9, counted_layout_of)
+        cache.plan(10, 10, 10, counted_layout_of)
         assert calls == [9, 10, 11, 10]
 
-    def test_len_counts_keys_not_windows_or_slices(self):
+    def test_len_counts_keys_not_lengths_or_slices(self):
         cache = WindowCache(make_selector("length", TAU))
-        _, layout_of = self.layouts()
+        _, counted_layout_of = self.layouts()
         for _ in range(3):
-            for indexed_length in (8, 9, 10):
-                cache.plan(len(PROBE), indexed_length, layout_of)
+            for probe_length in (8, 9, 10):
+                cache.plan(probe_length, 7, 11, counted_layout_of)
         assert len(cache) == 3
