@@ -29,7 +29,7 @@ The top-level package re-exports the public API:
 * :mod:`repro.service` — the online serving layer: :class:`DynamicSearcher`
   (mutable index), :class:`QueryCache`, :class:`RequestBatcher`, and the
   asyncio JSON-lines server/clients behind ``passjoin serve`` / ``query``.
-* :mod:`repro.baselines` — ED-Join, Trie-Join, All-Pairs-Ed, naive join.
+* :mod:`repro.baselines` — ED-Join, Trie-Join, PartEnum, naive join.
 * :mod:`repro.datasets` — synthetic dataset generators and loaders.
 * :mod:`repro.bench` — the experiment harness reproducing the paper's
   tables and figures.
@@ -47,12 +47,10 @@ from .distance import (banded_edit_distance, edit_distance,
                        length_aware_edit_distance, myers_edit_distance)
 from .exceptions import (ConfigurationError, DatasetError, InvalidPartitionError,
                          InvalidThresholdError, PassJoinError, UnknownMethodError)
-from .preprocessing import NormalizationConfig, normalize, normalize_all
-from .search import PassJoinSearcher, SearchMatch, search_all
+from .search import PassJoinSearcher, SearchMatch
 from .service import (AsyncServiceClient, DynamicSearcher, QueryCache,
                       RequestBatcher, ServiceClient, ServiceConfig,
                       SimilarityServer, SimilarityService)
-from .topk import closest_pair, top_k_join
 from .types import (JoinResult, JoinStatistics, SimilarPair, StringRecord,
                     as_records)
 
@@ -67,10 +65,9 @@ __all__ = [
     "pass_join",
     "pass_join_pairs",
     "pass_join_rs",
-    # extensions: search, top-k
+    # extension: search
     "PassJoinSearcher",
     "SearchMatch",
-    "search_all",
     # online serving (repro.service)
     "DynamicSearcher",
     "QueryCache",
@@ -80,12 +77,6 @@ __all__ = [
     "ServiceClient",
     "AsyncServiceClient",
     "ServiceConfig",
-    "top_k_join",
-    "closest_pair",
-    # preprocessing
-    "normalize",
-    "normalize_all",
-    "NormalizationConfig",
     # configuration
     "JoinConfig",
     "DEFAULT_CONFIG",

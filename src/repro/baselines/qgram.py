@@ -1,6 +1,6 @@
 """q-gram extraction and global gram ordering.
 
-The q-gram baselines (All-Pairs-Ed, ED-Join, Part-Enum) all start from the
+The q-gram baselines (ED-Join, Part-Enum) both start from the
 same substrate: chop every string into overlapping substrings of length
 ``q`` ("q-grams"), optionally remembering their positions, and impose a
 single global ordering on grams — ascending document frequency, ties broken
@@ -69,21 +69,3 @@ def order_grams(grams: Sequence[PositionalGram],
     """
     return sorted(grams, key=lambda pg: (frequencies.get(pg.gram, 0), pg.gram,
                                          pg.position))
-
-
-class GramIndexEntry(NamedTuple):
-    """A posting of an inverted index over (prefix) grams."""
-
-    string_id: int
-    position: int
-    length: int
-
-
-def approximate_gram_index_bytes(entries: int, gram_bytes: int) -> int:
-    """Rough size of a positional q-gram inverted index (Table 3 accounting).
-
-    Each posting stores a string id, a gram position, and the string length
-    used for length filtering (3 machine words); ``gram_bytes`` accounts for
-    the distinct gram keys.
-    """
-    return entries * 24 + gram_bytes

@@ -12,14 +12,13 @@ plain text or Markdown (used to produce ``EXPERIMENTS.md``), and the
 from .harness import ExperimentTable, Timer, scaled
 from .reporting import (append_bench_run, bench_run_payload,
                         bench_trajectory_path, format_table,
-                        table_to_dict, tables_to_markdown)
+                        table_to_dict)
 
 __all__ = [
     "ExperimentTable",
     "Timer",
     "scaled",
     "format_table",
-    "tables_to_markdown",
     "table_to_dict",
     "bench_run_payload",
     "append_bench_run",

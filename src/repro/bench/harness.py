@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from ..exceptions import ExperimentError
 
@@ -116,15 +116,3 @@ def available_cpus() -> int:
     from ..core.join import available_workers
 
     return available_workers()
-
-
-def geometric_speedup(times: Sequence[float], baseline: Sequence[float]) -> float:
-    """Geometric-mean speedup of ``times`` over ``baseline`` (for summaries)."""
-    if len(times) != len(baseline) or not times:
-        raise ExperimentError("speedup requires two equal-length, non-empty series")
-    product = 1.0
-    for fast, slow in zip(times, baseline):
-        if fast <= 0 or slow <= 0:
-            raise ExperimentError("speedup requires strictly positive timings")
-        product *= slow / fast
-    return product ** (1.0 / len(times))

@@ -90,18 +90,6 @@ def format_table(table: ExperimentTable, markdown: bool = False) -> str:
     return "\n".join(lines)
 
 
-def tables_to_markdown(tables: Iterable[ExperimentTable]) -> str:
-    """Render several tables as a Markdown document fragment."""
-    sections: list[str] = []
-    for table in tables:
-        sections.append(f"### {table.title} (`{table.key}`)\n")
-        sections.append(format_table(table, markdown=True))
-        if table.notes:
-            sections.append(f"\n*{table.notes}*")
-        sections.append("")
-    return "\n".join(sections)
-
-
 # ----------------------------------------------------------------------
 # Machine-readable performance trajectories (BENCH_*.json)
 # ----------------------------------------------------------------------

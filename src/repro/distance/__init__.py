@@ -24,14 +24,13 @@ means "not similar" without telling you by how much.
 """
 
 from .banded import banded_edit_distance, length_aware_edit_distance
-from .levenshtein import edit_distance, edit_distance_unit_cost_matrix
+from .levenshtein import edit_distance
 from .myers import myers_edit_distance, myers_edit_distance_within
 from .myers_batch import BatchMyersKernel
 from .shared_prefix import SharedPrefixVerifier
 
 __all__ = [
     "edit_distance",
-    "edit_distance_unit_cost_matrix",
     "banded_edit_distance",
     "length_aware_edit_distance",
     "myers_edit_distance",

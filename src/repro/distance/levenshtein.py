@@ -42,30 +42,6 @@ def edit_distance(a: str, b: str) -> int:
     return previous[len(b)]
 
 
-def edit_distance_unit_cost_matrix(a: str, b: str) -> list[list[int]]:
-    """Return the full ``(|a|+1) × (|b|+1)`` dynamic-programming matrix.
-
-    ``matrix[i][j]`` is the edit distance between ``a[:i]`` and ``b[:j]``.
-    The full matrix is only used in tests and in teaching examples; join
-    algorithms use the bounded kernels instead.
-    """
-    rows = len(a) + 1
-    cols = len(b) + 1
-    matrix = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        matrix[i][0] = i
-    for j in range(cols):
-        matrix[0][j] = j
-    for i in range(1, rows):
-        char_a = a[i - 1]
-        row = matrix[i]
-        above = matrix[i - 1]
-        for j in range(1, cols):
-            cost = 0 if char_a == b[j - 1] else 1
-            row[j] = min(above[j] + 1, row[j - 1] + 1, above[j - 1] + cost)
-    return matrix
-
-
 def longest_common_prefix(a: str, b: str) -> int:
     """Return the length of the longest common prefix of ``a`` and ``b``.
 

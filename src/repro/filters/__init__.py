@@ -4,8 +4,7 @@ Pass-Join itself needs none of these (its length filter is the per-length
 index layout).  The q-gram baselines of the evaluation use two:
 
 * :mod:`repro.filters.count_filter` — the q-gram count bound
-  (``minimum_shared_grams`` / ``shared_gram_count``), checked by both
-  All-Pairs-Ed and ED-Join.
+  (``minimum_shared_grams`` / ``shared_gram_count``), checked by ED-Join.
 * :mod:`repro.filters.content_filter` — the content-based mismatch filter
   (character frequency L1 bound) used by ED-Join.
 """

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..config import validate_threshold
 from ..core.kernel import EditDistanceBackend
@@ -317,23 +317,3 @@ class PassJoinSearcher(KernelSearcher):
     def records(self) -> Sequence[StringRecord]:
         """The indexed records (in their original order)."""
         return self._records
-
-    # ------------------------------------------------------------------
-    def contains_within(self, query: str, tau: int | None = None) -> bool:
-        """True when at least one indexed string is within ``tau`` of ``query``."""
-        return bool(self.search(query, tau))
-
-
-def search_all(strings: Iterable[str | StringRecord],
-               queries: Sequence[str], tau: int) -> dict[str, list[SearchMatch]]:
-    """Index ``strings`` once and search every query at threshold ``tau``."""
-    searcher = PassJoinSearcher(strings, max_tau=tau)
-    return {query: searcher.search(query, tau) for query in queries}
-
-
-def iter_matches(searcher: PassJoinSearcher, queries: Iterable[str],
-                 tau: int | None = None) -> Iterator[tuple[str, SearchMatch]]:
-    """Yield ``(query, match)`` pairs for a stream of queries (lazy batch search)."""
-    for query in queries:
-        for match in searcher.search(query, tau):
-            yield query, match

@@ -41,6 +41,12 @@ from ..search.searcher import KernelSearcher
 from ..types import StringRecord, as_records, check_id_range
 
 
+def check_record_id(record_id: object) -> None:
+    """Raise ``TypeError`` unless ``record_id`` is an ``int`` (not a ``bool``)."""
+    if isinstance(record_id, bool) or not isinstance(record_id, int):
+        raise TypeError(f"record id must be an integer, got {record_id!r}")
+
+
 def coerce_insert_record(text: str | StringRecord, id: int | None,
                          next_id: int) -> StringRecord:
     """Resolve an ``insert(text, id=...)`` call to the record to store.
@@ -48,17 +54,19 @@ def coerce_insert_record(text: str | StringRecord, id: int | None,
     Shared by :class:`DynamicSearcher` and the sharded router so the two
     can never diverge on id semantics: a ready-made record keeps its id
     unless ``id=`` overrides it; plain text takes ``id=`` or the caller's
-    next auto id (one above the largest ever seen).  A non-integer id
-    (``bool`` included) raises ``TypeError``, and an id outside the record
-    store's signed 64-bit id column (an auto id included) ``ValueError``,
-    before the caller mutates anything.
+    next auto id (one above the largest ever seen).  A text that is not a
+    ``str`` (nor a record holding one) or a non-integer id (``bool``
+    included) raises ``TypeError``, and an id outside the record store's
+    signed 64-bit id column (an auto id included) ``ValueError``, before
+    the caller mutates anything.
     """
     if isinstance(text, StringRecord):
         record = text if id is None else StringRecord(id=id, text=text.text)
     else:
-        record = StringRecord(id=next_id if id is None else id, text=str(text))
-    if isinstance(record.id, bool) or not isinstance(record.id, int):
-        raise TypeError(f"record id must be an integer, got {record.id!r}")
+        record = StringRecord(id=next_id if id is None else id, text=text)
+    if not isinstance(record.text, str):
+        raise TypeError(f"record text must be a str, got {record.text!r}")
+    check_record_id(record.id)
     check_id_range(record.id)
     return record
 
@@ -187,8 +195,10 @@ class DynamicSearcher(KernelSearcher):
         """Remove one record by id; return False when it is not live.
 
         The record's postings leave the index and its store row is
-        released before this returns.
+        released before this returns.  A non-integer id (``bool``
+        included) raises ``TypeError``, as in :meth:`insert`.
         """
+        check_record_id(record_id)
         record = self._backend.record(record_id)
         if record is None:
             return False

@@ -322,17 +322,18 @@ class SimilarityService:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def insert(self, text: str, id: int | None = None) -> int:
+    def insert(self, text: str | StringRecord, id: int | None = None) -> int:
         """Insert one string; drop the cached answers it can change.
 
         Those are the answers of the queries within their threshold of
-        ``text`` (``tau`` for a search, ``limit`` for a top-k), which
-        :meth:`QueryCache.drop_near
+        the stored text (``tau`` for a search, ``limit`` for a top-k),
+        which :meth:`QueryCache.drop_near
         <repro.service.cache.QueryCache.drop_near>` finds.
         """
         with self._lock:
             record_id = self._mutate(self.searcher.insert, text, id=id)
-            self.cache.drop_near(text)
+            self.cache.drop_near(
+                text.text if isinstance(text, StringRecord) else text)
             return record_id
 
     def delete(self, record_id: int) -> bool:

@@ -82,7 +82,7 @@ from ..obs.trace import merge_explain_reports
 from ..search.searcher import (SearchMatch, any_key_within, length_window,
                                resolve_query_taus, resolve_top_k)
 from ..types import JoinStatistics, StringRecord, as_records
-from .dynamic import DynamicSearcher, coerce_insert_record
+from .dynamic import DynamicSearcher, check_record_id, coerce_insert_record
 from .placement import HashRing
 
 
@@ -586,7 +586,9 @@ class ShardRouter:
         A record that is dual-present mid-migration (copied to its
         recipient, not yet released from its donor) is deleted from both
         shards, so the donor copy cannot resurface in later searches.
+        A non-integer id (``bool`` included) raises ``TypeError``.
         """
+        check_record_id(record_id)
         shard = self._shard_of.get(record_id)
         if shard is None:
             return False

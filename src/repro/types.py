@@ -16,7 +16,7 @@ these types so that results from different algorithms are directly comparable
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,11 +182,3 @@ def normalise_pair(id_a: int, id_b: int, distance: int,
                            left=text_a, right=text_b)
     return SimilarPair(left_id=id_b, right_id=id_a, distance=distance,
                        left=text_b, right=text_a)
-
-
-def records_by_length(records: Sequence[StringRecord]) -> dict[int, list[StringRecord]]:
-    """Group records by string length (ascending key order not guaranteed)."""
-    groups: dict[int, list[StringRecord]] = {}
-    for record in records:
-        groups.setdefault(record.length, []).append(record)
-    return groups

@@ -10,8 +10,7 @@ speeds).
 import pytest
 
 from repro import PassJoin
-from repro.baselines import (AllPairsEdJoin, EdJoin, NaiveJoin, PartEnumJoin,
-                             TrieJoin)
+from repro.baselines import EdJoin, NaiveJoin, PartEnumJoin, TrieJoin
 from repro.datasets import (generate_author_dataset, generate_querylog_dataset,
                             generate_title_dataset)
 
@@ -19,7 +18,6 @@ ALGORITHMS = {
     "pass-join": lambda tau: PassJoin(tau),
     "naive": lambda tau: NaiveJoin(tau),
     "ed-join": lambda tau: EdJoin(tau, q=3),
-    "all-pairs-ed": lambda tau: AllPairsEdJoin(tau, q=3),
     "trie-join": lambda tau: TrieJoin(tau),
     "part-enum": lambda tau: PartEnumJoin(tau, q=2),
 }

@@ -1,10 +1,10 @@
-"""Tests for the q-gram baselines: All-Pairs-Ed and ED-Join."""
+"""Tests for the q-gram prefix-filtering baseline, ED-Join."""
 
 import pytest
 
-from repro.baselines.all_pairs_ed import AllPairsEdJoin, all_pairs_ed_join
 from repro.baselines.ed_join import EdJoin, ed_join, min_edit_errors
-from repro.baselines.qgram import positional_qgrams
+from repro.baselines.qgram import (gram_document_frequencies, order_grams,
+                                   positional_qgrams)
 
 from helpers import brute_force_pairs, random_strings
 
@@ -31,32 +31,33 @@ class TestMinEditErrors:
 
 
 class TestEdJoinPrefix:
-    def test_prefix_is_no_longer_than_all_pairs_prefix(self):
+    def test_prefix_has_at_most_q_tau_plus_one_grams(self):
+        # One edit destroys at most q grams, so q·τ + 1 grams always need
+        # τ + 1 edits: the location-based prefix is never longer than the
+        # plain prefix-filtering prefix.
         strings = random_strings(50, 8, 20, alphabet="abcdef", seed=8)
         tau, q = 2, 3
         ed = EdJoin(tau, q)
-        ap = AllPairsEdJoin(tau, q)
-        from collections import Counter
-        from repro.baselines.qgram import gram_document_frequencies, order_grams
         frequencies = gram_document_frequencies(strings, q)
+        prefixes = 0
         for text in strings:
             ordered = order_grams(positional_qgrams(text, q), frequencies)
-            ed_prefix = ed.prefix_grams(ordered, len(text))
-            ap_prefix = ap.prefix_grams(ordered, len(text))
-            if ed_prefix is not None and ap_prefix is not None:
-                assert len(ed_prefix) <= len(ap_prefix)
+            prefix = ed.prefix_grams(ordered)
+            if prefix is not None:
+                prefixes += 1
+                assert len(prefix) <= q * tau + 1
+                assert min_edit_errors(prefix, q) > tau
+        assert prefixes > 0
 
     def test_unfilterable_string_returns_none(self):
         # A 3-character string with q=3 has one gram; one edit destroys it,
         # so no prefix can certify tau = 2.
         ed = EdJoin(2, 3)
         ordered = positional_qgrams("abc", 3)
-        assert ed.prefix_grams(ordered, 3) is None
+        assert ed.prefix_grams(ordered) is None
 
 
 @pytest.mark.parametrize("factory,q", [
-    (all_pairs_ed_join, 2),
-    (all_pairs_ed_join, 3),
     (ed_join, 2),
     (ed_join, 3),
 ])
@@ -81,15 +82,7 @@ class TestQGramJoinCorrectness:
 class TestQGramJoinBehaviour:
     def test_invalid_q_rejected(self):
         with pytest.raises(ValueError):
-            AllPairsEdJoin(2, q=0)
-
-    def test_ed_join_generates_no_more_candidates_than_all_pairs(self,
-                                                                 name_like_strings):
-        tau, q = 2, 3
-        ap = AllPairsEdJoin(tau, q).self_join(name_like_strings)
-        ed = EdJoin(tau, q).self_join(name_like_strings)
-        assert ed.pair_ids() == ap.pair_ids()
-        assert ed.statistics.num_candidates <= ap.statistics.num_candidates
+            EdJoin(2, q=0)
 
     def test_statistics_populated(self, name_like_strings):
         stats = EdJoin(2, 3).self_join(name_like_strings).statistics
@@ -100,4 +93,3 @@ class TestQGramJoinBehaviour:
 
     def test_empty_collection(self):
         assert len(EdJoin(2).self_join([])) == 0
-        assert len(AllPairsEdJoin(2).self_join([])) == 0

@@ -4,11 +4,10 @@ import json
 
 import pytest
 
-from repro.bench.harness import ExperimentTable, Timer, geometric_speedup, scaled
+from repro.bench.harness import ExperimentTable, Timer, scaled
 from repro.bench.reporting import (BENCH_SCHEMA, append_bench_run,
                                    bench_run_payload, bench_trajectory_path,
-                                   format_table, table_to_dict,
-                                   tables_to_markdown)
+                                   format_table, table_to_dict)
 from repro.exceptions import ExperimentError
 
 
@@ -68,15 +67,6 @@ class TestTimerAndScaling:
             with pytest.raises(ExperimentError):
                 scaled({"a": 100}, scale)
 
-    def test_geometric_speedup(self):
-        assert geometric_speedup([1.0, 1.0], [2.0, 8.0]) == pytest.approx(4.0)
-
-    def test_geometric_speedup_validation(self):
-        with pytest.raises(ExperimentError):
-            geometric_speedup([1.0], [1.0, 2.0])
-        with pytest.raises(ExperimentError):
-            geometric_speedup([0.0], [1.0])
-
 
 class TestReporting:
     def _table(self):
@@ -97,11 +87,6 @@ class TestReporting:
         markdown = format_table(self._table(), markdown=True)
         assert markdown.startswith("| name")
         assert "|---" in markdown.replace(" ", "")
-
-    def test_tables_to_markdown(self):
-        document = tables_to_markdown([self._table()])
-        assert "### Numbers" in document
-        assert "*a note*" in document
 
     def test_empty_table_renders(self):
         table = ExperimentTable(key="empty", title="Empty", columns=["a"])

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.distance.levenshtein import (edit_distance,
-                                        edit_distance_unit_cost_matrix,
-                                        longest_common_prefix)
+from repro.distance.levenshtein import edit_distance, longest_common_prefix
 
 
 class TestEditDistance:
@@ -50,30 +48,6 @@ class TestEditDistance:
     def test_triangle_inequality_sample(self):
         a, b, c = "partition", "participation", "station"
         assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
-
-
-class TestEditDistanceMatrix:
-    def test_matrix_dimensions(self):
-        matrix = edit_distance_unit_cost_matrix("abc", "ab")
-        assert len(matrix) == 4
-        assert all(len(row) == 3 for row in matrix)
-
-    def test_matrix_borders(self):
-        matrix = edit_distance_unit_cost_matrix("abc", "xy")
-        assert [row[0] for row in matrix] == [0, 1, 2, 3]
-        assert matrix[0] == [0, 1, 2]
-
-    def test_matrix_final_cell_equals_distance(self):
-        a, b = "kaushik chakrab", "caushik chakrabar"
-        matrix = edit_distance_unit_cost_matrix(a, b)
-        assert matrix[len(a)][len(b)] == edit_distance(a, b)
-
-    def test_matrix_prefix_property(self):
-        a, b = "banana", "bandana"
-        matrix = edit_distance_unit_cost_matrix(a, b)
-        for i in range(len(a) + 1):
-            for j in range(len(b) + 1):
-                assert matrix[i][j] == edit_distance(a[:i], b[:j])
 
 
 class TestLongestCommonPrefix:

@@ -1,6 +1,7 @@
 """Tests of the top-level package surface (imports, __all__, docstrings)."""
 
 import importlib
+import pkgutil
 import pydoc
 
 import repro
@@ -11,8 +12,16 @@ def test_version_is_exposed():
 
 
 def test_all_names_are_importable():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        if info.ispkg]
+    missing = [f"{package.__name__}.{name}"
+               for package in packages
+               for name in getattr(package, "__all__", ())
+               if not hasattr(package, name)]
+    assert not missing, f"__all__ names that do not exist: {missing}"
+    assert len(packages) > 5
 
 
 def test_quickstart_from_module_docstring_works():
@@ -40,8 +49,6 @@ def test_public_symbols_have_docstrings():
 
 
 def test_every_module_has_a_docstring():
-    import pkgutil
-
     missing = []
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         module = importlib.import_module(info.name)

@@ -3,9 +3,8 @@
 import pytest
 from collections import Counter
 
-from repro.baselines.qgram import (PositionalGram, approximate_gram_index_bytes,
-                                   gram_document_frequencies, order_grams,
-                                   positional_qgrams, qgrams)
+from repro.baselines.qgram import (PositionalGram, gram_document_frequencies,
+                                   order_grams, positional_qgrams, qgrams)
 
 
 class TestQgrams:
@@ -56,7 +55,3 @@ class TestGramOrdering:
         grams = [PositionalGram("bb", 5), PositionalGram("aa", 9)]
         ordered = order_grams(grams, frequencies)
         assert [gram.gram for gram in ordered] == ["aa", "bb"]
-
-
-def test_approximate_gram_index_bytes():
-    assert approximate_gram_index_bytes(entries=10, gram_bytes=40) == 10 * 24 + 40

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.distance import edit_distance
 from repro.exceptions import InvalidThresholdError
-from repro.search import PassJoinSearcher, SearchMatch, search_all
-from repro.search.searcher import iter_matches
+from repro.search import PassJoinSearcher, SearchMatch
 from repro.types import StringRecord
 
 from helpers import random_strings
@@ -93,11 +92,6 @@ class TestBasicSearch:
         searcher = PassJoinSearcher(["a", "b", "c"], max_tau=1)
         assert len(searcher) == 3
         assert [record.text for record in searcher.records] == ["a", "b", "c"]
-
-    def test_contains_within(self):
-        searcher = PassJoinSearcher(["partition"], max_tau=2)
-        assert searcher.contains_within("partitions", tau=1)
-        assert not searcher.contains_within("verification", tau=2)
 
     def test_statistics_accumulate_over_queries(self):
         searcher = PassJoinSearcher(random_strings(100, 5, 15, seed=1), max_tau=2)
@@ -221,20 +215,6 @@ class TestDeterministicTieBreaking:
         for k in (1, 2, 3, 5):
             assert (forward.search_top_k("abc", k)
                     == backward.search_top_k("abc", k))
-
-
-class TestBatchHelpers:
-    def test_search_all(self):
-        results = search_all(["vldb", "icde", "edbt"], ["vldbj", "icdm"], tau=1)
-        assert {m.text for m in results["vldbj"]} == {"vldb"}
-        assert {m.text for m in results["icdm"]} == {"icde"}
-
-    def test_iter_matches(self):
-        searcher = PassJoinSearcher(["aaa", "aab", "zzz"], max_tau=1)
-        pairs = list(iter_matches(searcher, ["aaa", "zzz"], tau=1))
-        assert ("aaa", SearchMatch(0, 0, "aaa")) in pairs
-        assert ("aaa", SearchMatch(1, 1, "aab")) in pairs
-        assert ("zzz", SearchMatch(0, 2, "zzz")) in pairs
 
 
 class TestSearchOracle:

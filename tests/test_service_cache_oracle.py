@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ServiceConfig
 from repro.distance import edit_distance
 from repro.service import SimilarityService
+from repro.types import StringRecord
 
 MAX_TAU = 2
 ALPHABET = "abc"
@@ -156,5 +157,30 @@ def test_scripted_writes_next_to_cached_queries(shards):
         # something, and most reads after a write still hit.
         assert 0 < stats.invalidations < stats.misses
         assert hits > len(reads) * len(writes) // 2
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_in_process_insert_of_a_record_drops_near_answers(shards):
+    # SimilarityService.insert also takes a StringRecord: the cache must be
+    # dropped by the text it stored, and a text that is not a str must be
+    # refused before anything is stored or dropped.
+    config = ServiceConfig(max_tau=MAX_TAU, shards=shards,
+                           shard_backend="thread")
+    service = SimilarityService(["vldb", "sigmod"], config)
+    request = {"op": "search", "query": "vldb", "tau": 1}
+    try:
+        assert answer(service.handle_request(request)) == [(0, 0)]
+        assert service.insert(StringRecord(50, "vldbx")) == 50
+        response = service.handle_request(request)
+        assert (answer(response), response["cached"]) == ([(0, 0), (1, 50)],
+                                                          False)
+        with pytest.raises(TypeError):
+            service.insert(12345)
+        response = service.handle_request(request)
+        assert (answer(response), response["cached"]) == ([(0, 0), (1, 50)],
+                                                          True)
+        assert len(service.searcher) == 3
     finally:
         service.close()

@@ -123,6 +123,15 @@ class TestDeleteIsRemove:
         assert searcher.tombstone_count == 0
         assert [m.id for m in searcher.search("abcdef", tau=1)] == [1]
 
+    @pytest.mark.parametrize("bad_id", [True, 1.0, "1", None])
+    def test_delete_refuses_non_integer_ids(self, bad_id):
+        # insert refuses a bool id, so delete must not read True as id 1.
+        searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=2)
+        with pytest.raises(TypeError):
+            searcher.delete(bad_id)
+        assert (len(searcher), searcher.epoch) == (3, 0)
+        assert searcher.delete(1) is True
+
     def test_every_delete_bumps_the_epoch_once(self):
         strings = [f"string{i:04d}" for i in range(10)]
         searcher = DynamicSearcher(strings + ["a"], max_tau=1)
@@ -221,6 +230,15 @@ class TestInsertIdValidation:
         searcher = DynamicSearcher([StringRecord(2**63 - 1, "abcdef")],
                                    max_tau=1)
         assert [m.id for m in searcher.search("abcdeg")] == [2**63 - 1]
+
+    @pytest.mark.parametrize("bad_text", [12345, None, b"vldbx"])
+    def test_non_str_text_refused_before_any_change(self, bad_text):
+        searcher = DynamicSearcher(["vldb"], max_tau=2)
+        for text in (bad_text, StringRecord(7, bad_text)):
+            with pytest.raises(TypeError):
+                searcher.insert(text)
+        assert (len(searcher), searcher.epoch) == (1, 0)
+        assert searcher.insert("icde") == 1
 
 
 def _probe_with_verifier(searcher: DynamicSearcher, query: str, tau: int,

@@ -90,6 +90,15 @@ class TestRouterBasics:
             with pytest.raises(ValueError):
                 router.insert("bb", id=0)
 
+    @pytest.mark.parametrize("bad_id", [True, 1.0, "1", None])
+    def test_delete_refuses_non_integer_ids(self, bad_id):
+        # Same check as insert: True is not id 1.
+        with make_router(["vldb", "pvldb", "sigmod"], shards=2) as router:
+            with pytest.raises(TypeError):
+                router.delete(bad_id)
+            assert len(router) == 3
+            assert router.delete(1) is True
+
     def test_caller_chosen_and_auto_ids(self):
         with make_router(max_tau=1) as router:
             assert router.insert("alpha", id=500) == 500

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.types import (JoinResult, JoinStatistics, SimilarPair, StringRecord,
-                         as_records, normalise_pair, records_by_length)
+                         as_records, normalise_pair)
 
 
 class TestStringRecord:
@@ -94,11 +94,3 @@ class TestJoinResult:
     def test_sorted_pairs(self):
         result = JoinResult(pairs=[SimilarPair(5, 6, 1), SimilarPair(0, 2, 2)])
         assert result.sorted_pairs()[0].left_id == 0
-
-
-class TestRecordsByLength:
-    def test_grouping(self):
-        records = as_records(["a", "bb", "cc", "ddd"])
-        groups = records_by_length(records)
-        assert {length: len(group) for length, group in groups.items()} == {
-            1: 1, 2: 2, 3: 1}
