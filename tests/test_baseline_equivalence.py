@@ -47,6 +47,14 @@ def test_long_string_agreement(name):
     assert ALGORITHMS[name](tau).self_join(strings).pair_ids() == expected
 
 
+@pytest.mark.parametrize("q", [2, 4, 5])
+def test_ed_join_agrees_on_long_strings_for_every_gram_length(q):
+    strings = generate_title_dataset(80, seed=15)
+    tau = 6
+    expected = NaiveJoin(tau).self_join(strings).pair_ids()
+    assert EdJoin(tau, q=q).self_join(strings).pair_ids() == expected
+
+
 def test_distances_agree_between_passjoin_and_naive():
     strings = generate_author_dataset(150, seed=16)
     tau = 3

@@ -1,10 +1,14 @@
 """Tests for the q-gram prefix-filtering baseline, ED-Join."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.baselines.ed_join import EdJoin, ed_join, min_edit_errors
 from repro.baselines.qgram import (gram_document_frequencies, order_grams,
                                    positional_qgrams)
+from repro.types import StringRecord
 
 from helpers import brute_force_pairs, random_strings
 
@@ -29,6 +33,22 @@ class TestMinEditErrors:
         grams = positional_qgrams("abcdefghij", 3)
         assert min_edit_errors(list(reversed(grams)), 3) == min_edit_errors(grams, 3)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_greedy_matches_brute_force_minimum(self, q):
+        # An edit at character c destroys every gram covering c, so the
+        # minimum is the fewest characters that hit every gram's span.
+        rng = random.Random(q)
+        for _ in range(40):
+            grams = [gram for gram in positional_qgrams("abcdefghijkl", q)
+                     if rng.random() < 0.5]
+            spans = [range(position, position + q) for _, position in grams]
+            characters = range(12 + q)
+            fewest = next(k for k in itertools.count()
+                          if any(all(any(c in span for c in chosen)
+                                     for span in spans)
+                                 for chosen in itertools.combinations(characters, k)))
+            assert min_edit_errors(grams, q) == fewest
+
 
 class TestEdJoinPrefix:
     def test_prefix_has_at_most_q_tau_plus_one_grams(self):
@@ -49,6 +69,23 @@ class TestEdJoinPrefix:
                 assert min_edit_errors(prefix, q) > tau
         assert prefixes > 0
 
+    @pytest.mark.parametrize("tau", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_prefix_is_the_shortest_certifying_prefix(self, q, tau):
+        strings = random_strings(40, 1, 24, alphabet="abcd", seed=q * 10 + tau)
+        ed = EdJoin(tau, q)
+        frequencies = gram_document_frequencies(strings, q)
+        for text in strings:
+            ordered = order_grams(positional_qgrams(text, q), frequencies)
+            prefix = ed.prefix_grams(ordered)
+            if min_edit_errors(ordered, q) <= tau:
+                assert prefix is None
+                continue
+            assert prefix == ordered[:len(prefix)]
+            assert min_edit_errors(prefix, q) > tau
+            assert min_edit_errors(prefix[:-1], q) <= tau
+            assert len(prefix) <= q * tau + 1
+
     def test_unfilterable_string_returns_none(self):
         # A 3-character string with q=3 has one gram; one edit destroys it,
         # so no prefix can certify tau = 2.
@@ -60,6 +97,9 @@ class TestEdJoinPrefix:
 @pytest.mark.parametrize("factory,q", [
     (ed_join, 2),
     (ed_join, 3),
+    (ed_join, 1),
+    (ed_join, 4),
+    (ed_join, 5),
 ])
 class TestQGramJoinCorrectness:
     def test_paper_example(self, paper_strings, factory, q):
@@ -93,3 +133,30 @@ class TestQGramJoinBehaviour:
 
     def test_empty_collection(self):
         assert len(EdJoin(2).self_join([])) == 0
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_every_gram_is_indexed_and_counted(self, name_like_strings, q):
+        stats = EdJoin(2, q).self_join(name_like_strings).statistics
+        grams = [gram for text in name_like_strings
+                 for gram in positional_qgrams(text, q)]
+        assert stats.index_entries == len(grams)
+        assert stats.index_bytes == 16 * len(grams) + sum(
+            len(gram.encode("utf-8")) for gram in {gram for gram, _ in grams})
+        assert stats.num_index_probes == stats.num_selected_substrings
+        assert (stats.num_candidates >= stats.num_verifications
+                >= stats.num_results)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_duplicates_join_at_tau_zero(self, q):
+        strings = ["vldb", "sigmod", "vldb", "icde", "sigmod", "vldb", "ab", "ab"]
+        result = EdJoin(0, q).self_join(strings)
+        assert result.pair_ids() == {(0, 2), (0, 5), (2, 5), (1, 4), (6, 7)}
+        assert all(pair.distance == 0 for pair in result)
+
+    def test_record_ids_are_kept(self):
+        records = [StringRecord(40, "kaushik chakrab"),
+                   StringRecord(7, "caushik chakrabar"),
+                   StringRecord(12, "vldb")]
+        result = EdJoin(3).self_join(records)
+        assert [(pair.left_id, pair.right_id, pair.distance)
+                for pair in result] == [(7, 40, 3)]
