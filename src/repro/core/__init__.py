@@ -11,13 +11,14 @@ Sub-modules map one-to-one onto the paper's sections:
 * :mod:`repro.core.verify` — the verification strategies (Section 5).
 * :mod:`repro.core.join` — the :class:`PassJoin` driver gluing it all
   together (Algorithm 1).
-* :mod:`repro.core.kernel` — the searchers' backend: one segment index,
-  short pool and window cache probed through the engine.
+
+The searchers (:class:`repro.search.searcher.Searcher` and its two
+subclasses) hold a segment index, a short pool and a window cache of
+their own and probe them through the same engine.
 """
 
 from .index import SegmentIndex
 from .join import PassJoin, pass_join, pass_join_pairs
-from .kernel import EditDistanceBackend, get_kernel
 from .partition import segment_layout
 from .selection import make_selector
 from .store import RecordStore
@@ -30,6 +31,4 @@ __all__ = [
     "RecordStore",
     "segment_layout",
     "make_selector",
-    "EditDistanceBackend",
-    "get_kernel",
 ]

@@ -5,11 +5,10 @@ threshold ``max_tau`` with the Pass-Join partition scheme: a query string
 ``q`` with a per-query threshold ``tau ≤ max_tau`` is answered by probing
 the segment indices of every length in ``[|q| − tau, |q| + tau]`` with the
 multi-match-aware substring selection and verifying the candidates with
-:data:`~repro.config.DEFAULT_VERIFICATION`, all held by one
-:class:`~repro.core.kernel.EditDistanceBackend`.  A searcher is built one
-way, with the even partition and that verifier; the paper's other
-partitions and verifiers are join options
-(:class:`~repro.config.JoinConfig`).
+:data:`~repro.config.DEFAULT_VERIFICATION`, all held by the one searcher
+class, :class:`Searcher`.  A searcher is built one way, with the even
+partition and that verifier; the paper's other partitions and verifiers
+are join options (:class:`~repro.config.JoinConfig`).
 
 Why a query threshold below the index threshold stays correct: the index
 partitions every string into ``max_tau + 1`` segments.  If
@@ -28,10 +27,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..config import validate_threshold
-from ..core.kernel import EditDistanceBackend
+from ..config import DEFAULT_VERIFICATION, validate_threshold
+from ..core.engine import probe_many, probe_record
+from ..core.index import SegmentIndex
+from ..core.partition import can_partition
+from ..core.selection import MultiMatchAwareSelector, WindowCache
+from ..core.verify import make_verifier
 from ..exceptions import InvalidThresholdError
 from ..obs.trace import ProbeTrace, build_explain_report
 from ..types import JoinStatistics, StringRecord, as_records
@@ -59,10 +62,14 @@ def resolve_query_taus(queries: Sequence[str],
     again ints or ``None``.  Every resolved threshold is validated against
     ``max_tau`` — shared by all three batch searchers so their threshold
     semantics cannot drift apart.  A bare ``str`` is refused for either
-    argument: it is one query (or no threshold), not a sequence of them.
+    argument: it is one query (or no threshold), not a sequence of them;
+    so is any query that is not a ``str``, before any probe.
     """
     if isinstance(queries, str):
         raise TypeError("search_many takes a sequence of queries, not a str")
+    for query in queries:
+        if not isinstance(query, str):
+            raise TypeError(f"a query must be a str, got {query!r}")
     if isinstance(tau, str):
         raise TypeError("tau must be an int, None or a sequence of them, "
                         "not a str")
@@ -149,15 +156,21 @@ class SearchMatch:
 
 def ranked_matches(raw: Iterable[tuple[StringRecord, int]],
                    ) -> list[SearchMatch]:
-    """A backend's ``(record, distance)`` hits as ``(distance, id)``-sorted
+    """A probe's ``(record, distance)`` hits as ``(distance, id)``-sorted
     matches — the canonical result order of every search."""
     return sorted((SearchMatch(distance, record.id, record.text)
                    for record, distance in raw),
                   key=SearchMatch.sort_key)
 
 
-class KernelSearcher:
-    """The query surface over one :class:`EditDistanceBackend`, written once.
+class Searcher:
+    """The Pass-Join pipeline over one mutable index, with its query surface.
+
+    A searcher holds the segment ``index``, the ``selector``, the
+    ``short_pool`` of records too short to partition and the plan
+    ``window_cache``, and is the one record table: :meth:`record` answers
+    by id.  :meth:`probe` / :meth:`probe_many` run the engine's drivers
+    over ``index`` as it is at call time.
 
     :class:`PassJoinSearcher` (a frozen collection) and
     :class:`~repro.service.dynamic.DynamicSearcher` (a mutable one) share
@@ -174,35 +187,122 @@ class KernelSearcher:
     def __init__(self, records: Sequence[StringRecord], max_tau: int) -> None:
         """Index ``records`` (ids must be unique) for thresholds up to
         ``max_tau``."""
-        self._backend = EditDistanceBackend(max_tau)
-        self.max_tau = self._backend.max_tau
+        self.max_tau = validate_threshold(max_tau)
+        self.index = SegmentIndex(self.max_tau)
+        self.selector = MultiMatchAwareSelector(self.max_tau)
+        self.short_pool: dict[int, StringRecord] = {}
+        # id -> store row of every indexed record: what record() reads and
+        # remove_indexed() purges by.  Joins drive a bare SegmentIndex and
+        # never pay for it.
+        self._rows: dict[int, int] = {}
+        # Persistent probe-plan cache, shared across search /
+        # search_many / explain calls and across batches.  Plans are pure
+        # in (probe length, indexed-length range) under this searcher's
+        # fixed partition threshold and never hold row ordinals, so no
+        # write makes one stale; the LRU bound caps the keys of lengths
+        # gone cold.
+        self.window_cache = WindowCache(self.selector)
         self.statistics = JoinStatistics(num_strings=len(records))
         for record in records:
-            if record.id in self._backend:
+            if record.id in self:
                 # A duplicate would shadow one record and leave the other's
                 # postings (or short-pool entry) behind as a ghost.
                 raise ValueError(
                     f"duplicate id {record.id} in the initial collection")
-            self.statistics.num_indexed_segments += self._backend.add(record)
-        self.statistics.index_entries = self._backend.entry_count()
-        self.statistics.index_bytes = self._backend.approximate_bytes()
+            self.statistics.num_indexed_segments += self.add(record)
+        self.statistics.index_entries = self.entry_count()
+        self.statistics.index_bytes = self.approximate_bytes()
 
-    @property
-    def _index(self):
-        """The backend's segment index."""
-        return self._backend.index
+    def add(self, record: StringRecord) -> int:
+        """Index ``record`` (or pool it); return the segment entries added."""
+        if can_partition(record.length, self.max_tau):
+            row = self._rows[record.id] = self.index.store.add(record)
+            return self.index.add_row(row)
+        self.short_pool[record.id] = record
+        return 0
 
-    @property
-    def _selector(self):
-        """The backend's substring selector."""
-        return self._backend.selector
+    def record(self, record_id: int) -> StringRecord | None:
+        """The record held under ``record_id`` (indexed or pooled), or None."""
+        row = self._rows.get(record_id)
+        if row is None:
+            return self.short_pool.get(record_id)
+        return self.index.store.record_at(row)
+
+    def __len__(self) -> int:
+        """Number of records held, indexed or pooled."""
+        return len(self._rows) + len(self.short_pool)
+
+    def __contains__(self, record_id: int) -> bool:
+        return record_id in self._rows or record_id in self.short_pool
+
+    def remove_indexed(self, record: StringRecord) -> int:
+        """Remove an indexed record's segments and release its store row;
+        return the number of segments removed."""
+        row = self._rows.pop(record.id, None)
+        return 0 if row is None else self.index.remove(row)
+
+    def entry_count(self) -> int:
+        """Segment entries currently stored (postings)."""
+        return self.index.current_entry_count
+
+    def approximate_bytes(self) -> int:
+        """Approximate bytes of the inverted lists."""
+        return self.index.current_approximate_bytes
+
+    def new_verifier(self, tau: int, stats: JoinStatistics) -> Any:
+        """The verifier :meth:`probe` uses at ``tau`` (explain reports it)."""
+        return make_verifier(DEFAULT_VERIFICATION, tau, stats)
+
+    def probe(self, query: str, tau: int, *, stats: JoinStatistics,
+              trace: ProbeTrace | None = None,
+              verifier: Any = None) -> list[tuple[StringRecord, int]]:
+        """All indexed/pooled records within ``tau`` of ``query``, unranked.
+
+        ``trace`` collects the per-stage explain breakdown; ``verifier``
+        overrides the default verifier (the explain path passes the
+        instance it will report on).
+        """
+        if verifier is None:
+            verifier = self.new_verifier(tau, stats)
+        window_cache = self.window_cache
+        hits = window_cache.hits
+        matches = probe_record(
+            StringRecord(id=-1, text=query), tau=tau, index=self.index,
+            short_pool=list(self.short_pool.values()),
+            selector=self.selector, verifier=verifier, stats=stats,
+            max_length=len(query) + tau, allow_same_id=True, trace=trace,
+            window_cache=window_cache)
+        stats.num_windows_cache_hits += window_cache.hits - hits
+        return matches
+
+    def probe_many(self, queries: Sequence[tuple[str, int]], *,
+                   stats: JoinStatistics,
+                   verifier_factory: Callable[[int], Any] | None = None,
+                   ) -> list[list[tuple[StringRecord, int]]]:
+        """Batch :meth:`probe`: one result list per ``(query, tau)`` input.
+
+        ``verifier_factory`` maps a tau to the verifier of its group
+        (default: :meth:`new_verifier`).
+        """
+        if verifier_factory is None:
+            def verifier_factory(tau: int) -> Any:
+                return self.new_verifier(tau, stats)
+        window_cache = self.window_cache
+        hits = window_cache.hits
+        found = probe_many(
+            queries, index=self.index,
+            short_pool=list(self.short_pool.values()),
+            selector=self.selector, verifier_factory=verifier_factory,
+            stats=stats, window_cache=window_cache)
+        stats.num_windows_cache_hits += window_cache.hits - hits
+        return found
 
     def _probe(self, queries: Sequence[str], taus: Sequence[int],
                ) -> list[list[SearchMatch]]:
-        """One batch pass over the backend (validated taus, no result
+        """One batch pass over the index (validated taus, no result
         counting): a ``(distance, id)``-sorted match list per query."""
-        raw = self._backend.probe_many(list(zip(queries, taus)),
-                                       stats=self.statistics)
+        raw = self.probe_many(list(zip(queries, taus)),
+                              stats=self.statistics)
         return [ranked_matches(matches) for matches in raw]
 
     def search(self, query: str, tau: int | None = None) -> list[SearchMatch]:
@@ -245,11 +345,11 @@ class KernelSearcher:
         """
         (tau,) = resolve_query_taus([query], [tau], self.max_tau)
         stats = JoinStatistics()
-        verifier = self._backend.new_verifier(tau, stats)
+        verifier = self.new_verifier(tau, stats)
         trace = ProbeTrace()
         started = time.perf_counter()
-        raw = self._backend.probe(query, tau, stats=stats, trace=trace,
-                                  verifier=verifier)
+        raw = self.probe(query, tau, stats=stats, trace=trace,
+                         verifier=verifier)
         total_seconds = time.perf_counter() - started
         matches = ranked_matches(raw)
         return build_explain_report(
@@ -278,13 +378,13 @@ class KernelSearcher:
         ``num_results`` counts the matches returned.
         """
         limit = resolve_top_k(k, max_tau, self.max_tau)
-        best = [matches[:k]
-                for matches in self._probe(queries, [limit] * len(queries))]
+        best = [matches[:k] for matches in self._probe(
+            queries, resolve_query_taus(queries, limit, self.max_tau))]
         self.statistics.num_results += sum(map(len, best))
         return best
 
 
-class PassJoinSearcher(KernelSearcher):
+class PassJoinSearcher(Searcher):
     """Approximate similarity search over a fixed collection.
 
     Parameters
@@ -308,10 +408,6 @@ class PassJoinSearcher(KernelSearcher):
                  max_tau: int) -> None:
         self._records = as_records(strings)
         super().__init__(self._records, max_tau)
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._records)
 
     @property
     def records(self) -> Sequence[StringRecord]:

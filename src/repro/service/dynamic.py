@@ -9,11 +9,11 @@ queries.
   appends them to the inverted lists.  Results never depend on posting
   order: candidates are deduplicated by id and answers sorted by
   ``(distance, id)``.
-* The :class:`~repro.core.kernel.EditDistanceBackend` is the one record
-  table: it holds every indexed or pooled record and answers
-  :attr:`~DynamicSearcher.records`, :meth:`~DynamicSearcher.get_many` and
-  the duplicate-id check by id.  A record is live when the backend
-  holds it.
+* The searcher is its own record table: the
+  :class:`~repro.search.searcher.Searcher` base holds every indexed or
+  pooled record and answers :attr:`~DynamicSearcher.records`,
+  :meth:`~DynamicSearcher.get_many` and the duplicate-id check by id.  A
+  record is live when the searcher holds it.
 * :meth:`~DynamicSearcher.delete` removes the record at once: its
   ``max_tau + 1`` postings leave the inverted lists and its store row is
   released (a pooled short record just leaves the pool), so the index
@@ -27,7 +27,7 @@ drops the cached answers a write can change
 
 Exactness: search and top-k results are identical — element for element —
 to re-building a fresh ``PassJoinSearcher`` over the surviving records,
-because both run the same backend over the same logical collection and the
+because both run the same pipeline over the same logical collection and the
 result ordering is canonical; a top-k answer is the threshold search at
 its limit cut to ``k``.  The property-based test suite asserts both
 against a brute-force oracle on random interleavings.
@@ -35,9 +35,10 @@ against a brute-force oracle on random interleavings.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
-from ..search.searcher import KernelSearcher
+from ..search.searcher import Searcher
 from ..types import StringRecord, as_records, check_id_range
 
 
@@ -71,13 +72,13 @@ def coerce_insert_record(text: str | StringRecord, id: int | None,
     return record
 
 
-class DynamicSearcher(KernelSearcher):
+class DynamicSearcher(Searcher):
     """Approximate similarity search over a mutable collection.
 
     This class owns mutation; the constructor and every query method
     (``search`` / ``search_many`` / ``search_top_k`` /
     ``search_top_k_many`` / ``explain``) are the shared
-    :class:`~repro.search.searcher.KernelSearcher` surface.
+    :class:`~repro.search.searcher.Searcher` surface.
 
     Parameters
     ----------
@@ -115,9 +116,6 @@ class DynamicSearcher(KernelSearcher):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._backend)
-
     @property
     def epoch(self) -> int:
         """Mutation counter: bumped exactly once by every insert and every
@@ -133,23 +131,18 @@ class DynamicSearcher(KernelSearcher):
     @property
     def records(self) -> list[StringRecord]:
         """The live records, ordered by id (a snapshot, safe to mutate)."""
-        held = self._backend.record
+        held = self.record
         return [held(record_id)
-                for record_id in sorted(self._backend.record_ids())]
-
-    @property
-    def _short_pool(self) -> dict[int, StringRecord]:
-        """Records too short to partition (never indexed)."""
-        return self._backend.short_pool
+                for record_id in sorted(chain(self._rows, self.short_pool))]
 
     def index_memory(self) -> dict[str, int]:
         """Memory figures of the signature index (the ``stats`` op payload).
 
         ``records`` counts store rows, one per live indexed record;
         ``approximate_bytes`` covers the inverted lists plus the record
-        columns (see the backend's ``memory_report``).
+        columns (see :meth:`~repro.core.index.SegmentIndex.memory_report`).
         """
-        return self._backend.memory_report()
+        return self.index.memory_report()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -164,9 +157,9 @@ class DynamicSearcher(KernelSearcher):
         id is allowed.
         """
         record = coerce_insert_record(text, id, self._next_id)
-        if record.id in self._backend:
+        if record.id in self:
             raise ValueError(f"id {record.id} is already in the collection")
-        self.statistics.num_indexed_segments += self._backend.add(record)
+        self.statistics.num_indexed_segments += self.add(record)
         self._next_id = max(self._next_id, record.id + 1)
         self.statistics.num_strings += 1
         self._bump()
@@ -179,9 +172,9 @@ class DynamicSearcher(KernelSearcher):
         skipped — the shard-migration extract step uses this to
         tolerate records deleted between planning and copying.
         """
-        held = self._backend.record
+        held = self.record
         return [held(record_id) for record_id in record_ids
-                if record_id in self._backend]
+                if record_id in self]
 
     def insert_many(self, records: Iterable[str | StringRecord]) -> list[int]:
         """Insert several records (:meth:`insert` semantics); return the ids."""
@@ -199,19 +192,19 @@ class DynamicSearcher(KernelSearcher):
         included) raises ``TypeError``, as in :meth:`insert`.
         """
         check_record_id(record_id)
-        record = self._backend.record(record_id)
+        record = self.record(record_id)
         if record is None:
             return False
-        if not self._backend.unpool(record_id):
-            self._backend.remove_indexed(record)
+        if self.short_pool.pop(record_id, None) is None:
+            self.remove_indexed(record)
         self.statistics.num_strings -= 1
         self._bump()
         return True
 
     def _bump(self) -> None:
         self._epoch += 1
-        self.statistics.index_entries = self._backend.entry_count()
-        self.statistics.index_bytes = self._backend.approximate_bytes()
+        self.statistics.index_entries = self.entry_count()
+        self.statistics.index_bytes = self.approximate_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DynamicSearcher(live={len(self)}, epoch={self._epoch}, "

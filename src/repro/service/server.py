@@ -60,7 +60,6 @@ import time
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..config import DEFAULT_SERVICE_CONFIG, ServiceConfig
-from ..core.kernel import EditDistanceKernel
 from ..exceptions import ConfigurationError, ServiceError
 from ..obs.metrics import MetricsRegistry, funnel_snapshot, merge_snapshots
 from ..obs.slowlog import log_slow_query
@@ -87,6 +86,9 @@ QueryKey = tuple
 #: their streams with this instead.
 STREAM_LIMIT = 16 * 1024 * 1024
 
+#: The one similarity served; a request's ``kernel`` field may name only it.
+KERNEL_NAME = "edit-distance"
+
 
 def check_kernel_fields(payload: dict) -> None:
     """Refuse a request that names a similarity other than edit distance.
@@ -104,11 +106,11 @@ def check_kernel_fields(payload: dict) -> None:
                                            and len(names) != len(queries)):
             raise ValueError(
                 f"field 'kernels' must list one kernel name per query "
-                f"({EditDistanceKernel.name!r} or null), got {names!r}")
+                f"({KERNEL_NAME!r} or null), got {names!r}")
     for name in (payload.get("kernel"), *(names or ())):
-        if name is not None and name != EditDistanceKernel.name:
+        if name is not None and name != KERNEL_NAME:
             raise ConfigurationError(
-                f"this server serves only the {EditDistanceKernel.name!r} "
+                f"this server serves only the {KERNEL_NAME!r} "
                 f"kernel, but the request names {name!r}")
 
 

@@ -54,17 +54,23 @@ def as_records(strings: Iterable[str | StringRecord]) -> list[StringRecord]:
     callers keep their own identifier space; an id outside signed 64 bits
     raises ``ValueError`` here, before any index stores a row.  A bare
     ``str`` is refused: it is one string, not a collection of its
-    characters.
+    characters.  So is an item that is neither a ``str`` nor a record
+    holding one (``TypeError``): it is not text, and ``insert`` refuses it
+    too.
     """
     if isinstance(strings, str):
         raise TypeError("expected a collection of strings, not a str")
     records: list[StringRecord] = []
     for position, item in enumerate(strings):
         if isinstance(item, StringRecord):
+            if not isinstance(item.text, str):
+                raise TypeError(f"record text must be a str, got {item!r}")
             check_id_range(item.id)
             records.append(item)
+        elif isinstance(item, str):
+            records.append(StringRecord(id=position, text=item))
         else:
-            records.append(StringRecord(id=position, text=str(item)))
+            raise TypeError(f"expected a str or a StringRecord, got {item!r}")
     return records
 
 

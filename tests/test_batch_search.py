@@ -448,7 +448,7 @@ class TestPersistentWindowCache:
         from repro.types import StringRecord
 
         searcher = DynamicSearcher(["vldb", "pvldb", "sigmod"], max_tau=2)
-        window_cache = searcher._backend.window_cache
+        window_cache = searcher.window_cache
         searcher.search("vldb", 2)
         # "vldb" at tau 2 probes indexed lengths 3 to 6 ("sigmod" among them).
         plan = window_cache._entries[4, 3, 6]
@@ -468,12 +468,11 @@ class TestPersistentWindowCache:
         # The second search runs over windows cached *before* the delete
         # and must not resurrect the released store row.
         searcher = DynamicSearcher(["vldb", "avdb", "pvldb"], max_tau=2)
-        backend = searcher._backend
         first = searcher.search("vldb", 2)
         assert 1 in {match.id for match in first}
-        assert len(backend.window_cache) > 0
+        assert len(searcher.window_cache) > 0
         searcher.delete(1)
-        assert len(backend.window_cache) > 0  # cache survived the delete
+        assert len(searcher.window_cache) > 0  # cache survived the delete
         again = searcher.search("vldb", 2)
         assert all(match.id != 1 for match in again)
         assert again == [match for match in first if match.id != 1]

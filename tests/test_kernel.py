@@ -1,7 +1,8 @@
-"""Tests for the edit-distance backend factory and the wire kernel guard.
+"""Tests for the tracer's searcher factory and the wire kernel guard.
 
-Covers :func:`~repro.core.kernel.get_kernel` (the one name it knows and
-the error for any other), the backend's threshold validation, the length
+Covers :func:`~repro.core.kernel.get_kernel` (the one name it knows, the
+empty :class:`~repro.search.searcher.Searcher` it makes, and the error for
+any other name), the searcher's threshold validation, the length
 window every probe and shard scatter filters by, and the wire guard: a
 request may name the ``edit-distance`` kernel, and naming anything else
 fails the request instead of being answered under edit distance.  The
@@ -14,14 +15,14 @@ the even partition and the default verifier.
 import pytest
 
 from repro.config import DEFAULT_VERIFICATION, ServiceConfig
-from repro.core.kernel import EditDistanceKernel, get_kernel
+from repro.core.kernel import get_kernel
 from repro.exceptions import (ConfigurationError, InvalidThresholdError,
                               ServiceError, UnknownMethodError)
 from repro.search import PassJoinSearcher
-from repro.search.searcher import length_window
+from repro.search.searcher import Searcher, length_window
 from repro.service import (BackgroundServer, DynamicSearcher, ServiceClient,
                            ShardRouter, SimilarityService)
-from repro.service.server import check_kernel_fields
+from repro.service.server import KERNEL_NAME, check_kernel_fields
 from repro.types import JoinStatistics
 
 #: One valid request per op that runs queries, keyed by op.
@@ -37,7 +38,10 @@ QUERY_REQUESTS = {
 class TestRegistry:
     def test_get_kernel_returns_singletons(self):
         assert get_kernel("edit-distance") is get_kernel("edit-distance")
-        assert isinstance(get_kernel("edit-distance"), EditDistanceKernel)
+        backend = get_kernel("edit-distance").make_backend(1)
+        assert type(backend) is Searcher
+        assert backend.max_tau == 1 and len(backend) == 0
+        assert backend.entry_count() == 0
 
     def test_unknown_kernel_lists_the_registered_ones(self):
         with pytest.raises(UnknownMethodError) as excinfo:
@@ -47,8 +51,8 @@ class TestRegistry:
         assert "edit-distance" in message
 
     def test_described_verifier_is_the_one_served(self):
-        # Every backend verifies with the default, so a get_kernel
-        # backend's verifier and explain's verifier.kernel agree.
+        # Every searcher verifies with the default, so a get_kernel
+        # searcher's verifier and explain's verifier.kernel agree.
         backend = get_kernel("edit-distance").make_backend(1)
         verifier = backend.new_verifier(1, JoinStatistics())
         report = DynamicSearcher(["vldb", "pvldb"], max_tau=1).explain("vldb")
@@ -119,7 +123,7 @@ class TestConfigValidation:
         service = SimilarityService(["vldb", "pvldb"], ServiceConfig(max_tau=2))
         for request in QUERY_REQUESTS.values():
             response = service.handle_request(
-                {**request, "kernel": EditDistanceKernel.name})
+                {**request, "kernel": KERNEL_NAME})
             assert response["ok"] is True, request
 
     def test_unknown_kernel_fails_at_construction(self):

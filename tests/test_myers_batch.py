@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import JoinConfig, VerificationMethod
 from repro.core.join import pass_join
-from repro.core.kernel import get_kernel
 from repro.core.store import RecordStore
 from repro.core.verify import (BatchMyersVerifier, LengthAwareVerifier,
                                MatchContext, MyersVerifier, make_verifier)
 from repro.distance import length_aware_edit_distance
 from repro.distance.myers_batch import BatchMyersKernel, build_pattern_masks
 from repro.exceptions import InvalidThresholdError
+from repro.search.searcher import Searcher
 from repro.types import JoinStatistics, StringRecord
 
 from helpers import random_strings, store_rows
@@ -99,10 +99,10 @@ class TestBatchMyersVerifier:
             return verify_rows(probe, store, rows, context)
 
         verifier.verify_rows = counted
-        backend = get_kernel("edit-distance").make_backend(2)
+        searcher = Searcher((), max_tau=2)
         for i, text in enumerate(["vldbxyz", "pvldbxy", "vldbxy", "vldcxyz"]):
-            backend.add(StringRecord(id=i, text=text))
-        found = backend.probe("vldbxyz", 2, stats=stats, verifier=verifier)
+            searcher.add(StringRecord(id=i, text=text))
+        found = searcher.probe("vldbxyz", 2, stats=stats, verifier=verifier)
         assert sorted(record.id for record, _ in found) == [0, 1, 2, 3]
         assert stats.num_postings_scanned > stats.num_candidates == 4
         assert [(probe, sorted(rows), context)
@@ -135,9 +135,9 @@ class TestBatchMyersVerifier:
     def test_fused_group_builds_masks_once_per_query(self):
         """Same-length queries of one tau share a verifier, and each query
         is verified in one call that builds its masks once."""
-        backend = get_kernel("edit-distance").make_backend(2)
+        searcher = Searcher((), max_tau=2)
         for i, text in enumerate(random_strings(200, 8, 8, seed=9)):
-            backend.add(StringRecord(id=i, text=text))
+            searcher.add(StringRecord(id=i, text=text))
         verifiers, calls = [], []
 
         def factory(tau):
@@ -154,7 +154,7 @@ class TestBatchMyersVerifier:
 
         queries = ["abcdabcd", "abcddcba"]
         stats = JoinStatistics()
-        backend.probe_many([(query, 2) for query in queries],
+        searcher.probe_many([(query, 2) for query in queries],
                            stats=stats, verifier_factory=factory)
         (verifier,) = verifiers  # one tau, one verifier
         assert calls == queries

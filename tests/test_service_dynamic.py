@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import probe_record
 from repro.core.index import SegmentIndex
-from repro.core.kernel import get_kernel
 from repro.core.verify import make_verifier
 from repro.distance import edit_distance
 from repro.exceptions import InvalidThresholdError
 from repro.search import PassJoinSearcher, SearchMatch
+from repro.search.searcher import Searcher
 from repro.service import DynamicSearcher
 from repro.types import JoinStatistics, StringRecord
 
@@ -160,18 +160,18 @@ class TestDeleteIsRemove:
 
     def test_top_k_is_one_probe_at_the_limit_after_a_delete(self,
                                                             monkeypatch):
-        # Every query is one backend pass; a top-k call probes once, at
+        # Every query is one probe_many pass; a top-k call probes once, at
         # its limit, and cuts the sorted answer to k.
         searcher = DynamicSearcher(["abcdef", "abcdeg", "abcdxx"], max_tau=2)
         searcher.delete(1)
         seen = []
-        probe_many = searcher._backend.probe_many
+        probe_many = searcher.probe_many
 
         def spy(queries, **kwargs):
             seen.append(queries)
             return probe_many(queries, **kwargs)
 
-        monkeypatch.setattr(searcher._backend, "probe_many", spy)
+        monkeypatch.setattr(searcher, "probe_many", spy)
         searcher.search("abcdef", tau=1)
         searcher.search_many(["abcdef", "abcdxx"], tau=1)
         top = searcher.search_top_k("abcdef", k=1)
@@ -188,7 +188,7 @@ class TestInsertIdValidation:
         searcher = DynamicSearcher(["vldb"], max_tau=2)
         with pytest.raises(TypeError):
             searcher.insert("a", id=bad_id)
-        assert len(searcher) == 1 and searcher._short_pool == {}
+        assert len(searcher) == 1 and searcher.short_pool == {}
         assert searcher.insert("icde") == 1
         assert searcher.insert(StringRecord(5, "sigmod")) == 5
 
@@ -247,9 +247,9 @@ def _probe_with_verifier(searcher: DynamicSearcher, query: str, tau: int,
     stats = JoinStatistics()
     verifier = make_verifier(method, tau, stats)
     matches = probe_record(
-        StringRecord(id=-1, text=query), tau=tau, index=searcher._index,
-        short_pool=list(searcher._short_pool.values()),
-        selector=searcher._selector, verifier=verifier, stats=stats,
+        StringRecord(id=-1, text=query), tau=tau, index=searcher.index,
+        short_pool=list(searcher.short_pool.values()),
+        selector=searcher.selector, verifier=verifier, stats=stats,
         max_length=len(query) + tau, allow_same_id=True)
     return sorted((record.id, distance) for record, distance in matches)
 
@@ -350,8 +350,8 @@ class TestSegmentIndexRemove:
         assert index.current_approximate_bytes == 0
 
     def test_remove_unindexed_record_is_a_noop(self):
-        # The backend purges by id: an id it never indexed removes nothing.
-        backend = get_kernel("edit-distance").make_backend(2)
+        # The searcher purges by id: an id it never indexed removes nothing.
+        backend = Searcher((), max_tau=2)
         backend.add(StringRecord(0, "abcdef"))
         backend.add(StringRecord(1, "zz"))  # too short: pooled
         before = backend.entry_count()
@@ -384,14 +384,14 @@ class TestSegmentIndexRemove:
             searcher.insert(text)
         for record_id in range(0, 40, 2):
             searcher.delete(record_id)
-        for per_length in searcher._index._indices.values():
+        for per_length in searcher.index._indices.values():
             assert per_length
             for per_ordinal in per_length.values():
                 assert per_ordinal
                 for postings in per_ordinal.values():
                     assert len(postings) > 0
         # The store shrank with the deletes: only live records hold rows.
-        assert searcher._index.store.live_count == len(searcher)
+        assert searcher.index.store.live_count == len(searcher)
 
 
 def apply_ops(ops, max_tau):

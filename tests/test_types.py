@@ -1,5 +1,7 @@
 """Unit tests for the shared value types."""
 
+import re
+
 import pytest
 
 from repro.types import (JoinResult, JoinStatistics, SimilarPair, StringRecord,
@@ -37,8 +39,13 @@ class TestAsRecords:
     def test_empty_input(self):
         assert as_records([]) == []
 
-    def test_non_string_items_are_stringified(self):
-        assert as_records([123])[0].text == "123"
+    @pytest.mark.parametrize("item", [123, None, b"vldb",
+                                      StringRecord(id=4, text=123)])
+    def test_non_string_items_are_refused(self, item):
+        # Stringifying would index 123 as "123" and None as "None", text
+        # that insert refuses.
+        with pytest.raises(TypeError, match=re.escape(repr(item))):
+            as_records(["vldb", item])
 
 
 class TestSimilarPair:
